@@ -8,7 +8,6 @@ for one station), ``fit`` (single-model debug printout).
 from __future__ import annotations
 
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
@@ -16,7 +15,7 @@ from typing import Optional
 import click
 
 from . import density, ghcn, models, reporting, series as series_mod
-from .stations import ConfigError, RunConfig, Station, load_config
+from .stations import ConfigError, RunConfig, Station, load_config, parse_bandwidth
 
 VARIABLE_CHOICES = click.Choice(["avg", "dtr", "both"])
 
@@ -34,17 +33,25 @@ def _apply_overrides(config: RunConfig, endpoint, out, hac_bandwidth, strict_qc)
     if out:
         config.output_dir = Path(out)
     if hac_bandwidth is not None:
-        if hac_bandwidth == "auto":
-            config.hac_bandwidth = "auto"
-        else:
-            try:
-                config.hac_bandwidth = int(hac_bandwidth)
-            except ValueError:
-                raise click.ClickException(
-                    f"--hac-bandwidth must be 'auto' or an integer, got {hac_bandwidth!r}"
-                )
+        config.hac_bandwidth = hac_bandwidth
     if strict_qc:
         config.strict_qc = True
+
+
+def _parse_bandwidth_flag(ctx, param, value):
+    if value is None:
+        return None
+    try:
+        return parse_bandwidth(value)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc)) from None
+
+
+_hac_bandwidth_option = click.option(
+    "--hac-bandwidth",
+    callback=_parse_bandwidth_flag,
+    help="'auto' or a nonnegative integer.",
+)
 
 
 def _select(config: RunConfig, station_codes) -> list[Station]:
@@ -123,9 +130,7 @@ def ingest(config_path, station_codes, endpoint, strict_qc, out, refresh):
         entry["fetched_at"] = datetime.now(timezone.utc).isoformat()
         return entry
 
-    workers = max(1, min(4, len(stations)))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        entries = list(pool.map(ingest_one, stations))
+    entries = [ingest_one(station) for station in stations]
 
     reporting.write_manifest(entries, config.output_dir / "manifest.json")
     failed = [e for e in entries if e["status"] != "ok"]
@@ -142,7 +147,7 @@ def ingest(config_path, station_codes, endpoint, strict_qc, out, refresh):
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 @click.option("--station", "station_codes", multiple=True)
 @click.option("--variable", default="both", type=VARIABLE_CHOICES)
-@click.option("--hac-bandwidth", default=None, help="'auto' or a nonnegative integer.")
+@_hac_bandwidth_option
 @click.option("--out", default=None)
 def tables(config_path, station_codes, variable, hac_bandwidth, out):
     """Per-station summary tables (trend movement, Wald p-values, rho, R2)."""
@@ -154,14 +159,15 @@ def tables(config_path, station_codes, variable, hac_bandwidth, out):
     tables_dir = config.output_dir / "tables"
     tables_dir.mkdir(parents=True, exist_ok=True)
 
+    loaded = []
+    for station in stations:
+        try:
+            loaded.append((station.code, _load_series(config, station.code)))
+        except Exception as exc:  # noqa: BLE001
+            loaded.append((station.code, exc))
+
     any_failure = False
     for var in variables:
-        loaded = []
-        for station in stations:
-            try:
-                loaded.append((station.code, _load_series(config, station.code)))
-            except Exception as exc:  # noqa: BLE001
-                loaded.append((station.code, exc))
         report = models.batch_report(loaded, var, config.hac_bandwidth)
         reporting.write_table_csv(report, tables_dir / f"table_{var}.csv")
         reporting.write_table_text(report, tables_dir / f"table_{var}.txt")
@@ -176,12 +182,11 @@ def tables(config_path, station_codes, variable, hac_bandwidth, out):
 @main.command()
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 @click.option("--station", "station_code", required=True)
-@click.option("--hac-bandwidth", default=None)
 @click.option("--out", default=None)
-def figures(config_path, station_code, hac_bandwidth, out):
+def figures(config_path, station_code, out):
     """Figure-data bundle for one station: densities, trends, seasonals."""
     config = _load(config_path)
-    _apply_overrides(config, None, out, hac_bandwidth, False)
+    _apply_overrides(config, None, out, None, False)
     try:
         config.station(station_code)  # validate the code before any work
         station_series = _load_series(config, station_code)
@@ -197,12 +202,12 @@ def figures(config_path, station_code, hac_bandwidth, out):
         estimate = density.kde(y)
         reporting.write_density_csv(estimate, figures_dir / f"density_{var}.csv")
 
-        trend = models.fit_trend(station_series, var, config.hac_bandwidth)
+        trend = models.fit_trend(station_series, var)
         reporting.write_trend_csv(
             station_series, var, trend, figures_dir / f"trend_{var}.csv"
         )
 
-        detrended = models.detrend(station_series, var, trend)
+        detrended = trend.fit.residuals
         fixed = models.fit_fixed_seasonal(detrended, dummies)
         seasonal_fitted = dummies @ fixed.fit.beta
         reporting.write_seasonal_fit_csv(
@@ -234,7 +239,7 @@ def figures(config_path, station_code, hac_bandwidth, out):
     default="joint",
     type=click.Choice(["trend", "seasonal", "evolving", "joint"]),
 )
-@click.option("--hac-bandwidth", default=None)
+@_hac_bandwidth_option
 def fit(config_path, station_code, variable, model, hac_bandwidth):
     """Fit a single specification and print its coefficient table."""
     config = _load(config_path)
@@ -252,7 +257,7 @@ def fit(config_path, station_code, variable, model, hac_bandwidth):
         return
 
     trend = models.fit_trend(station_series, variable, config.hac_bandwidth)
-    detrended = models.detrend(station_series, variable, trend)
+    detrended = trend.fit.residuals
     dummies = series_mod.month_dummies(station_series)
     if model == "seasonal":
         _print_fit(

@@ -105,8 +105,16 @@ def parse_dly(data: bytes) -> list[RawDlyRecord]:
     with :func:`filter_elements`. Raises :class:`DlyParseError` (carrying
     the 1-based line number) on malformed lines.
     """
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        # lines of the ASCII prefix, with "?" standing in for the bad byte
+        number = len((data[: exc.start] + b"?").decode("ascii").splitlines())
+        raise DlyParseError(
+            f"non-ASCII byte 0x{data[exc.start]:02x}; not a .dly file", number
+        ) from None
     records = []
-    for number, raw in enumerate(data.decode("ascii").splitlines(), start=1):
+    for number, raw in enumerate(text.splitlines(), start=1):
         if not raw:
             continue
         if len(raw) != LINE_LENGTH:

@@ -21,7 +21,6 @@ Three Wald hypotheses are evaluated on the joint fit:
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import date
 from statistics import median
@@ -48,38 +47,6 @@ JOINT_DUMMIES = tuple(n for i, n in enumerate(DUMMY_NAMES, start=1) if i != JULY
 JOINT_INTERACTIONS = tuple(
     n for i, n in enumerate(INTERACTION_NAMES, start=1) if i != JULY
 )
-
-
-MODEL_KINDS = ("trend", "fixed_seasonal", "evolving_seasonal", "joint")
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    """One of the four estimable specifications for one regressand."""
-
-    kind: str
-    regressand: str
-
-    def __post_init__(self):
-        if self.kind not in MODEL_KINDS:
-            raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.regressand not in ("avg", "dtr"):
-            raise ValueError(f"unknown regressand {self.regressand!r}")
-
-    @property
-    def on_detrended(self) -> bool:
-        """Seasonal specifications regress trend-regression residuals."""
-        return self.kind in ("fixed_seasonal", "evolving_seasonal")
-
-    @property
-    def included_regressors(self) -> tuple[str, ...]:
-        if self.kind == "trend":
-            return ("const", "time")
-        if self.kind == "fixed_seasonal":
-            return DUMMY_NAMES
-        if self.kind == "evolving_seasonal":
-            return DUMMY_NAMES + INTERACTION_NAMES
-        return ("const", "time", "lag") + JOINT_DUMMIES + JOINT_INTERACTIONS
 
 
 @dataclass(frozen=True)
@@ -221,17 +188,6 @@ def fit_trend(
     )
 
 
-def detrend(series: TemperatureSeries, variable: str, trend_fit: TrendFit) -> np.ndarray:
-    """Residuals from the trend regression (mean zero by construction)."""
-    if trend_fit.variable != variable:
-        raise ValueError(
-            f"trend fit is for {trend_fit.variable!r}, not {variable!r}"
-        )
-    if trend_fit.fit.nobs != len(series):
-        raise ValueError("trend fit does not match series length")
-    return trend_fit.fit.residuals
-
-
 def seasonal_design(dummies: np.ndarray) -> DesignMatrix:
     return DesignMatrix(DUMMY_NAMES, dummies)
 
@@ -333,37 +289,23 @@ def batch_report(
     station_series: Sequence[tuple[str, Union[TemperatureSeries, Exception]]],
     variable: str,
     bandwidth: Bandwidth = "auto",
-    max_workers: int = 4,
 ) -> BatchReport:
     """Per-station rows in input order plus a column-wise median row.
 
-    Fits run on a bounded worker pool (each station is independent) and are
-    joined back in input order. A station failure only aborts that row; an
-    entry may carry an Exception instead of a series to record an upstream
-    failure. The median row is produced when every requested station
-    succeeded or at least MIN_ROWS_FOR_MEDIAN did.
+    A station failure only aborts that row; an entry may carry an Exception
+    instead of a series to record an upstream failure. The median row is
+    produced when every requested station succeeded or at least
+    MIN_ROWS_FOR_MEDIAN did.
     """
-
-    def one(entry: tuple[str, Union[TemperatureSeries, Exception]]):
-        station, series = entry
-        if isinstance(series, Exception):
-            return station, series
-        try:
-            return station, city_report(station, series, variable, bandwidth)
-        except Exception as exc:  # noqa: BLE001 - diagnostics per station
-            return station, exc
-
-    workers = max(1, min(max_workers, len(station_series) or 1))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        outcomes = list(pool.map(one, station_series))
-
     rows: list[CityReport] = []
     failures: list[tuple[str, str]] = []
-    for station, outcome in outcomes:
-        if isinstance(outcome, Exception):
-            failures.append((station, f"{type(outcome).__name__}: {outcome}"))
-        else:
-            rows.append(outcome)
+    for station, series in station_series:
+        try:
+            if isinstance(series, Exception):
+                raise series
+            rows.append(city_report(station, series, variable, bandwidth))
+        except Exception as exc:  # noqa: BLE001 - diagnostics per station
+            failures.append((station, f"{type(exc).__name__}: {exc}"))
     median_row = None
     if rows and (not failures or len(rows) >= MIN_ROWS_FOR_MEDIAN):
         median_row = CityReport(

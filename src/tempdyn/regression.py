@@ -67,27 +67,6 @@ class DesignMatrix:
         object.__setattr__(self, "names", tuple(self.names))
         object.__setattr__(self, "data", data)
 
-    @property
-    def nobs(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def ncols(self) -> int:
-        return self.data.shape[1]
-
-    def index(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise KeyError(f"no design column named {name!r}") from None
-
-    def column(self, name: str) -> np.ndarray:
-        return self.data[:, self.index(name)]
-
-    def subset(self, names: Sequence[str]) -> "DesignMatrix":
-        idx = [self.index(n) for n in names]
-        return DesignMatrix(tuple(names), self.data[:, idx])
-
 
 @dataclass(frozen=True)
 class ModelFit:
@@ -142,6 +121,18 @@ def resolve_bandwidth(nobs: int, bandwidth: Bandwidth) -> int:
     return lag
 
 
+def _check_rank(X: DesignMatrix, r: np.ndarray, order: Sequence[int]) -> None:
+    """Reject X when a diagonal entry of its QR factor R is negligible.
+
+    Negligible means at most RANK_TOL times the largest column norm of X;
+    ``order[j]`` is the design column behind ``R[j, j]`` (the QR pivots).
+    """
+    tol = RANK_TOL * max(np.linalg.norm(X.data, axis=0).max(), 1e-300)
+    deficient = np.nonzero(np.abs(np.diag(r)) <= tol)[0]
+    if deficient.size:
+        raise SingularDesignError(X.names[order[deficient[0]]])
+
+
 def ols_fit(X: DesignMatrix, y: np.ndarray) -> ModelFit:
     """Least-squares fit via column-pivoted QR; hac_cov left unpopulated.
 
@@ -156,11 +147,7 @@ def ols_fit(X: DesignMatrix, y: np.ndarray) -> ModelFit:
         raise InsufficientDataError(f"{n} observations for {k} regressors")
 
     q, r, piv = scipy.linalg.qr(X.data, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    tol = RANK_TOL * max(np.linalg.norm(X.data, axis=0).max(), 1e-300)
-    deficient = np.nonzero(diag <= tol)[0]
-    if deficient.size:
-        raise SingularDesignError(X.names[piv[deficient[0]]])
+    _check_rank(X, r, piv)
 
     beta = np.empty(k)
     beta[piv] = scipy.linalg.solve_triangular(r, q.T @ y)
@@ -188,13 +175,17 @@ def hac_cov(
     """Newey-West covariance of the OLS coefficients.
 
     Bandwidth 0 collapses the kernel to the heteroskedasticity-only (HC0)
-    sandwich. The result is exactly symmetric by construction.
+    sandwich. The result is exactly symmetric by construction. A rank
+    deficient X raises :class:`SingularDesignError`, as in :func:`ols_fit`.
     """
     residuals = np.asarray(residuals, dtype=np.float64)
     n, k = X.data.shape
     if residuals.shape != (n,):
         raise ValueError("residuals do not match design length")
     lag = resolve_bandwidth(n, bandwidth)
+    # (X'X)^-1 from the R factor of a QR decomposition, for stability
+    r = scipy.linalg.qr(X.data, mode="r")[0][:k, :]
+    _check_rank(X, r, range(k))
 
     scores = X.data * residuals[:, None]
     meat = scores.T @ scores
@@ -203,8 +194,6 @@ def hac_cov(
         gamma = scores[j:].T @ scores[:-j]
         meat += weight * (gamma + gamma.T)
 
-    # (X'X)^-1 from the R factor of a QR decomposition, for stability
-    r = scipy.linalg.qr(X.data, mode="r")[0][:k, :]
     r_inv = scipy.linalg.solve_triangular(r, np.eye(k))
     xtx_inv = r_inv @ r_inv.T
     cov = xtx_inv @ meat @ xtx_inv

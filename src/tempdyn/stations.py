@@ -134,13 +134,22 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
     return config
 
 
+def parse_bandwidth(value: str) -> Union[int, str]:
+    """A HAC bandwidth setting: ``auto`` or a nonnegative integer lag."""
+    if value.lower() == "auto":
+        return "auto"
+    if not (value.isascii() and value.isdigit()):
+        raise ValueError(f"expected 'auto' or a nonnegative integer, got {value!r}")
+    return int(value)
+
+
 def _apply_setting(config: RunConfig, key: str, value: str) -> None:
     if key == "window_start":
         config.window_start = date.fromisoformat(value)
     elif key == "window_end":
         config.window_end = date.fromisoformat(value)
     elif key == "hac_bandwidth":
-        config.hac_bandwidth = "auto" if value.lower() == "auto" else int(value)
+        config.hac_bandwidth = parse_bandwidth(value)
     elif key == "output_dir":
         config.output_dir = Path(value)
     elif key == "cache_dir":

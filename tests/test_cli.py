@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from tempdyn import series as series_mod
 from tempdyn.cli import main
 
 from conftest import synthetic_station_bytes
@@ -160,6 +161,37 @@ class TestTables:
         first = table.read_bytes()
         run(["tables", "--config", config])
         assert table.read_bytes() == first
+
+    def test_each_series_read_once(self, workspace, monkeypatch):
+        config = str(workspace / "run.cfg")
+        run(["ingest", "--config", config])
+        reads = []
+        original = series_mod.read_series_csv
+
+        def counting_read(path, *args, **kwargs):
+            reads.append(Path(path).name)
+            return original(path, *args, **kwargs)
+
+        monkeypatch.setattr(series_mod, "read_series_csv", counting_read)
+        result = run(["tables", "--config", config, "--variable", "both"])
+        assert result.exit_code == 0, result.output
+        assert sorted(reads) == ["AAA.csv", "BBB.csv"]
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_bandwidth_rejected_once(self, workspace, source):
+        config = workspace / "run.cfg"
+        run(["ingest", "--config", str(config)])
+        args = ["tables", "--config", str(config)]
+        if source == "flag":
+            args += ["--hac-bandwidth", "-3"]
+        else:
+            config.write_text("hac_bandwidth = -3\n" + config.read_text())
+        result = run(args)
+        assert result.exit_code != 0
+        assert result.output.count("expected 'auto' or a nonnegative integer") == 1
+        assert "FAILED" not in result.output
+        if source == "config":
+            assert f"{config}:1: bad value for hac_bandwidth" in result.output
 
     def test_explicit_bandwidth_recorded(self, workspace):
         config = str(workspace / "run.cfg")

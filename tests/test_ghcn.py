@@ -77,6 +77,13 @@ class TestParseDly:
         with pytest.raises(DlyParseError, match="line 2"):
             parse_dly(line_bytes(good, good[:-1]))
 
+    def test_non_ascii_byte_reports_line_number(self):
+        good = make_dly_line("USW00013739", 1960, 1, "TMAX", {1: 10})
+        html = "<p>Dépôt introuvable</p>".encode("utf-8")
+        with pytest.raises(DlyParseError, match="line 3: non-ASCII byte 0xc3") as info:
+            parse_dly(line_bytes(good, good) + html)
+        assert info.value.line_number == 3
+
     def test_non_numeric_value_field(self):
         line = make_dly_line("USW00013739", 1960, 1, "TMAX", {1: 10})
         corrupted = line[:21] + "abcde" + line[26:]

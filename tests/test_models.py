@@ -6,10 +6,8 @@ import pytest
 from tempdyn.models import (
     JOINT_DUMMIES,
     JOINT_INTERACTIONS,
-    ModelSpec,
     batch_report,
     city_report,
-    detrend,
     evolving_design,
     fit_evolving_seasonal,
     fit_fixed_seasonal,
@@ -81,25 +79,19 @@ class TestDetrend:
     def test_constant_series_detrends_to_zero(self):
         series = series_from_avg(np.full(400, 60.0))
         trend = fit_trend(series, "avg")
-        np.testing.assert_allclose(detrend(series, "avg", trend), 0.0, atol=1e-9)
+        np.testing.assert_allclose(trend.fit.residuals, 0.0, atol=1e-9)
 
     def test_pure_trend_detrends_to_zero(self):
         t = np.arange(1, 401)
         series = series_from_avg(5.0 + 0.01 * t)
         trend = fit_trend(series, "avg")
-        np.testing.assert_allclose(detrend(series, "avg", trend), 0.0, atol=1e-8)
+        np.testing.assert_allclose(trend.fit.residuals, 0.0, atol=1e-8)
 
     def test_mean_zero(self):
         rng = np.random.default_rng(21)
         series = series_from_avg(60 + np.cumsum(rng.standard_normal(500)) * 0.1)
         trend = fit_trend(series, "avg")
-        assert abs(detrend(series, "avg", trend).mean()) < 1e-9
-
-    def test_variable_mismatch_rejected(self):
-        series = series_from_avg(np.full(100, 60.0))
-        trend = fit_trend(series, "avg")
-        with pytest.raises(ValueError, match="dtr"):
-            detrend(series, "dtr", trend)
+        assert abs(trend.fit.residuals.mean()) < 1e-9
 
 
 class TestFixedSeasonal:
@@ -185,51 +177,37 @@ class TestEvolvingSeasonal:
         assert anchored.evaluated_at == "1960"
 
 
-class TestModelSpec:
-    def test_regressor_sets_per_kind(self):
-        assert ModelSpec("trend", "avg").included_regressors == ("const", "time")
-        fixed = ModelSpec("fixed_seasonal", "dtr")
-        assert len(fixed.included_regressors) == 12
-        assert fixed.on_detrended
-        evolving = ModelSpec("evolving_seasonal", "avg")
-        assert len(evolving.included_regressors) == 24
-        joint = ModelSpec("joint", "avg")
-        assert len(joint.included_regressors) == 25
-        assert "d07" not in joint.included_regressors
-        assert "dt07" not in joint.included_regressors
-        assert not joint.on_detrended
-
-    def test_bad_kind_rejected(self):
-        with pytest.raises(ValueError):
-            ModelSpec("quadratic", "avg")
-        with pytest.raises(ValueError):
-            ModelSpec("trend", "tmax")
-
-
 class TestJointModel:
     def test_design_layout(self):
         month = calendar_months(date(1960, 1, 1), 400)
         y = np.arange(400, dtype=float)
         design, regressand = joint_design(month, np.arange(1, 401), y)
-        assert design.names[:3] == ("const", "time", "lag")
-        assert design.names == ModelSpec("joint", "avg").included_regressors
+        assert design.names == (
+            ("const", "time", "lag")
+            + ("d01", "d02", "d03", "d04", "d05", "d06")
+            + ("d08", "d09", "d10", "d11", "d12")
+            + ("dt01", "dt02", "dt03", "dt04", "dt05", "dt06")
+            + ("dt08", "dt09", "dt10", "dt11", "dt12")
+        )
         assert design.data.shape == (399, 25)
         np.testing.assert_array_equal(regressand, y[1:])
-        np.testing.assert_array_equal(design.column("lag"), y[:-1])
-        np.testing.assert_array_equal(design.column("time"), np.arange(2.0, 401.0))
+        np.testing.assert_array_equal(design.data[:, design.names.index("lag")], y[:-1])
+        np.testing.assert_array_equal(
+            design.data[:, design.names.index("time")], np.arange(2.0, 401.0)
+        )
 
     def test_builders_match_declared_regressors(self):
         series = quick_series(70, T=500)
         dummies = month_dummies(series)
-        assert trend_design(series).names == ModelSpec("trend", "avg").included_regressors
-        assert (
-            seasonal_design(dummies).names
-            == ModelSpec("fixed_seasonal", "avg").included_regressors
+        dummy_names = ("d01", "d02", "d03", "d04", "d05", "d06") + (
+            "d07", "d08", "d09", "d10", "d11", "d12"
         )
-        assert (
-            evolving_design(dummies, series.t).names
-            == ModelSpec("evolving_seasonal", "avg").included_regressors
+        interaction_names = ("dt01", "dt02", "dt03", "dt04", "dt05", "dt06") + (
+            "dt07", "dt08", "dt09", "dt10", "dt11", "dt12"
         )
+        assert trend_design(series).names == ("const", "time")
+        assert seasonal_design(dummies).names == dummy_names
+        assert evolving_design(dummies, series.t).names == dummy_names + interaction_names
 
     def test_white_noise_rho_near_zero(self):
         rng = np.random.default_rng(60)
@@ -267,7 +245,7 @@ class TestJointModel:
         month = calendar_months(date(1960, 1, 1), T)
         y = rng.standard_normal(T).cumsum() * 0.05 + 50
         design, regressand = joint_design(month, np.arange(1, T + 1), y)
-        restricted = design.subset(["const", "time", "lag"])
+        restricted = DesignMatrix(design.names[:3], design.data[:, :3])
         direct = DesignMatrix(
             ("const", "time", "lag"),
             np.column_stack([np.ones(T - 1), np.arange(2.0, T + 1.0), y[:-1]]),
@@ -363,4 +341,4 @@ class TestReports:
     def test_trend_design_names(self):
         series = quick_series(7)
         assert trend_design(series).names == ("const", "time")
-        assert seasonal_design(month_dummies(series)).ncols == 12
+        assert seasonal_design(month_dummies(series)).data.shape[1] == 12

@@ -216,6 +216,14 @@ class TestHacCov:
         with pytest.raises(BandwidthError):
             hac_cov(X, np.zeros(10), bandwidth=-1)
 
+    def test_rank_deficient_design_rejected(self):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal(50)
+        X = DesignMatrix(("x", "x_again"), np.column_stack([x, x]))
+        with pytest.raises(SingularDesignError) as excinfo:
+            hac_cov(X, rng.standard_normal(50), bandwidth=2)
+        assert excinfo.value.column == "x_again"
+
 
 # ---------------------------------------------------------------------------
 # wald_test
