@@ -177,6 +177,21 @@ class TestEvolvingSeasonal:
         assert anchored.evaluated_at == "1960"
 
 
+class TestModelSpec:
+    """The regressor set each model kind is fitted with, read off its design builder."""
+
+    def test_regressor_sets_per_kind(self):
+        series = quick_series(70, T=500)
+        dummies = month_dummies(series)
+        assert trend_design(series).names == ("const", "time")
+        assert len(seasonal_design(dummies).names) == 12
+        assert len(evolving_design(dummies, series.t).names) == 24
+        joint, _ = joint_design(series.month, series.t, series.avg)
+        assert len(joint.names) == 25
+        assert "d07" not in joint.names
+        assert "dt07" not in joint.names
+
+
 class TestJointModel:
     def test_design_layout(self):
         month = calendar_months(date(1960, 1, 1), 400)
