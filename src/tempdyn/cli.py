@@ -8,6 +8,7 @@ for one station), ``fit`` (single-model debug printout).
 from __future__ import annotations
 
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
@@ -95,14 +96,23 @@ def ingest(config_path, station_codes, endpoint, strict_qc, out, refresh):
     series_dir = config.output_dir / "series"
     series_dir.mkdir(parents=True, exist_ok=True)
 
-    def ingest_one(station: Station) -> dict:
-        entry = {"station": station.code, "ghcn_id": station.ghcn_id}
+    def fetch(station: Station) -> tuple[str, object]:
+        """Where the .dly bytes come from, and the bytes or the fetch's exception."""
+        cache_file = Path(config.cache_dir) / f"{station.ghcn_id}.dly"
+        source = "cache" if cache_file.exists() and not refresh else "network"
         try:
-            cache_file = Path(config.cache_dir) / f"{station.ghcn_id}.dly"
-            entry["source"] = "cache" if cache_file.exists() and not refresh else "network"
-            payload = ghcn.fetch_station(
+            return source, ghcn.fetch_station(
                 station.ghcn_id, config.endpoint, config.cache_dir, refresh=refresh
             )
+        except Exception as exc:  # noqa: BLE001 - reported in the manifest
+            return source, exc
+
+    def ingest_one(station: Station, fetched: tuple[str, object]) -> dict:
+        source, payload = fetched
+        entry = {"station": station.code, "ghcn_id": station.ghcn_id, "source": source}
+        try:
+            if isinstance(payload, Exception):
+                raise payload
             records = ghcn.parse_dly(payload)
             observations, notes = ghcn.station_observations(
                 records, config.window_start, config.window_end, config.strict_qc
@@ -130,7 +140,13 @@ def ingest(config_path, station_codes, endpoint, strict_qc, out, refresh):
         entry["fetched_at"] = datetime.now(timezone.utc).isoformat()
         return entry
 
-    entries = [ingest_one(station) for station in stations]
+    # Downloads wait on the network, so up to four overlap; parsing holds the
+    # GIL, so each payload is parsed in config order as it arrives.
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        entries = [
+            ingest_one(station, fetched)
+            for station, fetched in zip(stations, pool.map(fetch, stations))
+        ]
 
     reporting.write_manifest(entries, config.output_dir / "manifest.json")
     failed = [e for e in entries if e["status"] != "ok"]

@@ -1,12 +1,13 @@
 import csv
 import json
+import threading
 from datetime import date
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from tempdyn import series as series_mod
+from tempdyn import ghcn, series as series_mod
 from tempdyn.cli import main
 
 from conftest import synthetic_station_bytes
@@ -104,6 +105,23 @@ class TestIngest:
         assert result.exit_code == 1
         manifest = json.loads((workspace / "out" / "manifest.json").read_text())
         assert manifest[0]["status"] == "error"
+
+    def test_fetches_overlap(self, workspace, monkeypatch):
+        # Each fetch waits at the barrier for the other station's fetch, so
+        # fetching one station after the other breaks it and fails both.
+        barrier = threading.Barrier(2, timeout=5)
+        original = ghcn.fetch_station
+
+        def waiting_fetch(*args, **kwargs):
+            barrier.wait()
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ghcn, "fetch_station", waiting_fetch)
+        result = run(["ingest", "--config", str(workspace / "run.cfg")])
+        assert result.exit_code == 0, result.output
+        manifest = json.loads((workspace / "out" / "manifest.json").read_text())
+        assert [e["station"] for e in manifest] == ["AAA", "BBB"]
+        assert [e["source"] for e in manifest] == ["cache", "cache"]
 
 
 class TestTables:
