@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
 
 import click
 
 from . import density, ghcn, models, reporting, series as series_mod
+from .regression import BandwidthError, SingularDesignError
 from .stations import ConfigError, RunConfig, Station, load_config, parse_bandwidth
 
 VARIABLE_CHOICES = click.Choice(["avg", "dtr", "both"])
@@ -62,6 +62,23 @@ def _select(config: RunConfig, station_codes) -> list[Station]:
         raise click.ClickException(str(exc))
 
 
+def _check_lag(bandwidth, loaded) -> None:
+    """Reject a fixed HAC lag that the shortest loaded series cannot carry.
+
+    The joint model loses its first day to the lagged regressor, so its
+    nobs (series length - 1) is the smallest of the four fits.
+    """
+    lengths = [(len(s), code) for code, s in loaded if not isinstance(s, Exception)]
+    if bandwidth == "auto" or not lengths:
+        return
+    length, code = min(lengths)
+    if bandwidth >= length - 1:
+        raise click.ClickException(
+            f"HAC bandwidth {bandwidth} must be below the joint model's nobs "
+            f"{length - 1} ({code}, the shortest series)"
+        )
+
+
 def _series_path(config: RunConfig, code: str) -> Path:
     return config.output_dir / "series" / f"{code}.csv"
 
@@ -96,29 +113,35 @@ def ingest(config_path, station_codes, endpoint, strict_qc, out, refresh):
     series_dir = config.output_dir / "series"
     series_dir.mkdir(parents=True, exist_ok=True)
 
-    def fetch(station: Station) -> tuple[str, object]:
-        """Where the .dly bytes come from, and the bytes or the fetch's exception."""
-        cache_file = Path(config.cache_dir) / f"{station.ghcn_id}.dly"
-        source = "cache" if cache_file.exists() and not refresh else "network"
+    def fetch(station: Station) -> object:
+        """The fetched payload, or the fetch's exception."""
         try:
-            return source, ghcn.fetch_station(
+            return ghcn.fetch_station(
                 station.ghcn_id, config.endpoint, config.cache_dir, refresh=refresh
             )
         except Exception as exc:  # noqa: BLE001 - reported in the manifest
-            return source, exc
+            return exc
 
-    def ingest_one(station: Station, fetched: tuple[str, object]) -> dict:
-        source, payload = fetched
-        entry = {"station": station.code, "ghcn_id": station.ghcn_id, "source": source}
+    def ingest_one(station: Station, fetched: object) -> dict:
+        # a failed fetch found no cache file to fall back on
+        entry = {"station": station.code, "ghcn_id": station.ghcn_id, "source": "network"}
         try:
-            if isinstance(payload, Exception):
-                raise payload
-            records = ghcn.parse_dly(payload)
-            observations, notes = ghcn.station_observations(
+            if isinstance(fetched, Exception):
+                raise fetched
+            entry.update(source=fetched.source, fetched_at=fetched.fetched_at.isoformat())
+            try:
+                records = ghcn.parse_station(fetched.data, station.ghcn_id)
+            except ghcn.DlyParseError as exc:
+                # downloads are checked before they are cached, so the cache file is bad
+                raise ghcn.DlyParseError(
+                    f"cached file {fetched.cache_path}: {exc}; "
+                    "delete it or rerun with --refresh"
+                ) from None
+            tmax, tmin, notes = ghcn.station_observations(
                 records, config.window_start, config.window_end, config.strict_qc
             )
             built = series_mod.build_series(
-                observations, config.window_start, config.window_end
+                tmax, tmin, config.window_start, config.window_end
             )
             series_mod.write_series_csv(built, _series_path(config, station.code))
             entry.update(
@@ -137,7 +160,6 @@ def ingest(config_path, station_codes, endpoint, strict_qc, out, refresh):
             )
         except Exception as exc:  # noqa: BLE001 - reported in the manifest
             entry.update(status="error", error=f"{type(exc).__name__}: {exc}")
-        entry["fetched_at"] = datetime.now(timezone.utc).isoformat()
         return entry
 
     # Downloads wait on the network, so up to four overlap; parsing holds the
@@ -172,16 +194,16 @@ def tables(config_path, station_codes, variable, hac_bandwidth, out):
     stations = _select(config, station_codes)
     variables = ["avg", "dtr"] if variable == "both" else [variable]
 
-    tables_dir = config.output_dir / "tables"
-    tables_dir.mkdir(parents=True, exist_ok=True)
-
     loaded = []
     for station in stations:
         try:
             loaded.append((station.code, _load_series(config, station.code)))
         except Exception as exc:  # noqa: BLE001
             loaded.append((station.code, exc))
+    _check_lag(config.hac_bandwidth, loaded)
 
+    tables_dir = config.output_dir / "tables"
+    tables_dir.mkdir(parents=True, exist_ok=True)
     any_failure = False
     for var in variables:
         report = models.batch_report(loaded, var, config.hac_bandwidth)
@@ -266,27 +288,34 @@ def fit(config_path, station_code, variable, model, hac_bandwidth):
     except Exception as exc:  # noqa: BLE001
         raise click.ClickException(str(exc))
 
+    try:
+        _fit_and_print(station_series, variable, model, config.hac_bandwidth)
+    except (BandwidthError, SingularDesignError) as exc:
+        raise click.ClickException(f"{station_code} {variable} {model}: {exc}")
+
+
+def _fit_and_print(station_series, variable: str, model: str, bandwidth) -> None:
     if model == "trend":
-        result = models.fit_trend(station_series, variable, config.hac_bandwidth)
+        result = models.fit_trend(station_series, variable, bandwidth)
         _print_fit(result.fit)
         click.echo(f"delta_trend: {result.delta_trend:.4f} F over the sample")
         return
 
-    trend = models.fit_trend(station_series, variable, config.hac_bandwidth)
+    trend = models.fit_trend(station_series, variable, bandwidth)
     detrended = trend.fit.residuals
     dummies = series_mod.month_dummies(station_series)
     if model == "seasonal":
         _print_fit(
-            models.fit_fixed_seasonal(detrended, dummies, config.hac_bandwidth).fit
+            models.fit_fixed_seasonal(detrended, dummies, bandwidth).fit
         )
     elif model == "evolving":
         _print_fit(
             models.fit_evolving_seasonal(
-                detrended, dummies, station_series.t, config.hac_bandwidth
+                detrended, dummies, station_series.t, bandwidth
             ).fit
         )
     else:
-        joint = models.fit_joint(station_series, variable, config.hac_bandwidth)
+        joint = models.fit_joint(station_series, variable, bandwidth)
         _print_fit(joint.fit)
         suite = models.hypothesis_suite(joint)
         click.echo(

@@ -13,6 +13,18 @@ and repairs isolated single-day gaps by averaging the neighbouring days.
     18-21  element code (TMAX, TMIN, ...)
     22-269 31 day groups of 8 characters each:
            value (5, right-justified, -9999 = missing), mflag, qflag, sflag
+
+Parsing is array-native. The non-empty lines become one ``(lines, 269)``
+uint8 matrix; year, month and every value field of every element are
+checked with byte masks, and only the TMAX/TMIN value fields are decoded,
+to an int32 ``(rows, 31)`` array. A field is decoded in bulk when it is
+"plain": optional leading spaces, an optional ``-`` and at least one digit,
+right-justified. A line with any other field (``+12``, ``1_2``, trailing
+blanks, letters) goes through the per-line decoder :func:`_decode_line`,
+which applies ``int()`` to each field as the archive reader always has: it
+accepts what ``int()`` accepts and raises :class:`DlyParseError` with the
+1-based line number otherwise. Repair scatters each element into an array
+indexed by day of the window, so no per-day object is ever built.
 """
 
 from __future__ import annotations
@@ -20,9 +32,10 @@ from __future__ import annotations
 import os
 import tempfile
 from dataclasses import dataclass, field
-from datetime import date, timedelta
+from datetime import date, datetime, timedelta, timezone
 from typing import Callable, NamedTuple, Optional, Sequence
 
+import numpy as np
 import requests
 
 MISSING = -9999
@@ -30,6 +43,16 @@ LINE_LENGTH = 269
 DAY_SLOTS = 31
 TEMPERATURE_ELEMENTS = ("TMAX", "TMIN")
 DEFAULT_ENDPOINT = "https://www.ncei.noaa.gov/pub/data/ghcn/daily/all"
+
+# byte classes of a plain integer field: spaces, then at most one minus,
+# then digits, so the classes never decrease along the field
+_SPACE, _MINUS, _DIGIT, _OTHER = 0, 1, 2, 3
+_BYTE_CLASS = np.full(256, _OTHER, dtype=np.uint8)
+_BYTE_CLASS[ord(" ")] = _SPACE
+_BYTE_CLASS[ord("-")] = _MINUS
+_BYTE_CLASS[ord("0") : ord("9") + 1] = _DIGIT
+_BYTE_CLASS.setflags(write=False)
+_QFLAG_COLUMNS = slice(21 + 6, LINE_LENGTH, 8)
 
 
 class DlyParseError(ValueError):
@@ -80,13 +103,60 @@ class RawDlyRecord:
     values: tuple[DlyValue, ...]  # always 31 slots
 
 
-@dataclass(frozen=True)
-class DailyObservation:
-    """One station-day of temperatures in integer degrees Fahrenheit."""
+@dataclass(frozen=True, eq=False)
+class DlyRecords:
+    """The lines of one ``.dly`` file, column by column.
 
-    date: date
-    tmax_f: Optional[int]
-    tmin_f: Optional[int]
+    ``lines`` is the (n, 269) byte matrix of the non-empty lines in file
+    order and ``line_numbers`` their 1-based numbers in the file. ``year``,
+    ``month`` and ``element`` (4-byte codes) are decoded for every line;
+    ``values`` (int32, 31 day slots) only for the TMAX/TMIN lines whose
+    indices ``rows`` lists. ``len()`` counts lines, and indexing or
+    iterating yields :class:`RawDlyRecord` objects decoded line by line.
+    """
+
+    lines: np.ndarray
+    line_numbers: np.ndarray
+    year: np.ndarray
+    month: np.ndarray
+    element: np.ndarray
+    rows: np.ndarray
+    values: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.lines)
+
+    def __getitem__(self, index: int) -> RawDlyRecord:
+        raw = self.lines[index].tobytes().decode("ascii")
+        return _decode_line(raw, int(self.line_numbers[index]))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def station_ids(self) -> list[str]:
+        """The distinct station identifiers, sorted."""
+        ids = np.unique(self.lines[:, :11].copy().view("S11"))
+        return [s.decode("ascii") for s in ids.tolist()]
+
+
+@dataclass(frozen=True)
+class Fetched:
+    """A station's ``.dly`` bytes and how this run obtained them.
+
+    ``source`` is ``"network"`` when the bytes were downloaded by this call
+    and ``"cache"`` when they were read from ``cache_path`` (a cache hit, or
+    the fallback when a refresh could not reach the archive). ``fetched_at``
+    is when the bytes left the archive: the download time, or the cache
+    file's modification time. ``len()`` is the payload's byte count.
+    """
+
+    data: bytes
+    source: str
+    cache_path: str
+    fetched_at: datetime
+
+    def __len__(self) -> int:
+        return len(self.data)
 
 
 @dataclass
@@ -98,12 +168,13 @@ class IngestNotes:
     inversions_repaired: list[date] = field(default_factory=list)
 
 
-def parse_dly(data: bytes) -> list[RawDlyRecord]:
-    """Parse a ``.dly`` byte stream into raw records, one per line.
+def parse_dly(data: bytes) -> DlyRecords:
+    """Parse a ``.dly`` byte stream into columnar records, one per line.
 
     Every element code present in the file is retained; filter afterwards
-    with :func:`filter_elements`. Raises :class:`DlyParseError` (carrying
-    the 1-based line number) on malformed lines.
+    with :func:`filter_elements` or on ``element``. Raises
+    :class:`DlyParseError` (carrying the 1-based line number) for the first
+    malformed line; empty lines are skipped and CRLF endings accepted.
     """
     try:
         text = data.decode("ascii")
@@ -113,40 +184,111 @@ def parse_dly(data: bytes) -> list[RawDlyRecord]:
         raise DlyParseError(
             f"non-ASCII byte 0x{data[exc.start]:02x}; not a .dly file", number
         ) from None
-    records = []
-    for number, raw in enumerate(text.splitlines(), start=1):
-        if not raw:
-            continue
-        if len(raw) != LINE_LENGTH:
+    lines = text.splitlines()
+    lengths = np.fromiter(map(len, lines), dtype=np.int64, count=len(lines))
+    wrong = np.flatnonzero((lengths != LINE_LENGTH) & (lengths > 0))
+    end = int(wrong[0]) if wrong.size else len(lines)
+    matrix = np.frombuffer("".join(lines[:end]).encode("ascii"), dtype=np.uint8)
+    # the lines before the first one of the wrong length may hold an earlier error
+    records = _decode_matrix(
+        matrix.reshape(-1, LINE_LENGTH), np.flatnonzero(lengths[:end]) + 1
+    )
+    if wrong.size:
+        raise DlyParseError(
+            f"expected {LINE_LENGTH} characters, got {lengths[end]}", end + 1
+        )
+    return records
+
+
+def _plain(fields: np.ndarray) -> np.ndarray:
+    """Mask over the last axis: spaces, an optional '-', then digits."""
+    kinds = [_BYTE_CLASS[fields[..., j]] for j in range(fields.shape[-1])]
+    plain = kinds[-1] == _DIGIT
+    for left, right in zip(kinds, kinds[1:]):
+        plain &= (left <= right) & ((left != _MINUS) | (right != _MINUS))
+    return plain
+
+
+def _decode_plain(fields: np.ndarray) -> np.ndarray:
+    """int32 values of fields (last axis) that :func:`_plain` accepts."""
+    magnitude = np.zeros(fields.shape[:-1], dtype=np.int32)
+    negative = np.zeros(fields.shape[:-1], dtype=bool)
+    for j in range(fields.shape[-1]):
+        column = fields[..., j]
+        digit = column - np.uint8(ord("0"))  # spaces and '-' wrap past 9
+        magnitude = magnitude * 10 + np.where(digit <= 9, digit, 0)
+        negative |= column == ord("-")
+    return np.where(negative, -magnitude, magnitude)
+
+
+def _decode_matrix(matrix: np.ndarray, line_numbers: np.ndarray) -> DlyRecords:
+    """Check and decode the line matrix in bulk. Lines with a field outside
+    the plain pattern go through :func:`_decode_line` in file order, so the
+    first malformed line is the one that raises."""
+    value_fields = matrix[:, 21:].reshape(-1, DAY_SLOTS, 8)[:, :, :5]
+    year = _decode_plain(matrix[:, 11:15])
+    month = _decode_plain(matrix[:, 15:17])
+    plain = (
+        _plain(matrix[:, 11:15])
+        & _plain(matrix[:, 15:17])
+        & (month >= 1)
+        & (month <= 12)
+        & _plain(value_fields).all(axis=1)
+    )
+    element = matrix[:, 17:21].copy().view("S4").ravel()
+    temperature = np.isin(element, [e.encode("ascii") for e in TEMPERATURE_ELEMENTS])
+    rows = np.flatnonzero(temperature)
+    values = _decode_plain(value_fields[rows])
+    for row in np.flatnonzero(~plain).tolist():
+        record = _decode_line(matrix[row].tobytes().decode("ascii"), int(line_numbers[row]))
+        year[row], month[row] = record.year, record.month
+        if temperature[row]:
+            values[np.searchsorted(rows, row)] = [slot.value for slot in record.values]
+    return DlyRecords(matrix, line_numbers, year, month, element, rows, values)
+
+
+def _decode_line(raw: str, number: int) -> RawDlyRecord:
+    """Decode one 269-character line field by field with ``int()``.
+
+    The reference decoding: :func:`parse_dly` falls back to it for lines
+    with a field outside the plain pattern, and indexing a parse result
+    goes through it.
+    """
+    station_id = raw[0:11]
+    try:
+        year = int(raw[11:15])
+    except ValueError:
+        raise DlyParseError(f"non-numeric year field {raw[11:15]!r}", number)
+    try:
+        month = int(raw[15:17])
+    except ValueError:
+        raise DlyParseError(f"non-numeric month field {raw[15:17]!r}", number)
+    if not 1 <= month <= 12:
+        raise DlyParseError(f"month {month} out of range", number)
+    element = raw[17:21]
+    slots = []
+    for day in range(DAY_SLOTS):
+        offset = 21 + 8 * day
+        text = raw[offset : offset + 5]
+        try:
+            value = int(text)
+        except ValueError:
             raise DlyParseError(
-                f"expected {LINE_LENGTH} characters, got {len(raw)}", number
+                f"non-numeric value field {text!r} for day {day + 1}", number
             )
-        station_id = raw[0:11]
-        try:
-            year = int(raw[11:15])
-        except ValueError:
-            raise DlyParseError(f"non-numeric year field {raw[11:15]!r}", number)
-        try:
-            month = int(raw[15:17])
-        except ValueError:
-            raise DlyParseError(f"non-numeric month field {raw[15:17]!r}", number)
-        if not 1 <= month <= 12:
-            raise DlyParseError(f"month {month} out of range", number)
-        element = raw[17:21]
-        slots = []
-        for day in range(DAY_SLOTS):
-            offset = 21 + 8 * day
-            text = raw[offset : offset + 5]
-            try:
-                value = int(text)
-            except ValueError:
-                raise DlyParseError(
-                    f"non-numeric value field {text!r} for day {day + 1}", number
-                )
-            slots.append(
-                DlyValue(value, raw[offset + 5], raw[offset + 6], raw[offset + 7])
-            )
-        records.append(RawDlyRecord(station_id, year, month, element, tuple(slots)))
+        slots.append(DlyValue(value, raw[offset + 5], raw[offset + 6], raw[offset + 7]))
+    return RawDlyRecord(station_id, year, month, element, tuple(slots))
+
+
+def parse_station(data: bytes, station_id: str) -> DlyRecords:
+    """:func:`parse_dly`, requiring every line to belong to ``station_id``
+    and at least one TMAX or TMIN line."""
+    records = parse_dly(data)
+    foreign = [s for s in records.station_ids() if s != station_id]
+    if foreign:
+        raise DlyParseError(f"holds station {', '.join(foreign)}, not {station_id}")
+    if not records.rows.size:
+        raise DlyParseError(f"holds no TMAX or TMIN records for {station_id}")
     return records
 
 
@@ -172,139 +314,192 @@ def filter_elements(
     return [r for r in records if r.element in wanted]
 
 
-def round_half_away_from_zero(numerator: int, denominator: int) -> int:
-    """Exact integer rounding of numerator/denominator, halves away from zero."""
+def round_half_away_from_zero(numerator, denominator: int) -> np.ndarray:
+    """Exact integer rounding of numerator/denominator, halves away from zero.
+
+    ``numerator`` is an integer or an integer array; the result has its shape.
+    """
     if denominator <= 0:
         raise ValueError("denominator must be positive")
-    sign = 1 if numerator >= 0 else -1
-    quotient, remainder = divmod(abs(numerator), denominator)
-    if 2 * remainder >= denominator:
-        quotient += 1
-    return sign * quotient
+    numerator = np.asarray(numerator)
+    return np.sign(numerator) * ((np.abs(numerator) + denominator // 2) // denominator)
 
 
-def to_fahrenheit_int(tenths_celsius: int) -> int:
+def to_fahrenheit_int(tenths_celsius) -> np.ndarray:
     """Convert GHCN storage units (tenths of deg C) to the nearest whole deg F.
 
     U.S. stations originally report integer Fahrenheit, so rounding recovers
     the published scale. F = tc/10 * 9/5 + 32 = (9*tc + 1600) / 50, evaluated
-    in exact integer arithmetic with halves rounded away from zero.
+    in exact integer arithmetic with halves rounded away from zero,
+    elementwise over an integer array.
     """
-    if tenths_celsius == MISSING:
+    tenths_celsius = np.asarray(tenths_celsius, dtype=np.int64)
+    if (tenths_celsius == MISSING).any():
         raise ValueError("missing sentinel passed to to_fahrenheit_int")
     return round_half_away_from_zero(9 * tenths_celsius + 1600, 50)
 
 
 def interpolate_missing(
-    values: Sequence[Optional[int]],
-    labels: Optional[Sequence[object]] = None,
-) -> list[int]:
+    values: np.ndarray, missing: np.ndarray, start: Optional[date] = None
+) -> np.ndarray:
     """Fill isolated interior gaps with the rounded mean of the neighbours.
 
-    Half-values round away from zero. The first and last entries must be
-    present (:class:`BoundaryGapError`) and no two consecutive entries may be
-    missing (:class:`UnsupportedGapError`); multi-day gaps are a data problem
-    the caller has to resolve, not something to guess through.
+    ``missing`` marks the gaps in the integer array ``values`` (whatever
+    they hold there is ignored). Half-values round away from zero. The
+    first and last entries must be present (:class:`BoundaryGapError`) and
+    no two consecutive entries may be missing (:class:`UnsupportedGapError`);
+    multi-day gaps are a data problem the caller has to resolve, not
+    something to guess through.
 
-    ``labels`` (e.g. dates) is only used to describe error positions.
+    Errors name positions as dates counted from ``start`` when it is
+    given, else as 0-based indices.
     """
-    if not values:
-        return []
-    tags = labels if labels is not None else list(range(len(values)))
-    if values[0] is None:
-        raise BoundaryGapError(f"first observation missing at {tags[0]}")
-    if values[-1] is None:
-        raise BoundaryGapError(f"last observation missing at {tags[-1]}")
-    runs: list[list[object]] = []
-    run: list[object] = []
-    for tag, value in zip(tags, values):
-        if value is None:
-            run.append(tag)
-        elif run:
-            runs.append(run)
-            run = []
-    if run:
-        runs.append(run)
-    long_runs = [r for r in runs if len(r) > 1]
-    if long_runs:
-        flattened = [tag for r in long_runs for tag in r]
+    values = np.asarray(values, dtype=np.int64)
+    missing = np.asarray(missing, dtype=bool)
+    if not values.size:
+        return values.copy()
+
+    def label(position: int) -> object:
+        return start + timedelta(days=position) if start is not None else position
+
+    if missing[0]:
+        raise BoundaryGapError(f"first observation missing at {label(0)}")
+    if missing[-1]:
+        raise BoundaryGapError(f"last observation missing at {label(len(values) - 1)}")
+    gaps = np.flatnonzero(missing)
+    paired = missing[gaps - 1] | missing[gaps + 1]
+    if paired.any():
+        flattened = [label(p) for p in gaps[paired].tolist()]
         raise UnsupportedGapError(
             "consecutive missing observations at: "
             + ", ".join(str(t) for t in flattened),
             flattened,
         )
-    filled = list(values)
-    for i, value in enumerate(filled):
-        if value is None:
-            filled[i] = round_half_away_from_zero(filled[i - 1] + values[i + 1], 2)
-    return filled  # type: ignore[return-value]
+    filled = values.copy()
+    filled[gaps] = round_half_away_from_zero(values[gaps - 1] + values[gaps + 1], 2)
+    return filled
+
+
+def _dates(start: date, positions: np.ndarray) -> list[date]:
+    return [start + timedelta(days=p) for p in positions.tolist()]
+
+
+@dataclass
+class _Scattered:
+    """One element's values on the days of the window, in tenths of deg C."""
+
+    tenths: np.ndarray
+    present: np.ndarray
+    suppressed: list[date]
+    problems: list[tuple[int, int, ValueError]]  # (line, day slot, error)
+
+
+def _scatter(
+    records: DlyRecords, element: str, start: date, days: int, strict_qc: bool
+) -> _Scattered:
+    """Place one element's values on the window's days, in file order.
+
+    Errors are collected, not raised: the caller raises the one that comes
+    first in the file across both elements.
+    """
+    mine = records.element[records.rows] == element.encode("ascii")
+    rows, values = records.rows[mine], records.values[mine]
+    year, month = records.year[rows], records.month[rows]
+    months = ((year.astype(np.int64) - 1970) * 12 + month - 1).astype("datetime64[M]")
+    first = months.astype("datetime64[D]").astype(np.int64)
+    length = (months + 1).astype("datetime64[D]").astype(np.int64) - first
+    slot = np.arange(DAY_SLOTS)
+    exists = ((year >= 1) & (year <= 9999))[:, None] & (slot < length[:, None])
+    present = values != MISSING
+    problems = []
+
+    bad_row, bad_slot = np.nonzero(present & ~exists)
+    if bad_row.size:
+        i, d = int(bad_row[0]), int(bad_slot[0])
+        line = int(records.line_numbers[rows[i]])
+        problems.append((line, d, DlyParseError(
+            f"value on nonexistent day {year[i]}-{month[i]:02d}-{d + 1:02d} "
+            f"of {element}",
+            line,
+        )))
+
+    day = first[:, None] + slot - np.datetime64(start, "D").astype(np.int64)
+    kept = present & exists & (day >= 0) & (day < days)
+    suppressed = []
+    if strict_qc:
+        flagged = kept & (records.lines[rows][:, _QFLAG_COLUMNS] != ord(" "))
+        suppressed = _dates(start, day[flagged])
+        kept &= ~flagged
+
+    kept_row, kept_slot = np.nonzero(kept)
+    positions, tenths = day[kept_row, kept_slot], values[kept_row, kept_slot]
+    order = np.argsort(positions, kind="stable")
+    positions, tenths = positions[order], tenths[order]
+    leads = np.ones(len(positions), dtype=bool)
+    leads[1:] = positions[1:] != positions[:-1]
+    # a later value of a day must equal the first one stored
+    conflicts = np.sort(order[tenths != tenths[leads][np.cumsum(leads) - 1]])
+    if conflicts.size:
+        i, d = int(kept_row[conflicts[0]]), int(kept_slot[conflicts[0]])
+        line = int(records.line_numbers[rows[i]])
+        when = start + timedelta(days=int(day[i, d]))
+        problems.append((line, d, ValueError(
+            f"line {line}: conflicting duplicate {element} values on {when}"
+        )))
+
+    window = np.zeros(days, dtype=np.int64)
+    window[positions[leads]] = tenths[leads]
+    have = np.zeros(days, dtype=bool)
+    have[positions[leads]] = True
+    return _Scattered(window, have, suppressed, problems)
 
 
 def station_observations(
-    records: Sequence[RawDlyRecord],
+    records: DlyRecords,
     start: date,
     end: date,
     strict_qc: bool = False,
-) -> tuple[list[DailyObservation], IngestNotes]:
+) -> tuple[np.ndarray, np.ndarray, IngestNotes]:
     """Assemble a complete daily TMAX/TMIN record over ``[start, end]``.
 
-    Values failing NOAA quality control (nonblank qflag) are used as-is
-    unless ``strict_qc`` is set, in which case they are treated as missing
-    before gap repair. Days where tmax < tmin are repaired by swapping the
-    two readings; the notes report every repair and interpolation.
+    Returns int64 ``tmax`` and ``tmin`` arrays in whole deg F, one entry per
+    day of the window, and the notes. Values failing NOAA quality control
+    (nonblank qflag) are used as-is unless ``strict_qc`` is set, in which
+    case they are treated as missing before gap repair. Days where
+    tmax < tmin are repaired by swapping the two readings; the notes report
+    every repair and interpolation.
     """
     if start > end:
         raise ValueError("window start is after window end")
-    notes = IngestNotes()
-    by_element: dict[str, dict[date, int]] = {e: {} for e in TEMPERATURE_ELEMENTS}
-    for record in filter_elements(records):
-        store = by_element[record.element]
-        for day_index, slot in enumerate(record.values):
-            if slot.value == MISSING:
-                continue
-            try:
-                when = date(record.year, record.month, day_index + 1)
-            except ValueError:
-                raise DlyParseError(
-                    f"value on nonexistent day {record.year}-{record.month:02d}-"
-                    f"{day_index + 1:02d} of {record.element}"
-                )
-            if not start <= when <= end:
-                continue
-            if strict_qc and slot.qflag != " ":
-                notes.qc_suppressed.setdefault(record.element, []).append(when)
-                continue
-            previous = store.get(when)
-            if previous is not None and previous != slot.value:
-                raise ValueError(
-                    f"conflicting duplicate {record.element} values on {when}"
-                )
-            store[when] = slot.value
+    days = (end - start).days + 1
+    scattered = {
+        element: _scatter(records, element, start, days, strict_qc)
+        for element in TEMPERATURE_ELEMENTS
+    }
+    problems = [p for s in scattered.values() for p in s.problems]
+    if problems:
+        raise min(problems, key=lambda p: p[:2])[2]
 
-    days = [start + timedelta(days=i) for i in range((end - start).days + 1)]
-    filled: dict[str, list[int]] = {}
-    for element in TEMPERATURE_ELEMENTS:
-        store = by_element[element]
-        raw = [
-            to_fahrenheit_int(store[d]) if d in store else None for d in days
-        ]
-        notes.interpolated[element] = [d for d, v in zip(days, raw) if v is None]
+    notes = IngestNotes()
+    filled: dict[str, np.ndarray] = {}
+    for element, s in scattered.items():
+        if s.suppressed:
+            notes.qc_suppressed[element] = s.suppressed
+        fahrenheit = np.zeros(days, dtype=np.int64)
+        fahrenheit[s.present] = to_fahrenheit_int(s.tenths[s.present])
+        notes.interpolated[element] = _dates(start, np.flatnonzero(~s.present))
         try:
-            filled[element] = interpolate_missing(raw, labels=days)
+            filled[element] = interpolate_missing(fahrenheit, ~s.present, start)
         except BoundaryGapError as exc:
             raise BoundaryGapError(f"{element}: {exc}") from exc
         except UnsupportedGapError as exc:
             raise UnsupportedGapError(f"{element}: {exc}", exc.positions) from exc
 
-    observations = []
-    for i, when in enumerate(days):
-        tmax = filled["TMAX"][i]
-        tmin = filled["TMIN"][i]
-        if tmax < tmin:
-            tmax, tmin = tmin, tmax
-            notes.inversions_repaired.append(when)
-        observations.append(DailyObservation(when, tmax, tmin))
-    return observations, notes
+    inverted = filled["TMAX"] < filled["TMIN"]
+    notes.inversions_repaired = _dates(start, np.flatnonzero(inverted))
+    tmax = np.maximum(filled["TMAX"], filled["TMIN"])
+    tmin = np.minimum(filled["TMAX"], filled["TMIN"])
+    return tmax, tmin, notes
 
 
 def fetch_station(
@@ -313,20 +508,25 @@ def fetch_station(
     cache_dir: str | os.PathLike = "cache",
     refresh: bool = False,
     http_get: Optional[Callable[[str], "requests.Response"]] = None,
-) -> bytes:
+) -> Fetched:
     """Return the ``.dly`` payload for a station, caching it on disk.
 
     A cache hit bypasses the network entirely unless ``refresh`` is set.
-    When a refreshed payload differs from the cached copy, the fresh bytes
-    win and a warning is emitted. Cache writes go through a temp file and
-    rename so concurrent fetchers never observe a partial file.
+    A downloaded payload is cached only if :func:`parse_station` accepts
+    it; otherwise :class:`FetchError` names the URL and the reason and the
+    cache is left as it was. When a refreshed payload differs from the
+    cached copy, the fresh bytes win and a warning is emitted. Cache writes
+    go through a temp file and rename so concurrent fetchers never observe
+    a partial file.
     """
     cache_dir = os.fspath(cache_dir)
     cache_path = os.path.join(cache_dir, f"{station_id}.dly")
-    cached: Optional[bytes] = None
+    cached: Optional[Fetched] = None
     if os.path.exists(cache_path):
         with open(cache_path, "rb") as handle:
-            cached = handle.read()
+            data = handle.read()
+        modified = datetime.fromtimestamp(os.path.getmtime(cache_path), timezone.utc)
+        cached = Fetched(data, "cache", cache_path, modified)
         if not refresh:
             return cached
 
@@ -349,12 +549,16 @@ def fetch_station(
             status=response.status_code,
         )
     payload = response.content
-    if cached is not None and cached != payload:
+    try:
+        parse_station(payload, station_id)
+    except DlyParseError as exc:
+        raise FetchError(f"fetch of {url} returned no usable .dly data: {exc}") from None
+    if cached is not None and cached.data != payload:
         import warnings
 
         warnings.warn(
             f"cached copy of {station_id} differs from archive "
-            f"({len(cached)} vs {len(payload)} bytes); using the fresh payload",
+            f"({len(cached.data)} vs {len(payload)} bytes); using the fresh payload",
             stacklevel=2,
         )
     os.makedirs(cache_dir, exist_ok=True)
@@ -366,7 +570,7 @@ def fetch_station(
     finally:
         if os.path.exists(temp_path):
             os.unlink(temp_path)
-    return payload
+    return Fetched(payload, "network", cache_path, datetime.now(timezone.utc))
 
 
 def _default_http_get(url: str) -> "requests.Response":

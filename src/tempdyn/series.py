@@ -6,14 +6,13 @@ window together with the 1-based time trend t and per-day month index.
 
 from __future__ import annotations
 
-import csv
+import calendar
+import io
 from dataclasses import dataclass
 from datetime import date, timedelta
 from typing import Sequence
 
 import numpy as np
-
-from .ghcn import DailyObservation
 
 VARIABLES = ("avg", "dtr")
 
@@ -66,39 +65,34 @@ class TemperatureSeries:
 
 
 def build_series(
-    observations: Sequence[DailyObservation], start: date, end: date
+    max_f: np.ndarray, min_f: np.ndarray, start: date, end: date
 ) -> TemperatureSeries:
-    """Construct the aligned series, checking contiguity and max >= min."""
+    """Construct the aligned series from one integer max/min pair per day of
+    ``[start, end]``, checking the day count and max >= min."""
     if start > end:
         raise ValueError("window start is after window end")
     expected = (end - start).days + 1
-    if len(observations) != expected:
+    if not len(max_f) == len(min_f) == expected:
         raise ContiguityError(
             f"window {start}..{end} spans {expected} days, got "
-            f"{len(observations)} observations"
+            f"{len(max_f)} tmax and {len(min_f)} tmin values"
         )
-    dates = []
-    for i, obs in enumerate(observations):
-        wanted = start + timedelta(days=i)
-        if obs.date != wanted:
-            raise ContiguityError(f"expected {wanted} at position {i}, got {obs.date}")
-        if obs.tmax_f is None or obs.tmin_f is None:
-            raise ContiguityError(f"missing temperature on {obs.date}")
-        dates.append(obs.date)
+    max_f = np.array(max_f, dtype=np.int64)
+    min_f = np.array(min_f, dtype=np.int64)
+    inverted = np.flatnonzero(max_f < min_f)
+    if inverted.size:
+        raise DataInversionError(
+            [start + timedelta(days=i) for i in inverted.tolist()]
+        )
 
-    max_f = np.array([o.tmax_f for o in observations], dtype=np.int64)
-    min_f = np.array([o.tmin_f for o in observations], dtype=np.int64)
-    inverted = max_f < min_f
-    if inverted.any():
-        raise DataInversionError([d for d, bad in zip(dates, inverted) if bad])
-
+    days = np.arange(np.datetime64(start, "D"), np.datetime64(end, "D") + 1)
     avg = (max_f + min_f) / 2.0
     dtr = (max_f - min_f).astype(np.float64)
     t = np.arange(1, expected + 1, dtype=np.int64)
-    month = np.array([d.month for d in dates], dtype=np.int64)
+    month = days.astype("datetime64[M]").astype(np.int64) % 12 + 1
     for array in (max_f, min_f, avg, dtr, t, month):
         array.setflags(write=False)
-    return TemperatureSeries(tuple(dates), max_f, min_f, avg, dtr, t, month)
+    return TemperatureSeries(tuple(days.tolist()), max_f, min_f, avg, dtr, t, month)
 
 
 def month_dummies(series: TemperatureSeries) -> np.ndarray:
@@ -116,57 +110,81 @@ def month_dummies(series: TemperatureSeries) -> np.ndarray:
 
 
 SERIES_CSV_HEADER = ["date", "tmax", "tmin", "avg", "dtr", "t", "month"]
+_CSV_COLUMNS = np.dtype(
+    [("date", "datetime64[D]"), ("tmax", np.int64), ("tmin", np.int64),
+     ("avg", np.float64), ("dtr", np.float64)]
+)
+_DAY_SUFFIXES = [f"-{day:02d}" for day in range(1, 32)]
 
 
 def write_series_csv(series: TemperatureSeries, path) -> None:
+    avg = series.avg.tolist()
+    # exact halves only: render 60.0 as "60" and 60.5 as "60.5"
+    avg_text = {value: _format_half(value) for value in set(avg)}
+    columns = zip(
+        _iso_dates(series.dates),
+        series.max_f.tolist(),
+        series.min_f.tolist(),
+        avg,
+        series.dtr.astype(np.int64).tolist(),
+        series.t.tolist(),
+        series.month.tolist(),
+    )
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(SERIES_CSV_HEADER)
-        for i, when in enumerate(series.dates):
-            writer.writerow(
-                [
-                    when.isoformat(),
-                    int(series.max_f[i]),
-                    int(series.min_f[i]),
-                    _format_half(series.avg[i]),
-                    int(series.dtr[i]),
-                    int(series.t[i]),
-                    int(series.month[i]),
-                ]
-            )
+        handle.write(",".join(SERIES_CSV_HEADER) + "\n")
+        handle.writelines(
+            f"{day},{high},{low},{avg_text[mean]},{spread},{t},{month}\n"
+            for day, high, low, mean, spread, t, month in columns
+        )
 
 
 def read_series_csv(path) -> TemperatureSeries:
     """Load a series written by :func:`write_series_csv`.
 
-    The series is rebuilt from tmax/tmin so every construction invariant is
-    re-checked; stored avg/dtr columns are verified against the rebuild.
+    The dates must run day by day; the series is rebuilt from tmax/tmin so
+    every construction invariant is re-checked, and the stored avg/dtr
+    columns are verified against the rebuild.
     """
-    observations = []
-    stored_avg = []
-    stored_dtr = []
     with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
+        header = handle.readline().rstrip("\r\n").split(",")
         if header != SERIES_CSV_HEADER:
             raise ValueError(f"unexpected series CSV header in {path}: {header}")
-        for row in reader:
-            when = date.fromisoformat(row[0])
-            observations.append(DailyObservation(when, int(row[1]), int(row[2])))
-            stored_avg.append(float(row[3]))
-            stored_dtr.append(float(row[4]))
-    if not observations:
+        body = handle.read()
+    if not body:
         raise ValueError(f"series CSV {path} has no rows")
-    series = build_series(observations, observations[0].date, observations[-1].date)
-    if not np.array_equal(series.avg, np.array(stored_avg)) or not np.array_equal(
-        series.dtr, np.array(stored_dtr)
+    rows = np.loadtxt(
+        io.StringIO(body), delimiter=",", usecols=range(5), dtype=_CSV_COLUMNS,
+        comments=None, ndmin=1,
+    )
+    dates = rows["date"]
+    expected = dates[0] + np.arange(len(dates))
+    skipped = np.flatnonzero(dates != expected)
+    if skipped.size:
+        i = int(skipped[0])
+        raise ContiguityError(f"expected {expected[i]} at position {i}, got {dates[i]}")
+    first, last = dates[[0, -1]].tolist()
+    series = build_series(rows["tmax"], rows["tmin"], first, last)
+    if not np.array_equal(series.avg, rows["avg"]) or not np.array_equal(
+        series.dtr, rows["dtr"]
     ):
         raise ValueError(f"series CSV {path} is internally inconsistent")
     return series
 
 
+def _iso_dates(dates: tuple[date, ...]) -> list[str]:
+    """ISO 8601 text of consecutive dates, composed a month at a time."""
+    first, last = dates[0], dates[-1]
+    text = []
+    for year in range(first.year, last.year + 1):
+        for month in range(1, 13):
+            prefix = f"{year:04d}-{month:02d}"
+            length = calendar.monthrange(year, month)[1]
+            text += [prefix + suffix for suffix in _DAY_SUFFIXES[:length]]
+    offset = (first - date(first.year, 1, 1)).days
+    return text[offset : offset + len(dates)]
+
+
 def _format_half(value: float) -> str:
-    # exact halves only: render 60.0 as "60" and 60.5 as "60.5"
     if value == int(value):
         return str(int(value))
     return f"{value:.1f}"

@@ -232,10 +232,10 @@ class TestCriterion6ArchiveReplication:
 
         station = config.station("PHL")
         payload = fetch_station(station.ghcn_id, config.endpoint, config.cache_dir)
-        observations, _ = station_observations(
-            parse_dly(payload), config.window_start, config.window_end
+        tmax, tmin, _ = station_observations(
+            parse_dly(payload.data), config.window_start, config.window_end
         )
-        return build_series(observations, config.window_start, config.window_end)
+        return build_series(tmax, tmin, config.window_start, config.window_end)
 
     def test_phl_avg_row(self, phl_series):
         trend = fit_trend(phl_series, "avg")
@@ -309,13 +309,13 @@ class TestCriterion6ArchiveReplication:
         loaded = []
         for station in config.active_stations():
             payload = fetch_station(station.ghcn_id, config.endpoint, config.cache_dir)
-            observations, _ = station_observations(
-                parse_dly(payload), config.window_start, config.window_end
+            tmax, tmin, _ = station_observations(
+                parse_dly(payload.data), config.window_start, config.window_end
             )
             loaded.append(
                 (
                     station.code,
-                    build_series(observations, config.window_start, config.window_end),
+                    build_series(tmax, tmin, config.window_start, config.window_end),
                 )
             )
         return loaded

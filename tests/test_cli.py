@@ -1,7 +1,7 @@
 import csv
 import json
 import threading
-from datetime import date
+from datetime import date, datetime, timezone
 from pathlib import Path
 
 import pytest
@@ -10,7 +10,7 @@ from click.testing import CliRunner
 from tempdyn import ghcn, series as series_mod
 from tempdyn.cli import main
 
-from conftest import synthetic_station_bytes
+from conftest import make_dly_line, synthetic_station_bytes
 
 WINDOW_START = date(1960, 1, 1)
 WINDOW_END = date(1961, 12, 31)
@@ -124,6 +124,92 @@ class TestIngest:
         assert [e["source"] for e in manifest] == ["cache", "cache"]
 
 
+def aaa_payload(**kwargs) -> bytes:
+    return synthetic_station_bytes("USW00099901", WINDOW_START, WINDOW_END, **kwargs)
+
+
+def extra_line(*args) -> bytes:
+    return (make_dly_line("USW00099901", *args) + "\n").encode("ascii")
+
+
+MARCH_1961 = {(date(1961, 3, d), "TMIN") for d in range(1, 32)}
+
+# payload of AAA's cache file, text the diagnostic must contain, and whether
+# the payload fails to parse (the diagnostic then names the cache file)
+INGEST_FAULTS = {
+    "truncated-last-line": (
+        lambda: aaa_payload()[:-100], "line 48: expected 269 characters, got 170", True
+    ),
+    "html-body": (
+        lambda: b"<html><body>Not Found</body></html>\n", "line 1: expected 269", True
+    ),
+    "wrong-station": (
+        lambda: synthetic_station_bytes("USW00099999", WINDOW_START, WINDOW_END),
+        "holds station USW00099999, not USW00099901",
+        True,
+    ),
+    "feb-30": (
+        lambda: aaa_payload() + extra_line(1960, 2, "TMAX", {30: 100}),
+        "line 49: value on nonexistent day 1960-02-30 of TMAX",
+        False,
+    ),
+    "conflicting-duplicate": (
+        lambda: aaa_payload() + extra_line(1960, 5, "TMAX", {d: 999 for d in range(1, 32)}),
+        "line 49: conflicting duplicate TMAX values on 1960-05-01",
+        False,
+    ),
+    "all-missing-month": (
+        lambda: aaa_payload(skip=MARCH_1961),
+        "TMIN: consecutive missing observations at: 1961-03-01, 1961-03-02",
+        False,
+    ),
+}
+
+
+class TestIngestFaults:
+    @pytest.mark.parametrize("fault", list(INGEST_FAULTS))
+    def test_fault_names_station_and_place(self, workspace, fault):
+        payload, diagnostic, unparsable = INGEST_FAULTS[fault]
+        cache_file = workspace / "cache" / "USW00099901.dly"
+        cache_file.write_bytes(payload())
+        result = run(["ingest", "--config", str(workspace / "run.cfg")])
+        assert result.exit_code == 1
+        failed = [line for line in result.output.splitlines() if "FAILED" in line]
+        assert len(failed) == 1 and failed[0].startswith("AAA: FAILED (")
+        assert diagnostic in failed[0]
+        if unparsable:
+            assert f"cached file {cache_file}: " in failed[0]
+            assert failed[0].endswith("; delete it or rerun with --refresh)")
+        manifest = json.loads((workspace / "out" / "manifest.json").read_text())
+        assert [e["status"] for e in manifest] == ["error", "ok"]
+        assert not (workspace / "out" / "series" / "AAA.csv").exists()
+
+    def test_crlf_cache_file_gives_identical_series(self, workspace):
+        config = str(workspace / "run.cfg")
+        run(["ingest", "--config", config])
+        lf = (workspace / "out" / "series" / "AAA.csv").read_bytes()
+        cache_file = workspace / "cache" / "USW00099901.dly"
+        cache_file.write_bytes(cache_file.read_bytes().replace(b"\n", b"\r\n"))
+        result = run(["ingest", "--config", config])
+        assert result.exit_code == 0, result.output
+        assert (workspace / "out" / "series" / "AAA.csv").read_bytes() == lf
+
+    def test_manifest_provenance_follows_the_fetch(self, workspace):
+        run(["ingest", "--config", str(workspace / "run.cfg")])
+        manifest = json.loads((workspace / "out" / "manifest.json").read_text())
+        cache_file = workspace / "cache" / "USW00099901.dly"
+        mtime = datetime.fromtimestamp(cache_file.stat().st_mtime, timezone.utc)
+        assert manifest[0]["source"] == "cache"
+        assert manifest[0]["fetched_at"] == mtime.isoformat()
+
+    def test_refresh_falling_back_to_cache_reports_cache(self, workspace):
+        # the endpoint refuses connections, so --refresh can only use the cache
+        result = run(["ingest", "--config", str(workspace / "run.cfg"), "--refresh"])
+        assert result.exit_code == 0, result.output
+        manifest = json.loads((workspace / "out" / "manifest.json").read_text())
+        assert [e["source"] for e in manifest] == ["cache", "cache"]
+
+
 class TestTables:
     def test_missing_series_names_ingest(self, workspace):
         result = run(["tables", "--config", str(workspace / "run.cfg")])
@@ -210,6 +296,21 @@ class TestTables:
         assert "FAILED" not in result.output
         if source == "config":
             assert f"{config}:1: bad value for hac_bandwidth" in result.output
+
+    def test_lag_beyond_joint_nobs_rejected_once(self, workspace):
+        config = str(workspace / "run.cfg")
+        run(["ingest", "--config", config])
+        joint_nobs = (WINDOW_END - WINDOW_START).days  # one day lost to the lag
+        result = run(["tables", "--config", config, "--hac-bandwidth", str(joint_nobs)])
+        assert result.exit_code == 1
+        assert result.output.count("Error:") == 1
+        assert f"HAC bandwidth {joint_nobs} must be below the joint model's nobs {joint_nobs}" in result.output
+        assert "FAILED" not in result.output
+        assert not (workspace / "out" / "tables").exists()
+
+        result = run(["tables", "--config", config, "--variable", "avg",
+                      "--hac-bandwidth", str(joint_nobs - 1)])
+        assert result.exit_code == 0, result.output
 
     def test_explicit_bandwidth_recorded(self, workspace):
         config = str(workspace / "run.cfg")
@@ -331,6 +432,17 @@ class TestFit:
         if model == "joint":
             assert "p(nts)=" in result.output
             assert "lag" in result.output
+
+    @pytest.mark.parametrize("model", ["trend", "joint"])
+    def test_bandwidth_beyond_nobs_is_a_one_line_error(self, workspace, model):
+        config = str(workspace / "run.cfg")
+        run(["ingest", "--config", config])
+        result = run(["fit", "--config", config, "--station", "AAA",
+                      "--model", model, "--hac-bandwidth", "999999"])
+        assert result.exit_code == 1
+        assert result.output.startswith("Error: AAA avg")
+        assert "bandwidth 999999 must be below nobs" in result.output
+        assert len(result.output.splitlines()) == 1
 
     def test_bad_bandwidth_rejected(self, workspace):
         result = run(

@@ -20,7 +20,6 @@ from tempdyn.models import (
 )
 from tempdyn.regression import ols_fit, DesignMatrix
 from tempdyn.series import TemperatureSeries, build_series, month_dummies
-from tempdyn.ghcn import DailyObservation
 
 from dgp import calendar_months, simulate_joint
 
@@ -44,8 +43,7 @@ def series_from_avg(avg: np.ndarray, start: date = date(1960, 1, 1)) -> Temperat
 
 def integer_series(start: date, end: date, tmax_fn, tmin_fn) -> TemperatureSeries:
     days = [start + timedelta(days=i) for i in range((end - start).days + 1)]
-    observations = [DailyObservation(d, tmax_fn(d), tmin_fn(d)) for d in days]
-    return build_series(observations, start, end)
+    return build_series([tmax_fn(d) for d in days], [tmin_fn(d) for d in days], start, end)
 
 
 class TestFitTrend:

@@ -1,11 +1,11 @@
 import calendar
 import random
-from datetime import date, timedelta
+from datetime import date
 
 import numpy as np
 import pytest
 
-from tempdyn.ghcn import DailyObservation, parse_dly, station_observations
+from tempdyn.ghcn import parse_dly, station_observations
 from tempdyn.series import (
     ContiguityError,
     DataInversionError,
@@ -16,31 +16,29 @@ from tempdyn.series import (
 )
 
 
+def constant_series(start: date, end: date, tmax=70, tmin=50):
+    days = (end - start).days + 1
+    return build_series(np.full(days, tmax), np.full(days, tmin), start, end)
 
 
-def observations_between(start: date, end: date, tmax=70, tmin=50):
-    days = [start + timedelta(days=i) for i in range((end - start).days + 1)]
-    if callable(tmax):
-        return [DailyObservation(d, tmax(d), tmin(d)) for d in days]
-    return [DailyObservation(d, tmax, tmin) for d in days]
+def one_day(tmax: int, tmin: int):
+    day = date(2000, 6, 1)
+    return build_series([tmax], [tmin], day, day)
 
 
 class TestBuildSeries:
     def test_avg_dtr_definitions(self):
-        start = end = date(2000, 6, 1)
-        series = build_series([DailyObservation(start, 75, 55)], start, end)
+        series = one_day(75, 55)
         assert series.avg[0] == 65.0
         assert series.dtr[0] == 20.0
 
     def test_degenerate_range(self):
-        start = end = date(2000, 6, 1)
-        series = build_series([DailyObservation(start, 60, 60)], start, end)
+        series = one_day(60, 60)
         assert series.avg[0] == 60.0
         assert series.dtr[0] == 0.0
 
     def test_half_degree_average_is_exact(self):
-        start = end = date(2000, 6, 1)
-        series = build_series([DailyObservation(start, 71, 50)], start, end)
+        series = one_day(71, 50)
         assert series.avg[0] == 60.5
 
     def test_full_window_day_count(self):
@@ -48,37 +46,36 @@ class TestBuildSeries:
         start, end = date(1960, 1, 1), date(2017, 12, 31)
         expected = (date(2018, 1, 1) - date(1960, 1, 1)).days
         assert expected == 21185
-        observations = observations_between(start, end)
-        series = build_series(observations, start, end)
+        series = constant_series(start, end)
         assert len(series) == expected
         assert series.t[0] == 1
         assert series.t[-1] == expected
 
     def test_gap_raises_contiguity_error(self):
         start, end = date(2000, 1, 1), date(2000, 1, 10)
-        observations = observations_between(start, end)
-        del observations[4]
-        with pytest.raises(ContiguityError):
-            build_series(observations, start, end)
+        with pytest.raises(ContiguityError, match="spans 10 days, got 9"):
+            build_series(np.full(9, 70), np.full(9, 50), start, end)
 
-    def test_unordered_dates_raise(self):
+    def test_unordered_dates_raise(self, tmp_path):
+        # dates reach a series only through a series CSV
         start, end = date(2000, 1, 1), date(2000, 1, 10)
-        observations = observations_between(start, end)
-        observations[2], observations[3] = observations[3], observations[2]
-        with pytest.raises(ContiguityError):
-            build_series(observations, start, end)
+        path = tmp_path / "swapped.csv"
+        write_series_csv(constant_series(start, end), path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[3], lines[4] = lines[4], lines[3]
+        path.write_text("".join(lines))
+        with pytest.raises(ContiguityError, match="expected 2000-01-03 at position 2"):
+            read_series_csv(path)
 
     def test_inversion_lists_dates(self):
         start, end = date(2000, 1, 1), date(2000, 1, 5)
-        observations = observations_between(start, end)
-        observations[2] = DailyObservation(date(2000, 1, 3), 40, 60)
         with pytest.raises(DataInversionError, match="2000-01-03"):
-            build_series(observations, start, end)
+            build_series([70, 70, 40, 70, 70], [50, 50, 60, 50, 50], start, end)
 
     def test_reconstruction_identity(self, two_year_window, two_year_payload):
         start, end = two_year_window
-        observations, _ = station_observations(parse_dly(two_year_payload), start, end)
-        series = build_series(observations, start, end)
+        tmax, tmin, _ = station_observations(parse_dly(two_year_payload), start, end)
+        series = build_series(tmax, tmin, start, end)
         np.testing.assert_array_equal(series.avg + series.dtr / 2.0, series.max_f)
         np.testing.assert_array_equal(series.avg - series.dtr / 2.0, series.min_f)
 
@@ -86,14 +83,15 @@ class TestBuildSeries:
         # shuffling the raw record stream (e.g. MIN file before MAX file)
         # cannot change the built series
         start, end = two_year_window
-        records = parse_dly(two_year_payload)
-        shuffled = records[:]
-        random.Random(7).shuffle(shuffled)
-        first, _ = station_observations(records, start, end)
-        second, _ = station_observations(shuffled, start, end)
-        assert first == second
-        a = build_series(first, start, end)
-        b = build_series(second, start, end)
+        lines = two_year_payload.splitlines(keepends=True)
+        random.Random(7).shuffle(lines)
+        first = station_observations(parse_dly(two_year_payload), start, end)
+        second = station_observations(parse_dly(b"".join(lines)), start, end)
+        np.testing.assert_array_equal(first[0], second[0])
+        np.testing.assert_array_equal(first[1], second[1])
+        assert first[2] == second[2]
+        a = build_series(first[0], first[1], start, end)
+        b = build_series(second[0], second[1], start, end)
         np.testing.assert_array_equal(a.avg, b.avg)
         np.testing.assert_array_equal(a.dtr, b.dtr)
 
@@ -101,7 +99,7 @@ class TestBuildSeries:
 class TestMonthDummies:
     def test_one_year_column_sums(self):
         start, end = date(1961, 1, 1), date(1961, 12, 31)
-        series = build_series(observations_between(start, end), start, end)
+        series = constant_series(start, end)
         sums = month_dummies(series).sum(axis=0)
         np.testing.assert_array_equal(
             sums, [31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31]
@@ -109,13 +107,13 @@ class TestMonthDummies:
 
     def test_leap_year_february(self):
         start, end = date(1960, 1, 1), date(1960, 12, 31)
-        series = build_series(observations_between(start, end), start, end)
+        series = constant_series(start, end)
         sums = month_dummies(series).sum(axis=0)
         assert sums[1] == 29
 
     def test_full_window_vs_calendar_enumeration(self):
         start, end = date(1960, 1, 1), date(2017, 12, 31)
-        series = build_series(observations_between(start, end), start, end)
+        series = constant_series(start, end)
         sums = month_dummies(series).sum(axis=0)
         expected = np.zeros(12)
         for year in range(1960, 2018):
@@ -125,8 +123,8 @@ class TestMonthDummies:
 
     def test_partition_property(self, two_year_window, two_year_payload):
         start, end = two_year_window
-        observations, _ = station_observations(parse_dly(two_year_payload), start, end)
-        series = build_series(observations, start, end)
+        tmax, tmin, _ = station_observations(parse_dly(two_year_payload), start, end)
+        series = build_series(tmax, tmin, start, end)
         dummies = month_dummies(series)
         np.testing.assert_array_equal(dummies.sum(axis=1), np.ones(len(series)))
 
@@ -134,8 +132,8 @@ class TestMonthDummies:
 class TestSeriesCsv:
     def test_round_trip(self, tmp_path, two_year_window, two_year_payload):
         start, end = two_year_window
-        observations, _ = station_observations(parse_dly(two_year_payload), start, end)
-        series = build_series(observations, start, end)
+        tmax, tmin, _ = station_observations(parse_dly(two_year_payload), start, end)
+        series = build_series(tmax, tmin, start, end)
         path = tmp_path / "series.csv"
         write_series_csv(series, path)
         loaded = read_series_csv(path)
@@ -146,8 +144,7 @@ class TestSeriesCsv:
         np.testing.assert_array_equal(loaded.dtr, series.dtr)
 
     def test_header_and_quoting(self, tmp_path):
-        start = end = date(2000, 6, 1)
-        series = build_series([DailyObservation(start, 71, 50)], start, end)
+        series = one_day(71, 50)
         path = tmp_path / "one.csv"
         write_series_csv(series, path)
         content = path.read_text()
@@ -160,4 +157,31 @@ class TestSeriesCsv:
             "date,tmax,tmin,avg,dtr,t,month\n2000-06-01,71,50,99,21,1,6\n"
         )
         with pytest.raises(ValueError, match="inconsistent"):
+            read_series_csv(path)
+
+    @pytest.mark.parametrize(
+        "edit,error,message",
+        [
+            (lambda rows: ["date,tmax,tmin,avg,dtr"] + rows[1:], ValueError, "header"),
+            (lambda rows: rows[:1], ValueError, "no rows"),
+            (lambda rows: rows[:3] + rows[4:], ContiguityError, "2000-01-03"),
+            (
+                lambda rows: rows[:3] + ["2000-01-03,40,60,50,-20,3,1"] + rows[4:],
+                DataInversionError,
+                "2000-01-03",
+            ),
+            (
+                lambda rows: rows[:3] + ["2000-01-03,70,50,60,21,3,1"] + rows[4:],
+                ValueError,
+                "inconsistent",
+            ),
+            (lambda rows: rows[:3] + ["2000-01-03,7x,50,60,20,3,1"] + rows[4:], ValueError, "7x"),
+        ],
+        ids=["header", "empty", "gap", "inverted", "dtr", "not-a-number"],
+    )
+    def test_reader_checks(self, tmp_path, edit, error, message):
+        path = tmp_path / "series.csv"
+        write_series_csv(constant_series(date(2000, 1, 1), date(2000, 1, 10)), path)
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        with pytest.raises(error, match=message):
             read_series_csv(path)
