@@ -171,8 +171,8 @@ class IngestNotes:
 def parse_dly(data: bytes) -> DlyRecords:
     """Parse a ``.dly`` byte stream into columnar records, one per line.
 
-    Every element code present in the file is retained; filter afterwards
-    with :func:`filter_elements` or on ``element``. Raises
+    Every element code present in the file is retained; select records on
+    ``element`` afterwards. Raises
     :class:`DlyParseError` (carrying the 1-based line number) for the first
     malformed line; empty lines are skipped and CRLF endings accepted.
     """
@@ -290,28 +290,6 @@ def parse_station(data: bytes, station_id: str) -> DlyRecords:
     if not records.rows.size:
         raise DlyParseError(f"holds no TMAX or TMIN records for {station_id}")
     return records
-
-
-def serialize_record(record: RawDlyRecord) -> str:
-    """Render a record back to its 269-character archive line."""
-    parts = [
-        f"{record.station_id:<11.11}",
-        f"{record.year:04d}",
-        f"{record.month:02d}",
-        f"{record.element:<4.4}",
-    ]
-    for slot in record.values:
-        parts.append(f"{slot.value:5d}{slot.mflag}{slot.qflag}{slot.sflag}")
-    line = "".join(parts)
-    assert len(line) == LINE_LENGTH
-    return line
-
-
-def filter_elements(
-    records: Sequence[RawDlyRecord], elements: Sequence[str] = TEMPERATURE_ELEMENTS
-) -> list[RawDlyRecord]:
-    wanted = set(elements)
-    return [r for r in records if r.element in wanted]
 
 
 def round_half_away_from_zero(numerator, denominator: int) -> np.ndarray:

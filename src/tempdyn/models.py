@@ -12,6 +12,11 @@ the remaining seasonal coefficients are relative to July. The joint fit
 estimates over t = 2..T (the first day feeds the lag), with the time
 regressor un-rescaled (t in days).
 
+Every column but the joint model's lag depends only on the window (first
+date and length), so :func:`window_blocks` factors the trend design and the
+joint design without its lag once per window; each series then borders the
+joint factor with its own lag (see :mod:`tempdyn.regression`).
+
 Three Wald hypotheses are evaluated on the joint fit:
 
   p(nt)  no trend:                time and all 11 interactions zero  (df 12)
@@ -32,7 +37,9 @@ from .regression import (
     Bandwidth,
     DesignMatrix,
     ModelFit,
+    QRFactor,
     WaldResult,
+    factorize,
     fit_with_hac,
     wald_test,
 )
@@ -47,6 +54,7 @@ JOINT_DUMMIES = tuple(n for i, n in enumerate(DUMMY_NAMES, start=1) if i != JULY
 JOINT_INTERACTIONS = tuple(
     n for i, n in enumerate(INTERACTION_NAMES, start=1) if i != JULY
 )
+LAG_POSITION = 2  # joint design columns: const, time, lag, dummies, interactions
 
 
 @dataclass(frozen=True)
@@ -78,8 +86,13 @@ class TrendFit:
 
 @dataclass(frozen=True)
 class FixedSeasonalFit:
+    """Month dummies on de-trended data: coefficient i is the month-i mean."""
+
     fit: ModelFit
-    pattern: SeasonalPattern
+
+    @property
+    def pattern(self) -> SeasonalPattern:
+        return SeasonalPattern(tuple(float(b) for b in self.fit.beta), evaluated_at="fixed")
 
 
 @dataclass(frozen=True)
@@ -175,9 +188,16 @@ def trend_design(series: TemperatureSeries) -> DesignMatrix:
 
 
 def fit_trend(
-    series: TemperatureSeries, variable: str, bandwidth: Bandwidth = "auto"
+    series: TemperatureSeries,
+    variable: str,
+    bandwidth: Bandwidth = "auto",
+    block: Optional[QRFactor] = None,
 ) -> TrendFit:
-    fit = fit_with_hac(trend_design(series), series.variable(variable), bandwidth)
+    """``block`` is the factored trend design of the series' window
+    (:func:`window_blocks`); it is built when omitted."""
+    if block is None:
+        block = factorize(trend_design(series))
+    fit = fit_with_hac(block, series.variable(variable), bandwidth)
     slope = fit.coef("time")
     return TrendFit(
         variable=variable,
@@ -201,10 +221,7 @@ def evolving_design(dummies: np.ndarray, t: np.ndarray) -> DesignMatrix:
 def fit_fixed_seasonal(
     detrended: np.ndarray, dummies: np.ndarray, bandwidth: Bandwidth = "auto"
 ) -> FixedSeasonalFit:
-    """Intercept regression per month: coefficient i is the month-i mean."""
-    fit = fit_with_hac(seasonal_design(dummies), detrended, bandwidth)
-    pattern = SeasonalPattern(tuple(float(b) for b in fit.beta), evaluated_at="fixed")
-    return FixedSeasonalFit(fit, pattern)
+    return FixedSeasonalFit(fit_with_hac(seasonal_design(dummies), detrended, bandwidth))
 
 
 def fit_evolving_seasonal(
@@ -218,18 +235,14 @@ def fit_evolving_seasonal(
     )
 
 
-def joint_design(
-    month: np.ndarray, t: np.ndarray, y: np.ndarray
-) -> tuple[DesignMatrix, np.ndarray]:
-    """Design and regressand for the joint model, estimation sample t = 2..T."""
-    y = np.asarray(y, dtype=np.float64)
-    if len(y) < 2:
-        raise ValueError("joint model needs at least two observations")
+def joint_shared_design(month: np.ndarray, t: np.ndarray) -> DesignMatrix:
+    """The joint design without its lag column, estimation sample t = 2..T."""
     month = np.asarray(month)[1:]
     time = np.asarray(t, dtype=np.float64)[1:]
-    lag = y[:-1]
-    columns = [np.ones(len(time)), time, lag]
-    names = ["const", "time", "lag"]
+    if len(time) < 1:
+        raise ValueError("joint model needs at least two observations")
+    columns = [np.ones(len(time)), time]
+    names = ["const", "time"]
     for i in range(1, 13):
         if i == JULY:
             continue
@@ -240,14 +253,38 @@ def joint_design(
             continue
         columns.append((month == i).astype(np.float64) * time)
         names.append(INTERACTION_NAMES[i - 1])
-    return DesignMatrix(tuple(names), np.column_stack(columns)), y[1:]
+    return DesignMatrix(tuple(names), np.column_stack(columns))
 
 
 def fit_joint(
-    series: TemperatureSeries, variable: str, bandwidth: Bandwidth = "auto"
+    series: TemperatureSeries,
+    variable: str,
+    bandwidth: Bandwidth = "auto",
+    block: Optional[QRFactor] = None,
 ) -> JointFit:
-    design, y = joint_design(series.month, series.t, series.variable(variable))
-    return JointFit(variable, fit_with_hac(design, y, bandwidth))
+    """``block`` is the factored :func:`joint_shared_design` of the series'
+    window (:func:`window_blocks`); it is built when omitted. The series'
+    lag borders it, so the fit makes no new decomposition."""
+    if block is None:
+        block = factorize(joint_shared_design(series.month, series.t))
+    y = series.variable(variable)
+    factor = block.bordered(LAG_POSITION, "lag", y[:-1])
+    return JointFit(variable, fit_with_hac(factor, y[1:], bandwidth))
+
+
+@dataclass(frozen=True)
+class WindowBlocks:
+    """The factored designs shared by every series of one window."""
+
+    trend: QRFactor
+    joint: QRFactor
+
+
+def window_blocks(series: TemperatureSeries) -> WindowBlocks:
+    return WindowBlocks(
+        trend=factorize(trend_design(series)),
+        joint=factorize(joint_shared_design(series.month, series.t)),
+    )
 
 
 def hypothesis_suite(joint: JointFit) -> HypothesisSuite:
@@ -264,9 +301,18 @@ def city_report(
     series: TemperatureSeries,
     variable: str,
     bandwidth: Bandwidth = "auto",
+    blocks: Optional[WindowBlocks] = None,
 ) -> CityReport:
-    trend = fit_trend(series, variable, bandwidth)
-    joint = fit_joint(series, variable, bandwidth)
+    """``blocks`` are :func:`window_blocks` of the series' window; they are
+    built when omitted, with the same result to the last bit.
+
+    The joint model is fitted first, so a degenerate series (a constant or
+    otherwise collinear lag) is reported as its dependent design column.
+    """
+    if blocks is None:
+        blocks = window_blocks(series)
+    joint = fit_joint(series, variable, bandwidth, blocks.joint)
+    trend = fit_trend(series, variable, bandwidth, blocks.trend)
     tests = hypothesis_suite(joint)
     return CityReport(
         station=station,
@@ -295,15 +341,20 @@ def batch_report(
     A station failure only aborts that row; an entry may carry an Exception
     instead of a series to record an upstream failure. The median row is
     produced when every requested station succeeded or at least
-    MIN_ROWS_FOR_MEDIAN did.
+    MIN_ROWS_FOR_MEDIAN did. The shared designs are factored once per
+    window (first date, length); each row equals its :func:`city_report`.
     """
     rows: list[CityReport] = []
     failures: list[tuple[str, str]] = []
+    blocks: dict[tuple[date, int], WindowBlocks] = {}
     for station, series in station_series:
         try:
             if isinstance(series, Exception):
                 raise series
-            rows.append(city_report(station, series, variable, bandwidth))
+            window = (series.dates[0], len(series))
+            if window not in blocks:
+                blocks[window] = window_blocks(series)
+            rows.append(city_report(station, series, variable, bandwidth, blocks[window]))
         except Exception as exc:  # noqa: BLE001 - diagnostics per station
             failures.append((station, f"{type(exc).__name__}: {exc}"))
     median_row = None

@@ -9,6 +9,26 @@ with w_j = 1 - j/(L+1) and G_j the lag-j cross product of the score
 vectors u_t * x_t. The automatic truncation lag is the common rule
 L = floor(4 * (n/100)^(2/9)). Wald statistics of zero restrictions are
 referred to the asymptotic chi-square distribution.
+
+The Bartlett kernel is a box of width L+1 convolved with itself, so the
+bracketed meat equals (1/(L+1)) B'B, where row i of B is the sum of the
+scores u_t x_t over the L+1 days t = i-L..i (zero outside the sample):
+one Gram of n+L window sums instead of L+1 lagged cross products
+(Newey & West 1987, Econometrica 55).
+
+One :class:`QRFactor` serves both the coefficients and the covariance:
+(X'X)^-1 = R^-1 R^-T from the same R that solved for beta and passed the
+rank check. A design shared by many regressands is factored once, and a
+per-regressand column (the joint model's lag) borders that factor by one
+Gram-Schmidt step instead of a new decomposition: by Frisch-Waugh-Lovell
+its coefficient is the regression of the partialled-out regressand on the
+partialled-out column (Lovell 1963, JASA 58).
+
+The factor also carries R^-1, so the per-regressand covariance and Wald
+arithmetic runs in numpy alone: numpy and scipy wheels each bundle their
+own OpenBLAS, and calls that alternate between the two thread pools make
+both wait. The coefficients still come from scipy's triangular solve, the
+one scipy call per fit.
 """
 
 from __future__ import annotations
@@ -23,6 +43,7 @@ import scipy.special
 
 RANK_TOL = 1e-10
 ORTHO_TOL = 1e-8  # span test for the all-ones vector (centered R^2)
+_WINDOW_BLOCK = 2048  # rows of Bartlett window sums built at a time
 
 Bandwidth = Union[int, str]
 
@@ -121,43 +142,134 @@ def resolve_bandwidth(nobs: int, bandwidth: Bandwidth) -> int:
     return lag
 
 
-def _check_rank(X: DesignMatrix, r: np.ndarray, order: Sequence[int]) -> None:
-    """Reject X when a diagonal entry of its QR factor R is negligible.
+def _check_rank(
+    names: Sequence[str], r: np.ndarray, order: Sequence[int], scale: float
+) -> None:
+    """Reject a design when a diagonal entry of its QR factor R is negligible.
 
-    Negligible means at most RANK_TOL times the largest column norm of X;
-    ``order[j]`` is the design column behind ``R[j, j]`` (the QR pivots).
+    Negligible means at most RANK_TOL times ``scale``, the largest column
+    norm of the design; ``order[j]`` is the design column behind ``R[j, j]``.
     """
-    tol = RANK_TOL * max(np.linalg.norm(X.data, axis=0).max(), 1e-300)
+    tol = RANK_TOL * max(scale, 1e-300)
     deficient = np.nonzero(np.abs(np.diag(r)) <= tol)[0]
     if deficient.size:
-        raise SingularDesignError(X.names[order[deficient[0]]])
+        raise SingularDesignError(names[order[deficient[0]]])
 
 
-def ols_fit(X: DesignMatrix, y: np.ndarray) -> ModelFit:
-    """Least-squares fit via column-pivoted QR; hac_cov left unpopulated.
+def _spans_ones(q: np.ndarray, border: np.ndarray) -> bool:
+    """Whether the all-ones vector lies in the span of the orthonormal columns."""
+    ones = np.ones(q.shape[0])
+    left = ones - q @ (q.T @ ones) - border @ (border.T @ ones)
+    return float(np.max(np.abs(left))) < ORTHO_TOL
 
-    R^2 is centered whenever the all-ones vector lies in the column span
-    (intercept present, or a complete dummy partition), else uncentered.
+
+@dataclass(frozen=True)
+class QRFactor:
+    """Rank-checked QR factor of one design: ``design.data[:, order] = Q @ r``.
+
+    Q is ``[q, border]``: q from the decomposition, border the columns that
+    :meth:`bordered` appended, kept apart so that a shared q is never
+    copied. Pass the factor in place of the design to :func:`ols_fit`,
+    :func:`hac_cov` or :func:`fit_with_hac`, so that a design shared by many
+    regressands is decomposed and checked once and the covariance reuses the
+    R that solved for the coefficients.
     """
-    y = np.asarray(y, dtype=np.float64)
+
+    design: DesignMatrix
+    q: np.ndarray  # n x m orthonormal columns of the decomposition
+    border: np.ndarray  # n x (k - m) orthonormal columns added by bordered()
+    r: np.ndarray  # k x k, upper triangular
+    r_inv: np.ndarray  # inverse of r
+    order: np.ndarray  # design column behind each column of Q and r
+    scale: float  # largest column norm of the design, the rank test's unit
+    centered: bool  # the all-ones vector lies in the column span (centered R^2)
+
+    def qt(self, v: np.ndarray) -> np.ndarray:
+        """Q'v."""
+        return np.concatenate([self.q.T @ v, self.border.T @ v])
+
+    def qdot(self, c: np.ndarray) -> np.ndarray:
+        """Q c."""
+        m = self.q.shape[1]
+        return self.q @ c[:m] + self.border @ c[m:]
+
+    def bordered(self, position: int, name: str, column: np.ndarray) -> QRFactor:
+        """The factor of the design with ``column`` inserted at ``position``.
+
+        The column is orthogonalised against Q twice (classical Gram-Schmidt
+        with one reorthogonalisation); its coefficients and the norm of what
+        is left border R by one column, so no new decomposition is made. A
+        column in the span of the design raises :class:`SingularDesignError`
+        naming it.
+        """
+        column = np.asarray(column, dtype=np.float64)
+        n, k = self.design.data.shape
+        if column.shape != (n,):
+            raise ValueError(f"column has shape {column.shape}, expected ({n},)")
+        coef = self.qt(column)
+        left = column - self.qdot(coef)
+        again = self.qt(left)
+        left -= self.qdot(again)
+        coef += again
+        r = np.zeros((k + 1, k + 1))
+        r[:k, :k] = self.r
+        r[:k, k] = coef
+        r[k, k] = np.linalg.norm(left)
+        order = np.append(self.order + (self.order >= position), position)
+        names = self.design.names[:position] + (name,) + self.design.names[position:]
+        scale = max(self.scale, float(np.linalg.norm(column)))
+        _check_rank(names, r, order, scale)
+
+        r_inv = np.zeros((k + 1, k + 1))
+        r_inv[:k, :k] = self.r_inv
+        r_inv[:k, k] = -(self.r_inv @ coef) / r[k, k]
+        r_inv[k, k] = 1.0 / r[k, k]
+        border = np.column_stack([self.border, left / r[k, k]])
+        design = DesignMatrix(names, np.insert(self.design.data, position, column, axis=1))
+        centered = self.centered or _spans_ones(self.q, border)
+        return QRFactor(design, self.q, border, r, r_inv, order, scale, centered)
+
+
+Design = Union[DesignMatrix, QRFactor]
+
+
+def factorize(X: DesignMatrix) -> QRFactor:
+    """Column-pivoted QR of X; a rank-deficient X raises SingularDesignError."""
     n, k = X.data.shape
-    if y.shape != (n,):
-        raise ValueError(f"y has shape {y.shape}, expected ({n},)")
     if n <= k:
         raise InsufficientDataError(f"{n} observations for {k} regressors")
+    q, r, order = scipy.linalg.qr(X.data, mode="economic", pivoting=True)
+    scale = float(np.linalg.norm(X.data, axis=0).max())
+    _check_rank(X.names, r, order, scale)
+    border = np.empty((n, 0))
+    r_inv = scipy.linalg.solve_triangular(r, np.eye(k))
+    return QRFactor(X, q, border, r, r_inv, order, scale, _spans_ones(q, border))
 
-    q, r, piv = scipy.linalg.qr(X.data, mode="economic", pivoting=True)
-    _check_rank(X, r, piv)
+
+def _factored(X: Design) -> QRFactor:
+    return X if isinstance(X, QRFactor) else factorize(X)
+
+
+def ols_fit(X: Design, y: np.ndarray) -> ModelFit:
+    """Least-squares fit via column-pivoted QR; hac_cov left unpopulated.
+
+    X is a design or its :class:`QRFactor`. R^2 is centered whenever the
+    all-ones vector lies in the column span (intercept present, or a
+    complete dummy partition), else uncentered.
+    """
+    factor = _factored(X)
+    data = factor.design.data
+    y = np.asarray(y, dtype=np.float64)
+    n, k = data.shape
+    if y.shape != (n,):
+        raise ValueError(f"y has shape {y.shape}, expected ({n},)")
 
     beta = np.empty(k)
-    beta[piv] = scipy.linalg.solve_triangular(r, q.T @ y)
-    residuals = y - X.data @ beta
+    beta[factor.order] = scipy.linalg.solve_triangular(factor.r, factor.qt(y))
+    residuals = y - data @ beta
 
-    ones = np.ones(n)
-    ones_residual = ones - q @ (q.T @ ones)
-    centered = float(np.max(np.abs(ones_residual))) < ORTHO_TOL
     ssr = float(residuals @ residuals)
-    if centered:
+    if factor.centered:
         deviations = y - y.mean()
         sst = float(deviations @ deviations)
     else:
@@ -166,49 +278,66 @@ def ols_fit(X: DesignMatrix, y: np.ndarray) -> ModelFit:
 
     beta.setflags(write=False)
     residuals.setflags(write=False)
-    return ModelFit(X.names, beta, residuals, r_squared, n)
+    return ModelFit(factor.design.names, beta, residuals, r_squared, n)
 
 
-def hac_cov(
-    X: DesignMatrix, residuals: np.ndarray, bandwidth: Bandwidth = "auto"
-) -> np.ndarray:
+def bartlett_meat(x: np.ndarray, u: np.ndarray, lag: int) -> np.ndarray:
+    """sum_{|j|<=lag} (1 - |j|/(lag+1)) G_j of the scores s_t = u_t * x_t.
+
+    ``x`` holds one row per observation, ``u`` one weight (the residual)
+    per row. Computed as (1/(lag+1)) B'B, with row i of B the sum of the
+    scores s_{i-lag}..s_i (zero outside the sample), so no sum runs longer
+    than lag+1 rows. Scores and window sums are formed one block of rows at
+    a time, never for the whole sample at once.
+    """
+    n, k = x.shape
+    meat = np.zeros((k, k))
+    for lo in range(0, n + lag, _WINDOW_BLOCK):
+        hi = min(lo + _WINDOW_BLOCK, n + lag)
+        start, stop = max(lo - lag, 0), min(hi, n)
+        scores = x[start:stop] * u[start:stop, None]
+        windows = np.zeros((hi - lo, k))
+        for shift in range(lag + 1):
+            first, last = max(lo - shift, start), min(hi - shift, stop)
+            if first < last:
+                windows[first + shift - lo : last + shift - lo] += scores[
+                    first - start : last - start
+                ]
+        meat += windows.T @ windows
+    return meat / (lag + 1.0)
+
+
+def hac_cov(X: Design, residuals: np.ndarray, bandwidth: Bandwidth = "auto") -> np.ndarray:
     """Newey-West covariance of the OLS coefficients.
 
-    Bandwidth 0 collapses the kernel to the heteroskedasticity-only (HC0)
-    sandwich. The result is exactly symmetric by construction. A rank
+    X is a design or its :class:`QRFactor`; (X'X)^-1 comes from its R
+    factor. Bandwidth 0 collapses the kernel to the heteroskedasticity-only
+    (HC0) sandwich. The result is exactly symmetric by construction. A rank
     deficient X raises :class:`SingularDesignError`, as in :func:`ols_fit`.
     """
+    factor = _factored(X)
+    data = factor.design.data
     residuals = np.asarray(residuals, dtype=np.float64)
-    n, k = X.data.shape
+    n, k = data.shape
     if residuals.shape != (n,):
         raise ValueError("residuals do not match design length")
     lag = resolve_bandwidth(n, bandwidth)
-    # (X'X)^-1 from the R factor of a QR decomposition, for stability
-    r = scipy.linalg.qr(X.data, mode="r")[0][:k, :]
-    _check_rank(X, r, range(k))
 
-    scores = X.data * residuals[:, None]
-    meat = scores.T @ scores
-    for j in range(1, lag + 1):
-        weight = 1.0 - j / (lag + 1.0)
-        gamma = scores[j:].T @ scores[:-j]
-        meat += weight * (gamma + gamma.T)
-
-    r_inv = scipy.linalg.solve_triangular(r, np.eye(k))
-    xtx_inv = r_inv @ r_inv.T
+    meat = bartlett_meat(data, residuals, lag)
+    xtx_inv = np.empty((k, k))
+    xtx_inv[np.ix_(factor.order, factor.order)] = factor.r_inv @ factor.r_inv.T
     cov = xtx_inv @ meat @ xtx_inv
     cov = (cov + cov.T) / 2.0
     cov.setflags(write=False)
     return cov
 
 
-def fit_with_hac(
-    X: DesignMatrix, y: np.ndarray, bandwidth: Bandwidth = "auto"
-) -> ModelFit:
-    """Convenience: ols_fit followed by hac_cov with the resolved lag."""
-    fit = ols_fit(X, y)
+def fit_with_hac(X: Design, y: np.ndarray, bandwidth: Bandwidth = "auto") -> ModelFit:
+    """ols_fit followed by hac_cov with the resolved lag, on one QR factor."""
+    factor = _factored(X)
+    fit = ols_fit(factor, y)
     lag = resolve_bandwidth(fit.nobs, bandwidth)
-    cov = hac_cov(X, fit.residuals, lag)
+    cov = hac_cov(factor, fit.residuals, lag)
     return ModelFit(
         fit.names, fit.beta, fit.residuals, fit.r_squared, fit.nobs, cov, lag
     )
@@ -229,12 +358,13 @@ def wald_test(fit: ModelFit, restricted: Sequence[str]) -> WaldResult:
     b = fit.beta[idx]
     v_sub = fit.hac_cov[np.ix_(idx, idx)]
     try:
-        factor = scipy.linalg.cho_factor(v_sub)
-    except scipy.linalg.LinAlgError:
+        lower = np.linalg.cholesky(v_sub)
+    except np.linalg.LinAlgError:
         raise WaldDegeneracyError(
             "restricted covariance block is not positive definite"
         ) from None
-    statistic = float(b @ scipy.linalg.cho_solve(factor, b))
+    whitened = np.linalg.solve(lower, b)
+    statistic = float(whitened @ whitened)
     df = len(labels)
     return WaldResult(labels, statistic, df, chi2_sf(statistic, df))
 

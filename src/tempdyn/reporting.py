@@ -21,8 +21,8 @@ from .models import (
     CityReport,
     EvolvingSeasonalFit,
     SeasonalPattern,
-    TrendFit,
 )
+from .regression import ModelFit
 from .series import TemperatureSeries
 
 TABLE_HEADER = [
@@ -135,10 +135,10 @@ def write_density_csv(estimate: DensityEstimate, path: Path) -> None:
 
 
 def write_trend_csv(
-    series: TemperatureSeries, variable: str, trend: TrendFit, path: Path
+    series: TemperatureSeries, variable: str, trend: ModelFit, path: Path
 ) -> None:
     y = series.variable(variable)
-    fitted = y - trend.fit.residuals
+    fitted = y - trend.residuals
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["date", "actual", "fitted"])

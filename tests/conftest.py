@@ -9,6 +9,8 @@ from datetime import date
 
 import pytest
 
+from tempdyn.ghcn import LINE_LENGTH, TEMPERATURE_ELEMENTS, RawDlyRecord
+
 DAY_SLOTS = 31
 MISSING = -9999
 
@@ -33,6 +35,29 @@ def make_dly_line(
     line = "".join(parts)
     assert len(line) == 269
     return line
+
+
+def serialize_record(record: RawDlyRecord) -> str:
+    """Render a parsed record back to its 269-character archive line."""
+    parts = [
+        f"{record.station_id:<11.11}",
+        f"{record.year:04d}",
+        f"{record.month:02d}",
+        f"{record.element:<4.4}",
+    ]
+    for slot in record.values:
+        parts.append(f"{slot.value:5d}{slot.mflag}{slot.qflag}{slot.sflag}")
+    line = "".join(parts)
+    assert len(line) == LINE_LENGTH
+    return line
+
+
+def filter_elements(
+    records, elements=TEMPERATURE_ELEMENTS
+) -> list[RawDlyRecord]:
+    """The records whose element is one of ``elements``, in order."""
+    wanted = set(elements)
+    return [r for r in records if r.element in wanted]
 
 
 def _months_between(start: date, end: date):

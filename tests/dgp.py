@@ -12,6 +12,9 @@ from datetime import date, timedelta
 import numpy as np
 from scipy.signal import lfilter
 
+from tempdyn.models import LAG_POSITION, joint_shared_design
+from tempdyn.regression import DesignMatrix
+
 
 def calendar_months(start: date, length: int) -> np.ndarray:
     return np.array(
@@ -59,6 +62,22 @@ def simulate_joint(
     steady = drive[0] / (1.0 - rho)
     y = lfilter([1.0], [1.0, -rho], drive, zi=np.array([rho * steady]))[0]
     return y[BURN_IN:]
+
+
+def joint_design(
+    month: np.ndarray, t: np.ndarray, y: np.ndarray
+) -> tuple[DesignMatrix, np.ndarray]:
+    """The joint model's full design and regressand over t = 2..T.
+
+    ``models.fit_joint`` never builds this matrix in one piece: it borders
+    the factored shared design with the lag. Tests fit it directly as an
+    independent path and read its layout.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    shared = joint_shared_design(month, t)
+    names = shared.names[:LAG_POSITION] + ("lag",) + shared.names[LAG_POSITION:]
+    data = np.insert(shared.data, LAG_POSITION, y[:-1], axis=1)
+    return DesignMatrix(names, data), y[1:]
 
 
 def joint_truth(

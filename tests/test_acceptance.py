@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from tempdyn.ghcn import parse_dly, serialize_record, station_observations
+from tempdyn.ghcn import parse_dly, station_observations
 from tempdyn.models import (
     JOINT_INTERACTIONS,
     batch_report,
@@ -25,14 +25,13 @@ from tempdyn.models import (
     fit_joint,
     fit_trend,
     hypothesis_suite,
-    joint_design,
 )
 from tempdyn.density import find_modes, kde
 from tempdyn.regression import DesignMatrix, chi2_sf, fit_with_hac, hac_cov, ols_fit, wald_test
 from tempdyn.series import build_series, month_dummies
 
-from conftest import FIXTURE_TENTHS, fixture_line, random_valid_line
-from dgp import calendar_months, simulate_joint, joint_truth
+from conftest import FIXTURE_TENTHS, fixture_line, random_valid_line, serialize_record
+from dgp import calendar_months, joint_design, simulate_joint, joint_truth
 from test_regression import chi2_sf_quadrature, hac_triple_loop, normal_equations_beta
 
 
@@ -375,6 +374,9 @@ class TestCriterion7InvariantSuite:
             (test_models.TestEvolvingSeasonal, "test_pattern_time_average_is_zero"),
             (test_models.TestFitTrend, "test_delta_antisymmetric_under_time_reversal"),
             (test_models.TestReports, "test_rows_follow_input_order_and_are_order_invariant"),
+            (test_models.TestReports, "test_batch_rows_bitwise_equal_single_station_reports"),
+            (test_models.TestInvariance, "test_time_in_years_leaves_tests_unchanged"),
+            (test_regression.TestBartlettMeat, "test_window_sums_equal_lag_loop"),
             (test_density.TestInvariants, "test_location_equivariance"),
             (test_density.TestInvariants, "test_integral_approaches_one_on_wider_grid"),
             (test_density.TestInvariants, "test_grid_doubling_stability"),

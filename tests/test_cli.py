@@ -4,10 +4,11 @@ import threading
 from datetime import date, datetime, timezone
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from tempdyn import ghcn, series as series_mod
+from tempdyn import ghcn, models, series as series_mod
 from tempdyn.cli import main
 
 from conftest import make_dly_line, synthetic_station_bytes
@@ -50,6 +51,16 @@ def run(args, **kwargs):
 def read_csv_rows(path: Path) -> list[dict]:
     with open(path, newline="") as handle:
         return list(csv.DictReader(handle))
+
+
+def write_series(workspace: Path, code: str, tmax, tmin, start: date, end: date) -> None:
+    """Replace (or add) a station's series CSV, as ingest would write it."""
+    built = series_mod.build_series(tmax, tmin, start, end)
+    series_mod.write_series_csv(built, workspace / "out" / "series" / f"{code}.csv")
+
+
+def read_series(workspace: Path, code: str) -> series_mod.TemperatureSeries:
+    return series_mod.read_series_csv(workspace / "out" / "series" / f"{code}.csv")
 
 
 class TestIngest:
@@ -312,6 +323,59 @@ class TestTables:
                       "--hac-bandwidth", str(joint_nobs - 1)])
         assert result.exit_code == 0, result.output
 
+    def test_two_windows_grouped_and_match_single_station_fits(self, workspace, monkeypatch):
+        config = str(workspace / "run.cfg")
+        run(["ingest", "--config", config])
+        aaa, bbb = read_series(workspace, "AAA"), read_series(workspace, "BBB")
+        # BBB from March 1960 on; XXX on AAA's window with its days reversed
+        write_series(workspace, "BBB", bbb.max_f[60:], bbb.min_f[60:], date(1960, 3, 1), WINDOW_END)
+        write_series(workspace, "XXX", aaa.max_f[::-1], aaa.min_f[::-1], WINDOW_START, WINDOW_END)
+        windows = []
+        original = models.window_blocks
+
+        def counting(series):
+            windows.append((series.dates[0], len(series)))
+            return original(series)
+
+        monkeypatch.setattr(models, "window_blocks", counting)
+        result = run(["tables", "--config", config, "--variable", "avg",
+                      "--station", "AAA", "--station", "BBB", "--station", "XXX"])
+        assert result.exit_code == 0, result.output
+        assert windows == [(WINDOW_START, 731), (date(1960, 3, 1), 671)]
+        monkeypatch.undo()
+
+        rows = read_csv_rows(workspace / "out" / "tables" / "table_avg.csv")
+        assert [r["station"] for r in rows] == ["AAA", "BBB", "XXX", "Median"]
+        for row in rows[:3]:
+            single = models.city_report(row["station"], read_series(workspace, row["station"]), "avg")
+            for column in ("delta_trend", "p_nt", "p_ns", "p_nts", "rho", "r_squared"):
+                assert float(row[f"{column}_full"]) == getattr(single, column)
+
+    @pytest.mark.parametrize("kind", ["constant", "collinear"])
+    def test_degenerate_lag_named_while_other_rows_written(self, workspace, kind):
+        config = str(workspace / "run.cfg")
+        run(["ingest", "--config", config])
+        dates = read_series(workspace, "AAA").dates
+        if kind == "constant":
+            tmax, tmin = np.full(len(dates), 60), np.full(len(dates), 50)
+        else:
+            # each day holds the next day's month number, so every lag is the
+            # intercept plus month dummies
+            following = np.array([d.month for d in dates[1:]] + [1])
+            tmax, tmin = 2 * following, np.zeros(len(dates), dtype=np.int64)
+        write_series(workspace, "XXX", tmax, tmin, WINDOW_START, WINDOW_END)
+        result = run(["tables", "--config", config,
+                      "--station", "AAA", "--station", "XXX", "--station", "BBB"])
+        assert result.exit_code == 1
+        failed = [line for line in result.output.splitlines() if "FAILED" in line]
+        assert failed == [
+            f"{var} XXX: FAILED (SingularDesignError: design column 'lag' is linearly dependent)"
+            for var in ("avg", "dtr")
+        ]
+        for var in ("avg", "dtr"):
+            rows = read_csv_rows(workspace / "out" / "tables" / f"table_{var}.csv")
+            assert [r["station"] for r in rows] == ["AAA", "BBB"]
+
     def test_explicit_bandwidth_recorded(self, workspace):
         config = str(workspace / "run.cfg")
         run(["ingest", "--config", config])
@@ -354,6 +418,28 @@ class TestFigures:
         grid = np.array([float(r["grid"]) for r in rows])
         values = np.array([float(r["density"]) for r in rows])
         assert 0.99 <= np.trapezoid(values, grid) <= 1.01
+
+    def test_constant_dtr_is_a_one_line_error(self, workspace):
+        config = str(workspace / "run.cfg")
+        run(["ingest", "--config", config])
+        tmin = read_series(workspace, "AAA").min_f
+        write_series(workspace, "AAA", tmin + 10, tmin, WINDOW_START, WINDOW_END)
+        result = run(["figures", "--config", config, "--station", "AAA"])
+        assert result.exit_code == 1
+        assert result.output.startswith("Error: AAA dtr: automatic bandwidth is zero")
+        assert len(result.output.splitlines()) == 1
+
+    def test_singular_design_is_a_one_line_error(self, workspace):
+        # three months of data leave nine month dummies without a single day
+        config = str(workspace / "run.cfg")
+        run(["ingest", "--config", config])
+        aaa = read_series(workspace, "AAA")
+        write_series(workspace, "AAA", aaa.max_f[:91], aaa.min_f[:91], WINDOW_START, date(1960, 3, 31))
+        result = run(["figures", "--config", config, "--station", "AAA"])
+        assert result.exit_code == 1
+        assert result.output.startswith("Error: AAA avg: design column 'd")
+        assert result.output.rstrip().endswith("is linearly dependent")
+        assert len(result.output.splitlines()) == 1
 
     def test_missing_series_is_actionable(self, workspace):
         result = run(

@@ -17,20 +17,20 @@ from tempdyn.ghcn import (
     IngestNotes,
     UnsupportedGapError,
     fetch_station,
-    filter_elements,
     interpolate_missing,
     parse_dly,
     round_half_away_from_zero,
-    serialize_record,
     station_observations,
     to_fahrenheit_int,
 )
 
 from conftest import (
     FIXTURE_TENTHS,
+    filter_elements,
     fixture_line,
     make_dly_line,
     random_valid_line,
+    serialize_record,
     synthetic_station_bytes,
     tmax_tenths_c,
     tmin_tenths_c,

@@ -1,8 +1,11 @@
+import dataclasses
+import itertools
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
 
+import tempdyn.models as models
 from tempdyn.models import (
     JOINT_DUMMIES,
     JOINT_INTERACTIONS,
@@ -14,14 +17,13 @@ from tempdyn.models import (
     fit_joint,
     fit_trend,
     hypothesis_suite,
-    joint_design,
     seasonal_design,
     trend_design,
 )
-from tempdyn.regression import ols_fit, DesignMatrix
+from tempdyn.regression import DesignMatrix, fit_with_hac, ols_fit
 from tempdyn.series import TemperatureSeries, build_series, month_dummies
 
-from dgp import calendar_months, simulate_joint
+from dgp import calendar_months, joint_design, simulate_joint
 
 
 def series_from_avg(avg: np.ndarray, start: date = date(1960, 1, 1)) -> TemperatureSeries:
@@ -268,6 +270,46 @@ class TestJointModel:
         b = ols_fit(direct, regressand)
         np.testing.assert_allclose(a.beta, b.beta, atol=1e-14)
 
+    def test_bordered_fit_matches_full_design_fit(self):
+        series = quick_series(66, T=3650)
+        joint = fit_joint(series, "avg")
+        design, regressand = joint_design(series.month, series.t, series.avg)
+        direct = fit_with_hac(design, regressand)
+        assert joint.fit.names == direct.names
+        np.testing.assert_allclose(joint.fit.beta, direct.beta, rtol=1e-9)
+        np.testing.assert_allclose(joint.fit.hac_cov, direct.hac_cov, rtol=1e-8, atol=1e-20)
+        assert joint.rho == pytest.approx(direct.coef("lag"), rel=1e-12)
+        assert joint.r_squared == pytest.approx(direct.r_squared, rel=1e-12)
+
+
+class TestInvariance:
+    def test_time_in_years_leaves_tests_unchanged(self):
+        # the full 58-year window: the joint design's condition number is
+        # about 4.5e5, so the rescaled design exercises RANK_TOL
+        rng = np.random.default_rng(67)
+        T = 21185
+        month = calendar_months(date(1960, 1, 1), T)
+        # weak effects keep every p-value away from 0 and 1
+        delta = {m: 0.02 * (m - 6) for m in range(1, 13) if m != 7}
+        y = simulate_joint(month, 20.0, 1e-6, delta, {1: 2e-6}, 0.6, 2.0, rng)
+        days = series_from_avg(y)
+        years = dataclasses.replace(days, t=days.t / 365.25)
+        by_day = fit_joint(days, "avg")
+        by_year = fit_joint(years, "avg")
+        a, b = hypothesis_suite(by_day), hypothesis_suite(by_year)
+        assert 1e-4 < min(a.p_nt, a.p_ns, a.p_nts) and max(a.p_nt, a.p_ns, a.p_nts) < 1.0
+        for before, after in (
+            (a.p_nt, b.p_nt),
+            (a.p_ns, b.p_ns),
+            (a.p_nts, b.p_nts),
+            (by_day.rho, by_year.rho),
+            (by_day.r_squared, by_year.r_squared),
+        ):
+            assert after == pytest.approx(before, rel=1e-9)
+        assert by_year.fit.coef("time") == pytest.approx(
+            365.25 * by_day.fit.coef("time"), rel=1e-9
+        )
+
 
 class TestHypothesisSuite:
     def test_degrees_of_freedom(self):
@@ -331,6 +373,35 @@ class TestReports:
         for code in ("AAA", "BBB", "CCC"):
             assert by_station_f[code] == by_station_b[code]
         assert forward.median_row.delta_trend == backward.median_row.delta_trend
+
+    def test_batch_rows_bitwise_equal_single_station_reports(self):
+        pairs = [(code, quick_series(seed)) for code, seed in (("AAA", 20), ("BBB", 21), ("CCC", 22))]
+        singles = {code: city_report(code, series, "avg") for code, series in pairs}
+        for order in itertools.permutations(pairs):
+            batch = batch_report(list(order), "avg")
+            assert [r.station for r in batch.rows] == [code for code, _ in order]
+            for row in batch.rows:
+                assert row == singles[row.station]
+
+    def test_each_window_factored_once(self, monkeypatch):
+        windows = []
+        original = models.window_blocks
+
+        def counting(series):
+            windows.append((series.dates[0], len(series)))
+            return original(series)
+
+        monkeypatch.setattr(models, "window_blocks", counting)
+        short = quick_series(23, T=1100)
+        late = series_from_avg(quick_series(24).avg, start=date(1960, 3, 1))
+        pairs = [("AAA", quick_series(25)), ("BBB", short), ("CCC", quick_series(26)),
+                 ("DDD", late), ("EEE", quick_series(27, T=1100))]
+        batch = batch_report(pairs, "avg")
+        assert windows == [(date(1960, 1, 1), 1200), (date(1960, 1, 1), 1100),
+                           (date(1960, 3, 1), 1200)]
+        monkeypatch.undo()
+        for (code, series), row in zip(pairs, batch.rows):
+            assert row == city_report(code, series, "avg")
 
     def test_median_is_columnwise(self):
         pairs = [(c, quick_series(i)) for i, c in enumerate(["A", "B", "C"], start=10)]

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from tempdyn.regression import (
@@ -11,7 +13,9 @@ from tempdyn.regression import (
     ModelFit,
     SingularDesignError,
     WaldDegeneracyError,
+    bartlett_meat,
     chi2_sf,
+    factorize,
     fit_with_hac,
     hac_cov,
     nw_auto_bandwidth,
@@ -43,6 +47,15 @@ def hac_triple_loop(X: np.ndarray, u: np.ndarray, lag: int) -> np.ndarray:
             meat += weight * u[t] * u[s] * np.outer(X[t], X[s])
     bread = np.linalg.inv(X.T @ X)
     return bread @ meat @ bread
+
+
+def bartlett_lag_loop(scores: np.ndarray, lag: int) -> np.ndarray:
+    """sum_{|j|<=L} (1 - |j|/(L+1)) G_j with one cross product per lag."""
+    meat = scores.T @ scores
+    for j in range(1, lag + 1):
+        gamma = scores[j:].T @ scores[:-j]
+        meat += (1.0 - j / (lag + 1.0)) * (gamma + gamma.T)
+    return meat
 
 
 def chi2_sf_quadrature(x: float, df: int) -> float:
@@ -223,6 +236,83 @@ class TestHacCov:
         with pytest.raises(SingularDesignError) as excinfo:
             hac_cov(X, rng.standard_normal(50), bandwidth=2)
         assert excinfo.value.column == "x_again"
+
+
+class TestBartlettMeat:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(2, 5000),
+        k=st.integers(1, 5),
+        lag_rule=st.sampled_from(["0", "1", "auto", "n-1"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_window_sums_equal_lag_loop(self, n, k, lag_rule, seed):
+        lag = {"0": 0, "1": 1, "auto": nw_auto_bandwidth(n), "n-1": n - 1}[lag_rule]
+        lag = min(lag, n - 1)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, k)) * rng.uniform(0.1, 1e3, size=k)
+        u = rng.standard_normal(n)
+        expected = bartlett_lag_loop(x * u[:, None], lag)
+        meat = bartlett_meat(x, u, lag)
+        # both sides sum over n + lag rows; rounding grows like its square root
+        tol = 8.0 * math.sqrt(n + lag) * np.finfo(float).eps * np.abs(expected).max()
+        np.testing.assert_allclose(meat, expected, rtol=0, atol=tol)
+
+    def test_lag_zero_is_the_score_gram(self):
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((300, 3))
+        u = rng.standard_normal(300)
+        scores = x * u[:, None]
+        np.testing.assert_allclose(bartlett_meat(x, u, 0), scores.T @ scores, rtol=1e-13)
+
+
+class TestQRFactor:
+    def setup_method(self):
+        rng = np.random.default_rng(12)
+        self.X = random_design(rng, 400, 4)
+        self.w = 0.5 * self.X.data[:, 1] + rng.standard_normal(400)
+        self.y = 1.0 + 0.3 * self.w + rng.standard_normal(400)
+
+    def test_bordered_equals_factoring_the_full_design(self):
+        full = DesignMatrix(
+            self.X.names[:2] + ("w",) + self.X.names[2:],
+            np.insert(self.X.data, 2, self.w, axis=1),
+        )
+        bordered = factorize(self.X).bordered(2, "w", self.w)
+        assert bordered.design.names == full.names
+        np.testing.assert_array_equal(bordered.design.data, full.data)
+        a = fit_with_hac(bordered, self.y, bandwidth=5)
+        b = fit_with_hac(full, self.y, bandwidth=5)
+        np.testing.assert_allclose(a.beta, b.beta, rtol=1e-11)
+        np.testing.assert_allclose(a.residuals, b.residuals, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(a.hac_cov, b.hac_cov, rtol=1e-10, atol=1e-16)
+        assert a.r_squared == pytest.approx(b.r_squared, rel=1e-12)
+
+    def test_bordered_fit_reuses_the_block(self):
+        block = factorize(self.X)
+        first = fit_with_hac(block.bordered(0, "w", self.w), self.y, bandwidth=3)
+        again = fit_with_hac(block.bordered(0, "w", self.w), self.y, bandwidth=3)
+        np.testing.assert_array_equal(first.beta, again.beta)
+        np.testing.assert_array_equal(first.hac_cov, again.hac_cov)
+
+    @pytest.mark.parametrize("kind", ["constant", "combination"])
+    def test_column_in_span_names_itself(self, kind):
+        if kind == "constant":
+            column = np.full(400, 7.0)  # the design has an intercept
+        else:
+            column = 2.0 * self.X.data[:, 1] - self.X.data[:, 3]
+        with pytest.raises(SingularDesignError) as excinfo:
+            factorize(self.X).bordered(1, "lag", column)
+        assert excinfo.value.column == "lag"
+
+    def test_factor_in_place_of_design(self):
+        factor = factorize(self.X)
+        a = ols_fit(factor, self.y)
+        b = ols_fit(self.X, self.y)
+        np.testing.assert_array_equal(a.beta, b.beta)
+        np.testing.assert_array_equal(
+            hac_cov(factor, a.residuals, 4), hac_cov(self.X, a.residuals, 4)
+        )
 
 
 # ---------------------------------------------------------------------------
