@@ -237,7 +237,13 @@ def figures(config_path, station_code, out):
     for var in ("avg", "dtr"):
         try:
             _write_figure_data(station_series, var, figures_dir)
-        except (density.DegenerateBandwidthError, SingularDesignError) as exc:
+        except density.DegenerateBandwidthError:
+            # figures has no bandwidth option, so the library's advice to
+            # pass one is left out
+            raise click.ClickException(
+                f"{station_code} {var}: automatic bandwidth is zero (data has no spread)"
+            )
+        except SingularDesignError as exc:
             raise click.ClickException(f"{station_code} {var}: {exc}")
     click.echo(f"wrote figure data under {figures_dir}")
 
@@ -311,26 +317,27 @@ def _fit_and_print(station_series, variable: str, model: str, bandwidth) -> None
         _print_fit(result.fit)
         click.echo(f"delta_trend: {result.delta_trend:.4f} F over the sample")
         return
-
-    trend = models.fit_trend(station_series, variable, bandwidth)
-    detrended = trend.fit.residuals
-    dummies = series_mod.month_dummies(station_series)
-    if model == "seasonal":
-        _print_fit(
-            models.fit_fixed_seasonal(detrended, dummies, bandwidth).fit
-        )
-    elif model == "evolving":
-        _print_fit(
-            models.fit_evolving_seasonal(
-                detrended, dummies, station_series.t, bandwidth
-            ).fit
-        )
-    else:
+    if model == "joint":
         joint = models.fit_joint(station_series, variable, bandwidth)
         _print_fit(joint.fit)
         suite = models.hypothesis_suite(joint)
         click.echo(
             f"p(nt)={suite.p_nt:.4f}  p(ns)={suite.p_ns:.4f}  p(nts)={suite.p_nts:.4f}"
+        )
+        return
+
+    y = station_series.variable(variable)
+    detrended = ols_fit(models.trend_design(station_series), y).residuals
+    dummies = series_mod.month_dummies(station_series)
+    if model == "seasonal":
+        _print_fit(
+            models.fit_fixed_seasonal(detrended, dummies, bandwidth).fit
+        )
+    else:
+        _print_fit(
+            models.fit_evolving_seasonal(
+                detrended, dummies, station_series.t, bandwidth
+            ).fit
         )
 
 

@@ -33,10 +33,12 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-import requests
+
+if TYPE_CHECKING:
+    import requests
 
 MISSING = -9999
 LINE_LENGTH = 269
@@ -552,4 +554,7 @@ def fetch_station(
 
 
 def _default_http_get(url: str) -> "requests.Response":
+    # imported here, so that commands that only read the cache never load it
+    import requests
+
     return requests.get(url, timeout=120)

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import threading
 from datetime import date, datetime, timezone
 from pathlib import Path
@@ -8,7 +11,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from tempdyn import ghcn, models, series as series_mod
+import tempdyn
+from tempdyn import ghcn, models, regression, series as series_mod
 from tempdyn.cli import main
 
 from conftest import make_dly_line, synthetic_station_bytes
@@ -427,6 +431,7 @@ class TestFigures:
         result = run(["figures", "--config", config, "--station", "AAA"])
         assert result.exit_code == 1
         assert result.output.startswith("Error: AAA dtr: automatic bandwidth is zero")
+        assert "explicit bandwidth" not in result.output
         assert len(result.output.splitlines()) == 1
 
     def test_singular_design_is_a_one_line_error(self, workspace):
@@ -519,7 +524,23 @@ class TestFit:
             assert "p(nts)=" in result.output
             assert "lag" in result.output
 
-    @pytest.mark.parametrize("model", ["trend", "joint"])
+    def test_seasonal_fit_makes_one_hac_covariance(self, workspace, monkeypatch):
+        # the de-trending trend fit needs residuals only, not a covariance
+        calls = []
+        original = regression.hac_cov
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(regression, "hac_cov", counted)
+        config = str(workspace / "run.cfg")
+        run(["ingest", "--config", config])
+        result = run(["fit", "--config", config, "--station", "AAA", "--model", "seasonal"])
+        assert result.exit_code == 0, result.output
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("model", ["trend", "seasonal", "evolving", "joint"])
     def test_bandwidth_beyond_nobs_is_a_one_line_error(self, workspace, model):
         config = str(workspace / "run.cfg")
         run(["ingest", "--config", config])
@@ -543,3 +564,21 @@ class TestFit:
             ]
         )
         assert result.exit_code != 0
+
+
+def test_cli_import_loads_neither_scipy_nor_requests():
+    # the estimator runs on numpy alone, and requests is needed only when
+    # a download happens
+    src = Path(tempdyn.__file__).resolve().parents[1]
+    probe = (
+        "import sys, tempdyn.cli; "
+        "print(','.join(m for m in ('scipy', 'requests') if m in sys.modules))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == ""
