@@ -14,7 +14,7 @@ from typing import Optional
 
 import click
 
-from . import density, ghcn, models, reporting, series as series_mod
+from . import density, ghcn, models, regression, reporting, series as series_mod
 from .regression import BandwidthError, SingularDesignError, ols_fit
 from .stations import ConfigError, RunConfig, Station, load_config, parse_bandwidth
 
@@ -234,55 +234,48 @@ def figures(config_path, station_code, out):
     figures_dir = config.output_dir / "figures" / station_code
     figures_dir.mkdir(parents=True, exist_ok=True)
 
-    for var in ("avg", "dtr"):
-        try:
-            _write_figure_data(station_series, var, figures_dir)
-        except density.DegenerateBandwidthError:
-            # figures has no bandwidth option, so the library's advice to
-            # pass one is left out
-            raise click.ClickException(
-                f"{station_code} {var}: automatic bandwidth is zero (data has no spread)"
+    # Only coefficients, residuals and fitted values are written, so the
+    # models are fitted by plain OLS, without HAC covariances. The designs
+    # depend on the window alone, so avg and dtr share one factor of each; a
+    # singular design is reported with avg, the variable fitted first.
+    var = "avg"
+    try:
+        dummies = series_mod.month_dummies(station_series)
+        trend_qr = regression.factorize(models.trend_design(station_series))
+        fixed_qr = regression.factorize(models.seasonal_design(dummies))
+        evolving_qr = regression.factorize(
+            models.evolving_design(dummies, station_series.t)
+        )
+        for var in ("avg", "dtr"):
+            y = station_series.variable(var)
+            reporting.write_density_csv(density.kde(y), figures_dir / f"density_{var}.csv")
+            trend = ols_fit(trend_qr, y)
+            reporting.write_trend_csv(
+                station_series, var, trend, figures_dir / f"trend_{var}.csv"
             )
-        except SingularDesignError as exc:
-            raise click.ClickException(f"{station_code} {var}: {exc}")
+            detrended = trend.residuals
+            fixed = models.FixedSeasonalFit(ols_fit(fixed_qr, detrended))
+            reporting.write_seasonal_fit_csv(
+                station_series, detrended, dummies @ fixed.fit.beta,
+                figures_dir / f"seasonal_fit_{var}.csv",
+            )
+            reporting.write_patterns_csv(
+                [fixed.pattern], figures_dir / f"fixed_pattern_{var}.csv"
+            )
+            evolving = models.EvolvingSeasonalFit(ols_fit(evolving_qr, detrended))
+            reporting.write_patterns_csv(
+                reporting.evolving_patterns(evolving, station_series),
+                figures_dir / f"evolving_pattern_{var}.csv",
+            )
+    except density.DegenerateBandwidthError:
+        # figures has no bandwidth option, so the library's advice to
+        # pass one is left out
+        raise click.ClickException(
+            f"{station_code} {var}: automatic bandwidth is zero (data has no spread)"
+        )
+    except SingularDesignError as exc:
+        raise click.ClickException(f"{station_code} {var}: {exc}")
     click.echo(f"wrote figure data under {figures_dir}")
-
-
-def _write_figure_data(station_series, var: str, figures_dir: Path) -> None:
-    """One variable's density, trend and seasonal figure files.
-
-    Only coefficients, residuals and fitted values are written, so the
-    models are fitted by plain OLS, without HAC covariances.
-    """
-    y = station_series.variable(var)
-    estimate = density.kde(y)
-    reporting.write_density_csv(estimate, figures_dir / f"density_{var}.csv")
-
-    trend = ols_fit(models.trend_design(station_series), y)
-    reporting.write_trend_csv(
-        station_series, var, trend, figures_dir / f"trend_{var}.csv"
-    )
-
-    detrended = trend.residuals
-    dummies = series_mod.month_dummies(station_series)
-    fixed = models.FixedSeasonalFit(ols_fit(models.seasonal_design(dummies), detrended))
-    reporting.write_seasonal_fit_csv(
-        station_series,
-        detrended,
-        dummies @ fixed.fit.beta,
-        figures_dir / f"seasonal_fit_{var}.csv",
-    )
-    reporting.write_patterns_csv(
-        [fixed.pattern], figures_dir / f"fixed_pattern_{var}.csv"
-    )
-
-    evolving = models.EvolvingSeasonalFit(
-        ols_fit(models.evolving_design(dummies, station_series.t), detrended)
-    )
-    reporting.write_patterns_csv(
-        reporting.evolving_patterns(evolving, station_series),
-        figures_dir / f"evolving_pattern_{var}.csv",
-    )
 
 
 @main.command()

@@ -30,12 +30,13 @@ indexed by day of the window, so no per-day object is ever built.
 from __future__ import annotations
 
 import os
-import tempfile
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
+
+from .series import write_atomic
 
 if TYPE_CHECKING:
     import requests
@@ -495,9 +496,9 @@ def fetch_station(
     A downloaded payload is cached only if :func:`parse_station` accepts
     it; otherwise :class:`FetchError` names the URL and the reason and the
     cache is left as it was. When a refreshed payload differs from the
-    cached copy, the fresh bytes win and a warning is emitted. Cache writes
-    go through a temp file and rename so concurrent fetchers never observe
-    a partial file.
+    cached copy, the fresh bytes win and a warning is emitted. The cache
+    file is replaced atomically (:func:`~tempdyn.series.write_atomic`), so
+    concurrent fetchers never observe a partial file.
     """
     cache_dir = os.fspath(cache_dir)
     cache_path = os.path.join(cache_dir, f"{station_id}.dly")
@@ -542,14 +543,8 @@ def fetch_station(
             stacklevel=2,
         )
     os.makedirs(cache_dir, exist_ok=True)
-    fd, temp_path = tempfile.mkstemp(dir=cache_dir, suffix=".part")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
-        os.replace(temp_path, cache_path)
-    finally:
-        if os.path.exists(temp_path):
-            os.unlink(temp_path)
+    # parse_station accepted the payload, so it is ASCII and decodes losslessly
+    write_atomic(cache_path, [payload.decode("ascii")])
     return Fetched(payload, "network", cache_path, datetime.now(timezone.utc))
 
 

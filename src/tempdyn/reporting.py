@@ -8,10 +8,10 @@ provenance and timing instead.
 
 from __future__ import annotations
 
-import csv
 import json
+from itertools import chain
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .models import (
     SeasonalPattern,
 )
 from .regression import ModelFit
-from .series import TemperatureSeries
+from .series import TemperatureSeries, _iso_dates, write_atomic
 
 TABLE_HEADER = [
     "station",
@@ -50,10 +50,6 @@ def _two(value: float) -> str:
     return "0.00" if text == "-0.00" else text
 
 
-def _full(value: float) -> str:
-    return repr(float(value))
-
-
 def _table_rows(report: BatchReport) -> list[CityReport]:
     rows = list(report.rows)
     if report.median_row is not None:
@@ -61,31 +57,22 @@ def _table_rows(report: BatchReport) -> list[CityReport]:
     return rows
 
 
+def _csv(header: Sequence[str], rows: Iterable[str]) -> Iterable[str]:
+    """The header line, then the rows: a CSV streamed as text chunks."""
+    return chain([",".join(header) + "\n"], rows)
+
+
 def write_table_csv(report: BatchReport, path: Path) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(TABLE_HEADER)
-        for row in _table_rows(report):
-            writer.writerow(
-                [
-                    row.station,
-                    _two(row.delta_trend),
-                    str(row.delta_trend_starred).lower(),
-                    _two(row.p_nt),
-                    _two(row.p_ns),
-                    _two(row.p_nts),
-                    _two(row.rho),
-                    str(row.rho_starred).lower(),
-                    _two(row.r_squared),
-                    row.hac_bandwidth,
-                    _full(row.delta_trend),
-                    _full(row.p_nt),
-                    _full(row.p_ns),
-                    _full(row.p_nts),
-                    _full(row.rho),
-                    _full(row.r_squared),
-                ]
-            )
+    # the row fields are Python floats, so plain {} gives each one's repr
+    rows = (
+        f"{row.station},{_two(row.delta_trend)},{str(row.delta_trend_starred).lower()},"
+        f"{_two(row.p_nt)},{_two(row.p_ns)},{_two(row.p_nts)},"
+        f"{_two(row.rho)},{str(row.rho_starred).lower()},{_two(row.r_squared)},"
+        f"{row.hac_bandwidth},{row.delta_trend},{row.p_nt},{row.p_ns},{row.p_nts},"
+        f"{row.rho},{row.r_squared}\n"
+        for row in _table_rows(report)
+    )
+    write_atomic(path, _csv(TABLE_HEADER, rows))
 
 
 def format_table_text(report: BatchReport) -> str:
@@ -112,9 +99,11 @@ def format_table_text(report: BatchReport) -> str:
     for row in body:
         lines.append("  ".join(v.ljust(widths[j]) for j, v in enumerate(row)).rstrip())
     lines.append("")
+    # rows of different windows can carry different automatic lags
+    lags = sorted({row.hac_bandwidth for row in report.rows})
     lines.append(
         f"variable: {report.variable}  "
-        f"HAC bandwidth: {report.rows[0].hac_bandwidth if report.rows else 'n/a'}  "
+        f"HAC bandwidth: {', '.join(map(str, lags)) if lags else 'n/a'}  "
         "(* = significant at the 1% level)"
     )
     if report.failures:
@@ -123,27 +112,19 @@ def format_table_text(report: BatchReport) -> str:
 
 
 def write_table_text(report: BatchReport, path: Path) -> None:
-    path.write_text(format_table_text(report))
+    write_atomic(path, [format_table_text(report)])
 
 
 def write_density_csv(estimate: DensityEstimate, path: Path) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["grid", "density"])
-        for g, v in zip(estimate.grid, estimate.values):
-            writer.writerow([_full(g), _full(v)])
+    rows = (f"{g},{v}\n" for g, v in zip(estimate.grid.tolist(), estimate.values.tolist()))
+    write_atomic(path, _csv(["grid", "density"], rows))
 
 
 def write_trend_csv(
     series: TemperatureSeries, variable: str, trend: ModelFit, path: Path
 ) -> None:
     y = series.variable(variable)
-    fitted = y - trend.residuals
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["date", "actual", "fitted"])
-        for when, actual, fit_value in zip(series.dates, y, fitted):
-            writer.writerow([when.isoformat(), _full(actual), _full(fit_value)])
+    _write_dated(series, ["actual", "fitted"], y, y - trend.residuals, path)
 
 
 def write_seasonal_fit_csv(
@@ -152,20 +133,26 @@ def write_seasonal_fit_csv(
     seasonal_fitted: np.ndarray,
     path: Path,
 ) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["date", "detrended", "seasonal_fit"])
-        for when, dev, fit_value in zip(series.dates, detrended, seasonal_fitted):
-            writer.writerow([when.isoformat(), _full(dev), _full(fit_value)])
+    _write_dated(series, ["detrended", "seasonal_fit"], detrended, seasonal_fitted, path)
+
+
+def _write_dated(series, names, first: np.ndarray, second: np.ndarray, path) -> None:
+    """Two daily columns of the series' window, one dated row per day."""
+    rows = (
+        f"{when},{a},{b}\n"
+        for when, a, b in zip(_iso_dates(series.dates), first.tolist(), second.tolist())
+    )
+    write_atomic(path, _csv(["date", *names], rows))
 
 
 def write_patterns_csv(patterns: Sequence[SeasonalPattern], path: Path) -> None:
     """Twelve rows; one effect column per pattern, labelled by evaluated_at."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["month"] + [f"effect_{p.evaluated_at}" for p in patterns])
-        for m in range(12):
-            writer.writerow([m + 1] + [_full(p.month_effects[m]) for p in patterns])
+    rows = (
+        f"{m + 1}," + ",".join(f"{p.month_effects[m]}" for p in patterns) + "\n"
+        for m in range(12)
+    )
+    header = ["month"] + [f"effect_{p.evaluated_at}" for p in patterns]
+    write_atomic(path, _csv(header, rows))
 
 
 def evolving_patterns(
@@ -178,4 +165,4 @@ def evolving_patterns(
 
 
 def write_manifest(entries: list[dict], path: Path) -> None:
-    path.write_text(json.dumps(entries, indent=2, sort_keys=True) + "\n")
+    write_atomic(path, [json.dumps(entries, indent=2, sort_keys=True), "\n"])

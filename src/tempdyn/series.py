@@ -8,9 +8,12 @@ from __future__ import annotations
 
 import calendar
 import io
+import os
+import threading
 from dataclasses import dataclass
 from datetime import date, timedelta
-from typing import Sequence
+from itertools import chain
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -117,6 +120,24 @@ _CSV_COLUMNS = np.dtype(
 _DAY_SUFFIXES = [f"-{day:02d}" for day in range(1, 32)]
 
 
+def write_atomic(path, chunks: Iterable[str]) -> None:
+    """Replace ``path`` by the text chunks, streamed through a temp file in
+    its directory and renamed over it. If anything raises first, the temp
+    file is removed and the previous file stays. The temp file is opened
+    like any output file, so it keeps a plain ``open()``'s mode (not
+    ``mkstemp``'s 0600). Every file tempdyn writes goes through here.
+    """
+    # a thread writes one file at a time, so the name is unique among writers
+    temp_path = f"{path}.{os.getpid()}-{threading.get_ident()}.part"
+    try:
+        with open(temp_path, "w", encoding="utf-8", newline="") as handle:
+            handle.writelines(chunks)
+        os.replace(temp_path, path)
+    finally:
+        if os.path.exists(temp_path):
+            os.unlink(temp_path)
+
+
 def write_series_csv(series: TemperatureSeries, path) -> None:
     avg = series.avg.tolist()
     # exact halves only: render 60.0 as "60" and 60.5 as "60.5"
@@ -130,12 +151,11 @@ def write_series_csv(series: TemperatureSeries, path) -> None:
         series.t.tolist(),
         series.month.tolist(),
     )
-    with open(path, "w", newline="") as handle:
-        handle.write(",".join(SERIES_CSV_HEADER) + "\n")
-        handle.writelines(
-            f"{day},{high},{low},{avg_text[mean]},{spread},{t},{month}\n"
-            for day, high, low, mean, spread, t, month in columns
-        )
+    rows = (
+        f"{day},{high},{low},{avg_text[mean]},{spread},{t},{month}\n"
+        for day, high, low, mean, spread, t, month in columns
+    )
+    write_atomic(path, chain([",".join(SERIES_CSV_HEADER) + "\n"], rows))
 
 
 def read_series_csv(path) -> TemperatureSeries:

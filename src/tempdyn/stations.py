@@ -19,6 +19,7 @@ override the corresponding config values.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass, field
 from datetime import date
 from importlib import resources
@@ -31,6 +32,9 @@ ENV_ENDPOINT = "TEMPDYN_ENDPOINT"
 ENV_CACHE_DIR = "TEMPDYN_CACHE_DIR"
 
 DEFAULT_WINDOW = (date(1960, 1, 1), date(2017, 12, 31))
+
+# codes and GHCN IDs become file names and unquoted CSV fields
+_IDENTIFIER = re.compile(r"[A-Za-z0-9_-]+")
 
 
 class ConfigError(ValueError):
@@ -113,6 +117,12 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
                     f"{source}:{number}: station rows need CODE GHCN_ID NAME"
                 )
             code, ghcn_id, name = parts
+            for label, value in (("station code", code), ("GHCN ID", ghcn_id)):
+                if not _IDENTIFIER.fullmatch(value):
+                    raise ConfigError(
+                        f"{source}:{number}: {label} {value!r} may hold only "
+                        "letters, digits, '_' and '-'"
+                    )
             if code in codes_seen:
                 raise ConfigError(f"{source}:{number}: duplicate station {code!r}")
             codes_seen.add(code)

@@ -7,8 +7,10 @@ import math
 import random
 from datetime import date
 
+import numpy as np
 import pytest
 
+from tempdyn.density import DensityEstimate
 from tempdyn.ghcn import LINE_LENGTH, TEMPERATURE_ELEMENTS, RawDlyRecord
 
 DAY_SLOTS = 31
@@ -159,3 +161,29 @@ def two_year_window() -> tuple[date, date]:
 def two_year_payload(two_year_window) -> bytes:
     start, end = two_year_window
     return synthetic_station_bytes("USW00099901", start, end)
+
+
+DEFAULT_MIN_PROMINENCE = 0.10
+
+
+def integral(estimate: DensityEstimate) -> float:
+    """Trapezoid integral of a density estimate over its grid."""
+    return float(np.trapezoid(estimate.values, estimate.grid))
+
+
+def find_modes(
+    estimate: DensityEstimate, min_prominence: float = DEFAULT_MIN_PROMINENCE
+) -> list[tuple[float, float]]:
+    """Interior local maxima above min_prominence * global peak, by location.
+
+    The threshold suppresses grid-level ripples without hiding genuine
+    secondary modes.
+    """
+    values = estimate.values
+    floor = min_prominence * float(values.max())
+    modes = []
+    for i in range(1, len(values) - 1):
+        if values[i] > values[i - 1] and values[i] > values[i + 1] and values[i] > floor:
+            modes.append((float(estimate.grid[i]), float(values[i])))
+    modes.sort(key=lambda m: m[0])
+    return modes

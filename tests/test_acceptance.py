@@ -26,11 +26,11 @@ from tempdyn.models import (
     fit_trend,
     hypothesis_suite,
 )
-from tempdyn.density import find_modes, kde
+from tempdyn.density import kde
 from tempdyn.regression import DesignMatrix, chi2_sf, fit_with_hac, hac_cov, ols_fit, wald_test
 from tempdyn.series import build_series, month_dummies
 
-from conftest import FIXTURE_TENTHS, fixture_line, random_valid_line, serialize_record
+from conftest import FIXTURE_TENTHS, find_modes, fixture_line, random_valid_line, serialize_record
 from dgp import calendar_months, joint_design, simulate_joint, joint_truth
 from test_regression import chi2_sf_quadrature, hac_triple_loop, normal_equations_beta
 

@@ -380,6 +380,19 @@ class TestTables:
             rows = read_csv_rows(workspace / "out" / "tables" / f"table_{var}.csv")
             assert [r["station"] for r in rows] == ["AAA", "BBB"]
 
+    def test_text_footer_names_each_lag(self, workspace):
+        config = str(workspace / "run.cfg")
+        run(["ingest", "--config", config])
+        bbb = read_series(workspace, "BBB")
+        # 549 days give the joint fit an automatic lag of 5, AAA's 731 days 6
+        write_series(workspace, "BBB", bbb.max_f[182:], bbb.min_f[182:], date(1960, 7, 1), WINDOW_END)
+        result = run(["tables", "--config", config, "--variable", "avg"])
+        assert result.exit_code == 0, result.output
+        rows = read_csv_rows(workspace / "out" / "tables" / "table_avg.csv")
+        assert [r["hac_bandwidth"] for r in rows[:2]] == ["6", "5"]
+        text = (workspace / "out" / "tables" / "table_avg.txt").read_text()
+        assert "variable: avg  HAC bandwidth: 5, 6  (* = significant" in text
+
     def test_explicit_bandwidth_recorded(self, workspace):
         config = str(workspace / "run.cfg")
         run(["ingest", "--config", config])
@@ -422,6 +435,33 @@ class TestFigures:
         grid = np.array([float(r["grid"]) for r in rows])
         values = np.array([float(r["density"]) for r in rows])
         assert 0.99 <= np.trapezoid(values, grid) <= 1.01
+
+    def test_reruns_byte_identical(self, workspace):
+        config = str(workspace / "run.cfg")
+        run(["ingest", "--config", config])
+        bundle = workspace / "out" / "figures" / "AAA"
+        run(["figures", "--config", config, "--station", "AAA"])
+        first = {p.name: p.read_bytes() for p in bundle.iterdir()}
+        run(["figures", "--config", config, "--station", "AAA"])
+        assert {p.name: p.read_bytes() for p in bundle.iterdir()} == first
+        assert len(first) == 10
+
+    def test_each_design_factored_once(self, workspace, monkeypatch):
+        # the trend, fixed and evolving designs depend on the window alone,
+        # so avg and dtr share one factor of each
+        config = str(workspace / "run.cfg")
+        run(["ingest", "--config", config])
+        factored = []
+        original = regression.factorize
+
+        def counting(design):
+            factored.append(design.names[-1])
+            return original(design)
+
+        monkeypatch.setattr(regression, "factorize", counting)
+        result = run(["figures", "--config", config, "--station", "AAA"])
+        assert result.exit_code == 0, result.output
+        assert factored == ["time", "d12", "dt12"]
 
     def test_constant_dtr_is_a_one_line_error(self, workspace):
         config = str(workspace / "run.cfg")
@@ -582,3 +622,4 @@ def test_cli_import_loads_neither_scipy_nor_requests():
         check=True,
     )
     assert result.stdout.strip() == ""
+

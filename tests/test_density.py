@@ -3,17 +3,18 @@ import pytest
 
 from tempdyn.density import (
     DegenerateBandwidthError,
-    find_modes,
     kde,
     silverman_bandwidth,
 )
+
+from conftest import find_modes, integral
 
 
 class TestKde:
     def test_single_kernel_case(self):
         data = np.full(50, 42.0)
         estimate = kde(data, bandwidth=2.0)
-        assert estimate.integral() == pytest.approx(1.0, abs=0.01)
+        assert integral(estimate) == pytest.approx(1.0, abs=0.01)
         peak = estimate.grid[np.argmax(estimate.values)]
         assert peak == pytest.approx(42.0, abs=estimate.grid[1] - estimate.grid[0])
 
@@ -31,13 +32,28 @@ class TestKde:
         rng = np.random.default_rng(13)
         data = rng.normal(0.0, 5.0, size=2000)
         estimate = kde(data)
-        assert 0.99 <= estimate.integral() <= 1.01
+        assert 0.99 <= integral(estimate) <= 1.01
 
     def test_values_nonnegative_grid_increasing(self):
         rng = np.random.default_rng(14)
         estimate = kde(rng.normal(size=500))
         assert np.all(estimate.values >= 0.0)
         assert np.all(np.diff(estimate.grid) > 0)
+
+    @pytest.mark.parametrize("step", [0.5, 1.0])
+    def test_lattice_sum_equals_sum_over_every_point(self, step):
+        # AVG lies on a half-degree lattice and DTR on the integers; the
+        # estimate sums each distinct value's kernel times its count, which
+        # reorders the float sums, so it may differ from the direct sum by
+        # rounding alone
+        rng = np.random.default_rng(19)
+        data = np.round(rng.normal(55.0, 15.0, size=4000) / step) * step
+        estimate = kde(data)
+        z = (estimate.grid[:, None] - data[None, :]) / estimate.bandwidth
+        direct = np.exp(-0.5 * z * z).sum(axis=1) / (
+            data.size * estimate.bandwidth * np.sqrt(2.0 * np.pi)
+        )
+        assert np.abs(estimate.values - direct).max() <= 1e-12 * direct.max()
 
     def test_grid_span_and_size(self):
         data = np.array([10.0, 20.0])
@@ -110,12 +126,12 @@ class TestInvariants:
         data = rng.normal(0.0, 2.0, size=800)
         narrow = kde(data, bandwidth=1.0, grid_span=3.0)
         wide = kde(data, bandwidth=1.0, grid_span=6.0)
-        assert abs(wide.integral() - 1.0) <= abs(narrow.integral() - 1.0) + 1e-12
-        assert wide.integral() == pytest.approx(1.0, abs=1e-6)
+        assert abs(integral(wide) - 1.0) <= abs(integral(narrow) - 1.0) + 1e-12
+        assert integral(wide) == pytest.approx(1.0, abs=1e-6)
 
     def test_grid_doubling_stability(self):
         rng = np.random.default_rng(18)
         data = rng.normal(0.0, 3.0, size=1000)
         coarse = kde(data, bandwidth=1.0, grid_points=512)
         fine = kde(data, bandwidth=1.0, grid_points=1024)
-        assert abs(coarse.integral() - fine.integral()) < 1e-3
+        assert abs(integral(coarse) - integral(fine)) < 1e-3

@@ -72,6 +72,21 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="station rows"):
             parse_config("[stations]\nAAA USW1\n")
 
+    @pytest.mark.parametrize(
+        "row, label",
+        [
+            ("A,B USW1 One", "station code 'A,B'"),
+            ("../x USW1 One", "station code '../x'"),
+            ("AAA ../x One", "GHCN ID '../x'"),
+            ("AAA USW1,2 One", "GHCN ID 'USW1,2'"),
+        ],
+    )
+    def test_code_or_id_outside_the_file_name_alphabet_rejected(self, row, label):
+        text = f"[stations]\nBBB USW2 Two\n{row}\n"
+        with pytest.raises(ConfigError) as caught:
+            parse_config(text, source="run.cfg")
+        assert str(caught.value).startswith(f"run.cfg:3: {label} may hold only")
+
     def test_bad_value_reports_line(self):
         with pytest.raises(ConfigError, match=":1:"):
             parse_config("window_start = not-a-date\n")
