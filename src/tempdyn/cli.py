@@ -8,13 +8,12 @@ for one station), ``fit`` (single-model debug printout).
 from __future__ import annotations
 
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Optional
 
 import click
 
-from . import density, ghcn, models, regression, reporting, series as series_mod
+from . import density, models, regression, reporting, series as series_mod
 from .regression import BandwidthError, SingularDesignError, ols_fit
 from .stations import ConfigError, RunConfig, Station, load_config, parse_bandwidth
 
@@ -84,12 +83,22 @@ def _series_path(config: RunConfig, code: str) -> Path:
 
 
 def _load_series(config: RunConfig, code: str) -> series_mod.TemperatureSeries:
+    """The station's series file, which must cover the configured window: a
+    file cut short or left by a run with another window is refused."""
     path = _series_path(config, code)
     if not path.exists():
         raise FileNotFoundError(
             f"no series file {path}; run `tempdyn ingest` for {code} first"
         )
-    return series_mod.read_series_csv(path)
+    loaded = series_mod.read_series_csv(path)
+    first, last = loaded.dates[0], loaded.dates[-1]
+    if (first, last) != (config.window_start, config.window_end):
+        raise series_mod.ContiguityError(
+            f"series {path} covers {first}..{last} but the window is "
+            f"{config.window_start}..{config.window_end}; "
+            f"rerun `tempdyn ingest --station {code}`"
+        )
+    return loaded
 
 
 @click.group()
@@ -106,6 +115,11 @@ def main():
 @click.option("--refresh", is_flag=True, help="Re-download even on cache hit.")
 def ingest(config_path, station_codes, endpoint, strict_qc, out, refresh):
     """Fetch, parse, repair, and write per-station daily series CSVs."""
+    # only ingest fetches and parses, so the other commands skip these imports
+    from concurrent.futures import ThreadPoolExecutor
+
+    from . import ghcn
+
     config = _load(config_path)
     _apply_overrides(config, endpoint, out, None, strict_qc)
     stations = _select(config, station_codes)
@@ -236,16 +250,15 @@ def figures(config_path, station_code, out):
 
     # Only coefficients, residuals and fitted values are written, so the
     # models are fitted by plain OLS, without HAC covariances. The designs
-    # depend on the window alone, so avg and dtr share one factor of each; a
-    # singular design is reported with avg, the variable fitted first.
+    # depend on the window alone, so avg and dtr share one factor of each
+    # (the seasonal ones in closed form); a singular design is reported with
+    # avg, the variable fitted first.
     var = "avg"
+    month = station_series.month
     try:
-        dummies = series_mod.month_dummies(station_series)
         trend_qr = regression.factorize(models.trend_design(station_series))
-        fixed_qr = regression.factorize(models.seasonal_design(dummies))
-        evolving_qr = regression.factorize(
-            models.evolving_design(dummies, station_series.t)
-        )
+        fixed_qr = models.month_block_factor(month)
+        evolving_qr = models.month_block_factor(month, station_series.t)
         for var in ("avg", "dtr"):
             y = station_series.variable(var)
             reporting.write_density_csv(density.kde(y), figures_dir / f"density_{var}.csv")
@@ -256,7 +269,7 @@ def figures(config_path, station_code, out):
             detrended = trend.residuals
             fixed = models.FixedSeasonalFit(ols_fit(fixed_qr, detrended))
             reporting.write_seasonal_fit_csv(
-                station_series, detrended, dummies @ fixed.fit.beta,
+                station_series, detrended, fixed.fit.beta[month - 1],
                 figures_dir / f"seasonal_fit_{var}.csv",
             )
             reporting.write_patterns_csv(

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_GRID_POINTS = 512
+_KERNEL_BLOCK = 4096  # distinct values summed at a time
 
 
 class DegenerateBandwidthError(ValueError):
@@ -21,12 +22,41 @@ class DensityEstimate:
     bandwidth: float
 
 
+def _percentiles(data: np.ndarray, fractions) -> list[float]:
+    """Percentiles by numpy's default "linear" rule, from one sort.
+
+    Bit for bit what ``np.percentile(data, 100 * fractions)`` returns,
+    including its interpolation from the upper neighbour past the midpoint,
+    without the ``numpy.ma`` import that its first call costs. Data holding
+    both 0.0 and -0.0 is the one exception: sort and numpy's partition may
+    pick different zeros, so a result may differ in the sign of a zero.
+    """
+    ordered = np.sort(data)
+    last = ordered.size - 1
+    result = []
+    for fraction in fractions:
+        position = last * fraction
+        below = math.floor(position)
+        if position >= last:
+            below = above = -1  # numpy clamps to the largest value
+        else:
+            above = below + 1
+        weight = position - below
+        lower, upper = ordered[below], ordered[above]
+        step = upper - lower
+        if weight >= 0.5:
+            result.append(float(upper - step * (1 - weight)))
+        else:
+            result.append(float(lower + step * weight))
+    return result
+
+
 def silverman_bandwidth(data: np.ndarray) -> float:
     """0.9 * min(sd, IQR/1.34) * n^(-1/5)."""
     data = np.asarray(data, dtype=np.float64)
     n = data.size
     sd = float(np.std(data, ddof=1)) if n > 1 else 0.0
-    q75, q25 = np.percentile(data, [75.0, 25.0])
+    q75, q25 = _percentiles(data, (0.75, 0.25))
     spread = min(sd, (q75 - q25) / 1.34)
     return 0.9 * spread * n ** (-0.2)
 
@@ -57,11 +87,16 @@ def kde(
 
     grid = np.linspace(data.min() - grid_span * h, data.max() + grid_span * h, grid_points)
     # AVG lies on a half-degree lattice and DTR on the integers, so the sum
-    # runs over the distinct values, each kernel weighted by its count
+    # runs over the distinct values, each kernel weighted by its count; data
+    # off a lattice is summed a block of values at a time, so memory stays
+    # bounded
     points, counts = np.unique(data, return_counts=True)
-    z = (grid[:, None] - points[None, :]) / h
+    total = np.zeros(grid_points)
+    for lo in range(0, points.size, _KERNEL_BLOCK):
+        z = (grid[:, None] - points[None, lo : lo + _KERNEL_BLOCK]) / h
+        total += np.exp(-0.5 * z * z) @ counts[lo : lo + _KERNEL_BLOCK]
     norm = 1.0 / (data.size * h * math.sqrt(2.0 * math.pi))
-    values = norm * (np.exp(-0.5 * z * z) @ counts)
+    values = norm * total
     grid.setflags(write=False)
     values.setflags(write=False)
     return DensityEstimate(grid, values, h)

@@ -37,6 +37,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .series import write_atomic
+from .stations import DEFAULT_ENDPOINT
 
 if TYPE_CHECKING:
     import requests
@@ -45,7 +46,6 @@ MISSING = -9999
 LINE_LENGTH = 269
 DAY_SLOTS = 31
 TEMPERATURE_ELEMENTS = ("TMAX", "TMIN")
-DEFAULT_ENDPOINT = "https://www.ncei.noaa.gov/pub/data/ghcn/daily/all"
 
 # byte classes of a plain integer field: spaces, then at most one minus,
 # then digits, so the classes never decrease along the field

@@ -17,6 +17,11 @@ date and length), so :func:`window_blocks` factors the trend design and the
 joint design without its lag once per window; each series then borders the
 joint factor with its own lag (see :mod:`tempdyn.regression`).
 
+The fixed and evolving seasonal designs are block-diagonal by month: month
+m's least-squares problem is a mean, or a mean and a slope on the month's
+centred t. :func:`month_block_factor` writes their QR factor down in closed
+form, with no Householder step.
+
 Three Wald hypotheses are evaluated on the joint fit:
 
   p(nt)  no trend:                time and all 11 interactions zero  (df 12)
@@ -36,9 +41,11 @@ import numpy as np
 from .regression import (
     Bandwidth,
     DesignMatrix,
+    InsufficientDataError,
     ModelFit,
     QRFactor,
     WaldResult,
+    _check_rank,
     factorize,
     fit_with_hac,
     wald_test,
@@ -218,10 +225,73 @@ def evolving_design(dummies: np.ndarray, t: np.ndarray) -> DesignMatrix:
     return DesignMatrix(DUMMY_NAMES + INTERACTION_NAMES, data)
 
 
+def month_block_factor(month: np.ndarray, t: Optional[np.ndarray] = None) -> QRFactor:
+    """The QR factor of :func:`seasonal_design` (``t`` omitted) or
+    :func:`evolving_design` of the days' months, in closed form.
+
+    For month m with n_m days, Q has the columns 1_m/sqrt(n_m) and
+    (t - tbar_m) 1_m / s_m, where s_m is the norm of the month's centred t.
+    R holds sqrt(n_m) and s_m on its diagonal and sum_m(t)/sqrt(n_m) above
+    it, so the factor keeps the design's column order, and a month with no
+    days (d) or with no spread in t (dt) is named as ``factorize`` names it:
+    the first such column in design order.
+    """
+    index = np.asarray(month) - 1
+    n, k = len(index), 12 if t is None else 24
+    if n <= k:
+        raise InsufficientDataError(f"{n} observations for {k} regressors")
+    if not 0 <= index.min() <= index.max() <= 11:
+        raise ValueError("months must lie in 1..12")
+    days = np.arange(n)
+    dummies = np.zeros((n, 12))
+    dummies[days, index] = 1.0
+    counts = np.bincount(index, minlength=12)
+    root = np.sqrt(counts)
+    if t is None:
+        design = seasonal_design(dummies)
+        diagonal = root
+    else:
+        t = np.asarray(t, dtype=np.float64)
+        design = evolving_design(dummies, t)
+        sums = np.bincount(index, weights=t, minlength=12)
+        centred = t - sums[index] / counts[index]
+        spread = np.sqrt(np.bincount(index, weights=centred * centred, minlength=12))
+        diagonal = np.concatenate([root, spread])
+    r = np.diag(diagonal)
+    order = np.arange(k)
+    scale = float(np.linalg.norm(design.data, axis=0).max())
+    _check_rank(design.names, r, order, scale)
+
+    q = np.zeros((n, k), order="F")
+    q[days, index] = 1.0 / root[index]
+    if t is not None:
+        r[order[:12], order[12:]] = sums / root  # row d_m, column dt_m
+        q[days, 12 + index] = centred / spread[index]
+    # R is upper triangular, so LU's partial pivoting swaps no rows and the
+    # solve is a back substitution
+    r_inv = np.linalg.solve(r, np.eye(k))
+    # the dummies partition the days, so the all-ones vector is their sum
+    return QRFactor(design, q, np.empty((n, 0)), r, r_inv, order, scale, True)
+
+
+def _months(dummies: np.ndarray) -> np.ndarray:
+    """The month (1..12) each row of a (T, 12) month indicator matrix marks."""
+    dummies = np.asarray(dummies, dtype=np.float64)
+    if (
+        dummies.ndim != 2
+        or dummies.shape[1] != 12
+        or not np.all((dummies == 0.0) | (dummies == 1.0))
+        or not np.all(dummies.sum(axis=1) == 1.0)
+    ):
+        raise ValueError("dummies must mark exactly one month per day, in 12 columns")
+    return dummies.argmax(axis=1) + 1
+
+
 def fit_fixed_seasonal(
     detrended: np.ndarray, dummies: np.ndarray, bandwidth: Bandwidth = "auto"
 ) -> FixedSeasonalFit:
-    return FixedSeasonalFit(fit_with_hac(seasonal_design(dummies), detrended, bandwidth))
+    factor = month_block_factor(_months(dummies))
+    return FixedSeasonalFit(fit_with_hac(factor, detrended, bandwidth))
 
 
 def fit_evolving_seasonal(
@@ -230,9 +300,8 @@ def fit_evolving_seasonal(
     t: np.ndarray,
     bandwidth: Bandwidth = "auto",
 ) -> EvolvingSeasonalFit:
-    return EvolvingSeasonalFit(
-        fit_with_hac(evolving_design(dummies, t), detrended, bandwidth)
-    )
+    factor = month_block_factor(_months(dummies), t)
+    return EvolvingSeasonalFit(fit_with_hac(factor, detrended, bandwidth))
 
 
 def joint_shared_design(month: np.ndarray, t: np.ndarray) -> DesignMatrix:

@@ -23,7 +23,7 @@ from .models import (
     SeasonalPattern,
 )
 from .regression import ModelFit
-from .series import TemperatureSeries, _iso_dates, write_atomic
+from .series import TemperatureSeries, write_atomic
 
 TABLE_HEADER = [
     "station",
@@ -124,7 +124,9 @@ def write_trend_csv(
     series: TemperatureSeries, variable: str, trend: ModelFit, path: Path
 ) -> None:
     y = series.variable(variable)
-    _write_dated(series, ["actual", "fitted"], y, y - trend.residuals, path)
+    # the data lie on a lattice (half or whole degrees)
+    fitted = (y - trend.residuals).tolist()
+    _write_dated(series, ["actual", "fitted"], _distinct_reprs(y), fitted, path)
 
 
 def write_seasonal_fit_csv(
@@ -133,15 +135,28 @@ def write_seasonal_fit_csv(
     seasonal_fitted: np.ndarray,
     path: Path,
 ) -> None:
-    _write_dated(series, ["detrended", "seasonal_fit"], detrended, seasonal_fitted, path)
+    # the fitted values are one effect per month
+    columns = detrended.tolist(), _distinct_reprs(seasonal_fitted)
+    _write_dated(series, ["detrended", "seasonal_fit"], *columns, path)
 
 
-def _write_dated(series, names, first: np.ndarray, second: np.ndarray, path) -> None:
-    """Two daily columns of the series' window, one dated row per day."""
-    rows = (
-        f"{when},{a},{b}\n"
-        for when, a, b in zip(_iso_dates(series.dates), first.tolist(), second.tolist())
-    )
+def _distinct_reprs(values: np.ndarray) -> list[str]:
+    """The repr of each value, formatted once per distinct value.
+
+    Values are told apart by their bits, so 0.0 and -0.0 keep their own
+    text. For columns with few distinct values, where formatting each row
+    would repeat the same work thousands of times.
+    """
+    bits = np.asarray(values, dtype=np.float64).view(np.int64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    text = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
+    return text[inverse].tolist()
+
+
+def _write_dated(series, names, first: list, second: list, path) -> None:
+    """Two daily columns of the series' window, one dated row per day; each
+    column holds floats or their text."""
+    rows = (f"{when},{a},{b}\n" for when, a, b in zip(series.iso_dates, first, second))
     write_atomic(path, _csv(["date", *names], rows))
 
 

@@ -12,6 +12,7 @@ import os
 import threading
 from dataclasses import dataclass
 from datetime import date, timedelta
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -58,6 +59,20 @@ class TemperatureSeries:
         if name not in VARIABLES:
             raise ValueError(f"unknown variable {name!r}; expected one of {VARIABLES}")
         return self.avg if name == "avg" else self.dtr
+
+    @cached_property
+    def iso_dates(self) -> list[str]:
+        """ISO 8601 text of each day, composed a month at a time and once
+        per series, however many files it dates."""
+        first, last = self.dates[0], self.dates[-1]
+        text = []
+        for year in range(first.year, last.year + 1):
+            for month in range(1, 13):
+                prefix = f"{year:04d}-{month:02d}"
+                length = calendar.monthrange(year, month)[1]
+                text += [prefix + suffix for suffix in _DAY_SUFFIXES[:length]]
+        offset = (first - date(first.year, 1, 1)).days
+        return text[offset : offset + len(self.dates)]
 
     def position_of(self, when: date) -> int:
         """0-based index of a calendar date (t value is position + 1)."""
@@ -143,7 +158,7 @@ def write_series_csv(series: TemperatureSeries, path) -> None:
     # exact halves only: render 60.0 as "60" and 60.5 as "60.5"
     avg_text = {value: _format_half(value) for value in set(avg)}
     columns = zip(
-        _iso_dates(series.dates),
+        series.iso_dates,
         series.max_f.tolist(),
         series.min_f.tolist(),
         avg,
@@ -189,19 +204,6 @@ def read_series_csv(path) -> TemperatureSeries:
     ):
         raise ValueError(f"series CSV {path} is internally inconsistent")
     return series
-
-
-def _iso_dates(dates: tuple[date, ...]) -> list[str]:
-    """ISO 8601 text of consecutive dates, composed a month at a time."""
-    first, last = dates[0], dates[-1]
-    text = []
-    for year in range(first.year, last.year + 1):
-        for month in range(1, 13):
-            prefix = f"{year:04d}-{month:02d}"
-            length = calendar.monthrange(year, month)[1]
-            text += [prefix + suffix for suffix in _DAY_SUFFIXES[:length]]
-    offset = (first - date(first.year, 1, 1)).days
-    return text[offset : offset + len(dates)]
 
 
 def _format_half(value: float) -> str:

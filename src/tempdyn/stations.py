@@ -26,8 +26,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from .ghcn import DEFAULT_ENDPOINT
-
+DEFAULT_ENDPOINT = "https://www.ncei.noaa.gov/pub/data/ghcn/daily/all"
 ENV_ENDPOINT = "TEMPDYN_ENDPOINT"
 ENV_CACHE_DIR = "TEMPDYN_CACHE_DIR"
 

@@ -4,7 +4,7 @@ import os
 import subprocess
 import sys
 import threading
-from datetime import date, datetime, timezone
+from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import tempdyn
-from tempdyn import ghcn, models, regression, series as series_mod
+from tempdyn import ghcn, models, regression, reporting, series as series_mod
 from tempdyn.cli import main
 
 from conftest import make_dly_line, synthetic_station_bytes
@@ -328,12 +328,18 @@ class TestTables:
         assert result.exit_code == 0, result.output
 
     def test_two_windows_grouped_and_match_single_station_fits(self, workspace, monkeypatch):
+        # tables loads only series that cover the configured window (see
+        # test_series_not_covering_the_window_fails), so two windows reach
+        # batch_report from a library caller
         config = str(workspace / "run.cfg")
         run(["ingest", "--config", config])
         aaa, bbb = read_series(workspace, "AAA"), read_series(workspace, "BBB")
         # BBB from March 1960 on; XXX on AAA's window with its days reversed
-        write_series(workspace, "BBB", bbb.max_f[60:], bbb.min_f[60:], date(1960, 3, 1), WINDOW_END)
-        write_series(workspace, "XXX", aaa.max_f[::-1], aaa.min_f[::-1], WINDOW_START, WINDOW_END)
+        loaded = [
+            ("AAA", aaa),
+            ("BBB", series_mod.build_series(bbb.max_f[60:], bbb.min_f[60:], date(1960, 3, 1), WINDOW_END)),
+            ("XXX", series_mod.build_series(aaa.max_f[::-1], aaa.min_f[::-1], WINDOW_START, WINDOW_END)),
+        ]
         windows = []
         original = models.window_blocks
 
@@ -342,16 +348,17 @@ class TestTables:
             return original(series)
 
         monkeypatch.setattr(models, "window_blocks", counting)
-        result = run(["tables", "--config", config, "--variable", "avg",
-                      "--station", "AAA", "--station", "BBB", "--station", "XXX"])
-        assert result.exit_code == 0, result.output
+        report = models.batch_report(loaded, "avg")
+        assert report.failures == ()
         assert windows == [(WINDOW_START, 731), (date(1960, 3, 1), 671)]
         monkeypatch.undo()
 
-        rows = read_csv_rows(workspace / "out" / "tables" / "table_avg.csv")
+        table = workspace / "table_avg.csv"
+        reporting.write_table_csv(report, table)
+        rows = read_csv_rows(table)
         assert [r["station"] for r in rows] == ["AAA", "BBB", "XXX", "Median"]
-        for row in rows[:3]:
-            single = models.city_report(row["station"], read_series(workspace, row["station"]), "avg")
+        for row, (code, series) in zip(rows, loaded):
+            single = models.city_report(code, series, "avg")
             for column in ("delta_trend", "p_nt", "p_ns", "p_nts", "rho", "r_squared"):
                 assert float(row[f"{column}_full"]) == getattr(single, column)
 
@@ -381,16 +388,22 @@ class TestTables:
             assert [r["station"] for r in rows] == ["AAA", "BBB"]
 
     def test_text_footer_names_each_lag(self, workspace):
+        # series of two windows come only from a library caller, as in
+        # test_two_windows_grouped_and_match_single_station_fits
         config = str(workspace / "run.cfg")
         run(["ingest", "--config", config])
         bbb = read_series(workspace, "BBB")
         # 549 days give the joint fit an automatic lag of 5, AAA's 731 days 6
-        write_series(workspace, "BBB", bbb.max_f[182:], bbb.min_f[182:], date(1960, 7, 1), WINDOW_END)
-        result = run(["tables", "--config", config, "--variable", "avg"])
-        assert result.exit_code == 0, result.output
-        rows = read_csv_rows(workspace / "out" / "tables" / "table_avg.csv")
+        loaded = [
+            ("AAA", read_series(workspace, "AAA")),
+            ("BBB", series_mod.build_series(bbb.max_f[182:], bbb.min_f[182:], date(1960, 7, 1), WINDOW_END)),
+        ]
+        report = models.batch_report(loaded, "avg")
+        reporting.write_table_csv(report, workspace / "table_avg.csv")
+        reporting.write_table_text(report, workspace / "table_avg.txt")
+        rows = read_csv_rows(workspace / "table_avg.csv")
         assert [r["hac_bandwidth"] for r in rows[:2]] == ["6", "5"]
-        text = (workspace / "out" / "tables" / "table_avg.txt").read_text()
+        text = (workspace / "table_avg.txt").read_text()
         assert "variable: avg  HAC bandwidth: 5, 6  (* = significant" in text
 
     def test_explicit_bandwidth_recorded(self, workspace):
@@ -448,17 +461,25 @@ class TestFigures:
 
     def test_each_design_factored_once(self, workspace, monkeypatch):
         # the trend, fixed and evolving designs depend on the window alone,
-        # so avg and dtr share one factor of each
+        # so avg and dtr share one factor of each; only the trend design is
+        # decomposed, the seasonal ones are factored in closed form by month
         config = str(workspace / "run.cfg")
         run(["ingest", "--config", config])
         factored = []
         original = regression.factorize
+        original_block = models.month_block_factor
 
         def counting(design):
             factored.append(design.names[-1])
             return original(design)
 
+        def counting_block(month, t=None):
+            factor = original_block(month, t)
+            factored.append(factor.design.names[-1])
+            return factor
+
         monkeypatch.setattr(regression, "factorize", counting)
+        monkeypatch.setattr(models, "month_block_factor", counting_block)
         result = run(["figures", "--config", config, "--station", "AAA"])
         assert result.exit_code == 0, result.output
         assert factored == ["time", "d12", "dt12"]
@@ -480,6 +501,8 @@ class TestFigures:
         run(["ingest", "--config", config])
         aaa = read_series(workspace, "AAA")
         write_series(workspace, "AAA", aaa.max_f[:91], aaa.min_f[:91], WINDOW_START, date(1960, 3, 31))
+        short = workspace / "run.cfg"
+        short.write_text(short.read_text().replace(f"window_end = {WINDOW_END}", "window_end = 1960-03-31"))
         result = run(["figures", "--config", config, "--station", "AAA"])
         assert result.exit_code == 1
         assert result.output.startswith("Error: AAA avg: design column 'd")
@@ -537,6 +560,34 @@ FUL USW00099909 Full-Window-City
             tmp_path / "out" / "figures" / "FUL" / "evolving_pattern_avg.csv"
         )
         assert set(evolving[0]) == {"month", "effect_1960", "effect_2017"}
+
+
+def test_series_not_covering_the_window_fails(tmp_path):
+    # a series cut at a line boundary (an interrupted copy, a full disk) or
+    # left by a run with another window is refused, not fitted as it is
+    # the default window, 1960-2017, with the file cut to its first 14,999 days
+    start, cut = date(1960, 1, 1), date(1960, 1, 1) + timedelta(days=14998)
+    rng = np.random.default_rng(3)
+    tmin = rng.integers(20, 70, size=14999)
+    path = tmp_path / "out" / "series" / "FUL.csv"
+    path.parent.mkdir(parents=True)
+    series_mod.write_series_csv(
+        series_mod.build_series(tmin + rng.integers(5, 30, size=14999), tmin, start, cut), path
+    )
+    config = tmp_path / "run.cfg"
+    config.write_text(f"output_dir = {tmp_path / 'out'}\n\n[stations]\nFUL USW00099909 Full-Window-City\n")
+    message = (
+        f"series {path} covers 1960-01-01..{cut} but the window is "
+        "1960-01-01..2017-12-31; rerun `tempdyn ingest --station FUL`"
+    )
+
+    result = run(["tables", "--config", str(config), "--variable", "avg"])
+    assert result.exit_code == 1
+    assert f"avg FUL: FAILED (ContiguityError: {message})" in result.output.splitlines()
+    for command in (["figures"], ["fit", "--model", "trend"]):
+        result = run([*command, "--config", str(config), "--station", "FUL"])
+        assert result.exit_code == 1
+        assert result.output == f"Error: {message}\n"
 
 
 class TestFit:
@@ -607,12 +658,14 @@ class TestFit:
 
 
 def test_cli_import_loads_neither_scipy_nor_requests():
-    # the estimator runs on numpy alone, and requests is needed only when
-    # a download happens
+    # the estimator runs on numpy alone, requests is needed only when a
+    # download happens, and the archive parser and the fetch pool only when
+    # ingest runs
     src = Path(tempdyn.__file__).resolve().parents[1]
+    unwanted = ("scipy", "requests", "tempdyn.ghcn", "concurrent.futures")
     probe = (
         "import sys, tempdyn.cli; "
-        "print(','.join(m for m in ('scipy', 'requests') if m in sys.modules))"
+        f"print(','.join(m for m in {unwanted!r} if m in sys.modules))"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe],

@@ -1,6 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tempdyn
+import tempdyn.density as density
 from tempdyn.density import (
     DegenerateBandwidthError,
     kde,
@@ -54,6 +63,18 @@ class TestKde:
             data.size * estimate.bandwidth * np.sqrt(2.0 * np.pi)
         )
         assert np.abs(estimate.values - direct).max() <= 1e-12 * direct.max()
+
+    def test_blocked_sum_equals_one_block(self, monkeypatch):
+        # continuous data has as many distinct values as points; the kernels
+        # are summed a block at a time, which reorders the float sums only
+        rng = np.random.default_rng(20)
+        data = rng.normal(0.0, 5.0, size=3000)
+        whole = kde(data)
+        monkeypatch.setattr(density, "_KERNEL_BLOCK", 64)
+        blocked = kde(data)
+        assert blocked.bandwidth == whole.bandwidth
+        assert np.array_equal(blocked.grid, whole.grid)
+        assert np.abs(blocked.values - whole.values).max() <= 1e-12 * whole.values.max()
 
     def test_grid_span_and_size(self):
         data = np.array([10.0, 20.0])
@@ -135,3 +156,42 @@ class TestInvariants:
         coarse = kde(data, bandwidth=1.0, grid_points=512)
         fine = kde(data, bandwidth=1.0, grid_points=1024)
         assert abs(integral(coarse) - integral(fine)) < 1e-3
+
+
+class TestQuartiles:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(
+            st.floats(min_value=-1e3, max_value=1e3, allow_nan=False), min_size=1, max_size=80
+        ),
+        scale=st.sampled_from([1e-9, 1e-3, 1.0, 0.5, 7.0, 1e6]),
+        lattice=st.booleans(),
+    )
+    def test_equal_to_numpy_percentile(self, values, scale, lattice):
+        data = np.array(values) * scale
+        if lattice:
+            data = np.round(data)
+        ours = np.array(density._percentiles(data, (0.75, 0.25)))
+        theirs = np.percentile(data, [75, 25])
+        if np.any(data == 0.0) and len(set(np.signbit(data[data == 0.0]))) == 2:
+            # with both 0.0 and -0.0 present, sort and numpy's partition may
+            # pick different zeros; they differ only in the sign of a zero
+            assert np.array_equal(ours, theirs)
+        else:
+            assert np.array_equal(ours.view(np.int64), theirs.view(np.int64))
+
+    def test_kde_does_not_import_numpy_ma(self):
+        # np.percentile's first call imports numpy.ma, about 20 ms a process
+        src = Path(tempdyn.__file__).resolve().parents[1]
+        probe = (
+            "import sys, numpy as np; from tempdyn.density import kde; "
+            "kde(np.arange(100.0) % 7); print('numpy.ma' in sys.modules)"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert result.stdout.strip() == "False"

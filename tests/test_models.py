@@ -17,10 +17,18 @@ from tempdyn.models import (
     fit_joint,
     fit_trend,
     hypothesis_suite,
+    month_block_factor,
     seasonal_design,
     trend_design,
 )
-from tempdyn.regression import DesignMatrix, fit_with_hac, ols_fit
+from tempdyn.regression import (
+    DesignMatrix,
+    SingularDesignError,
+    factorize,
+    fit_with_hac,
+    hac_cov,
+    ols_fit,
+)
 from tempdyn.series import TemperatureSeries, build_series, month_dummies
 
 from dgp import calendar_months, joint_design, simulate_joint
@@ -175,6 +183,85 @@ class TestEvolvingSeasonal:
         direct = result.pattern_at(float(t_july))
         assert anchored.month_effects == direct.month_effects
         assert anchored.evaluated_at == "1960"
+
+
+def seasonal_designs(month: np.ndarray, t: np.ndarray):
+    """The fixed and evolving designs built densely, with the t each takes."""
+    dummies = (month[:, None] == np.arange(1, 13)).astype(np.float64)
+    return [(seasonal_design(dummies), None), (evolving_design(dummies, t), t)]
+
+
+class TestMonthBlockFactor:
+    """The closed-form factor against numpy's Householder QR of the same design."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_householder_factor(self, seed):
+        # random windows: any start day, a third of them shorter than a year
+        rng = np.random.default_rng(seed)
+        start = date(1950, 1, 1) + timedelta(days=int(rng.integers(0, 20000)))
+        length = int(rng.integers(340, 365 if seed % 3 == 0 else 4000))
+        month = calendar_months(start, length)
+        t = np.arange(1.0, length + 1.0)
+        y = np.sin(t / 58.0) * 10.0 + rng.standard_normal(length)
+        for design, times in seasonal_designs(month, t):
+            try:
+                dense = factorize(design)
+            except SingularDesignError as exc:
+                with pytest.raises(SingularDesignError) as raised:
+                    month_block_factor(month, times)
+                assert raised.value.column == exc.column
+                continue
+            block = month_block_factor(month, times)
+            assert np.array_equal(block.design.data, design.data)
+            assert block.design.names == design.names
+            assert np.array_equal(block.order, dense.order)
+            assert (block.scale, block.centered) == (dense.scale, dense.centered)
+            np.testing.assert_allclose(block.qdot(block.r), design.data, rtol=0, atol=1e-9)
+            k = len(design.names)
+            np.testing.assert_allclose(block.q.T @ block.q, np.eye(k), rtol=0, atol=1e-12)
+
+            ours, theirs = ols_fit(block, y), ols_fit(dense, y)
+            assert np.abs(ours.beta - theirs.beta).max() <= 1e-12 * np.abs(theirs.beta).max()
+            assert ours.r_squared == pytest.approx(theirs.r_squared, rel=1e-12)
+            cov_ours = hac_cov(block, ours.residuals)
+            cov_theirs = hac_cov(dense, theirs.residuals)
+            assert np.abs(cov_ours - cov_theirs).max() <= 1e-10 * np.abs(cov_theirs).max()
+
+    @pytest.mark.parametrize(
+        "start, end, fixed_column, evolving_column",
+        [
+            # April to December have no days
+            (date(1960, 1, 1), date(1960, 3, 31), "d04", "d04"),
+            # January has one day: a mean but no slope
+            (date(1960, 1, 31), date(1960, 12, 31), None, "dt01"),
+            # both: December is empty, and comes first in design order
+            (date(1960, 1, 31), date(1960, 11, 30), "d12", "d12"),
+        ],
+    )
+    def test_rank_deficiency_named_as_householder_names_it(
+        self, start, end, fixed_column, evolving_column
+    ):
+        length = (end - start).days + 1
+        month = calendar_months(start, length)
+        t = np.arange(1.0, length + 1.0)
+        for (design, times), column in zip(
+            seasonal_designs(month, t), (fixed_column, evolving_column)
+        ):
+            if column is None:
+                factorize(design)
+                month_block_factor(month, times)
+                continue
+            for build in (lambda: factorize(design), lambda: month_block_factor(month, times)):
+                with pytest.raises(SingularDesignError) as raised:
+                    build()
+                assert raised.value.column == column
+
+    def test_seasonal_fits_take_one_month_per_day(self):
+        series = quick_series(5, T=400)
+        dummies = month_dummies(series).copy()
+        dummies[10, 3] = 1.0  # day 11 now marks two months
+        with pytest.raises(ValueError, match="one month per day"):
+            fit_fixed_seasonal(np.zeros(400), dummies)
 
 
 class TestModelSpec:

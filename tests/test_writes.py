@@ -12,6 +12,7 @@ from tempdyn import reporting
 from tempdyn.density import DensityEstimate
 from tempdyn.ghcn import fetch_station
 from tempdyn.models import BatchReport, CityReport, SeasonalPattern
+from tempdyn.regression import ModelFit
 from tempdyn.series import build_series, write_series_csv
 
 from conftest import synthetic_station_bytes
@@ -111,3 +112,27 @@ def test_series_csv_and_cache_file_get_plain_open_mode(tmp_path):
     }
     assert modes == {"plain": 0o644, "series": 0o644, "cache": 0o644}
     assert (tmp_path / "cache" / "USW00099901.dly").read_bytes() == payload
+
+
+def test_dated_columns_hold_each_value_repr(tmp_path):
+    # repeated values are formatted once, each still as its own repr: a
+    # lattice of temperatures, and one effect per month with both zeros
+    rng = np.random.default_rng(5)
+    tmin = rng.integers(20, 60, size=DAYS)
+    series = build_series(tmin + rng.integers(0, 25, size=DAYS), tmin, START, END)
+    residuals = rng.standard_normal(DAYS)
+    trend = ModelFit(("const", "time"), np.zeros(2), residuals, 0.5, DAYS)
+    effects = np.array([0.1, -0.0, 0.0, 1 / 3, -2.5, 1e-17, 7.0, -1 / 7, 60.5, 1e300, -3.0, 0.2])
+    fitted = effects[series.month - 1]
+    reporting.write_trend_csv(series, "avg", trend, tmp_path / "trend.csv")
+    reporting.write_seasonal_fit_csv(series, residuals, fitted, tmp_path / "fit.csv")
+
+    def expected(header, first, second):
+        rows = zip(series.dates, first.tolist(), second.tolist())
+        return [header] + [f"{day.isoformat()},{a!r},{b!r}" for day, a, b in rows]
+
+    trend_lines = (tmp_path / "trend.csv").read_text().splitlines()
+    assert trend_lines == expected("date,actual,fitted", series.avg, series.avg - residuals)
+    fit_lines = (tmp_path / "fit.csv").read_text().splitlines()
+    assert fit_lines == expected("date,detrended,seasonal_fit", residuals, fitted)
+    assert {line.rsplit(",", 1)[1] for line in fit_lines[1:]} >= {"-0.0", "0.0"}
