@@ -13,7 +13,7 @@ from typing import Optional
 
 import click
 
-from . import density, models, regression, reporting, series as series_mod
+from . import density, models, reporting, series as series_mod
 from .regression import BandwidthError, SingularDesignError, ols_fit
 from .stations import ConfigError, RunConfig, Station, load_config, parse_bandwidth
 
@@ -249,16 +249,19 @@ def figures(config_path, station_code, out):
     figures_dir.mkdir(parents=True, exist_ok=True)
 
     # Only coefficients, residuals and fitted values are written, so the
-    # models are fitted by plain OLS, without HAC covariances. The designs
-    # depend on the window alone, so avg and dtr share one factor of each
-    # (the seasonal ones in closed form); a singular design is reported with
-    # avg, the variable fitted first.
-    var = "avg"
+    # models are fitted by plain OLS, without HAC covariances. avg and dtr
+    # share the window's factors. The designs are factored and the pattern
+    # years found before the first write, so a singular design or a window
+    # with no July 1 leaves no file behind; either is reported with avg,
+    # the variable fitted first.
+    factors = models.WindowFactors(station_series)
+    try:
+        trend_qr, fixed_qr, evolving_qr = factors.trend, factors.fixed, factors.evolving
+        years = models.pattern_years(station_series)
+    except ValueError as exc:  # a singular design, or a window with no July 1
+        raise click.ClickException(f"{station_code} avg: {exc}")
     month = station_series.month
     try:
-        trend_qr = regression.factorize(models.trend_design(station_series))
-        fixed_qr = models.month_block_factor(month)
-        evolving_qr = models.month_block_factor(month, station_series.t)
         for var in ("avg", "dtr"):
             y = station_series.variable(var)
             reporting.write_density_csv(density.kde(y), figures_dir / f"density_{var}.csv")
@@ -277,7 +280,7 @@ def figures(config_path, station_code, out):
             )
             evolving = models.EvolvingSeasonalFit(ols_fit(evolving_qr, detrended))
             reporting.write_patterns_csv(
-                reporting.evolving_patterns(evolving, station_series),
+                [evolving.pattern_for_year(station_series, year) for year in years],
                 figures_dir / f"evolving_pattern_{var}.csv",
             )
     except density.DegenerateBandwidthError:
@@ -286,8 +289,6 @@ def figures(config_path, station_code, out):
         raise click.ClickException(
             f"{station_code} {var}: automatic bandwidth is zero (data has no spread)"
         )
-    except SingularDesignError as exc:
-        raise click.ClickException(f"{station_code} {var}: {exc}")
     click.echo(f"wrote figure data under {figures_dir}")
 
 
@@ -318,32 +319,20 @@ def fit(config_path, station_code, variable, model, hac_bandwidth):
 
 
 def _fit_and_print(station_series, variable: str, model: str, bandwidth) -> None:
+    fit_model = {
+        "trend": models.fit_trend,
+        "seasonal": models.fit_fixed_seasonal,
+        "evolving": models.fit_evolving_seasonal,
+        "joint": models.fit_joint,
+    }[model]
+    result = fit_model(station_series, variable, bandwidth)
+    _print_fit(result.fit)
     if model == "trend":
-        result = models.fit_trend(station_series, variable, bandwidth)
-        _print_fit(result.fit)
         click.echo(f"delta_trend: {result.delta_trend:.4f} F over the sample")
-        return
-    if model == "joint":
-        joint = models.fit_joint(station_series, variable, bandwidth)
-        _print_fit(joint.fit)
-        suite = models.hypothesis_suite(joint)
+    elif model == "joint":
+        suite = models.hypothesis_suite(result)
         click.echo(
             f"p(nt)={suite.p_nt:.4f}  p(ns)={suite.p_ns:.4f}  p(nts)={suite.p_nts:.4f}"
-        )
-        return
-
-    y = station_series.variable(variable)
-    detrended = ols_fit(models.trend_design(station_series), y).residuals
-    dummies = series_mod.month_dummies(station_series)
-    if model == "seasonal":
-        _print_fit(
-            models.fit_fixed_seasonal(detrended, dummies, bandwidth).fit
-        )
-    else:
-        _print_fit(
-            models.fit_evolving_seasonal(
-                detrended, dummies, station_series.t, bandwidth
-            ).fit
         )
 
 

@@ -114,8 +114,9 @@ class DlyRecords:
     order and ``line_numbers`` their 1-based numbers in the file. ``year``,
     ``month`` and ``element`` (4-byte codes) are decoded for every line;
     ``values`` (int32, 31 day slots) only for the TMAX/TMIN lines whose
-    indices ``rows`` lists. ``len()`` counts lines, and indexing or
-    iterating yields :class:`RawDlyRecord` objects decoded line by line.
+    indices ``rows`` lists. ``len()`` counts lines. No per-line record is
+    kept: only a line with a field outside the plain pattern is decoded to
+    a :class:`RawDlyRecord`, while parsing (:func:`_decode_line`).
     """
 
     lines: np.ndarray
@@ -128,13 +129,6 @@ class DlyRecords:
 
     def __len__(self) -> int:
         return len(self.lines)
-
-    def __getitem__(self, index: int) -> RawDlyRecord:
-        raw = self.lines[index].tobytes().decode("ascii")
-        return _decode_line(raw, int(self.line_numbers[index]))
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
 
     def station_ids(self) -> list[str]:
         """The distinct station identifiers, sorted."""
@@ -254,8 +248,7 @@ def _decode_line(raw: str, number: int) -> RawDlyRecord:
     """Decode one 269-character line field by field with ``int()``.
 
     The reference decoding: :func:`parse_dly` falls back to it for lines
-    with a field outside the plain pattern, and indexing a parse result
-    goes through it.
+    with a field outside the plain pattern.
     """
     station_id = raw[0:11]
     try:

@@ -13,9 +13,11 @@ estimates over t = 2..T (the first day feeds the lag), with the time
 regressor un-rescaled (t in days).
 
 Every column but the joint model's lag depends only on the window (first
-date and length), so :func:`window_blocks` factors the trend design and the
-joint design without its lag once per window; each series then borders the
-joint factor with its own lag (see :mod:`tempdyn.regression`).
+date and length), so one :class:`WindowFactors` holds the factored design of
+each model for every series and variable of a window, each factored on first
+use; the joint fit borders the factor of its design without the lag with the
+series' own lag (see :mod:`tempdyn.regression`). The two seasonal fits
+de-trend by OLS on the window's trend factor.
 
 The fixed and evolving seasonal designs are block-diagonal by month: month
 m's least-squares problem is a mean, or a mean and a slope on the month's
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import date
+from functools import cached_property
 from statistics import median
 from typing import Optional, Sequence, Union
 
@@ -48,6 +51,7 @@ from .regression import (
     _check_rank,
     factorize,
     fit_with_hac,
+    ols_fit,
     wald_test,
 )
 from .series import TemperatureSeries
@@ -115,13 +119,26 @@ class EvolvingSeasonalFit:
         )
         return SeasonalPattern(effects, evaluated_at=f"t={t:g}")
 
-    def pattern_for_year(
-        self, series: TemperatureSeries, year: int, anchor: tuple[int, int] = (7, 1)
-    ) -> SeasonalPattern:
-        """Pattern evaluated at the t of the anchor date (default July 1)."""
-        t = series.position_of(date(year, *anchor)) + 1
+    def pattern_for_year(self, series: TemperatureSeries, year: int) -> SeasonalPattern:
+        """Pattern evaluated at the t of July 1 of the year."""
+        t = series.position_of(date(year, JULY, 1)) + 1
         pattern = self.pattern_at(float(t))
         return SeasonalPattern(pattern.month_effects, evaluated_at=str(year))
+
+
+def pattern_years(series: TemperatureSeries) -> tuple[int, ...]:
+    """The years of the first and last July 1 in the series' window (one
+    year if they are the same day), where figures evaluate the evolving
+    pattern. A window with no July 1 raises ValueError."""
+    first, last = series.dates[0], series.dates[-1]
+    start = first.year + (first > date(first.year, JULY, 1))
+    end = last.year - (last < date(last.year, JULY, 1))
+    if start > end:
+        raise ValueError(
+            f"window {first}..{last} holds no July 1 to evaluate the evolving "
+            "seasonal pattern at"
+        )
+    return (start,) if start == end else (start, end)
 
 
 @dataclass(frozen=True)
@@ -198,13 +215,12 @@ def fit_trend(
     series: TemperatureSeries,
     variable: str,
     bandwidth: Bandwidth = "auto",
-    block: Optional[QRFactor] = None,
+    factors: Optional[WindowFactors] = None,
 ) -> TrendFit:
-    """``block`` is the factored trend design of the series' window
-    (:func:`window_blocks`); it is built when omitted."""
-    if block is None:
-        block = factorize(trend_design(series))
-    fit = fit_with_hac(block, series.variable(variable), bandwidth)
+    """``factors`` are the :class:`WindowFactors` of the series' window, as
+    for every ``fit_<model>``; they are built when omitted."""
+    factors = factors or WindowFactors(series)
+    fit = fit_with_hac(factors.trend, series.variable(variable), bandwidth)
     slope = fit.coef("time")
     return TrendFit(
         variable=variable,
@@ -274,34 +290,33 @@ def month_block_factor(month: np.ndarray, t: Optional[np.ndarray] = None) -> QRF
     return QRFactor(design, q, np.empty((n, 0)), r, r_inv, order, scale, True)
 
 
-def _months(dummies: np.ndarray) -> np.ndarray:
-    """The month (1..12) each row of a (T, 12) month indicator matrix marks."""
-    dummies = np.asarray(dummies, dtype=np.float64)
-    if (
-        dummies.ndim != 2
-        or dummies.shape[1] != 12
-        or not np.all((dummies == 0.0) | (dummies == 1.0))
-        or not np.all(dummies.sum(axis=1) == 1.0)
-    ):
-        raise ValueError("dummies must mark exactly one month per day, in 12 columns")
-    return dummies.argmax(axis=1) + 1
+def _detrended(
+    series: TemperatureSeries, variable: str, factors: WindowFactors
+) -> np.ndarray:
+    """The variable's residuals from a plain OLS trend fit."""
+    return ols_fit(factors.trend, series.variable(variable)).residuals
 
 
 def fit_fixed_seasonal(
-    detrended: np.ndarray, dummies: np.ndarray, bandwidth: Bandwidth = "auto"
+    series: TemperatureSeries,
+    variable: str,
+    bandwidth: Bandwidth = "auto",
+    factors: Optional[WindowFactors] = None,
 ) -> FixedSeasonalFit:
-    factor = month_block_factor(_months(dummies))
-    return FixedSeasonalFit(fit_with_hac(factor, detrended, bandwidth))
+    factors = factors or WindowFactors(series)
+    detrended = _detrended(series, variable, factors)
+    return FixedSeasonalFit(fit_with_hac(factors.fixed, detrended, bandwidth))
 
 
 def fit_evolving_seasonal(
-    detrended: np.ndarray,
-    dummies: np.ndarray,
-    t: np.ndarray,
+    series: TemperatureSeries,
+    variable: str,
     bandwidth: Bandwidth = "auto",
+    factors: Optional[WindowFactors] = None,
 ) -> EvolvingSeasonalFit:
-    factor = month_block_factor(_months(dummies), t)
-    return EvolvingSeasonalFit(fit_with_hac(factor, detrended, bandwidth))
+    factors = factors or WindowFactors(series)
+    detrended = _detrended(series, variable, factors)
+    return EvolvingSeasonalFit(fit_with_hac(factors.evolving, detrended, bandwidth))
 
 
 def joint_shared_design(month: np.ndarray, t: np.ndarray) -> DesignMatrix:
@@ -329,31 +344,45 @@ def fit_joint(
     series: TemperatureSeries,
     variable: str,
     bandwidth: Bandwidth = "auto",
-    block: Optional[QRFactor] = None,
+    factors: Optional[WindowFactors] = None,
 ) -> JointFit:
-    """``block`` is the factored :func:`joint_shared_design` of the series'
-    window (:func:`window_blocks`); it is built when omitted. The series'
-    lag borders it, so the fit makes no new decomposition."""
-    if block is None:
-        block = factorize(joint_shared_design(series.month, series.t))
+    """The series' lag borders the window's factor of
+    :func:`joint_shared_design`, so the fit makes no new decomposition."""
+    factors = factors or WindowFactors(series)
     y = series.variable(variable)
-    factor = block.bordered(LAG_POSITION, "lag", y[:-1])
+    factor = factors.joint.bordered(LAG_POSITION, "lag", y[:-1])
     return JointFit(variable, fit_with_hac(factor, y[1:], bandwidth))
 
 
-@dataclass(frozen=True)
-class WindowBlocks:
-    """The factored designs shared by every series of one window."""
+class WindowFactors:
+    """The factored design of each model on one window (first date and
+    length), shared by every series and variable of the window.
 
-    trend: QRFactor
-    joint: QRFactor
+    This is the one place that knows which design each model is fitted on
+    and how it is factored. Each factor is built on first use, so a command
+    holds only the ones it fits: ``trend`` and ``joint`` (the joint design
+    without its lag) by Householder QR, ``fixed`` and ``evolving`` in closed
+    form by month (:func:`month_block_factor`).
+    """
 
+    def __init__(self, series: TemperatureSeries):
+        self._series = series
 
-def window_blocks(series: TemperatureSeries) -> WindowBlocks:
-    return WindowBlocks(
-        trend=factorize(trend_design(series)),
-        joint=factorize(joint_shared_design(series.month, series.t)),
-    )
+    @cached_property
+    def trend(self) -> QRFactor:
+        return factorize(trend_design(self._series))
+
+    @cached_property
+    def fixed(self) -> QRFactor:
+        return month_block_factor(self._series.month)
+
+    @cached_property
+    def evolving(self) -> QRFactor:
+        return month_block_factor(self._series.month, self._series.t)
+
+    @cached_property
+    def joint(self) -> QRFactor:
+        return factorize(joint_shared_design(self._series.month, self._series.t))
 
 
 def hypothesis_suite(joint: JointFit) -> HypothesisSuite:
@@ -370,18 +399,17 @@ def city_report(
     series: TemperatureSeries,
     variable: str,
     bandwidth: Bandwidth = "auto",
-    blocks: Optional[WindowBlocks] = None,
+    factors: Optional[WindowFactors] = None,
 ) -> CityReport:
-    """``blocks`` are :func:`window_blocks` of the series' window; they are
-    built when omitted, with the same result to the last bit.
+    """``factors`` are the :class:`WindowFactors` of the series' window;
+    they are built when omitted, with the same result to the last bit.
 
     The joint model is fitted first, so a degenerate series (a constant or
     otherwise collinear lag) is reported as its dependent design column.
     """
-    if blocks is None:
-        blocks = window_blocks(series)
-    joint = fit_joint(series, variable, bandwidth, blocks.joint)
-    trend = fit_trend(series, variable, bandwidth, blocks.trend)
+    factors = factors or WindowFactors(series)
+    joint = fit_joint(series, variable, bandwidth, factors)
+    trend = fit_trend(series, variable, bandwidth, factors)
     tests = hypothesis_suite(joint)
     return CityReport(
         station=station,
@@ -410,20 +438,20 @@ def batch_report(
     A station failure only aborts that row; an entry may carry an Exception
     instead of a series to record an upstream failure. The median row is
     produced when every requested station succeeded or at least
-    MIN_ROWS_FOR_MEDIAN did. The shared designs are factored once per
-    window (first date, length); each row equals its :func:`city_report`.
+    MIN_ROWS_FOR_MEDIAN did. One :class:`WindowFactors` serves each window
+    (first date, length); each row equals its :func:`city_report`.
     """
     rows: list[CityReport] = []
     failures: list[tuple[str, str]] = []
-    blocks: dict[tuple[date, int], WindowBlocks] = {}
+    factors: dict[tuple[date, int], WindowFactors] = {}
     for station, series in station_series:
         try:
             if isinstance(series, Exception):
                 raise series
             window = (series.dates[0], len(series))
-            if window not in blocks:
-                blocks[window] = window_blocks(series)
-            rows.append(city_report(station, series, variable, bandwidth, blocks[window]))
+            if window not in factors:
+                factors[window] = WindowFactors(series)
+            rows.append(city_report(station, series, variable, bandwidth, factors[window]))
         except Exception as exc:  # noqa: BLE001 - diagnostics per station
             failures.append((station, f"{type(exc).__name__}: {exc}"))
     median_row = None

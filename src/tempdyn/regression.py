@@ -166,10 +166,10 @@ class QRFactor:
 
     Q is ``[q, border]``: q from the decomposition, border the columns that
     :meth:`bordered` appended, kept apart so that a shared q is never
-    copied. Pass the factor in place of the design to :func:`ols_fit`,
-    :func:`hac_cov` or :func:`fit_with_hac`, so that a design shared by many
-    regressands is decomposed and checked once and the covariance reuses the
-    R that solved for the coefficients.
+    copied. :func:`ols_fit`, :func:`hac_cov` and :func:`fit_with_hac` take
+    the factor, so that a design shared by many regressands is decomposed
+    and checked once and the covariance reuses the R that solved for the
+    coefficients.
     """
 
     design: DesignMatrix
@@ -227,9 +227,6 @@ class QRFactor:
         return QRFactor(design, self.q, border, r, r_inv, order, scale, centered)
 
 
-Design = Union[DesignMatrix, QRFactor]
-
-
 def factorize(X: DesignMatrix) -> QRFactor:
     """Householder QR of X, unpivoted.
 
@@ -255,18 +252,13 @@ def factorize(X: DesignMatrix) -> QRFactor:
     return QRFactor(X, q, border, r, r_inv, order, scale, _spans_ones(q, border))
 
 
-def _factored(X: Design) -> QRFactor:
-    return X if isinstance(X, QRFactor) else factorize(X)
+def ols_fit(factor: QRFactor, y: np.ndarray) -> ModelFit:
+    """Least-squares fit via the QR factor of a design; hac_cov left
+    unpopulated.
 
-
-def ols_fit(X: Design, y: np.ndarray) -> ModelFit:
-    """Least-squares fit via the QR factor of X; hac_cov left unpopulated.
-
-    X is a design or its :class:`QRFactor`. R^2 is centered whenever the
-    all-ones vector lies in the column span (intercept present, or a
-    complete dummy partition), else uncentered.
+    R^2 is centered whenever the all-ones vector lies in the column span
+    (intercept present, or a complete dummy partition), else uncentered.
     """
-    factor = _factored(X)
     data = factor.design.data
     y = np.asarray(y, dtype=np.float64)
     n, k = data.shape
@@ -316,15 +308,15 @@ def bartlett_meat(x: np.ndarray, u: np.ndarray, lag: int) -> np.ndarray:
     return meat / (lag + 1.0)
 
 
-def hac_cov(X: Design, residuals: np.ndarray, bandwidth: Bandwidth = "auto") -> np.ndarray:
-    """Newey-West covariance of the OLS coefficients.
+def hac_cov(
+    factor: QRFactor, residuals: np.ndarray, bandwidth: Bandwidth = "auto"
+) -> np.ndarray:
+    """Newey-West covariance of the OLS coefficients of a factored design.
 
-    X is a design or its :class:`QRFactor`; (X'X)^-1 comes from its R
-    factor. Bandwidth 0 collapses the kernel to the heteroskedasticity-only
-    (HC0) sandwich. The result is exactly symmetric by construction. A rank
-    deficient X raises :class:`SingularDesignError`, as in :func:`ols_fit`.
+    (X'X)^-1 comes from the factor's R. Bandwidth 0 collapses the kernel to
+    the heteroskedasticity-only (HC0) sandwich. The result is exactly
+    symmetric by construction.
     """
-    factor = _factored(X)
     data = factor.design.data
     residuals = np.asarray(residuals, dtype=np.float64)
     n, k = data.shape
@@ -341,9 +333,10 @@ def hac_cov(X: Design, residuals: np.ndarray, bandwidth: Bandwidth = "auto") -> 
     return cov
 
 
-def fit_with_hac(X: Design, y: np.ndarray, bandwidth: Bandwidth = "auto") -> ModelFit:
+def fit_with_hac(
+    factor: QRFactor, y: np.ndarray, bandwidth: Bandwidth = "auto"
+) -> ModelFit:
     """ols_fit followed by hac_cov with the resolved lag, on one QR factor."""
-    factor = _factored(X)
     fit = ols_fit(factor, y)
     lag = resolve_bandwidth(fit.nobs, bandwidth)
     cov = hac_cov(factor, fit.residuals, lag)

@@ -19,7 +19,6 @@ from .density import DensityEstimate
 from .models import (
     BatchReport,
     CityReport,
-    EvolvingSeasonalFit,
     SeasonalPattern,
 )
 from .regression import ModelFit
@@ -168,15 +167,6 @@ def write_patterns_csv(patterns: Sequence[SeasonalPattern], path: Path) -> None:
     )
     header = ["month"] + [f"effect_{p.evaluated_at}" for p in patterns]
     write_atomic(path, _csv(header, rows))
-
-
-def evolving_patterns(
-    fit: EvolvingSeasonalFit, series: TemperatureSeries
-) -> list[SeasonalPattern]:
-    """Patterns anchored at July 1 of the first and last sample years."""
-    first = series.dates[0].year
-    last = series.dates[-1].year
-    return [fit.pattern_for_year(series, first), fit.pattern_for_year(series, last)]
 
 
 def write_manifest(entries: list[dict], path: Path) -> None:

@@ -113,20 +113,6 @@ def build_series(
     return TemperatureSeries(tuple(days.tolist()), max_f, min_f, avg, dtr, t, month)
 
 
-def month_dummies(series: TemperatureSeries) -> np.ndarray:
-    """(T, 12) indicator matrix; column i-1 marks days falling in month i.
-
-    Each row sums to exactly 1 (one month per day); Feb 29 belongs to the
-    February column.
-    """
-    if len(series) == 0:
-        raise ValueError("series is empty")
-    dummies = np.zeros((len(series), 12), dtype=np.float64)
-    dummies[np.arange(len(series)), series.month - 1] = 1.0
-    dummies.setflags(write=False)
-    return dummies
-
-
 SERIES_CSV_HEADER = ["date", "tmax", "tmin", "avg", "dtr", "t", "month"]
 _CSV_COLUMNS = np.dtype(
     [("date", "datetime64[D]"), ("tmax", np.int64), ("tmin", np.int64),

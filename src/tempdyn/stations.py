@@ -152,6 +152,12 @@ def parse_bandwidth(value: str) -> Union[int, str]:
     return int(value)
 
 
+_FLAGS = {
+    "1": True, "true": True, "yes": True, "on": True,
+    "0": False, "false": False, "no": False, "off": False,
+}
+
+
 def _apply_setting(config: RunConfig, key: str, value: str) -> None:
     if key == "window_start":
         config.window_start = date.fromisoformat(value)
@@ -166,6 +172,8 @@ def _apply_setting(config: RunConfig, key: str, value: str) -> None:
     elif key == "endpoint":
         config.endpoint = value
     elif key == "strict_qc":
-        config.strict_qc = value.lower() in ("1", "true", "yes", "on")
+        if value.lower() not in _FLAGS:
+            raise ValueError(f"expected one of {'/'.join(_FLAGS)}, got {value!r}")
+        config.strict_qc = _FLAGS[value.lower()]
     else:
         raise ConfigError(f"unknown configuration key {key!r}")

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from tempdyn.density import DensityEstimate
-from tempdyn.ghcn import LINE_LENGTH, TEMPERATURE_ELEMENTS, RawDlyRecord
+from tempdyn.ghcn import LINE_LENGTH, TEMPERATURE_ELEMENTS, DlyRecords, RawDlyRecord, _decode_line
+from tempdyn.series import TemperatureSeries
 
 DAY_SLOTS = 31
 MISSING = -9999
@@ -52,6 +53,14 @@ def serialize_record(record: RawDlyRecord) -> str:
     line = "".join(parts)
     assert len(line) == LINE_LENGTH
     return line
+
+
+def decode_records(records: DlyRecords) -> list[RawDlyRecord]:
+    """Each line of a parse result decoded to a record, in file order."""
+    return [
+        _decode_line(row.tobytes().decode("ascii"), int(number))
+        for row, number in zip(records.lines, records.line_numbers)
+    ]
 
 
 def filter_elements(
@@ -187,3 +196,17 @@ def find_modes(
             modes.append((float(estimate.grid[i]), float(values[i])))
     modes.sort(key=lambda m: m[0])
     return modes
+
+
+def month_dummies(series: TemperatureSeries) -> np.ndarray:
+    """(T, 12) indicator matrix; column i-1 marks days falling in month i.
+
+    Each row sums to exactly 1 (one month per day); Feb 29 belongs to the
+    February column.
+    """
+    if len(series) == 0:
+        raise ValueError("series is empty")
+    dummies = np.zeros((len(series), 12), dtype=np.float64)
+    dummies[np.arange(len(series)), series.month - 1] = 1.0
+    dummies.setflags(write=False)
+    return dummies

@@ -67,6 +67,20 @@ def read_series(workspace: Path, code: str) -> series_mod.TemperatureSeries:
     return series_mod.read_series_csv(workspace / "out" / "series" / f"{code}.csv")
 
 
+def narrow_window(workspace: Path, start: date, end: date) -> series_mod.TemperatureSeries:
+    """Cut AAA's ingested series to [start, end] and configure that window."""
+    aaa = read_series(workspace, "AAA")
+    keep = slice(aaa.dates.index(start), aaa.dates.index(end) + 1)
+    write_series(workspace, "AAA", aaa.max_f[keep], aaa.min_f[keep], start, end)
+    config = workspace / "run.cfg"
+    config.write_text(
+        config.read_text()
+        .replace(f"window_start = {WINDOW_START}", f"window_start = {start}")
+        .replace(f"window_end = {WINDOW_END}", f"window_end = {end}")
+    )
+    return read_series(workspace, "AAA")
+
+
 class TestIngest:
     def test_ingest_writes_series_and_manifest(self, workspace):
         result = run(["ingest", "--config", str(workspace / "run.cfg")])
@@ -341,13 +355,13 @@ class TestTables:
             ("XXX", series_mod.build_series(aaa.max_f[::-1], aaa.min_f[::-1], WINDOW_START, WINDOW_END)),
         ]
         windows = []
-        original = models.window_blocks
+        original = models.WindowFactors
 
         def counting(series):
             windows.append((series.dates[0], len(series)))
             return original(series)
 
-        monkeypatch.setattr(models, "window_blocks", counting)
+        monkeypatch.setattr(models, "WindowFactors", counting)
         report = models.batch_report(loaded, "avg")
         assert report.failures == ()
         assert windows == [(WINDOW_START, 731), (date(1960, 3, 1), 671)]
@@ -462,15 +476,18 @@ class TestFigures:
     def test_each_design_factored_once(self, workspace, monkeypatch):
         # the trend, fixed and evolving designs depend on the window alone,
         # so avg and dtr share one factor of each; only the trend design is
-        # decomposed, the seasonal ones are factored in closed form by month
+        # decomposed, the seasonal ones are factored in closed form by month,
+        # and the joint design, which figures does not fit, never is
         config = str(workspace / "run.cfg")
         run(["ingest", "--config", config])
         factored = []
-        original = regression.factorize
+        decomposed = []
+        original = models.factorize
         original_block = models.month_block_factor
 
         def counting(design):
             factored.append(design.names[-1])
+            decomposed.append(design.names)
             return original(design)
 
         def counting_block(month, t=None):
@@ -478,11 +495,13 @@ class TestFigures:
             factored.append(factor.design.names[-1])
             return factor
 
-        monkeypatch.setattr(regression, "factorize", counting)
+        monkeypatch.setattr(models, "factorize", counting)
         monkeypatch.setattr(models, "month_block_factor", counting_block)
         result = run(["figures", "--config", config, "--station", "AAA"])
         assert result.exit_code == 0, result.output
         assert factored == ["time", "d12", "dt12"]
+        aaa = read_series(workspace, "AAA")
+        assert models.joint_shared_design(aaa.month, aaa.t).names not in decomposed
 
     def test_constant_dtr_is_a_one_line_error(self, workspace):
         config = str(workspace / "run.cfg")
@@ -508,6 +527,37 @@ class TestFigures:
         assert result.output.startswith("Error: AAA avg: design column 'd")
         assert result.output.rstrip().endswith("is linearly dependent")
         assert len(result.output.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "start, end, year",
+        [(date(1960, 9, 1), WINDOW_END, 1961), (WINDOW_START, date(1961, 6, 30), 1960)],
+    )
+    def test_evolving_pattern_at_the_july_first_inside_the_window(
+        self, workspace, start, end, year
+    ):
+        # a window that cuts off July 1 of its first or last year holds one
+        # July 1 here, so the pattern has one column, labelled by its year
+        config = str(workspace / "run.cfg")
+        run(["ingest", "--config", config])
+        short = narrow_window(workspace, start, end)
+        result = run(["figures", "--config", config, "--station", "AAA"])
+        assert result.exit_code == 0, result.output
+        rows = read_csv_rows(workspace / "out" / "figures" / "AAA" / "evolving_pattern_avg.csv")
+        assert set(rows[0]) == {"month", f"effect_{year}"}
+        expected = models.fit_evolving_seasonal(short, "avg").pattern_for_year(short, year)
+        assert [float(r[f"effect_{year}"]) for r in rows] == list(expected.month_effects)
+
+    def test_window_without_july_first_is_a_one_line_error(self, workspace):
+        config = str(workspace / "run.cfg")
+        run(["ingest", "--config", config])
+        narrow_window(workspace, date(1960, 7, 2), date(1961, 6, 30))
+        result = run(["figures", "--config", config, "--station", "AAA"])
+        assert result.exit_code == 1
+        assert result.output == (
+            "Error: AAA avg: window 1960-07-02..1961-06-30 holds no July 1 "
+            "to evaluate the evolving seasonal pattern at\n"
+        )
+        assert list((workspace / "out" / "figures" / "AAA").iterdir()) == []
 
     def test_missing_series_is_actionable(self, workspace):
         result = run(
@@ -614,6 +664,19 @@ class TestFit:
         if model == "joint":
             assert "p(nts)=" in result.output
             assert "lag" in result.output
+
+    def test_seasonal_fit_prints_the_figures_fixed_pattern(self, workspace):
+        # fit and figures fit the fixed seasonal model on the same factors
+        config = str(workspace / "run.cfg")
+        run(["ingest", "--config", config])
+        run(["figures", "--config", config, "--station", "AAA"])
+        result = run(["fit", "--config", config, "--station", "AAA",
+                      "--variable", "avg", "--model", "seasonal"])
+        assert result.exit_code == 0, result.output
+        printed = [line.split()[1] for line in result.output.splitlines()
+                   if line.split()[0] in models.DUMMY_NAMES]
+        rows = read_csv_rows(workspace / "out" / "figures" / "AAA" / "fixed_pattern_avg.csv")
+        assert printed == [f"{float(r['effect_fixed']):.6g}" for r in rows]
 
     def test_seasonal_fit_makes_one_hac_covariance(self, workspace, monkeypatch):
         # the de-trending trend fit needs residuals only, not a covariance

@@ -26,6 +26,7 @@ from tempdyn.ghcn import (
 
 from conftest import (
     FIXTURE_TENTHS,
+    decode_records,
     filter_elements,
     fixture_line,
     make_dly_line,
@@ -44,7 +45,7 @@ def line_bytes(*lines: str) -> bytes:
 class TestParseDly:
     def test_day_one_value_extraction(self):
         line = make_dly_line("USW00013739", 1960, 1, "TMAX", {1: 217})
-        record = parse_dly(line_bytes(line))[0]
+        record = decode_records(parse_dly(line_bytes(line)))[0]
         assert record.station_id == "USW00013739"
         assert record.year == 1960
         assert record.month == 1
@@ -54,7 +55,7 @@ class TestParseDly:
 
     def test_all_slots_missing(self):
         line = make_dly_line("USW00013739", 1975, 6, "TMIN", {})
-        record = parse_dly(line_bytes(line))[0]
+        record = decode_records(parse_dly(line_bytes(line)))[0]
         assert len(record.values) == 31
         assert all(v.value == MISSING for v in record.values)
 
@@ -71,7 +72,7 @@ class TestParseDly:
         assert line[21:26] == f"{FIXTURE_TENTHS[0]:5d}"
         assert line[261:266] == f"{FIXTURE_TENTHS[30]:5d}"
 
-        record = parse_dly(line_bytes(line))[0]
+        record = decode_records(parse_dly(line_bytes(line)))[0]
         assert record.station_id == "USW00013739"
         assert (record.year, record.month, record.element) == (1960, 1, "TMAX")
         for day_index, expected in enumerate(FIXTURE_TENTHS):
@@ -110,8 +111,8 @@ class TestParseDly:
             make_dly_line("USW00013739", 1960, 1, "TMIN", {1: -10}),
         ]
         records = parse_dly(line_bytes(*lines))
-        assert [r.element for r in records] == ["TMAX", "PRCP", "TMIN"]
-        assert [r.element for r in filter_elements(records)] == ["TMAX", "TMIN"]
+        assert [r.element for r in decode_records(records)] == ["TMAX", "PRCP", "TMIN"]
+        assert [r.element for r in filter_elements(decode_records(records))] == ["TMAX", "TMIN"]
 
 
 class TestRoundTrip:
@@ -119,7 +120,7 @@ class TestRoundTrip:
         rng = random.Random(20170801)
         for _ in range(200):
             line = random_valid_line(rng)
-            record = parse_dly(line_bytes(line))[0]
+            record = decode_records(parse_dly(line_bytes(line)))[0]
             assert serialize_record(record) == line
 
 
@@ -470,7 +471,7 @@ def reference_observations(records, start, end, strict_qc):
     """The per-day loop station_observations replaced, on RawDlyRecords."""
     notes = IngestNotes()
     by_element = {"TMAX": {}, "TMIN": {}}
-    for record in filter_elements(list(records)):
+    for record in filter_elements(decode_records(records)):
         store = by_element[record.element]
         for day_index, slot in enumerate(record.values):
             if slot.value == MISSING:

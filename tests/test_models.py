@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import itertools
 from datetime import date, timedelta
 
@@ -9,6 +10,9 @@ import tempdyn.models as models
 from tempdyn.models import (
     JOINT_DUMMIES,
     JOINT_INTERACTIONS,
+    EvolvingSeasonalFit,
+    FixedSeasonalFit,
+    WindowFactors,
     batch_report,
     city_report,
     evolving_design,
@@ -29,8 +33,9 @@ from tempdyn.regression import (
     hac_cov,
     ols_fit,
 )
-from tempdyn.series import TemperatureSeries, build_series, month_dummies
+from tempdyn.series import TemperatureSeries, build_series
 
+from conftest import month_dummies
 from dgp import calendar_months, joint_design, simulate_joint
 
 
@@ -49,6 +54,18 @@ def series_from_avg(avg: np.ndarray, start: date = date(1960, 1, 1)) -> Temperat
         t=np.arange(1, n + 1, dtype=np.int64),
         month=np.array([d.month for d in dates], dtype=np.int64),
     )
+
+
+def fixed_on(series: TemperatureSeries, detrended: np.ndarray) -> FixedSeasonalFit:
+    """The fixed seasonal model of the series' window, fitted to a given
+    de-trended regressand."""
+    return FixedSeasonalFit(fit_with_hac(WindowFactors(series).fixed, detrended))
+
+
+def evolving_on(series: TemperatureSeries, detrended: np.ndarray) -> EvolvingSeasonalFit:
+    """The evolving seasonal model of the series' window, fitted to a given
+    de-trended regressand."""
+    return EvolvingSeasonalFit(fit_with_hac(WindowFactors(series).evolving, detrended))
 
 
 def integer_series(start: date, end: date, tmax_fn, tmin_fn) -> TemperatureSeries:
@@ -105,9 +122,8 @@ class TestDetrend:
 class TestFixedSeasonal:
     def test_january_indicator_pattern(self):
         series = series_from_avg(np.zeros(365 * 2), start=date(1961, 1, 1))
-        dummies = month_dummies(series)
         detrended = np.where(series.month == 1, 1.0, -1.0)
-        result = fit_fixed_seasonal(detrended, dummies)
+        result = fixed_on(series, detrended)
         assert result.pattern.month_effects[0] == pytest.approx(1.0, abs=1e-12)
         for effect in result.pattern.month_effects[1:]:
             assert effect == pytest.approx(-1.0, abs=1e-12)
@@ -115,9 +131,8 @@ class TestFixedSeasonal:
     def test_coefficients_equal_month_means(self):
         rng = np.random.default_rng(99)
         series = series_from_avg(np.zeros(1200))
-        dummies = month_dummies(series)
         detrended = rng.standard_normal(1200)
-        result = fit_fixed_seasonal(detrended, dummies)
+        result = fixed_on(series, detrended)
         for m in range(1, 13):
             month_mean = detrended[series.month == m].mean()
             assert result.pattern.month_effects[m - 1] == pytest.approx(
@@ -134,8 +149,7 @@ class TestEvolvingSeasonal:
         detrended = seasonal[month - 1] + rng.standard_normal(T)
         detrended -= detrended.mean()
         series = series_from_avg(detrended)
-        dummies = month_dummies(series)
-        result = fit_evolving_seasonal(detrended, dummies, series.t)
+        result = evolving_on(series, detrended)
         first = result.pattern_at(1.0).month_effects
         last = result.pattern_at(float(T)).month_effects
         for m in range(12):
@@ -154,7 +168,7 @@ class TestEvolvingSeasonal:
         drift = np.where(month == 10, -4e-4 * t, 0.0)
         detrended = drift + rng.standard_normal(T)
         series = series_from_avg(detrended)
-        result = fit_evolving_seasonal(detrended, month_dummies(series), series.t)
+        result = evolving_on(series, detrended)
         october = result.fit.coef("dt10")
         assert october < 0
         assert abs(october / result.fit.se("dt10")) > 3
@@ -169,7 +183,7 @@ class TestEvolvingSeasonal:
         detrended = seasonal[month - 1] + rng.standard_normal(T)
         detrended -= detrended.mean()
         series = series_from_avg(detrended)
-        result = fit_evolving_seasonal(detrended, month_dummies(series), series.t)
+        result = evolving_on(series, detrended)
         fitted = evolving_design(month_dummies(series), series.t).data @ result.fit.beta
         assert abs(fitted.mean()) < 1e-10
 
@@ -177,12 +191,33 @@ class TestEvolvingSeasonal:
         T = 731
         series = series_from_avg(np.zeros(T), start=date(1960, 1, 1))
         detrended = np.linspace(-1, 1, T)
-        result = fit_evolving_seasonal(detrended, month_dummies(series), series.t)
+        result = evolving_on(series, detrended)
         anchored = result.pattern_for_year(series, 1960)
         t_july = (date(1960, 7, 1) - date(1960, 1, 1)).days + 1
         direct = result.pattern_at(float(t_july))
         assert anchored.month_effects == direct.month_effects
         assert anchored.evaluated_at == "1960"
+
+
+@pytest.mark.parametrize(
+    "start, end, years",
+    [
+        (date(1960, 1, 1), date(2017, 12, 31), (1960, 2017)),
+        (date(1960, 9, 1), date(2017, 12, 31), (1961, 2017)),
+        (date(1960, 7, 1), date(2017, 6, 30), (1960, 2016)),
+        (date(1960, 9, 1), date(1961, 12, 31), (1961,)),
+    ],
+)
+def test_pattern_years_are_those_of_the_first_and_last_july_first(start, end, years):
+    series = series_from_avg(np.zeros((end - start).days + 1), start=start)
+    assert models.pattern_years(series) == years
+
+
+def test_window_without_july_first_has_no_pattern_years():
+    series = series_from_avg(np.zeros(364), start=date(1960, 7, 2))
+    assert series.dates[-1] == date(1961, 6, 30)
+    with pytest.raises(ValueError, match="1960-07-02..1961-06-30 holds no July 1"):
+        models.pattern_years(series)
 
 
 def seasonal_designs(month: np.ndarray, t: np.ndarray):
@@ -256,12 +291,56 @@ class TestMonthBlockFactor:
                     build()
                 assert raised.value.column == column
 
-    def test_seasonal_fits_take_one_month_per_day(self):
-        series = quick_series(5, T=400)
-        dummies = month_dummies(series).copy()
-        dummies[10, 3] = 1.0  # day 11 now marks two months
-        with pytest.raises(ValueError, match="one month per day"):
-            fit_fixed_seasonal(np.zeros(400), dummies)
+
+class TestWindowFactors:
+    """Every model is fitted on the factors of its window, each built once."""
+
+    def test_fit_functions_share_one_signature(self):
+        fits = (fit_trend, fit_fixed_seasonal, fit_evolving_seasonal, fit_joint)
+        signatures = {tuple(inspect.signature(f).parameters) for f in fits}
+        assert signatures == {("series", "variable", "bandwidth", "factors")}
+
+    @pytest.mark.parametrize(
+        "fit, seasonal, design",
+        [(fit_fixed_seasonal, FixedSeasonalFit, "fixed"),
+         (fit_evolving_seasonal, EvolvingSeasonalFit, "evolving")],
+    )
+    def test_seasonal_fits_detrend_by_ols_on_the_trend_factor(self, fit, seasonal, design):
+        series = quick_series(30)
+        factors = WindowFactors(series)
+        detrended = ols_fit(factors.trend, series.avg).residuals
+        expected = fit_with_hac(getattr(factors, design), detrended, 5)
+        result = fit(series, "avg", 5)
+        assert isinstance(result, seasonal)
+        assert np.array_equal(result.fit.beta, expected.beta)
+        assert np.array_equal(result.fit.hac_cov, expected.hac_cov)
+        assert result.fit.bandwidth == 5
+
+    def test_factors_built_on_first_use_and_shared(self, monkeypatch):
+        built = []
+        original_factorize, original_block = models.factorize, models.month_block_factor
+
+        def counting(design):
+            built.append(design.names[-1])
+            return original_factorize(design)
+
+        def counting_block(month, t=None):
+            built.append("dt12" if t is not None else "d12")
+            return original_block(month, t)
+
+        monkeypatch.setattr(models, "factorize", counting)
+        monkeypatch.setattr(models, "month_block_factor", counting_block)
+        series = quick_series(31)
+        factors = WindowFactors(series)
+        for variable in ("avg", "dtr"):
+            fit_trend(series, variable, factors=factors)
+        assert built == ["time"]
+        for variable in ("avg", "dtr"):
+            fit_evolving_seasonal(series, variable, factors=factors)
+            fit_fixed_seasonal(series, variable, factors=factors)
+        fit_joint(series, "avg", factors=factors)
+        fit_joint(series, "avg", factors=factors)
+        assert built == ["time", "dt12", "d12", "dt12"]
 
 
 class TestModelSpec:
@@ -337,8 +416,8 @@ class TestJointModel:
         detrended = rng.standard_normal(T)
         full = evolving_design(dummies, series.t)
         restricted = DesignMatrix(full.names[:12], full.data[:, :12])
-        fixed = fit_fixed_seasonal(detrended, dummies)
-        from_restricted = ols_fit(restricted, detrended)
+        fixed = fixed_on(series, detrended)
+        from_restricted = ols_fit(factorize(restricted), detrended)
         np.testing.assert_allclose(from_restricted.beta, fixed.fit.beta, atol=1e-12)
 
     def test_nesting_joint_collapses_to_trend_ar(self):
@@ -353,15 +432,15 @@ class TestJointModel:
             np.column_stack([np.ones(T - 1), np.arange(2.0, T + 1.0), y[:-1]]),
         )
         np.testing.assert_array_equal(restricted.data, direct.data)
-        a = ols_fit(restricted, regressand)
-        b = ols_fit(direct, regressand)
+        a = ols_fit(factorize(restricted), regressand)
+        b = ols_fit(factorize(direct), regressand)
         np.testing.assert_allclose(a.beta, b.beta, atol=1e-14)
 
     def test_bordered_fit_matches_full_design_fit(self):
         series = quick_series(66, T=3650)
         joint = fit_joint(series, "avg")
         design, regressand = joint_design(series.month, series.t, series.avg)
-        direct = fit_with_hac(design, regressand)
+        direct = fit_with_hac(factorize(design), regressand)
         assert joint.fit.names == direct.names
         np.testing.assert_allclose(joint.fit.beta, direct.beta, rtol=1e-9)
         np.testing.assert_allclose(joint.fit.hac_cov, direct.hac_cov, rtol=1e-8, atol=1e-20)
@@ -472,13 +551,13 @@ class TestReports:
 
     def test_each_window_factored_once(self, monkeypatch):
         windows = []
-        original = models.window_blocks
+        original = models.WindowFactors
 
         def counting(series):
             windows.append((series.dates[0], len(series)))
             return original(series)
 
-        monkeypatch.setattr(models, "window_blocks", counting)
+        monkeypatch.setattr(models, "WindowFactors", counting)
         short = quick_series(23, T=1100)
         late = series_from_avg(quick_series(24).avg, start=date(1960, 3, 1))
         pairs = [("AAA", quick_series(25)), ("BBB", short), ("CCC", quick_series(26)),

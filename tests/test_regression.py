@@ -89,7 +89,7 @@ class TestOlsFit:
     def test_exact_linear_relation(self):
         x = np.arange(10, dtype=float)
         X = DesignMatrix(("const", "x"), np.column_stack([np.ones(10), x]))
-        fit = ols_fit(X, 2.0 + 3.0 * x)
+        fit = ols_fit(factorize(X), 2.0 + 3.0 * x)
         np.testing.assert_allclose(fit.beta, [2.0, 3.0], atol=1e-12)
         np.testing.assert_allclose(fit.residuals, 0.0, atol=1e-10)
 
@@ -99,7 +99,7 @@ class TestOlsFit:
             np.column_stack([np.ones(5), [1.0, 2.0, 4.0, 7.0, 11.0]]),
         )
         y = np.array([2.0, 3.0, 5.0, 9.0, 16.0])
-        fit = ols_fit(X, y)
+        fit = ols_fit(factorize(X), y)
         np.testing.assert_allclose(
             fit.beta, normal_equations_beta(X.data, y), rtol=1e-12
         )
@@ -111,7 +111,7 @@ class TestOlsFit:
             k = int(rng.integers(1, 6))
             X = random_design(rng, n, k)
             y = rng.standard_normal(n)
-            fit = ols_fit(X, y)
+            fit = ols_fit(factorize(X), y)
             oracle = normal_equations_beta(X.data, y)
             np.testing.assert_allclose(fit.beta, oracle, rtol=1e-8)
 
@@ -119,7 +119,7 @@ class TestOlsFit:
         rng = np.random.default_rng(3)
         X = random_design(rng, 200, 4)
         y = rng.standard_normal(200)
-        fit = ols_fit(X, y)
+        fit = ols_fit(factorize(X), y)
         products = X.data.T @ fit.residuals
         scale = np.linalg.norm(X.data, axis=0) * np.linalg.norm(fit.residuals)
         assert np.max(np.abs(products) / scale) < 1e-8
@@ -131,21 +131,21 @@ class TestOlsFit:
             np.column_stack([np.ones(8), x, 2.0 * x]),
         )
         with pytest.raises(SingularDesignError) as excinfo:
-            ols_fit(X, np.ones(8))
+            ols_fit(factorize(X), np.ones(8))
         # the first column in the span of the columns before it
         assert excinfo.value.column == "x_doubled"
 
     def test_insufficient_data(self):
         X = DesignMatrix(("a", "b"), np.ones((2, 2)))
         with pytest.raises(InsufficientDataError):
-            ols_fit(X, np.ones(2))
+            ols_fit(factorize(X), np.ones(2))
 
     def test_centered_r_squared_with_intercept(self):
         rng = np.random.default_rng(8)
         x = rng.standard_normal(100)
         y = 5.0 + 0.0 * x + rng.standard_normal(100)
         X = DesignMatrix(("const", "x"), np.column_stack([np.ones(100), x]))
-        fit = ols_fit(X, y)
+        fit = ols_fit(factorize(X), y)
         # no explanatory power -> centered R^2 near zero, not near one
         assert fit.r_squared < 0.1
 
@@ -156,13 +156,13 @@ class TestOlsFit:
         groups = rng.integers(0, 3, size=120)
         dummies = np.eye(3)[groups]
         y = 10.0 + rng.standard_normal(120)
-        fit = ols_fit(DesignMatrix(("g0", "g1", "g2"), dummies), y)
+        fit = ols_fit(factorize(DesignMatrix(("g0", "g1", "g2"), dummies)), y)
         assert fit.r_squared < 0.2
 
     def test_uncentered_r_squared_without_intercept(self):
         x = np.linspace(1.0, 2.0, 50)
         y = 4.0 * x
-        fit = ols_fit(DesignMatrix(("x",), x[:, None]), y)
+        fit = ols_fit(factorize(DesignMatrix(("x",), x[:, None])), y)
         assert fit.r_squared == pytest.approx(1.0)
 
 
@@ -176,8 +176,8 @@ class TestHacCov:
         rng = np.random.default_rng(11)
         X = random_design(rng, 60, 3)
         y = rng.standard_normal(60)
-        fit = ols_fit(X, y)
-        cov = hac_cov(X, fit.residuals, bandwidth=0)
+        fit = ols_fit(factorize(X), y)
+        cov = hac_cov(factorize(X), fit.residuals, bandwidth=0)
         bread = np.linalg.inv(X.data.T @ X.data)
         scores = X.data * fit.residuals[:, None]
         hc0 = bread @ (scores.T @ scores) @ bread
@@ -189,8 +189,8 @@ class TestHacCov:
             np.column_stack([np.ones(6), [0.5, -1.0, 2.0, 1.5, -0.5, 3.0]]),
         )
         y = np.array([1.0, 0.0, 2.5, 2.0, 0.5, 4.0])
-        fit = ols_fit(X, y)
-        cov = hac_cov(X, fit.residuals, bandwidth=2)
+        fit = ols_fit(factorize(X), y)
+        cov = hac_cov(factorize(X), fit.residuals, bandwidth=2)
         oracle = hac_triple_loop(X.data, fit.residuals, 2)
         np.testing.assert_allclose(cov, oracle, atol=1e-10)
 
@@ -204,8 +204,8 @@ class TestHacCov:
         reps = 1000
         for _ in range(reps):
             y = 1.0 + sigma * rng.standard_normal(n)
-            fit = ols_fit(X, y)
-            total += np.diag(hac_cov(X, fit.residuals, bandwidth=2))
+            fit = ols_fit(factorize(X), y)
+            total += np.diag(hac_cov(factorize(X), fit.residuals, bandwidth=2))
         average = total / reps
         np.testing.assert_allclose(average, np.diag(classical), rtol=0.08)
 
@@ -213,8 +213,8 @@ class TestHacCov:
         rng = np.random.default_rng(5)
         X = random_design(rng, 300, 4)
         y = rng.standard_normal(300)
-        fit = ols_fit(X, y)
-        cov = hac_cov(X, fit.residuals, bandwidth=5)
+        fit = ols_fit(factorize(X), y)
+        cov = hac_cov(factorize(X), fit.residuals, bandwidth=5)
         assert np.array_equal(cov, cov.T)
         assert np.all(np.diag(cov) >= 0)
 
@@ -227,16 +227,16 @@ class TestHacCov:
         rng = np.random.default_rng(2)
         X = random_design(rng, 10, 2)
         with pytest.raises(BandwidthError):
-            hac_cov(X, np.zeros(10), bandwidth=10)
+            hac_cov(factorize(X), np.zeros(10), bandwidth=10)
         with pytest.raises(BandwidthError):
-            hac_cov(X, np.zeros(10), bandwidth=-1)
+            hac_cov(factorize(X), np.zeros(10), bandwidth=-1)
 
     def test_rank_deficient_design_rejected(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal(50)
         X = DesignMatrix(("x", "x_again"), np.column_stack([x, x]))
         with pytest.raises(SingularDesignError) as excinfo:
-            hac_cov(X, rng.standard_normal(50), bandwidth=2)
+            hac_cov(factorize(X), rng.standard_normal(50), bandwidth=2)
         assert excinfo.value.column == "x_again"
 
 
@@ -284,7 +284,7 @@ class TestQRFactor:
         assert bordered.design.names == full.names
         np.testing.assert_array_equal(bordered.design.data, full.data)
         a = fit_with_hac(bordered, self.y, bandwidth=5)
-        b = fit_with_hac(full, self.y, bandwidth=5)
+        b = fit_with_hac(factorize(full), self.y, bandwidth=5)
         np.testing.assert_allclose(a.beta, b.beta, rtol=1e-11)
         np.testing.assert_allclose(a.residuals, b.residuals, rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(a.hac_cov, b.hac_cov, rtol=1e-10, atol=1e-16)
@@ -310,10 +310,10 @@ class TestQRFactor:
     def test_factor_in_place_of_design(self):
         factor = factorize(self.X)
         a = ols_fit(factor, self.y)
-        b = ols_fit(self.X, self.y)
+        b = ols_fit(factorize(self.X), self.y)
         np.testing.assert_array_equal(a.beta, b.beta)
         np.testing.assert_array_equal(
-            hac_cov(factor, a.residuals, 4), hac_cov(self.X, a.residuals, 4)
+            hac_cov(factor, a.residuals, 4), hac_cov(factorize(self.X), a.residuals, 4)
         )
 
 
@@ -379,7 +379,7 @@ class TestWaldTest:
         for _ in range(reps):
             X = random_design(rng, n, 3)
             y = 0.7 + rng.standard_normal(n)
-            fit = fit_with_hac(X, y, bandwidth=3)
+            fit = fit_with_hac(factorize(X), y, bandwidth=3)
             result = wald_test(fit, ["x1", "x2"])
             rejections += result.p_value < 0.05
         assert 0.035 <= rejections / reps <= 0.065
@@ -440,8 +440,8 @@ class TestInvariants:
 
     def test_scale_equivariance(self):
         scale = 3.7
-        base = fit_with_hac(self.X, self.y, bandwidth=4)
-        scaled = fit_with_hac(self.X, scale * self.y, bandwidth=4)
+        base = fit_with_hac(factorize(self.X), self.y, bandwidth=4)
+        scaled = fit_with_hac(factorize(self.X), scale * self.y, bandwidth=4)
         np.testing.assert_allclose(scaled.beta, scale * base.beta, rtol=1e-10)
         np.testing.assert_allclose(
             scaled.residuals, scale * base.residuals, rtol=1e-8, atol=1e-12
@@ -461,8 +461,8 @@ class TestInvariants:
         permuted = DesignMatrix(
             tuple(self.X.names[i] for i in order), self.X.data[:, order]
         )
-        base = fit_with_hac(self.X, self.y, bandwidth=4)
-        other = fit_with_hac(permuted, self.y, bandwidth=4)
+        base = fit_with_hac(factorize(self.X), self.y, bandwidth=4)
+        other = fit_with_hac(factorize(permuted), self.y, bandwidth=4)
         for name in self.X.names:
             assert other.coef(name) == pytest.approx(base.coef(name), rel=1e-9)
             assert other.se(name) == pytest.approx(base.se(name), rel=1e-9)
@@ -480,8 +480,8 @@ class TestInvariants:
         z -= basis @ (basis.T @ z)
         assert abs(z @ self.y) < 1e-8
         augmented = DesignMatrix(self.X.names + ("z",), np.column_stack([self.X.data, z]))
-        base = ols_fit(self.X, self.y)
-        extended = ols_fit(augmented, self.y)
+        base = ols_fit(factorize(self.X), self.y)
+        extended = ols_fit(factorize(augmented), self.y)
         for name in self.X.names:
             assert extended.coef(name) == pytest.approx(base.coef(name), abs=1e-10)
         assert abs(extended.coef("z")) < 1e-8

@@ -10,10 +10,11 @@ from tempdyn.series import (
     ContiguityError,
     DataInversionError,
     build_series,
-    month_dummies,
     read_series_csv,
     write_series_csv,
 )
+
+from conftest import month_dummies
 
 
 def constant_series(start: date, end: date, tmax=70, tmin=50):

@@ -91,6 +91,21 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=":1:"):
             parse_config("window_start = not-a-date\n")
 
+    @pytest.mark.parametrize(
+        "value, expected",
+        [(v, True) for v in ("1", "true", "Yes", "ON")]
+        + [(v, False) for v in ("0", "FALSE", "no", "Off")],
+    )
+    def test_strict_qc_flag_values(self, value, expected):
+        assert parse_config(f"strict_qc = {value}\n").strict_qc is expected
+
+    @pytest.mark.parametrize("value", ["ture", "maybe", "", "2"])
+    def test_unknown_strict_qc_value_rejected(self, value):
+        with pytest.raises(ConfigError) as caught:
+            parse_config(f"window_end = 2000-01-01\nstrict_qc = {value}\n", source="run.cfg")
+        assert str(caught.value).startswith("run.cfg:2: bad value for strict_qc: ")
+        assert repr(value) in str(caught.value)
+
     def test_auto_bandwidth_default(self):
         assert parse_config("").hac_bandwidth == "auto"
 

@@ -1,0 +1,60 @@
+"""Checks on the package source itself, read with ``ast``."""
+
+import ast
+from pathlib import Path
+
+import tempdyn
+
+PACKAGE = Path(tempdyn.__file__).parent
+
+
+def _is_command(node: ast.AST) -> bool:
+    """A function registered on the click group ``main`` (``@main.command()``)."""
+    return any(
+        isinstance(d, ast.Call)
+        and isinstance(d.func, ast.Attribute)
+        and isinstance(d.func.value, ast.Name)
+        and d.func.value.id == "main"
+        for d in getattr(node, "decorator_list", ())
+    )
+
+
+def _public_definitions(module: ast.Module):
+    """(qualified name, node) of each public module-level function or class
+    and each public method of a module-level class."""
+    for node in module.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                    yield f"{node.name}.{member.name}", member
+
+
+def _references(tree: ast.AST):
+    """(name, node) of every name a tree loads, reads as an attribute or imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name, node
+
+
+def test_every_public_name_has_a_caller_in_the_package():
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))}
+    references = [ref for tree in trees.values() for ref in _references(tree)]
+    unused = []
+    for filename, tree in trees.items():
+        for qualified, node in _public_definitions(tree):
+            if _is_command(node):
+                continue
+            # a use inside the definition itself (recursion) does not count
+            inside = {id(n) for n in ast.walk(node)}
+            name = qualified.rpartition(".")[2]
+            if not any(ref == name and id(at) not in inside for ref, at in references):
+                unused.append(f"{filename}: {qualified}")
+    assert unused == [], "public names with no caller in src/tempdyn (move them to tests/)"
