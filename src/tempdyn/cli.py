@@ -7,15 +7,30 @@ for one station), ``fit`` (single-model debug printout).
 
 from __future__ import annotations
 
+import os
 import sys
 from pathlib import Path
 from typing import Optional
 
 import click
 
-from . import density, models, reporting, series as series_mod
-from .regression import BandwidthError, SingularDesignError, ols_fit
-from .stations import ConfigError, RunConfig, Station, load_config, parse_bandwidth
+# numpy's bundled OpenBLAS starts one thread per core, and after each of the
+# pipeline's small solves its idle helpers spin: one thread does the same
+# work on less CPU, and the results no longer depend on the core count. A
+# count chosen through any variable the library reads is kept, because
+# OPENBLAS_NUM_THREADS=1 would override the user's OMP_NUM_THREADS. This
+# must run before the package's modules first import numpy.
+_BLAS_THREAD_VARIABLES = (
+    "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
+)
+if not any(os.environ.get(name) for name in _BLAS_THREAD_VARIABLES):
+    os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+
+from . import density, models, reporting, series as series_mod  # noqa: E402
+from .regression import BandwidthError, SingularDesignError, ols_fit  # noqa: E402
+from .stations import (  # noqa: E402
+    ConfigError, RunConfig, Station, load_config, parse_bandwidth,
+)
 
 VARIABLE_CHOICES = click.Choice(["avg", "dtr", "both"])
 
@@ -250,44 +265,49 @@ def figures(config_path, station_code, out):
 
     # Only coefficients, residuals and fitted values are written, so the
     # models are fitted by plain OLS, without HAC covariances. avg and dtr
-    # share the window's factors. The designs are factored and the pattern
-    # years found before the first write, so a singular design or a window
-    # with no July 1 leaves no file behind; either is reported with avg,
-    # the variable fitted first.
+    # share the window's factors. Every step that can fail comes before the
+    # first write, so a failure leaves the station's files as they were: the
+    # designs are factored, the pattern years found (a singular design or a
+    # window with no July 1 is reported with avg, the variable fitted first),
+    # and both densities estimated.
     factors = models.WindowFactors(station_series)
     try:
         trend_qr, fixed_qr, evolving_qr = factors.trend, factors.fixed, factors.evolving
         years = models.pattern_years(station_series)
     except ValueError as exc:  # a singular design, or a window with no July 1
         raise click.ClickException(f"{station_code} avg: {exc}")
+    densities = {}
+    for var in ("avg", "dtr"):
+        try:
+            densities[var] = density.kde(station_series.variable(var))
+        except density.DegenerateBandwidthError:
+            # figures has no bandwidth option, so the library's advice to
+            # pass one is left out
+            raise click.ClickException(
+                f"{station_code} {var}: automatic bandwidth is zero (data has no spread)"
+            )
+
     month = station_series.month
-    try:
-        for var in ("avg", "dtr"):
-            y = station_series.variable(var)
-            reporting.write_density_csv(density.kde(y), figures_dir / f"density_{var}.csv")
-            trend = ols_fit(trend_qr, y)
-            reporting.write_trend_csv(
-                station_series, var, trend, figures_dir / f"trend_{var}.csv"
-            )
-            detrended = trend.residuals
-            fixed = models.FixedSeasonalFit(ols_fit(fixed_qr, detrended))
-            reporting.write_seasonal_fit_csv(
-                station_series, detrended, fixed.fit.beta[month - 1],
-                figures_dir / f"seasonal_fit_{var}.csv",
-            )
-            reporting.write_patterns_csv(
-                [fixed.pattern], figures_dir / f"fixed_pattern_{var}.csv"
-            )
-            evolving = models.EvolvingSeasonalFit(ols_fit(evolving_qr, detrended))
-            reporting.write_patterns_csv(
-                [evolving.pattern_for_year(station_series, year) for year in years],
-                figures_dir / f"evolving_pattern_{var}.csv",
-            )
-    except density.DegenerateBandwidthError:
-        # figures has no bandwidth option, so the library's advice to
-        # pass one is left out
-        raise click.ClickException(
-            f"{station_code} {var}: automatic bandwidth is zero (data has no spread)"
+    for var, estimate in densities.items():
+        y = station_series.variable(var)
+        reporting.write_density_csv(estimate, figures_dir / f"density_{var}.csv")
+        trend = ols_fit(trend_qr, y)
+        reporting.write_trend_csv(
+            station_series, var, trend, figures_dir / f"trend_{var}.csv"
+        )
+        detrended = trend.residuals
+        fixed = models.FixedSeasonalFit(ols_fit(fixed_qr, detrended))
+        reporting.write_seasonal_fit_csv(
+            station_series, detrended, fixed.fit.beta[month - 1],
+            figures_dir / f"seasonal_fit_{var}.csv",
+        )
+        reporting.write_patterns_csv(
+            [fixed.pattern], figures_dir / f"fixed_pattern_{var}.csv"
+        )
+        evolving = models.EvolvingSeasonalFit(ols_fit(evolving_qr, detrended))
+        reporting.write_patterns_csv(
+            [evolving.pattern_for_year(station_series, year) for year in years],
+            figures_dir / f"evolving_pattern_{var}.csv",
         )
     click.echo(f"wrote figure data under {figures_dir}")
 

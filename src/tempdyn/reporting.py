@@ -22,7 +22,7 @@ from .models import (
     SeasonalPattern,
 )
 from .regression import ModelFit
-from .series import TemperatureSeries, write_atomic
+from .series import TemperatureSeries, distinct_text, write_atomic
 
 TABLE_HEADER = [
     "station",
@@ -125,7 +125,7 @@ def write_trend_csv(
     y = series.variable(variable)
     # the data lie on a lattice (half or whole degrees)
     fitted = (y - trend.residuals).tolist()
-    _write_dated(series, ["actual", "fitted"], _distinct_reprs(y), fitted, path)
+    _write_dated(series, ["actual", "fitted"], distinct_text(y), fitted, path)
 
 
 def write_seasonal_fit_csv(
@@ -135,21 +135,8 @@ def write_seasonal_fit_csv(
     path: Path,
 ) -> None:
     # the fitted values are one effect per month
-    columns = detrended.tolist(), _distinct_reprs(seasonal_fitted)
+    columns = detrended.tolist(), distinct_text(seasonal_fitted)
     _write_dated(series, ["detrended", "seasonal_fit"], *columns, path)
-
-
-def _distinct_reprs(values: np.ndarray) -> list[str]:
-    """The repr of each value, formatted once per distinct value.
-
-    Values are told apart by their bits, so 0.0 and -0.0 keep their own
-    text. For columns with few distinct values, where formatting each row
-    would repeat the same work thousands of times.
-    """
-    bits = np.asarray(values, dtype=np.float64).view(np.int64)
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    text = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
-    return text[inverse].tolist()
 
 
 def _write_dated(series, names, first: list, second: list, path) -> None:

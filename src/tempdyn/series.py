@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from datetime import date, timedelta
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -119,6 +119,9 @@ _CSV_COLUMNS = np.dtype(
      ("avg", np.float64), ("dtr", np.float64)]
 )
 _DAY_SUFFIXES = [f"-{day:02d}" for day in range(1, 32)]
+# rows formatted and joined into one chunk at a time, so the text of a
+# file is never held whole
+_ROW_BLOCK = 4096
 
 
 def write_atomic(path, chunks: Iterable[str]) -> None:
@@ -140,23 +143,24 @@ def write_atomic(path, chunks: Iterable[str]) -> None:
 
 
 def write_series_csv(series: TemperatureSeries, path) -> None:
-    avg = series.avg.tolist()
-    # exact halves only: render 60.0 as "60" and 60.5 as "60.5"
-    avg_text = {value: _format_half(value) for value in set(avg)}
-    columns = zip(
-        series.iso_dates,
-        series.max_f.tolist(),
-        series.min_f.tolist(),
-        avg,
-        series.dtr.astype(np.int64).tolist(),
-        series.t.tolist(),
-        series.month.tolist(),
+    # every column but t lies on a small lattice, so each distinct value is
+    # formatted once; avg holds exact halves, rendered 60.0 as "60" and
+    # 60.5 as "60.5"
+    tmax, tmin, avg, dtr, month = (
+        distinct_text(column, _format_half)
+        for column in (series.max_f, series.min_f, series.avg, series.dtr, series.month)
     )
-    rows = (
-        f"{day},{high},{low},{avg_text[mean]},{spread},{t},{month}\n"
-        for day, high, low, mean, spread, t, month in columns
-    )
-    write_atomic(path, chain([",".join(SERIES_CSV_HEADER) + "\n"], rows))
+
+    def block(start: int) -> str:
+        rows = slice(start, start + _ROW_BLOCK)
+        t = map("{}".format, series.t[rows].tolist())
+        cells = zip(
+            series.iso_dates[rows], tmax[rows], tmin[rows], avg[rows], dtr[rows], t, month[rows]
+        )
+        return "\n".join(map(",".join, cells)) + "\n"
+
+    blocks = map(block, range(0, len(series), _ROW_BLOCK))
+    write_atomic(path, chain([",".join(SERIES_CSV_HEADER) + "\n"], blocks))
 
 
 def read_series_csv(path) -> TemperatureSeries:
@@ -196,3 +200,18 @@ def _format_half(value: float) -> str:
     if value == int(value):
         return str(int(value))
     return f"{value:.1f}"
+
+
+def distinct_text(
+    values: np.ndarray, formatter: Callable[[float], str] = repr
+) -> list[str]:
+    """``formatter`` of each value as a float, called once per distinct value.
+
+    Values are told apart by their bits, so 0.0 and -0.0 keep their own
+    text. For columns with few distinct values, where formatting each row
+    would repeat the same work thousands of times.
+    """
+    bits = np.asarray(values, dtype=np.float64).view(np.int64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    text = np.array([formatter(v) for v in distinct.view(np.float64).tolist()], dtype=object)
+    return text[inverse].tolist()

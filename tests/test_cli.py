@@ -106,12 +106,18 @@ class TestIngest:
             p.name: p.read_bytes()
             for p in (workspace / "out" / "series").iterdir()
         }
+        first_manifest = json.loads((workspace / "out" / "manifest.json").read_text())
         run(["ingest", "--config", config])
         second = {
             p.name: p.read_bytes()
             for p in (workspace / "out" / "series").iterdir()
         }
         assert first == second
+        # the manifest differs at most in when each payload was fetched
+        second_manifest = json.loads((workspace / "out" / "manifest.json").read_text())
+        for entry in first_manifest + second_manifest:
+            del entry["fetched_at"]
+        assert second_manifest == first_manifest
 
     def test_unknown_station_fails_before_work(self, workspace):
         result = run(
@@ -212,6 +218,29 @@ class TestIngestFaults:
         manifest = json.loads((workspace / "out" / "manifest.json").read_text())
         assert [e["status"] for e in manifest] == ["error", "ok"]
         assert not (workspace / "out" / "series" / "AAA.csv").exists()
+
+    @pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict-qc"])
+    def test_qflags_on_consecutive_days_fail_only_under_strict_qc(self, workspace, strict):
+        # strict QC treats the two flagged values as missing, and a gap of
+        # two days is not interpolated
+        flagged = {(date(1961, 5, 10), "TMAX"), (date(1961, 5, 11), "TMAX")}
+        (workspace / "cache" / "USW00099901.dly").write_bytes(aaa_payload(qflagged=flagged))
+        args = ["ingest", "--config", str(workspace / "run.cfg")]
+        result = run(args + ["--strict-qc"] if strict else args)
+        series_file = workspace / "out" / "series" / "AAA.csv"
+        if not strict:
+            assert result.exit_code == 0, result.output
+            assert series_file.exists()
+            return
+        assert result.exit_code == 1
+        failed = [line for line in result.output.splitlines() if "FAILED" in line]
+        assert failed == [
+            "AAA: FAILED (UnsupportedGapError: TMAX: consecutive missing "
+            "observations at: 1961-05-10, 1961-05-11)"
+        ]
+        manifest = json.loads((workspace / "out" / "manifest.json").read_text())
+        assert [e["status"] for e in manifest] == ["error", "ok"]
+        assert not series_file.exists()
 
     def test_crlf_cache_file_gives_identical_series(self, workspace):
         config = str(workspace / "run.cfg")
@@ -514,6 +543,32 @@ class TestFigures:
         assert "explicit bandwidth" not in result.output
         assert len(result.output.splitlines()) == 1
 
+    def test_dtr_without_spread_leaves_the_bundle_as_it_was(self, workspace):
+        # both densities are estimated before the first write, so the avg
+        # files are not written either
+        config = str(workspace / "run.cfg")
+        run(["ingest", "--config", config])
+        good = read_series(workspace, "AAA")
+        bundle = workspace / "out" / "figures" / "AAA"
+
+        def figures_without_dtr_spread():
+            tmin = good.min_f
+            write_series(workspace, "AAA", tmin + 10, tmin, WINDOW_START, WINDOW_END)
+            result = run(["figures", "--config", config, "--station", "AAA"])
+            assert result.exit_code == 1
+            assert result.output.startswith("Error: AAA dtr: automatic bandwidth is zero")
+
+        figures_without_dtr_spread()
+        assert list(bundle.iterdir()) == []
+
+        write_series(workspace, "AAA", good.max_f, good.min_f, WINDOW_START, WINDOW_END)
+        result = run(["figures", "--config", config, "--station", "AAA"])
+        assert result.exit_code == 0, result.output
+        written = {p.name: p.read_bytes() for p in bundle.iterdir()}
+        assert len(written) == 10
+        figures_without_dtr_spread()
+        assert {p.name: p.read_bytes() for p in bundle.iterdir()} == written
+
     def test_singular_design_is_a_one_line_error(self, workspace):
         # three months of data leave nine month dummies without a single day
         config = str(workspace / "run.cfg")
@@ -739,3 +794,75 @@ def test_cli_import_loads_neither_scipy_nor_requests():
     )
     assert result.stdout.strip() == ""
 
+
+BLAS_THREAD_VARIABLES = (
+    "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
+)
+
+
+def environment_with_threads(**threads: str) -> dict[str, str]:
+    """This process's environment with ``threads`` as the only BLAS thread
+    variables, and the package on the path."""
+    src = Path(tempdyn.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    return dict(env, PYTHONPATH=str(src), **threads)
+
+
+@pytest.mark.parametrize(
+    "module, given, expected",
+    [
+        ("tempdyn.cli", {}, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}),
+        ("tempdyn.cli", {"OPENBLAS_NUM_THREADS": "2"}, {"OPENBLAS_NUM_THREADS": "2"}),
+        ("tempdyn.cli", {"OMP_NUM_THREADS": "2"}, {"OMP_NUM_THREADS": "2"}),
+        ("tempdyn.cli", {"GOTO_NUM_THREADS": "2"}, {"GOTO_NUM_THREADS": "2"}),
+        ("tempdyn.cli", {"MKL_NUM_THREADS": "2"}, {"MKL_NUM_THREADS": "2"}),
+        ("tempdyn.models", {}, {}),
+    ],
+    ids=["unset", "openblas", "omp-alone", "goto-alone", "mkl-alone", "library"],
+)
+def test_cli_import_pins_one_blas_thread_unless_a_count_is_set(module, given, expected):
+    # a count the user chose through any variable the BLAS reads is kept,
+    # and importing the library alone changes no variable
+    probe = (
+        f"import json, os, {module}; "
+        f"print(json.dumps({{n: os.environ[n] for n in {BLAS_THREAD_VARIABLES!r} "
+        "if n in os.environ}))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=environment_with_threads(**given),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert json.loads(result.stdout) == expected
+
+
+def test_default_tables_equal_a_one_thread_run(tmp_path):
+    # full-precision columns move with the BLAS thread count, so the
+    # default run must be the one-thread run, byte for byte
+    start, end = date(1960, 1, 1), date(2017, 12, 31)
+    days = (end - start).days + 1
+    rng = np.random.default_rng(11)
+    tmin = rng.integers(20, 70, size=days)
+    path = tmp_path / "out" / "series" / "FUL.csv"
+    path.parent.mkdir(parents=True)
+    series_mod.write_series_csv(
+        series_mod.build_series(tmin + rng.integers(5, 30, size=days), tmin, start, end), path
+    )
+    config = tmp_path / "run.cfg"
+    config.write_text(f"output_dir = {tmp_path / 'out'}\n\n[stations]\nFUL USW00099909 Full-Window-City\n")
+    tables_dir = tmp_path / "out" / "tables"
+
+    def tables(**threads: str) -> dict[str, bytes]:
+        subprocess.run(
+            [sys.executable, "-m", "tempdyn.cli", "tables", "--config", str(config)],
+            env=environment_with_threads(**threads),
+            capture_output=True,
+            check=True,
+        )
+        return {p.name: p.read_bytes() for p in tables_dir.iterdir()}
+
+    default = tables()
+    assert sorted(default) == ["table_avg.csv", "table_avg.txt", "table_dtr.csv", "table_dtr.txt"]
+    assert tables(OPENBLAS_NUM_THREADS="1") == default
