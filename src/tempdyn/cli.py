@@ -26,8 +26,9 @@ _BLAS_THREAD_VARIABLES = (
 if not any(os.environ.get(name) for name in _BLAS_THREAD_VARIABLES):
     os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
 
-from . import density, models, reporting, series as series_mod  # noqa: E402
-from .regression import BandwidthError, SingularDesignError, ols_fit  # noqa: E402
+# the fitting modules are imported by the commands that fit, so ingest
+# loads only what it runs
+from . import reporting, series as series_mod  # noqa: E402
 from .stations import (  # noqa: E402
     ConfigError, RunConfig, Station, load_config, parse_bandwidth,
 )
@@ -172,11 +173,12 @@ def ingest(config_path, station_codes, endpoint, strict_qc, out, refresh):
             built = series_mod.build_series(
                 tmax, tmin, config.window_start, config.window_end
             )
-            series_mod.write_series_csv(built, _series_path(config, station.code))
+            digest = series_mod.write_series_csv(built, _series_path(config, station.code))
             entry.update(
                 status="ok",
                 rows=len(built),
                 series_csv=str(_series_path(config, station.code)),
+                series_sha256=digest,
                 interpolated={
                     element: [d.isoformat() for d in dates]
                     for element, dates in notes.interpolated.items()
@@ -218,6 +220,8 @@ def ingest(config_path, station_codes, endpoint, strict_qc, out, refresh):
 @click.option("--out", default=None)
 def tables(config_path, station_codes, variable, hac_bandwidth, out):
     """Per-station summary tables (trend movement, Wald p-values, rho, R2)."""
+    from . import models
+
     config = _load(config_path)
     _apply_overrides(config, None, out, hac_bandwidth, False)
     stations = _select(config, station_codes)
@@ -234,8 +238,10 @@ def tables(config_path, station_codes, variable, hac_bandwidth, out):
     tables_dir = config.output_dir / "tables"
     tables_dir.mkdir(parents=True, exist_ok=True)
     any_failure = False
+    # each window's designs are factored once, for both variables
+    factors = {}
     for var in variables:
-        report = models.batch_report(loaded, var, config.hac_bandwidth)
+        report = models.batch_report(loaded, var, config.hac_bandwidth, factors)
         reporting.write_table_csv(report, tables_dir / f"table_{var}.csv")
         reporting.write_table_text(report, tables_dir / f"table_{var}.txt")
         click.echo(f"wrote {tables_dir / f'table_{var}.csv'}")
@@ -252,6 +258,9 @@ def tables(config_path, station_codes, variable, hac_bandwidth, out):
 @click.option("--out", default=None)
 def figures(config_path, station_code, out):
     """Figure-data bundle for one station: densities, trends, seasonals."""
+    from . import density, models
+    from .regression import ols_fit
+
     config = _load(config_path)
     _apply_overrides(config, None, out, None, False)
     try:
@@ -324,6 +333,8 @@ def figures(config_path, station_code, out):
 @_hac_bandwidth_option
 def fit(config_path, station_code, variable, model, hac_bandwidth):
     """Fit a single specification and print its coefficient table."""
+    from .regression import BandwidthError, SingularDesignError
+
     config = _load(config_path)
     _apply_overrides(config, None, None, hac_bandwidth, False)
     try:
@@ -339,6 +350,8 @@ def fit(config_path, station_code, variable, model, hac_bandwidth):
 
 
 def _fit_and_print(station_series, variable: str, model: str, bandwidth) -> None:
+    from . import models
+
     fit_model = {
         "trend": models.fit_trend,
         "seasonal": models.fit_fixed_seasonal,

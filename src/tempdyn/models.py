@@ -36,8 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import date
 from functools import cached_property
-from statistics import median
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -428,10 +427,20 @@ def city_report(
 MIN_ROWS_FOR_MEDIAN = 8
 
 
+def _median(values: Iterable[float]) -> float:
+    """The middle value, or the mean of the middle two (as ``statistics.median``)."""
+    ordered = sorted(values)
+    middle = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[middle]
+    return (ordered[middle - 1] + ordered[middle]) / 2
+
+
 def batch_report(
     station_series: Sequence[tuple[str, Union[TemperatureSeries, Exception]]],
     variable: str,
     bandwidth: Bandwidth = "auto",
+    factors: Optional[dict[tuple[date, int], WindowFactors]] = None,
 ) -> BatchReport:
     """Per-station rows in input order plus a column-wise median row.
 
@@ -440,10 +449,13 @@ def batch_report(
     produced when every requested station succeeded or at least
     MIN_ROWS_FOR_MEDIAN did. One :class:`WindowFactors` serves each window
     (first date, length); each row equals its :func:`city_report`.
+    ``factors`` maps windows to their factors and gains the ones built
+    here, so calls for several variables that share it factor each window
+    once.
     """
     rows: list[CityReport] = []
     failures: list[tuple[str, str]] = []
-    factors: dict[tuple[date, int], WindowFactors] = {}
+    factors = {} if factors is None else factors
     for station, series in station_series:
         try:
             if isinstance(series, Exception):
@@ -458,14 +470,14 @@ def batch_report(
     if rows and (not failures or len(rows) >= MIN_ROWS_FOR_MEDIAN):
         median_row = CityReport(
             station="Median",
-            delta_trend=median(r.delta_trend for r in rows),
+            delta_trend=_median(r.delta_trend for r in rows),
             delta_trend_starred=False,
-            p_nt=median(r.p_nt for r in rows),
-            p_ns=median(r.p_ns for r in rows),
-            p_nts=median(r.p_nts for r in rows),
-            rho=median(r.rho for r in rows),
+            p_nt=_median(r.p_nt for r in rows),
+            p_ns=_median(r.p_ns for r in rows),
+            p_nts=_median(r.p_nts for r in rows),
+            rho=_median(r.rho for r in rows),
             rho_starred=False,
-            r_squared=median(r.r_squared for r in rows),
+            r_squared=_median(r.r_squared for r in rows),
             hac_bandwidth=rows[0].hac_bandwidth,
         )
     return BatchReport(variable, tuple(rows), median_row, tuple(failures))

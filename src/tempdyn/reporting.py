@@ -11,18 +11,16 @@ from __future__ import annotations
 import json
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .density import DensityEstimate
-from .models import (
-    BatchReport,
-    CityReport,
-    SeasonalPattern,
-)
-from .regression import ModelFit
 from .series import TemperatureSeries, distinct_text, write_atomic
+
+if TYPE_CHECKING:  # annotations only, so ingest need not load the fitting modules
+    from .density import DensityEstimate
+    from .models import BatchReport, CityReport, SeasonalPattern
+    from .regression import ModelFit
 
 TABLE_HEADER = [
     "station",

@@ -7,6 +7,7 @@ window together with the 1-based time trend t and per-day month index.
 from __future__ import annotations
 
 import calendar
+import hashlib
 import io
 import os
 import threading
@@ -14,7 +15,8 @@ from dataclasses import dataclass
 from datetime import date, timedelta
 from functools import cached_property
 from itertools import chain
-from typing import Callable, Iterable, Sequence
+from pathlib import Path
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -124,17 +126,25 @@ _DAY_SUFFIXES = [f"-{day:02d}" for day in range(1, 32)]
 _ROW_BLOCK = 4096
 
 
-def write_atomic(path, chunks: Iterable[str]) -> None:
-    """Replace ``path`` by the text chunks, streamed through a temp file in
-    its directory and renamed over it. If anything raises first, the temp
-    file is removed and the previous file stays. The temp file is opened
-    like any output file, so it keeps a plain ``open()``'s mode (not
-    ``mkstemp``'s 0600). Every file tempdyn writes goes through here.
+def write_atomic(path, chunks: Union[Iterable[str], Iterable[bytes]]) -> None:
+    """Replace ``path`` by the chunks, streamed through a temp file in its
+    directory and renamed over it. The chunks are all text, written as
+    UTF-8, or all bytes. If anything raises first, the temp file is removed
+    and the previous file stays. The temp file is opened like any output
+    file, so it keeps a plain ``open()``'s mode (not ``mkstemp``'s 0600).
+    Every file tempdyn writes goes through here.
     """
+    chunks = iter(chunks)
+    first = next(chunks, "")
     # a thread writes one file at a time, so the name is unique among writers
     temp_path = f"{path}.{os.getpid()}-{threading.get_ident()}.part"
     try:
-        with open(temp_path, "w", encoding="utf-8", newline="") as handle:
+        if isinstance(first, bytes):
+            handle = open(temp_path, "wb")
+        else:
+            handle = open(temp_path, "w", encoding="utf-8", newline="")
+        with handle:
+            handle.write(first)
             handle.writelines(chunks)
         os.replace(temp_path, path)
     finally:
@@ -142,7 +152,55 @@ def write_atomic(path, chunks: Iterable[str]) -> None:
             os.unlink(temp_path)
 
 
-def write_series_csv(series: TemperatureSeries, path) -> None:
+def sidecar_path(csv_path) -> Path:
+    """The binary copy of a series CSV: ``<CODE>.npy`` next to ``<CODE>.csv``."""
+    return Path(csv_path).with_suffix(".npy")
+
+
+def _sidecar_dtype(days: int) -> np.dtype:
+    """The one record of a sidecar: the sha256 of the CSV bytes it mirrors,
+    the sha256 of the rest of the record (its payload), then the first day
+    and the daily tmax and tmin as 16-bit integers (the whole degrees F an
+    archive value can give lie within +-18,100)."""
+    return np.dtype(
+        [("csv_sha256", np.uint8, (32,)), ("payload_sha256", np.uint8, (32,)),
+         ("first_day", "<M8[D]"), ("tmax", "<i2", (days,)), ("tmin", "<i2", (days,))]
+    )
+
+
+_PAYLOAD_OFFSET = 64  # the payload follows the two digests
+
+
+def _sidecar_bytes(series: TemperatureSeries, csv_sha256: bytes) -> Optional[bytes]:
+    """The sidecar of the series, or None when a value does not fit its
+    16-bit fields."""
+    record = np.zeros((), _sidecar_dtype(len(series)))
+    record["first_day"] = np.datetime64(series.dates[0], "D")
+    record["tmax"] = series.max_f
+    record["tmin"] = series.min_f
+    if not (
+        np.array_equal(record["tmax"], series.max_f)
+        and np.array_equal(record["tmin"], series.min_f)
+    ):
+        return None
+    payload = hashlib.sha256(record.tobytes()[_PAYLOAD_OFFSET:])
+    record["payload_sha256"] = np.frombuffer(payload.digest(), np.uint8)
+    record["csv_sha256"] = np.frombuffer(csv_sha256, np.uint8)
+    buffer = io.BytesIO()
+    np.save(buffer, record, allow_pickle=False)
+    return buffer.getvalue()
+
+
+def write_series_csv(series: TemperatureSeries, path) -> str:
+    """Write the series CSV, then its sidecar (:func:`sidecar_path`);
+    return the sha256 of the CSV bytes as hex.
+
+    The digest is taken as the CSV streams out. The sidecar, a ``.npy``
+    record keyed by that digest, lets :func:`read_series_csv` skip the text
+    parse; it is written second, so a write cut between the two leaves a
+    sidecar whose digest no longer matches, which readers ignore. A series
+    with a value beyond 16 bits gets no sidecar and is always parsed.
+    """
     # every column but t lies on a small lattice, so each distinct value is
     # formatted once; avg holds exact halves, rendered 60.0 as "60" and
     # 60.5 as "60.5"
@@ -150,31 +208,82 @@ def write_series_csv(series: TemperatureSeries, path) -> None:
         distinct_text(column, _format_half)
         for column in (series.max_f, series.min_f, series.avg, series.dtr, series.month)
     )
+    digest = hashlib.sha256()
 
-    def block(start: int) -> str:
+    def hashed(text: str) -> bytes:
+        chunk = text.encode()
+        digest.update(chunk)
+        return chunk
+
+    def block(start: int) -> bytes:
         rows = slice(start, start + _ROW_BLOCK)
         t = map("{}".format, series.t[rows].tolist())
         cells = zip(
             series.iso_dates[rows], tmax[rows], tmin[rows], avg[rows], dtr[rows], t, month[rows]
         )
-        return "\n".join(map(",".join, cells)) + "\n"
+        return hashed("\n".join(map(",".join, cells)) + "\n")
 
     blocks = map(block, range(0, len(series), _ROW_BLOCK))
-    write_atomic(path, chain([",".join(SERIES_CSV_HEADER) + "\n"], blocks))
+    write_atomic(path, chain([hashed(",".join(SERIES_CSV_HEADER) + "\n")], blocks))
+    sidecar = _sidecar_bytes(series, digest.digest())
+    if sidecar is not None:
+        write_atomic(sidecar_path(path), [sidecar])
+    return digest.hexdigest()
 
 
 def read_series_csv(path) -> TemperatureSeries:
     """Load a series written by :func:`write_series_csv`.
 
-    The dates must run day by day; the series is rebuilt from tmax/tmin so
-    every construction invariant is re-checked, and the stored avg/dtr
-    columns are verified against the rebuild.
+    The file is read once and hashed. When its sidecar mirrors exactly these
+    bytes, the series is built from the sidecar's arrays; otherwise (no
+    sidecar, or a stale, foreign or damaged one) the text is parsed. Either
+    way the series is rebuilt from tmax/tmin, so every construction
+    invariant is re-checked. The text parse requires dates that run day by
+    day and verifies the stored avg/dtr columns against the rebuild.
     """
-    with open(path, newline="") as handle:
-        header = handle.readline().rstrip("\r\n").split(",")
-        if header != SERIES_CSV_HEADER:
-            raise ValueError(f"unexpected series CSV header in {path}: {header}")
-        body = handle.read()
+    data = Path(path).read_bytes()
+    mirrored = _read_sidecar(sidecar_path(path), data)
+    return mirrored if mirrored is not None else _parse_series_csv(data, path)
+
+
+def _read_sidecar(path: Path, data: bytes) -> Optional[TemperatureSeries]:
+    """The series of the sidecar at ``path`` when it is a ``.npy`` record
+    of the expected dtype and shape whose CSV digest is that of ``data``
+    and whose payload matches its own digest; else None.
+
+    The header is checked before any data is used, so a damaged one never
+    sizes an allocation, and nothing is ever unpickled.
+    """
+    days = data.count(b"\n") - 1  # the CSV ends every row, header included
+    try:
+        raw = path.read_bytes()
+        stream = io.BytesIO(raw)
+        if days < 1 or np.lib.format.read_magic(stream) != (1, 0):
+            return None
+        shape, _, dtype = np.lib.format.read_array_header_1_0(stream)
+    except (OSError, ValueError):  # no sidecar, or not a .npy file
+        return None
+    offset = stream.tell()
+    expected = _sidecar_dtype(days)
+    if shape != () or dtype != expected or len(raw) != offset + expected.itemsize:
+        return None
+    view = memoryview(raw)[offset:]
+    if (
+        view[:32] != hashlib.sha256(data).digest()
+        or view[32:_PAYLOAD_OFFSET] != hashlib.sha256(view[_PAYLOAD_OFFSET:]).digest()
+    ):
+        return None
+    record = np.frombuffer(raw, expected, count=1, offset=offset)[0]
+    first = record["first_day"].item()
+    return build_series(record["tmax"], record["tmin"], first, first + timedelta(days=days - 1))
+
+
+def _parse_series_csv(data: bytes, path) -> TemperatureSeries:
+    handle = io.StringIO(data.decode(), newline="")
+    header = handle.readline().rstrip("\r\n").split(",")
+    if header != SERIES_CSV_HEADER:
+        raise ValueError(f"unexpected series CSV header in {path}: {header}")
+    body = handle.read()
     if not body:
         raise ValueError(f"series CSV {path} has no rows")
     rows = np.loadtxt(

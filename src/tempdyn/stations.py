@@ -11,8 +11,10 @@ block of whitespace-separated rows::
     !IAH USW00012960 Houston          # '!' = excluded by default
 
 A leading ``!`` marks a station that is parsed but skipped unless requested
-explicitly (stations with known large data gaps). ``#`` starts a full-line
-comment. Environment variables TEMPDYN_ENDPOINT and TEMPDYN_CACHE_DIR
+explicitly (stations with known large data gaps). ``#`` at the start of a
+line or after whitespace starts a comment, on settings lines and station
+rows alike; elsewhere it is part of the value (``endpoint = http://x/#y``).
+Environment variables TEMPDYN_ENDPOINT and TEMPDYN_CACHE_DIR
 override the corresponding config values.
 """
 
@@ -34,6 +36,7 @@ DEFAULT_WINDOW = (date(1960, 1, 1), date(2017, 12, 31))
 
 # codes and GHCN IDs become file names and unquoted CSV fields
 _IDENTIFIER = re.compile(r"[A-Za-z0-9_-]+")
+_COMMENT = re.compile(r"(?:^|\s)#.*")
 
 
 class ConfigError(ValueError):
@@ -100,8 +103,8 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
     in_stations = False
     codes_seen = set()
     for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = _COMMENT.sub("", raw, count=1).strip()
+        if not line:
             continue
         if line.lower() == "[stations]":
             in_stations = True

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -106,6 +107,7 @@ class TestIngest:
             p.name: p.read_bytes()
             for p in (workspace / "out" / "series").iterdir()
         }
+        assert sorted(first) == ["AAA.csv", "AAA.npy", "BBB.csv", "BBB.npy"]
         first_manifest = json.loads((workspace / "out" / "manifest.json").read_text())
         run(["ingest", "--config", config])
         second = {
@@ -118,6 +120,13 @@ class TestIngest:
         for entry in first_manifest + second_manifest:
             del entry["fetched_at"]
         assert second_manifest == first_manifest
+
+    def test_manifest_records_each_series_sha256(self, workspace):
+        run(["ingest", "--config", str(workspace / "run.cfg")])
+        manifest = json.loads((workspace / "out" / "manifest.json").read_text())
+        for entry in manifest:
+            path = workspace / "out" / "series" / f"{entry['station']}.csv"
+            assert entry["series_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_unknown_station_fails_before_work(self, workspace):
         result = run(
@@ -338,6 +347,45 @@ class TestTables:
         result = run(["tables", "--config", config, "--variable", "both"])
         assert result.exit_code == 0, result.output
         assert sorted(reads) == ["AAA.csv", "BBB.csv"]
+
+    def test_both_variables_share_the_window_factors(self, workspace, monkeypatch):
+        # one window: the joint and trend designs are each factored once for
+        # both variables, and each row is its single-station fit to the bit
+        config = str(workspace / "run.cfg")
+        run(["ingest", "--config", config])
+        factored = []
+        original = models.factorize
+
+        def counting(design):
+            factored.append(design.names)
+            return original(design)
+
+        monkeypatch.setattr(models, "factorize", counting)
+        result = run(["tables", "--config", config, "--variable", "both"])
+        assert result.exit_code == 0, result.output
+        assert len(factored) == 2
+        monkeypatch.undo()
+
+        for var in ("avg", "dtr"):
+            rows = read_csv_rows(workspace / "out" / "tables" / f"table_{var}.csv")
+            assert [r["station"] for r in rows] == ["AAA", "BBB", "Median"]
+            for row in rows[:2]:
+                code = row["station"]
+                single = models.city_report(code, read_series(workspace, code), var)
+                for column in ("delta_trend", "p_nt", "p_ns", "p_nts", "rho", "r_squared"):
+                    assert float(row[f"{column}_full"]).hex() == getattr(single, column).hex()
+
+    def test_tables_equal_with_and_without_sidecars(self, workspace):
+        config = str(workspace / "run.cfg")
+        run(["ingest", "--config", config])
+        tables_dir = workspace / "out" / "tables"
+        run(["tables", "--config", config])
+        with_sidecars = {p.name: p.read_bytes() for p in tables_dir.iterdir()}
+        for sidecar in (workspace / "out" / "series").glob("*.npy"):
+            sidecar.unlink()
+        run(["tables", "--config", config])
+        assert {p.name: p.read_bytes() for p in tables_dir.iterdir()} == with_sidecars
+        assert len(with_sidecars) == 4
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_negative_bandwidth_rejected_once(self, workspace, source):
@@ -695,6 +743,44 @@ def test_series_not_covering_the_window_fails(tmp_path):
         assert result.output == f"Error: {message}\n"
 
 
+def test_series_cut_after_ingest_fails_despite_its_sidecar(workspace):
+    # the sidecar no longer matches the cut CSV, so the cut text is what is
+    # read, and refused
+    config = str(workspace / "run.cfg")
+    run(["ingest", "--config", config])
+    path = workspace / "out" / "series" / "AAA.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:366]))
+    result = run(["tables", "--config", config, "--station", "AAA", "--variable", "avg"])
+    assert result.exit_code == 1
+    assert (
+        f"avg AAA: FAILED (ContiguityError: series {path} covers 1960-01-01..1960-12-30 "
+        f"but the window is {WINDOW_START}..{WINDOW_END}; rerun `tempdyn ingest --station AAA`)"
+    ) in result.output.splitlines()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["tables"],
+        ["figures", "--station", "AAA"],
+        ["fit", "--station", "AAA", "--model", "joint"],
+    ],
+    ids=["tables", "figures", "fit"],
+)
+def test_readers_leave_the_series_files_unchanged(workspace, command):
+    config = str(workspace / "run.cfg")
+    run(["ingest", "--config", config])
+    series_dir = workspace / "out" / "series"
+    # one sidecar stale, one missing: still nothing is written
+    (series_dir / "AAA.npy").write_bytes((series_dir / "BBB.npy").read_bytes())
+    (series_dir / "BBB.npy").unlink()
+    before = {p.name: p.read_bytes() for p in series_dir.iterdir()}
+    result = run([*command, "--config", config])
+    assert result.exit_code == 0, result.output
+    assert {p.name: p.read_bytes() for p in series_dir.iterdir()} == before
+
+
 class TestFit:
     @pytest.mark.parametrize("model", ["trend", "seasonal", "evolving", "joint"])
     def test_fit_prints_coefficients(self, workspace, model):
@@ -775,14 +861,11 @@ class TestFit:
         assert result.exit_code != 0
 
 
-def test_cli_import_loads_neither_scipy_nor_requests():
-    # the estimator runs on numpy alone, requests is needed only when a
-    # download happens, and the archive parser and the fetch pool only when
-    # ingest runs
+def modules_loaded_by(imports: str, unwanted: tuple[str, ...]) -> str:
+    """Which of ``unwanted`` a fresh interpreter holds after ``import {imports}``."""
     src = Path(tempdyn.__file__).resolve().parents[1]
-    unwanted = ("scipy", "requests", "tempdyn.ghcn", "concurrent.futures")
     probe = (
-        "import sys, tempdyn.cli; "
+        f"import sys, {imports}; "
         f"print(','.join(m for m in {unwanted!r} if m in sys.modules))"
     )
     result = subprocess.run(
@@ -792,7 +875,22 @@ def test_cli_import_loads_neither_scipy_nor_requests():
         text=True,
         check=True,
     )
-    assert result.stdout.strip() == ""
+    return result.stdout.strip()
+
+
+def test_cli_import_loads_neither_scipy_nor_requests():
+    # the estimator runs on numpy alone, requests is needed only when a
+    # download happens, and the archive parser and the fetch pool only when
+    # ingest runs
+    unwanted = ("scipy", "requests", "tempdyn.ghcn", "concurrent.futures")
+    assert modules_loaded_by("tempdyn.cli", unwanted) == ""
+
+
+def test_ingest_modules_load_no_fitting_module():
+    # ingest parses, repairs and writes; the estimator, the density and
+    # statistics are left to the commands that fit
+    unwanted = ("tempdyn.models", "tempdyn.regression", "tempdyn.density", "statistics")
+    assert modules_loaded_by("tempdyn.cli, tempdyn.reporting, tempdyn.ghcn", unwanted) == ""
 
 
 BLAS_THREAD_VARIABLES = (

@@ -1,16 +1,19 @@
 import calendar
+import hashlib
 import random
 from datetime import date
 
 import numpy as np
 import pytest
 
+from tempdyn import series as series_mod
 from tempdyn.ghcn import parse_dly, station_observations
 from tempdyn.series import (
     ContiguityError,
     DataInversionError,
     build_series,
     read_series_csv,
+    sidecar_path,
     write_series_csv,
 )
 
@@ -186,3 +189,124 @@ class TestSeriesCsv:
         path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
         with pytest.raises(error, match=message):
             read_series_csv(path)
+
+
+def random_series(start: date, end: date, seed: int = 0):
+    days = (end - start).days + 1
+    rng = np.random.default_rng(seed)
+    tmin = rng.integers(-10, 70, size=days)
+    return build_series(tmin + rng.integers(0, 35, size=days), tmin, start, end)
+
+
+def assert_same_series(got, want):
+    assert got.dates == want.dates
+    for name in ("max_f", "min_f", "avg", "dtr", "t", "month"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+_TEXT_PARSE = series_mod._parse_series_csv
+
+
+def text_parse(path):
+    """The series of a CSV read without its sidecar."""
+    return _TEXT_PARSE(path.read_bytes(), path)
+
+
+def _truncate(sidecar):
+    sidecar.write_bytes(sidecar.read_bytes()[:-100])
+
+
+def _random_bytes(sidecar):
+    sidecar.write_bytes(np.random.default_rng(1).bytes(len(sidecar.read_bytes())))
+
+
+def _stale_digest(sidecar):
+    # the sidecar of another series, as if the CSV were rewritten without it
+    other = sidecar.with_name("other.csv")
+    write_series_csv(random_series(date(1960, 1, 1), date(1961, 12, 31), seed=9), other)
+    sidecar_path(other).replace(sidecar)
+
+
+def _altered_payload(sidecar):
+    # one value changed, both digests kept: taken as a hit, it would read
+    # one value off
+    record = np.load(sidecar, allow_pickle=False)
+    record["tmax"][5] += 1
+    np.save(sidecar, record)
+
+
+def _pickled_objects(sidecar):
+    values = np.array([{"tmax": [1, 2, 3]}, "not a record"], dtype=object)
+    with open(sidecar, "wb") as handle:
+        np.save(handle, values, allow_pickle=True)
+
+
+def _missing(sidecar):
+    sidecar.unlink()
+
+
+class TestSidecar:
+    @pytest.mark.parametrize(
+        "start, end", [(date(1960, 1, 1), date(2017, 12, 31)), (date(1960, 1, 1), date(1961, 12, 31))],
+        ids=["58-year", "2-year"],
+    )
+    def test_hit_equals_the_text_parse(self, tmp_path, monkeypatch, start, end):
+        path = tmp_path / "AAA.csv"
+        write_series_csv(random_series(start, end), path)
+
+        def refuse(data, where):
+            raise AssertionError(f"{where} was parsed as text")
+
+        # a read that returns came from the sidecar
+        monkeypatch.setattr(series_mod, "_parse_series_csv", refuse)
+        assert_same_series(read_series_csv(path), text_parse(path))
+
+    def test_write_returns_the_digest_of_the_csv(self, tmp_path):
+        path = tmp_path / "AAA.csv"
+        digest = write_series_csv(random_series(date(1960, 1, 1), date(1960, 12, 31)), path)
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+        record = np.load(sidecar_path(path), allow_pickle=False)
+        assert record["csv_sha256"].tobytes().hex() == digest
+
+    def test_consistent_edit_reads_the_edited_values(self, tmp_path):
+        path = tmp_path / "AAA.csv"
+        write_series_csv(constant_series(date(2000, 1, 1), date(2000, 1, 10)), path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[3] = "2000-01-03,80,50,65,30,3,1\n"
+        path.write_text("".join(lines))
+        loaded = read_series_csv(path)
+        assert loaded.max_f[2] == 80
+        assert loaded.avg[2] == 65.0
+        assert loaded.dtr[2] == 30.0
+
+    def test_inconsistent_edit_still_rejected(self, tmp_path):
+        path = tmp_path / "AAA.csv"
+        write_series_csv(constant_series(date(2000, 1, 1), date(2000, 1, 10)), path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[3] = "2000-01-03,80,50,60,20,3,1\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match="internally inconsistent"):
+            read_series_csv(path)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [_truncate, _random_bytes, _stale_digest, _altered_payload, _pickled_objects, _missing],
+        ids=["truncated", "random-bytes", "stale-digest", "altered-payload", "pickled", "missing"],
+    )
+    def test_unusable_sidecar_falls_back_to_the_text(self, tmp_path, damage):
+        path = tmp_path / "AAA.csv"
+        write_series_csv(random_series(date(1960, 1, 1), date(1961, 12, 31)), path)
+        parsed = text_parse(path)
+        damage(sidecar_path(path))
+        assert_same_series(read_series_csv(path), parsed)
+
+    def test_values_beyond_16_bits_get_no_sidecar(self, tmp_path):
+        # the sidecar stores 16-bit integers; wider values are read as text
+        path = tmp_path / "AAA.csv"
+        wide = build_series([40000, 70], [50, -40000], date(2000, 1, 1), date(2000, 1, 2))
+        write_series_csv(wide, path)
+        assert not sidecar_path(path).exists()
+        loaded = read_series_csv(path)
+        assert (loaded.max_f.tolist(), loaded.min_f.tolist()) == ([40000, 70], [50, -40000])

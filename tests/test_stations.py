@@ -135,3 +135,31 @@ class TestPackagedDefault:
 
     def test_default_path_exists(self):
         assert default_config_path().exists()
+
+
+class TestComments:
+    def test_trailing_comment_leaves_the_station_name(self):
+        config = parse_config(
+            "[stations]\n!IAH USW00012960 Houston   # '!' = excluded unless requested\n"
+        )
+        assert config.station("IAH").name == "Houston"
+        assert config.station("IAH").excluded
+
+    def test_trailing_comment_leaves_the_setting(self):
+        config = parse_config("hac_bandwidth = auto  # default\nstrict_qc = yes\t# tab\n")
+        assert config.hac_bandwidth == "auto"
+        assert config.strict_qc is True
+
+    def test_hash_inside_a_value_is_kept(self):
+        assert parse_config("endpoint = http://x/#y\n").endpoint == "http://x/#y"
+
+    def test_indented_comment_and_commented_block_header(self):
+        config = parse_config("  # indented\n[stations]  # the block\nAAA USW1 One\n")
+        assert [s.code for s in config.stations] == ["AAA"]
+
+    def test_readme_block_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("### Configuration", 1)[1].split("```")[1]
+        config = parse_config(block)
+        assert config.station("IAH").name == "Houston"
+        assert config.hac_bandwidth == "auto"

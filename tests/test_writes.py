@@ -13,7 +13,7 @@ from tempdyn.density import DensityEstimate
 from tempdyn.ghcn import fetch_station
 from tempdyn.models import BatchReport, CityReport, SeasonalPattern
 from tempdyn.regression import ModelFit
-from tempdyn.series import build_series, write_series_csv
+from tempdyn.series import build_series, read_series_csv, sidecar_path, write_series_csv
 
 from conftest import synthetic_station_bytes
 
@@ -30,6 +30,17 @@ class Unprintable:
 
     def __float__(self):
         raise RuntimeError("cell cannot be written")
+
+
+class WholeInText:
+    """A temperature that formats as text but cannot become an integer, so
+    the series CSV is written and its sidecar fails."""
+
+    def __float__(self):
+        return 71.0
+
+    def __int__(self):
+        raise RuntimeError("sidecar cannot be written")
 
 
 def _series_with_bad_t():
@@ -79,6 +90,23 @@ def test_interrupted_writer_leaves_previous_file(tmp_path, writer):
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
+def test_interrupted_sidecar_leaves_previous_sidecar(tmp_path):
+    # the CSV is replaced, its sidecar is not; the previous sidecar no
+    # longer matches the CSV, so the CSV is read as text
+    built = build_series(np.full(DAYS, 70), np.full(DAYS, 50), START, END)
+    path = tmp_path / "AAA.csv"
+    write_series_csv(built, path)
+    previous = sidecar_path(path).read_bytes()
+    # day 100 becomes 71/50, consistently in every column of the CSV
+    max_f, avg, dtr = built.max_f.astype(object), built.avg.copy(), built.dtr.copy()
+    max_f[100], avg[100], dtr[100] = WholeInText(), 60.5, 21.0
+    with pytest.raises(RuntimeError, match="cannot be written"):
+        write_series_csv(dataclasses.replace(built, max_f=max_f, avg=avg, dtr=dtr), path)
+    assert sidecar_path(path).read_bytes() == previous
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["AAA.csv", "AAA.npy"]
+    assert read_series_csv(path).max_f[99:102].tolist() == [70, 71, 70]
+
+
 class FakeResponse:
     status_code = 200
 
@@ -110,7 +138,8 @@ def test_series_csv_and_cache_file_get_plain_open_mode(tmp_path):
             ("cache", tmp_path / "cache" / "USW00099901.dly"),
         )
     }
-    assert modes == {"plain": 0o644, "series": 0o644, "cache": 0o644}
+    modes["sidecar"] = stat.S_IMODE((tmp_path / "AAA.npy").stat().st_mode)
+    assert modes == {"plain": 0o644, "series": 0o644, "cache": 0o644, "sidecar": 0o644}
     assert (tmp_path / "cache" / "USW00099901.dly").read_bytes() == payload
 
 
