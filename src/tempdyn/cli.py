@@ -1,18 +1,13 @@
-"""Command-line front end.
-
-Subcommands: ``ingest`` (fetch/parse/repair and write per-station series),
-``tables`` (summary tables per variable), ``figures`` (figure-data bundle
-for one station), ``fit`` (single-model debug printout).
-"""
+"""Command-line front end: one ``argparse`` parser dispatching to the
+subcommands ``ingest``, ``tables``, ``figures`` and ``fit``, plain functions."""
 
 from __future__ import annotations
 
+import argparse
 import os
 import sys
 from pathlib import Path
 from typing import Optional
-
-import click
 
 # numpy's bundled OpenBLAS starts one thread per core, and after each of the
 # pipeline's small solves its idle helpers spin: one thread does the same
@@ -33,17 +28,19 @@ from .stations import (  # noqa: E402
     ConfigError, RunConfig, Station, load_config, parse_bandwidth,
 )
 
-VARIABLE_CHOICES = click.Choice(["avg", "dtr", "both"])
+
+class _CommandError(Exception):
+    """A command cannot go on; :func:`main` prints it as one ``Error:`` line."""
 
 
-def _load(config_path: Optional[str]) -> RunConfig:
+def _configure(
+    config_path: Optional[str], endpoint=None, out=None, hac_bandwidth=None, strict_qc=False
+) -> RunConfig:
+    """The config at ``config_path`` (the packaged one if None), with the flags applied."""
     try:
-        return load_config(config_path)
-    except (ConfigError, OSError) as exc:
-        raise click.ClickException(str(exc))
-
-
-def _apply_overrides(config: RunConfig, endpoint, out, hac_bandwidth, strict_qc):
+        config = load_config(config_path)
+    except OSError as exc:
+        raise _CommandError(str(exc))
     if endpoint:
         config.endpoint = endpoint
     if out:
@@ -52,29 +49,7 @@ def _apply_overrides(config: RunConfig, endpoint, out, hac_bandwidth, strict_qc)
         config.hac_bandwidth = hac_bandwidth
     if strict_qc:
         config.strict_qc = True
-
-
-def _parse_bandwidth_flag(ctx, param, value):
-    if value is None:
-        return None
-    try:
-        return parse_bandwidth(value)
-    except ValueError as exc:
-        raise click.BadParameter(str(exc)) from None
-
-
-_hac_bandwidth_option = click.option(
-    "--hac-bandwidth",
-    callback=_parse_bandwidth_flag,
-    help="'auto' or a nonnegative integer.",
-)
-
-
-def _select(config: RunConfig, station_codes) -> list[Station]:
-    try:
-        return config.select(list(station_codes) or None)
-    except ConfigError as exc:
-        raise click.ClickException(str(exc))
+    return config
 
 
 def _check_lag(bandwidth, loaded) -> None:
@@ -88,7 +63,7 @@ def _check_lag(bandwidth, loaded) -> None:
         return
     length, code = min(lengths)
     if bandwidth >= length - 1:
-        raise click.ClickException(
+        raise _CommandError(
             f"HAC bandwidth {bandwidth} must be below the joint model's nobs "
             f"{length - 1} ({code}, the shortest series)"
         )
@@ -117,18 +92,19 @@ def _load_series(config: RunConfig, code: str) -> series_mod.TemperatureSeries:
     return loaded
 
 
-@click.group()
-def main():
-    """Daily temperature trend/seasonality analysis for GHCN stations."""
+def _station_series(config: RunConfig, code: str) -> series_mod.TemperatureSeries:
+    """:func:`_load_series` of a configured station, any failure as one error."""
+    try:
+        config.station(code)  # validate the code before any work
+        return _load_series(config, code)
+    except Exception as exc:  # noqa: BLE001
+        raise _CommandError(str(exc))
 
 
-@main.command()
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-@click.option("--station", "station_codes", multiple=True, help="Airport code; repeatable.")
-@click.option("--endpoint", default=None, help="Archive base URL override.")
-@click.option("--strict-qc", is_flag=True, help="Treat qflag-failing values as missing.")
-@click.option("--out", default=None, help="Output directory override.")
-@click.option("--refresh", is_flag=True, help="Re-download even on cache hit.")
+def _isoformat(dates_by_element: dict) -> dict:
+    return {element: [d.isoformat() for d in dates] for element, dates in dates_by_element.items()}
+
+
 def ingest(config_path, station_codes, endpoint, strict_qc, out, refresh):
     """Fetch, parse, repair, and write per-station daily series CSVs."""
     # only ingest fetches and parses, so the other commands skip these imports
@@ -136,9 +112,8 @@ def ingest(config_path, station_codes, endpoint, strict_qc, out, refresh):
 
     from . import ghcn
 
-    config = _load(config_path)
-    _apply_overrides(config, endpoint, out, None, strict_qc)
-    stations = _select(config, station_codes)
+    config = _configure(config_path, endpoint, out, strict_qc=strict_qc)
+    stations = config.select(station_codes)
 
     series_dir = config.output_dir / "series"
     series_dir.mkdir(parents=True, exist_ok=True)
@@ -164,30 +139,30 @@ def ingest(config_path, station_codes, endpoint, strict_qc, out, refresh):
             except ghcn.DlyParseError as exc:
                 # downloads are checked before they are cached, so the cache file is bad
                 raise ghcn.DlyParseError(
-                    f"cached file {fetched.cache_path}: {exc}; "
-                    "delete it or rerun with --refresh"
+                    f"cached file {fetched.cache_path}: {exc}; delete it or rerun with --refresh"
                 ) from None
-            tmax, tmin, notes = ghcn.station_observations(
-                records, config.window_start, config.window_end, config.strict_qc
-            )
-            built = series_mod.build_series(
-                tmax, tmin, config.window_start, config.window_end
-            )
+            try:
+                tmax, tmin, notes = ghcn.station_observations(
+                    records, config.window_start, config.window_end, config.strict_qc
+                )
+            except ghcn.BoundaryGapError as exc:
+                if fetched.source != "cache":
+                    raise
+                # a cache file cut at a line boundary parses but lacks the last day
+                raise ghcn.BoundaryGapError(
+                    f"cached file {fetched.cache_path}: {exc}; "
+                    "if it was cut short, delete it or rerun with --refresh"
+                ) from None
+            built = series_mod.build_series(tmax, tmin, config.window_start, config.window_end)
             digest = series_mod.write_series_csv(built, _series_path(config, station.code))
             entry.update(
                 status="ok",
                 rows=len(built),
                 series_csv=str(_series_path(config, station.code)),
                 series_sha256=digest,
-                interpolated={
-                    element: [d.isoformat() for d in dates]
-                    for element, dates in notes.interpolated.items()
-                },
+                interpolated=_isoformat(notes.interpolated),
                 inversions_repaired=[d.isoformat() for d in notes.inversions_repaired],
-                qc_suppressed={
-                    element: [d.isoformat() for d in dates]
-                    for element, dates in notes.qc_suppressed.items()
-                },
+                qc_suppressed=_isoformat(notes.qc_suppressed),
             )
         except Exception as exc:  # noqa: BLE001 - reported in the manifest
             entry.update(status="error", error=f"{type(exc).__name__}: {exc}")
@@ -202,29 +177,21 @@ def ingest(config_path, station_codes, endpoint, strict_qc, out, refresh):
         ]
 
     reporting.write_manifest(entries, config.output_dir / "manifest.json")
-    failed = [e for e in entries if e["status"] != "ok"]
     for entry in entries:
         if entry["status"] == "ok":
-            click.echo(f"{entry['station']}: {entry['rows']} rows")
+            print(f"{entry['station']}: {entry['rows']} rows")
         else:
-            click.echo(f"{entry['station']}: FAILED ({entry['error']})", err=True)
-    if failed:
+            print(f"{entry['station']}: FAILED ({entry['error']})", file=sys.stderr)
+    if any(entry["status"] != "ok" for entry in entries):
         sys.exit(1)
 
 
-@main.command()
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-@click.option("--station", "station_codes", multiple=True)
-@click.option("--variable", default="both", type=VARIABLE_CHOICES)
-@_hac_bandwidth_option
-@click.option("--out", default=None)
 def tables(config_path, station_codes, variable, hac_bandwidth, out):
     """Per-station summary tables (trend movement, Wald p-values, rho, R2)."""
     from . import models
 
-    config = _load(config_path)
-    _apply_overrides(config, None, out, hac_bandwidth, False)
-    stations = _select(config, station_codes)
+    config = _configure(config_path, out=out, hac_bandwidth=hac_bandwidth)
+    stations = config.select(station_codes)
     variables = ["avg", "dtr"] if variable == "both" else [variable]
 
     loaded = []
@@ -244,30 +211,21 @@ def tables(config_path, station_codes, variable, hac_bandwidth, out):
         report = models.batch_report(loaded, var, config.hac_bandwidth, factors)
         reporting.write_table_csv(report, tables_dir / f"table_{var}.csv")
         reporting.write_table_text(report, tables_dir / f"table_{var}.txt")
-        click.echo(f"wrote {tables_dir / f'table_{var}.csv'}")
+        print(f"wrote {tables_dir / f'table_{var}.csv'}")
         for code, diagnostic in report.failures:
             any_failure = True
-            click.echo(f"{var} {code}: FAILED ({diagnostic})", err=True)
+            print(f"{var} {code}: FAILED ({diagnostic})", file=sys.stderr)
     if any_failure:
         sys.exit(1)
 
 
-@main.command()
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-@click.option("--station", "station_code", required=True)
-@click.option("--out", default=None)
 def figures(config_path, station_code, out):
     """Figure-data bundle for one station: densities, trends, seasonals."""
     from . import density, models
     from .regression import ols_fit
 
-    config = _load(config_path)
-    _apply_overrides(config, None, out, None, False)
-    try:
-        config.station(station_code)  # validate the code before any work
-        station_series = _load_series(config, station_code)
-    except Exception as exc:  # noqa: BLE001
-        raise click.ClickException(str(exc))
+    config = _configure(config_path, out=out)
+    station_series = _station_series(config, station_code)
 
     figures_dir = config.output_dir / "figures" / station_code
     figures_dir.mkdir(parents=True, exist_ok=True)
@@ -284,7 +242,7 @@ def figures(config_path, station_code, out):
         trend_qr, fixed_qr, evolving_qr = factors.trend, factors.fixed, factors.evolving
         years = models.pattern_years(station_series)
     except ValueError as exc:  # a singular design, or a window with no July 1
-        raise click.ClickException(f"{station_code} avg: {exc}")
+        raise _CommandError(f"{station_code} avg: {exc}")
     densities = {}
     for var in ("avg", "dtr"):
         try:
@@ -292,7 +250,7 @@ def figures(config_path, station_code, out):
         except density.DegenerateBandwidthError:
             # figures has no bandwidth option, so the library's advice to
             # pass one is left out
-            raise click.ClickException(
+            raise _CommandError(
                 f"{station_code} {var}: automatic bandwidth is zero (data has no spread)"
             )
 
@@ -318,55 +276,28 @@ def figures(config_path, station_code, out):
             [evolving.pattern_for_year(station_series, year) for year in years],
             figures_dir / f"evolving_pattern_{var}.csv",
         )
-    click.echo(f"wrote figure data under {figures_dir}")
+    print(f"wrote figure data under {figures_dir}")
 
 
-@main.command()
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-@click.option("--station", "station_code", required=True)
-@click.option("--variable", default="avg", type=click.Choice(["avg", "dtr"]))
-@click.option(
-    "--model",
-    default="joint",
-    type=click.Choice(["trend", "seasonal", "evolving", "joint"]),
-)
-@_hac_bandwidth_option
 def fit(config_path, station_code, variable, model, hac_bandwidth):
     """Fit a single specification and print its coefficient table."""
+    from . import models
     from .regression import BandwidthError, SingularDesignError
 
-    config = _load(config_path)
-    _apply_overrides(config, None, None, hac_bandwidth, False)
+    config = _configure(config_path, hac_bandwidth=hac_bandwidth)
+    station_series = _station_series(config, station_code)
+    fit_model = {"trend": models.fit_trend, "seasonal": models.fit_fixed_seasonal,
+                 "evolving": models.fit_evolving_seasonal, "joint": models.fit_joint}[model]
     try:
-        config.station(station_code)
-        station_series = _load_series(config, station_code)
-    except Exception as exc:  # noqa: BLE001
-        raise click.ClickException(str(exc))
-
-    try:
-        _fit_and_print(station_series, variable, model, config.hac_bandwidth)
+        result = fit_model(station_series, variable, config.hac_bandwidth)
+        _print_fit(result.fit)
+        if model == "trend":
+            print(f"delta_trend: {result.delta_trend:.4f} F over the sample")
+        elif model == "joint":
+            suite = models.hypothesis_suite(result)
+            print(f"p(nt)={suite.p_nt:.4f}  p(ns)={suite.p_ns:.4f}  p(nts)={suite.p_nts:.4f}")
     except (BandwidthError, SingularDesignError) as exc:
-        raise click.ClickException(f"{station_code} {variable} {model}: {exc}")
-
-
-def _fit_and_print(station_series, variable: str, model: str, bandwidth) -> None:
-    from . import models
-
-    fit_model = {
-        "trend": models.fit_trend,
-        "seasonal": models.fit_fixed_seasonal,
-        "evolving": models.fit_evolving_seasonal,
-        "joint": models.fit_joint,
-    }[model]
-    result = fit_model(station_series, variable, bandwidth)
-    _print_fit(result.fit)
-    if model == "trend":
-        click.echo(f"delta_trend: {result.delta_trend:.4f} F over the sample")
-    elif model == "joint":
-        suite = models.hypothesis_suite(result)
-        click.echo(
-            f"p(nt)={suite.p_nt:.4f}  p(ns)={suite.p_ns:.4f}  p(nts)={suite.p_nts:.4f}"
-        )
+        raise _CommandError(f"{station_code} {variable} {model}: {exc}")
 
 
 DAYS_PER_DECADE = 3652.5
@@ -374,19 +305,86 @@ DAYS_PER_DECADE = 3652.5
 
 def _print_fit(fit_result) -> None:
     # slopes on daily time are tiny; show a per-decade rescaling alongside
-    click.echo(f"{'name':<8}{'coef':>16}{'hac_se':>14}{'p':>10}{'per_decade':>14}")
+    print(f"{'name':<8}{'coef':>16}{'hac_se':>14}{'p':>10}{'per_decade':>14}")
     for name in fit_result.names:
         per_decade = ""
         if name == "time" or name.startswith("dt"):
             per_decade = f"{fit_result.coef(name) * DAYS_PER_DECADE:>14.4g}"
-        click.echo(
+        print(
             f"{name:<8}{fit_result.coef(name):>16.6g}"
             f"{fit_result.se(name):>14.4g}{fit_result.coef_p(name):>10.4f}{per_decade}"
         )
-    click.echo(
-        f"nobs={fit_result.nobs}  R2={fit_result.r_squared:.4f}  "
-        f"bandwidth={fit_result.bandwidth}"
-    )
+    print(f"nobs={fit_result.nobs}  R2={fit_result.r_squared:.4f}  "
+          f"bandwidth={fit_result.bandwidth}")
+
+
+def _existing_path(value: str) -> str:
+    if not os.path.exists(value):
+        raise argparse.ArgumentTypeError(f"path {value!r} does not exist")
+    return value
+
+
+def _bandwidth(value: str):
+    try:
+        return parse_bandwidth(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _parser() -> argparse.ArgumentParser:
+    # each docstring's first line is the help text (docstrings are None under -OO)
+    description = (main.__doc__ or "").partition("\n")[0]
+    parser = argparse.ArgumentParser(prog="tempdyn", description=description)
+    subparsers = parser.add_subparsers(required=True, metavar="COMMAND")
+    sub = {}
+    for function in (ingest, tables, figures, fit):
+        summary = (function.__doc__ or "").partition("\n")[0]
+        sub[function] = subparsers.add_parser(function.__name__, help=summary, description=summary)
+        sub[function].set_defaults(command=function)
+        sub[function].add_argument("--config", dest="config_path", metavar="PATH",
+                                   type=_existing_path)
+    for function in (ingest, tables):
+        sub[function].add_argument("--station", dest="station_codes", action="append",
+                                   metavar="CODE", help="Airport code; repeatable.")
+    for function in (figures, fit):
+        sub[function].add_argument("--station", dest="station_code", required=True, metavar="CODE")
+    for function in (ingest, tables, figures):
+        sub[function].add_argument("--out", help="Output directory override.")
+    for function in (tables, fit):
+        sub[function].add_argument("--hac-bandwidth", type=_bandwidth,
+                                   help="'auto' or a nonnegative integer.")
+    sub[ingest].add_argument("--endpoint", help="Archive base URL override.")
+    sub[ingest].add_argument("--strict-qc", action="store_true",
+                             help="Treat qflag-failing values as missing.")
+    sub[ingest].add_argument("--refresh", action="store_true",
+                             help="Re-download even on cache hit.")
+    sub[tables].add_argument("--variable", default="both", choices=["avg", "dtr", "both"])
+    sub[fit].add_argument("--variable", default="avg", choices=["avg", "dtr"])
+    sub[fit].add_argument("--model", default="joint",
+                          choices=["trend", "seasonal", "evolving", "joint"])
+    return parser
+
+
+def main(argv: Optional[list[str]] = None, standalone_mode: bool = True) -> None:
+    """Daily temperature trend/seasonality analysis for GHCN stations.
+
+    Exits with status 2 on a usage error, and with 1 after one ``Error:``
+    line, or a ``FAILED`` line per failed station, on stderr."""
+    # standalone_mode changes nothing: it is click's keyword, which the
+    # benchmark's in-process runner (`bench/layers.py run`) still passes,
+    # and ROADMAP's next benchmark change deletes it with that runner
+    try:
+        arguments = vars(_parser().parse_args(argv))
+        arguments.pop("command")(**arguments)
+        sys.stdout.flush()
+    except (_CommandError, ConfigError) as exc:
+        print(f"Error: {exc}", file=sys.stderr)
+        sys.exit(1)
+    except BrokenPipeError:
+        # the reader closed the pipe (`tempdyn fit ... | head`): stop quietly,
+        # with stdout on devnull so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -17,14 +17,14 @@ and repairs isolated single-day gaps by averaging the neighbouring days.
 Parsing is array-native. The non-empty lines become one ``(lines, 269)``
 uint8 matrix; year, month and every value field of every element are
 checked with byte masks, and only the TMAX/TMIN value fields are decoded,
-to an int32 ``(rows, 31)`` array. A field is decoded in bulk when it is
-"plain": optional leading spaces, an optional ``-`` and at least one digit,
-right-justified. A line with any other field (``+12``, ``1_2``, trailing
-blanks, letters) goes through the per-line decoder :func:`_decode_line`,
-which applies ``int()`` to each field as the archive reader always has: it
-accepts what ``int()`` accepts and raises :class:`DlyParseError` with the
-1-based line number otherwise. Repair scatters each element into an array
-indexed by day of the window, so no per-day object is ever built.
+to an int32 ``(rows, 31)`` array. Every year, month and value field must be
+a right-justified integer, as the archive's readme.txt defines them:
+optional leading spaces, an optional ``-`` and at least one digit. The first
+line in file order with any other field (``+12``, ``1_2``, trailing blanks,
+a tab, letters) or a month outside 1..12 raises :class:`DlyParseError`,
+naming its 1-based line number, the field and, for a value, the day.
+Repair scatters each element into an array indexed by day of the window,
+so no per-day object is ever built.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -88,24 +88,6 @@ class UnsupportedGapError(ValueError):
         self.positions = list(positions)
 
 
-class DlyValue(NamedTuple):
-    value: int
-    mflag: str
-    qflag: str
-    sflag: str
-
-
-@dataclass(frozen=True)
-class RawDlyRecord:
-    """One station-month-element line, exactly as stored in the archive."""
-
-    station_id: str
-    year: int
-    month: int
-    element: str
-    values: tuple[DlyValue, ...]  # always 31 slots
-
-
 @dataclass(frozen=True, eq=False)
 class DlyRecords:
     """The lines of one ``.dly`` file, column by column.
@@ -115,8 +97,7 @@ class DlyRecords:
     ``month`` and ``element`` (4-byte codes) are decoded for every line;
     ``values`` (int32, 31 day slots) only for the TMAX/TMIN lines whose
     indices ``rows`` lists. ``len()`` counts lines. No per-line record is
-    kept: only a line with a field outside the plain pattern is decoded to
-    a :class:`RawDlyRecord`, while parsing (:func:`_decode_line`).
+    kept.
     """
 
     lines: np.ndarray
@@ -219,9 +200,8 @@ def _decode_plain(fields: np.ndarray) -> np.ndarray:
 
 
 def _decode_matrix(matrix: np.ndarray, line_numbers: np.ndarray) -> DlyRecords:
-    """Check and decode the line matrix in bulk. Lines with a field outside
-    the plain pattern go through :func:`_decode_line` in file order, so the
-    first malformed line is the one that raises."""
+    """Check and decode the line matrix in bulk; the first line in file order
+    with a field outside the plain pattern, or a month outside 1..12, raises."""
     value_fields = matrix[:, 21:].reshape(-1, DAY_SLOTS, 8)[:, :, :5]
     year = _decode_plain(matrix[:, 11:15])
     month = _decode_plain(matrix[:, 15:17])
@@ -232,48 +212,28 @@ def _decode_matrix(matrix: np.ndarray, line_numbers: np.ndarray) -> DlyRecords:
         & (month <= 12)
         & _plain(value_fields).all(axis=1)
     )
+    if not plain.all():
+        row = int(np.argmin(plain))
+        raise _field_error(matrix[row], int(line_numbers[row]))
     element = matrix[:, 17:21].copy().view("S4").ravel()
     temperature = np.isin(element, [e.encode("ascii") for e in TEMPERATURE_ELEMENTS])
     rows = np.flatnonzero(temperature)
     values = _decode_plain(value_fields[rows])
-    for row in np.flatnonzero(~plain).tolist():
-        record = _decode_line(matrix[row].tobytes().decode("ascii"), int(line_numbers[row]))
-        year[row], month[row] = record.year, record.month
-        if temperature[row]:
-            values[np.searchsorted(rows, row)] = [slot.value for slot in record.values]
     return DlyRecords(matrix, line_numbers, year, month, element, rows, values)
 
 
-def _decode_line(raw: str, number: int) -> RawDlyRecord:
-    """Decode one 269-character line field by field with ``int()``.
-
-    The reference decoding: :func:`parse_dly` falls back to it for lines
-    with a field outside the plain pattern.
-    """
-    station_id = raw[0:11]
-    try:
-        year = int(raw[11:15])
-    except ValueError:
-        raise DlyParseError(f"non-numeric year field {raw[11:15]!r}", number)
-    try:
-        month = int(raw[15:17])
-    except ValueError:
-        raise DlyParseError(f"non-numeric month field {raw[15:17]!r}", number)
-    if not 1 <= month <= 12:
-        raise DlyParseError(f"month {month} out of range", number)
-    element = raw[17:21]
-    slots = []
-    for day in range(DAY_SLOTS):
-        offset = 21 + 8 * day
-        text = raw[offset : offset + 5]
-        try:
-            value = int(text)
-        except ValueError:
-            raise DlyParseError(
-                f"non-numeric value field {text!r} for day {day + 1}", number
-            )
-        slots.append(DlyValue(value, raw[offset + 5], raw[offset + 6], raw[offset + 7]))
-    return RawDlyRecord(station_id, year, month, element, tuple(slots))
+def _field_error(line: np.ndarray, number: int) -> DlyParseError:
+    """The error for the first bad field of a line :func:`_decode_matrix` refused."""
+    raw = line.tobytes().decode("ascii")
+    if not _plain(line[11:15]):
+        return DlyParseError(f"non-numeric year field {raw[11:15]!r}", number)
+    if not _plain(line[15:17]):
+        return DlyParseError(f"non-numeric month field {raw[15:17]!r}", number)
+    if not 1 <= int(raw[15:17]) <= 12:
+        return DlyParseError(f"month {int(raw[15:17])} out of range", number)
+    day = int(np.argmin(_plain(line[21:].reshape(DAY_SLOTS, 8)[:, :5])))
+    text = raw[21 + 8 * day : 26 + 8 * day]
+    return DlyParseError(f"non-numeric value field {text!r} for day {day + 1}", number)
 
 
 def parse_station(data: bytes, station_id: str) -> DlyRecords:

@@ -5,13 +5,16 @@ from __future__ import annotations
 import calendar
 import math
 import random
+import re
+from dataclasses import dataclass
 from datetime import date
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from tempdyn.density import DensityEstimate
-from tempdyn.ghcn import LINE_LENGTH, TEMPERATURE_ELEMENTS, DlyRecords, RawDlyRecord, _decode_line
+from tempdyn.ghcn import LINE_LENGTH, TEMPERATURE_ELEMENTS, DlyParseError, DlyRecords
 from tempdyn.series import TemperatureSeries
 
 DAY_SLOTS = 31
@@ -40,6 +43,61 @@ def make_dly_line(
     return line
 
 
+class DlyValue(NamedTuple):
+    value: int
+    mflag: str
+    qflag: str
+    sflag: str
+
+
+@dataclass(frozen=True)
+class RawDlyRecord:
+    """One station-month-element line, exactly as stored in the archive."""
+
+    station_id: str
+    year: int
+    month: int
+    element: str
+    values: tuple[DlyValue, ...]  # always 31 slots
+
+
+def dly_int(text: str) -> int:
+    """A right-justified integer field, as GHCN-Daily's readme.txt defines
+    it: spaces, an optional '-', then digits. Anything else is a ValueError."""
+    if re.fullmatch(r" *-?[0-9]+", text) is None:
+        raise ValueError(f"not a right-justified integer: {text!r}")
+    return int(text)
+
+
+def decode_line(raw: str, number: int) -> RawDlyRecord:
+    """Decode one 269-character line field by field with :func:`dly_int`:
+    the reference for ``parse_dly``'s bulk checks and decoding."""
+    station_id = raw[0:11]
+    try:
+        year = dly_int(raw[11:15])
+    except ValueError:
+        raise DlyParseError(f"non-numeric year field {raw[11:15]!r}", number)
+    try:
+        month = dly_int(raw[15:17])
+    except ValueError:
+        raise DlyParseError(f"non-numeric month field {raw[15:17]!r}", number)
+    if not 1 <= month <= 12:
+        raise DlyParseError(f"month {month} out of range", number)
+    element = raw[17:21]
+    slots = []
+    for day in range(DAY_SLOTS):
+        offset = 21 + 8 * day
+        text = raw[offset : offset + 5]
+        try:
+            value = dly_int(text)
+        except ValueError:
+            raise DlyParseError(
+                f"non-numeric value field {text!r} for day {day + 1}", number
+            )
+        slots.append(DlyValue(value, raw[offset + 5], raw[offset + 6], raw[offset + 7]))
+    return RawDlyRecord(station_id, year, month, element, tuple(slots))
+
+
 def serialize_record(record: RawDlyRecord) -> str:
     """Render a parsed record back to its 269-character archive line."""
     parts = [
@@ -58,7 +116,7 @@ def serialize_record(record: RawDlyRecord) -> str:
 def decode_records(records: DlyRecords) -> list[RawDlyRecord]:
     """Each line of a parse result decoded to a record, in file order."""
     return [
-        _decode_line(row.tobytes().decode("ascii"), int(number))
+        decode_line(row.tobytes().decode("ascii"), int(number))
         for row, number in zip(records.lines, records.line_numbers)
     ]
 

@@ -1,16 +1,18 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 import threading
+from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 import tempdyn
 from tempdyn import ghcn, models, regression, reporting, series as series_mod
@@ -49,8 +51,28 @@ BBB USW00099902 Beta-City
     return tmp_path
 
 
-def run(args, **kwargs):
-    return CliRunner().invoke(main, args, catch_exceptions=False, **kwargs)
+@dataclass
+class Result:
+    exit_code: int
+    stdout: str
+    stderr: str
+
+    @property
+    def output(self) -> str:
+        return self.stdout + self.stderr
+
+
+def run(args) -> Result:
+    """``main(args)`` in this process, its printout captured and its exit
+    status taken from the ``SystemExit`` it raises, 0 if none."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    exit_code = 0
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            main(args)
+        except SystemExit as exc:
+            exit_code = exc.code or 0
+    return Result(exit_code, stdout.getvalue(), stderr.getvalue())
 
 
 def read_csv_rows(path: Path) -> list[dict]:
@@ -227,6 +249,27 @@ class TestIngestFaults:
         manifest = json.loads((workspace / "out" / "manifest.json").read_text())
         assert [e["status"] for e in manifest] == ["error", "ok"]
         assert not (workspace / "out" / "series" / "AAA.csv").exists()
+        # failures go to stderr, progress to stdout
+        assert result.stderr.splitlines() == failed == [f"AAA: FAILED ({manifest[0]['error']})"]
+        assert result.stdout == f"BBB: {manifest[1]['rows']} rows\n"
+
+    def test_cache_file_cut_at_a_line_boundary_names_the_file(self, workspace):
+        # a cut that ends on a whole line parses, and shows as the window's
+        # last day missing
+        cache_file = workspace / "cache" / "USW00099901.dly"
+        lines = cache_file.read_bytes().splitlines(keepends=True)
+        cache_file.write_bytes(b"".join(lines[: len(lines) * 4 // 5]))
+        result = run(["ingest", "--config", str(workspace / "run.cfg")])
+        assert result.exit_code == 1
+        manifest = json.loads((workspace / "out" / "manifest.json").read_text())
+        error = manifest[0]["error"]
+        assert error == (
+            f"BoundaryGapError: cached file {cache_file}: TMAX: last observation missing "
+            "at 1961-12-31; if it was cut short, delete it or rerun with --refresh"
+        )
+        assert result.stderr == f"AAA: FAILED ({error})\n"
+        assert [e["status"] for e in manifest] == ["error", "ok"]
+        assert (workspace / "out" / "series" / "BBB.csv").exists()
 
     @pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict-qc"])
     def test_qflags_on_consecutive_days_fail_only_under_strict_qc(self, workspace, strict):
@@ -474,6 +517,12 @@ class TestTables:
             f"{var} XXX: FAILED (SingularDesignError: design column 'lag' is linearly dependent)"
             for var in ("avg", "dtr")
         ]
+        # failures go to stderr, progress to stdout
+        assert result.stderr.splitlines() == failed
+        tables_dir = workspace / "out" / "tables"
+        assert result.stdout.splitlines() == [
+            f"wrote {tables_dir / f'table_{var}.csv'}" for var in ("avg", "dtr")
+        ]
         for var in ("avg", "dtr"):
             rows = read_csv_rows(workspace / "out" / "tables" / f"table_{var}.csv")
             assert [r["station"] for r in rows] == ["AAA", "BBB"]
@@ -666,7 +715,12 @@ class TestFigures:
         result = run(
             ["figures", "--config", str(workspace / "run.cfg"), "--station", "AAA"]
         )
-        assert result.exit_code != 0
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"Error: no series file {workspace / 'out' / 'series' / 'AAA.csv'}; "
+            "run `tempdyn ingest` for AAA first\n"
+        )
 
     def test_unknown_station_rejected(self, workspace):
         result = run(
@@ -858,7 +912,81 @@ class TestFit:
                 "sometimes",
             ]
         )
-        assert result.exit_code != 0
+        assert result.exit_code == 2
+        assert "expected 'auto' or a nonnegative integer, got 'sometimes'" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["tables", "--bogus"],
+        ["tables", "--variable", "bogus"],
+        ["figures"],
+        ["fit"],
+        ["fit", "--station", "AAA", "--model", "bogus"],
+        ["ingest", "--config", "no-such.cfg"],
+        [],
+    ],
+    ids=["unknown-flag", "bad-variable", "figures-without-station", "fit-without-station",
+         "bad-model", "missing-config", "no-command"],
+)
+def test_usage_error_exits_2_before_any_work(tmp_path, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    result = run(args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("usage: tempdyn")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args", [["--help"], ["ingest", "--help"], ["tables", "--help"],
+                                  ["figures", "--help"], ["fit", "--help"]])
+def test_help_exits_0(args):
+    result = run(args)
+    assert result.exit_code == 0
+    assert result.stdout.startswith("usage: tempdyn")
+    assert result.stderr == ""
+
+
+def test_in_process_callers_get_a_return_or_a_system_exit(workspace):
+    # the benchmark's in-process runner passes click's standalone_mode
+    config = str(workspace / "run.cfg")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["ingest", "--config", config], standalone_mode=False) is None
+    with contextlib.redirect_stderr(io.StringIO()) as stderr:
+        with pytest.raises(SystemExit) as info:
+            main(["fit", "--config", config, "--station", "QQQ"], standalone_mode=False)
+    assert info.value.code == 1
+    assert stderr.getvalue().startswith("Error: ")
+    assert len(stderr.getvalue().splitlines()) == 1
+
+
+def test_closed_stdout_ends_quietly(workspace):
+    # as in `tempdyn fit ... | head -1`: the reader is gone before the first
+    # line, and the command stops with status 1 and no traceback
+    config = str(workspace / "run.cfg")
+    run(["ingest", "--config", config])
+    src = Path(tempdyn.__file__).resolve().parents[1]
+    process = subprocess.Popen(
+        [sys.executable, "-m", "tempdyn.cli", "fit", "--config", config, "--station", "AAA"],
+        env=dict(os.environ, PYTHONPATH=str(src), PYTHONUNBUFFERED="1"),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    process.stdout.close()
+    _, stderr = process.communicate(timeout=60)
+    assert (process.returncode, stderr) == (1, b"")
+
+
+@pytest.mark.parametrize("args, status", [(["--help"], 0), (["fit", "--model", "bogus"], 2)])
+def test_help_and_usage_errors_without_docstrings(tmp_path, args, status):
+    # python -OO strips the docstrings that the help texts come from
+    src = Path(tempdyn.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-OO", "-m", "tempdyn.cli", *args], cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+    )
+    assert result.returncode == status
+    assert "Traceback" not in result.stderr
 
 
 def modules_loaded_by(imports: str, unwanted: tuple[str, ...]) -> str:
@@ -882,7 +1010,7 @@ def test_cli_import_loads_neither_scipy_nor_requests():
     # the estimator runs on numpy alone, requests is needed only when a
     # download happens, and the archive parser and the fetch pool only when
     # ingest runs
-    unwanted = ("scipy", "requests", "tempdyn.ghcn", "concurrent.futures")
+    unwanted = ("scipy", "requests", "tempdyn.ghcn", "concurrent.futures", "click")
     assert modules_loaded_by("tempdyn.cli", unwanted) == ""
 
 

@@ -11,8 +11,6 @@ from tempdyn.ghcn import (
     MISSING,
     BoundaryGapError,
     DlyParseError,
-    DlyValue,
-    RawDlyRecord,
     FetchError,
     IngestNotes,
     UnsupportedGapError,
@@ -26,6 +24,8 @@ from tempdyn.ghcn import (
 
 from conftest import (
     FIXTURE_TENTHS,
+    RawDlyRecord,
+    decode_line,
     decode_records,
     filter_elements,
     fixture_line,
@@ -98,6 +98,16 @@ class TestParseDly:
         with pytest.raises(DlyParseError, match="non-numeric value"):
             parse_dly(line_bytes(corrupted))
 
+    @pytest.mark.parametrize("text", ["  1_2", " +150", "150  ", "\t 150"])
+    def test_value_field_must_be_a_right_justified_integer(self, text):
+        # int() reads each of these as a number; the archive's format does not
+        good = make_dly_line("USW00013739", 1960, 1, "TMAX", {1: 10})
+        corrupted = good[:37] + text + good[42:]
+        with pytest.raises(DlyParseError) as info:
+            parse_dly(line_bytes(good, corrupted))
+        assert str(info.value) == f"line 2: non-numeric value field {text!r} for day 3"
+        assert info.value.line_number == 2
+
     def test_month_out_of_range(self):
         line = make_dly_line("USW00013739", 1960, 1, "TMAX", {1: 10})
         corrupted = line[:15] + "13" + line[17:]
@@ -125,7 +135,8 @@ class TestRoundTrip:
 
 
 def reference_parse(data: bytes) -> list[RawDlyRecord]:
-    """The line-by-line decoder parse_dly replaced, kept as its reference."""
+    """The line-by-line decoder parse_dly replaced, kept as its reference:
+    each field must be a right-justified integer (:func:`conftest.dly_int`)."""
     try:
         text = data.decode("ascii")
     except UnicodeDecodeError as exc:
@@ -137,28 +148,7 @@ def reference_parse(data: bytes) -> list[RawDlyRecord]:
             continue
         if len(raw) != 269:
             raise DlyParseError(f"expected 269 characters, got {len(raw)}", number)
-        try:
-            year = int(raw[11:15])
-        except ValueError:
-            raise DlyParseError(f"non-numeric year field {raw[11:15]!r}", number)
-        try:
-            month = int(raw[15:17])
-        except ValueError:
-            raise DlyParseError(f"non-numeric month field {raw[15:17]!r}", number)
-        if not 1 <= month <= 12:
-            raise DlyParseError(f"month {month} out of range", number)
-        slots = []
-        for day in range(31):
-            offset = 21 + 8 * day
-            try:
-                value = int(raw[offset : offset + 5])
-            except ValueError:
-                raise DlyParseError(
-                    f"non-numeric value field {raw[offset:offset + 5]!r} for day {day + 1}",
-                    number,
-                )
-            slots.append(DlyValue(value, *raw[offset + 5 : offset + 8]))
-        records.append(RawDlyRecord(raw[0:11], year, month, raw[17:21], tuple(slots)))
+        records.append(decode_line(raw, number))
     return records
 
 
@@ -610,8 +600,12 @@ class TestFetchStation:
                 "no TMAX or TMIN",
             ),
             (b"", "no TMAX or TMIN"),
+            (
+                station_payload().replace(b"   10", b"  +10", 1),
+                "line 2: non-numeric value field '  +10' for day 1",
+            ),
         ],
-        ids=["html", "truncated", "wrong-station", "no-temperature", "empty"],
+        ids=["html", "truncated", "wrong-station", "no-temperature", "empty", "signed-value"],
     )
     def test_bad_payload_never_cached(self, tmp_path, payload, reason):
         cache_file = tmp_path / f"{STATION}.dly"

@@ -8,17 +8,6 @@ import tempdyn
 PACKAGE = Path(tempdyn.__file__).parent
 
 
-def _is_command(node: ast.AST) -> bool:
-    """A function registered on the click group ``main`` (``@main.command()``)."""
-    return any(
-        isinstance(d, ast.Call)
-        and isinstance(d.func, ast.Attribute)
-        and isinstance(d.func.value, ast.Name)
-        and d.func.value.id == "main"
-        for d in getattr(node, "decorator_list", ())
-    )
-
-
 def _public_definitions(module: ast.Module):
     """(qualified name, node) of each public module-level function or class
     and each public method of a module-level class."""
@@ -50,8 +39,6 @@ def test_every_public_name_has_a_caller_in_the_package():
     unused = []
     for filename, tree in trees.items():
         for qualified, node in _public_definitions(tree):
-            if _is_command(node):
-                continue
             # a use inside the definition itself (recursion) does not count
             inside = {id(n) for n in ast.walk(node)}
             name = qualified.rpartition(".")[2]
