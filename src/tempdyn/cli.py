@@ -69,6 +69,16 @@ def _check_lag(bandwidth, loaded) -> None:
         )
 
 
+def _check_window(config: RunConfig, model: str) -> None:
+    """Refuse, before any series is read, a window short of days of a month."""
+    from .models import check_window_months
+
+    try:
+        check_window_months(config.window_start, config.window_end, model)
+    except ValueError as exc:
+        raise _CommandError(str(exc)) from None
+
+
 def _series_path(config: RunConfig, code: str) -> Path:
     return config.output_dir / "series" / f"{code}.csv"
 
@@ -82,7 +92,7 @@ def _load_series(config: RunConfig, code: str) -> series_mod.TemperatureSeries:
             f"no series file {path}; run `tempdyn ingest` for {code} first"
         )
     loaded = series_mod.read_series_csv(path)
-    first, last = loaded.dates[0], loaded.dates[-1]
+    first, last = loaded.start, loaded.end
     if (first, last) != (config.window_start, config.window_end):
         raise series_mod.ContiguityError(
             f"series {path} covers {first}..{last} but the window is "
@@ -192,6 +202,7 @@ def tables(config_path, station_codes, variable, hac_bandwidth, out):
 
     config = _configure(config_path, out=out, hac_bandwidth=hac_bandwidth)
     stations = config.select(station_codes)
+    _check_window(config, "joint")
     variables = ["avg", "dtr"] if variable == "both" else [variable]
 
     loaded = []
@@ -225,6 +236,7 @@ def figures(config_path, station_code, out):
     from .regression import ols_fit
 
     config = _configure(config_path, out=out)
+    _check_window(config, "evolving")
     station_series = _station_series(config, station_code)
 
     figures_dir = config.output_dir / "figures" / station_code
@@ -232,16 +244,17 @@ def figures(config_path, station_code, out):
 
     # Only coefficients, residuals and fitted values are written, so the
     # models are fitted by plain OLS, without HAC covariances. avg and dtr
-    # share the window's factors. Every step that can fail comes before the
-    # first write, so a failure leaves the station's files as they were: the
-    # designs are factored, the pattern years found (a singular design or a
-    # window with no July 1 is reported with avg, the variable fitted first),
-    # and both densities estimated.
+    # share the window's factors, built first (built after the CSV writes,
+    # their temporaries added 2 MiB to the peak RSS). Every step that can
+    # fail comes before the first write, so a failure leaves the station's
+    # files as they were: the pattern years are found (a window with no
+    # July 1 is reported with avg, the variable fitted first) and both
+    # densities estimated.
     factors = models.WindowFactors(station_series)
+    trend_qr, fixed_qr, evolving_qr = factors.trend, factors.fixed, factors.evolving
     try:
-        trend_qr, fixed_qr, evolving_qr = factors.trend, factors.fixed, factors.evolving
         years = models.pattern_years(station_series)
-    except ValueError as exc:  # a singular design, or a window with no July 1
+    except ValueError as exc:  # a window with no July 1
         raise _CommandError(f"{station_code} avg: {exc}")
     densities = {}
     for var in ("avg", "dtr"):
@@ -282,9 +295,10 @@ def figures(config_path, station_code, out):
 def fit(config_path, station_code, variable, model, hac_bandwidth):
     """Fit a single specification and print its coefficient table."""
     from . import models
-    from .regression import BandwidthError, SingularDesignError
+    from .regression import BandwidthError, InsufficientDataError, SingularDesignError
 
     config = _configure(config_path, hac_bandwidth=hac_bandwidth)
+    _check_window(config, {"seasonal": "fixed"}.get(model, model))
     station_series = _station_series(config, station_code)
     fit_model = {"trend": models.fit_trend, "seasonal": models.fit_fixed_seasonal,
                  "evolving": models.fit_evolving_seasonal, "joint": models.fit_joint}[model]
@@ -296,7 +310,7 @@ def fit(config_path, station_code, variable, model, hac_bandwidth):
         elif model == "joint":
             suite = models.hypothesis_suite(result)
             print(f"p(nt)={suite.p_nt:.4f}  p(ns)={suite.p_ns:.4f}  p(nts)={suite.p_nts:.4f}")
-    except (BandwidthError, SingularDesignError) as exc:
+    except (BandwidthError, InsufficientDataError, SingularDesignError) as exc:
         raise _CommandError(f"{station_code} {variable} {model}: {exc}")
 
 

@@ -496,8 +496,7 @@ def fetch_station(
             stacklevel=2,
         )
     os.makedirs(cache_dir, exist_ok=True)
-    # parse_station accepted the payload, so it is ASCII and decodes losslessly
-    write_atomic(cache_path, [payload.decode("ascii")])
+    write_atomic(cache_path, [payload])
     return Fetched(payload, "network", cache_path, datetime.now(timezone.utc))
 
 

@@ -5,12 +5,13 @@ For a daily series Y (AVG or DTR) over t = 1..T:
   trend:             Y ~ c + b*t                              (raw data)
   fixed seasonal:    Y~ ~ D_1..D_12                           (de-trended, no intercept)
   evolving seasonal: Y~ ~ D_1..D_12, D_1*t..D_12*t            (de-trended, no intercept)
-  joint:             Y ~ c, t, Y(-1), D_i (i != 7), D_i*t (i != 7)
+  joint:             Y ~ c, t, D_i (i != 7), D_i*t (i != 7), Y(-1)
 
 July is dropped from the joint design so the intercept captures July and
 the remaining seasonal coefficients are relative to July. The joint fit
 estimates over t = 2..T (the first day feeds the lag), with the time
-regressor un-rescaled (t in days).
+regressor un-rescaled (t in days). The lag is its last column (the paper
+lists it third; no estimate, error or test depends on the order).
 
 Every column but the joint model's lag depends only on the window (first
 date and length), so one :class:`WindowFactors` holds the factored design of
@@ -33,6 +34,7 @@ Three Wald hypotheses are evaluated on the joint fit:
 
 from __future__ import annotations
 
+import calendar
 from dataclasses import dataclass
 from datetime import date
 from functools import cached_property
@@ -64,7 +66,6 @@ JOINT_DUMMIES = tuple(n for i, n in enumerate(DUMMY_NAMES, start=1) if i != JULY
 JOINT_INTERACTIONS = tuple(
     n for i, n in enumerate(INTERACTION_NAMES, start=1) if i != JULY
 )
-LAG_POSITION = 2  # joint design columns: const, time, lag, dummies, interactions
 
 
 @dataclass(frozen=True)
@@ -83,9 +84,7 @@ class SeasonalPattern:
 class TrendFit:
     """Linear-trend regression of one variable, with HAC inference."""
 
-    variable: str
     fit: ModelFit
-    slope: float
     delta_trend: float  # slope * (T - 1): total fitted movement over the sample
     slope_p: float
 
@@ -129,7 +128,7 @@ def pattern_years(series: TemperatureSeries) -> tuple[int, ...]:
     """The years of the first and last July 1 in the series' window (one
     year if they are the same day), where figures evaluate the evolving
     pattern. A window with no July 1 raises ValueError."""
-    first, last = series.dates[0], series.dates[-1]
+    first, last = series.start, series.end
     start = first.year + (first > date(first.year, JULY, 1))
     end = last.year - (last < date(last.year, JULY, 1))
     if start > end:
@@ -140,9 +139,27 @@ def pattern_years(series: TemperatureSeries) -> tuple[int, ...]:
     return (start,) if start == end else (start, end)
 
 
+# days of each calendar month a design needs: one per dummy, two per slope
+# on t; the joint design's July is its intercept and time trend
+_MONTH_DAYS = {"trend": 0, "fixed": 1, "evolving": 2, "joint": 2}
+
+
+def check_window_months(start: date, end: date, model: str) -> None:
+    """Raise ValueError naming the calendar months of ``[start, end]`` with
+    too few days for ``model``'s design to have full rank on any series.
+    The joint model is fitted from the second day."""
+    days = np.arange(np.datetime64(start, "D") + (model == "joint"), np.datetime64(end, "D") + 1)
+    counts = np.bincount(days.astype("datetime64[M]").astype(np.int64) % 12, minlength=12)
+    short = [calendar.month_abbr[m + 1] for m in np.flatnonzero(counts < _MONTH_DAYS[model])]
+    if short:
+        raise ValueError(
+            f"window {start}..{end} is short of days in {', '.join(short)}: the {model} model "
+            f"needs {('one day', 'two days')[_MONTH_DAYS[model] - 1]} in every calendar month"
+        )
+
+
 @dataclass(frozen=True)
 class JointFit:
-    variable: str
     fit: ModelFit
 
     @property
@@ -220,12 +237,9 @@ def fit_trend(
     for every ``fit_<model>``; they are built when omitted."""
     factors = factors or WindowFactors(series)
     fit = fit_with_hac(factors.trend, series.variable(variable), bandwidth)
-    slope = fit.coef("time")
     return TrendFit(
-        variable=variable,
         fit=fit,
-        slope=slope,
-        delta_trend=slope * (len(series) - 1),
+        delta_trend=fit.coef("time") * (len(series) - 1),
         slope_p=fit.coef_p("time"),
     )
 
@@ -273,20 +287,19 @@ def month_block_factor(month: np.ndarray, t: Optional[np.ndarray] = None) -> QRF
         spread = np.sqrt(np.bincount(index, weights=centred * centred, minlength=12))
         diagonal = np.concatenate([root, spread])
     r = np.diag(diagonal)
-    order = np.arange(k)
     scale = float(np.linalg.norm(design.data, axis=0).max())
-    _check_rank(design.names, r, order, scale)
+    _check_rank(design.names, r, scale)
 
     q = np.zeros((n, k), order="F")
     q[days, index] = 1.0 / root[index]
     if t is not None:
-        r[order[:12], order[12:]] = sums / root  # row d_m, column dt_m
+        months = np.arange(12)
+        r[months, 12 + months] = sums / root  # row d_m, column dt_m
         q[days, 12 + index] = centred / spread[index]
     # R is upper triangular, so LU's partial pivoting swaps no rows and the
     # solve is a back substitution
     r_inv = np.linalg.solve(r, np.eye(k))
-    # the dummies partition the days, so the all-ones vector is their sum
-    return QRFactor(design, q, np.empty((n, 0)), r, r_inv, order, scale, True)
+    return QRFactor(design, q, np.empty((n, 0)), r, r_inv, scale)
 
 
 def _detrended(
@@ -324,19 +337,9 @@ def joint_shared_design(month: np.ndarray, t: np.ndarray) -> DesignMatrix:
     time = np.asarray(t, dtype=np.float64)[1:]
     if len(time) < 1:
         raise ValueError("joint model needs at least two observations")
-    columns = [np.ones(len(time)), time]
-    names = ["const", "time"]
-    for i in range(1, 13):
-        if i == JULY:
-            continue
-        columns.append((month == i).astype(np.float64))
-        names.append(DUMMY_NAMES[i - 1])
-    for i in range(1, 13):
-        if i == JULY:
-            continue
-        columns.append((month == i).astype(np.float64) * time)
-        names.append(INTERACTION_NAMES[i - 1])
-    return DesignMatrix(tuple(names), np.column_stack(columns))
+    dummies = (month[:, None] == np.delete(np.arange(1, 13), JULY - 1)).astype(np.float64)
+    data = np.column_stack([np.ones(len(time)), time, dummies, dummies * time[:, None]])
+    return DesignMatrix(("const", "time") + JOINT_DUMMIES + JOINT_INTERACTIONS, data)
 
 
 def fit_joint(
@@ -349,8 +352,8 @@ def fit_joint(
     :func:`joint_shared_design`, so the fit makes no new decomposition."""
     factors = factors or WindowFactors(series)
     y = series.variable(variable)
-    factor = factors.joint.bordered(LAG_POSITION, "lag", y[:-1])
-    return JointFit(variable, fit_with_hac(factor, y[1:], bandwidth))
+    factor = factors.joint.bordered("lag", y[:-1])
+    return JointFit(fit_with_hac(factor, y[1:], bandwidth))
 
 
 class WindowFactors:
@@ -460,7 +463,7 @@ def batch_report(
         try:
             if isinstance(series, Exception):
                 raise series
-            window = (series.dates[0], len(series))
+            window = (series.start, len(series))
             if window not in factors:
                 factors[window] = WindowFactors(series)
             rows.append(city_report(station, series, variable, bandwidth, factors[window]))

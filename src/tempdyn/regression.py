@@ -24,10 +24,11 @@ one Gram of n+L window sums instead of L+1 lagged cross products
 One :class:`QRFactor` serves both the coefficients and the covariance:
 (X'X)^-1 = R^-1 R^-T from the same R that solved for beta and passed the
 rank check. A design shared by many regressands is factored once, and a
-per-regressand column (the joint model's lag) borders that factor by one
-Gram-Schmidt step instead of a new decomposition: by Frisch-Waugh-Lovell
-its coefficient is the regression of the partialled-out regressand on the
-partialled-out column (Lovell 1963, JASA 58).
+per-regressand column (the joint model's lag) is appended to that factor
+by one Gram-Schmidt step instead of a new decomposition: by
+Frisch-Waugh-Lovell its coefficient is the regression of the
+partialled-out regressand on the partialled-out column (Lovell 1963,
+JASA 58). A factor keeps its design's column order.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 RANK_TOL = 1e-10
-ORTHO_TOL = 1e-8  # span test for the all-ones vector (centered R^2)
 _WINDOW_BLOCK = 2048  # rows of Bartlett window sums built at a time
 
 Bandwidth = Union[int, str]
@@ -139,30 +139,21 @@ def resolve_bandwidth(nobs: int, bandwidth: Bandwidth) -> int:
     return lag
 
 
-def _check_rank(
-    names: Sequence[str], r: np.ndarray, order: Sequence[int], scale: float
-) -> None:
+def _check_rank(names: Sequence[str], r: np.ndarray, scale: float) -> None:
     """Reject a design when a diagonal entry of its QR factor R is negligible.
 
     Negligible means at most RANK_TOL times ``scale``, the largest column
-    norm of the design; ``order[j]`` is the design column behind ``R[j, j]``.
+    norm of the design; ``R[j, j]`` belongs to design column j.
     """
     tol = RANK_TOL * max(scale, 1e-300)
     deficient = np.nonzero(np.abs(np.diag(r)) <= tol)[0]
     if deficient.size:
-        raise SingularDesignError(names[order[deficient[0]]])
-
-
-def _spans_ones(q: np.ndarray, border: np.ndarray) -> bool:
-    """Whether the all-ones vector lies in the span of the orthonormal columns."""
-    ones = np.ones(q.shape[0])
-    left = ones - q @ (q.T @ ones) - border @ (border.T @ ones)
-    return float(np.max(np.abs(left))) < ORTHO_TOL
+        raise SingularDesignError(names[deficient[0]])
 
 
 @dataclass(frozen=True)
 class QRFactor:
-    """Rank-checked QR factor of one design: ``design.data[:, order] = Q @ r``.
+    """Rank-checked QR factor of one design: ``design.data = Q @ r``.
 
     Q is ``[q, border]``: q from the decomposition, border the columns that
     :meth:`bordered` appended, kept apart so that a shared q is never
@@ -177,9 +168,7 @@ class QRFactor:
     border: np.ndarray  # n x (k - m) orthonormal columns added by bordered()
     r: np.ndarray  # k x k, upper triangular
     r_inv: np.ndarray  # inverse of r
-    order: np.ndarray  # design column behind each column of Q and r
     scale: float  # largest column norm of the design, the rank test's unit
-    centered: bool  # the all-ones vector lies in the column span (centered R^2)
 
     def qt(self, v: np.ndarray) -> np.ndarray:
         """Q'v."""
@@ -190,8 +179,8 @@ class QRFactor:
         m = self.q.shape[1]
         return self.q @ c[:m] + self.border @ c[m:]
 
-    def bordered(self, position: int, name: str, column: np.ndarray) -> QRFactor:
-        """The factor of the design with ``column`` inserted at ``position``.
+    def bordered(self, name: str, column: np.ndarray) -> QRFactor:
+        """The factor of the design with ``column`` appended as its last column.
 
         The column is orthogonalised against Q twice (classical Gram-Schmidt
         with one reorthogonalisation); its coefficients and the norm of what
@@ -212,19 +201,17 @@ class QRFactor:
         r[:k, :k] = self.r
         r[:k, k] = coef
         r[k, k] = np.linalg.norm(left)
-        order = np.append(self.order + (self.order >= position), position)
-        names = self.design.names[:position] + (name,) + self.design.names[position:]
+        names = self.design.names + (name,)
         scale = max(self.scale, float(np.linalg.norm(column)))
-        _check_rank(names, r, order, scale)
+        _check_rank(names, r, scale)
 
         r_inv = np.zeros((k + 1, k + 1))
         r_inv[:k, :k] = self.r_inv
         r_inv[:k, k] = -(self.r_inv @ coef) / r[k, k]
         r_inv[k, k] = 1.0 / r[k, k]
         border = np.column_stack([self.border, left / r[k, k]])
-        design = DesignMatrix(names, np.insert(self.design.data, position, column, axis=1))
-        centered = self.centered or _spans_ones(self.q, border)
-        return QRFactor(design, self.q, border, r, r_inv, order, scale, centered)
+        design = DesignMatrix(names, np.column_stack([self.design.data, column]))
+        return QRFactor(design, self.q, border, r, r_inv, scale)
 
 
 def factorize(X: DesignMatrix) -> QRFactor:
@@ -242,39 +229,34 @@ def factorize(X: DesignMatrix) -> QRFactor:
     # 58-year daily trend design that put a 24 times larger rounding error
     # on the intercept (1.2e-12 against 4.9e-14)
     q = np.asfortranarray(q)
-    order = np.arange(k)
     scale = float(np.linalg.norm(X.data, axis=0).max())
-    _check_rank(X.names, r, order, scale)
-    border = np.empty((n, 0))
+    _check_rank(X.names, r, scale)
     # R is upper triangular, so LU's partial pivoting swaps no rows and the
     # solve is a back substitution
     r_inv = np.linalg.solve(r, np.eye(k))
-    return QRFactor(X, q, border, r, r_inv, order, scale, _spans_ones(q, border))
+    return QRFactor(X, q, np.empty((n, 0)), r, r_inv, scale)
 
 
 def ols_fit(factor: QRFactor, y: np.ndarray) -> ModelFit:
     """Least-squares fit via the QR factor of a design; hac_cov left
     unpopulated.
 
-    R^2 is centered whenever the all-ones vector lies in the column span
-    (intercept present, or a complete dummy partition), else uncentered.
+    R^2 is centred: every design the package fits spans the constant (the
+    trend and joint designs hold an intercept, the seasonal dummies
+    partition the days).
     """
     data = factor.design.data
     y = np.asarray(y, dtype=np.float64)
-    n, k = data.shape
+    n = len(data)
     if y.shape != (n,):
         raise ValueError(f"y has shape {y.shape}, expected ({n},)")
 
-    beta = np.empty(k)
-    beta[factor.order] = np.linalg.solve(factor.r, factor.qt(y))
+    beta = np.linalg.solve(factor.r, factor.qt(y))
     residuals = y - data @ beta
 
     ssr = float(residuals @ residuals)
-    if factor.centered:
-        deviations = y - y.mean()
-        sst = float(deviations @ deviations)
-    else:
-        sst = float(y @ y)
+    deviations = y - y.mean()
+    sst = float(deviations @ deviations)
     r_squared = 1.0 - ssr / sst if sst > 0 else 1.0
 
     beta.setflags(write=False)
@@ -319,14 +301,13 @@ def hac_cov(
     """
     data = factor.design.data
     residuals = np.asarray(residuals, dtype=np.float64)
-    n, k = data.shape
+    n = len(data)
     if residuals.shape != (n,):
         raise ValueError("residuals do not match design length")
     lag = resolve_bandwidth(n, bandwidth)
 
     meat = bartlett_meat(data, residuals, lag)
-    xtx_inv = np.empty((k, k))
-    xtx_inv[np.ix_(factor.order, factor.order)] = factor.r_inv @ factor.r_inv.T
+    xtx_inv = factor.r_inv @ factor.r_inv.T
     cov = xtx_inv @ meat @ xtx_inv
     cov = (cov + cov.T) / 2.0
     cov.setflags(write=False)

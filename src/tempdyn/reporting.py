@@ -3,7 +3,8 @@
 Every artifact is written twice where it makes sense: CSV for machines and
 an aligned text table for eyeballing. Data files carry no timestamps so
 re-runs on unchanged inputs are byte-identical; the ingest manifest records
-provenance and timing instead.
+provenance instead (each station's data source and when it was fetched,
+its series sha256 and repairs), and no timing.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from datetime import date, timedelta
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
@@ -30,22 +30,17 @@ class ContiguityError(ValueError):
 class DataInversionError(ValueError):
     """tmax < tmin survived ingest-level repair."""
 
-    def __init__(self, dates: Sequence[date]):
-        super().__init__(
-            "max below min on: " + ", ".join(d.isoformat() for d in dates)
-        )
-        self.dates = list(dates)
-
 
 @dataclass(frozen=True)
 class TemperatureSeries:
     """Immutable aligned daily record. Arrays are read-only once built.
 
     ``avg`` holds exact half-degree values (integer inputs make (max+min)/2
-    representable without rounding); ``t`` runs 1..T.
+    representable without rounding); ``t`` runs 1..T, one day each from
+    ``start``.
     """
 
-    dates: tuple[date, ...]
+    start: date
     max_f: np.ndarray
     min_f: np.ndarray
     avg: np.ndarray
@@ -54,7 +49,12 @@ class TemperatureSeries:
     month: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.dates)
+        return len(self.t)
+
+    @property
+    def end(self) -> date:
+        """The last day."""
+        return self.start + timedelta(days=len(self) - 1)
 
     def variable(self, name: str) -> np.ndarray:
         """Regressand accessor: 'avg' or 'dtr', as float64."""
@@ -66,7 +66,7 @@ class TemperatureSeries:
     def iso_dates(self) -> list[str]:
         """ISO 8601 text of each day, composed a month at a time and once
         per series, however many files it dates."""
-        first, last = self.dates[0], self.dates[-1]
+        first, last = self.start, self.end
         text = []
         for year in range(first.year, last.year + 1):
             for month in range(1, 13):
@@ -74,12 +74,12 @@ class TemperatureSeries:
                 length = calendar.monthrange(year, month)[1]
                 text += [prefix + suffix for suffix in _DAY_SUFFIXES[:length]]
         offset = (first - date(first.year, 1, 1)).days
-        return text[offset : offset + len(self.dates)]
+        return text[offset : offset + len(self)]
 
     def position_of(self, when: date) -> int:
         """0-based index of a calendar date (t value is position + 1)."""
-        offset = (when - self.dates[0]).days
-        if not 0 <= offset < len(self.dates):
+        offset = (when - self.start).days
+        if not 0 <= offset < len(self):
             raise ValueError(f"{when} outside series window")
         return offset
 
@@ -101,9 +101,8 @@ def build_series(
     min_f = np.array(min_f, dtype=np.int64)
     inverted = np.flatnonzero(max_f < min_f)
     if inverted.size:
-        raise DataInversionError(
-            [start + timedelta(days=i) for i in inverted.tolist()]
-        )
+        days = (start + timedelta(days=i) for i in inverted.tolist())
+        raise DataInversionError("max below min on: " + ", ".join(map(str, days)))
 
     days = np.arange(np.datetime64(start, "D"), np.datetime64(end, "D") + 1)
     avg = (max_f + min_f) / 2.0
@@ -112,7 +111,7 @@ def build_series(
     month = days.astype("datetime64[M]").astype(np.int64) % 12 + 1
     for array in (max_f, min_f, avg, dtr, t, month):
         array.setflags(write=False)
-    return TemperatureSeries(tuple(days.tolist()), max_f, min_f, avg, dtr, t, month)
+    return TemperatureSeries(start, max_f, min_f, avg, dtr, t, month)
 
 
 SERIES_CSV_HEADER = ["date", "tmax", "tmin", "avg", "dtr", "t", "month"]
@@ -175,7 +174,7 @@ def _sidecar_bytes(series: TemperatureSeries, csv_sha256: bytes) -> Optional[byt
     """The sidecar of the series, or None when a value does not fit its
     16-bit fields."""
     record = np.zeros((), _sidecar_dtype(len(series)))
-    record["first_day"] = np.datetime64(series.dates[0], "D")
+    record["first_day"] = np.datetime64(series.start, "D")
     record["tmax"] = series.max_f
     record["tmin"] = series.min_f
     if not (

@@ -12,7 +12,7 @@ from datetime import date, timedelta
 import numpy as np
 from scipy.signal import lfilter
 
-from tempdyn.models import LAG_POSITION, joint_shared_design
+from tempdyn.models import joint_shared_design
 from tempdyn.regression import DesignMatrix
 
 
@@ -67,7 +67,8 @@ def simulate_joint(
 def joint_design(
     month: np.ndarray, t: np.ndarray, y: np.ndarray
 ) -> tuple[DesignMatrix, np.ndarray]:
-    """The joint model's full design and regressand over t = 2..T.
+    """The joint model's full design and regressand over t = 2..T, with the
+    lag as the last column, where ``models.fit_joint`` borders it.
 
     ``models.fit_joint`` never builds this matrix in one piece: it borders
     the factored shared design with the lag. Tests fit it directly as an
@@ -75,9 +76,8 @@ def joint_design(
     """
     y = np.asarray(y, dtype=np.float64)
     shared = joint_shared_design(month, t)
-    names = shared.names[:LAG_POSITION] + ("lag",) + shared.names[LAG_POSITION:]
-    data = np.insert(shared.data, LAG_POSITION, y[:-1], axis=1)
-    return DesignMatrix(names, data), y[1:]
+    data = np.column_stack([shared.data, y[:-1]])
+    return DesignMatrix(shared.names + ("lag",), data), y[1:]
 
 
 def joint_truth(

@@ -93,7 +93,7 @@ def read_series(workspace: Path, code: str) -> series_mod.TemperatureSeries:
 def narrow_window(workspace: Path, start: date, end: date) -> series_mod.TemperatureSeries:
     """Cut AAA's ingested series to [start, end] and configure that window."""
     aaa = read_series(workspace, "AAA")
-    keep = slice(aaa.dates.index(start), aaa.dates.index(end) + 1)
+    keep = slice(aaa.position_of(start), aaa.position_of(end) + 1)
     write_series(workspace, "AAA", aaa.max_f[keep], aaa.min_f[keep], start, end)
     config = workspace / "run.cfg"
     config.write_text(
@@ -478,7 +478,7 @@ class TestTables:
         original = models.WindowFactors
 
         def counting(series):
-            windows.append((series.dates[0], len(series)))
+            windows.append((series.start, len(series)))
             return original(series)
 
         monkeypatch.setattr(models, "WindowFactors", counting)
@@ -500,14 +500,14 @@ class TestTables:
     def test_degenerate_lag_named_while_other_rows_written(self, workspace, kind):
         config = str(workspace / "run.cfg")
         run(["ingest", "--config", config])
-        dates = read_series(workspace, "AAA").dates
+        aaa = read_series(workspace, "AAA")
         if kind == "constant":
-            tmax, tmin = np.full(len(dates), 60), np.full(len(dates), 50)
+            tmax, tmin = np.full(len(aaa), 60), np.full(len(aaa), 50)
         else:
             # each day holds the next day's month number, so every lag is the
             # intercept plus month dummies
-            following = np.array([d.month for d in dates[1:]] + [1])
-            tmax, tmin = 2 * following, np.zeros(len(dates), dtype=np.int64)
+            following = np.append(aaa.month[1:], 1)
+            tmax, tmin = 2 * following, np.zeros(len(aaa), dtype=np.int64)
         write_series(workspace, "XXX", tmax, tmin, WINDOW_START, WINDOW_END)
         result = run(["tables", "--config", config,
                       "--station", "AAA", "--station", "XXX", "--station", "BBB"])
@@ -667,7 +667,8 @@ class TestFigures:
         assert {p.name: p.read_bytes() for p in bundle.iterdir()} == written
 
     def test_singular_design_is_a_one_line_error(self, workspace):
-        # three months of data leave nine month dummies without a single day
+        # three months of data leave nine month dummies without a single
+        # day, which the window alone shows
         config = str(workspace / "run.cfg")
         run(["ingest", "--config", config])
         aaa = read_series(workspace, "AAA")
@@ -676,9 +677,11 @@ class TestFigures:
         short.write_text(short.read_text().replace(f"window_end = {WINDOW_END}", "window_end = 1960-03-31"))
         result = run(["figures", "--config", config, "--station", "AAA"])
         assert result.exit_code == 1
-        assert result.output.startswith("Error: AAA avg: design column 'd")
-        assert result.output.rstrip().endswith("is linearly dependent")
-        assert len(result.output.splitlines()) == 1
+        assert result.output == (
+            "Error: window 1960-01-01..1960-03-31 is short of days in Apr, May, Jun, "
+            "Jul, Aug, Sep, Oct, Nov, Dec: the evolving model needs two days in every "
+            "calendar month\n"
+        )
 
     @pytest.mark.parametrize(
         "start, end, year",
@@ -835,6 +838,48 @@ def test_readers_leave_the_series_files_unchanged(workspace, command):
     assert {p.name: p.read_bytes() for p in series_dir.iterdir()} == before
 
 
+@pytest.mark.parametrize(
+    "end, command, message",
+    [
+        (date(2000, 5, 31), ["tables"], "Jun, Jul, Aug, Sep, Oct, Nov, Dec: the joint model needs two days"),
+        (date(2000, 5, 31), ["figures", "--station", "AAA"],
+         "Jun, Jul, Aug, Sep, Oct, Nov, Dec: the evolving model needs two days"),
+        (date(2000, 5, 31), ["fit", "--station", "AAA", "--model", "seasonal"],
+         "Jun, Jul, Aug, Sep, Oct, Nov, Dec: the fixed model needs one day"),
+        (date(2000, 12, 1), ["tables"], "Dec: the joint model needs two days"),
+        (date(2000, 12, 1), ["figures", "--station", "AAA"], "Dec: the evolving model needs two days"),
+        (date(2000, 12, 1), ["fit", "--station", "AAA", "--model", "evolving"],
+         "Dec: the evolving model needs two days"),
+        (date(2000, 12, 1), ["fit", "--station", "AAA", "--model", "joint"],
+         "Dec: the joint model needs two days"),
+    ],
+    ids=["may-tables", "may-figures", "may-fit-seasonal", "dec-tables", "dec-figures",
+         "dec-fit-evolving", "dec-fit-joint"],
+)
+def test_window_short_of_a_month_fails_once_before_any_read(workspace, monkeypatch, end, command, message):
+    # every station's design would be rank deficient, so the command names
+    # the months once instead of failing each station
+    config = workspace / "run.cfg"
+    run(["ingest", "--config", str(config)])
+    config.write_text(
+        config.read_text()
+        .replace(f"window_start = {WINDOW_START}", "window_start = 2000-01-01")
+        .replace(f"window_end = {WINDOW_END}", f"window_end = {end}")
+    )
+
+    def read(path):
+        raise AssertionError(f"{path} was read")
+
+    monkeypatch.setattr(series_mod, "read_series_csv", read)
+    result = run([command[0], "--config", str(config), *command[1:]])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == (
+        f"Error: window 2000-01-01..{end} is short of days in {message} in every "
+        "calendar month\n"
+    )
+
+
 class TestFit:
     @pytest.mark.parametrize("model", ["trend", "seasonal", "evolving", "joint"])
     def test_fit_prints_coefficients(self, workspace, model):
@@ -899,6 +944,17 @@ class TestFit:
         assert result.output.startswith("Error: AAA avg")
         assert "bandwidth 999999 must be below nobs" in result.output
         assert len(result.output.splitlines()) == 1
+
+    def test_two_day_trend_window_is_a_one_line_error(self, workspace):
+        # the trend model needs no day of any month, but more days than its
+        # two regressors
+        end = WINDOW_START + timedelta(days=1)
+        run(["ingest", "--config", str(workspace / "run.cfg")])
+        narrow_window(workspace, WINDOW_START, end)
+        result = run(["fit", "--config", str(workspace / "run.cfg"), "--station", "AAA",
+                      "--model", "trend"])
+        assert result.exit_code == 1
+        assert result.output == "Error: AAA avg trend: 2 observations for 2 regressors\n"
 
     def test_bad_bandwidth_rejected(self, workspace):
         result = run(

@@ -43,16 +43,15 @@ def series_from_avg(avg: np.ndarray, start: date = date(1960, 1, 1)) -> Temperat
     """Test-only construction with a controlled (possibly non-integer) AVG."""
     avg = np.asarray(avg, dtype=np.float64)
     n = len(avg)
-    dates = tuple(start + timedelta(days=i) for i in range(n))
     dtr = np.full(n, 10.0)
     return TemperatureSeries(
-        dates=dates,
+        start=start,
         max_f=avg + 5.0,
         min_f=avg - 5.0,
         avg=avg,
         dtr=dtr,
         t=np.arange(1, n + 1, dtype=np.int64),
-        month=np.array([d.month for d in dates], dtype=np.int64),
+        month=calendar_months(start, n),
     )
 
 
@@ -88,7 +87,7 @@ class TestFitTrend:
         values = 60.0 + 0.002 * np.arange(1, 731) + rng.standard_normal(730)
         forward = fit_trend(series_from_avg(values), "avg")
         backward = fit_trend(series_from_avg(values[::-1]), "avg")
-        assert backward.slope == pytest.approx(-forward.slope, rel=1e-9)
+        assert backward.fit.coef("time") == pytest.approx(-forward.fit.coef("time"), rel=1e-9)
         assert abs(backward.delta_trend) == pytest.approx(
             abs(forward.delta_trend), rel=1e-9
         )
@@ -215,7 +214,7 @@ def test_pattern_years_are_those_of_the_first_and_last_july_first(start, end, ye
 
 def test_window_without_july_first_has_no_pattern_years():
     series = series_from_avg(np.zeros(364), start=date(1960, 7, 2))
-    assert series.dates[-1] == date(1961, 6, 30)
+    assert series.end == date(1961, 6, 30)
     with pytest.raises(ValueError, match="1960-07-02..1961-06-30 holds no July 1"):
         models.pattern_years(series)
 
@@ -249,8 +248,7 @@ class TestMonthBlockFactor:
             block = month_block_factor(month, times)
             assert np.array_equal(block.design.data, design.data)
             assert block.design.names == design.names
-            assert np.array_equal(block.order, dense.order)
-            assert (block.scale, block.centered) == (dense.scale, dense.centered)
+            assert block.scale == dense.scale
             np.testing.assert_allclose(block.qdot(block.r), design.data, rtol=0, atol=1e-9)
             k = len(design.names)
             np.testing.assert_allclose(block.q.T @ block.q, np.eye(k), rtol=0, atol=1e-12)
@@ -357,6 +355,47 @@ class TestModelSpec:
         assert "d07" not in joint.names
         assert "dt07" not in joint.names
 
+    def test_every_window_design_spans_the_constant(self):
+        # so ols_fit's centred R^2 is the right one for each
+        factors = WindowFactors(quick_series(71))
+        for model in ("trend", "fixed", "evolving", "joint"):
+            factor = getattr(factors, model)
+            ones = np.ones(len(factor.design.data))
+            assert np.abs(ones - factor.qdot(factor.qt(ones))).max() < 1e-9, model
+
+
+@pytest.mark.parametrize(
+    "start, end, refused",
+    [
+        (date(1960, 1, 1), date(1960, 12, 2), set()),
+        # two January days, one of them the joint model's lost first day
+        (date(1960, 1, 30), date(1960, 12, 31), {"joint"}),
+        (date(1960, 1, 31), date(1960, 12, 31), {"evolving", "joint"}),
+        (date(1960, 2, 1), date(1960, 12, 31), {"fixed", "evolving", "joint"}),
+        # July is the joint design's intercept and time trend
+        (date(1960, 7, 30), date(1961, 7, 1), set()),
+        (date(1960, 7, 31), date(1961, 7, 1), {"joint"}),
+        (date(1994, 6, 9), date(1995, 4, 12), {"fixed", "evolving", "joint"}),
+    ],
+)
+def test_window_month_check_agrees_with_the_designs(start, end, refused):
+    rng = np.random.default_rng(start.toordinal())
+    series = series_from_avg(rng.standard_normal((end - start).days + 1), start=start)
+    factors = WindowFactors(series)
+    for model in ("fixed", "evolving", "joint"):
+        try:
+            models.check_window_months(start, end, model)
+        except ValueError:
+            assert model in refused
+        else:
+            assert model not in refused
+        try:
+            getattr(factors, model)
+            singular = False
+        except SingularDesignError:
+            singular = True
+        assert singular == (model in refused), model
+
 
 class TestJointModel:
     def test_design_layout(self):
@@ -364,11 +403,12 @@ class TestJointModel:
         y = np.arange(400, dtype=float)
         design, regressand = joint_design(month, np.arange(1, 401), y)
         assert design.names == (
-            ("const", "time", "lag")
+            ("const", "time")
             + ("d01", "d02", "d03", "d04", "d05", "d06")
             + ("d08", "d09", "d10", "d11", "d12")
             + ("dt01", "dt02", "dt03", "dt04", "dt05", "dt06")
             + ("dt08", "dt09", "dt10", "dt11", "dt12")
+            + ("lag",)
         )
         assert design.data.shape == (399, 25)
         np.testing.assert_array_equal(regressand, y[1:])
@@ -426,7 +466,8 @@ class TestJointModel:
         month = calendar_months(date(1960, 1, 1), T)
         y = rng.standard_normal(T).cumsum() * 0.05 + 50
         design, regressand = joint_design(month, np.arange(1, T + 1), y)
-        restricted = DesignMatrix(design.names[:3], design.data[:, :3])
+        kept = [design.names.index(name) for name in ("const", "time", "lag")]
+        restricted = DesignMatrix(("const", "time", "lag"), design.data[:, kept])
         direct = DesignMatrix(
             ("const", "time", "lag"),
             np.column_stack([np.ones(T - 1), np.arange(2.0, T + 1.0), y[:-1]]),
@@ -475,6 +516,36 @@ class TestInvariance:
         assert by_year.fit.coef("time") == pytest.approx(
             365.25 * by_day.fit.coef("time"), rel=1e-9
         )
+
+    def test_lag_position_leaves_results_unchanged(self):
+        # fit_joint borders the window's factor with the lag as the last
+        # column; the paper lists the lag third, and factoring the full
+        # design in that order gives the same estimates, errors and tests
+        rng = np.random.default_rng(67)
+        T = 21185
+        month = calendar_months(date(1960, 1, 1), T)
+        delta = {m: 0.02 * (m - 6) for m in range(1, 13) if m != 7}
+        y = simulate_joint(month, 20.0, 1e-6, delta, {1: 2e-6}, 0.6, 2.0, rng)
+        series = series_from_avg(y)
+        bordered = fit_joint(series, "avg")
+        assert bordered.fit.names[-1] == "lag"
+        shared = models.joint_shared_design(series.month, series.t)
+        paper = DesignMatrix(
+            shared.names[:2] + ("lag",) + shared.names[2:],
+            np.insert(shared.data, 2, y[:-1], axis=1),
+        )
+        direct = models.JointFit(fit_with_hac(factorize(paper), y[1:]))
+        a, b = hypothesis_suite(bordered), hypothesis_suite(direct)
+        assert 1e-4 < min(b.p_nt, b.p_ns, b.p_nts) and max(b.p_nt, b.p_ns, b.p_nts) < 1.0
+        for ours, theirs in (
+            (bordered.rho, direct.rho),
+            (bordered.fit.se("lag"), direct.fit.se("lag")),
+            (a.p_nt, b.p_nt),
+            (a.p_ns, b.p_ns),
+            (a.p_nts, b.p_nts),
+            (bordered.r_squared, direct.r_squared),
+        ):
+            assert ours == pytest.approx(theirs, rel=1e-9)
 
 
 class TestHypothesisSuite:
@@ -554,7 +625,7 @@ class TestReports:
         original = models.WindowFactors
 
         def counting(series):
-            windows.append((series.dates[0], len(series)))
+            windows.append((series.start, len(series)))
             return original(series)
 
         monkeypatch.setattr(models, "WindowFactors", counting)

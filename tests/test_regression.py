@@ -159,11 +159,16 @@ class TestOlsFit:
         fit = ols_fit(factorize(DesignMatrix(("g0", "g1", "g2"), dummies)), y)
         assert fit.r_squared < 0.2
 
-    def test_uncentered_r_squared_without_intercept(self):
-        x = np.linspace(1.0, 2.0, 50)
-        y = 4.0 * x
-        fit = ols_fit(factorize(DesignMatrix(("x",), x[:, None])), y)
-        assert fit.r_squared == pytest.approx(1.0)
+    def test_r_squared_is_centred_about_the_mean(self):
+        # 1 - SSR / sum (y - ybar)^2, the only convention: every design the
+        # package fits spans the constant
+        rng = np.random.default_rng(10)
+        X = random_design(rng, 80, 3)
+        y = 3.0 + X.data @ np.array([1.0, -0.5, 0.25]) + rng.standard_normal(80)
+        fit = ols_fit(factorize(X), y)
+        ssr = float(fit.residuals @ fit.residuals)
+        sst = float(((y - y.mean()) ** 2).sum())
+        assert fit.r_squared == pytest.approx(1.0 - ssr / sst, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -276,11 +281,8 @@ class TestQRFactor:
         self.y = 1.0 + 0.3 * self.w + rng.standard_normal(400)
 
     def test_bordered_equals_factoring_the_full_design(self):
-        full = DesignMatrix(
-            self.X.names[:2] + ("w",) + self.X.names[2:],
-            np.insert(self.X.data, 2, self.w, axis=1),
-        )
-        bordered = factorize(self.X).bordered(2, "w", self.w)
+        full = DesignMatrix(self.X.names + ("w",), np.column_stack([self.X.data, self.w]))
+        bordered = factorize(self.X).bordered("w", self.w)
         assert bordered.design.names == full.names
         np.testing.assert_array_equal(bordered.design.data, full.data)
         a = fit_with_hac(bordered, self.y, bandwidth=5)
@@ -292,8 +294,8 @@ class TestQRFactor:
 
     def test_bordered_fit_reuses_the_block(self):
         block = factorize(self.X)
-        first = fit_with_hac(block.bordered(0, "w", self.w), self.y, bandwidth=3)
-        again = fit_with_hac(block.bordered(0, "w", self.w), self.y, bandwidth=3)
+        first = fit_with_hac(block.bordered("w", self.w), self.y, bandwidth=3)
+        again = fit_with_hac(block.bordered("w", self.w), self.y, bandwidth=3)
         np.testing.assert_array_equal(first.beta, again.beta)
         np.testing.assert_array_equal(first.hac_cov, again.hac_cov)
 
@@ -304,7 +306,7 @@ class TestQRFactor:
         else:
             column = 2.0 * self.X.data[:, 1] - self.X.data[:, 3]
         with pytest.raises(SingularDesignError) as excinfo:
-            factorize(self.X).bordered(1, "lag", column)
+            factorize(self.X).bordered("lag", column)
         assert excinfo.value.column == "lag"
 
     def test_factor_in_place_of_design(self):

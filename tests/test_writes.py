@@ -3,7 +3,7 @@
 import dataclasses
 import os
 import stat
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -157,7 +157,8 @@ def test_dated_columns_hold_each_value_repr(tmp_path):
     reporting.write_seasonal_fit_csv(series, residuals, fitted, tmp_path / "fit.csv")
 
     def expected(header, first, second):
-        rows = zip(series.dates, first.tolist(), second.tolist())
+        days = (START + timedelta(days=i) for i in range(DAYS))
+        rows = zip(days, first.tolist(), second.tolist())
         return [header] + [f"{day.isoformat()},{a!r},{b!r}" for day, a, b in rows]
 
     trend_lines = (tmp_path / "trend.csv").read_text().splitlines()
