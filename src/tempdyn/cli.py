@@ -232,11 +232,17 @@ def tables(config_path, station_codes, variable, hac_bandwidth, out):
 
 def figures(config_path, station_code, out):
     """Figure-data bundle for one station: densities, trends, seasonals."""
+    from datetime import date
+
     from . import density, models
     from .regression import ols_fit
 
     config = _configure(config_path, out=out)
     _check_window(config, "evolving")
+    try:
+        years = models.pattern_years(config.window_start, config.window_end)
+    except ValueError as exc:  # a window with no July 1
+        raise _CommandError(str(exc)) from None
     station_series = _station_series(config, station_code)
 
     figures_dir = config.output_dir / "figures" / station_code
@@ -247,15 +253,10 @@ def figures(config_path, station_code, out):
     # share the window's factors, built first (built after the CSV writes,
     # their temporaries added 2 MiB to the peak RSS). Every step that can
     # fail comes before the first write, so a failure leaves the station's
-    # files as they were: the pattern years are found (a window with no
-    # July 1 is reported with avg, the variable fitted first) and both
-    # densities estimated.
+    # files as they were: both densities are estimated first.
     factors = models.WindowFactors(station_series)
-    trend_qr, fixed_qr, evolving_qr = factors.trend, factors.fixed, factors.evolving
-    try:
-        years = models.pattern_years(station_series)
-    except ValueError as exc:  # a window with no July 1
-        raise _CommandError(f"{station_code} avg: {exc}")
+    for model in ("trend", "fixed", "evolving"):
+        getattr(factors, model)
     densities = {}
     for var in ("avg", "dtr"):
         try:
@@ -268,25 +269,30 @@ def figures(config_path, station_code, out):
             )
 
     month = station_series.month
+    # the evolving pattern is evaluated at the t of each July 1
+    july_t = {
+        str(year): (date(year, models.JULY, 1) - station_series.start).days + 1
+        for year in years
+    }
     for var, estimate in densities.items():
         y = station_series.variable(var)
         reporting.write_density_csv(estimate, figures_dir / f"density_{var}.csv")
-        trend = ols_fit(trend_qr, y)
+        trend = ols_fit(*factors.least_squares("trend", y))
         reporting.write_trend_csv(
             station_series, var, trend, figures_dir / f"trend_{var}.csv"
         )
-        detrended = trend.residuals
-        fixed = models.FixedSeasonalFit(ols_fit(fixed_qr, detrended))
+        fixed_qr, detrended = factors.least_squares("fixed", y)
+        fixed = ols_fit(fixed_qr, detrended)
         reporting.write_seasonal_fit_csv(
-            station_series, detrended, fixed.fit.beta[month - 1],
+            station_series, detrended, fixed.beta[month - 1],
             figures_dir / f"seasonal_fit_{var}.csv",
         )
         reporting.write_patterns_csv(
-            [fixed.pattern], figures_dir / f"fixed_pattern_{var}.csv"
+            {"fixed": models.month_effects(fixed)}, figures_dir / f"fixed_pattern_{var}.csv"
         )
-        evolving = models.EvolvingSeasonalFit(ols_fit(evolving_qr, detrended))
+        evolving = ols_fit(*factors.least_squares("evolving", y))
         reporting.write_patterns_csv(
-            [evolving.pattern_for_year(station_series, year) for year in years],
+            {year: models.month_effects(evolving, t) for year, t in july_t.items()},
             figures_dir / f"evolving_pattern_{var}.csv",
         )
     print(f"wrote figure data under {figures_dir}")
@@ -295,21 +301,27 @@ def figures(config_path, station_code, out):
 def fit(config_path, station_code, variable, model, hac_bandwidth):
     """Fit a single specification and print its coefficient table."""
     from . import models
-    from .regression import BandwidthError, InsufficientDataError, SingularDesignError
+    from .regression import (
+        BandwidthError, InsufficientDataError, SingularDesignError, fit_with_hac, wald_test,
+    )
 
     config = _configure(config_path, hac_bandwidth=hac_bandwidth)
-    _check_window(config, {"seasonal": "fixed"}.get(model, model))
+    name = {"seasonal": "fixed"}.get(model, model)
+    _check_window(config, name)
     station_series = _station_series(config, station_code)
-    fit_model = {"trend": models.fit_trend, "seasonal": models.fit_fixed_seasonal,
-                 "evolving": models.fit_evolving_seasonal, "joint": models.fit_joint}[model]
+    y = station_series.variable(variable)
     try:
-        result = fit_model(station_series, variable, config.hac_bandwidth)
-        _print_fit(result.fit)
+        result = fit_with_hac(
+            *models.WindowFactors(station_series).least_squares(name, y), config.hac_bandwidth
+        )
+        _print_fit(result)
         if model == "trend":
-            print(f"delta_trend: {result.delta_trend:.4f} F over the sample")
+            print(f"delta_trend: {models.delta_trend(result):.4f} F over the sample")
         elif model == "joint":
-            suite = models.hypothesis_suite(result)
-            print(f"p(nt)={suite.p_nt:.4f}  p(ns)={suite.p_ns:.4f}  p(nts)={suite.p_nts:.4f}")
+            print("  ".join(
+                f"p({label})={wald_test(result, labels).p_value:.4f}"
+                for label, labels in models.HYPOTHESES.items()
+            ))
     except (BandwidthError, InsufficientDataError, SingularDesignError) as exc:
         raise _CommandError(f"{station_code} {variable} {model}: {exc}")
 

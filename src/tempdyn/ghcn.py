@@ -273,9 +273,7 @@ def to_fahrenheit_int(tenths_celsius) -> np.ndarray:
     return round_half_away_from_zero(9 * tenths_celsius + 1600, 50)
 
 
-def interpolate_missing(
-    values: np.ndarray, missing: np.ndarray, start: Optional[date] = None
-) -> np.ndarray:
+def interpolate_missing(values: np.ndarray, missing: np.ndarray, start: date) -> np.ndarray:
     """Fill isolated interior gaps with the rounded mean of the neighbours.
 
     ``missing`` marks the gaps in the integer array ``values`` (whatever
@@ -285,16 +283,16 @@ def interpolate_missing(
     multi-day gaps are a data problem the caller has to resolve, not
     something to guess through.
 
-    Errors name positions as dates counted from ``start`` when it is
-    given, else as 0-based indices.
+    Errors name positions as dates counted from ``start``, the first entry's
+    day.
     """
     values = np.asarray(values, dtype=np.int64)
     missing = np.asarray(missing, dtype=bool)
     if not values.size:
         return values.copy()
 
-    def label(position: int) -> object:
-        return start + timedelta(days=position) if start is not None else position
+    def label(position: int) -> date:
+        return start + timedelta(days=position)
 
     if missing[0]:
         raise BoundaryGapError(f"first observation missing at {label(0)}")
@@ -464,10 +462,7 @@ def fetch_station(
         if not refresh:
             return cached
 
-    if "{station_id}" in endpoint:
-        url = endpoint.format(station_id=station_id)
-    else:
-        url = f"{endpoint.rstrip('/')}/{station_id}.dly"
+    url = f"{endpoint.rstrip('/')}/{station_id}.dly"
     getter = http_get if http_get is not None else _default_http_get
     try:
         response = getter(url)

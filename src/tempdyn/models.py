@@ -16,9 +16,12 @@ lists it third; no estimate, error or test depends on the order).
 Every column but the joint model's lag depends only on the window (first
 date and length), so one :class:`WindowFactors` holds the factored design of
 each model for every series and variable of a window, each factored on first
-use; the joint fit borders the factor of its design without the lag with the
-series' own lag (see :mod:`tempdyn.regression`). The two seasonal fits
-de-trend by OLS on the window's trend factor.
+use. :meth:`WindowFactors.least_squares` is the one entry for all four
+models: it pairs a model's factor with its regressand, which every command
+then fits by ``ols_fit`` or ``fit_with_hac``. The joint fit borders the
+factor of its design without the lag with the series' own lag (see
+:mod:`tempdyn.regression`); the two seasonal fits de-trend by OLS on the
+window's trend factor.
 
 The fixed and evolving seasonal designs are block-diagonal by month: month
 m's least-squares problem is a mean, or a mean and a slope on the month's
@@ -48,7 +51,6 @@ from .regression import (
     InsufficientDataError,
     ModelFit,
     QRFactor,
-    WaldResult,
     _check_rank,
     factorize,
     fit_with_hac,
@@ -67,68 +69,34 @@ JOINT_INTERACTIONS = tuple(
     n for i, n in enumerate(INTERACTION_NAMES, start=1) if i != JULY
 )
 
-
-@dataclass(frozen=True)
-class SeasonalPattern:
-    """Twelve month effects in deg F, January first."""
-
-    month_effects: tuple[float, ...]
-    evaluated_at: str
-
-    def __post_init__(self):
-        if len(self.month_effects) != 12:
-            raise ValueError("a seasonal pattern has exactly 12 month effects")
+# the restrictions of each Wald test on the joint fit, by the paper's label
+HYPOTHESES = {
+    "nt": ("time",) + JOINT_INTERACTIONS,
+    "ns": JOINT_DUMMIES + JOINT_INTERACTIONS,
+    "nts": JOINT_INTERACTIONS,
+}
 
 
-@dataclass(frozen=True)
-class TrendFit:
-    """Linear-trend regression of one variable, with HAC inference."""
-
-    fit: ModelFit
-    delta_trend: float  # slope * (T - 1): total fitted movement over the sample
-    slope_p: float
-
-    @property
-    def starred(self) -> bool:
-        return self.slope_p < STAR_LEVEL
+def delta_trend(fit: ModelFit) -> float:
+    """A trend fit's total fitted movement over its sample, slope * (T - 1)."""
+    return fit.coef("time") * (fit.nobs - 1)
 
 
-@dataclass(frozen=True)
-class FixedSeasonalFit:
-    """Month dummies on de-trended data: coefficient i is the month-i mean."""
-
-    fit: ModelFit
-
-    @property
-    def pattern(self) -> SeasonalPattern:
-        return SeasonalPattern(tuple(float(b) for b in self.fit.beta), evaluated_at="fixed")
-
-
-@dataclass(frozen=True)
-class EvolvingSeasonalFit:
-    """Dummies plus dummy*time interactions on de-trended data."""
-
-    fit: ModelFit
-
-    def pattern_at(self, t: float) -> SeasonalPattern:
-        effects = tuple(
-            self.fit.coef(DUMMY_NAMES[i]) + self.fit.coef(INTERACTION_NAMES[i]) * t
-            for i in range(12)
-        )
-        return SeasonalPattern(effects, evaluated_at=f"t={t:g}")
-
-    def pattern_for_year(self, series: TemperatureSeries, year: int) -> SeasonalPattern:
-        """Pattern evaluated at the t of July 1 of the year."""
-        t = series.position_of(date(year, JULY, 1)) + 1
-        pattern = self.pattern_at(float(t))
-        return SeasonalPattern(pattern.month_effects, evaluated_at=str(year))
+def month_effects(fit: ModelFit, t: Optional[float] = None) -> tuple[float, ...]:
+    """The twelve month effects in deg F of a seasonal fit, January first:
+    the fixed model's dummies, or the evolving model's pattern at ``t``."""
+    if t is None:
+        return tuple(fit.coef(name) for name in DUMMY_NAMES)
+    return tuple(
+        fit.coef(dummy) + fit.coef(interaction) * t
+        for dummy, interaction in zip(DUMMY_NAMES, INTERACTION_NAMES)
+    )
 
 
-def pattern_years(series: TemperatureSeries) -> tuple[int, ...]:
-    """The years of the first and last July 1 in the series' window (one
-    year if they are the same day), where figures evaluate the evolving
+def pattern_years(first: date, last: date) -> tuple[int, ...]:
+    """The years of the first and last July 1 in the window ``[first, last]``
+    (one year if they are the same day), where figures evaluate the evolving
     pattern. A window with no July 1 raises ValueError."""
-    first, last = series.start, series.end
     start = first.year + (first > date(first.year, JULY, 1))
     end = last.year - (last < date(last.year, JULY, 1))
     if start > end:
@@ -159,46 +127,6 @@ def check_window_months(start: date, end: date, model: str) -> None:
 
 
 @dataclass(frozen=True)
-class JointFit:
-    fit: ModelFit
-
-    @property
-    def rho(self) -> float:
-        return self.fit.coef("lag")
-
-    @property
-    def rho_p(self) -> float:
-        return self.fit.coef_p("lag")
-
-    @property
-    def rho_starred(self) -> bool:
-        return self.rho_p < STAR_LEVEL
-
-    @property
-    def r_squared(self) -> float:
-        return self.fit.r_squared
-
-
-@dataclass(frozen=True)
-class HypothesisSuite:
-    no_trend: WaldResult
-    no_seasonality: WaldResult
-    no_trending_seasonality: WaldResult
-
-    @property
-    def p_nt(self) -> float:
-        return self.no_trend.p_value
-
-    @property
-    def p_ns(self) -> float:
-        return self.no_seasonality.p_value
-
-    @property
-    def p_nts(self) -> float:
-        return self.no_trending_seasonality.p_value
-
-
-@dataclass(frozen=True)
 class CityReport:
     """One summary-table row: trend movement plus joint-model statistics."""
 
@@ -225,23 +153,6 @@ class BatchReport:
 def trend_design(series: TemperatureSeries) -> DesignMatrix:
     data = np.column_stack([np.ones(len(series)), series.t.astype(np.float64)])
     return DesignMatrix(("const", "time"), data)
-
-
-def fit_trend(
-    series: TemperatureSeries,
-    variable: str,
-    bandwidth: Bandwidth = "auto",
-    factors: Optional[WindowFactors] = None,
-) -> TrendFit:
-    """``factors`` are the :class:`WindowFactors` of the series' window, as
-    for every ``fit_<model>``; they are built when omitted."""
-    factors = factors or WindowFactors(series)
-    fit = fit_with_hac(factors.trend, series.variable(variable), bandwidth)
-    return TrendFit(
-        fit=fit,
-        delta_trend=fit.coef("time") * (len(series) - 1),
-        slope_p=fit.coef_p("time"),
-    )
 
 
 def seasonal_design(dummies: np.ndarray) -> DesignMatrix:
@@ -302,35 +213,6 @@ def month_block_factor(month: np.ndarray, t: Optional[np.ndarray] = None) -> QRF
     return QRFactor(design, q, np.empty((n, 0)), r, r_inv, scale)
 
 
-def _detrended(
-    series: TemperatureSeries, variable: str, factors: WindowFactors
-) -> np.ndarray:
-    """The variable's residuals from a plain OLS trend fit."""
-    return ols_fit(factors.trend, series.variable(variable)).residuals
-
-
-def fit_fixed_seasonal(
-    series: TemperatureSeries,
-    variable: str,
-    bandwidth: Bandwidth = "auto",
-    factors: Optional[WindowFactors] = None,
-) -> FixedSeasonalFit:
-    factors = factors or WindowFactors(series)
-    detrended = _detrended(series, variable, factors)
-    return FixedSeasonalFit(fit_with_hac(factors.fixed, detrended, bandwidth))
-
-
-def fit_evolving_seasonal(
-    series: TemperatureSeries,
-    variable: str,
-    bandwidth: Bandwidth = "auto",
-    factors: Optional[WindowFactors] = None,
-) -> EvolvingSeasonalFit:
-    factors = factors or WindowFactors(series)
-    detrended = _detrended(series, variable, factors)
-    return EvolvingSeasonalFit(fit_with_hac(factors.evolving, detrended, bandwidth))
-
-
 def joint_shared_design(month: np.ndarray, t: np.ndarray) -> DesignMatrix:
     """The joint design without its lag column, estimation sample t = 2..T."""
     month = np.asarray(month)[1:]
@@ -340,20 +222,6 @@ def joint_shared_design(month: np.ndarray, t: np.ndarray) -> DesignMatrix:
     dummies = (month[:, None] == np.delete(np.arange(1, 13), JULY - 1)).astype(np.float64)
     data = np.column_stack([np.ones(len(time)), time, dummies, dummies * time[:, None]])
     return DesignMatrix(("const", "time") + JOINT_DUMMIES + JOINT_INTERACTIONS, data)
-
-
-def fit_joint(
-    series: TemperatureSeries,
-    variable: str,
-    bandwidth: Bandwidth = "auto",
-    factors: Optional[WindowFactors] = None,
-) -> JointFit:
-    """The series' lag borders the window's factor of
-    :func:`joint_shared_design`, so the fit makes no new decomposition."""
-    factors = factors or WindowFactors(series)
-    y = series.variable(variable)
-    factor = factors.joint.bordered("lag", y[:-1])
-    return JointFit(fit_with_hac(factor, y[1:], bandwidth))
 
 
 class WindowFactors:
@@ -386,14 +254,18 @@ class WindowFactors:
     def joint(self) -> QRFactor:
         return factorize(joint_shared_design(self._series.month, self._series.t))
 
-
-def hypothesis_suite(joint: JointFit) -> HypothesisSuite:
-    fit = joint.fit
-    return HypothesisSuite(
-        no_trend=wald_test(fit, ("time",) + JOINT_INTERACTIONS),
-        no_seasonality=wald_test(fit, JOINT_DUMMIES + JOINT_INTERACTIONS),
-        no_trending_seasonality=wald_test(fit, JOINT_INTERACTIONS),
-    )
+    def least_squares(self, model: str, y: np.ndarray) -> tuple[QRFactor, np.ndarray]:
+        """The factor and regressand that ``model`` fits to the window's
+        values ``y``, ready for ``ols_fit`` or ``fit_with_hac``: the trend
+        model takes ``y`` itself; the fixed and evolving seasonal models take
+        its residuals from a plain OLS trend fit; the joint model takes
+        t = 2..T, with the lag bordering the factor of
+        :func:`joint_shared_design`, so it makes no new decomposition."""
+        if model == "trend":
+            return self.trend, y
+        if model == "joint":
+            return self.joint.bordered("lag", y[:-1]), y[1:]
+        return getattr(self, model), ols_fit(self.trend, y).residuals
 
 
 def city_report(
@@ -410,20 +282,21 @@ def city_report(
     otherwise collinear lag) is reported as its dependent design column.
     """
     factors = factors or WindowFactors(series)
-    joint = fit_joint(series, variable, bandwidth, factors)
-    trend = fit_trend(series, variable, bandwidth, factors)
-    tests = hypothesis_suite(joint)
+    y = series.variable(variable)
+    joint = fit_with_hac(*factors.least_squares("joint", y), bandwidth)
+    trend = fit_with_hac(*factors.least_squares("trend", y), bandwidth)
+    p = {name: wald_test(joint, labels).p_value for name, labels in HYPOTHESES.items()}
     return CityReport(
         station=station,
-        delta_trend=trend.delta_trend,
-        delta_trend_starred=trend.starred,
-        p_nt=tests.p_nt,
-        p_ns=tests.p_ns,
-        p_nts=tests.p_nts,
-        rho=joint.rho,
-        rho_starred=joint.rho_starred,
+        delta_trend=delta_trend(trend),
+        delta_trend_starred=trend.coef_p("time") < STAR_LEVEL,
+        p_nt=p["nt"],
+        p_ns=p["ns"],
+        p_nts=p["nts"],
+        rho=joint.coef("lag"),
+        rho_starred=joint.coef_p("lag") < STAR_LEVEL,
         r_squared=joint.r_squared,
-        hac_bandwidth=joint.fit.bandwidth,
+        hac_bandwidth=joint.bandwidth,
     )
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .series import TemperatureSeries, distinct_text, write_atomic
 
 if TYPE_CHECKING:  # annotations only, so ingest need not load the fitting modules
     from .density import DensityEstimate
-    from .models import BatchReport, CityReport, SeasonalPattern
+    from .models import BatchReport, CityReport
     from .regression import ModelFit
 
 TABLE_HEADER = [
@@ -145,13 +145,13 @@ def _write_dated(series, names, first: list, second: list, path) -> None:
     write_atomic(path, _csv(["date", *names], rows))
 
 
-def write_patterns_csv(patterns: Sequence[SeasonalPattern], path: Path) -> None:
-    """Twelve rows; one effect column per pattern, labelled by evaluated_at."""
+def write_patterns_csv(patterns: Mapping[str, Sequence[float]], path: Path) -> None:
+    """Twelve rows; one column of month effects per pattern, ``effect_<label>``."""
     rows = (
-        f"{m + 1}," + ",".join(f"{p.month_effects[m]}" for p in patterns) + "\n"
+        f"{m + 1}," + ",".join(f"{effects[m]}" for effects in patterns.values()) + "\n"
         for m in range(12)
     )
-    header = ["month"] + [f"effect_{p.evaluated_at}" for p in patterns]
+    header = ["month"] + [f"effect_{label}" for label in patterns]
     write_atomic(path, _csv(header, rows))
 
 

@@ -76,13 +76,6 @@ class TemperatureSeries:
         offset = (first - date(first.year, 1, 1)).days
         return text[offset : offset + len(self)]
 
-    def position_of(self, when: date) -> int:
-        """0-based index of a calendar date (t value is position + 1)."""
-        offset = (when - self.start).days
-        if not 0 <= offset < len(self):
-            raise ValueError(f"{when} outside series window")
-        return offset
-
 
 def build_series(
     max_f: np.ndarray, min_f: np.ndarray, start: date, end: date

@@ -68,10 +68,11 @@ def joint_design(
     month: np.ndarray, t: np.ndarray, y: np.ndarray
 ) -> tuple[DesignMatrix, np.ndarray]:
     """The joint model's full design and regressand over t = 2..T, with the
-    lag as the last column, where ``models.fit_joint`` borders it.
+    lag as the last column, where ``models.WindowFactors.least_squares``
+    borders it.
 
-    ``models.fit_joint`` never builds this matrix in one piece: it borders
-    the factored shared design with the lag. Tests fit it directly as an
+    ``least_squares`` never builds this matrix in one piece: it borders the
+    factored shared design with the lag. Tests fit it directly as an
     independent path and read its layout.
     """
     y = np.asarray(y, dtype=np.float64)

@@ -18,14 +18,7 @@ import pytest
 from scipy.stats import kstest
 
 from tempdyn.ghcn import parse_dly, station_observations
-from tempdyn.models import (
-    JOINT_INTERACTIONS,
-    batch_report,
-    fit_fixed_seasonal,
-    fit_joint,
-    fit_trend,
-    hypothesis_suite,
-)
+from tempdyn.models import JOINT_INTERACTIONS, WindowFactors, batch_report, city_report
 from tempdyn.density import kde
 from tempdyn.regression import DesignMatrix, chi2_sf, factorize, fit_with_hac, hac_cov, ols_fit, wald_test
 from tempdyn.series import build_series
@@ -237,45 +230,42 @@ class TestCriterion6ArchiveReplication:
         return build_series(tmax, tmin, config.window_start, config.window_end)
 
     def test_phl_avg_row(self, phl_series):
-        trend = fit_trend(phl_series, "avg")
-        joint = fit_joint(phl_series, "avg")
-        suite = hypothesis_suite(joint)
+        row = city_report("PHL", phl_series, "avg")
         ok = (
-            abs(trend.delta_trend - 4.78) <= 0.30
-            and abs(joint.rho - 0.72) <= 0.03
-            and abs(joint.r_squared - 0.91) <= 0.02
-            and suite.p_nts > 0.10
+            abs(row.delta_trend - 4.78) <= 0.30
+            and abs(row.rho - 0.72) <= 0.03
+            and abs(row.r_squared - 0.91) <= 0.02
+            and row.p_nts > 0.10
         )
         report(
             "criterion 6 (PHL AVG row)",
             ok,
-            f"delta {trend.delta_trend:.2f}, rho {joint.rho:.2f}, "
-            f"R2 {joint.r_squared:.2f}, p_nts {suite.p_nts:.2f}",
+            f"delta {row.delta_trend:.2f}, rho {row.rho:.2f}, "
+            f"R2 {row.r_squared:.2f}, p_nts {row.p_nts:.2f}",
         )
 
     def test_phl_dtr_row(self, phl_series):
-        trend = fit_trend(phl_series, "dtr")
-        joint = fit_joint(phl_series, "dtr")
-        suite = hypothesis_suite(joint)
+        row = city_report("PHL", phl_series, "dtr")
         ok = (
-            abs(trend.delta_trend - (-2.13)) <= 0.30
-            and abs(joint.rho - 0.34) <= 0.05
-            and abs(joint.r_squared - 0.19) <= 0.03
-            and suite.p_nts < 0.01
+            abs(row.delta_trend - (-2.13)) <= 0.30
+            and abs(row.rho - 0.34) <= 0.05
+            and abs(row.r_squared - 0.19) <= 0.03
+            and row.p_nts < 0.01
         )
         report(
             "criterion 6 (PHL DTR row)",
             ok,
-            f"delta {trend.delta_trend:.2f}, rho {joint.rho:.2f}, "
-            f"R2 {joint.r_squared:.2f}, p_nts {suite.p_nts:.2f}",
+            f"delta {row.delta_trend:.2f}, rho {row.rho:.2f}, "
+            f"R2 {row.r_squared:.2f}, p_nts {row.p_nts:.2f}",
         )
 
     def test_phl_seasonal_fit_shares(self, phl_series):
         r2 = {}
         for variable, target, tol in (("avg", 0.81, 0.02), ("dtr", 0.07, 0.02)):
-            fixed = fit_fixed_seasonal(phl_series, variable)
-            r2[variable] = fixed.fit.r_squared
-            assert abs(fixed.fit.r_squared - target) <= tol
+            y = phl_series.variable(variable)
+            fixed = fit_with_hac(*WindowFactors(phl_series).least_squares("fixed", y))
+            r2[variable] = fixed.r_squared
+            assert abs(fixed.r_squared - target) <= tol
         report(
             "criterion 6 (PHL seasonal R2)",
             True,

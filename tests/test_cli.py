@@ -93,7 +93,7 @@ def read_series(workspace: Path, code: str) -> series_mod.TemperatureSeries:
 def narrow_window(workspace: Path, start: date, end: date) -> series_mod.TemperatureSeries:
     """Cut AAA's ingested series to [start, end] and configure that window."""
     aaa = read_series(workspace, "AAA")
-    keep = slice(aaa.position_of(start), aaa.position_of(end) + 1)
+    keep = slice((start - aaa.start).days, (end - aaa.start).days + 1)
     write_series(workspace, "AAA", aaa.max_f[keep], aaa.min_f[keep], start, end)
     config = workspace / "run.cfg"
     config.write_text(
@@ -699,20 +699,28 @@ class TestFigures:
         assert result.exit_code == 0, result.output
         rows = read_csv_rows(workspace / "out" / "figures" / "AAA" / "evolving_pattern_avg.csv")
         assert set(rows[0]) == {"month", f"effect_{year}"}
-        expected = models.fit_evolving_seasonal(short, "avg").pattern_for_year(short, year)
-        assert [float(r[f"effect_{year}"]) for r in rows] == list(expected.month_effects)
+        evolving = regression.fit_with_hac(
+            *models.WindowFactors(short).least_squares("evolving", short.avg)
+        )
+        t_july = (date(year, 7, 1) - short.start).days + 1
+        expected = models.month_effects(evolving, t_july)
+        assert [float(r[f"effect_{year}"]) for r in rows] == list(expected)
 
     def test_window_without_july_first_is_a_one_line_error(self, workspace):
-        config = str(workspace / "run.cfg")
-        run(["ingest", "--config", config])
-        narrow_window(workspace, date(1960, 7, 2), date(1961, 6, 30))
-        result = run(["figures", "--config", config, "--station", "AAA"])
+        # the window alone decides this, so no series file need exist
+        config = workspace / "run.cfg"
+        config.write_text(
+            config.read_text()
+            .replace(f"window_start = {WINDOW_START}", "window_start = 1960-07-02")
+            .replace(f"window_end = {WINDOW_END}", "window_end = 1961-06-30")
+        )
+        result = run(["figures", "--config", str(config), "--station", "AAA"])
         assert result.exit_code == 1
         assert result.output == (
-            "Error: AAA avg: window 1960-07-02..1961-06-30 holds no July 1 "
+            "Error: window 1960-07-02..1961-06-30 holds no July 1 "
             "to evaluate the evolving seasonal pattern at\n"
         )
-        assert list((workspace / "out" / "figures" / "AAA").iterdir()) == []
+        assert not (workspace / "out").exists()
 
     def test_missing_series_is_actionable(self, workspace):
         result = run(
@@ -917,6 +925,32 @@ class TestFit:
                    if line.split()[0] in models.DUMMY_NAMES]
         rows = read_csv_rows(workspace / "out" / "figures" / "AAA" / "fixed_pattern_avg.csv")
         assert printed == [f"{float(r['effect_fixed']):.6g}" for r in rows]
+
+    def test_trend_and_joint_fits_print_the_tables_row(self, workspace):
+        # fit and tables fit both models through the same entry, so fit
+        # prints the station's table_avg.csv row at its own precision
+        config = str(workspace / "run.cfg")
+        run(["ingest", "--config", config])
+        assert run(["tables", "--config", config, "--variable", "avg"]).exit_code == 0
+        row = read_csv_rows(workspace / "out" / "tables" / "table_avg.csv")[0]
+        assert row["station"] == "AAA"
+        full = {name: float(row[f"{name}_full"])
+                for name in ("delta_trend", "p_nt", "p_ns", "p_nts", "rho", "r_squared")}
+        printed = {}
+        for model in ("trend", "joint"):
+            result = run(["fit", "--config", config, "--station", "AAA", "--model", model])
+            assert result.exit_code == 0, result.output
+            printed[model] = result.stdout.splitlines()
+        assert printed["trend"][-1] == f"delta_trend: {full['delta_trend']:.4f} F over the sample"
+        lag = next(line.split() for line in printed["joint"] if line.split()[0] == "lag")
+        assert lag[1] == f"{full['rho']:.6g}"
+        assert printed["joint"][-2] == (
+            f"nobs={(WINDOW_END - WINDOW_START).days}  R2={full['r_squared']:.4f}  "
+            f"bandwidth={row['hac_bandwidth']}"
+        )
+        assert printed["joint"][-1] == (
+            f"p(nt)={full['p_nt']:.4f}  p(ns)={full['p_ns']:.4f}  p(nts)={full['p_nts']:.4f}"
+        )
 
     def test_seasonal_fit_makes_one_hac_covariance(self, workspace, monkeypatch):
         # the de-trending trend fit needs residuals only, not a covariance

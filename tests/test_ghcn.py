@@ -247,11 +247,12 @@ class TestToFahrenheit:
         assert round_half_away_from_zero(-101, 2) == -51
 
 
-def fill(values, labels_from=None):
-    """interpolate_missing on a list with None for the gaps, as a list."""
+def fill(values, start=date(2010, 1, 1)):
+    """interpolate_missing on a list with None for the gaps, the first
+    entry on ``start``, as a list."""
     missing = [v is None for v in values]
     present = np.array([0 if v is None else v for v in values], dtype=np.int64)
-    return interpolate_missing(present, missing, labels_from).tolist()
+    return interpolate_missing(present, missing, start).tolist()
 
 
 class TestInterpolateMissing:
@@ -268,16 +269,16 @@ class TestInterpolateMissing:
         assert fill([-50, None, -53]) == [-50, -52, -53]
 
     def test_boundary_missing_raises(self):
-        with pytest.raises(BoundaryGapError, match="first observation missing at 0"):
+        with pytest.raises(BoundaryGapError, match="first observation missing at 2010-01-01"):
             fill([None, 50, 52])
-        with pytest.raises(BoundaryGapError, match="last observation missing at 2"):
+        with pytest.raises(BoundaryGapError, match="last observation missing at 2010-01-03"):
             fill([50, 52, None])
 
     def test_consecutive_gap_lists_positions(self):
         with pytest.raises(
             UnsupportedGapError, match="at: 2010-05-10, 2010-05-11$"
         ) as info:
-            fill([50, None, None, 52, None, 53], labels_from=date(2010, 5, 9))
+            fill([50, None, None, 52, None, 53], start=date(2010, 5, 9))
         assert info.value.positions == [date(2010, 5, 10), date(2010, 5, 11)]
 
     @given(
@@ -622,14 +623,3 @@ class TestFetchStation:
         assert cache_file.read_bytes() == station_payload()
         assert [p.name for p in tmp_path.iterdir()] == [cache_file.name]
 
-    def test_url_template_placeholder(self, tmp_path):
-        seen = []
-
-        def fake_get(url):
-            seen.append(url)
-            return FakeResponse(200, station_payload())
-
-        fetch_station(
-            STATION, "http://host/dl?id={station_id}", tmp_path, http_get=fake_get
-        )
-        assert seen == [f"http://host/dl?id={STATION}"]

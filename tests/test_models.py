@@ -7,31 +7,31 @@ import numpy as np
 import pytest
 
 import tempdyn.models as models
+from tempdyn import reporting
 from tempdyn.models import (
+    HYPOTHESES,
     JOINT_DUMMIES,
     JOINT_INTERACTIONS,
-    EvolvingSeasonalFit,
-    FixedSeasonalFit,
     WindowFactors,
     batch_report,
     city_report,
+    delta_trend,
     evolving_design,
-    fit_evolving_seasonal,
-    fit_fixed_seasonal,
-    fit_joint,
-    fit_trend,
-    hypothesis_suite,
     month_block_factor,
+    month_effects,
     seasonal_design,
     trend_design,
 )
 from tempdyn.regression import (
     DesignMatrix,
+    ModelFit,
+    QRFactor,
     SingularDesignError,
     factorize,
     fit_with_hac,
     hac_cov,
     ols_fit,
+    wald_test,
 )
 from tempdyn.series import TemperatureSeries, build_series
 
@@ -55,16 +55,27 @@ def series_from_avg(avg: np.ndarray, start: date = date(1960, 1, 1)) -> Temperat
     )
 
 
-def fixed_on(series: TemperatureSeries, detrended: np.ndarray) -> FixedSeasonalFit:
+def fitted(series: TemperatureSeries, model: str, bandwidth="auto") -> ModelFit:
+    """``model`` fitted with HAC to the series' avg, through the factors of
+    its window."""
+    return fit_with_hac(*WindowFactors(series).least_squares(model, series.avg), bandwidth)
+
+
+def wald_suite(joint: ModelFit) -> dict:
+    """The three hypothesis tests on a joint fit, by label (nt, ns, nts)."""
+    return {label: wald_test(joint, restrictions) for label, restrictions in HYPOTHESES.items()}
+
+
+def fixed_on(series: TemperatureSeries, detrended: np.ndarray) -> ModelFit:
     """The fixed seasonal model of the series' window, fitted to a given
     de-trended regressand."""
-    return FixedSeasonalFit(fit_with_hac(WindowFactors(series).fixed, detrended))
+    return fit_with_hac(WindowFactors(series).fixed, detrended)
 
 
-def evolving_on(series: TemperatureSeries, detrended: np.ndarray) -> EvolvingSeasonalFit:
+def evolving_on(series: TemperatureSeries, detrended: np.ndarray) -> ModelFit:
     """The evolving seasonal model of the series' window, fitted to a given
     de-trended regressand."""
-    return EvolvingSeasonalFit(fit_with_hac(WindowFactors(series).evolving, detrended))
+    return fit_with_hac(WindowFactors(series).evolving, detrended)
 
 
 def integer_series(start: date, end: date, tmax_fn, tmin_fn) -> TemperatureSeries:
@@ -78,44 +89,44 @@ class TestFitTrend:
         T = 1000
         t = np.arange(1, T + 1)
         series = series_from_avg(0.001 * t + rng.standard_normal(T))
-        trend = fit_trend(series, "avg")
-        se_delta = trend.fit.se("time") * (T - 1)
-        assert abs(trend.delta_trend - 0.999) < 3 * se_delta
+        trend = fitted(series, "trend")
+        se_delta = trend.se("time") * (T - 1)
+        assert abs(delta_trend(trend) - 0.999) < 3 * se_delta
 
     def test_delta_antisymmetric_under_time_reversal(self):
         rng = np.random.default_rng(55)
         values = 60.0 + 0.002 * np.arange(1, 731) + rng.standard_normal(730)
-        forward = fit_trend(series_from_avg(values), "avg")
-        backward = fit_trend(series_from_avg(values[::-1]), "avg")
-        assert backward.fit.coef("time") == pytest.approx(-forward.fit.coef("time"), rel=1e-9)
-        assert abs(backward.delta_trend) == pytest.approx(
-            abs(forward.delta_trend), rel=1e-9
+        forward = fitted(series_from_avg(values), "trend")
+        backward = fitted(series_from_avg(values[::-1]), "trend")
+        assert backward.coef("time") == pytest.approx(-forward.coef("time"), rel=1e-9)
+        assert abs(delta_trend(backward)) == pytest.approx(
+            abs(delta_trend(forward)), rel=1e-9
         )
 
     def test_strong_trend_is_starred(self):
         t = np.arange(1, 2001)
         series = series_from_avg(50.0 + 0.01 * t)
-        trend = fit_trend(series, "avg")
-        assert trend.starred
+        trend = fitted(series, "trend")
+        assert trend.coef_p("time") < models.STAR_LEVEL
 
 
 class TestDetrend:
     def test_constant_series_detrends_to_zero(self):
         series = series_from_avg(np.full(400, 60.0))
-        trend = fit_trend(series, "avg")
-        np.testing.assert_allclose(trend.fit.residuals, 0.0, atol=1e-9)
+        trend = fitted(series, "trend")
+        np.testing.assert_allclose(trend.residuals, 0.0, atol=1e-9)
 
     def test_pure_trend_detrends_to_zero(self):
         t = np.arange(1, 401)
         series = series_from_avg(5.0 + 0.01 * t)
-        trend = fit_trend(series, "avg")
-        np.testing.assert_allclose(trend.fit.residuals, 0.0, atol=1e-8)
+        trend = fitted(series, "trend")
+        np.testing.assert_allclose(trend.residuals, 0.0, atol=1e-8)
 
     def test_mean_zero(self):
         rng = np.random.default_rng(21)
         series = series_from_avg(60 + np.cumsum(rng.standard_normal(500)) * 0.1)
-        trend = fit_trend(series, "avg")
-        assert abs(trend.fit.residuals.mean()) < 1e-9
+        trend = fitted(series, "trend")
+        assert abs(trend.residuals.mean()) < 1e-9
 
 
 class TestFixedSeasonal:
@@ -123,8 +134,8 @@ class TestFixedSeasonal:
         series = series_from_avg(np.zeros(365 * 2), start=date(1961, 1, 1))
         detrended = np.where(series.month == 1, 1.0, -1.0)
         result = fixed_on(series, detrended)
-        assert result.pattern.month_effects[0] == pytest.approx(1.0, abs=1e-12)
-        for effect in result.pattern.month_effects[1:]:
+        assert month_effects(result)[0] == pytest.approx(1.0, abs=1e-12)
+        for effect in month_effects(result)[1:]:
             assert effect == pytest.approx(-1.0, abs=1e-12)
 
     def test_coefficients_equal_month_means(self):
@@ -134,7 +145,7 @@ class TestFixedSeasonal:
         result = fixed_on(series, detrended)
         for m in range(1, 13):
             month_mean = detrended[series.month == m].mean()
-            assert result.pattern.month_effects[m - 1] == pytest.approx(
+            assert month_effects(result)[m - 1] == pytest.approx(
                 month_mean, abs=1e-10
             )
 
@@ -149,11 +160,11 @@ class TestEvolvingSeasonal:
         detrended -= detrended.mean()
         series = series_from_avg(detrended)
         result = evolving_on(series, detrended)
-        first = result.pattern_at(1.0).month_effects
-        last = result.pattern_at(float(T)).month_effects
+        first = month_effects(result, 1.0)
+        last = month_effects(result, float(T))
         for m in range(12):
-            interaction = result.fit.coef(f"dt{m + 1:02d}")
-            se = result.fit.se(f"dt{m + 1:02d}")
+            interaction = result.coef(f"dt{m + 1:02d}")
+            se = result.se(f"dt{m + 1:02d}")
             assert abs(last[m] - first[m]) == pytest.approx(
                 abs(interaction) * (T - 1), rel=1e-9
             )
@@ -168,12 +179,12 @@ class TestEvolvingSeasonal:
         detrended = drift + rng.standard_normal(T)
         series = series_from_avg(detrended)
         result = evolving_on(series, detrended)
-        october = result.fit.coef("dt10")
+        october = result.coef("dt10")
         assert october < 0
-        assert abs(october / result.fit.se("dt10")) > 3
+        assert abs(october / result.se("dt10")) > 3
 
     def test_pattern_time_average_is_zero(self):
-        # fitted values are pattern_at(t) picked out by each day's month, and
+        # fitted values are month_effects(t) picked out by each day's month, and
         # they average to the mean of the regressand
         rng = np.random.default_rng(8)
         T = 1461
@@ -183,19 +194,22 @@ class TestEvolvingSeasonal:
         detrended -= detrended.mean()
         series = series_from_avg(detrended)
         result = evolving_on(series, detrended)
-        fitted = evolving_design(month_dummies(series), series.t).data @ result.fit.beta
-        assert abs(fitted.mean()) < 1e-10
+        values = evolving_design(month_dummies(series), series.t).data @ result.beta
+        assert abs(values.mean()) < 1e-10
 
-    def test_pattern_for_year_uses_july_first(self):
+    def test_pattern_for_year_uses_july_first(self, tmp_path):
+        # the t of a year's pattern is the series' t on July 1, and its
+        # column is labelled by the year
         T = 731
         series = series_from_avg(np.zeros(T), start=date(1960, 1, 1))
         detrended = np.linspace(-1, 1, T)
         result = evolving_on(series, detrended)
-        anchored = result.pattern_for_year(series, 1960)
+        anchored = month_effects(result, series.t[series.iso_dates.index("1960-07-01")])
         t_july = (date(1960, 7, 1) - date(1960, 1, 1)).days + 1
-        direct = result.pattern_at(float(t_july))
-        assert anchored.month_effects == direct.month_effects
-        assert anchored.evaluated_at == "1960"
+        direct = month_effects(result, float(t_july))
+        assert anchored == direct
+        reporting.write_patterns_csv({"1960": anchored}, tmp_path / "patterns.csv")
+        assert (tmp_path / "patterns.csv").read_text().split("\n")[0] == "month,effect_1960"
 
 
 @pytest.mark.parametrize(
@@ -208,15 +222,12 @@ class TestEvolvingSeasonal:
     ],
 )
 def test_pattern_years_are_those_of_the_first_and_last_july_first(start, end, years):
-    series = series_from_avg(np.zeros((end - start).days + 1), start=start)
-    assert models.pattern_years(series) == years
+    assert models.pattern_years(start, end) == years
 
 
 def test_window_without_july_first_has_no_pattern_years():
-    series = series_from_avg(np.zeros(364), start=date(1960, 7, 2))
-    assert series.end == date(1961, 6, 30)
     with pytest.raises(ValueError, match="1960-07-02..1961-06-30 holds no July 1"):
-        models.pattern_years(series)
+        models.pattern_years(date(1960, 7, 2), date(1961, 6, 30))
 
 
 def seasonal_designs(month: np.ndarray, t: np.ndarray):
@@ -294,25 +305,27 @@ class TestWindowFactors:
     """Every model is fitted on the factors of its window, each built once."""
 
     def test_fit_functions_share_one_signature(self):
-        fits = (fit_trend, fit_fixed_seasonal, fit_evolving_seasonal, fit_joint)
-        signatures = {tuple(inspect.signature(f).parameters) for f in fits}
-        assert signatures == {("series", "variable", "bandwidth", "factors")}
+        # one entry serves all four models: a factor and a regressand of
+        # equal length, for ols_fit or fit_with_hac
+        series = quick_series(29)
+        factors = WindowFactors(series)
+        assert tuple(inspect.signature(factors.least_squares).parameters) == ("model", "y")
+        for model, nobs in (("trend", 1200), ("fixed", 1200), ("evolving", 1200), ("joint", 1199)):
+            factor, regressand = factors.least_squares(model, series.avg)
+            assert isinstance(factor, QRFactor)
+            assert len(factor.design.data) == len(regressand) == nobs, model
 
-    @pytest.mark.parametrize(
-        "fit, seasonal, design",
-        [(fit_fixed_seasonal, FixedSeasonalFit, "fixed"),
-         (fit_evolving_seasonal, EvolvingSeasonalFit, "evolving")],
-    )
-    def test_seasonal_fits_detrend_by_ols_on_the_trend_factor(self, fit, seasonal, design):
+    @pytest.mark.parametrize("design", ["fixed", "evolving"])
+    def test_seasonal_fits_detrend_by_ols_on_the_trend_factor(self, design):
         series = quick_series(30)
         factors = WindowFactors(series)
         detrended = ols_fit(factors.trend, series.avg).residuals
         expected = fit_with_hac(getattr(factors, design), detrended, 5)
-        result = fit(series, "avg", 5)
-        assert isinstance(result, seasonal)
-        assert np.array_equal(result.fit.beta, expected.beta)
-        assert np.array_equal(result.fit.hac_cov, expected.hac_cov)
-        assert result.fit.bandwidth == 5
+        result = fitted(series, design, bandwidth=5)
+        assert result.names == expected.names
+        assert np.array_equal(result.beta, expected.beta)
+        assert np.array_equal(result.hac_cov, expected.hac_cov)
+        assert result.bandwidth == 5
 
     def test_factors_built_on_first_use_and_shared(self, monkeypatch):
         built = []
@@ -331,13 +344,13 @@ class TestWindowFactors:
         series = quick_series(31)
         factors = WindowFactors(series)
         for variable in ("avg", "dtr"):
-            fit_trend(series, variable, factors=factors)
+            fit_with_hac(*factors.least_squares("trend", series.variable(variable)))
         assert built == ["time"]
         for variable in ("avg", "dtr"):
-            fit_evolving_seasonal(series, variable, factors=factors)
-            fit_fixed_seasonal(series, variable, factors=factors)
-        fit_joint(series, "avg", factors=factors)
-        fit_joint(series, "avg", factors=factors)
+            fit_with_hac(*factors.least_squares("evolving", series.variable(variable)))
+            fit_with_hac(*factors.least_squares("fixed", series.variable(variable)))
+        fit_with_hac(*factors.least_squares("joint", series.avg))
+        fit_with_hac(*factors.least_squares("joint", series.avg))
         assert built == ["time", "dt12", "d12", "dt12"]
 
 
@@ -433,8 +446,8 @@ class TestJointModel:
     def test_white_noise_rho_near_zero(self):
         rng = np.random.default_rng(60)
         series = series_from_avg(rng.standard_normal(4000))
-        joint = fit_joint(series, "avg")
-        assert abs(joint.rho) < 3 * joint.fit.se("lag")
+        joint = fitted(series, "joint")
+        assert abs(joint.coef("lag")) < 3 * joint.se("lag")
 
     def test_known_process_recovered(self):
         rng = np.random.default_rng(61)
@@ -443,10 +456,10 @@ class TestJointModel:
         delta = {m: float(m - 6) for m in range(1, 13) if m != 7}
         y = simulate_joint(month, 10.0, 2e-4, delta, {}, 0.6, 1.5, rng)
         series = series_from_avg(y)
-        joint = fit_joint(series, "avg")
-        assert abs(joint.rho - 0.6) < 3 * joint.fit.se("lag")
-        assert abs(joint.fit.coef("time") - 2e-4) < 3 * joint.fit.se("time")
-        assert abs(joint.fit.coef("d03") - delta[3]) < 3 * joint.fit.se("d03")
+        joint = fitted(series, "joint")
+        assert abs(joint.coef("lag") - 0.6) < 3 * joint.se("lag")
+        assert abs(joint.coef("time") - 2e-4) < 3 * joint.se("time")
+        assert abs(joint.coef("d03") - delta[3]) < 3 * joint.se("d03")
 
     def test_nesting_evolving_collapses_to_fixed(self):
         rng = np.random.default_rng(62)
@@ -458,7 +471,7 @@ class TestJointModel:
         restricted = DesignMatrix(full.names[:12], full.data[:, :12])
         fixed = fixed_on(series, detrended)
         from_restricted = ols_fit(factorize(restricted), detrended)
-        np.testing.assert_allclose(from_restricted.beta, fixed.fit.beta, atol=1e-12)
+        np.testing.assert_allclose(from_restricted.beta, fixed.beta, atol=1e-12)
 
     def test_nesting_joint_collapses_to_trend_ar(self):
         rng = np.random.default_rng(63)
@@ -479,13 +492,13 @@ class TestJointModel:
 
     def test_bordered_fit_matches_full_design_fit(self):
         series = quick_series(66, T=3650)
-        joint = fit_joint(series, "avg")
+        joint = fitted(series, "joint")
         design, regressand = joint_design(series.month, series.t, series.avg)
         direct = fit_with_hac(factorize(design), regressand)
-        assert joint.fit.names == direct.names
-        np.testing.assert_allclose(joint.fit.beta, direct.beta, rtol=1e-9)
-        np.testing.assert_allclose(joint.fit.hac_cov, direct.hac_cov, rtol=1e-8, atol=1e-20)
-        assert joint.rho == pytest.approx(direct.coef("lag"), rel=1e-12)
+        assert joint.names == direct.names
+        np.testing.assert_allclose(joint.beta, direct.beta, rtol=1e-9)
+        np.testing.assert_allclose(joint.hac_cov, direct.hac_cov, rtol=1e-8, atol=1e-20)
+        assert joint.coef("lag") == pytest.approx(direct.coef("lag"), rel=1e-12)
         assert joint.r_squared == pytest.approx(direct.r_squared, rel=1e-12)
 
 
@@ -501,24 +514,25 @@ class TestInvariance:
         y = simulate_joint(month, 20.0, 1e-6, delta, {1: 2e-6}, 0.6, 2.0, rng)
         days = series_from_avg(y)
         years = dataclasses.replace(days, t=days.t / 365.25)
-        by_day = fit_joint(days, "avg")
-        by_year = fit_joint(years, "avg")
-        a, b = hypothesis_suite(by_day), hypothesis_suite(by_year)
-        assert 1e-4 < min(a.p_nt, a.p_ns, a.p_nts) and max(a.p_nt, a.p_ns, a.p_nts) < 1.0
+        by_day = fitted(days, "joint")
+        by_year = fitted(years, "joint")
+        a = {label: test.p_value for label, test in wald_suite(by_day).items()}
+        b = {label: test.p_value for label, test in wald_suite(by_year).items()}
+        assert 1e-4 < min(a.values()) and max(a.values()) < 1.0
         for before, after in (
-            (a.p_nt, b.p_nt),
-            (a.p_ns, b.p_ns),
-            (a.p_nts, b.p_nts),
-            (by_day.rho, by_year.rho),
+            (a["nt"], b["nt"]),
+            (a["ns"], b["ns"]),
+            (a["nts"], b["nts"]),
+            (by_day.coef("lag"), by_year.coef("lag")),
             (by_day.r_squared, by_year.r_squared),
         ):
             assert after == pytest.approx(before, rel=1e-9)
-        assert by_year.fit.coef("time") == pytest.approx(
-            365.25 * by_day.fit.coef("time"), rel=1e-9
+        assert by_year.coef("time") == pytest.approx(
+            365.25 * by_day.coef("time"), rel=1e-9
         )
 
     def test_lag_position_leaves_results_unchanged(self):
-        # fit_joint borders the window's factor with the lag as the last
+        # least_squares borders the window's factor with the lag as the last
         # column; the paper lists the lag third, and factoring the full
         # design in that order gives the same estimates, errors and tests
         rng = np.random.default_rng(67)
@@ -527,22 +541,23 @@ class TestInvariance:
         delta = {m: 0.02 * (m - 6) for m in range(1, 13) if m != 7}
         y = simulate_joint(month, 20.0, 1e-6, delta, {1: 2e-6}, 0.6, 2.0, rng)
         series = series_from_avg(y)
-        bordered = fit_joint(series, "avg")
-        assert bordered.fit.names[-1] == "lag"
+        bordered = fitted(series, "joint")
+        assert bordered.names[-1] == "lag"
         shared = models.joint_shared_design(series.month, series.t)
         paper = DesignMatrix(
             shared.names[:2] + ("lag",) + shared.names[2:],
             np.insert(shared.data, 2, y[:-1], axis=1),
         )
-        direct = models.JointFit(fit_with_hac(factorize(paper), y[1:]))
-        a, b = hypothesis_suite(bordered), hypothesis_suite(direct)
-        assert 1e-4 < min(b.p_nt, b.p_ns, b.p_nts) and max(b.p_nt, b.p_ns, b.p_nts) < 1.0
+        direct = fit_with_hac(factorize(paper), y[1:])
+        a = {label: test.p_value for label, test in wald_suite(bordered).items()}
+        b = {label: test.p_value for label, test in wald_suite(direct).items()}
+        assert 1e-4 < min(b.values()) and max(b.values()) < 1.0
         for ours, theirs in (
-            (bordered.rho, direct.rho),
-            (bordered.fit.se("lag"), direct.fit.se("lag")),
-            (a.p_nt, b.p_nt),
-            (a.p_ns, b.p_ns),
-            (a.p_nts, b.p_nts),
+            (bordered.coef("lag"), direct.coef("lag")),
+            (bordered.se("lag"), direct.se("lag")),
+            (a["nt"], b["nt"]),
+            (a["ns"], b["ns"]),
+            (a["nts"], b["nts"]),
             (bordered.r_squared, direct.r_squared),
         ):
             assert ours == pytest.approx(theirs, rel=1e-9)
@@ -552,12 +567,12 @@ class TestHypothesisSuite:
     def test_degrees_of_freedom(self):
         rng = np.random.default_rng(64)
         series = series_from_avg(rng.standard_normal(3000))
-        suite = hypothesis_suite(fit_joint(series, "avg"))
-        assert suite.no_trend.df == 12
-        assert suite.no_seasonality.df == 22
-        assert suite.no_trending_seasonality.df == 11
-        assert suite.no_trend.restriction_labels == ("time",) + JOINT_INTERACTIONS
-        assert set(suite.no_seasonality.restriction_labels) == set(
+        suite = wald_suite(fitted(series, "joint"))
+        assert suite["nt"].df == 12
+        assert suite["ns"].df == 22
+        assert suite["nts"].df == 11
+        assert suite["nt"].restriction_labels == ("time",) + JOINT_INTERACTIONS
+        assert set(suite["ns"].restriction_labels) == set(
             JOINT_DUMMIES + JOINT_INTERACTIONS
         )
 
@@ -567,10 +582,10 @@ class TestHypothesisSuite:
         month = calendar_months(date(1960, 1, 1), T)
         delta = {m: 2.0 * (m - 6) for m in range(1, 13) if m != 7}
         y = simulate_joint(month, 10.0, 6e-4, delta, {}, 0.5, 1.0, rng)
-        suite = hypothesis_suite(fit_joint(series_from_avg(y), "avg"))
-        assert suite.p_nt < 0.01
-        assert suite.p_ns < 0.01
-        assert suite.p_nts > 0.01  # no interactions in the generating process
+        suite = wald_suite(fitted(series_from_avg(y), "joint"))
+        assert suite["nt"].p_value < 0.01
+        assert suite["ns"].p_value < 0.01
+        assert suite["nts"].p_value > 0.01  # no interactions in the generating process
 
 
 def quick_series(seed: int, T: int = 1200) -> TemperatureSeries:

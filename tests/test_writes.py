@@ -11,7 +11,7 @@ import pytest
 from tempdyn import reporting
 from tempdyn.density import DensityEstimate
 from tempdyn.ghcn import fetch_station
-from tempdyn.models import BatchReport, CityReport, SeasonalPattern
+from tempdyn.models import BatchReport, CityReport
 from tempdyn.regression import ModelFit
 from tempdyn.series import build_series, read_series_csv, sidecar_path, write_series_csv
 
@@ -75,7 +75,7 @@ WRITERS = {
         path,
     ),
     "patterns": lambda path: reporting.write_patterns_csv(
-        [SeasonalPattern(tuple([0.5] * 9 + [Unprintable()] + [0.5] * 2), "1960")], path
+        {"1960": [0.5] * 9 + [Unprintable()] + [0.5] * 2}, path
     ),
 }
 
