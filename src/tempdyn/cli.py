@@ -298,14 +298,14 @@ def figures(config_path, station_code, out):
     print(f"wrote figure data under {figures_dir}")
 
 
-def fit(config_path, station_code, variable, model, hac_bandwidth):
+def fit(config_path, station_code, variable, model, hac_bandwidth, out):
     """Fit a single specification and print its coefficient table."""
     from . import models
     from .regression import (
         BandwidthError, InsufficientDataError, SingularDesignError, fit_with_hac, wald_test,
     )
 
-    config = _configure(config_path, hac_bandwidth=hac_bandwidth)
+    config = _configure(config_path, out=out, hac_bandwidth=hac_bandwidth)
     name = {"seasonal": "fixed"}.get(model, model)
     _check_window(config, name)
     station_series = _station_series(config, station_code)
@@ -374,7 +374,7 @@ def _parser() -> argparse.ArgumentParser:
                                    metavar="CODE", help="Airport code; repeatable.")
     for function in (figures, fit):
         sub[function].add_argument("--station", dest="station_code", required=True, metavar="CODE")
-    for function in (ingest, tables, figures):
+    for function in (ingest, tables, figures, fit):
         sub[function].add_argument("--out", help="Output directory override.")
     for function in (tables, fit):
         sub[function].add_argument("--hac-bandwidth", type=_bandwidth,

@@ -5,6 +5,11 @@ an aligned text table for eyeballing. Data files carry no timestamps so
 re-runs on unchanged inputs are byte-identical; the ingest manifest records
 provenance instead (each station's data source and when it was fetched,
 its series sha256 and repairs), and no timing.
+
+The dated figure files (trend and seasonal fit) fill the window's row
+templates (``series.fill_rows``): the date text is formatted once per
+window, and each file adds its two cells per day. ``%s`` of a float is its
+repr, so the bytes are those of formatting every row in full.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .series import TemperatureSeries, distinct_text, write_atomic
+from .series import TemperatureSeries, distinct_text, fill_rows, write_atomic
 
 if TYPE_CHECKING:  # annotations only, so ingest need not load the fitting modules
     from .density import DensityEstimate
@@ -138,11 +143,15 @@ def write_seasonal_fit_csv(
     _write_dated(series, ["detrended", "seasonal_fit"], *columns, path)
 
 
+_DATED_ROW = "{0},%s,%s\n"
+
+
 def _write_dated(series, names, first: list, second: list, path) -> None:
     """Two daily columns of the series' window, one dated row per day; each
     column holds floats or their text."""
-    rows = (f"{when},{a},{b}\n" for when, a, b in zip(series.iso_dates, first, second))
-    write_atomic(path, _csv(["date", *names], rows))
+    cells = [None] * (2 * len(series))
+    cells[0::2], cells[1::2] = first, second
+    write_atomic(path, _csv(["date", *names], fill_rows(series.start, _DATED_ROW, cells)))
 
 
 def write_patterns_csv(patterns: Mapping[str, Sequence[float]], path: Path) -> None:

@@ -7,8 +7,8 @@ import math
 import random
 import re
 from dataclasses import dataclass
-from datetime import date
-from typing import NamedTuple
+from datetime import date, timedelta
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import pytest
@@ -268,3 +268,25 @@ def month_dummies(series: TemperatureSeries) -> np.ndarray:
     dummies[np.arange(len(series)), series.month - 1] = 1.0
     dummies.setflags(write=False)
     return dummies
+
+
+def reference_series_csv(series: TemperatureSeries) -> bytes:
+    """The series CSV formatted row by row with f-strings: the reference
+    for the bytes ``write_series_csv`` fills in from its row templates."""
+    lines = ["date,tmax,tmin,avg,dtr,t,month\n"]
+    for i, (high, low) in enumerate(zip(series.max_f.tolist(), series.min_f.tolist())):
+        day = series.start + timedelta(days=i)
+        avg = f"{(high + low) / 2:.1f}".removesuffix(".0")
+        lines.append(f"{day.isoformat()},{high},{low},{avg},{high - low},{i + 1},{day.month}\n")
+    return "".join(lines).encode()
+
+
+def reference_dated_csv(
+    start: date, header: Sequence[str], first: np.ndarray, second: np.ndarray
+) -> bytes:
+    """A dated figure CSV formatted row by row with f-strings, each cell the
+    repr of its float: the reference for ``reporting``'s dated writers."""
+    lines = [",".join(header) + "\n"]
+    for i, (a, b) in enumerate(zip(first.tolist(), second.tolist())):
+        lines.append(f"{(start + timedelta(days=i)).isoformat()},{a!r},{b!r}\n")
+    return "".join(lines).encode()

@@ -968,6 +968,19 @@ class TestFit:
         assert result.exit_code == 0, result.output
         assert len(calls) == 1
 
+    def test_out_reads_the_workspace_ingest_wrote(self, workspace):
+        # the same --out as tables and figures: no config need name the
+        # directory ingest wrote
+        config = str(workspace / "run.cfg")
+        elsewhere = str(workspace / "elsewhere")
+        assert run(["ingest", "--config", config, "--out", elsewhere]).exit_code == 0
+        result = run(["fit", "--config", config, "--station", "AAA", "--out", elsewhere])
+        assert result.exit_code == 0, result.output
+        assert "p(nts)=" in result.output
+        configured = run(["fit", "--config", config, "--station", "AAA"])
+        assert configured.exit_code == 1
+        assert "no series file" in configured.output
+
     @pytest.mark.parametrize("model", ["trend", "seasonal", "evolving", "joint"])
     def test_bandwidth_beyond_nobs_is_a_one_line_error(self, workspace, model):
         config = str(workspace / "run.cfg")

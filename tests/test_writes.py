@@ -1,6 +1,5 @@
 """Every output file is replaced atomically, with a plain file's mode."""
 
-import dataclasses
 import os
 import stat
 from datetime import date, timedelta
@@ -9,13 +8,14 @@ import numpy as np
 import pytest
 
 from tempdyn import reporting
+from tempdyn import series as series_mod
 from tempdyn.density import DensityEstimate
 from tempdyn.ghcn import fetch_station
 from tempdyn.models import BatchReport, CityReport
 from tempdyn.regression import ModelFit
 from tempdyn.series import build_series, read_series_csv, sidecar_path, write_series_csv
 
-from conftest import synthetic_station_bytes
+from conftest import reference_dated_csv, reference_series_csv, synthetic_station_bytes
 
 START, END = date(1960, 1, 1), date(1960, 12, 31)
 DAYS = (END - START).days + 1
@@ -32,22 +32,29 @@ class Unprintable:
         raise RuntimeError("cell cannot be written")
 
 
-class WholeInText:
-    """A temperature that formats as text but cannot become an integer, so
-    the series CSV is written and its sidecar fails."""
+def _write_series_failing_in_second_block(path):
+    # more than one block of rows, so the first block is already streamed
+    # into the temp file when the second one fails
+    start, end = date(1960, 1, 1), date(1971, 12, 31)
+    days = (end - start).days + 1
+    assert days > series_mod._ROW_BLOCK
+    real = series_mod._row_templates
 
-    def __float__(self):
-        return 71.0
+    class UnfillableTemplate(str):
+        """A block of row templates that fails once its rows are filled in,
+        as a full disk would while that block streams."""
 
-    def __int__(self):
-        raise RuntimeError("sidecar cannot be written")
+        def __mod__(self, cells):
+            assert [p.suffix for p in path.parent.iterdir() if p != path] == [".part"]
+            raise RuntimeError("row block cannot be written")
 
+    def second_block_fails(*window):
+        first, second, *rest = real(*window)
+        return (first, UnfillableTemplate(second), *rest)
 
-def _series_with_bad_t():
-    built = build_series(np.full(DAYS, 70), np.full(DAYS, 50), START, END)
-    t = built.t.astype(object)
-    t[200] = Unprintable()
-    return dataclasses.replace(built, t=t)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(series_mod, "_row_templates", second_block_fails)
+        write_series_csv(build_series(np.full(days, 70), np.full(days, 50), start, end), path)
 
 
 def _row(station, p_nt):
@@ -61,7 +68,7 @@ def _column_with_bad_cell(n=512, at=300):
 
 
 WRITERS = {
-    "series": lambda path: write_series_csv(_series_with_bad_t(), path),
+    "series": _write_series_failing_in_second_block,
     "table": lambda path: reporting.write_table_csv(
         BatchReport("avg", (_row("AAA", 0.1), _row("BBB", Unprintable())), None, ()), path
     ),
@@ -90,18 +97,24 @@ def test_interrupted_writer_leaves_previous_file(tmp_path, writer):
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
-def test_interrupted_sidecar_leaves_previous_sidecar(tmp_path):
+def test_interrupted_sidecar_leaves_previous_sidecar(tmp_path, monkeypatch):
     # the CSV is replaced, its sidecar is not; the previous sidecar no
     # longer matches the CSV, so the CSV is read as text
     built = build_series(np.full(DAYS, 70), np.full(DAYS, 50), START, END)
     path = tmp_path / "AAA.csv"
     write_series_csv(built, path)
     previous = sidecar_path(path).read_bytes()
-    # day 100 becomes 71/50, consistently in every column of the CSV
-    max_f, avg, dtr = built.max_f.astype(object), built.avg.copy(), built.dtr.copy()
-    max_f[100], avg[100], dtr[100] = WholeInText(), 60.5, 21.0
+    max_f = built.max_f.copy()
+    max_f[100] = 71
+
+    def unbuildable(series, csv_sha256):
+        raise RuntimeError("sidecar cannot be written")
+
+    # the fault comes once the CSV is renamed into place, while its
+    # sidecar is built
+    monkeypatch.setattr(series_mod, "_sidecar_bytes", unbuildable)
     with pytest.raises(RuntimeError, match="cannot be written"):
-        write_series_csv(dataclasses.replace(built, max_f=max_f, avg=avg, dtr=dtr), path)
+        write_series_csv(build_series(max_f, built.min_f, START, END), path)
     assert sidecar_path(path).read_bytes() == previous
     assert sorted(p.name for p in tmp_path.iterdir()) == ["AAA.csv", "AAA.npy"]
     assert read_series_csv(path).max_f[99:102].tolist() == [70, 71, 70]
@@ -156,13 +169,76 @@ def test_dated_columns_hold_each_value_repr(tmp_path):
     reporting.write_trend_csv(series, "avg", trend, tmp_path / "trend.csv")
     reporting.write_seasonal_fit_csv(series, residuals, fitted, tmp_path / "fit.csv")
 
-    def expected(header, first, second):
-        days = (START + timedelta(days=i) for i in range(DAYS))
-        rows = zip(days, first.tolist(), second.tolist())
-        return [header] + [f"{day.isoformat()},{a!r},{b!r}" for day, a, b in rows]
-
-    trend_lines = (tmp_path / "trend.csv").read_text().splitlines()
-    assert trend_lines == expected("date,actual,fitted", series.avg, series.avg - residuals)
+    assert (tmp_path / "trend.csv").read_bytes() == reference_dated_csv(
+        START, ["date", "actual", "fitted"], series.avg, series.avg - residuals
+    )
+    assert (tmp_path / "fit.csv").read_bytes() == reference_dated_csv(
+        START, ["date", "detrended", "seasonal_fit"], residuals, fitted
+    )
     fit_lines = (tmp_path / "fit.csv").read_text().splitlines()
-    assert fit_lines == expected("date,detrended,seasonal_fit", residuals, fitted)
     assert {line.rsplit(",", 1)[1] for line in fit_lines[1:]} >= {"-0.0", "0.0"}
+
+
+def _random_series(rng, start, days, low):
+    tmin = rng.integers(low, low + 40, size=days)
+    tmax = tmin + rng.integers(0, 35, size=days)
+    return build_series(tmax, tmin, start, start + timedelta(days=days - 1))
+
+
+def _write_all(series, rng, directory):
+    """The series CSV and both dated figure files of ``series``, each
+    checked against the per-row reference; whether a sidecar was written."""
+    days = len(series)
+    path = directory / "AAA.csv"
+    write_series_csv(series, path)
+    assert path.read_bytes() == reference_series_csv(series)
+    residuals = rng.standard_normal(days)
+    trend = ModelFit(("const", "time"), np.zeros(2), residuals, 0.5, days)
+    reporting.write_trend_csv(series, "dtr", trend, directory / "trend.csv")
+    assert (directory / "trend.csv").read_bytes() == reference_dated_csv(
+        series.start, ["date", "actual", "fitted"], series.dtr, series.dtr - residuals
+    )
+    fitted = rng.standard_normal(12)[series.month - 1]
+    reporting.write_seasonal_fit_csv(series, residuals, fitted, directory / "fit.csv")
+    assert (directory / "fit.csv").read_bytes() == reference_dated_csv(
+        series.start, ["date", "detrended", "seasonal_fit"], residuals, fitted
+    )
+    return sidecar_path(path).exists()
+
+
+BLOCK = series_mod._ROW_BLOCK
+
+
+@pytest.mark.parametrize(
+    "start, days, low",
+    [
+        (date(1960, 1, 1), 1, 30),
+        (date(1961, 3, 15), 500, 30),
+        (date(1999, 11, 20), 120, 30),
+        (date(1960, 1, 1), BLOCK, 30),
+        (date(1960, 1, 1), BLOCK + 1, 30),
+        (date(1979, 12, 1), 400, -60),
+    ],
+    ids=["1-day", "from-1961-03-15", "over-2000-02-29", "one-block", "block-plus-one",
+         "negative"],
+)
+def test_rows_equal_the_per_row_reference(tmp_path, start, days, low):
+    series = _random_series(np.random.default_rng(days), start, days, low)
+    assert _write_all(series, np.random.default_rng(1), tmp_path)
+
+
+def test_rows_beyond_16_bits_equal_the_reference_without_a_sidecar(tmp_path):
+    series = build_series(
+        [40000, 70, 41001], [50, -40000, 70], date(2000, 2, 28), date(2000, 3, 1)
+    )
+    assert not _write_all(series, np.random.default_rng(2), tmp_path)
+
+
+def test_alternating_windows_get_their_own_rows(tmp_path):
+    # the same length from another start, another length from the same
+    # start, and the same window as before: a cached template of one window
+    # never fills another's rows
+    rng = np.random.default_rng(3)
+    windows = [(date(1960, 1, 1), 800), (date(1961, 3, 15), 800), (date(1960, 1, 1), 801)]
+    for start, days in windows * 2:
+        assert _write_all(_random_series(rng, start, days, 30), rng, tmp_path)
