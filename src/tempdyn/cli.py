@@ -79,6 +79,18 @@ def _check_window(config: RunConfig, model: str) -> None:
         raise _CommandError(str(exc)) from None
 
 
+def _make_dir(path: Path) -> Path:
+    """``path``, made with its parents where missing. A failure, such as a
+    file in the way when ``--out`` names a file, is one error."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _CommandError(
+            f"cannot make directory {path}: {exc.strerror}; pass another --out"
+        ) from None
+    return path
+
+
 def _series_path(config: RunConfig, code: str) -> Path:
     return config.output_dir / "series" / f"{code}.csv"
 
@@ -125,8 +137,7 @@ def ingest(config_path, station_codes, endpoint, strict_qc, out, refresh):
     config = _configure(config_path, endpoint, out, strict_qc=strict_qc)
     stations = config.select(station_codes)
 
-    series_dir = config.output_dir / "series"
-    series_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(config.output_dir / "series")
 
     def fetch(station: Station) -> object:
         """The fetched payload, or the fetch's exception."""
@@ -213,8 +224,7 @@ def tables(config_path, station_codes, variable, hac_bandwidth, out):
             loaded.append((station.code, exc))
     _check_lag(config.hac_bandwidth, loaded)
 
-    tables_dir = config.output_dir / "tables"
-    tables_dir.mkdir(parents=True, exist_ok=True)
+    tables_dir = _make_dir(config.output_dir / "tables")
     any_failure = False
     # each window's designs are factored once, for both variables
     factors = {}
@@ -245,8 +255,7 @@ def figures(config_path, station_code, out):
         raise _CommandError(str(exc)) from None
     station_series = _station_series(config, station_code)
 
-    figures_dir = config.output_dir / "figures" / station_code
-    figures_dir.mkdir(parents=True, exist_ok=True)
+    figures_dir = _make_dir(config.output_dir / "figures" / station_code)
 
     # Only coefficients, residuals and fitted values are written, so the
     # models are fitted by plain OLS, without HAC covariances. avg and dtr

@@ -32,15 +32,12 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .series import write_atomic
 from .stations import DEFAULT_ENDPOINT
-
-if TYPE_CHECKING:
-    import requests
 
 MISSING = -9999
 LINE_LENGTH = 269
@@ -56,6 +53,9 @@ _BYTE_CLASS[ord("-")] = _MINUS
 _BYTE_CLASS[ord("0") : ord("9") + 1] = _DIGIT
 _BYTE_CLASS.setflags(write=False)
 _QFLAG_COLUMNS = slice(21 + 6, LINE_LENGTH, 8)
+
+# seconds a download may wait for the connection or for the next bytes
+_TIMEOUT = 120
 
 
 class DlyParseError(ValueError):
@@ -439,17 +439,19 @@ def fetch_station(
     endpoint: str = DEFAULT_ENDPOINT,
     cache_dir: str | os.PathLike = "cache",
     refresh: bool = False,
-    http_get: Optional[Callable[[str], "requests.Response"]] = None,
 ) -> Fetched:
     """Return the ``.dly`` payload for a station, caching it on disk.
 
     A cache hit bypasses the network entirely unless ``refresh`` is set.
-    A downloaded payload is cached only if :func:`parse_station` accepts
-    it; otherwise :class:`FetchError` names the URL and the reason and the
-    cache is left as it was. When a refreshed payload differs from the
-    cached copy, the fresh bytes win and a warning is emitted. The cache
-    file is replaced atomically (:func:`~tempdyn.series.write_atomic`), so
-    concurrent fetchers never observe a partial file.
+    A download (``http`` or ``https`` only) that fails or answers anything
+    but HTTP 200 falls back to the cache file, if any, else raises
+    :class:`FetchError`. A downloaded payload is cached only if
+    :func:`parse_station` accepts it; otherwise :class:`FetchError` names
+    the URL and the reason and the cache is left as it was. When a
+    refreshed payload differs from the cached copy, the fresh bytes win and
+    a warning is emitted. The cache file is replaced atomically
+    (:func:`~tempdyn.series.write_atomic`), so concurrent fetchers never
+    observe a partial file.
     """
     cache_dir = os.fspath(cache_dir)
     cache_path = os.path.join(cache_dir, f"{station_id}.dly")
@@ -463,21 +465,16 @@ def fetch_station(
             return cached
 
     url = f"{endpoint.rstrip('/')}/{station_id}.dly"
-    getter = http_get if http_get is not None else _default_http_get
     try:
-        response = getter(url)
+        status, payload = _download(url)
     except Exception as exc:
         if cached is not None:
             return cached
         raise FetchError(f"fetch of {url} failed: {exc}") from exc
-    if response.status_code != 200:
+    if status != 200:
         if cached is not None:
             return cached
-        raise FetchError(
-            f"fetch of {url} returned HTTP {response.status_code}",
-            status=response.status_code,
-        )
-    payload = response.content
+        raise FetchError(f"fetch of {url} returned HTTP {status}", status=status)
     try:
         parse_station(payload, station_id)
     except DlyParseError as exc:
@@ -495,8 +492,21 @@ def fetch_station(
     return Fetched(payload, "network", cache_path, datetime.now(timezone.utc))
 
 
-def _default_http_get(url: str) -> "requests.Response":
-    # imported here, so that commands that only read the cache never load it
-    import requests
+def _download(url: str) -> tuple[int, bytes]:
+    """The status and body of a GET of ``url``; an HTTP error answer comes
+    with an empty body."""
+    # urlopen would read a file: URL from disk and report no status
+    scheme = url.partition(":")[0].lower()
+    if scheme not in ("http", "https"):
+        raise ValueError(f"endpoint scheme {scheme!r} is not http or https")
+    # imported here, so that commands that only read the cache never load
+    # urllib.request, http.client or ssl
+    import urllib.error
+    import urllib.request
 
-    return requests.get(url, timeout=120)
+    try:
+        with urllib.request.urlopen(url, timeout=_TIMEOUT) as response:
+            return response.status, response.read()
+    except urllib.error.HTTPError as exc:
+        exc.close()
+        return exc.code, b""

@@ -86,9 +86,19 @@ def default_config_path() -> Path:
 
 
 def load_config(path: Optional[Union[str, Path]] = None) -> RunConfig:
-    """Parse a config file (the packaged default when ``path`` is None)."""
+    """Parse a UTF-8 config file (the packaged default when ``path`` is None)."""
     source = Path(path) if path is not None else default_config_path()
-    config = parse_config(source.read_text(), source=str(source))
+    data = source.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # lines of the UTF-8 prefix, with "?" standing in for the bad byte
+        number = len((data[: exc.start].decode("utf-8") + "?").splitlines())
+        raise ConfigError(
+            f"{source}:{number}: byte 0x{data[exc.start]:02x} is not UTF-8; "
+            "save the file as UTF-8"
+        ) from None
+    config = parse_config(text, source=str(source))
     endpoint = os.environ.get(ENV_ENDPOINT)
     if endpoint:
         config.endpoint = endpoint

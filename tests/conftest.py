@@ -1,11 +1,14 @@
-"""Shared helpers: deterministic synthetic GHCN `.dly` content."""
+"""Shared helpers: deterministic synthetic GHCN `.dly` content, and a local
+HTTP archive to download it from."""
 
 from __future__ import annotations
 
 import calendar
+import http.server
 import math
 import random
 import re
+import threading
 from dataclasses import dataclass
 from datetime import date, timedelta
 from typing import NamedTuple, Sequence
@@ -228,6 +231,68 @@ def two_year_window() -> tuple[date, date]:
 def two_year_payload(two_year_window) -> bytes:
     start, end = two_year_window
     return synthetic_station_bytes("USW00099901", start, end)
+
+
+class LocalArchive:
+    """A ``ThreadingHTTPServer`` on 127.0.0.1 that the download code reaches
+    as it would reach the archive.
+
+    A path answers with the status, body and headers given to :meth:`serve`
+    (``Content-Length`` is the body's unless a header says otherwise), a
+    path never served with 404, and a path given to :meth:`stall` with
+    nothing until the test ends. ``requests`` lists the paths asked for.
+    """
+
+    def __init__(self):
+        self.routes: dict[str, tuple[int, bytes, dict[str, str]]] = {}
+        self.stalled: set[str] = set()
+        self.requests: list[str] = []
+        self.released = threading.Event()
+        archive = self
+
+        class Handler(http.server.BaseHTTPRequestHandler):
+            def do_GET(self):
+                archive.requests.append(self.path)
+                if self.path in archive.stalled:
+                    archive.released.wait(timeout=30)
+                    return
+                status, body, headers = archive.routes.get(self.path, (404, b"", {}))
+                self.send_response(status)
+                for name, value in {"Content-Length": str(len(body)), **headers}.items():
+                    self.send_header(name, value)
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, format, *args):
+                pass
+
+        self.server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self.url = f"http://127.0.0.1:{self.server.server_address[1]}"
+
+    def serve(self, path: str, body: bytes = b"", status: int = 200, headers=None) -> None:
+        self.routes[path] = (status, body, dict(headers or {}))
+
+    def stall(self, path: str) -> None:
+        self.stalled.add(path)
+
+
+@pytest.fixture
+def archive(monkeypatch):
+    """A running :class:`LocalArchive`. ``no_proxy`` names it, so a proxy
+    set in the environment cannot take its requests."""
+    monkeypatch.setenv("no_proxy", "127.0.0.1,localhost")
+    local = LocalArchive()
+    thread = threading.Thread(
+        target=local.server.serve_forever, kwargs={"poll_interval": 0.01}
+    )
+    thread.start()
+    try:
+        yield local
+    finally:
+        local.released.set()
+        local.server.shutdown()
+        local.server.server_close()
+        thread.join(timeout=10)
 
 
 DEFAULT_MIN_PROMINENCE = 0.10

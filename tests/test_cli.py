@@ -172,6 +172,19 @@ class TestIngest:
         manifest = json.loads((workspace / "out" / "manifest.json").read_text())
         assert manifest[0]["status"] == "error"
 
+    def test_cold_cache_ingest_downloads_and_caches_the_payload(self, workspace, archive):
+        payload = synthetic_station_bytes("USW00099903", WINDOW_START, WINDOW_END)
+        archive.serve("/USW00099903.dly", payload)
+        result = run([
+            "ingest", "--config", str(workspace / "run.cfg"), "--station", "XXX",
+            "--endpoint", archive.url,
+        ])
+        assert result.exit_code == 0, result.output
+        manifest = json.loads((workspace / "out" / "manifest.json").read_text())
+        assert [(e["status"], e["source"]) for e in manifest] == [("ok", "network")]
+        assert (workspace / "cache" / "USW00099903.dly").read_bytes() == payload
+        assert archive.requests == ["/USW00099903.dly"]
+
     def test_fetches_overlap(self, workspace, monkeypatch):
         # Each fetch waits at the barrier for the other station's fetch, so
         # fetching one station after the other breaks it and fails both.
@@ -1042,6 +1055,37 @@ def test_usage_error_exits_2_before_any_work(tmp_path, monkeypatch, args):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "command, directory",
+    [("ingest", "run.cfg/series"), ("tables", "run.cfg/tables"), ("figures", "out/figures/AAA")],
+)
+def test_file_in_place_of_the_output_directory_is_a_one_line_error(
+    workspace, command, directory
+):
+    # --out naming the config file, or a file named figures in the output
+    # directory: the directory the command makes cannot be made
+    config = str(workspace / "run.cfg")
+    run(["ingest", "--config", config])
+    (workspace / "out" / "figures").write_text("")
+    out = workspace / directory.partition("/")[0]
+    station = ["--station", "AAA"] if command == "figures" else []
+    result = run([command, "--config", config, "--out", str(out), *station])
+    assert (result.exit_code, result.stdout) == (1, "")
+    assert result.stderr == (
+        f"Error: cannot make directory {workspace / directory}: Not a directory; "
+        "pass another --out\n"
+    )
+
+
+def test_config_that_is_not_utf8_is_a_one_line_error(workspace):
+    config = workspace / "run.cfg"
+    config.write_bytes(config.read_bytes().replace(b"Alpha-City", b"Alpha-Cit\xe9"))
+    result = run(["tables", "--config", str(config)])
+    assert (result.exit_code, result.stdout) == (1, "")
+    # line 9 is AAA's station row
+    assert result.stderr == f"Error: {config}:9: byte 0xe9 is not UTF-8; save the file as UTF-8\n"
+
+
 @pytest.mark.parametrize("args", [["--help"], ["ingest", "--help"], ["tables", "--help"],
                                   ["figures", "--help"], ["fit", "--help"]])
 def test_help_exits_0(args):
@@ -1092,11 +1136,11 @@ def test_help_and_usage_errors_without_docstrings(tmp_path, args, status):
     assert "Traceback" not in result.stderr
 
 
-def modules_loaded_by(imports: str, unwanted: tuple[str, ...]) -> str:
-    """Which of ``unwanted`` a fresh interpreter holds after ``import {imports}``."""
+def modules_loaded_by(statement: str, unwanted: tuple[str, ...]) -> str:
+    """Which of ``unwanted`` a fresh interpreter holds after ``statement``."""
     src = Path(tempdyn.__file__).resolve().parents[1]
     probe = (
-        f"import sys, {imports}; "
+        f"import sys; {statement}; "
         f"print(','.join(m for m in {unwanted!r} if m in sys.modules))"
     )
     result = subprocess.run(
@@ -1106,22 +1150,41 @@ def modules_loaded_by(imports: str, unwanted: tuple[str, ...]) -> str:
         text=True,
         check=True,
     )
-    return result.stdout.strip()
+    # the last line: what the statement printed comes before it
+    return result.stdout.splitlines()[-1]
+
+
+# the HTTP client and its TLS, loaded only when a download happens: they
+# add tens of milliseconds and a few MiB to every process that imports them
+DOWNLOAD_MODULES = ("requests", "urllib.request", "http.client", "ssl")
 
 
 def test_cli_import_loads_neither_scipy_nor_requests():
-    # the estimator runs on numpy alone, requests is needed only when a
-    # download happens, and the archive parser and the fetch pool only when
-    # ingest runs
-    unwanted = ("scipy", "requests", "tempdyn.ghcn", "concurrent.futures", "click")
-    assert modules_loaded_by("tempdyn.cli", unwanted) == ""
+    # the estimator runs on numpy alone, the download modules are needed
+    # only when a download happens, and the archive parser and the fetch
+    # pool only when ingest runs
+    unwanted = ("scipy", "tempdyn.ghcn", "concurrent.futures", "click") + DOWNLOAD_MODULES
+    assert modules_loaded_by("import tempdyn.cli", unwanted) == ""
+
+
+def test_warm_cache_ingest_loads_no_download_module(workspace):
+    # a cache hit reads a file, so the benchmark's warm-cache ingest never
+    # pays for the HTTP client
+    statement = (
+        "from tempdyn.cli import main; "
+        f"main(['ingest', '--config', {str(workspace / 'run.cfg')!r}, '--station', 'AAA'])"
+    )
+    assert modules_loaded_by(statement, DOWNLOAD_MODULES) == ""
+    manifest = json.loads((workspace / "out" / "manifest.json").read_text())
+    assert [(e["status"], e["source"]) for e in manifest] == [("ok", "cache")]
 
 
 def test_ingest_modules_load_no_fitting_module():
     # ingest parses, repairs and writes; the estimator, the density and
     # statistics are left to the commands that fit
     unwanted = ("tempdyn.models", "tempdyn.regression", "tempdyn.density", "statistics")
-    assert modules_loaded_by("tempdyn.cli, tempdyn.reporting, tempdyn.ghcn", unwanted) == ""
+    statement = "import tempdyn.cli, tempdyn.reporting, tempdyn.ghcn"
+    assert modules_loaded_by(statement, unwanted) == ""
 
 
 BLAS_THREAD_VARIABLES = (

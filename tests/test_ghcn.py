@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tempdyn import ghcn
 from tempdyn.ghcn import (
     MISSING,
     BoundaryGapError,
@@ -509,13 +510,8 @@ def reference_observations(records, start, end, strict_qc):
     return tmax, tmin, notes
 
 
-class FakeResponse:
-    def __init__(self, status_code: int, content: bytes = b""):
-        self.status_code = status_code
-        self.content = content
-
-
 STATION = "USW00013739"
+PATH = f"/{STATION}.dly"
 
 
 def station_payload(station_id: str = STATION, tmax: int = 217) -> bytes:
@@ -525,70 +521,131 @@ def station_payload(station_id: str = STATION, tmax: int = 217) -> bytes:
     )
 
 
+def not_found(archive, tmp_path):
+    return archive.url
+
+
+def unavailable(archive, tmp_path):
+    archive.serve(PATH, status=503)
+    return archive.url
+
+
+def no_content(archive, tmp_path):
+    archive.serve(PATH, status=204)
+    return archive.url
+
+
+def short_body(archive, tmp_path):
+    # a transfer cut short of its Content-Length
+    length = str(len(station_payload()))
+    archive.serve(PATH, station_payload()[:100], headers={"Content-Length": length})
+    return archive.url
+
+
+def stalled(archive, tmp_path):
+    archive.stall(PATH)
+    return archive.url
+
+
+def file_endpoint(archive, tmp_path):
+    # urlopen would read this file and report no status
+    mirror = tmp_path / "mirror"
+    mirror.mkdir()
+    (mirror / f"{STATION}.dly").write_bytes(station_payload())
+    return mirror.as_uri()
+
+
+# how each failure is set up, and the end of its FetchError text with the
+# status it carries
+FETCH_FAILURES = {
+    "404": (not_found, "returned HTTP 404", 404),
+    "503": (unavailable, "returned HTTP 503", 503),
+    "204": (no_content, "returned HTTP 204", 204),
+    "short-body": (short_body, "failed: IncompleteRead(100 bytes read, 440 more expected)", None),
+    "stall": (stalled, "failed: timed out", None),
+    "file-endpoint": (file_endpoint, "failed: endpoint scheme 'file' is not http or https", None),
+}
+
+
 class TestFetchStation:
-    def test_cache_hit_bypasses_network(self, tmp_path):
+    def test_cache_hit_bypasses_network(self, tmp_path, archive):
         payload = b"cached-bytes"
         (tmp_path / f"{STATION}.dly").write_bytes(payload)
+        archive.serve(PATH, station_payload())
 
-        def no_network(url):
-            raise AssertionError("network touched despite cache hit")
-
-        result = fetch_station(
-            STATION, "http://example.invalid", tmp_path, http_get=no_network
-        )
+        result = fetch_station(STATION, archive.url, tmp_path)
         assert result.data == payload
         assert len(result) == len(payload)
         assert result.source == "cache"
         assert result.cache_path == str(tmp_path / f"{STATION}.dly")
+        assert archive.requests == []
 
-    def test_empty_cache_http_404(self, tmp_path):
+    def test_empty_cache_http_404(self, tmp_path, archive):
         with pytest.raises(FetchError) as excinfo:
-            fetch_station(
-                STATION,
-                "http://example.invalid",
-                tmp_path,
-                http_get=lambda url: FakeResponse(404),
-            )
+            fetch_station(STATION, archive.url, tmp_path)
         assert excinfo.value.status == 404
 
-    def test_fetch_twice_is_deterministic(self, tmp_path):
-        calls = []
-
-        def fake_get(url):
-            calls.append(url)
-            return FakeResponse(200, station_payload())
-
-        first = fetch_station(STATION, "http://x.invalid", tmp_path, http_get=fake_get)
-        second = fetch_station(STATION, "http://x.invalid", tmp_path, http_get=fake_get)
+    def test_fetch_twice_is_deterministic(self, tmp_path, archive):
+        archive.serve(PATH, station_payload())
+        first = fetch_station(STATION, archive.url, tmp_path)
+        second = fetch_station(STATION, archive.url, tmp_path)
         assert first.data == second.data == station_payload()
         assert (first.source, second.source) == ("network", "cache")
-        assert len(calls) == 1  # second call was served from cache
+        assert archive.requests == [PATH]  # second call was served from cache
+        assert (tmp_path / f"{STATION}.dly").read_bytes() == station_payload()
 
-    def test_refresh_prefers_fresh_payload_with_warning(self, tmp_path):
+    def test_redirect_is_followed_to_the_payload(self, tmp_path, archive):
+        archive.serve(PATH, status=302, headers={"Location": f"/moved{PATH}"})
+        archive.serve(f"/moved{PATH}", station_payload())
+        result = fetch_station(STATION, archive.url, tmp_path)
+        assert (result.data, result.source) == (station_payload(), "network")
+        assert (tmp_path / f"{STATION}.dly").read_bytes() == station_payload()
+        assert archive.requests == [PATH, f"/moved{PATH}"]
+
+    def test_refresh_prefers_fresh_payload_with_warning(self, tmp_path, archive):
         (tmp_path / f"{STATION}.dly").write_bytes(station_payload(tmax=100))
+        archive.serve(PATH, station_payload())
         with pytest.warns(UserWarning, match="differs"):
-            result = fetch_station(
-                STATION,
-                "http://x.invalid",
-                tmp_path,
-                refresh=True,
-                http_get=lambda url: FakeResponse(200, station_payload()),
-            )
+            result = fetch_station(STATION, archive.url, tmp_path, refresh=True)
         assert (result.data, result.source) == (station_payload(), "network")
         assert (tmp_path / f"{STATION}.dly").read_bytes() == station_payload()
 
-    def test_refresh_falls_back_to_cache_and_says_so(self, tmp_path):
+    def test_refresh_falls_back_to_cache_and_says_so(self, tmp_path, archive):
         cache_file = tmp_path / f"{STATION}.dly"
         cache_file.write_bytes(station_payload())
-        result = fetch_station(
-            STATION,
-            "http://x.invalid",
-            tmp_path,
-            refresh=True,
-            http_get=lambda url: FakeResponse(503),
-        )
+        archive.serve(PATH, status=503)
+        result = fetch_station(STATION, archive.url, tmp_path, refresh=True)
         assert (result.data, result.source) == (station_payload(), "cache")
         assert result.fetched_at.timestamp() == pytest.approx(cache_file.stat().st_mtime)
+
+    @pytest.mark.parametrize("failure", FETCH_FAILURES)
+    def test_failed_fetch_without_cache_names_the_url(
+        self, tmp_path, archive, monkeypatch, failure
+    ):
+        setup, text, status = FETCH_FAILURES[failure]
+        monkeypatch.setattr(ghcn, "_TIMEOUT", 0.2)
+        endpoint = setup(archive, tmp_path)
+        with pytest.raises(FetchError) as info:
+            fetch_station(STATION, endpoint, tmp_path / "cache")
+        assert str(info.value) == f"fetch of {endpoint}/{STATION}.dly {text}"
+        assert info.value.status == status
+        assert not (tmp_path / "cache").exists()
+        expected = [] if failure == "file-endpoint" else [PATH]
+        assert archive.requests == expected
+
+    @pytest.mark.parametrize("failure", FETCH_FAILURES)
+    def test_failed_refresh_falls_back_to_the_cache(
+        self, tmp_path, archive, monkeypatch, failure
+    ):
+        setup, _, _ = FETCH_FAILURES[failure]
+        monkeypatch.setattr(ghcn, "_TIMEOUT", 0.2)
+        endpoint = setup(archive, tmp_path)
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        (cache / f"{STATION}.dly").write_bytes(station_payload(tmax=100))
+        result = fetch_station(STATION, endpoint, cache, refresh=True)
+        assert (result.data, result.source) == (station_payload(tmax=100), "cache")
+        assert [p.name for p in cache.iterdir()] == [f"{STATION}.dly"]
 
     @pytest.mark.parametrize(
         "payload,reason",
@@ -608,18 +665,12 @@ class TestFetchStation:
         ],
         ids=["html", "truncated", "wrong-station", "no-temperature", "empty", "signed-value"],
     )
-    def test_bad_payload_never_cached(self, tmp_path, payload, reason):
+    def test_bad_payload_never_cached(self, tmp_path, archive, payload, reason):
         cache_file = tmp_path / f"{STATION}.dly"
         cache_file.write_bytes(station_payload())
-        with pytest.raises(FetchError, match=f"http://x.invalid/{STATION}.dly") as info:
-            fetch_station(
-                STATION,
-                "http://x.invalid",
-                tmp_path,
-                refresh=True,
-                http_get=lambda url: FakeResponse(200, payload),
-            )
+        archive.serve(PATH, payload)
+        with pytest.raises(FetchError, match=f"{archive.url}/{STATION}.dly") as info:
+            fetch_station(STATION, archive.url, tmp_path, refresh=True)
         assert reason in str(info.value)
         assert cache_file.read_bytes() == station_payload()
         assert [p.name for p in tmp_path.iterdir()] == [cache_file.name]
-

@@ -87,6 +87,17 @@ class TestParseConfig:
             parse_config(text, source="run.cfg")
         assert str(caught.value).startswith(f"run.cfg:3: {label} may hold only")
 
+    def test_config_that_is_not_utf8_names_the_line_of_the_bad_byte(self, tmp_path):
+        # Latin-1 text, as an editor set to a legacy encoding saves it
+        config_file = tmp_path / "run.cfg"
+        text = "window_start = 1960-01-01\n[stations]\nMSY USW1 Nouvelle-Orléans\n"
+        config_file.write_bytes(text.encode("latin-1"))
+        with pytest.raises(ConfigError) as caught:
+            load_config(config_file)
+        assert str(caught.value) == (
+            f"{config_file}:3: byte 0xe9 is not UTF-8; save the file as UTF-8"
+        )
+
     def test_bad_value_reports_line(self):
         with pytest.raises(ConfigError, match=":1:"):
             parse_config("window_start = not-a-date\n")

@@ -120,14 +120,7 @@ def test_interrupted_sidecar_leaves_previous_sidecar(tmp_path, monkeypatch):
     assert read_series_csv(path).max_f[99:102].tolist() == [70, 71, 70]
 
 
-class FakeResponse:
-    status_code = 200
-
-    def __init__(self, content: bytes):
-        self.content = content
-
-
-def test_series_csv_and_cache_file_get_plain_open_mode(tmp_path):
+def test_series_csv_and_cache_file_get_plain_open_mode(tmp_path, archive):
     old = os.umask(0o022)
     try:
         with open(tmp_path / "plain.txt", "w"):
@@ -137,10 +130,8 @@ def test_series_csv_and_cache_file_get_plain_open_mode(tmp_path):
             tmp_path / "AAA.csv",
         )
         payload = synthetic_station_bytes("USW00099901", START, END)
-        fetch_station(
-            "USW00099901", "http://x.invalid", tmp_path / "cache",
-            http_get=lambda url: FakeResponse(payload),
-        )
+        archive.serve("/USW00099901.dly", payload)
+        fetch_station("USW00099901", archive.url, tmp_path / "cache")
     finally:
         os.umask(old)
     modes = {
