@@ -15,9 +15,10 @@ and repairs isolated single-day gaps by averaging the neighbouring days.
            value (5, right-justified, -9999 = missing), mflag, qflag, sflag
 
 Parsing is array-native. The non-empty lines become one ``(lines, 269)``
-uint8 matrix; year, month and every value field of every element are
-checked with byte masks, and only the TMAX/TMIN value fields are decoded,
-to an int32 ``(rows, 31)`` array. Every year, month and value field must be
+uint8 matrix (a view of the payload itself when every line is 269
+printable ASCII bytes and a newline); year, month and every value field
+of every element are checked with byte masks, and only the TMAX/TMIN value
+fields are decoded, to an int32 ``(rows, 31)`` array. Every year, month and value field must be
 a right-justified integer, as the archive's readme.txt defines them:
 optional leading spaces, an optional ``-`` and at least one digit. The first
 line in file order with any other field (``+12``, ``1_2``, trailing blanks,
@@ -30,9 +31,10 @@ so no per-day object is ever built.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass, field, replace
 from datetime import date, datetime, timedelta, timezone
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -56,6 +58,9 @@ _QFLAG_COLUMNS = slice(21 + 6, LINE_LENGTH, 8)
 
 # seconds a download may wait for the connection or for the next bytes
 _TIMEOUT = 120
+# downloads wait on the network, so this many overlap, each at most this
+# far ahead of the parse
+FETCH_THREADS = 4
 
 
 class DlyParseError(ValueError):
@@ -125,13 +130,18 @@ class Fetched:
     and ``"cache"`` when they were read from ``cache_path`` (a cache hit, or
     the fallback when a refresh could not reach the archive). ``fetched_at``
     is when the bytes left the archive: the download time, or the cache
-    file's modification time. ``len()`` is the payload's byte count.
+    file's modification time. ``records`` are the records
+    :func:`parse_station` checked before a download was cached, None for a
+    cache read. ``refresh_error`` says why a refresh fell back to the
+    cache, None otherwise. ``len()`` is the payload's byte count.
     """
 
     data: bytes
     source: str
     cache_path: str
     fetched_at: datetime
+    records: Optional[DlyRecords] = None
+    refresh_error: Optional[str] = None
 
     def __len__(self) -> int:
         return len(self.data)
@@ -154,6 +164,24 @@ def parse_dly(data: bytes) -> DlyRecords:
     :class:`DlyParseError` (carrying the 1-based line number) for the first
     malformed line; empty lines are skipped and CRLF endings accepted.
     """
+    # A payload of whole 269-byte lines, each ended by "\n", in printable
+    # ASCII (no byte that str.splitlines would split at) is its own line
+    # matrix, taken without a copy. Any other payload goes through the text.
+    width = LINE_LENGTH + 1
+    if data and len(data) % width == 0:
+        matrix = np.frombuffer(data, dtype=np.uint8).reshape(-1, width)
+        lines = matrix[:, :LINE_LENGTH]
+        if (
+            (matrix[:, LINE_LENGTH] == ord("\n")).all()
+            and lines.min() >= ord(" ")
+            and lines.max() <= ord("~")
+        ):
+            return _decode_matrix(lines, np.arange(1, len(lines) + 1))
+    return _parse_text(data)
+
+
+def _parse_text(data: bytes) -> DlyRecords:
+    """:func:`parse_dly` of any payload, through its ASCII text and lines."""
     try:
         text = data.decode("ascii")
     except UnicodeDecodeError as exc:
@@ -444,9 +472,10 @@ def fetch_station(
 
     A cache hit bypasses the network entirely unless ``refresh`` is set.
     A download (``http`` or ``https`` only) that fails or answers anything
-    but HTTP 200 falls back to the cache file, if any, else raises
-    :class:`FetchError`. A downloaded payload is cached only if
-    :func:`parse_station` accepts it; otherwise :class:`FetchError` names
+    but HTTP 200 falls back to the cache file, if any, with the reason in
+    ``refresh_error``, else raises :class:`FetchError`. A downloaded
+    payload is cached only if :func:`parse_station` accepts it, and the
+    records come with it; otherwise :class:`FetchError` names
     the URL and the reason and the cache is left as it was. When a
     refreshed payload differs from the cached copy, the fresh bytes win and
     a warning is emitted. The cache file is replaced atomically
@@ -454,7 +483,7 @@ def fetch_station(
     observe a partial file.
     """
     cache_dir = os.fspath(cache_dir)
-    cache_path = os.path.join(cache_dir, f"{station_id}.dly")
+    cache_path = _cache_path(cache_dir, station_id)
     cached: Optional[Fetched] = None
     if os.path.exists(cache_path):
         with open(cache_path, "rb") as handle:
@@ -468,15 +497,17 @@ def fetch_station(
     try:
         status, payload = _download(url)
     except Exception as exc:
+        reason = f"fetch of {url} failed: {exc}"
         if cached is not None:
-            return cached
-        raise FetchError(f"fetch of {url} failed: {exc}") from exc
+            return replace(cached, refresh_error=reason)
+        raise FetchError(reason) from exc
     if status != 200:
+        reason = f"fetch of {url} returned HTTP {status}"
         if cached is not None:
-            return cached
-        raise FetchError(f"fetch of {url} returned HTTP {status}", status=status)
+            return replace(cached, refresh_error=reason)
+        raise FetchError(reason, status=status)
     try:
-        parse_station(payload, station_id)
+        records = parse_station(payload, station_id)
     except DlyParseError as exc:
         raise FetchError(f"fetch of {url} returned no usable .dly data: {exc}") from None
     if cached is not None and cached.data != payload:
@@ -489,16 +520,61 @@ def fetch_station(
         )
     os.makedirs(cache_dir, exist_ok=True)
     write_atomic(cache_path, [payload])
-    return Fetched(payload, "network", cache_path, datetime.now(timezone.utc))
+    return Fetched(payload, "network", cache_path, datetime.now(timezone.utc), records)
+
+
+def fetch_stations(
+    station_ids: Sequence[str], endpoint: str, cache_dir: str | os.PathLike, refresh: bool
+) -> Iterator[object]:
+    """:func:`fetch_station` of each station in order, or the exception it raised.
+
+    A cache hit (about a millisecond) is read in the caller's thread when
+    its turn comes, so with nothing to download no thread starts and one
+    payload is held at a time. Downloads (a cache miss, or any station
+    under ``refresh``) run on a pool of :data:`FETCH_THREADS` threads, at
+    most that many ahead of the caller.
+    """
+
+    def fetch(station_id: str) -> object:
+        try:
+            return fetch_station(station_id, endpoint, cache_dir, refresh)
+        except Exception as exc:  # noqa: BLE001 - the caller reports it
+            return exc
+
+    downloads = [
+        refresh or not os.path.exists(_cache_path(cache_dir, station_id))
+        for station_id in station_ids
+    ]
+    if not any(downloads):
+        yield from map(fetch, station_ids)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    waiting = iter([s for s, download in zip(station_ids, downloads) if download])
+    ahead: deque = deque()
+    with ThreadPoolExecutor(max_workers=FETCH_THREADS) as pool:
+        for station_id, download in zip(station_ids, downloads):
+            while len(ahead) < FETCH_THREADS and (upcoming := next(waiting, None)) is not None:
+                ahead.append(pool.submit(fetch, upcoming))
+            yield ahead.popleft().result() if download else fetch(station_id)
+
+
+def _cache_path(cache_dir: str | os.PathLike, station_id: str) -> str:
+    return os.path.join(os.fspath(cache_dir), f"{station_id}.dly")
+
+
+def check_endpoint(url: str) -> None:
+    """Refuse a URL whose scheme is not ``http`` or ``https``: urlopen would
+    read a ``file:`` URL from disk and report no status."""
+    scheme = url.partition(":")[0].lower()
+    if scheme not in ("http", "https"):
+        raise ValueError(f"endpoint scheme {scheme!r} is not http or https")
 
 
 def _download(url: str) -> tuple[int, bytes]:
     """The status and body of a GET of ``url``; an HTTP error answer comes
     with an empty body."""
-    # urlopen would read a file: URL from disk and report no status
-    scheme = url.partition(":")[0].lower()
-    if scheme not in ("http", "https"):
-        raise ValueError(f"endpoint scheme {scheme!r} is not http or https")
+    check_endpoint(url)
     # imported here, so that commands that only read the cache never load
     # urllib.request, http.client or ssl
     import urllib.error

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
@@ -185,22 +186,98 @@ class TestIngest:
         assert (workspace / "cache" / "USW00099903.dly").read_bytes() == payload
         assert archive.requests == ["/USW00099903.dly"]
 
-    def test_fetches_overlap(self, workspace, monkeypatch):
-        # Each fetch waits at the barrier for the other station's fetch, so
-        # fetching one station after the other breaks it and fails both.
+    def test_fetches_overlap(self, workspace, archive, monkeypatch):
+        # Each download waits at the barrier for the other station's, so
+        # downloading one station after the other breaks it and fails both:
+        # on a cold cache, and again with --refresh on the cache it filled.
+        serve_workspace_stations(workspace, archive)
         barrier = threading.Barrier(2, timeout=5)
-        original = ghcn.fetch_station
+        original = ghcn._download
 
-        def waiting_fetch(*args, **kwargs):
+        def waiting_download(url):
             barrier.wait()
-            return original(*args, **kwargs)
+            return original(url)
 
-        monkeypatch.setattr(ghcn, "fetch_station", waiting_fetch)
-        result = run(["ingest", "--config", str(workspace / "run.cfg")])
+        monkeypatch.setattr(ghcn, "_download", waiting_download)
+        args = ["ingest", "--config", str(workspace / "run.cfg"), "--endpoint", archive.url]
+        for extra in ([], ["--refresh"]):
+            result = run(args + extra)
+            assert result.exit_code == 0, result.output
+            manifest = json.loads((workspace / "out" / "manifest.json").read_text())
+            assert [e["station"] for e in manifest] == ["AAA", "BBB"]
+            assert [e["source"] for e in manifest] == ["network", "network"]
+        assert len(archive.requests) == 4
+
+    def test_each_download_is_parsed_once(self, workspace, archive, monkeypatch):
+        # the records checked before the payload was cached are the ones repaired
+        serve_workspace_stations(workspace, archive)
+        parsed = []
+        original = ghcn.parse_dly
+
+        def counting_parse(data):
+            parsed.append(bytes(data[:11]).decode())
+            return original(data)
+
+        monkeypatch.setattr(ghcn, "parse_dly", counting_parse)
+        result = run([
+            "ingest", "--config", str(workspace / "run.cfg"), "--endpoint", archive.url,
+        ])
         assert result.exit_code == 0, result.output
-        manifest = json.loads((workspace / "out" / "manifest.json").read_text())
-        assert [e["station"] for e in manifest] == ["AAA", "BBB"]
-        assert [e["source"] for e in manifest] == ["cache", "cache"]
+        assert sorted(parsed) == ["USW00099901", "USW00099902"]
+        # a cache read is parsed by ingest itself
+        parsed.clear()
+        assert run(["ingest", "--config", str(workspace / "run.cfg")]).exit_code == 0
+        assert parsed == ["USW00099901", "USW00099902"]
+
+    def test_downloads_run_at_most_four_ahead_of_the_repair(self, tmp_path, archive, monkeypatch):
+        # A download's payload is parsed in its fetch thread, so it is held
+        # until ingest repairs it. The first repair stalls, so a pool that
+        # ran further ahead would download all eight meanwhile.
+        ids = [f"USW000999{n}" for n in range(10, 18)]
+        for ghcn_id in ids:
+            archive.serve(
+                f"/{ghcn_id}.dly", synthetic_station_bytes(ghcn_id, WINDOW_START, WINDOW_END)
+            )
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            f"window_start = {WINDOW_START}\nwindow_end = {WINDOW_END}\n"
+            f"output_dir = {tmp_path / 'out'}\ncache_dir = {tmp_path / 'cache'}\n"
+            f"endpoint = {archive.url}\n[stations]\n"
+            + "".join(f"S{n} {ghcn_id} City-{n}\n" for n, ghcn_id in enumerate(ids))
+        )
+        lock = threading.Lock()
+        held, most, repaired = [0], [0], []
+        download, repair = ghcn._download, ghcn.station_observations
+
+        def counting_download(url):
+            answer = download(url)
+            with lock:
+                held[0] += 1
+                most[0] = max(most[0], held[0])
+            return answer
+
+        def counting_repair(*args, **kwargs):
+            if not repaired:
+                time.sleep(0.3)
+            repaired.append(args[0])
+            with lock:
+                held[0] -= 1
+            return repair(*args, **kwargs)
+
+        monkeypatch.setattr(ghcn, "_download", counting_download)
+        monkeypatch.setattr(ghcn, "station_observations", counting_repair)
+        result = run(["ingest", "--config", str(config)])
+        assert result.exit_code == 0, result.output
+        assert len(archive.requests) == 8 and held == [0]
+        assert most[0] <= ghcn.FETCH_THREADS
+
+
+def serve_workspace_stations(workspace: Path, archive) -> None:
+    """Move AAA's and BBB's payloads from the cache to the local archive."""
+    for ghcn_id in ("USW00099901", "USW00099902"):
+        cached = workspace / "cache" / f"{ghcn_id}.dly"
+        archive.serve(f"/{ghcn_id}.dly", cached.read_bytes())
+        cached.unlink()
 
 
 def aaa_payload(**kwargs) -> bytes:
@@ -324,6 +401,8 @@ class TestIngestFaults:
         mtime = datetime.fromtimestamp(cache_file.stat().st_mtime, timezone.utc)
         assert manifest[0]["source"] == "cache"
         assert manifest[0]["fetched_at"] == mtime.isoformat()
+        # only a refresh that fell back to the cache has a reason to give
+        assert not any("refresh_error" in entry for entry in manifest)
 
     def test_refresh_falling_back_to_cache_reports_cache(self, workspace):
         # the endpoint refuses connections, so --refresh can only use the cache
@@ -331,6 +410,27 @@ class TestIngestFaults:
         assert result.exit_code == 0, result.output
         manifest = json.loads((workspace / "out" / "manifest.json").read_text())
         assert [e["source"] for e in manifest] == ["cache", "cache"]
+        reasons = [e["refresh_error"] for e in manifest]
+        for entry, reason in zip(manifest, reasons):
+            assert reason.startswith(f"fetch of http://127.0.0.1:1/{entry['ghcn_id']}.dly failed: ")
+        assert result.stderr.splitlines() == [
+            f"{code}: refresh failed ({reason}); using the cache"
+            for code, reason in zip(["AAA", "BBB"], reasons)
+        ]
+
+    @pytest.mark.parametrize("endpoint", ["htps://archive.example/daily", "file:///x"])
+    def test_endpoint_that_is_not_http_fails_on_a_warm_cache(self, workspace, endpoint):
+        # nothing would be downloaded, but the endpoint is still checked
+        result = run([
+            "ingest", "--config", str(workspace / "run.cfg"), "--endpoint", endpoint,
+        ])
+        assert result.exit_code == 1
+        scheme = endpoint.partition(":")[0]
+        assert result.stderr == (
+            f"Error: cannot download from {endpoint}: "
+            f"endpoint scheme {scheme!r} is not http or https\n"
+        )
+        assert not (workspace / "out").exists()
 
 
 class TestTables:
@@ -1169,14 +1269,32 @@ def test_cli_import_loads_neither_scipy_nor_requests():
 
 def test_warm_cache_ingest_loads_no_download_module(workspace):
     # a cache hit reads a file, so the benchmark's warm-cache ingest never
-    # pays for the HTTP client
+    # pays for the HTTP client or the download pool
     statement = (
         "from tempdyn.cli import main; "
         f"main(['ingest', '--config', {str(workspace / 'run.cfg')!r}, '--station', 'AAA'])"
     )
-    assert modules_loaded_by(statement, DOWNLOAD_MODULES) == ""
+    unwanted = DOWNLOAD_MODULES + ("concurrent.futures",)
+    assert modules_loaded_by(statement, unwanted) == ""
     manifest = json.loads((workspace / "out" / "manifest.json").read_text())
     assert [(e["status"], e["source"]) for e in manifest] == [("ok", "cache")]
+
+
+def test_warm_cache_ingest_starts_no_thread(workspace, monkeypatch):
+    # each cache file is read in the main thread just before it is parsed
+    before = threading.active_count()
+    during = []
+    repair = ghcn.station_observations
+
+    def counting_repair(*args, **kwargs):
+        during.append(threading.active_count())
+        return repair(*args, **kwargs)
+
+    monkeypatch.setattr(ghcn, "station_observations", counting_repair)
+    result = run(["ingest", "--config", str(workspace / "run.cfg")])
+    assert result.exit_code == 0, result.output
+    assert during == [before, before]
+    assert threading.active_count() == before
 
 
 def test_ingest_modules_load_no_fitting_module():

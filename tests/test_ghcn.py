@@ -1,4 +1,5 @@
 import calendar
+import dataclasses
 import random
 from datetime import date, timedelta
 
@@ -212,6 +213,67 @@ class TestParserEquivalence:
         lines = [make_dly_line("USW00013739", 1960, m, "TMAX", {1: 10, 31: -5}) for m in (1, 3)]
         lines[1] = lines[1][:start] + text.rjust(stop - start)[: stop - start] + lines[1][stop:]
         data = line_bytes(*lines)
+        assert outcome(parse_dly, data) == outcome(reference_parse, data)
+
+
+def parse_result(parse, data: bytes):
+    """Every field of the records, as (dtype, list) pairs, or the error."""
+    try:
+        records = parse(data)
+    except DlyParseError as exc:
+        return ("error", str(exc), exc.line_number)
+    return ("ok", [
+        (getattr(records, f.name).dtype, getattr(records, f.name).tolist())
+        for f in dataclasses.fields(records)
+    ])
+
+
+def clean_payloads() -> list[bytes]:
+    rng = random.Random(20240601)
+    return [
+        synthetic_station_bytes("USW00099901", date(1960, 1, 1), date(1961, 12, 31)),
+        line_bytes(*(random_valid_line(rng) for _ in range(40))),
+        line_bytes(fixture_line()),
+    ]
+
+
+def irregular_payloads() -> dict[str, bytes]:
+    """Payloads that are not whole 269-byte lines ended by a newline, and
+    payloads of such lines with a corrupted year, month or value field."""
+    good = [make_dly_line("USW00013739", 1960, m, "TMAX", {1: 10, 31: -5}) for m in (1, 2, 3)]
+    payload = line_bytes(*good)
+    cases = {
+        "crlf": payload.replace(b"\n", b"\r\n"),
+        "no-final-newline": payload[:-1],
+        "blank-lines": b"\n" + line_bytes(good[0], "", good[1], "") + good[2].encode() + b"\n\n",
+        "non-ascii-byte": payload[:300] + b"\xe9" + payload[301:],
+        "form-feed": payload[:300] + b"\x0c" + payload[301:],
+        "tab": payload[:300] + b"\t" + payload[301:],
+        "short-line": line_bytes(good[0], good[1][:-1], good[2]),
+        "empty": b"",
+    }
+    for text in CORRUPTIONS:
+        for start, stop in [(11, 15), (15, 17), (21, 26), (261, 266)]:
+            lines = list(good)
+            lines[1] = lines[1][:start] + text.rjust(stop - start)[: stop - start] + lines[1][stop:]
+            cases[f"{text!r}@{start}"] = line_bytes(*lines)
+    return cases
+
+
+class TestBytesNativeParse:
+    @pytest.mark.parametrize("index", range(3))
+    def test_clean_file_is_parsed_in_place_as_the_text_path_would(self, index):
+        data = clean_payloads()[index]
+        records = parse_dly(data)
+        # the line matrix is a view of the payload, not a copy
+        assert np.shares_memory(records.lines, np.frombuffer(data, dtype=np.uint8))
+        assert records.line_numbers.tolist() == list(range(1, len(records) + 1))
+        assert parse_result(parse_dly, data) == parse_result(ghcn._parse_text, data)
+
+    @pytest.mark.parametrize("case", list(irregular_payloads()))
+    def test_irregular_or_corrupt_file_parses_or_fails_as_the_text_path_does(self, case):
+        data = irregular_payloads()[case]
+        assert parse_result(parse_dly, data) == parse_result(ghcn._parse_text, data)
         assert outcome(parse_dly, data) == outcome(reference_parse, data)
 
 
@@ -578,6 +640,7 @@ class TestFetchStation:
         assert len(result) == len(payload)
         assert result.source == "cache"
         assert result.cache_path == str(tmp_path / f"{STATION}.dly")
+        assert (result.records, result.refresh_error) == (None, None)
         assert archive.requests == []
 
     def test_empty_cache_http_404(self, tmp_path, archive):
@@ -591,6 +654,9 @@ class TestFetchStation:
         second = fetch_station(STATION, archive.url, tmp_path)
         assert first.data == second.data == station_payload()
         assert (first.source, second.source) == ("network", "cache")
+        # the download comes with the records checked before it was cached
+        assert decode_records(first.records) == decode_records(parse_dly(station_payload()))
+        assert second.records is None
         assert archive.requests == [PATH]  # second call was served from cache
         assert (tmp_path / f"{STATION}.dly").read_bytes() == station_payload()
 
@@ -637,7 +703,7 @@ class TestFetchStation:
     def test_failed_refresh_falls_back_to_the_cache(
         self, tmp_path, archive, monkeypatch, failure
     ):
-        setup, _, _ = FETCH_FAILURES[failure]
+        setup, text, _ = FETCH_FAILURES[failure]
         monkeypatch.setattr(ghcn, "_TIMEOUT", 0.2)
         endpoint = setup(archive, tmp_path)
         cache = tmp_path / "cache"
@@ -645,6 +711,9 @@ class TestFetchStation:
         (cache / f"{STATION}.dly").write_bytes(station_payload(tmax=100))
         result = fetch_station(STATION, endpoint, cache, refresh=True)
         assert (result.data, result.source) == (station_payload(tmax=100), "cache")
+        # the FetchError text the fetch would have raised with nothing cached
+        assert result.refresh_error == f"fetch of {endpoint}/{STATION}.dly {text}"
+        assert result.records is None
         assert [p.name for p in cache.iterdir()] == [f"{STATION}.dly"]
 
     @pytest.mark.parametrize(
