@@ -79,15 +79,14 @@ def _check_window(config: RunConfig, model: str) -> None:
         raise _CommandError(str(exc)) from None
 
 
-def _make_dir(path: Path) -> Path:
+def _make_dir(path: Path, advice: str = "pass another --out") -> Path:
     """``path``, made with its parents where missing. A failure, such as a
-    file in the way when ``--out`` names a file, is one error."""
+    file in the way when ``--out`` names a file, is one error that ends in
+    ``advice``."""
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise _CommandError(
-            f"cannot make directory {path}: {exc.strerror}; pass another --out"
-        ) from None
+        raise _CommandError(f"cannot make directory {path}: {exc.strerror}; {advice}") from None
     return path
 
 
@@ -140,31 +139,27 @@ def ingest(config_path, station_codes, endpoint, strict_qc, out, refresh):
     except ValueError as exc:
         raise _CommandError(f"cannot download from {config.endpoint}: {exc}") from None
 
+    _make_dir(config.cache_dir, "set another cache_dir or TEMPDYN_CACHE_DIR")
     _make_dir(config.output_dir / "series")
 
-    def ingest_one(station: Station, fetched: object) -> dict:
-        # a failed fetch found no cache file to fall back on
+    def ingest_one(station: Station, fetch) -> dict:
+        # a fetch that fails found no cache file to fall back on, unless it
+        # is a cache file that does not parse
         entry = {"station": station.code, "ghcn_id": station.ghcn_id, "source": "network"}
         try:
-            if isinstance(fetched, Exception):
-                raise fetched
+            try:
+                fetched = fetch()
+            except ghcn.DlyParseError:
+                entry.update(source="cache")
+                raise
             entry.update(source=fetched.source, fetched_at=fetched.fetched_at.isoformat())
             if fetched.refresh_error is not None:
                 entry.update(refresh_error=fetched.refresh_error)
-            # a download comes with the records checked before it was cached,
-            # so a parse error here is the cache file's
-            records = fetched.records
-            if records is None:
-                try:
-                    records = ghcn.parse_station(fetched.data, station.ghcn_id)
-                except ghcn.DlyParseError as exc:
-                    raise ghcn.DlyParseError(
-                        f"cached file {fetched.cache_path}: {exc}; "
-                        "delete it or rerun with --refresh"
-                    ) from None
+            if fetched.cache_replaced is not None:
+                print(f"{station.code}: {fetched.cache_replaced}", file=sys.stderr)
             try:
                 tmax, tmin, notes = ghcn.station_observations(
-                    records, config.window_start, config.window_end, config.strict_qc
+                    fetched.records, config.window_start, config.window_end, config.strict_qc
                 )
             except ghcn.BoundaryGapError as exc:
                 if fetched.source != "cache":
@@ -189,9 +184,10 @@ def ingest(config_path, station_codes, endpoint, strict_qc, out, refresh):
             entry.update(status="error", error=f"{type(exc).__name__}: {exc}")
         return entry
 
-    # Parsing holds the GIL, so each payload is parsed in config order as it
-    # arrives. No name keeps a payload while the next one is read, which
-    # keeps the peak RSS about 2 MiB lower.
+    # Each station's fetch is called in config order just before its repair:
+    # a cache hit is read and parsed then, a download waits for its thread.
+    # No name keeps a payload while the next one is read, which keeps the
+    # peak RSS about 2 MiB lower.
     fetches = ghcn.fetch_stations(
         [station.ghcn_id for station in stations], config.endpoint, config.cache_dir, refresh
     )

@@ -32,9 +32,10 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
-from typing import Iterator, Optional, Sequence
+from functools import partial
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -70,15 +71,10 @@ class DlyParseError(ValueError):
         if line_number is not None:
             message = f"line {line_number}: {message}"
         super().__init__(message)
-        self.line_number = line_number
 
 
 class FetchError(RuntimeError):
     """Archive payload could not be obtained from network or cache."""
-
-    def __init__(self, message: str, status: int | None = None):
-        super().__init__(message)
-        self.status = status
 
 
 class BoundaryGapError(ValueError):
@@ -87,10 +83,6 @@ class BoundaryGapError(ValueError):
 
 class UnsupportedGapError(ValueError):
     """Two or more consecutive days are missing; interpolation refuses to guess."""
-
-    def __init__(self, message: str, positions: Sequence[object]):
-        super().__init__(message)
-        self.positions = list(positions)
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,24 +116,25 @@ class DlyRecords:
 
 @dataclass(frozen=True)
 class Fetched:
-    """A station's ``.dly`` bytes and how this run obtained them.
+    """A station's ``.dly`` bytes, their :func:`parse_station` records, and
+    how this run obtained them.
 
     ``source`` is ``"network"`` when the bytes were downloaded by this call
     and ``"cache"`` when they were read from ``cache_path`` (a cache hit, or
     the fallback when a refresh could not reach the archive). ``fetched_at``
     is when the bytes left the archive: the download time, or the cache
-    file's modification time. ``records`` are the records
-    :func:`parse_station` checked before a download was cached, None for a
-    cache read. ``refresh_error`` says why a refresh fell back to the
-    cache, None otherwise. ``len()`` is the payload's byte count.
+    file's modification time. ``refresh_error`` says why a refresh fell
+    back to the cache, ``cache_replaced`` that it replaced a different
+    cached copy; None otherwise. ``len()`` is the payload's byte count.
     """
 
     data: bytes
     source: str
     cache_path: str
     fetched_at: datetime
-    records: Optional[DlyRecords] = None
+    records: DlyRecords
     refresh_error: Optional[str] = None
+    cache_replaced: Optional[str] = None
 
     def __len__(self) -> int:
         return len(self.data)
@@ -329,11 +322,9 @@ def interpolate_missing(values: np.ndarray, missing: np.ndarray, start: date) ->
     gaps = np.flatnonzero(missing)
     paired = missing[gaps - 1] | missing[gaps + 1]
     if paired.any():
-        flattened = [label(p) for p in gaps[paired].tolist()]
         raise UnsupportedGapError(
             "consecutive missing observations at: "
-            + ", ".join(str(t) for t in flattened),
-            flattened,
+            + ", ".join(str(label(p)) for p in gaps[paired].tolist())
         )
     filled = values.copy()
     filled[gaps] = round_half_away_from_zero(values[gaps - 1] + values[gaps + 1], 2)
@@ -453,7 +444,7 @@ def station_observations(
         except BoundaryGapError as exc:
             raise BoundaryGapError(f"{element}: {exc}") from exc
         except UnsupportedGapError as exc:
-            raise UnsupportedGapError(f"{element}: {exc}", exc.positions) from exc
+            raise UnsupportedGapError(f"{element}: {exc}") from exc
 
     inverted = filled["TMAX"] < filled["TMIN"]
     notes.inversions_repaired = _dates(start, np.flatnonzero(inverted))
@@ -468,95 +459,101 @@ def fetch_station(
     cache_dir: str | os.PathLike = "cache",
     refresh: bool = False,
 ) -> Fetched:
-    """Return the ``.dly`` payload for a station, caching it on disk.
+    """Return the ``.dly`` payload of a station and its checked records,
+    caching a download in the existing directory ``cache_dir``.
 
     A cache hit bypasses the network entirely unless ``refresh`` is set.
     A download (``http`` or ``https`` only) that fails or answers anything
     but HTTP 200 falls back to the cache file, if any, with the reason in
     ``refresh_error``, else raises :class:`FetchError`. A downloaded
-    payload is cached only if :func:`parse_station` accepts it, and the
-    records come with it; otherwise :class:`FetchError` names
-    the URL and the reason and the cache is left as it was. When a
-    refreshed payload differs from the cached copy, the fresh bytes win and
-    a warning is emitted. The cache file is replaced atomically
-    (:func:`~tempdyn.series.write_atomic`), so concurrent fetchers never
-    observe a partial file.
+    payload is cached only if :func:`parse_station` accepts it; otherwise
+    :class:`FetchError` names the URL and the reason and the cache is left
+    as it was; a payload that differs from the cached copy replaces it, as
+    ``cache_replaced`` says. A cache file that :func:`parse_station`
+    refuses raises :class:`DlyParseError` naming the file. The cache file
+    is replaced atomically (:func:`~tempdyn.series.write_atomic`), so
+    concurrent fetchers never observe a partial file.
     """
-    cache_dir = os.fspath(cache_dir)
     cache_path = _cache_path(cache_dir, station_id)
-    cached: Optional[Fetched] = None
-    if os.path.exists(cache_path):
-        with open(cache_path, "rb") as handle:
-            data = handle.read()
-        modified = datetime.fromtimestamp(os.path.getmtime(cache_path), timezone.utc)
-        cached = Fetched(data, "cache", cache_path, modified)
-        if not refresh:
-            return cached
+    if not refresh and os.path.exists(cache_path):
+        return _read_cache(station_id, cache_path)
 
     url = f"{endpoint.rstrip('/')}/{station_id}.dly"
     try:
         status, payload = _download(url)
+        failure = None if status == 200 else f"returned HTTP {status}"
     except Exception as exc:
-        reason = f"fetch of {url} failed: {exc}"
-        if cached is not None:
-            return replace(cached, refresh_error=reason)
-        raise FetchError(reason) from exc
-    if status != 200:
-        reason = f"fetch of {url} returned HTTP {status}"
-        if cached is not None:
-            return replace(cached, refresh_error=reason)
-        raise FetchError(reason, status=status)
+        failure = f"failed: {exc}"
+    if failure is not None:
+        reason = f"fetch of {url} {failure}"
+        if os.path.exists(cache_path):
+            return _read_cache(station_id, cache_path, refresh_error=reason)
+        raise FetchError(reason)
     try:
         records = parse_station(payload, station_id)
     except DlyParseError as exc:
         raise FetchError(f"fetch of {url} returned no usable .dly data: {exc}") from None
-    if cached is not None and cached.data != payload:
-        import warnings
-
-        warnings.warn(
-            f"cached copy of {station_id} differs from archive "
-            f"({len(cached.data)} vs {len(payload)} bytes); using the fresh payload",
-            stacklevel=2,
-        )
-    os.makedirs(cache_dir, exist_ok=True)
+    replaced = None
+    if os.path.exists(cache_path):
+        with open(cache_path, "rb") as handle:
+            cached = handle.read()
+        if cached != payload:
+            replaced = (
+                f"archive copy differs from the cache ({len(cached)} vs {len(payload)} "
+                "bytes); cache replaced"
+            )
     write_atomic(cache_path, [payload])
-    return Fetched(payload, "network", cache_path, datetime.now(timezone.utc), records)
+    return Fetched(
+        payload, "network", cache_path, datetime.now(timezone.utc), records,
+        cache_replaced=replaced,
+    )
+
+
+def _read_cache(station_id: str, cache_path: str, refresh_error: Optional[str] = None) -> Fetched:
+    """The cache file of a station with its records; a file that
+    :func:`parse_station` refuses is named, with what to do about it."""
+    with open(cache_path, "rb") as handle:
+        data = handle.read()
+        modified = datetime.fromtimestamp(os.fstat(handle.fileno()).st_mtime, timezone.utc)
+    try:
+        records = parse_station(data, station_id)
+    except DlyParseError as exc:
+        advice = f"cached file {cache_path}: {exc}; delete it or rerun with --refresh"
+        if refresh_error is not None:
+            advice += f" (refresh failed: {refresh_error})"
+        raise DlyParseError(advice) from None
+    return Fetched(data, "cache", cache_path, modified, records, refresh_error)
 
 
 def fetch_stations(
     station_ids: Sequence[str], endpoint: str, cache_dir: str | os.PathLike, refresh: bool
-) -> Iterator[object]:
-    """:func:`fetch_station` of each station in order, or the exception it raised.
+) -> Iterator[Callable[[], Fetched]]:
+    """One call per station, in order, that returns its :func:`fetch_station`
+    or raises what that raised.
 
-    A cache hit (about a millisecond) is read in the caller's thread when
-    its turn comes, so with nothing to download no thread starts and one
+    A cache hit (about a millisecond) is read when its call is made, in the
+    caller's thread, so with nothing to download no thread starts and one
     payload is held at a time. Downloads (a cache miss, or any station
     under ``refresh``) run on a pool of :data:`FETCH_THREADS` threads, at
-    most that many ahead of the caller.
+    most that many ahead of the caller; their calls wait for the result.
     """
-
-    def fetch(station_id: str) -> object:
-        try:
-            return fetch_station(station_id, endpoint, cache_dir, refresh)
-        except Exception as exc:  # noqa: BLE001 - the caller reports it
-            return exc
-
+    fetches = [partial(fetch_station, s, endpoint, cache_dir, refresh) for s in station_ids]
     downloads = [
         refresh or not os.path.exists(_cache_path(cache_dir, station_id))
         for station_id in station_ids
     ]
     if not any(downloads):
-        yield from map(fetch, station_ids)
+        yield from fetches
         return
     from concurrent.futures import ThreadPoolExecutor
 
-    waiting = iter([s for s, download in zip(station_ids, downloads) if download])
+    waiting = iter([f for f, download in zip(fetches, downloads) if download])
     ahead: deque = deque()
     with ThreadPoolExecutor(max_workers=FETCH_THREADS) as pool:
-        for station_id, download in zip(station_ids, downloads):
+        for fetch, download in zip(fetches, downloads):
             while len(ahead) < FETCH_THREADS and (upcoming := next(waiting, None)) is not None:
-                ahead.append(pool.submit(fetch, upcoming))
-            yield ahead.popleft().result() if download else fetch(station_id)
+                ahead.append(pool.submit(upcoming))
+            yield ahead.popleft().result if download else fetch
 
 
 def _cache_path(cache_dir: str | os.PathLike, station_id: str) -> str:

@@ -74,10 +74,14 @@ class RunConfig:
     def select(self, codes: Optional[Sequence[str]]) -> list[Station]:
         """Stations to process: the active set, or an explicit selection.
 
-        Explicitly requested codes may include excluded-by-default stations.
+        Explicitly requested codes may include excluded-by-default stations;
+        a code requested twice is refused, as a duplicate config row is.
         """
         if not codes:
             return self.active_stations()
+        for i, code in enumerate(codes):
+            if code in codes[:i]:
+                raise ConfigError(f"station {code!r} requested more than once")
         return [self.station(code) for code in codes]
 
 

@@ -216,7 +216,10 @@ class TestCriterion6ArchiveReplication:
     def config(self):
         from tempdyn.stations import load_config
 
-        return load_config()
+        config = load_config()
+        # fetch_station caches into a directory that exists
+        os.makedirs(config.cache_dir, exist_ok=True)
+        return config
 
     @pytest.fixture(scope="class")
     def phl_series(self, config):
@@ -225,7 +228,7 @@ class TestCriterion6ArchiveReplication:
         station = config.station("PHL")
         payload = fetch_station(station.ghcn_id, config.endpoint, config.cache_dir)
         tmax, tmin, _ = station_observations(
-            parse_dly(payload.data), config.window_start, config.window_end
+            payload.records, config.window_start, config.window_end
         )
         return build_series(tmax, tmin, config.window_start, config.window_end)
 
@@ -297,7 +300,7 @@ class TestCriterion6ArchiveReplication:
         for station in config.active_stations():
             payload = fetch_station(station.ghcn_id, config.endpoint, config.cache_dir)
             tmax, tmin, _ = station_observations(
-                parse_dly(payload.data), config.window_start, config.window_end
+                payload.records, config.window_start, config.window_end
             )
             loaded.append(
                 (

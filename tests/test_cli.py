@@ -224,7 +224,7 @@ class TestIngest:
         ])
         assert result.exit_code == 0, result.output
         assert sorted(parsed) == ["USW00099901", "USW00099902"]
-        # a cache read is parsed by ingest itself
+        # a cache read is parsed when ingest calls its fetch, in config order
         parsed.clear()
         assert run(["ingest", "--config", str(workspace / "run.cfg")]).exit_code == 0
         assert parsed == ["USW00099901", "USW00099902"]
@@ -338,6 +338,7 @@ class TestIngestFaults:
             assert failed[0].endswith("; delete it or rerun with --refresh)")
         manifest = json.loads((workspace / "out" / "manifest.json").read_text())
         assert [e["status"] for e in manifest] == ["error", "ok"]
+        assert [e["source"] for e in manifest] == ["cache", "cache"]
         assert not (workspace / "out" / "series" / "AAA.csv").exists()
         # failures go to stderr, progress to stdout
         assert result.stderr.splitlines() == failed == [f"AAA: FAILED ({manifest[0]['error']})"]
@@ -418,6 +419,54 @@ class TestIngestFaults:
             for code, reason in zip(["AAA", "BBB"], reasons)
         ]
 
+    def test_failed_refresh_to_a_cache_file_that_does_not_parse(self, workspace, archive):
+        # AAA's archive answers 503 and its cache file does not parse, so
+        # AAA fails in one line that says both; BBB is downloaded and written
+        cache_file = workspace / "cache" / "USW00099901.dly"
+        cache_file.write_bytes(b"<html><body>Not Found</body></html>\n")
+        archive.serve("/USW00099901.dly", status=503)
+        archive.serve("/USW00099902.dly", (workspace / "cache" / "USW00099902.dly").read_bytes())
+        result = run([
+            "ingest", "--config", str(workspace / "run.cfg"), "--endpoint", archive.url,
+            "--refresh",
+        ])
+        assert result.exit_code == 1
+        assert result.stderr == (
+            f"AAA: FAILED (DlyParseError: cached file {cache_file}: line 1: expected 269 "
+            "characters, got 35; delete it or rerun with --refresh (refresh failed: "
+            f"fetch of {archive.url}/USW00099901.dly returned HTTP 503))\n"
+        )
+        manifest = json.loads((workspace / "out" / "manifest.json").read_text())
+        assert [(e["status"], e["source"]) for e in manifest] == [
+            ("error", "cache"), ("ok", "network")
+        ]
+        assert result.stdout == f"BBB: {manifest[1]['rows']} rows\n"
+        assert (workspace / "out" / "series" / "BBB.csv").exists()
+        assert not (workspace / "out" / "series" / "AAA.csv").exists()
+
+    def test_refresh_that_replaces_a_different_cached_copy_says_so(self, workspace, archive):
+        config = str(workspace / "run.cfg")
+        run(["ingest", "--config", config])
+        series = {p.name: p.read_bytes() for p in (workspace / "out" / "series").iterdir()}
+        before = json.loads((workspace / "out" / "manifest.json").read_text())
+        # the archive's AAA has one more line, of an element ingest ignores
+        cached = (workspace / "cache" / "USW00099901.dly").read_bytes()
+        fresh = cached + extra_line(1960, 1, "PRCP", {1: 5})
+        archive.serve("/USW00099901.dly", fresh)
+        archive.serve("/USW00099902.dly", (workspace / "cache" / "USW00099902.dly").read_bytes())
+        result = run(["ingest", "--config", config, "--endpoint", archive.url, "--refresh"])
+        assert result.exit_code == 0, result.output
+        assert result.stderr == (
+            f"AAA: archive copy differs from the cache ({len(cached)} vs {len(fresh)} "
+            "bytes); cache replaced\n"
+        )
+        assert (workspace / "cache" / "USW00099901.dly").read_bytes() == fresh
+        assert {p.name: p.read_bytes() for p in (workspace / "out" / "series").iterdir()} == series
+        # the manifest gains no key: only the sources and fetch times change
+        after = json.loads((workspace / "out" / "manifest.json").read_text())
+        assert [e["source"] for e in after] == ["network", "network"]
+        assert [sorted(e) for e in after] == [sorted(e) for e in before]
+
     @pytest.mark.parametrize("endpoint", ["htps://archive.example/daily", "file:///x"])
     def test_endpoint_that_is_not_http_fails_on_a_warm_cache(self, workspace, endpoint):
         # nothing would be downloaded, but the endpoint is still checked
@@ -434,6 +483,15 @@ class TestIngestFaults:
 
 
 class TestTables:
+    def test_repeated_station_fails_before_any_read(self, workspace):
+        config = str(workspace / "run.cfg")
+        run(["ingest", "--config", config])
+        result = run(["tables", "--config", config, "--station", "AAA", "--station", "BBB",
+                      "--station", "AAA"])
+        assert (result.exit_code, result.stdout) == (1, "")
+        assert result.stderr == "Error: station 'AAA' requested more than once\n"
+        assert not (workspace / "out" / "tables").exists()
+
     def test_missing_series_names_ingest(self, workspace):
         result = run(["tables", "--config", str(workspace / "run.cfg")])
         assert result.exit_code == 1
@@ -1175,6 +1233,31 @@ def test_file_in_place_of_the_output_directory_is_a_one_line_error(
         f"Error: cannot make directory {workspace / directory}: Not a directory; "
         "pass another --out\n"
     )
+
+
+@pytest.mark.parametrize(
+    "directory, reason",
+    [("run.cfg", "File exists"), ("run.cfg/cache", "Not a directory")],
+    ids=["a-file", "under-a-file"],
+)
+def test_file_in_place_of_the_cache_directory_is_a_one_line_error(
+    workspace, archive, monkeypatch, directory, reason
+):
+    # TEMPDYN_CACHE_DIR naming a file, or a path under one: nothing is
+    # fetched, and the advice names the cache setting
+    archive.serve("/USW00099901.dly", (workspace / "cache" / "USW00099901.dly").read_bytes())
+    monkeypatch.setenv("TEMPDYN_CACHE_DIR", str(workspace / directory))
+    result = run([
+        "ingest", "--config", str(workspace / "run.cfg"), "--station", "AAA",
+        "--endpoint", archive.url,
+    ])
+    assert (result.exit_code, result.stdout) == (1, "")
+    assert result.stderr == (
+        f"Error: cannot make directory {workspace / directory}: {reason}; "
+        "set another cache_dir or TEMPDYN_CACHE_DIR\n"
+    )
+    assert archive.requests == []
+    assert not (workspace / "out").exists()
 
 
 def test_config_that_is_not_utf8_is_a_one_line_error(workspace):

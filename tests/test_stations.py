@@ -49,6 +49,11 @@ class TestParseConfig:
         config = parse_config(SAMPLE)
         assert [s.code for s in config.select(["BBB", "AAA"])] == ["BBB", "AAA"]
 
+    def test_select_rejects_a_repeated_code(self):
+        config = parse_config(SAMPLE)
+        with pytest.raises(ConfigError, match="^station 'AAA' requested more than once$"):
+            config.select(["AAA", "CCC", "AAA"])
+
     def test_unknown_station_rejected(self):
         config = parse_config(SAMPLE)
         with pytest.raises(ConfigError, match="ZZZ"):

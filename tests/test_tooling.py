@@ -1,11 +1,15 @@
-"""Checks on the package source itself, read with ``ast``."""
+"""Checks on the package source itself, read with ``ast``, and on the
+test configuration."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import tempdyn
 
 PACKAGE = Path(tempdyn.__file__).parent
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
 def _public_definitions(module: ast.Module):
@@ -64,3 +68,26 @@ def test_every_public_name_has_a_caller_in_the_package():
 def test_a_public_constant_without_a_reader_is_reported():
     source = "USED = 1\nUNUSED = 2\nLEFT, RIGHT = 3, 4\n_PRIVATE = 5\n\ndef f():\n    return USED + RIGHT\n"
     assert _unused({"m.py": ast.parse(source)}) == ["m.py: UNUSED", "m.py: LEFT", "m.py: f"]
+
+
+def test_a_failing_hypothesis_test_reports_its_example_and_the_run_goes_on(tmp_path):
+    # Under the repository's pytest settings (every warning an error), a
+    # failing @given test must print its falsifying example, and the tests
+    # after it must still run. hypothesis's plugin loads libcst for the
+    # report where it is installed, whose import warned.
+    (tmp_path / "test_probe.py").write_text(
+        "from hypothesis import given, strategies as st\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 5\n\n"
+        "def test_after():\n"
+        "    pass\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(PYPROJECT),
+         "--rootdir", str(tmp_path), "test_probe.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert "INTERNALERROR" not in result.stdout + result.stderr
+    assert "Falsifying example" in result.stdout
+    assert "1 failed, 1 passed" in result.stdout

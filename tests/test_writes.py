@@ -131,6 +131,7 @@ def test_series_csv_and_cache_file_get_plain_open_mode(tmp_path, archive):
         )
         payload = synthetic_station_bytes("USW00099901", START, END)
         archive.serve("/USW00099901.dly", payload)
+        (tmp_path / "cache").mkdir()
         fetch_station("USW00099901", archive.url, tmp_path / "cache")
     finally:
         os.umask(old)
