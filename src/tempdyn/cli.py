@@ -52,31 +52,30 @@ def _configure(
     return config
 
 
-def _check_lag(bandwidth, loaded) -> None:
-    """Reject a fixed HAC lag that the shortest loaded series cannot carry.
+def _check_window(config: RunConfig, model: str):
+    """The window's ``models.WindowFactors``, built before any series is
+    read, refusing a window short of days of a month for ``model``."""
+    from .models import WindowFactors
 
-    The joint model loses its first day to the lagged regressor, so its
-    nobs (series length - 1) is the smallest of the four fits.
-    """
-    lengths = [(len(s), code) for code, s in loaded if not isinstance(s, Exception)]
-    if bandwidth == "auto" or not lengths:
-        return
-    length, code = min(lengths)
-    if bandwidth >= length - 1:
-        raise _CommandError(
-            f"HAC bandwidth {bandwidth} must be below the joint model's nobs "
-            f"{length - 1} ({code}, the shortest series)"
-        )
-
-
-def _check_window(config: RunConfig, model: str) -> None:
-    """Refuse, before any series is read, a window short of days of a month."""
-    from .models import check_window_months
-
+    factors = WindowFactors(config.window_start, config.window_end)
     try:
-        check_window_months(config.window_start, config.window_end, model)
+        factors.check_months(model)
     except ValueError as exc:
         raise _CommandError(str(exc)) from None
+    return factors
+
+
+def _check_hac_window(config: RunConfig, model: str):
+    """:func:`_check_window`'s factors, also refusing a fixed HAC lag at or
+    above ``model``'s nobs (the joint model's first day feeds its lag)."""
+    factors = _check_window(config, model)
+    nobs = len(factors.t) - (model == "joint")
+    if config.hac_bandwidth != "auto" and config.hac_bandwidth >= nobs:
+        raise _CommandError(
+            f"HAC bandwidth {config.hac_bandwidth} must be below the {model} model's nobs "
+            f"{nobs} on {config.window_start}..{config.window_end}"
+        )
+    return factors
 
 
 def _make_dir(path: Path, advice: str = "pass another --out") -> Path:
@@ -96,19 +95,23 @@ def _series_path(config: RunConfig, code: str) -> Path:
 
 def _load_series(config: RunConfig, code: str) -> series_mod.TemperatureSeries:
     """The station's series file, which must cover the configured window: a
-    file cut short or left by a run with another window is refused."""
+    file that cannot be read, or is cut short or left by a run with another
+    window, is refused with the ingest that rewrites it."""
     path = _series_path(config, code)
     if not path.exists():
         raise FileNotFoundError(
             f"no series file {path}; run `tempdyn ingest` for {code} first"
         )
-    loaded = series_mod.read_series_csv(path)
+    rerun = f"rerun `tempdyn ingest --station {code}`"
+    try:
+        loaded = series_mod.read_series_csv(path)
+    except (ValueError, OSError) as exc:
+        raise ValueError(f"series {path}: {str(exc).rstrip('.')}; {rerun}") from None
     first, last = loaded.start, loaded.end
     if (first, last) != (config.window_start, config.window_end):
         raise series_mod.ContiguityError(
             f"series {path} covers {first}..{last} but the window is "
-            f"{config.window_start}..{config.window_end}; "
-            f"rerun `tempdyn ingest --station {code}`"
+            f"{config.window_start}..{config.window_end}; {rerun}"
         )
     return loaded
 
@@ -214,7 +217,8 @@ def tables(config_path, station_codes, variable, hac_bandwidth, out):
 
     config = _configure(config_path, out=out, hac_bandwidth=hac_bandwidth)
     stations = config.select(station_codes)
-    _check_window(config, "joint")
+    # the window's designs are factored once, for both variables
+    factors = _check_hac_window(config, "joint")
     variables = ["avg", "dtr"] if variable == "both" else [variable]
 
     loaded = []
@@ -223,12 +227,9 @@ def tables(config_path, station_codes, variable, hac_bandwidth, out):
             loaded.append((station.code, _load_series(config, station.code)))
         except Exception as exc:  # noqa: BLE001
             loaded.append((station.code, exc))
-    _check_lag(config.hac_bandwidth, loaded)
 
     tables_dir = _make_dir(config.output_dir / "tables")
     any_failure = False
-    # each window's designs are factored once, for both variables
-    factors = {}
     for var in variables:
         report = models.batch_report(loaded, var, config.hac_bandwidth, factors)
         reporting.write_table_csv(report, tables_dir / f"table_{var}.csv")
@@ -249,7 +250,7 @@ def figures(config_path, station_code, out):
     from .regression import ols_fit
 
     config = _configure(config_path, out=out)
-    _check_window(config, "evolving")
+    factors = _check_window(config, "evolving")
     try:
         years = models.pattern_years(config.window_start, config.window_end)
     except ValueError as exc:  # a window with no July 1
@@ -264,7 +265,6 @@ def figures(config_path, station_code, out):
     # their temporaries added 2 MiB to the peak RSS). Every step that can
     # fail comes before the first write, so a failure leaves the station's
     # files as they were: both densities are estimated first.
-    factors = models.WindowFactors(station_series)
     for model in ("trend", "fixed", "evolving"):
         getattr(factors, model)
     densities = {}
@@ -278,10 +278,10 @@ def figures(config_path, station_code, out):
                 f"{station_code} {var}: automatic bandwidth is zero (data has no spread)"
             )
 
-    month = station_series.month
+    month = factors.month
     # the evolving pattern is evaluated at the t of each July 1
     july_t = {
-        str(year): (date(year, models.JULY, 1) - station_series.start).days + 1
+        str(year): (date(year, models.JULY, 1) - factors.start).days + 1
         for year in years
     }
     for var, estimate in densities.items():
@@ -317,13 +317,10 @@ def fit(config_path, station_code, variable, model, hac_bandwidth, out):
 
     config = _configure(config_path, out=out, hac_bandwidth=hac_bandwidth)
     name = {"seasonal": "fixed"}.get(model, model)
-    _check_window(config, name)
-    station_series = _station_series(config, station_code)
-    y = station_series.variable(variable)
+    factors = _check_hac_window(config, name)
+    y = _station_series(config, station_code).variable(variable)
     try:
-        result = fit_with_hac(
-            *models.WindowFactors(station_series).least_squares(name, y), config.hac_bandwidth
-        )
+        result = fit_with_hac(*factors.least_squares(name, y), config.hac_bandwidth)
         _print_fit(result)
         if model == "trend":
             print(f"delta_trend: {models.delta_trend(result):.4f} F over the sample")

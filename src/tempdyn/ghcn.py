@@ -40,7 +40,6 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .series import write_atomic
-from .stations import DEFAULT_ENDPOINT
 
 MISSING = -9999
 LINE_LENGTH = 269
@@ -455,12 +454,13 @@ def station_observations(
 
 def fetch_station(
     station_id: str,
-    endpoint: str = DEFAULT_ENDPOINT,
-    cache_dir: str | os.PathLike = "cache",
+    endpoint: str,
+    cache_dir: str | os.PathLike,
     refresh: bool = False,
 ) -> Fetched:
     """Return the ``.dly`` payload of a station and its checked records,
-    caching a download in the existing directory ``cache_dir``.
+    caching a download in the existing directory ``cache_dir`` (a download
+    that finds no such directory raises :class:`FetchError` naming it).
 
     A cache hit bypasses the network entirely unless ``refresh`` is set.
     A download (``http`` or ``https`` only) that fails or answers anything
@@ -502,6 +502,8 @@ def fetch_station(
                 f"archive copy differs from the cache ({len(cached)} vs {len(payload)} "
                 "bytes); cache replaced"
             )
+    if not os.path.isdir(cache_dir):
+        raise FetchError(f"fetch of {url} cannot be cached: no directory {cache_dir}")
     write_atomic(cache_path, [payload])
     return Fetched(
         payload, "network", cache_path, datetime.now(timezone.utc), records,

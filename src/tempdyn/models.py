@@ -13,13 +13,13 @@ estimates over t = 2..T (the first day feeds the lag), with the time
 regressor un-rescaled (t in days). The lag is its last column (the paper
 lists it third; no estimate, error or test depends on the order).
 
-Every column but the joint model's lag depends only on the window (first
-date and length), so one :class:`WindowFactors` holds the factored design of
-each model for every series and variable of a window, each factored on first
-use. :meth:`WindowFactors.least_squares` is the one entry for all four
-models: it pairs a model's factor with its regressand, which every command
-then fits by ``ols_fit`` or ``fit_with_hac``. The joint fit borders the
-factor of its design without the lag with the series' own lag (see
+Every column but the joint model's lag depends only on the window, so one
+:class:`WindowFactors` holds its t and months and the factored design of
+each model for every series and variable, each factored on first use.
+:meth:`WindowFactors.least_squares` is the one entry for all four models:
+it pairs a model's factor with its regressand, which every command then
+fits by ``ols_fit`` or ``fit_with_hac``. The joint fit borders the factor
+of its design without the lag with the series' own lag (see
 :mod:`tempdyn.regression`); the two seasonal fits de-trend by OLS on the
 window's trend factor.
 
@@ -112,20 +112,6 @@ def pattern_years(first: date, last: date) -> tuple[int, ...]:
 _MONTH_DAYS = {"trend": 0, "fixed": 1, "evolving": 2, "joint": 2}
 
 
-def check_window_months(start: date, end: date, model: str) -> None:
-    """Raise ValueError naming the calendar months of ``[start, end]`` with
-    too few days for ``model``'s design to have full rank on any series.
-    The joint model is fitted from the second day."""
-    days = np.arange(np.datetime64(start, "D") + (model == "joint"), np.datetime64(end, "D") + 1)
-    counts = np.bincount(days.astype("datetime64[M]").astype(np.int64) % 12, minlength=12)
-    short = [calendar.month_abbr[m + 1] for m in np.flatnonzero(counts < _MONTH_DAYS[model])]
-    if short:
-        raise ValueError(
-            f"window {start}..{end} is short of days in {', '.join(short)}: the {model} model "
-            f"needs {('one day', 'two days')[_MONTH_DAYS[model] - 1]} in every calendar month"
-        )
-
-
 @dataclass(frozen=True)
 class CityReport:
     """One summary-table row: trend movement plus joint-model statistics."""
@@ -150,8 +136,8 @@ class BatchReport:
     failures: tuple[tuple[str, str], ...]  # (station, diagnostic)
 
 
-def trend_design(series: TemperatureSeries) -> DesignMatrix:
-    data = np.column_stack([np.ones(len(series)), series.t.astype(np.float64)])
+def trend_design(t: np.ndarray) -> DesignMatrix:
+    data = np.column_stack([np.ones(len(t)), np.asarray(t, dtype=np.float64)])
     return DesignMatrix(("const", "time"), data)
 
 
@@ -225,34 +211,53 @@ def joint_shared_design(month: np.ndarray, t: np.ndarray) -> DesignMatrix:
 
 
 class WindowFactors:
-    """The factored design of each model on one window (first date and
-    length), shared by every series and variable of the window.
+    """The window ``[start, end]``'s read-only ``t`` (1..T, in days) and
+    ``month`` of each day, and the factored design of each model on it.
 
-    This is the one place that knows which design each model is fitted on
-    and how it is factored. Each factor is built on first use, so a command
-    holds only the ones it fits: ``trend`` and ``joint`` (the joint design
-    without its lag) by Householder QR, ``fixed`` and ``evolving`` in closed
-    form by month (:func:`month_block_factor`).
+    This is the one place that computes them on the fit path, and knows
+    which design each model is fitted on and how it is factored. Each factor
+    is built on first use, so a command holds only the ones it fits:
+    ``trend`` and ``joint`` (the joint design without its lag) by
+    Householder QR, ``fixed`` and ``evolving`` in closed form by month
+    (:func:`month_block_factor`).
     """
 
-    def __init__(self, series: TemperatureSeries):
-        self._series = series
+    def __init__(self, start: date, end: date):
+        days = np.arange(np.datetime64(start, "D"), np.datetime64(end, "D") + 1)
+        self.start, self.end = start, end
+        self.t = np.arange(1, len(days) + 1, dtype=np.int64)
+        self.month = days.astype("datetime64[M]").astype(np.int64) % 12 + 1
+        for array in (self.t, self.month):
+            array.setflags(write=False)
+
+    def check_months(self, model: str) -> None:
+        """Raise ValueError naming the calendar months of the window with too
+        few days for ``model``'s design to have full rank on any series.
+        The joint model is fitted from the second day."""
+        counts = np.bincount(self.month[int(model == "joint"):] - 1, minlength=12)
+        short = [calendar.month_abbr[m + 1] for m in np.flatnonzero(counts < _MONTH_DAYS[model])]
+        if short:
+            raise ValueError(
+                f"window {self.start}..{self.end} is short of days in {', '.join(short)}: the "
+                f"{model} model needs {('one day', 'two days')[_MONTH_DAYS[model] - 1]} in every "
+                "calendar month"
+            )
 
     @cached_property
     def trend(self) -> QRFactor:
-        return factorize(trend_design(self._series))
+        return factorize(trend_design(self.t))
 
     @cached_property
     def fixed(self) -> QRFactor:
-        return month_block_factor(self._series.month)
+        return month_block_factor(self.month)
 
     @cached_property
     def evolving(self) -> QRFactor:
-        return month_block_factor(self._series.month, self._series.t)
+        return month_block_factor(self.month, self.t)
 
     @cached_property
     def joint(self) -> QRFactor:
-        return factorize(joint_shared_design(self._series.month, self._series.t))
+        return factorize(joint_shared_design(self.month, self.t))
 
     def least_squares(self, model: str, y: np.ndarray) -> tuple[QRFactor, np.ndarray]:
         """The factor and regressand that ``model`` fits to the window's
@@ -276,12 +281,18 @@ def city_report(
     factors: Optional[WindowFactors] = None,
 ) -> CityReport:
     """``factors`` are the :class:`WindowFactors` of the series' window;
-    they are built when omitted, with the same result to the last bit.
+    they are built when omitted, with the same result to the last bit. A
+    series of another window raises ValueError naming both windows.
 
     The joint model is fitted first, so a degenerate series (a constant or
     otherwise collinear lag) is reported as its dependent design column.
     """
-    factors = factors or WindowFactors(series)
+    factors = factors or WindowFactors(series.start, series.end)
+    if (series.start, series.end) != (factors.start, factors.end):
+        raise ValueError(
+            f"series covers {series.start}..{series.end} but the factors are of "
+            f"{factors.start}..{factors.end}"
+        )
     y = series.variable(variable)
     joint = fit_with_hac(*factors.least_squares("joint", y), bandwidth)
     trend = fit_with_hac(*factors.least_squares("trend", y), bandwidth)
@@ -316,30 +327,26 @@ def batch_report(
     station_series: Sequence[tuple[str, Union[TemperatureSeries, Exception]]],
     variable: str,
     bandwidth: Bandwidth = "auto",
-    factors: Optional[dict[tuple[date, int], WindowFactors]] = None,
+    factors: Optional[WindowFactors] = None,
 ) -> BatchReport:
     """Per-station rows in input order plus a column-wise median row.
 
     A station failure only aborts that row; an entry may carry an Exception
     instead of a series to record an upstream failure. The median row is
     produced when every requested station succeeded or at least
-    MIN_ROWS_FOR_MEDIAN did. One :class:`WindowFactors` serves each window
-    (first date, length); each row equals its :func:`city_report`.
-    ``factors`` maps windows to their factors and gains the ones built
-    here, so calls for several variables that share it factor each window
-    once.
+    MIN_ROWS_FOR_MEDIAN did. Every row is fitted on ``factors``, built from
+    the first series' window when omitted, so calls for several variables
+    that share them factor the window once, and a series of another window
+    fails its row; each row equals its :func:`city_report`.
     """
     rows: list[CityReport] = []
     failures: list[tuple[str, str]] = []
-    factors = {} if factors is None else factors
     for station, series in station_series:
         try:
             if isinstance(series, Exception):
                 raise series
-            window = (series.start, len(series))
-            if window not in factors:
-                factors[window] = WindowFactors(series)
-            rows.append(city_report(station, series, variable, bandwidth, factors[window]))
+            factors = factors or WindowFactors(series.start, series.end)
+            rows.append(city_report(station, series, variable, bandwidth, factors))
         except Exception as exc:  # noqa: BLE001 - diagnostics per station
             failures.append((station, f"{type(exc).__name__}: {exc}"))
     median_row = None

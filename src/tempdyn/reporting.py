@@ -102,11 +102,9 @@ def format_table_text(report: BatchReport) -> str:
     for row in body:
         lines.append("  ".join(v.ljust(widths[j]) for j, v in enumerate(row)).rstrip())
     lines.append("")
-    # rows of different windows can carry different automatic lags
-    lags = sorted({row.hac_bandwidth for row in report.rows})
     lines.append(
         f"variable: {report.variable}  "
-        f"HAC bandwidth: {', '.join(map(str, lags)) if lags else 'n/a'}  "
+        f"HAC bandwidth: {report.rows[0].hac_bandwidth if report.rows else 'n/a'}  "
         "(* = significant at the 1% level)"
     )
     if report.failures:

@@ -1,7 +1,7 @@
-"""Aligned daily temperature series with calendar features.
+"""Aligned daily temperature series.
 
-AVG = (MAX + MIN)/2 and DTR = MAX - MIN, built over a contiguous daily
-window together with the 1-based time trend t and per-day month index.
+AVG = (MAX + MIN)/2 and DTR = MAX - MIN over a contiguous daily window;
+the window's time trend t and months are ``models.WindowFactors``'s.
 
 Dated CSV rows (the series files here, the figure data in ``reporting``)
 are written from per-window row templates: the text that depends only on
@@ -42,7 +42,7 @@ class TemperatureSeries:
     """Immutable aligned daily record. Arrays are read-only once built.
 
     ``avg`` holds exact half-degree values (integer inputs make (max+min)/2
-    representable without rounding); ``t`` runs 1..T, one day each from
+    representable without rounding); the arrays hold one day each from
     ``start``.
     """
 
@@ -51,11 +51,9 @@ class TemperatureSeries:
     min_f: np.ndarray
     avg: np.ndarray
     dtr: np.ndarray
-    t: np.ndarray
-    month: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.t)
+        return len(self.max_f)
 
     @property
     def end(self) -> date:
@@ -88,15 +86,11 @@ def build_series(
     if inverted.size:
         days = (start + timedelta(days=i) for i in inverted.tolist())
         raise DataInversionError("max below min on: " + ", ".join(map(str, days)))
-
-    days = np.arange(np.datetime64(start, "D"), np.datetime64(end, "D") + 1)
     avg = (max_f + min_f) / 2.0
     dtr = (max_f - min_f).astype(np.float64)
-    t = np.arange(1, expected + 1, dtype=np.int64)
-    month = days.astype("datetime64[M]").astype(np.int64) % 12 + 1
-    for array in (max_f, min_f, avg, dtr, t, month):
+    for array in (max_f, min_f, avg, dtr):
         array.setflags(write=False)
-    return TemperatureSeries(start, max_f, min_f, avg, dtr, t, month)
+    return TemperatureSeries(start, max_f, min_f, avg, dtr)
 
 
 SERIES_CSV_HEADER = ["date", "tmax", "tmin", "avg", "dtr", "t", "month"]
@@ -277,7 +271,7 @@ def read_series_csv(path) -> TemperatureSeries:
     """
     data = Path(path).read_bytes()
     mirrored = _read_sidecar(sidecar_path(path), data)
-    return mirrored if mirrored is not None else _parse_series_csv(data, path)
+    return mirrored if mirrored is not None else _parse_series_csv(data)
 
 
 def _read_sidecar(path: Path, data: bytes) -> Optional[TemperatureSeries]:
@@ -312,14 +306,14 @@ def _read_sidecar(path: Path, data: bytes) -> Optional[TemperatureSeries]:
     return build_series(record["tmax"], record["tmin"], first, first + timedelta(days=days - 1))
 
 
-def _parse_series_csv(data: bytes, path) -> TemperatureSeries:
+def _parse_series_csv(data: bytes) -> TemperatureSeries:
     handle = io.StringIO(data.decode(), newline="")
     header = handle.readline().rstrip("\r\n").split(",")
     if header != SERIES_CSV_HEADER:
-        raise ValueError(f"unexpected series CSV header in {path}: {header}")
+        raise ValueError(f"unexpected series CSV header {header}")
     body = handle.read()
     if not body:
-        raise ValueError(f"series CSV {path} has no rows")
+        raise ValueError("series CSV has no rows")
     rows = np.loadtxt(
         io.StringIO(body), delimiter=",", usecols=range(5), dtype=_CSV_COLUMNS,
         comments=None, ndmin=1,
@@ -328,14 +322,14 @@ def _parse_series_csv(data: bytes, path) -> TemperatureSeries:
     expected = dates[0] + np.arange(len(dates))
     skipped = np.flatnonzero(dates != expected)
     if skipped.size:
-        i = int(skipped[0])
-        raise ContiguityError(f"expected {expected[i]} at position {i}, got {dates[i]}")
+        i = int(skipped[0])  # the header is line 1
+        raise ContiguityError(f"expected {expected[i]} at line {i + 2}, got {dates[i]}")
     first, last = dates[[0, -1]].tolist()
     series = build_series(rows["tmax"], rows["tmin"], first, last)
     if not np.array_equal(series.avg, rows["avg"]) or not np.array_equal(
         series.dtr, rows["dtr"]
     ):
-        raise ValueError(f"series CSV {path} is internally inconsistent")
+        raise ValueError("series CSV avg or dtr is internally inconsistent with tmax and tmin")
     return series
 
 

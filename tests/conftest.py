@@ -321,16 +321,18 @@ def find_modes(
     return modes
 
 
-def month_dummies(series: TemperatureSeries) -> np.ndarray:
-    """(T, 12) indicator matrix; column i-1 marks days falling in month i.
+def month_dummies(month: np.ndarray) -> np.ndarray:
+    """(T, 12) indicator matrix of the days' months (1..12, such as a
+    window's ``WindowFactors.month``); column i-1 marks days falling in
+    month i.
 
     Each row sums to exactly 1 (one month per day); Feb 29 belongs to the
     February column.
     """
-    if len(series) == 0:
-        raise ValueError("series is empty")
-    dummies = np.zeros((len(series), 12), dtype=np.float64)
-    dummies[np.arange(len(series)), series.month - 1] = 1.0
+    if len(month) == 0:
+        raise ValueError("no days")
+    dummies = np.zeros((len(month), 12), dtype=np.float64)
+    dummies[np.arange(len(month)), np.asarray(month) - 1] = 1.0
     dummies.setflags(write=False)
     return dummies
 

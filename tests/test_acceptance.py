@@ -266,7 +266,9 @@ class TestCriterion6ArchiveReplication:
         r2 = {}
         for variable, target, tol in (("avg", 0.81, 0.02), ("dtr", 0.07, 0.02)):
             y = phl_series.variable(variable)
-            fixed = fit_with_hac(*WindowFactors(phl_series).least_squares("fixed", y))
+            fixed = fit_with_hac(
+                *WindowFactors(phl_series.start, phl_series.end).least_squares("fixed", y)
+            )
             r2[variable] = fixed.r_squared
             assert abs(fixed.r_squared - target) <= tol
         report(

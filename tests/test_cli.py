@@ -91,6 +91,11 @@ def read_series(workspace: Path, code: str) -> series_mod.TemperatureSeries:
     return series_mod.read_series_csv(workspace / "out" / "series" / f"{code}.csv")
 
 
+def refuse_reads(path):
+    """A stand-in for ``series.read_series_csv`` where no series may be read."""
+    raise AssertionError(f"{path} was read")
+
+
 def narrow_window(workspace: Path, start: date, end: date) -> series_mod.TemperatureSeries:
     """Cut AAA's ingested series to [start, end] and configure that window."""
     aaa = read_series(workspace, "AAA")
@@ -617,25 +622,28 @@ class TestTables:
         if source == "config":
             assert f"{config}:1: bad value for hac_bandwidth" in result.output
 
-    def test_lag_beyond_joint_nobs_rejected_once(self, workspace):
+    def test_lag_beyond_joint_nobs_rejected_once_before_any_read(self, workspace, monkeypatch):
         config = str(workspace / "run.cfg")
         run(["ingest", "--config", config])
         joint_nobs = (WINDOW_END - WINDOW_START).days  # one day lost to the lag
-        result = run(["tables", "--config", config, "--hac-bandwidth", str(joint_nobs)])
-        assert result.exit_code == 1
-        assert result.output.count("Error:") == 1
-        assert f"HAC bandwidth {joint_nobs} must be below the joint model's nobs {joint_nobs}" in result.output
-        assert "FAILED" not in result.output
+        with monkeypatch.context() as patch:
+            patch.setattr(series_mod, "read_series_csv", refuse_reads)
+            result = run(["tables", "--config", config, "--hac-bandwidth", str(joint_nobs)])
+        assert (result.exit_code, result.stdout) == (1, "")
+        assert result.stderr == (
+            f"Error: HAC bandwidth {joint_nobs} must be below the joint model's nobs "
+            f"{joint_nobs} on {WINDOW_START}..{WINDOW_END}\n"
+        )
         assert not (workspace / "out" / "tables").exists()
 
         result = run(["tables", "--config", config, "--variable", "avg",
                       "--hac-bandwidth", str(joint_nobs - 1)])
         assert result.exit_code == 0, result.output
 
-    def test_two_windows_grouped_and_match_single_station_fits(self, workspace, monkeypatch):
+    def test_series_of_another_window_fails_its_row(self, workspace, monkeypatch):
         # tables loads only series that cover the configured window (see
-        # test_series_not_covering_the_window_fails), so two windows reach
-        # batch_report from a library caller
+        # test_series_not_covering_the_window_fails), so another window
+        # reaches batch_report from a library caller, and is refused there
         config = str(workspace / "run.cfg")
         run(["ingest", "--config", config])
         aaa, bbb = read_series(workspace, "AAA"), read_series(workspace, "BBB")
@@ -648,21 +656,24 @@ class TestTables:
         windows = []
         original = models.WindowFactors
 
-        def counting(series):
-            windows.append((series.start, len(series)))
-            return original(series)
+        def counting(start, end):
+            windows.append((start, end))
+            return original(start, end)
 
         monkeypatch.setattr(models, "WindowFactors", counting)
         report = models.batch_report(loaded, "avg")
-        assert report.failures == ()
-        assert windows == [(WINDOW_START, 731), (date(1960, 3, 1), 671)]
+        assert report.failures == (
+            ("BBB", f"ValueError: series covers 1960-03-01..{WINDOW_END} but the factors are "
+                    f"of {WINDOW_START}..{WINDOW_END}"),
+        )
+        assert windows == [(WINDOW_START, WINDOW_END)]
         monkeypatch.undo()
 
         table = workspace / "table_avg.csv"
         reporting.write_table_csv(report, table)
         rows = read_csv_rows(table)
-        assert [r["station"] for r in rows] == ["AAA", "BBB", "XXX", "Median"]
-        for row, (code, series) in zip(rows, loaded):
+        assert [r["station"] for r in rows] == ["AAA", "XXX"]
+        for row, (code, series) in zip(rows, loaded[::2]):
             single = models.city_report(code, series, "avg")
             for column in ("delta_trend", "p_nt", "p_ns", "p_nts", "rho", "r_squared"):
                 assert float(row[f"{column}_full"]) == getattr(single, column)
@@ -677,7 +688,7 @@ class TestTables:
         else:
             # each day holds the next day's month number, so every lag is the
             # intercept plus month dummies
-            following = np.append(aaa.month[1:], 1)
+            following = np.append(models.WindowFactors(WINDOW_START, WINDOW_END).month[1:], 1)
             tmax, tmin = 2 * following, np.zeros(len(aaa), dtype=np.int64)
         write_series(workspace, "XXX", tmax, tmin, WINDOW_START, WINDOW_END)
         result = run(["tables", "--config", config,
@@ -698,24 +709,15 @@ class TestTables:
             rows = read_csv_rows(workspace / "out" / "tables" / f"table_{var}.csv")
             assert [r["station"] for r in rows] == ["AAA", "BBB"]
 
-    def test_text_footer_names_each_lag(self, workspace):
-        # series of two windows come only from a library caller, as in
-        # test_two_windows_grouped_and_match_single_station_fits
+    def test_text_footer_names_the_lag(self, workspace):
+        # the window's 730 joint observations give an automatic lag of 6
         config = str(workspace / "run.cfg")
         run(["ingest", "--config", config])
-        bbb = read_series(workspace, "BBB")
-        # 549 days give the joint fit an automatic lag of 5, AAA's 731 days 6
-        loaded = [
-            ("AAA", read_series(workspace, "AAA")),
-            ("BBB", series_mod.build_series(bbb.max_f[182:], bbb.min_f[182:], date(1960, 7, 1), WINDOW_END)),
-        ]
-        report = models.batch_report(loaded, "avg")
-        reporting.write_table_csv(report, workspace / "table_avg.csv")
-        reporting.write_table_text(report, workspace / "table_avg.txt")
-        rows = read_csv_rows(workspace / "table_avg.csv")
-        assert [r["hac_bandwidth"] for r in rows[:2]] == ["6", "5"]
-        text = (workspace / "table_avg.txt").read_text()
-        assert "variable: avg  HAC bandwidth: 5, 6  (* = significant" in text
+        run(["tables", "--config", config, "--variable", "avg"])
+        rows = read_csv_rows(workspace / "out" / "tables" / "table_avg.csv")
+        assert {r["hac_bandwidth"] for r in rows} == {"6"}
+        text = (workspace / "out" / "tables" / "table_avg.txt").read_text()
+        assert "variable: avg  HAC bandwidth: 6  (* = significant" in text
 
     def test_explicit_bandwidth_recorded(self, workspace):
         config = str(workspace / "run.cfg")
@@ -723,6 +725,8 @@ class TestTables:
         run(["tables", "--config", config, "--variable", "avg", "--hac-bandwidth", "9"])
         rows = read_csv_rows(workspace / "out" / "tables" / "table_avg.csv")
         assert {r["hac_bandwidth"] for r in rows} == {"9"}
+        text = (workspace / "out" / "tables" / "table_avg.txt").read_text()
+        assert "variable: avg  HAC bandwidth: 9  (* = significant" in text
 
 
 class TestFigures:
@@ -797,8 +801,8 @@ class TestFigures:
         result = run(["figures", "--config", config, "--station", "AAA"])
         assert result.exit_code == 0, result.output
         assert factored == ["time", "d12", "dt12"]
-        aaa = read_series(workspace, "AAA")
-        assert models.joint_shared_design(aaa.month, aaa.t).names not in decomposed
+        window = models.WindowFactors(WINDOW_START, WINDOW_END)
+        assert models.joint_shared_design(window.month, window.t).names not in decomposed
 
     def test_constant_dtr_is_a_one_line_error(self, workspace):
         config = str(workspace / "run.cfg")
@@ -871,7 +875,7 @@ class TestFigures:
         rows = read_csv_rows(workspace / "out" / "figures" / "AAA" / "evolving_pattern_avg.csv")
         assert set(rows[0]) == {"month", f"effect_{year}"}
         evolving = regression.fit_with_hac(
-            *models.WindowFactors(short).least_squares("evolving", short.avg)
+            *models.WindowFactors(start, end).least_squares("evolving", short.avg)
         )
         t_july = (date(year, 7, 1) - short.start).days + 1
         expected = models.month_effects(evolving, t_july)
@@ -951,6 +955,27 @@ FUL USW00099909 Full-Window-City
         assert set(evolving[0]) == {"month", "effect_1960", "effect_2017"}
 
 
+def test_benchmark_in_process_entry_points_run(workspace):
+    # bench/layers.py calls the package in its own process: `run` through
+    # cli.main and `serial` through models.batch_report. Either failing
+    # fails the benchmark's traced runs, so both run here on the workspace.
+    config = str(workspace / "run.cfg")
+    assert run(["ingest", "--config", config]).exit_code == 0
+    layers = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
+    env = dict(os.environ, PYTHONPATH=str(Path(tempdyn.__file__).resolve().parents[1]))
+    spec = {"commands": [["tables", "--config", config]], "out": str(workspace / "out"),
+            "traced": True}
+    outputs = []
+    for args in (["run", json.dumps(spec)], ["serial", str(workspace / "out" / "series"), "AAA", "BBB"]):
+        result = subprocess.run([sys.executable, str(layers), *args], env=env,
+                                capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        outputs.append(json.loads(result.stdout.splitlines()[-1]))
+    traced, serial = outputs
+    assert [c["returncode"] for c in traced["commands"]] == [0], traced["commands"]
+    assert serial["serial_s"] > 0
+
+
 def test_series_not_covering_the_window_fails(tmp_path):
     # a series cut at a line boundary (an interrupted copy, a full disk) or
     # left by a run with another window is refused, not fitted as it is
@@ -977,6 +1002,59 @@ def test_series_not_covering_the_window_fails(tmp_path):
         result = run([*command, "--config", str(config), "--station", "FUL"])
         assert result.exit_code == 1
         assert result.output == f"Error: {message}\n"
+
+
+def skip_a_day(lines: list[str]) -> None:
+    del lines[100]  # 1960-04-09, the header being line 1
+
+
+def swap_tmax_and_tmin(lines: list[str]) -> None:
+    day, tmax, tmin, *rest = lines[5].split(",")  # 1960-01-05
+    lines[5] = ",".join([day, tmin, tmax, *rest])
+
+
+def spell_a_cell(lines: list[str]) -> None:
+    day, _, *rest = lines[1].split(",")
+    lines[1] = ",".join([day, "a", *rest])
+
+
+def rename_a_column(lines: list[str]) -> None:
+    lines[0] = lines[0].replace("tmax", "high")
+
+
+@pytest.mark.parametrize(
+    "damage, error",
+    [
+        (skip_a_day, "expected 1960-04-09 at line 101, got 1960-04-10"),
+        (swap_tmax_and_tmin, "max below min on: 1960-01-05"),
+        (spell_a_cell, "could not convert string 'a' to int64 at row 0, column 2"),
+        (rename_a_column, "unexpected series CSV header "
+                          "['date', 'high', 'tmin', 'avg', 'dtr', 't', 'month']"),
+    ],
+    ids=["skipped-day", "swapped-day", "non-numeric-cell", "renamed-column"],
+)
+def test_damaged_series_names_its_file_and_the_ingest_to_rerun(workspace, damage, error):
+    # the sidecar no longer matches the damaged CSV, so the text is parsed
+    config = str(workspace / "run.cfg")
+    run(["ingest", "--config", config])
+    path = workspace / "out" / "series" / "AAA.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    damage(lines)
+    path.write_text("".join(lines))
+    message = f"series {path}: {error}; rerun `tempdyn ingest --station AAA`"
+
+    result = run(["fit", "--config", config, "--station", "AAA"])
+    assert (result.exit_code, result.stdout) == (1, "")
+    assert result.stderr == f"Error: {message}\n"
+
+    result = run(["tables", "--config", config])
+    assert result.exit_code == 1
+    assert result.stderr.splitlines() == [
+        f"{var} AAA: FAILED (ValueError: {message})" for var in ("avg", "dtr")
+    ]
+    for var in ("avg", "dtr"):
+        rows = read_csv_rows(workspace / "out" / "tables" / f"table_{var}.csv")
+        assert [r["station"] for r in rows] == ["BBB"]
 
 
 def test_series_cut_after_ingest_fails_despite_its_sidecar(workspace):
@@ -1046,10 +1124,7 @@ def test_window_short_of_a_month_fails_once_before_any_read(workspace, monkeypat
         .replace(f"window_end = {WINDOW_END}", f"window_end = {end}")
     )
 
-    def read(path):
-        raise AssertionError(f"{path} was read")
-
-    monkeypatch.setattr(series_mod, "read_series_csv", read)
+    monkeypatch.setattr(series_mod, "read_series_csv", refuse_reads)
     result = run([command[0], "--config", str(config), *command[1:]])
     assert result.exit_code == 1
     assert result.stdout == ""
@@ -1152,16 +1227,25 @@ class TestFit:
         assert configured.exit_code == 1
         assert "no series file" in configured.output
 
-    @pytest.mark.parametrize("model", ["trend", "seasonal", "evolving", "joint"])
-    def test_bandwidth_beyond_nobs_is_a_one_line_error(self, workspace, model):
+    @pytest.mark.parametrize(
+        "model, name, nobs",
+        [("trend", "trend", 731), ("seasonal", "fixed", 731), ("evolving", "evolving", 731),
+         ("joint", "joint", 730)],
+    )
+    def test_bandwidth_beyond_nobs_is_one_line_before_any_read(
+        self, workspace, monkeypatch, model, name, nobs
+    ):
         config = str(workspace / "run.cfg")
         run(["ingest", "--config", config])
-        result = run(["fit", "--config", config, "--station", "AAA",
-                      "--model", model, "--hac-bandwidth", "999999"])
-        assert result.exit_code == 1
-        assert result.output.startswith("Error: AAA avg")
-        assert "bandwidth 999999 must be below nobs" in result.output
-        assert len(result.output.splitlines()) == 1
+        monkeypatch.setattr(series_mod, "read_series_csv", refuse_reads)
+        for bandwidth in (999999, nobs):
+            result = run(["fit", "--config", config, "--station", "AAA",
+                          "--model", model, "--hac-bandwidth", str(bandwidth)])
+            assert (result.exit_code, result.stdout) == (1, "")
+            assert result.stderr == (
+                f"Error: HAC bandwidth {bandwidth} must be below the {name} model's nobs "
+                f"{nobs} on {WINDOW_START}..{WINDOW_END}\n"
+            )
 
     def test_two_day_trend_window_is_a_one_line_error(self, workspace):
         # the trend model needs no day of any month, but more days than its

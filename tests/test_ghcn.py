@@ -721,6 +721,16 @@ class TestFetchStation:
         expected = [] if failure == "file-endpoint" else [PATH]
         assert archive.requests == expected
 
+    def test_download_without_its_cache_directory_names_the_directory(self, tmp_path, archive):
+        # the payload is served and parses; the directory to keep it in is missing
+        archive.serve(PATH, station_payload())
+        cache = tmp_path / "cache"
+        with pytest.raises(FetchError) as info:
+            fetch_station(STATION, archive.url, cache)
+        assert str(info.value) == f"fetch of {archive.url}{PATH} cannot be cached: no directory {cache}"
+        assert archive.requests == [PATH]
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("failure", FETCH_FAILURES)
     def test_failed_refresh_falls_back_to_the_cache(
         self, tmp_path, archive, monkeypatch, failure

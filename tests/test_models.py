@@ -1,4 +1,3 @@
-import dataclasses
 import inspect
 import itertools
 from datetime import date, timedelta
@@ -42,23 +41,19 @@ from dgp import calendar_months, joint_design, simulate_joint
 def series_from_avg(avg: np.ndarray, start: date = date(1960, 1, 1)) -> TemperatureSeries:
     """Test-only construction with a controlled (possibly non-integer) AVG."""
     avg = np.asarray(avg, dtype=np.float64)
-    n = len(avg)
-    dtr = np.full(n, 10.0)
-    return TemperatureSeries(
-        start=start,
-        max_f=avg + 5.0,
-        min_f=avg - 5.0,
-        avg=avg,
-        dtr=dtr,
-        t=np.arange(1, n + 1, dtype=np.int64),
-        month=calendar_months(start, n),
-    )
+    dtr = np.full(len(avg), 10.0)
+    return TemperatureSeries(start=start, max_f=avg + 5.0, min_f=avg - 5.0, avg=avg, dtr=dtr)
+
+
+def factors_of(series: TemperatureSeries) -> WindowFactors:
+    """The factors of the series' window."""
+    return WindowFactors(series.start, series.end)
 
 
 def fitted(series: TemperatureSeries, model: str, bandwidth="auto") -> ModelFit:
     """``model`` fitted with HAC to the series' avg, through the factors of
     its window."""
-    return fit_with_hac(*WindowFactors(series).least_squares(model, series.avg), bandwidth)
+    return fit_with_hac(*factors_of(series).least_squares(model, series.avg), bandwidth)
 
 
 def wald_suite(joint: ModelFit) -> dict:
@@ -69,13 +64,13 @@ def wald_suite(joint: ModelFit) -> dict:
 def fixed_on(series: TemperatureSeries, detrended: np.ndarray) -> ModelFit:
     """The fixed seasonal model of the series' window, fitted to a given
     de-trended regressand."""
-    return fit_with_hac(WindowFactors(series).fixed, detrended)
+    return fit_with_hac(factors_of(series).fixed, detrended)
 
 
 def evolving_on(series: TemperatureSeries, detrended: np.ndarray) -> ModelFit:
     """The evolving seasonal model of the series' window, fitted to a given
     de-trended regressand."""
-    return fit_with_hac(WindowFactors(series).evolving, detrended)
+    return fit_with_hac(factors_of(series).evolving, detrended)
 
 
 def integer_series(start: date, end: date, tmax_fn, tmin_fn) -> TemperatureSeries:
@@ -132,7 +127,7 @@ class TestDetrend:
 class TestFixedSeasonal:
     def test_january_indicator_pattern(self):
         series = series_from_avg(np.zeros(365 * 2), start=date(1961, 1, 1))
-        detrended = np.where(series.month == 1, 1.0, -1.0)
+        detrended = np.where(factors_of(series).month == 1, 1.0, -1.0)
         result = fixed_on(series, detrended)
         assert month_effects(result)[0] == pytest.approx(1.0, abs=1e-12)
         for effect in month_effects(result)[1:]:
@@ -144,7 +139,7 @@ class TestFixedSeasonal:
         detrended = rng.standard_normal(1200)
         result = fixed_on(series, detrended)
         for m in range(1, 13):
-            month_mean = detrended[series.month == m].mean()
+            month_mean = detrended[factors_of(series).month == m].mean()
             assert month_effects(result)[m - 1] == pytest.approx(
                 month_mean, abs=1e-10
             )
@@ -194,17 +189,18 @@ class TestEvolvingSeasonal:
         detrended -= detrended.mean()
         series = series_from_avg(detrended)
         result = evolving_on(series, detrended)
-        values = evolving_design(month_dummies(series), series.t).data @ result.beta
+        factors = factors_of(series)
+        values = evolving_design(month_dummies(factors.month), factors.t).data @ result.beta
         assert abs(values.mean()) < 1e-10
 
     def test_pattern_for_year_uses_july_first(self, tmp_path):
-        # the t of a year's pattern is the series' t on July 1, and its
+        # the t of a year's pattern is the window's t on July 1, and its
         # column is labelled by the year
         T = 731
         series = series_from_avg(np.zeros(T), start=date(1960, 1, 1))
         detrended = np.linspace(-1, 1, T)
         result = evolving_on(series, detrended)
-        anchored = month_effects(result, series.t[(date(1960, 7, 1) - series.start).days])
+        anchored = month_effects(result, factors_of(series).t[(date(1960, 7, 1) - series.start).days])
         t_july = (date(1960, 7, 1) - date(1960, 1, 1)).days + 1
         direct = month_effects(result, float(t_july))
         assert anchored == direct
@@ -304,11 +300,20 @@ class TestMonthBlockFactor:
 class TestWindowFactors:
     """Every model is fitted on the factors of its window, each built once."""
 
+    def test_window_calendar_is_read_only(self):
+        # one t and one month per day of the window, 1960 a leap year
+        factors = WindowFactors(date(1960, 2, 28), date(1960, 3, 2))
+        assert factors.t.tolist() == [1, 2, 3, 4]
+        assert factors.month.tolist() == [2, 2, 3, 3]
+        for array in (factors.t, factors.month):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
     def test_fit_functions_share_one_signature(self):
         # one entry serves all four models: a factor and a regressand of
         # equal length, for ols_fit or fit_with_hac
         series = quick_series(29)
-        factors = WindowFactors(series)
+        factors = factors_of(series)
         assert tuple(inspect.signature(factors.least_squares).parameters) == ("model", "y")
         for model, nobs in (("trend", 1200), ("fixed", 1200), ("evolving", 1200), ("joint", 1199)):
             factor, regressand = factors.least_squares(model, series.avg)
@@ -318,7 +323,7 @@ class TestWindowFactors:
     @pytest.mark.parametrize("design", ["fixed", "evolving"])
     def test_seasonal_fits_detrend_by_ols_on_the_trend_factor(self, design):
         series = quick_series(30)
-        factors = WindowFactors(series)
+        factors = factors_of(series)
         detrended = ols_fit(factors.trend, series.avg).residuals
         expected = fit_with_hac(getattr(factors, design), detrended, 5)
         result = fitted(series, design, bandwidth=5)
@@ -342,7 +347,7 @@ class TestWindowFactors:
         monkeypatch.setattr(models, "factorize", counting)
         monkeypatch.setattr(models, "month_block_factor", counting_block)
         series = quick_series(31)
-        factors = WindowFactors(series)
+        factors = factors_of(series)
         for variable in ("avg", "dtr"):
             fit_with_hac(*factors.least_squares("trend", series.variable(variable)))
         assert built == ["time"]
@@ -359,18 +364,19 @@ class TestModelSpec:
 
     def test_regressor_sets_per_kind(self):
         series = quick_series(70, T=500)
-        dummies = month_dummies(series)
-        assert trend_design(series).names == ("const", "time")
+        factors = factors_of(series)
+        dummies = month_dummies(factors.month)
+        assert trend_design(factors.t).names == ("const", "time")
         assert len(seasonal_design(dummies).names) == 12
-        assert len(evolving_design(dummies, series.t).names) == 24
-        joint, _ = joint_design(series.month, series.t, series.avg)
+        assert len(evolving_design(dummies, factors.t).names) == 24
+        joint, _ = joint_design(factors.month, factors.t, series.avg)
         assert len(joint.names) == 25
         assert "d07" not in joint.names
         assert "dt07" not in joint.names
 
     def test_every_window_design_spans_the_constant(self):
         # so ols_fit's centred R^2 is the right one for each
-        factors = WindowFactors(quick_series(71))
+        factors = factors_of(quick_series(71))
         for model in ("trend", "fixed", "evolving", "joint"):
             factor = getattr(factors, model)
             ones = np.ones(len(factor.design.data))
@@ -392,12 +398,10 @@ class TestModelSpec:
     ],
 )
 def test_window_month_check_agrees_with_the_designs(start, end, refused):
-    rng = np.random.default_rng(start.toordinal())
-    series = series_from_avg(rng.standard_normal((end - start).days + 1), start=start)
-    factors = WindowFactors(series)
+    factors = WindowFactors(start, end)
     for model in ("fixed", "evolving", "joint"):
         try:
-            models.check_window_months(start, end, model)
+            factors.check_months(model)
         except ValueError:
             assert model in refused
         else:
@@ -431,17 +435,17 @@ class TestJointModel:
         )
 
     def test_builders_match_declared_regressors(self):
-        series = quick_series(70, T=500)
-        dummies = month_dummies(series)
+        factors = factors_of(quick_series(70, T=500))
+        dummies = month_dummies(factors.month)
         dummy_names = ("d01", "d02", "d03", "d04", "d05", "d06") + (
             "d07", "d08", "d09", "d10", "d11", "d12"
         )
         interaction_names = ("dt01", "dt02", "dt03", "dt04", "dt05", "dt06") + (
             "dt07", "dt08", "dt09", "dt10", "dt11", "dt12"
         )
-        assert trend_design(series).names == ("const", "time")
+        assert trend_design(factors.t).names == ("const", "time")
         assert seasonal_design(dummies).names == dummy_names
-        assert evolving_design(dummies, series.t).names == dummy_names + interaction_names
+        assert evolving_design(dummies, factors.t).names == dummy_names + interaction_names
 
     def test_white_noise_rho_near_zero(self):
         rng = np.random.default_rng(60)
@@ -465,9 +469,9 @@ class TestJointModel:
         rng = np.random.default_rng(62)
         T = 2000
         series = series_from_avg(rng.standard_normal(T))
-        dummies = month_dummies(series)
+        factors = factors_of(series)
         detrended = rng.standard_normal(T)
-        full = evolving_design(dummies, series.t)
+        full = evolving_design(month_dummies(factors.month), factors.t)
         restricted = DesignMatrix(full.names[:12], full.data[:, :12])
         fixed = fixed_on(series, detrended)
         from_restricted = ols_fit(factorize(restricted), detrended)
@@ -493,7 +497,8 @@ class TestJointModel:
     def test_bordered_fit_matches_full_design_fit(self):
         series = quick_series(66, T=3650)
         joint = fitted(series, "joint")
-        design, regressand = joint_design(series.month, series.t, series.avg)
+        factors = factors_of(series)
+        design, regressand = joint_design(factors.month, factors.t, series.avg)
         direct = fit_with_hac(factorize(design), regressand)
         assert joint.names == direct.names
         np.testing.assert_allclose(joint.beta, direct.beta, rtol=1e-9)
@@ -512,10 +517,12 @@ class TestInvariance:
         # weak effects keep every p-value away from 0 and 1
         delta = {m: 0.02 * (m - 6) for m in range(1, 13) if m != 7}
         y = simulate_joint(month, 20.0, 1e-6, delta, {1: 2e-6}, 0.6, 2.0, rng)
-        days = series_from_avg(y)
-        years = dataclasses.replace(days, t=days.t / 365.25)
-        by_day = fitted(days, "joint")
-        by_year = fitted(years, "joint")
+        series = series_from_avg(y)
+        by_day = fitted(series, "joint")
+        # the same window with t counted in years, before any factor is built
+        years = factors_of(series)
+        years.t = years.t / 365.25
+        by_year = fit_with_hac(*years.least_squares("joint", series.avg))
         a = {label: test.p_value for label, test in wald_suite(by_day).items()}
         b = {label: test.p_value for label, test in wald_suite(by_year).items()}
         assert 1e-4 < min(a.values()) and max(a.values()) < 1.0
@@ -543,7 +550,8 @@ class TestInvariance:
         series = series_from_avg(y)
         bordered = fitted(series, "joint")
         assert bordered.names[-1] == "lag"
-        shared = models.joint_shared_design(series.month, series.t)
+        factors = factors_of(series)
+        shared = models.joint_shared_design(factors.month, factors.t)
         paper = DesignMatrix(
             shared.names[:2] + ("lag",) + shared.names[2:],
             np.insert(shared.data, 2, y[:-1], axis=1),
@@ -635,25 +643,46 @@ class TestReports:
             for row in batch.rows:
                 assert row == singles[row.station]
 
-    def test_each_window_factored_once(self, monkeypatch):
-        windows = []
+    def test_one_window_factored_once_and_another_refused(self, monkeypatch):
+        # built from the first series' window, the factors fit every row of
+        # that window; a series of another window fails its own row
+        built = []
         original = models.WindowFactors
 
-        def counting(series):
-            windows.append((series.start, len(series)))
-            return original(series)
+        def counting(start, end):
+            built.append((start, end))
+            return original(start, end)
 
         monkeypatch.setattr(models, "WindowFactors", counting)
         short = quick_series(23, T=1100)
         late = series_from_avg(quick_series(24).avg, start=date(1960, 3, 1))
-        pairs = [("AAA", quick_series(25)), ("BBB", short), ("CCC", quick_series(26)),
-                 ("DDD", late), ("EEE", quick_series(27, T=1100))]
+        pairs = [("AAA", FileNotFoundError("no series file")), ("BBB", quick_series(25)),
+                 ("CCC", short), ("DDD", quick_series(26)), ("EEE", late)]
         batch = batch_report(pairs, "avg")
-        assert windows == [(date(1960, 1, 1), 1200), (date(1960, 1, 1), 1100),
-                           (date(1960, 3, 1), 1200)]
+        first = pairs[1][1]
+        assert built == [(first.start, first.end)]
+        assert [r.station for r in batch.rows] == ["BBB", "DDD"]
+        assert batch.failures == (
+            ("AAA", "FileNotFoundError: no series file"),
+            ("CCC", f"ValueError: series covers 1960-01-01..{short.end} but the factors "
+                    f"are of 1960-01-01..{first.end}"),
+            ("EEE", f"ValueError: series covers 1960-03-01..{late.end} but the factors "
+                    f"are of 1960-01-01..{first.end}"),
+        )
         monkeypatch.undo()
-        for (code, series), row in zip(pairs, batch.rows):
-            assert row == city_report(code, series, "avg")
+        for row in batch.rows:
+            assert row == city_report(row.station, dict(pairs)[row.station], "avg")
+
+    def test_given_factors_serve_every_row_and_refuse_another_window(self):
+        pairs = [("AAA", quick_series(32)), ("BBB", quick_series(33))]
+        factors = factors_of(pairs[0][1])
+        batch = batch_report(pairs, "avg", "auto", factors)
+        assert batch.rows == tuple(city_report(code, s, "avg") for code, s in pairs)
+        other = WindowFactors(date(1960, 1, 2), pairs[0][1].end)
+        with pytest.raises(ValueError, match=r"covers 1960-01-01\.\..* factors are of 1960-01-02\.\."):
+            city_report("AAA", pairs[0][1], "avg", factors=other)
+        refused = batch_report(pairs, "avg", "auto", other)
+        assert (refused.rows, [code for code, _ in refused.failures]) == ((), ["AAA", "BBB"])
 
     def test_median_is_columnwise(self):
         pairs = [(c, quick_series(i)) for i, c in enumerate(["A", "B", "C"], start=10)]
@@ -675,6 +704,6 @@ class TestReports:
         assert "no series file" in batch.failures[0][1]
 
     def test_trend_design_names(self):
-        series = quick_series(7)
-        assert trend_design(series).names == ("const", "time")
-        assert seasonal_design(month_dummies(series)).data.shape[1] == 12
+        factors = factors_of(quick_series(7))
+        assert trend_design(factors.t).names == ("const", "time")
+        assert seasonal_design(month_dummies(factors.month)).data.shape[1] == 12

@@ -8,6 +8,7 @@ import pytest
 
 from tempdyn import series as series_mod
 from tempdyn.ghcn import parse_dly, station_observations
+from tempdyn.models import WindowFactors
 from tempdyn.series import (
     ContiguityError,
     DataInversionError,
@@ -52,8 +53,9 @@ class TestBuildSeries:
         assert expected == 21185
         series = constant_series(start, end)
         assert len(series) == expected
-        assert series.t[0] == 1
-        assert series.t[-1] == expected
+        # the window's t runs over the same days
+        t = WindowFactors(start, end).t
+        assert (len(t), t[0], t[-1]) == (expected, 1, expected)
 
     def test_gap_raises_contiguity_error(self):
         start, end = date(2000, 1, 1), date(2000, 1, 10)
@@ -68,7 +70,7 @@ class TestBuildSeries:
         lines = path.read_text().splitlines(keepends=True)
         lines[3], lines[4] = lines[4], lines[3]
         path.write_text("".join(lines))
-        with pytest.raises(ContiguityError, match="expected 2000-01-03 at position 2"):
+        with pytest.raises(ContiguityError, match="expected 2000-01-03 at line 4, got 2000-01-04"):
             read_series_csv(path)
 
     def test_inversion_lists_dates(self):
@@ -103,22 +105,19 @@ class TestBuildSeries:
 class TestMonthDummies:
     def test_one_year_column_sums(self):
         start, end = date(1961, 1, 1), date(1961, 12, 31)
-        series = constant_series(start, end)
-        sums = month_dummies(series).sum(axis=0)
+        sums = month_dummies(WindowFactors(start, end).month).sum(axis=0)
         np.testing.assert_array_equal(
             sums, [31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31]
         )
 
     def test_leap_year_february(self):
         start, end = date(1960, 1, 1), date(1960, 12, 31)
-        series = constant_series(start, end)
-        sums = month_dummies(series).sum(axis=0)
+        sums = month_dummies(WindowFactors(start, end).month).sum(axis=0)
         assert sums[1] == 29
 
     def test_full_window_vs_calendar_enumeration(self):
         start, end = date(1960, 1, 1), date(2017, 12, 31)
-        series = constant_series(start, end)
-        sums = month_dummies(series).sum(axis=0)
+        sums = month_dummies(WindowFactors(start, end).month).sum(axis=0)
         expected = np.zeros(12)
         for year in range(1960, 2018):
             for month in range(1, 13):
@@ -129,7 +128,7 @@ class TestMonthDummies:
         start, end = two_year_window
         tmax, tmin, _ = station_observations(parse_dly(two_year_payload), start, end)
         series = build_series(tmax, tmin, start, end)
-        dummies = month_dummies(series)
+        dummies = month_dummies(WindowFactors(series.start, series.end).month)
         np.testing.assert_array_equal(dummies.sum(axis=1), np.ones(len(series)))
 
 
@@ -200,7 +199,7 @@ def random_series(start: date, end: date, seed: int = 0):
 
 def assert_same_series(got, want):
     assert (got.start, len(got)) == (want.start, len(want))
-    for name in ("max_f", "min_f", "avg", "dtr", "t", "month"):
+    for name in ("max_f", "min_f", "avg", "dtr"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype, name
         assert a.tobytes() == b.tobytes(), name
@@ -211,7 +210,7 @@ _TEXT_PARSE = series_mod._parse_series_csv
 
 def text_parse(path):
     """The series of a CSV read without its sidecar."""
-    return _TEXT_PARSE(path.read_bytes(), path)
+    return _TEXT_PARSE(path.read_bytes())
 
 
 def _truncate(sidecar):
@@ -256,8 +255,8 @@ class TestSidecar:
         path = tmp_path / "AAA.csv"
         write_series_csv(random_series(start, end), path)
 
-        def refuse(data, where):
-            raise AssertionError(f"{where} was parsed as text")
+        def refuse(data):
+            raise AssertionError(f"{path} was parsed as text")
 
         # a read that returns came from the sidecar
         monkeypatch.setattr(series_mod, "_parse_series_csv", refuse)

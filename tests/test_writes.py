@@ -11,7 +11,7 @@ from tempdyn import reporting
 from tempdyn import series as series_mod
 from tempdyn.density import DensityEstimate
 from tempdyn.ghcn import fetch_station
-from tempdyn.models import BatchReport, CityReport
+from tempdyn.models import BatchReport, CityReport, WindowFactors
 from tempdyn.regression import ModelFit
 from tempdyn.series import build_series, read_series_csv, sidecar_path, write_series_csv
 
@@ -157,7 +157,7 @@ def test_dated_columns_hold_each_value_repr(tmp_path):
     residuals = rng.standard_normal(DAYS)
     trend = ModelFit(("const", "time"), np.zeros(2), residuals, 0.5, DAYS)
     effects = np.array([0.1, -0.0, 0.0, 1 / 3, -2.5, 1e-17, 7.0, -1 / 7, 60.5, 1e300, -3.0, 0.2])
-    fitted = effects[series.month - 1]
+    fitted = effects[WindowFactors(START, END).month - 1]
     reporting.write_trend_csv(series, "avg", trend, tmp_path / "trend.csv")
     reporting.write_seasonal_fit_csv(series, residuals, fitted, tmp_path / "fit.csv")
 
@@ -190,7 +190,7 @@ def _write_all(series, rng, directory):
     assert (directory / "trend.csv").read_bytes() == reference_dated_csv(
         series.start, ["date", "actual", "fitted"], series.dtr, series.dtr - residuals
     )
-    fitted = rng.standard_normal(12)[series.month - 1]
+    fitted = rng.standard_normal(12)[WindowFactors(series.start, series.end).month - 1]
     reporting.write_seasonal_fit_csv(series, residuals, fitted, directory / "fit.csv")
     assert (directory / "fit.csv").read_bytes() == reference_dated_csv(
         series.start, ["date", "detrended", "seasonal_fit"], residuals, fitted
