@@ -267,10 +267,11 @@ def figures(config_path, station_code, out):
     # files as they were: both densities are estimated first.
     for model in ("trend", "fixed", "evolving"):
         getattr(factors, model)
+    daily = {var: station_series.variable(var) for var in series_mod.VARIABLES}
     densities = {}
-    for var in ("avg", "dtr"):
+    for var, y in daily.items():
         try:
-            densities[var] = density.kde(station_series.variable(var))
+            densities[var] = density.kde(y)
         except density.DegenerateBandwidthError:
             # figures has no bandwidth option, so the library's advice to
             # pass one is left out
@@ -284,17 +285,14 @@ def figures(config_path, station_code, out):
         str(year): (date(year, models.JULY, 1) - factors.start).days + 1
         for year in years
     }
-    for var, estimate in densities.items():
-        y = station_series.variable(var)
-        reporting.write_density_csv(estimate, figures_dir / f"density_{var}.csv")
+    for var, y in daily.items():
+        reporting.write_density_csv(densities[var], figures_dir / f"density_{var}.csv")
         trend = ols_fit(*factors.least_squares("trend", y))
-        reporting.write_trend_csv(
-            station_series, var, trend, figures_dir / f"trend_{var}.csv"
-        )
+        reporting.write_trend_csv(factors.start, y, trend, figures_dir / f"trend_{var}.csv")
         fixed_qr, detrended = factors.least_squares("fixed", y)
         fixed = ols_fit(fixed_qr, detrended)
         reporting.write_seasonal_fit_csv(
-            station_series, detrended, fixed.beta[month - 1],
+            factors.start, detrended, fixed.beta[month - 1],
             figures_dir / f"seasonal_fit_{var}.csv",
         )
         reporting.write_patterns_csv(

@@ -15,13 +15,14 @@ repr, so the bytes are those of formatting every row in full.
 from __future__ import annotations
 
 import json
+from datetime import date
 from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .series import TemperatureSeries, distinct_text, fill_rows, write_atomic
+from .series import distinct_text, fill_rows, write_atomic
 
 if TYPE_CHECKING:  # annotations only, so ingest need not load the fitting modules
     from .density import DensityEstimate
@@ -121,35 +122,29 @@ def write_density_csv(estimate: DensityEstimate, path: Path) -> None:
     write_atomic(path, _csv(["grid", "density"], rows))
 
 
-def write_trend_csv(
-    series: TemperatureSeries, variable: str, trend: ModelFit, path: Path
-) -> None:
-    y = series.variable(variable)
+def write_trend_csv(start: date, y: np.ndarray, trend: ModelFit, path: Path) -> None:
     # the data lie on a lattice (half or whole degrees)
     fitted = (y - trend.residuals).tolist()
-    _write_dated(series, ["actual", "fitted"], distinct_text(y), fitted, path)
+    _write_dated(start, ["actual", "fitted"], distinct_text(y), fitted, path)
 
 
 def write_seasonal_fit_csv(
-    series: TemperatureSeries,
-    detrended: np.ndarray,
-    seasonal_fitted: np.ndarray,
-    path: Path,
+    start: date, detrended: np.ndarray, seasonal_fitted: np.ndarray, path: Path
 ) -> None:
     # the fitted values are one effect per month
     columns = detrended.tolist(), distinct_text(seasonal_fitted)
-    _write_dated(series, ["detrended", "seasonal_fit"], *columns, path)
+    _write_dated(start, ["detrended", "seasonal_fit"], *columns, path)
 
 
 _DATED_ROW = "{0},%s,%s\n"
 
 
-def _write_dated(series, names, first: list, second: list, path) -> None:
-    """Two daily columns of the series' window, one dated row per day; each
-    column holds floats or their text."""
-    cells = [None] * (2 * len(series))
+def _write_dated(start: date, names, first: list, second: list, path) -> None:
+    """Two daily columns from ``start``, one dated row per day; each column
+    holds floats or their text."""
+    cells = [None] * (2 * len(first))
     cells[0::2], cells[1::2] = first, second
-    write_atomic(path, _csv(["date", *names], fill_rows(series.start, _DATED_ROW, cells)))
+    write_atomic(path, _csv(["date", *names], fill_rows(start, _DATED_ROW, cells)))
 
 
 def write_patterns_csv(patterns: Mapping[str, Sequence[float]], path: Path) -> None:

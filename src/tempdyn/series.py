@@ -1,7 +1,8 @@
 """Aligned daily temperature series.
 
-AVG = (MAX + MIN)/2 and DTR = MAX - MIN over a contiguous daily window;
-the window's time trend t and months are ``models.WindowFactors``'s.
+MAX and MIN over a contiguous daily window, from which AVG = (MAX + MIN)/2
+and DTR = MAX - MIN are derived when read; the window's time trend t and
+months are ``models.WindowFactors``'s.
 
 Dated CSV rows (the series files here, the figure data in ``reporting``)
 are written from per-window row templates: the text that depends only on
@@ -16,6 +17,7 @@ import calendar
 import hashlib
 import io
 import os
+import re
 import threading
 from dataclasses import dataclass
 from datetime import date, timedelta
@@ -39,18 +41,13 @@ class DataInversionError(ValueError):
 
 @dataclass(frozen=True)
 class TemperatureSeries:
-    """Immutable aligned daily record. Arrays are read-only once built.
-
-    ``avg`` holds exact half-degree values (integer inputs make (max+min)/2
-    representable without rounding); the arrays hold one day each from
-    ``start``.
-    """
+    """Immutable aligned daily record: the integer tmax and tmin of each day
+    from ``start``, read-only once built. AVG and DTR are derived from them
+    on each :meth:`variable` call and never stored."""
 
     start: date
     max_f: np.ndarray
     min_f: np.ndarray
-    avg: np.ndarray
-    dtr: np.ndarray
 
     def __len__(self) -> int:
         return len(self.max_f)
@@ -62,9 +59,17 @@ class TemperatureSeries:
 
     def variable(self, name: str) -> np.ndarray:
         """Regressand accessor: 'avg' or 'dtr', as float64."""
-        if name not in VARIABLES:
-            raise ValueError(f"unknown variable {name!r}; expected one of {VARIABLES}")
-        return self.avg if name == "avg" else self.dtr
+        return _derived(name, self.max_f, self.min_f)
+
+
+def _derived(name: str, max_f: np.ndarray, min_f: np.ndarray) -> np.ndarray:
+    """AVG = (MAX + MIN)/2 or DTR = MAX - MIN of daily readings as float64,
+    the one place either is computed (integer readings give exact halves)."""
+    if name == "avg":
+        return (max_f + min_f) / 2.0
+    if name == "dtr":
+        return (max_f - min_f).astype(np.float64)
+    raise ValueError(f"unknown variable {name!r}; expected one of {VARIABLES}")
 
 
 def build_series(
@@ -86,11 +91,9 @@ def build_series(
     if inverted.size:
         days = (start + timedelta(days=i) for i in inverted.tolist())
         raise DataInversionError("max below min on: " + ", ".join(map(str, days)))
-    avg = (max_f + min_f) / 2.0
-    dtr = (max_f - min_f).astype(np.float64)
-    for array in (max_f, min_f, avg, dtr):
+    for array in (max_f, min_f):
         array.setflags(write=False)
-    return TemperatureSeries(start, max_f, min_f, avg, dtr)
+    return TemperatureSeries(start, max_f, min_f)
 
 
 SERIES_CSV_HEADER = ["date", "tmax", "tmin", "avg", "dtr", "t", "month"]
@@ -228,7 +231,7 @@ def _pair_cells(series: TemperatureSeries) -> list[str]:
     lows, low_codes = np.unique(series.min_f, return_inverse=True)
     pairs, inverse = np.unique(high_codes * len(lows) + low_codes, return_inverse=True)
     high, low = highs[pairs // len(lows)], lows[pairs % len(lows)]
-    columns = (high, low, (high + low) / 2.0, (high - low).astype(np.float64))
+    columns = (high, low, *(_derived(name, high, low) for name in VARIABLES))
     pair_text = map(",".join, zip(*(distinct_text(column, _format_half) for column in columns)))
     return np.array(list(pair_text), dtype=object)[inverse].tolist()
 
@@ -267,7 +270,8 @@ def read_series_csv(path) -> TemperatureSeries:
     sidecar, or a stale, foreign or damaged one) the text is parsed. Either
     way the series is rebuilt from tmax/tmin, so every construction
     invariant is re-checked. The text parse requires dates that run day by
-    day and verifies the stored avg/dtr columns against the rebuild.
+    day and checks the stored avg/dtr columns against those derived from
+    tmax and tmin, naming the first line that differs.
     """
     data = Path(path).read_bytes()
     mirrored = _read_sidecar(sidecar_path(path), data)
@@ -314,10 +318,10 @@ def _parse_series_csv(data: bytes) -> TemperatureSeries:
     body = handle.read()
     if not body:
         raise ValueError("series CSV has no rows")
-    rows = np.loadtxt(
-        io.StringIO(body), delimiter=",", usecols=range(5), dtype=_CSV_COLUMNS,
-        comments=None, ndmin=1,
-    )
+    try:
+        rows = _load_rows(io.StringIO(body))
+    except ValueError as exc:
+        raise _at_line(exc, body) from None
     dates = rows["date"]
     expected = dates[0] + np.arange(len(dates))
     skipped = np.flatnonzero(dates != expected)
@@ -326,11 +330,42 @@ def _parse_series_csv(data: bytes) -> TemperatureSeries:
         raise ContiguityError(f"expected {expected[i]} at line {i + 2}, got {dates[i]}")
     first, last = dates[[0, -1]].tolist()
     series = build_series(rows["tmax"], rows["tmin"], first, last)
-    if not np.array_equal(series.avg, rows["avg"]) or not np.array_equal(
-        series.dtr, rows["dtr"]
-    ):
-        raise ValueError("series CSV avg or dtr is internally inconsistent with tmax and tmin")
+    stored = np.column_stack([rows[name] for name in VARIABLES])
+    derived = np.column_stack([series.variable(name) for name in VARIABLES])
+    mismatched = np.argwhere(stored != derived)
+    if mismatched.size:
+        i, j = mismatched[0]  # the first line, avg before dtr
+        raise ValueError(
+            f"series CSV {VARIABLES[j]} is internally inconsistent with tmax and tmin "
+            f"at line {i + 2} ({dates[i]}): {stored[i, j]} stored, {derived[i, j]} derived"
+        )
     return series
+
+
+def _load_rows(lines: Iterable[str]) -> np.ndarray:
+    return np.loadtxt(
+        lines, delimiter=",", usecols=range(5), dtype=_CSV_COLUMNS, comments=None, ndmin=1
+    )
+
+
+def _at_line(error: ValueError, body: str) -> ValueError:
+    """``error`` of :func:`_load_rows` on a series CSV's ``body``, naming the
+    file line where numpy counts data rows. Read again a line at a time,
+    loadtxt refuses a line before it takes the next, so the last line taken
+    is the one refused; that is slower, so only a failed read is repeated.
+    """
+    line = 1  # the header
+
+    def numbered() -> Iterator[str]:
+        nonlocal line
+        for line, text in enumerate(io.StringIO(body), 2):
+            yield text
+
+    try:
+        _load_rows(numbered())
+    except ValueError as exc:
+        return ValueError(re.sub(r"at row \d+", f"at line {line}", str(exc)))
+    return error
 
 
 def _format_half(value: float) -> str:

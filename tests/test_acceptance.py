@@ -278,8 +278,8 @@ class TestCriterion6ArchiveReplication:
         )
 
     def test_phl_densities(self, phl_series):
-        avg_modes = find_modes(kde(phl_series.avg))
-        dtr_modes = find_modes(kde(phl_series.dtr))
+        avg_modes = find_modes(kde(phl_series.variable("avg")))
+        dtr_modes = find_modes(kde(phl_series.variable("dtr")))
         ok = (
             len(avg_modes) == 2
             and abs(avg_modes[0][0] - 40.0) <= 3.0

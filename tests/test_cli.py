@@ -875,7 +875,7 @@ class TestFigures:
         rows = read_csv_rows(workspace / "out" / "figures" / "AAA" / "evolving_pattern_avg.csv")
         assert set(rows[0]) == {"month", f"effect_{year}"}
         evolving = regression.fit_with_hac(
-            *models.WindowFactors(start, end).least_squares("evolving", short.avg)
+            *models.WindowFactors(start, end).least_squares("evolving", short.variable("avg"))
         )
         t_july = (date(year, 7, 1) - short.start).days + 1
         expected = models.month_effects(evolving, t_july)
@@ -1027,7 +1027,7 @@ def rename_a_column(lines: list[str]) -> None:
     [
         (skip_a_day, "expected 1960-04-09 at line 101, got 1960-04-10"),
         (swap_tmax_and_tmin, "max below min on: 1960-01-05"),
-        (spell_a_cell, "could not convert string 'a' to int64 at row 0, column 2"),
+        (spell_a_cell, "could not convert string 'a' to int64 at line 2, column 2"),
         (rename_a_column, "unexpected series CSV header "
                           "['date', 'high', 'tmin', 'avg', 'dtr', 't', 'month']"),
     ],

@@ -39,10 +39,10 @@ from dgp import calendar_months, joint_design, simulate_joint
 
 
 def series_from_avg(avg: np.ndarray, start: date = date(1960, 1, 1)) -> TemperatureSeries:
-    """Test-only construction with a controlled (possibly non-integer) AVG."""
+    """Test-only construction with a controlled (possibly non-integer) AVG:
+    max and min both equal it, so the AVG derived from them has its bits."""
     avg = np.asarray(avg, dtype=np.float64)
-    dtr = np.full(len(avg), 10.0)
-    return TemperatureSeries(start=start, max_f=avg + 5.0, min_f=avg - 5.0, avg=avg, dtr=dtr)
+    return TemperatureSeries(start=start, max_f=avg, min_f=avg)
 
 
 def factors_of(series: TemperatureSeries) -> WindowFactors:
@@ -53,7 +53,8 @@ def factors_of(series: TemperatureSeries) -> WindowFactors:
 def fitted(series: TemperatureSeries, model: str, bandwidth="auto") -> ModelFit:
     """``model`` fitted with HAC to the series' avg, through the factors of
     its window."""
-    return fit_with_hac(*factors_of(series).least_squares(model, series.avg), bandwidth)
+    y = series.variable("avg")
+    return fit_with_hac(*factors_of(series).least_squares(model, y), bandwidth)
 
 
 def wald_suite(joint: ModelFit) -> dict:
@@ -316,7 +317,7 @@ class TestWindowFactors:
         factors = factors_of(series)
         assert tuple(inspect.signature(factors.least_squares).parameters) == ("model", "y")
         for model, nobs in (("trend", 1200), ("fixed", 1200), ("evolving", 1200), ("joint", 1199)):
-            factor, regressand = factors.least_squares(model, series.avg)
+            factor, regressand = factors.least_squares(model, series.variable("avg"))
             assert isinstance(factor, QRFactor)
             assert len(factor.design.data) == len(regressand) == nobs, model
 
@@ -324,7 +325,7 @@ class TestWindowFactors:
     def test_seasonal_fits_detrend_by_ols_on_the_trend_factor(self, design):
         series = quick_series(30)
         factors = factors_of(series)
-        detrended = ols_fit(factors.trend, series.avg).residuals
+        detrended = ols_fit(factors.trend, series.variable("avg")).residuals
         expected = fit_with_hac(getattr(factors, design), detrended, 5)
         result = fitted(series, design, bandwidth=5)
         assert result.names == expected.names
@@ -354,8 +355,8 @@ class TestWindowFactors:
         for variable in ("avg", "dtr"):
             fit_with_hac(*factors.least_squares("evolving", series.variable(variable)))
             fit_with_hac(*factors.least_squares("fixed", series.variable(variable)))
-        fit_with_hac(*factors.least_squares("joint", series.avg))
-        fit_with_hac(*factors.least_squares("joint", series.avg))
+        fit_with_hac(*factors.least_squares("joint", series.variable("avg")))
+        fit_with_hac(*factors.least_squares("joint", series.variable("avg")))
         assert built == ["time", "dt12", "d12", "dt12"]
 
 
@@ -369,7 +370,7 @@ class TestModelSpec:
         assert trend_design(factors.t).names == ("const", "time")
         assert len(seasonal_design(dummies).names) == 12
         assert len(evolving_design(dummies, factors.t).names) == 24
-        joint, _ = joint_design(factors.month, factors.t, series.avg)
+        joint, _ = joint_design(factors.month, factors.t, series.variable("avg"))
         assert len(joint.names) == 25
         assert "d07" not in joint.names
         assert "dt07" not in joint.names
@@ -498,7 +499,7 @@ class TestJointModel:
         series = quick_series(66, T=3650)
         joint = fitted(series, "joint")
         factors = factors_of(series)
-        design, regressand = joint_design(factors.month, factors.t, series.avg)
+        design, regressand = joint_design(factors.month, factors.t, series.variable("avg"))
         direct = fit_with_hac(factorize(design), regressand)
         assert joint.names == direct.names
         np.testing.assert_allclose(joint.beta, direct.beta, rtol=1e-9)
@@ -522,7 +523,7 @@ class TestInvariance:
         # the same window with t counted in years, before any factor is built
         years = factors_of(series)
         years.t = years.t / 365.25
-        by_year = fit_with_hac(*years.least_squares("joint", series.avg))
+        by_year = fit_with_hac(*years.least_squares("joint", series.variable("avg")))
         a = {label: test.p_value for label, test in wald_suite(by_day).items()}
         b = {label: test.p_value for label, test in wald_suite(by_year).items()}
         assert 1e-4 < min(a.values()) and max(a.values()) < 1.0
@@ -655,7 +656,7 @@ class TestReports:
 
         monkeypatch.setattr(models, "WindowFactors", counting)
         short = quick_series(23, T=1100)
-        late = series_from_avg(quick_series(24).avg, start=date(1960, 3, 1))
+        late = series_from_avg(quick_series(24).variable("avg"), start=date(1960, 3, 1))
         pairs = [("AAA", FileNotFoundError("no series file")), ("BBB", quick_series(25)),
                  ("CCC", short), ("DDD", quick_series(26)), ("EEE", late)]
         batch = batch_report(pairs, "avg")

@@ -34,17 +34,21 @@ def one_day(tmax: int, tmin: int):
 class TestBuildSeries:
     def test_avg_dtr_definitions(self):
         series = one_day(75, 55)
-        assert series.avg[0] == 65.0
-        assert series.dtr[0] == 20.0
+        assert series.variable("avg")[0] == 65.0
+        assert series.variable("dtr")[0] == 20.0
 
     def test_degenerate_range(self):
         series = one_day(60, 60)
-        assert series.avg[0] == 60.0
-        assert series.dtr[0] == 0.0
+        assert series.variable("avg")[0] == 60.0
+        assert series.variable("dtr")[0] == 0.0
 
     def test_half_degree_average_is_exact(self):
         series = one_day(71, 50)
-        assert series.avg[0] == 60.5
+        assert series.variable("avg")[0] == 60.5
+
+    def test_unknown_variable_names_the_known_ones(self):
+        with pytest.raises(ValueError, match=r"'tmax'; expected one of \('avg', 'dtr'\)"):
+            one_day(75, 55).variable("tmax")
 
     def test_full_window_day_count(self):
         # independent oracle: calendar arithmetic over the archive window
@@ -82,8 +86,9 @@ class TestBuildSeries:
         start, end = two_year_window
         tmax, tmin, _ = station_observations(parse_dly(two_year_payload), start, end)
         series = build_series(tmax, tmin, start, end)
-        np.testing.assert_array_equal(series.avg + series.dtr / 2.0, series.max_f)
-        np.testing.assert_array_equal(series.avg - series.dtr / 2.0, series.min_f)
+        avg, dtr = series.variable("avg"), series.variable("dtr")
+        np.testing.assert_array_equal(avg + dtr / 2.0, series.max_f)
+        np.testing.assert_array_equal(avg - dtr / 2.0, series.min_f)
 
     def test_ingest_order_invariance(self, two_year_window, two_year_payload):
         # shuffling the raw record stream (e.g. MIN file before MAX file)
@@ -98,8 +103,8 @@ class TestBuildSeries:
         assert first[2] == second[2]
         a = build_series(first[0], first[1], start, end)
         b = build_series(second[0], second[1], start, end)
-        np.testing.assert_array_equal(a.avg, b.avg)
-        np.testing.assert_array_equal(a.dtr, b.dtr)
+        np.testing.assert_array_equal(a.variable("avg"), b.variable("avg"))
+        np.testing.assert_array_equal(a.variable("dtr"), b.variable("dtr"))
 
 
 class TestMonthDummies:
@@ -143,8 +148,8 @@ class TestSeriesCsv:
         assert (loaded.start, loaded.end) == (series.start, series.end)
         np.testing.assert_array_equal(loaded.max_f, series.max_f)
         np.testing.assert_array_equal(loaded.min_f, series.min_f)
-        np.testing.assert_array_equal(loaded.avg, series.avg)
-        np.testing.assert_array_equal(loaded.dtr, series.dtr)
+        np.testing.assert_array_equal(loaded.variable("avg"), series.variable("avg"))
+        np.testing.assert_array_equal(loaded.variable("dtr"), series.variable("dtr"))
 
     def test_header_and_quoting(self, tmp_path):
         series = one_day(71, 50)
@@ -179,8 +184,19 @@ class TestSeriesCsv:
                 "inconsistent",
             ),
             (lambda rows: rows[:3] + ["2000-01-03,7x,50,60,20,3,1"] + rows[4:], ValueError, "7x"),
+            (
+                # the first cell that differs names its line; line 7's avg is off too
+                lambda rows: rows[:3] + ["2000-01-03,70,50,60,21,3,1"] + rows[4:6]
+                + ["2000-01-06,70,50,61,20,6,1"] + rows[7:],
+                ValueError,
+                r"^series CSV dtr is internally inconsistent with tmax and tmin at line 4 "
+                r"\(2000-01-03\): 21\.0 stored, 20\.0 derived$",
+            ),
         ],
-        ids=["header", "empty", "gap", "inverted", "dtr", "not-a-number"],
+        ids=[
+            "header", "empty", "gap", "inverted", "dtr", "not-a-number",
+            "first-inconsistent-line",
+        ],
     )
     def test_reader_checks(self, tmp_path, edit, error, message):
         path = tmp_path / "series.csv"
@@ -200,7 +216,9 @@ def random_series(start: date, end: date, seed: int = 0):
 def assert_same_series(got, want):
     assert (got.start, len(got)) == (want.start, len(want))
     for name in ("max_f", "min_f", "avg", "dtr"):
-        a, b = getattr(got, name), getattr(want, name)
+        a, b = (
+            getattr(s, name) if name.endswith("_f") else s.variable(name) for s in (got, want)
+        )
         assert a.dtype == b.dtype, name
         assert a.tobytes() == b.tobytes(), name
 
@@ -277,8 +295,8 @@ class TestSidecar:
         path.write_text("".join(lines))
         loaded = read_series_csv(path)
         assert loaded.max_f[2] == 80
-        assert loaded.avg[2] == 65.0
-        assert loaded.dtr[2] == 30.0
+        assert loaded.variable("avg")[2] == 65.0
+        assert loaded.variable("dtr")[2] == 30.0
 
     def test_inconsistent_edit_still_rejected(self, tmp_path):
         path = tmp_path / "AAA.csv"

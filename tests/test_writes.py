@@ -76,7 +76,7 @@ WRITERS = {
         DensityEstimate(np.linspace(0.0, 1.0, 512), _column_with_bad_cell(), 1.0), path
     ),
     "seasonal-fit": lambda path: reporting.write_seasonal_fit_csv(
-        build_series(np.full(DAYS, 70), np.full(DAYS, 50), START, END),
+        START,
         np.zeros(DAYS),
         _column_with_bad_cell(DAYS, 250),
         path,
@@ -158,11 +158,12 @@ def test_dated_columns_hold_each_value_repr(tmp_path):
     trend = ModelFit(("const", "time"), np.zeros(2), residuals, 0.5, DAYS)
     effects = np.array([0.1, -0.0, 0.0, 1 / 3, -2.5, 1e-17, 7.0, -1 / 7, 60.5, 1e300, -3.0, 0.2])
     fitted = effects[WindowFactors(START, END).month - 1]
-    reporting.write_trend_csv(series, "avg", trend, tmp_path / "trend.csv")
-    reporting.write_seasonal_fit_csv(series, residuals, fitted, tmp_path / "fit.csv")
+    reporting.write_trend_csv(START, series.variable("avg"), trend, tmp_path / "trend.csv")
+    reporting.write_seasonal_fit_csv(START, residuals, fitted, tmp_path / "fit.csv")
 
     assert (tmp_path / "trend.csv").read_bytes() == reference_dated_csv(
-        START, ["date", "actual", "fitted"], series.avg, series.avg - residuals
+        START, ["date", "actual", "fitted"], series.variable("avg"),
+        series.variable("avg") - residuals,
     )
     assert (tmp_path / "fit.csv").read_bytes() == reference_dated_csv(
         START, ["date", "detrended", "seasonal_fit"], residuals, fitted
@@ -186,12 +187,15 @@ def _write_all(series, rng, directory):
     assert path.read_bytes() == reference_series_csv(series)
     residuals = rng.standard_normal(days)
     trend = ModelFit(("const", "time"), np.zeros(2), residuals, 0.5, days)
-    reporting.write_trend_csv(series, "dtr", trend, directory / "trend.csv")
+    reporting.write_trend_csv(
+        series.start, series.variable("dtr"), trend, directory / "trend.csv"
+    )
     assert (directory / "trend.csv").read_bytes() == reference_dated_csv(
-        series.start, ["date", "actual", "fitted"], series.dtr, series.dtr - residuals
+        series.start, ["date", "actual", "fitted"], series.variable("dtr"),
+        series.variable("dtr") - residuals,
     )
     fitted = rng.standard_normal(12)[WindowFactors(series.start, series.end).month - 1]
-    reporting.write_seasonal_fit_csv(series, residuals, fitted, directory / "fit.csv")
+    reporting.write_seasonal_fit_csv(series.start, residuals, fitted, directory / "fit.csv")
     assert (directory / "fit.csv").read_bytes() == reference_dated_csv(
         series.start, ["date", "detrended", "seasonal_fit"], residuals, fitted
     )
