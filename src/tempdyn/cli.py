@@ -52,9 +52,17 @@ def _configure(
     return config
 
 
-def _check_window(config: RunConfig, model: str):
-    """The window's ``models.WindowFactors``, built before any series is
-    read, refusing a window short of days of a month for ``model``."""
+def _check_window(config: RunConfig, model: str, fitted: tuple[str, ...], hac: bool = False):
+    """The window's ``models.WindowFactors`` with the factor of every model
+    in ``fitted`` built, after refusing a window short of days of a month
+    for ``model`` and, with ``hac``, a fixed HAC lag at or above ``model``'s
+    nobs (the joint model's first day feeds its lag).
+
+    Every command that fits calls this before it reads its first series, so
+    the reads reuse the heap that the joint QR frees; run after them, the QR
+    peaked on top of every loaded series. Only the trend design can fail to
+    factor once the months are checked (a window of two days or less).
+    """
     from .models import WindowFactors
 
     factors = WindowFactors(config.window_start, config.window_end)
@@ -62,19 +70,13 @@ def _check_window(config: RunConfig, model: str):
         factors.check_months(model)
     except ValueError as exc:
         raise _CommandError(str(exc)) from None
-    return factors
-
-
-def _check_hac_window(config: RunConfig, model: str):
-    """:func:`_check_window`'s factors, also refusing a fixed HAC lag at or
-    above ``model``'s nobs (the joint model's first day feeds its lag)."""
-    factors = _check_window(config, model)
     nobs = len(factors.t) - (model == "joint")
-    if config.hac_bandwidth != "auto" and config.hac_bandwidth >= nobs:
+    if hac and config.hac_bandwidth != "auto" and config.hac_bandwidth >= nobs:
         raise _CommandError(
             f"HAC bandwidth {config.hac_bandwidth} must be below the {model} model's nobs "
             f"{nobs} on {config.window_start}..{config.window_end}"
         )
+    factors.build(*fitted)
     return factors
 
 
@@ -218,7 +220,7 @@ def tables(config_path, station_codes, variable, hac_bandwidth, out):
     config = _configure(config_path, out=out, hac_bandwidth=hac_bandwidth)
     stations = config.select(station_codes)
     # the window's designs are factored once, for both variables
-    factors = _check_hac_window(config, "joint")
+    factors = _check_window(config, "joint", ("joint", "trend"), hac=True)
     variables = ["avg", "dtr"] if variable == "both" else [variable]
 
     loaded = []
@@ -250,7 +252,7 @@ def figures(config_path, station_code, out):
     from .regression import ols_fit
 
     config = _configure(config_path, out=out)
-    factors = _check_window(config, "evolving")
+    factors = _check_window(config, "evolving", ("trend", "fixed", "evolving"))
     try:
         years = models.pattern_years(config.window_start, config.window_end)
     except ValueError as exc:  # a window with no July 1
@@ -260,13 +262,9 @@ def figures(config_path, station_code, out):
     figures_dir = _make_dir(config.output_dir / "figures" / station_code)
 
     # Only coefficients, residuals and fitted values are written, so the
-    # models are fitted by plain OLS, without HAC covariances. avg and dtr
-    # share the window's factors, built first (built after the CSV writes,
-    # their temporaries added 2 MiB to the peak RSS). Every step that can
-    # fail comes before the first write, so a failure leaves the station's
-    # files as they were: both densities are estimated first.
-    for model in ("trend", "fixed", "evolving"):
-        getattr(factors, model)
+    # models are fitted by plain OLS, without HAC covariances. Every step
+    # that can fail comes before the first write, so a failure leaves the
+    # station's files as they were: both densities are estimated first.
     daily = {var: station_series.variable(var) for var in series_mod.VARIABLES}
     densities = {}
     for var, y in daily.items():
@@ -315,9 +313,9 @@ def fit(config_path, station_code, variable, model, hac_bandwidth, out):
 
     config = _configure(config_path, out=out, hac_bandwidth=hac_bandwidth)
     name = {"seasonal": "fixed"}.get(model, model)
-    factors = _check_hac_window(config, name)
-    y = _station_series(config, station_code).variable(variable)
     try:
+        factors = _check_window(config, name, (name,), hac=True)
+        y = _station_series(config, station_code).variable(variable)
         result = fit_with_hac(*factors.least_squares(name, y), config.hac_bandwidth)
         _print_fit(result)
         if model == "trend":

@@ -61,6 +61,8 @@ _TIMEOUT = 120
 # downloads wait on the network, so this many overlap, each at most this
 # far ahead of the parse
 FETCH_THREADS = 4
+# bytes of a cache file read at a time to compare it with a download
+_COMPARE_CHUNK = 1 << 16
 
 
 class DlyParseError(ValueError):
@@ -494,14 +496,11 @@ def fetch_station(
     except DlyParseError as exc:
         raise FetchError(f"fetch of {url} returned no usable .dly data: {exc}") from None
     replaced = None
-    if os.path.exists(cache_path):
-        with open(cache_path, "rb") as handle:
-            cached = handle.read()
-        if cached != payload:
-            replaced = (
-                f"archive copy differs from the cache ({len(cached)} vs {len(payload)} "
-                "bytes); cache replaced"
-            )
+    if os.path.exists(cache_path) and not _holds(cache_path, payload):
+        replaced = (
+            f"archive copy differs from the cache ({os.path.getsize(cache_path)} vs "
+            f"{len(payload)} bytes); cache replaced"
+        )
     if not os.path.isdir(cache_dir):
         raise FetchError(f"fetch of {url} cannot be cached: no directory {cache_dir}")
     write_atomic(cache_path, [payload])
@@ -509,6 +508,19 @@ def fetch_station(
         payload, "network", cache_path, datetime.now(timezone.utc), records,
         cache_replaced=replaced,
     )
+
+
+def _holds(path: str, payload: bytes) -> bool:
+    """Whether the file at ``path`` holds exactly ``payload``: the sizes
+    are compared first, then the contents a chunk at a time, so that the
+    file is never held whole beside the payload."""
+    if os.path.getsize(path) != len(payload):
+        return False
+    with open(path, "rb") as handle:
+        for offset in range(0, len(payload), _COMPARE_CHUNK):
+            if handle.read(_COMPARE_CHUNK) != payload[offset : offset + _COMPARE_CHUNK]:
+                return False
+    return True
 
 
 def _read_cache(station_id: str, cache_path: str, refresh_error: Optional[str] = None) -> Fetched:

@@ -196,7 +196,8 @@ def month_block_factor(month: np.ndarray, t: Optional[np.ndarray] = None) -> QRF
     # R is upper triangular, so LU's partial pivoting swaps no rows and the
     # solve is a back substitution
     r_inv = np.linalg.solve(r, np.eye(k))
-    return QRFactor(design, q, np.empty((n, 0)), r, r_inv, scale)
+    nothing = np.empty((n, 0))
+    return QRFactor(design, DesignMatrix((), nothing), q, nothing, r, r_inv, scale)
 
 
 def joint_shared_design(month: np.ndarray, t: np.ndarray) -> DesignMatrix:
@@ -216,9 +217,9 @@ class WindowFactors:
 
     This is the one place that computes them on the fit path, and knows
     which design each model is fitted on and how it is factored. Each factor
-    is built on first use, so a command holds only the ones it fits:
-    ``trend`` and ``joint`` (the joint design without its lag) by
-    Householder QR, ``fixed`` and ``evolving`` in closed form by month
+    is built on first use, or by :meth:`build`, so a command holds only the
+    ones it fits: ``trend`` and ``joint`` (the joint design without its lag)
+    by Householder QR, ``fixed`` and ``evolving`` in closed form by month
     (:func:`month_block_factor`).
     """
 
@@ -242,6 +243,15 @@ class WindowFactors:
                 f"{model} model needs {('one day', 'two days')[_MONTH_DAYS[model] - 1]} in every "
                 "calendar month"
             )
+
+    def build(self, *models: str) -> None:
+        """Build now, in order, every factor that :meth:`least_squares`
+        fits ``models`` on: each model's own, after the trend's for the two
+        seasonal models, whose regressand it de-trends."""
+        for model in models:
+            if model in ("fixed", "evolving"):
+                self.trend
+            getattr(self, model)
 
     @cached_property
     def trend(self) -> QRFactor:

@@ -28,7 +28,10 @@ per-regressand column (the joint model's lag) is appended to that factor
 by one Gram-Schmidt step instead of a new decomposition: by
 Frisch-Waugh-Lovell its coefficient is the regression of the
 partialled-out regressand on the partialled-out column (Lovell 1963,
-JASA 58). A factor keeps its design's column order.
+JASA 58). A factor keeps its design's column order. The appended column
+is kept apart from the shared design, and the residuals and the scores
+assemble the rows of both one block at a time, so no fit copies the
+shared design.
 """
 
 from __future__ import annotations
@@ -153,22 +156,37 @@ def _check_rank(names: Sequence[str], r: np.ndarray, scale: float) -> None:
 
 @dataclass(frozen=True)
 class QRFactor:
-    """Rank-checked QR factor of one design: ``design.data = Q @ r``.
+    """Rank-checked QR factor of one design: ``[design.data, appended.data] = Q @ r``.
 
-    Q is ``[q, border]``: q from the decomposition, border the columns that
-    :meth:`bordered` appended, kept apart so that a shared q is never
-    copied. :func:`ols_fit`, :func:`hac_cov` and :func:`fit_with_hac` take
-    the factor, so that a design shared by many regressands is decomposed
-    and checked once and the covariance reuses the R that solved for the
+    ``design`` holds the decomposed columns and ``appended`` those that
+    :meth:`bordered` appended; Q is ``[q, border]``: q from the
+    decomposition, border the columns that :meth:`bordered` added. Both
+    pairs are kept apart, so that a shared design and its q are never
+    copied; :meth:`rows` assembles rows of the whole design.
+    :func:`ols_fit`, :func:`hac_cov` and :func:`fit_with_hac` take the
+    factor, so that a design shared by many regressands is decomposed and
+    checked once and the covariance reuses the R that solved for the
     coefficients.
     """
 
-    design: DesignMatrix
+    design: DesignMatrix  # n x m columns of the decomposition
+    appended: DesignMatrix  # n x (k - m) columns appended by bordered()
     q: np.ndarray  # n x m orthonormal columns of the decomposition
     border: np.ndarray  # n x (k - m) orthonormal columns added by bordered()
     r: np.ndarray  # k x k, upper triangular
     r_inv: np.ndarray  # inverse of r
     scale: float  # largest column norm of the design, the rank test's unit
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        """The names of the whole design's columns, in order."""
+        return self.design.names + self.appended.names
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """Rows ``lo..hi-1`` of the whole design; a view when nothing is appended."""
+        if not self.appended.names:
+            return self.design.data[lo:hi]
+        return np.column_stack([self.design.data[lo:hi], self.appended.data[lo:hi]])
 
     def qt(self, v: np.ndarray) -> np.ndarray:
         """Q'v."""
@@ -186,12 +204,14 @@ class QRFactor:
         with one reorthogonalisation); its coefficients and the norm of what
         is left border R by one column, so no new decomposition is made. A
         column in the span of the design raises :class:`SingularDesignError`
-        naming it.
+        naming it. The new factor shares this one's design and q.
         """
         column = np.asarray(column, dtype=np.float64)
-        n, k = self.design.data.shape
+        n, k = len(self.q), len(self.names)
         if column.shape != (n,):
             raise ValueError(f"column has shape {column.shape}, expected ({n},)")
+        if name in self.names:
+            raise ValueError("design column names must be unique")
         coef = self.qt(column)
         left = column - self.qdot(coef)
         again = self.qt(left)
@@ -201,7 +221,7 @@ class QRFactor:
         r[:k, :k] = self.r
         r[:k, k] = coef
         r[k, k] = np.linalg.norm(left)
-        names = self.design.names + (name,)
+        names = self.names + (name,)
         scale = max(self.scale, float(np.linalg.norm(column)))
         _check_rank(names, r, scale)
 
@@ -210,8 +230,10 @@ class QRFactor:
         r_inv[:k, k] = -(self.r_inv @ coef) / r[k, k]
         r_inv[k, k] = 1.0 / r[k, k]
         border = np.column_stack([self.border, left / r[k, k]])
-        design = DesignMatrix(names, np.column_stack([self.design.data, column]))
-        return QRFactor(design, self.q, border, r, r_inv, scale)
+        appended = DesignMatrix(
+            self.appended.names + (name,), np.column_stack([self.appended.data, column])
+        )
+        return QRFactor(self.design, appended, self.q, border, r, r_inv, scale)
 
 
 def factorize(X: DesignMatrix) -> QRFactor:
@@ -234,7 +256,8 @@ def factorize(X: DesignMatrix) -> QRFactor:
     # R is upper triangular, so LU's partial pivoting swaps no rows and the
     # solve is a back substitution
     r_inv = np.linalg.solve(r, np.eye(k))
-    return QRFactor(X, q, np.empty((n, 0)), r, r_inv, scale)
+    nothing = np.empty((n, 0))
+    return QRFactor(X, DesignMatrix((), nothing), q, nothing, r, r_inv, scale)
 
 
 def ols_fit(factor: QRFactor, y: np.ndarray) -> ModelFit:
@@ -245,14 +268,16 @@ def ols_fit(factor: QRFactor, y: np.ndarray) -> ModelFit:
     trend and joint designs hold an intercept, the seasonal dummies
     partition the days).
     """
-    data = factor.design.data
     y = np.asarray(y, dtype=np.float64)
-    n = len(data)
+    n = len(factor.q)
     if y.shape != (n,):
         raise ValueError(f"y has shape {y.shape}, expected ({n},)")
 
     beta = np.linalg.solve(factor.r, factor.qt(y))
-    residuals = y - data @ beta
+    residuals = np.empty(n)
+    for lo in range(0, n, _WINDOW_BLOCK):
+        hi = min(lo + _WINDOW_BLOCK, n)
+        residuals[lo:hi] = y[lo:hi] - factor.rows(lo, hi) @ beta
 
     ssr = float(residuals @ residuals)
     deviations = y - y.mean()
@@ -261,24 +286,34 @@ def ols_fit(factor: QRFactor, y: np.ndarray) -> ModelFit:
 
     beta.setflags(write=False)
     residuals.setflags(write=False)
-    return ModelFit(factor.design.names, beta, residuals, r_squared, n)
+    return ModelFit(factor.names, beta, residuals, r_squared, n)
 
 
-def bartlett_meat(x: np.ndarray, u: np.ndarray, lag: int) -> np.ndarray:
+def bartlett_meat(
+    x: np.ndarray, u: np.ndarray, lag: int, appended: Optional[np.ndarray] = None
+) -> np.ndarray:
     """sum_{|j|<=lag} (1 - |j|/(lag+1)) G_j of the scores s_t = u_t * x_t.
 
     ``x`` holds one row per observation, ``u`` one weight (the residual)
-    per row. Computed as (1/(lag+1)) B'B, with row i of B the sum of the
-    scores s_{i-lag}..s_i (zero outside the sample), so no sum runs longer
-    than lag+1 rows. Scores and window sums are formed one block of rows at
-    a time, never for the whole sample at once.
+    per row; ``appended``, if given, holds more columns of the same rows,
+    which follow those of ``x`` without being stacked onto it. Computed as
+    (1/(lag+1)) B'B, with row i of B the sum of the scores s_{i-lag}..s_i
+    (zero outside the sample), so no sum runs longer than lag+1 rows.
+    Scores and window sums are formed one block of rows at a time, never
+    for the whole sample at once.
     """
-    n, k = x.shape
+    n, m = x.shape
+    if appended is None:
+        appended = np.empty((n, 0))
+    k = m + appended.shape[1]
     meat = np.zeros((k, k))
     for lo in range(0, n + lag, _WINDOW_BLOCK):
         hi = min(lo + _WINDOW_BLOCK, n + lag)
         start, stop = max(lo - lag, 0), min(hi, n)
-        scores = x[start:stop] * u[start:stop, None]
+        weights = u[start:stop, None]
+        scores = np.empty((stop - start, k))
+        np.multiply(x[start:stop], weights, out=scores[:, :m])
+        np.multiply(appended[start:stop], weights, out=scores[:, m:])
         windows = np.zeros((hi - lo, k))
         for shift in range(lag + 1):
             first, last = max(lo - shift, start), min(hi - shift, stop)
@@ -299,14 +334,13 @@ def hac_cov(
     the heteroskedasticity-only (HC0) sandwich. The result is exactly
     symmetric by construction.
     """
-    data = factor.design.data
     residuals = np.asarray(residuals, dtype=np.float64)
-    n = len(data)
+    n = len(factor.q)
     if residuals.shape != (n,):
         raise ValueError("residuals do not match design length")
     lag = resolve_bandwidth(n, bandwidth)
 
-    meat = bartlett_meat(data, residuals, lag)
+    meat = bartlett_meat(factor.design.data, residuals, lag, factor.appended.data)
     xtx_inv = factor.r_inv @ factor.r_inv.T
     cov = xtx_inv @ meat @ xtx_inv
     cov = (cov + cov.T) / 2.0

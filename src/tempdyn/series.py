@@ -311,13 +311,20 @@ def _read_sidecar(path: Path, data: bytes) -> Optional[TemperatureSeries]:
 
 
 def _parse_series_csv(data: bytes) -> TemperatureSeries:
-    handle = io.StringIO(data.decode(), newline="")
+    text = data.decode()
+    handle = io.StringIO(text, newline="")
     header = handle.readline().rstrip("\r\n").split(",")
     if header != SERIES_CSV_HEADER:
         raise ValueError(f"unexpected series CSV header {header}")
     body = handle.read()
     if not body:
         raise ValueError("series CSV has no rows")
+    # loadtxt would skip an empty line, which ingest never writes; one
+    # follows the end of the line before it
+    empty = re.search(r"\n\r?\n", text)
+    if empty:
+        line = text.count("\n", 0, empty.start()) + 2
+        raise ValueError(f"series CSV has an empty line at line {line}")
     try:
         rows = _load_rows(io.StringIO(body))
     except ValueError as exc:

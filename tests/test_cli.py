@@ -26,7 +26,16 @@ WINDOW_END = date(1961, 12, 31)
 
 
 @pytest.fixture
-def workspace(tmp_path) -> Path:
+def own_config(monkeypatch):
+    """The endpoint and cache directory a test's config names are the ones
+    used, whatever the caller's environment sets (CI points
+    TEMPDYN_ENDPOINT at a closed port)."""
+    monkeypatch.delenv("TEMPDYN_ENDPOINT", raising=False)
+    monkeypatch.delenv("TEMPDYN_CACHE_DIR", raising=False)
+
+
+@pytest.fixture
+def workspace(tmp_path, own_config) -> Path:
     """Config + warm cache for two stations; endpoint is unreachable."""
     cache = tmp_path / "cache"
     cache.mkdir()
@@ -234,7 +243,9 @@ class TestIngest:
         assert run(["ingest", "--config", str(workspace / "run.cfg")]).exit_code == 0
         assert parsed == ["USW00099901", "USW00099902"]
 
-    def test_downloads_run_at_most_four_ahead_of_the_repair(self, tmp_path, archive, monkeypatch):
+    def test_downloads_run_at_most_four_ahead_of_the_repair(
+        self, tmp_path, archive, monkeypatch, own_config
+    ):
         # A download's payload is parsed in its fetch thread, so it is held
         # until ingest repairs it. The first repair stalls, so a pool that
         # ran further ahead would download all eight meanwhile.
@@ -915,8 +926,46 @@ class TestFigures:
         assert result.exit_code != 0
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["tables"],
+        ["fit", "--station", "AAA", "--model", "joint"],
+        ["fit", "--station", "AAA", "--model", "seasonal"],
+        ["fit", "--station", "AAA", "--model", "evolving"],
+        ["fit", "--station", "AAA", "--model", "trend"],
+        ["figures", "--station", "AAA"],
+    ],
+    ids=lambda args: "-".join(args[::2]),
+)
+def test_every_factor_is_built_before_the_first_read(workspace, monkeypatch, args):
+    # the series reads reuse the heap that the joint QR frees, instead of
+    # the QR running on top of every loaded series
+    config = str(workspace / "run.cfg")
+    run(["ingest", "--config", config])
+    events = []
+
+    def recording(event, original):
+        def call(*a, **kw):
+            events.append(event)
+            return original(*a, **kw)
+
+        return call
+
+    for module, name, event in [
+        (models, "factorize", "factor"),
+        (models, "month_block_factor", "factor"),
+        (series_mod, "read_series_csv", "read"),
+    ]:
+        monkeypatch.setattr(module, name, recording(event, getattr(module, name)))
+    result = run([args[0], "--config", config, *args[1:]])
+    assert result.exit_code == 0, result.output
+    assert "factor" in events and "read" in events
+    assert "factor" not in events[events.index("read"):], events
+
+
 class TestFullWindow:
-    def test_complete_pipeline_over_58_years(self, tmp_path):
+    def test_complete_pipeline_over_58_years(self, tmp_path, own_config):
         # the real archive window: 21,185 days (58 years, 15 leap days)
         start, end = date(1960, 1, 1), date(2017, 12, 31)
         cache = tmp_path / "cache"

@@ -699,6 +699,20 @@ class TestFetchStation:
         again = fetch_station(STATION, archive.url, tmp_path, refresh=True)
         assert (again.source, again.cache_replaced) == ("network", None)
 
+    def test_refresh_compares_contents_of_the_same_size(self, tmp_path, archive, monkeypatch):
+        # one byte differs in the last of several chunks
+        monkeypatch.setattr(ghcn, "_COMPARE_CHUNK", 100)
+        payload = station_payload()
+        cached = payload[:-2] + b"X" + payload[-1:]
+        (tmp_path / f"{STATION}.dly").write_bytes(cached)
+        archive.serve(PATH, payload)
+        result = fetch_station(STATION, archive.url, tmp_path, refresh=True)
+        assert result.cache_replaced == (
+            f"archive copy differs from the cache ({len(cached)} vs {len(payload)} bytes); "
+            "cache replaced"
+        )
+        assert (tmp_path / f"{STATION}.dly").read_bytes() == payload
+
     def test_refresh_falls_back_to_cache_and_says_so(self, tmp_path, archive):
         cache_file = tmp_path / f"{STATION}.dly"
         cache_file.write_bytes(station_payload())

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -283,14 +284,46 @@ class TestQRFactor:
     def test_bordered_equals_factoring_the_full_design(self):
         full = DesignMatrix(self.X.names + ("w",), np.column_stack([self.X.data, self.w]))
         bordered = factorize(self.X).bordered("w", self.w)
-        assert bordered.design.names == full.names
-        np.testing.assert_array_equal(bordered.design.data, full.data)
+        assert bordered.names == full.names
+        np.testing.assert_array_equal(bordered.rows(0, len(full.data)), full.data)
         a = fit_with_hac(bordered, self.y, bandwidth=5)
         b = fit_with_hac(factorize(full), self.y, bandwidth=5)
         np.testing.assert_allclose(a.beta, b.beta, rtol=1e-11)
         np.testing.assert_allclose(a.residuals, b.residuals, rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(a.hac_cov, b.hac_cov, rtol=1e-10, atol=1e-16)
         assert a.r_squared == pytest.approx(b.r_squared, rel=1e-12)
+
+    def test_bordered_fit_equals_the_stacked_design_bit_for_bit(self):
+        # the bordered rows are assembled a block at a time, with the
+        # arithmetic of the stacked design on each row; 8000 rows span
+        # several blocks
+        rng = np.random.default_rng(8)
+        X = random_design(rng, 8000, 24)
+        w = rng.standard_normal(8000)
+        y = 0.4 * w + rng.standard_normal(8000)
+        bordered = factorize(X).bordered("w", w)
+        fit = fit_with_hac(bordered, y, bandwidth=13)
+        stacked = np.column_stack([X.data, w])
+        residuals = y - stacked @ fit.beta
+        xtx_inv = bordered.r_inv @ bordered.r_inv.T
+        cov = xtx_inv @ bartlett_meat(stacked, residuals, 13) @ xtx_inv
+        assert fit.residuals.tobytes() == residuals.tobytes()
+        assert fit.hac_cov.tobytes() == ((cov + cov.T) / 2.0).tobytes()
+
+    def test_bordered_fit_allocates_less_than_the_shared_design(self):
+        # the fit of each series shares the design; neither bordering it
+        # nor fitting on it copies it
+        rng = np.random.default_rng(9)
+        X = random_design(rng, 10000, 24)
+        factor = factorize(X)
+        w, y = rng.standard_normal(10000), rng.standard_normal(10000)
+        tracemalloc.start()
+        try:
+            fit_with_hac(factor.bordered("w", w), y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < X.data.nbytes
 
     def test_bordered_fit_reuses_the_block(self):
         block = factorize(self.X)

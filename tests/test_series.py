@@ -174,6 +174,11 @@ class TestSeriesCsv:
             (lambda rows: rows[:1], ValueError, "no rows"),
             (lambda rows: rows[:3] + rows[4:], ContiguityError, "2000-01-03"),
             (
+                lambda rows: rows[:3] + [""] + rows[3:],
+                ValueError,
+                "^series CSV has an empty line at line 4$",
+            ),
+            (
                 lambda rows: rows[:3] + ["2000-01-03,40,60,50,-20,3,1"] + rows[4:],
                 DataInversionError,
                 "2000-01-03",
@@ -194,7 +199,7 @@ class TestSeriesCsv:
             ),
         ],
         ids=[
-            "header", "empty", "gap", "inverted", "dtr", "not-a-number",
+            "header", "empty", "gap", "empty-line", "inverted", "dtr", "not-a-number",
             "first-inconsistent-line",
         ],
     )
