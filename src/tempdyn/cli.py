@@ -119,9 +119,8 @@ def _load_series(config: RunConfig, code: str) -> series_mod.TemperatureSeries:
 
 
 def _station_series(config: RunConfig, code: str) -> series_mod.TemperatureSeries:
-    """:func:`_load_series` of a configured station, any failure as one error."""
+    """:func:`_load_series` of a station, any failure as one error."""
     try:
-        config.station(code)  # validate the code before any work
         return _load_series(config, code)
     except Exception as exc:  # noqa: BLE001
         raise _CommandError(str(exc))
@@ -252,6 +251,7 @@ def figures(config_path, station_code, out):
     from .regression import ols_fit
 
     config = _configure(config_path, out=out)
+    config.station(station_code)  # a mistyped code is named before any work
     factors = _check_window(config, "evolving", ("trend", "fixed", "evolving"))
     try:
         years = models.pattern_years(config.window_start, config.window_end)
@@ -312,6 +312,7 @@ def fit(config_path, station_code, variable, model, hac_bandwidth, out):
     )
 
     config = _configure(config_path, out=out, hac_bandwidth=hac_bandwidth)
+    config.station(station_code)  # a mistyped code is named before any work
     name = {"seasonal": "fixed"}.get(model, model)
     try:
         factors = _check_window(config, name, (name,), hac=True)

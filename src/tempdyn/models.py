@@ -25,8 +25,10 @@ window's trend factor.
 
 The fixed and evolving seasonal designs are block-diagonal by month: month
 m's least-squares problem is a mean, or a mean and a slope on the month's
-centred t. :func:`month_block_factor` writes their QR factor down in closed
-form, with no Householder step.
+centred t. Their QR factors are written down in closed form, with no
+Householder step: :func:`month_block_factor` the fixed one, and
+:func:`month_slope_factor` the evolving one as the fixed factor bordered by
+the twelve slopes, so the two share one copy of the dummies and of their Q.
 
 Three Wald hypotheses are evaluated on the joint fit:
 
@@ -145,59 +147,73 @@ def seasonal_design(dummies: np.ndarray) -> DesignMatrix:
     return DesignMatrix(DUMMY_NAMES, dummies)
 
 
-def evolving_design(dummies: np.ndarray, t: np.ndarray) -> DesignMatrix:
-    t = np.asarray(t, dtype=np.float64)
-    data = np.column_stack([dummies, dummies * t[:, None]])
-    return DesignMatrix(DUMMY_NAMES + INTERACTION_NAMES, data)
+def month_block_factor(month: np.ndarray) -> QRFactor:
+    """The QR factor of :func:`seasonal_design` of the days' months, in
+    closed form.
 
-
-def month_block_factor(month: np.ndarray, t: Optional[np.ndarray] = None) -> QRFactor:
-    """The QR factor of :func:`seasonal_design` (``t`` omitted) or
-    :func:`evolving_design` of the days' months, in closed form.
-
-    For month m with n_m days, Q has the columns 1_m/sqrt(n_m) and
-    (t - tbar_m) 1_m / s_m, where s_m is the norm of the month's centred t.
-    R holds sqrt(n_m) and s_m on its diagonal and sum_m(t)/sqrt(n_m) above
-    it, so the factor keeps the design's column order, and a month with no
-    days (d) or with no spread in t (dt) is named as ``factorize`` names it:
-    the first such column in design order.
+    For month m with n_m days, Q has the column 1_m/sqrt(n_m) and R holds
+    sqrt(n_m) on its diagonal, so the factor keeps the design's column
+    order, and a month with no days is named as ``factorize`` names it: the
+    first such column in design order.
     """
     index = np.asarray(month) - 1
-    n, k = len(index), 12 if t is None else 24
-    if n <= k:
-        raise InsufficientDataError(f"{n} observations for {k} regressors")
+    n = len(index)
+    if n <= 12:
+        raise InsufficientDataError(f"{n} observations for 12 regressors")
     if not 0 <= index.min() <= index.max() <= 11:
         raise ValueError("months must lie in 1..12")
     days = np.arange(n)
     dummies = np.zeros((n, 12))
     dummies[days, index] = 1.0
-    counts = np.bincount(index, minlength=12)
-    root = np.sqrt(counts)
-    if t is None:
-        design = seasonal_design(dummies)
-        diagonal = root
-    else:
-        t = np.asarray(t, dtype=np.float64)
-        design = evolving_design(dummies, t)
-        sums = np.bincount(index, weights=t, minlength=12)
-        centred = t - sums[index] / counts[index]
-        spread = np.sqrt(np.bincount(index, weights=centred * centred, minlength=12))
-        diagonal = np.concatenate([root, spread])
-    r = np.diag(diagonal)
+    root = np.sqrt(np.bincount(index, minlength=12))
+    design = seasonal_design(dummies)
+    r = np.diag(root)
     scale = float(np.linalg.norm(design.data, axis=0).max())
     _check_rank(design.names, r, scale)
 
-    q = np.zeros((n, k), order="F")
+    q = np.zeros((n, 12), order="F")
     q[days, index] = 1.0 / root[index]
-    if t is not None:
-        months = np.arange(12)
-        r[months, 12 + months] = sums / root  # row d_m, column dt_m
-        q[days, 12 + index] = centred / spread[index]
     # R is upper triangular, so LU's partial pivoting swaps no rows and the
     # solve is a back substitution
-    r_inv = np.linalg.solve(r, np.eye(k))
+    r_inv = np.linalg.solve(r, np.eye(12))
     nothing = np.empty((n, 0))
     return QRFactor(design, DesignMatrix((), nothing), q, nothing, r, r_inv, scale)
+
+
+def month_slope_factor(fixed: QRFactor, month: np.ndarray, t: np.ndarray) -> QRFactor:
+    """The QR factor of the evolving seasonal design D_1..D_12, D_1*t..D_12*t
+    of the days' months and ``t``: ``fixed``, the :func:`month_block_factor`
+    of the same days, bordered by the twelve slopes in closed form.
+
+    Month m's slope d_m*t less its projection on 1_m is (t - tbar_m) 1_m, so
+    Q borders q by the columns (t - tbar_m) 1_m / s_m, where s_m is the norm
+    of the month's centred t, and R by s_m on its diagonal and
+    sum_m(t)/sqrt(n_m) above it, in row d_m. The factor shares ``fixed``'s
+    design and q; its ``appended`` holds the slopes. A month with no spread
+    in t is named as ``factorize`` names it: the first such dt column.
+    """
+    index = np.asarray(month) - 1
+    t = np.asarray(t, dtype=np.float64)
+    n = len(index)
+    if n <= 24:
+        raise InsufficientDataError(f"{n} observations for 24 regressors")
+    counts = np.bincount(index, minlength=12)
+    sums = np.bincount(index, weights=t, minlength=12)
+    centred = t - sums[index] / counts[index]
+    spread = np.sqrt(np.bincount(index, weights=centred * centred, minlength=12))
+    slopes = DesignMatrix(INTERACTION_NAMES, fixed.design.data * t[:, None])
+    months = np.arange(12)
+    r = np.zeros((24, 24))
+    r[:12, :12] = fixed.r
+    r[12 + months, 12 + months] = spread
+    r[months, 12 + months] = sums / np.sqrt(counts)  # row d_m, column dt_m
+    scale = max(fixed.scale, float(np.linalg.norm(slopes.data, axis=0).max()))
+    _check_rank(fixed.names + slopes.names, r, scale)
+
+    border = np.zeros((n, 12), order="F")
+    border[np.arange(n), index] = centred / spread[index]
+    r_inv = np.linalg.solve(r, np.eye(24))
+    return QRFactor(fixed.design, slopes, fixed.q, border, r, r_inv, scale)
 
 
 def joint_shared_design(month: np.ndarray, t: np.ndarray) -> DesignMatrix:
@@ -219,8 +235,10 @@ class WindowFactors:
     which design each model is fitted on and how it is factored. Each factor
     is built on first use, or by :meth:`build`, so a command holds only the
     ones it fits: ``trend`` and ``joint`` (the joint design without its lag)
-    by Householder QR, ``fixed`` and ``evolving`` in closed form by month
-    (:func:`month_block_factor`).
+    by Householder QR, ``fixed`` and ``evolving`` in closed form by month.
+    ``evolving`` is ``fixed`` bordered by the month slopes
+    (:func:`month_slope_factor`), so it builds ``fixed`` first and shares
+    its design and q.
     """
 
     def __init__(self, start: date, end: date):
@@ -247,7 +265,8 @@ class WindowFactors:
     def build(self, *models: str) -> None:
         """Build now, in order, every factor that :meth:`least_squares`
         fits ``models`` on: each model's own, after the trend's for the two
-        seasonal models, whose regressand it de-trends."""
+        seasonal models, whose regressand it de-trends, and the evolving
+        model's after the fixed one's, which it borders."""
         for model in models:
             if model in ("fixed", "evolving"):
                 self.trend
@@ -263,7 +282,7 @@ class WindowFactors:
 
     @cached_property
     def evolving(self) -> QRFactor:
-        return month_block_factor(self.month, self.t)
+        return month_slope_factor(self.fixed, self.month, self.t)
 
     @cached_property
     def joint(self) -> QRFactor:

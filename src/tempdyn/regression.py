@@ -159,9 +159,10 @@ class QRFactor:
     """Rank-checked QR factor of one design: ``[design.data, appended.data] = Q @ r``.
 
     ``design`` holds the decomposed columns and ``appended`` those that
-    :meth:`bordered` appended; Q is ``[q, border]``: q from the
-    decomposition, border the columns that :meth:`bordered` added. Both
-    pairs are kept apart, so that a shared design and its q are never
+    border them; Q is ``[q, border]``: q from the decomposition, border the
+    columns that bordering added, by :meth:`bordered` or in closed form (the
+    evolving seasonal factor borders the fixed one by its month slopes).
+    Both pairs are kept apart, so that a shared design and its q are never
     copied; :meth:`rows` assembles rows of the whole design.
     :func:`ols_fit`, :func:`hac_cov` and :func:`fit_with_hac` take the
     factor, so that a design shared by many regressands is decomposed and
@@ -170,9 +171,9 @@ class QRFactor:
     """
 
     design: DesignMatrix  # n x m columns of the decomposition
-    appended: DesignMatrix  # n x (k - m) columns appended by bordered()
+    appended: DesignMatrix  # n x (k - m) columns bordering the design
     q: np.ndarray  # n x m orthonormal columns of the decomposition
-    border: np.ndarray  # n x (k - m) orthonormal columns added by bordered()
+    border: np.ndarray  # n x (k - m) orthonormal columns bordering q
     r: np.ndarray  # k x k, upper triangular
     r_inv: np.ndarray  # inverse of r
     scale: float  # largest column norm of the design, the rank test's unit

@@ -8,7 +8,8 @@ its series sha256 and repairs), and no timing.
 
 The dated figure files (trend and seasonal fit) fill the window's row
 templates (``series.fill_rows``): the date text is formatted once per
-window, and each file adds its two cells per day. ``%s`` of a float is its
+window, and each file adds its two cells per day, rendered from slices of
+its two columns one block of rows at a time. ``%s`` of a float is its
 repr, so the bytes are those of formatting every row in full.
 """
 
@@ -22,7 +23,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .series import distinct_text, fill_rows, write_atomic
+from .series import Column, distinct_text, fill_rows, write_atomic
 
 if TYPE_CHECKING:  # annotations only, so ingest need not load the fitting modules
     from .density import DensityEstimate
@@ -124,27 +125,25 @@ def write_density_csv(estimate: DensityEstimate, path: Path) -> None:
 
 def write_trend_csv(start: date, y: np.ndarray, trend: ModelFit, path: Path) -> None:
     # the data lie on a lattice (half or whole degrees)
-    fitted = (y - trend.residuals).tolist()
-    _write_dated(start, ["actual", "fitted"], distinct_text(y), fitted, path)
+    columns = (y, distinct_text), (y - trend.residuals, np.ndarray.tolist)
+    _write_dated(start, ["actual", "fitted"], columns, path)
 
 
 def write_seasonal_fit_csv(
     start: date, detrended: np.ndarray, seasonal_fitted: np.ndarray, path: Path
 ) -> None:
     # the fitted values are one effect per month
-    columns = detrended.tolist(), distinct_text(seasonal_fitted)
-    _write_dated(start, ["detrended", "seasonal_fit"], *columns, path)
+    columns = (detrended, np.ndarray.tolist), (seasonal_fitted, distinct_text)
+    _write_dated(start, ["detrended", "seasonal_fit"], columns, path)
 
 
 _DATED_ROW = "{0},%s,%s\n"
 
 
-def _write_dated(start: date, names, first: list, second: list, path) -> None:
-    """Two daily columns from ``start``, one dated row per day; each column
-    holds floats or their text."""
-    cells = [None] * (2 * len(first))
-    cells[0::2], cells[1::2] = first, second
-    write_atomic(path, _csv(["date", *names], fill_rows(start, _DATED_ROW, cells)))
+def _write_dated(start: date, names, columns: tuple[Column, Column], path) -> None:
+    """Two daily columns from ``start``, one dated row per day, filled a
+    block of rows at a time (``series.fill_rows``)."""
+    write_atomic(path, _csv(["date", *names], fill_rows(start, _DATED_ROW, *columns)))
 
 
 def write_patterns_csv(patterns: Mapping[str, Sequence[float]], path: Path) -> None:

@@ -141,14 +141,33 @@ def _rows(start: date, layout: str) -> Iterator[str]:
         year, month, first, t = year + month // 12, month % 12 + 1, 1, t + len(dates)
 
 
-def fill_rows(start: date, layout: str, cells: list) -> Iterator[str]:
+Column = tuple[np.ndarray, Callable[[np.ndarray], list]]
+
+
+def fill_rows(start: date, layout: str, *columns: Column) -> Iterator[str]:
     """The text of a daily file's rows from ``start``, a block at a time:
-    each row of :func:`_row_templates`'s ``layout`` takes the next cells,
-    rendered as by ``%s`` (a float's is its repr)."""
-    width = layout.count("%s")
-    block = width * _ROW_BLOCK
-    for i, template in enumerate(_row_templates(start, len(cells) // width, layout)):
-        yield template % tuple(cells[i * block : (i + 1) * block])
+    each row of :func:`_row_templates`'s ``layout`` takes one cell of each
+    column in turn, rendered as by ``%s`` (a float's is its repr).
+
+    A column is its daily values and the function that turns a block of
+    them into cells, such as ``np.ndarray.tolist`` or :func:`distinct_text`;
+    it is called on one block of rows at a time, so no cell list of the
+    whole window is made.
+    """
+    days = len(columns[0][0])
+    for i, template in enumerate(_row_templates(start, days, layout)):
+        yield template % _block_cells(columns, i * _ROW_BLOCK, min((i + 1) * _ROW_BLOCK, days))
+
+
+def _block_cells(columns: tuple[Column, ...], lo: int, hi: int) -> tuple:
+    """The cells of rows ``lo..hi-1``, row by row; made apart from
+    :func:`fill_rows`, so that it holds none of them while its rows are
+    written."""
+    width = len(columns)
+    cells = [None] * (width * (hi - lo))
+    for j, (values, render) in enumerate(columns):
+        cells[j::width] = render(values[lo:hi])
+    return tuple(cells)
 
 
 def write_atomic(path, chunks: Union[Iterable[str], Iterable[bytes]]) -> None:
@@ -216,7 +235,7 @@ def _sidecar_bytes(series: TemperatureSeries, csv_sha256: bytes) -> Optional[byt
     return buffer.getvalue()
 
 
-def _pair_cells(series: TemperatureSeries) -> list[str]:
+def _pair_cells(series: TemperatureSeries) -> np.ndarray:
     """The ``tmax,tmin,avg,dtr`` text of each day.
 
     The four cells depend only on the day's (tmax, tmin) pair, of which a
@@ -233,7 +252,7 @@ def _pair_cells(series: TemperatureSeries) -> list[str]:
     high, low = highs[pairs // len(lows)], lows[pairs % len(lows)]
     columns = (high, low, *(_derived(name, high, low) for name in VARIABLES))
     pair_text = map(",".join, zip(*(distinct_text(column, _format_half) for column in columns)))
-    return np.array(list(pair_text), dtype=object)[inverse].tolist()
+    return np.array(list(pair_text), dtype=object)[inverse]
 
 
 def write_series_csv(series: TemperatureSeries, path) -> str:
@@ -254,7 +273,7 @@ def write_series_csv(series: TemperatureSeries, path) -> str:
         digest.update(chunk)
         return chunk
 
-    rows = fill_rows(series.start, _SERIES_ROW, cells)
+    rows = fill_rows(series.start, _SERIES_ROW, (cells, np.ndarray.tolist))
     write_atomic(path, map(hashed, chain([",".join(SERIES_CSV_HEADER) + "\n"], rows)))
     sidecar = _sidecar_bytes(series, digest.digest())
     if sidecar is not None:

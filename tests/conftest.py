@@ -18,6 +18,8 @@ import pytest
 
 from tempdyn.density import DensityEstimate
 from tempdyn.ghcn import LINE_LENGTH, TEMPERATURE_ELEMENTS, DlyParseError, DlyRecords
+from tempdyn.models import DUMMY_NAMES, INTERACTION_NAMES
+from tempdyn.regression import DesignMatrix, QRFactor, _check_rank
 from tempdyn.series import TemperatureSeries
 
 DAY_SLOTS = 31
@@ -335,6 +337,51 @@ def month_dummies(month: np.ndarray) -> np.ndarray:
     dummies[np.arange(len(month)), np.asarray(month) - 1] = 1.0
     dummies.setflags(write=False)
     return dummies
+
+
+def evolving_design(dummies: np.ndarray, t: np.ndarray) -> DesignMatrix:
+    """The evolving seasonal design D_1..D_12, D_1*t..D_12*t of the month
+    indicators ``dummies`` (:func:`month_dummies`), as one dense matrix."""
+    t = np.asarray(t, dtype=np.float64)
+    data = np.column_stack([dummies, dummies * t[:, None]])
+    return DesignMatrix(DUMMY_NAMES + INTERACTION_NAMES, data)
+
+
+def stacked_evolving_factor(month: np.ndarray, t: np.ndarray) -> QRFactor:
+    """The closed-form QR factor of :func:`evolving_design` with all 24
+    columns of its design and of its Q held in one matrix each: the
+    reference that ``models.month_slope_factor``, which borders the fixed
+    factor instead, must equal to the last bit.
+
+    For month m with n_m days, Q has the columns 1_m/sqrt(n_m) and
+    (t - tbar_m) 1_m / s_m, where s_m is the norm of the month's centred t.
+    R holds sqrt(n_m) and s_m on its diagonal and sum_m(t)/sqrt(n_m) above
+    it.
+    """
+    index = np.asarray(month) - 1
+    n, k = len(index), 24
+    days = np.arange(n)
+    dummies = np.zeros((n, 12))
+    dummies[days, index] = 1.0
+    counts = np.bincount(index, minlength=12)
+    root = np.sqrt(counts)
+    t = np.asarray(t, dtype=np.float64)
+    design = evolving_design(dummies, t)
+    sums = np.bincount(index, weights=t, minlength=12)
+    centred = t - sums[index] / counts[index]
+    spread = np.sqrt(np.bincount(index, weights=centred * centred, minlength=12))
+    r = np.diag(np.concatenate([root, spread]))
+    scale = float(np.linalg.norm(design.data, axis=0).max())
+    _check_rank(design.names, r, scale)
+
+    q = np.zeros((n, k), order="F")
+    q[days, index] = 1.0 / root[index]
+    months = np.arange(12)
+    r[months, 12 + months] = sums / root
+    q[days, 12 + index] = centred / spread[index]
+    r_inv = np.linalg.solve(r, np.eye(k))
+    nothing = np.empty((n, 0))
+    return QRFactor(design, DesignMatrix((), nothing), q, nothing, r, r_inv, scale)
 
 
 def reference_series_csv(series: TemperatureSeries) -> bytes:

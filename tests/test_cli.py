@@ -795,20 +795,23 @@ class TestFigures:
         factored = []
         decomposed = []
         original = models.factorize
-        original_block = models.month_block_factor
 
         def counting(design):
             factored.append(design.names[-1])
             decomposed.append(design.names)
             return original(design)
 
-        def counting_block(month, t=None):
-            factor = original_block(month, t)
-            factored.append(factor.design.names[-1])
-            return factor
+        def counting_closed_form(original_closed_form):
+            def call(*args):
+                factor = original_closed_form(*args)
+                factored.append(factor.names[-1])
+                return factor
+
+            return call
 
         monkeypatch.setattr(models, "factorize", counting)
-        monkeypatch.setattr(models, "month_block_factor", counting_block)
+        for name in ("month_block_factor", "month_slope_factor"):
+            monkeypatch.setattr(models, name, counting_closed_form(getattr(models, name)))
         result = run(["figures", "--config", config, "--station", "AAA"])
         assert result.exit_code == 0, result.output
         assert factored == ["time", "d12", "dt12"]
@@ -955,6 +958,7 @@ def test_every_factor_is_built_before_the_first_read(workspace, monkeypatch, arg
     for module, name, event in [
         (models, "factorize", "factor"),
         (models, "month_block_factor", "factor"),
+        (models, "month_slope_factor", "factor"),
         (series_mod, "read_series_csv", "read"),
     ]:
         monkeypatch.setattr(module, name, recording(event, getattr(module, name)))
@@ -962,6 +966,32 @@ def test_every_factor_is_built_before_the_first_read(workspace, monkeypatch, arg
     assert result.exit_code == 0, result.output
     assert "factor" in events and "read" in events
     assert "factor" not in events[events.index("read"):], events
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["figures"]] + [["fit", "--model", model] for model in ("trend", "seasonal", "evolving", "joint")],
+    ids=lambda args: "-".join(args),
+)
+def test_unknown_station_is_named_before_the_window_is_factored(workspace, monkeypatch, args):
+    # the code is checked against the configuration before any factor is
+    # built, as tables checks its codes
+    factored = []
+
+    def refusing(name):
+        def call(*a, **kw):
+            factored.append(name)
+            raise AssertionError(f"{name} called")
+
+        return call
+
+    for name in ("factorize", "month_block_factor", "month_slope_factor"):
+        monkeypatch.setattr(models, name, refusing(name))
+    result = run([args[0], "--config", str(workspace / "run.cfg"), "--station", "QQQ", *args[1:]])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == "Error: no station 'QQQ' in configuration\n"
+    assert factored == []
 
 
 class TestFullWindow:

@@ -1,6 +1,11 @@
 import inspect
 import itertools
+import json
+import os
+import subprocess
+import sys
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,9 +20,9 @@ from tempdyn.models import (
     batch_report,
     city_report,
     delta_trend,
-    evolving_design,
     month_block_factor,
     month_effects,
+    month_slope_factor,
     seasonal_design,
     trend_design,
 )
@@ -34,7 +39,7 @@ from tempdyn.regression import (
 )
 from tempdyn.series import TemperatureSeries, build_series
 
-from conftest import month_dummies
+from conftest import evolving_design, month_dummies, stacked_evolving_factor
 from dgp import calendar_months, joint_design, simulate_joint
 
 
@@ -233,6 +238,13 @@ def seasonal_designs(month: np.ndarray, t: np.ndarray):
     return [(seasonal_design(dummies), None), (evolving_design(dummies, t), t)]
 
 
+def closed_form(month: np.ndarray, t=None) -> QRFactor:
+    """The closed-form factor of the fixed design (``t`` omitted) or of the
+    evolving one, the fixed factor bordered by the month slopes."""
+    fixed = month_block_factor(month)
+    return fixed if t is None else month_slope_factor(fixed, month, t)
+
+
 class TestMonthBlockFactor:
     """The closed-form factor against numpy's Householder QR of the same design."""
 
@@ -250,16 +262,17 @@ class TestMonthBlockFactor:
                 dense = factorize(design)
             except SingularDesignError as exc:
                 with pytest.raises(SingularDesignError) as raised:
-                    month_block_factor(month, times)
+                    closed_form(month, times)
                 assert raised.value.column == exc.column
                 continue
-            block = month_block_factor(month, times)
-            assert np.array_equal(block.design.data, design.data)
-            assert block.design.names == design.names
+            block = closed_form(month, times)
+            assert np.array_equal(block.rows(0, length), design.data)
+            assert block.names == design.names
             assert block.scale == dense.scale
             np.testing.assert_allclose(block.qdot(block.r), design.data, rtol=0, atol=1e-9)
             k = len(design.names)
-            np.testing.assert_allclose(block.q.T @ block.q, np.eye(k), rtol=0, atol=1e-12)
+            q = np.column_stack([block.q, block.border])
+            np.testing.assert_allclose(q.T @ q, np.eye(k), rtol=0, atol=1e-12)
 
             ours, theirs = ols_fit(block, y), ols_fit(dense, y)
             assert np.abs(ours.beta - theirs.beta).max() <= 1e-12 * np.abs(theirs.beta).max()
@@ -290,12 +303,76 @@ class TestMonthBlockFactor:
         ):
             if column is None:
                 factorize(design)
-                month_block_factor(month, times)
+                closed_form(month, times)
                 continue
-            for build in (lambda: factorize(design), lambda: month_block_factor(month, times)):
+            for build in (lambda: factorize(design), lambda: closed_form(month, times)):
                 with pytest.raises(SingularDesignError) as raised:
                     build()
                 assert raised.value.column == column
+
+
+# windows shorter than a year, of odd length, and of 58 years
+SLOPE_WINDOWS = [
+    (date(1960, 1, 1), date(1960, 12, 2)),
+    (date(1961, 3, 15), date(1972, 3, 1)),
+    (date(1960, 1, 1), date(2017, 12, 31)),
+]
+
+
+def slope_factor_mismatches() -> list[str]:
+    """What of the bordered evolving factor's fits differs in any bit from
+    those of the stacked closed-form factor (``stacked_evolving_factor``),
+    on each of ``SLOPE_WINDOWS``: Q'y, the OLS coefficients and residuals,
+    and the HAC covariance at lags 0, 7 and auto."""
+    mismatches = []
+    for start, end in SLOPE_WINDOWS:
+        factors = WindowFactors(start, end)
+        n = len(factors.t)
+        rng = np.random.default_rng(n)
+        seasonal = np.array([8, 4, 0, -3, -6, -8, -9, -7, -3, 1, 4, 7], float)
+        y = seasonal[factors.month - 1] + 1e-4 * factors.t + rng.standard_normal(n)
+        stacked = stacked_evolving_factor(factors.month, factors.t)
+        bordered = factors.evolving
+        pairs = {"qt": (bordered.qt(y), stacked.qt(y))}
+        ours, theirs = ols_fit(bordered, y), ols_fit(stacked, y)
+        pairs.update(beta=(ours.beta, theirs.beta), residuals=(ours.residuals, theirs.residuals))
+        for lag in (0, 7, "auto"):
+            pairs[f"hac_cov lag {lag}"] = (
+                fit_with_hac(bordered, y, lag).hac_cov, fit_with_hac(stacked, y, lag).hac_cov
+            )
+        mismatches += [
+            f"{n} days: {name}" for name, (a, b) in pairs.items() if a.tobytes() != b.tobytes()
+        ]
+    return mismatches
+
+
+class TestMonthSlopeFactor:
+    """The evolving factor borders the fixed one, with the stacked closed-form
+    factor's results to the last bit."""
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_bordered_equals_the_stacked_factor_bit_for_bit(self, threads):
+        # the BLAS thread count is fixed when numpy loads, so each count
+        # runs in its own interpreter
+        here = Path(__file__).resolve().parent
+        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+        env.update(
+            OPENBLAS_NUM_THREADS=threads,
+            PYTHONPATH=os.pathsep.join([str(here), str(Path(models.__file__).parents[1])]),
+        )
+        probe = "import json, test_models; print(json.dumps(test_models.slope_factor_mismatches()))"
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == []
+
+    def test_shares_the_fixed_design_and_q(self):
+        factors = WindowFactors(date(1960, 1, 1), date(1961, 12, 31))
+        evolving, fixed = factors.evolving, factors.fixed
+        assert evolving.design is fixed.design and evolving.q is fixed.q
+        assert evolving.appended.names == models.INTERACTION_NAMES
+        assert evolving.border.shape == fixed.q.shape
 
 
 class TestWindowFactors:
@@ -335,18 +412,23 @@ class TestWindowFactors:
 
     def test_factors_built_on_first_use_and_shared(self, monkeypatch):
         built = []
-        original_factorize, original_block = models.factorize, models.month_block_factor
+        original_factorize = models.factorize
 
         def counting(design):
             built.append(design.names[-1])
             return original_factorize(design)
 
-        def counting_block(month, t=None):
-            built.append("dt12" if t is not None else "d12")
-            return original_block(month, t)
+        def counting_closed_form(original):
+            def call(*args):
+                factor = original(*args)
+                built.append(factor.names[-1])
+                return factor
+
+            return call
 
         monkeypatch.setattr(models, "factorize", counting)
-        monkeypatch.setattr(models, "month_block_factor", counting_block)
+        for name in ("month_block_factor", "month_slope_factor"):
+            monkeypatch.setattr(models, name, counting_closed_form(getattr(models, name)))
         series = quick_series(31)
         factors = factors_of(series)
         for variable in ("avg", "dtr"):
@@ -357,7 +439,8 @@ class TestWindowFactors:
             fit_with_hac(*factors.least_squares("fixed", series.variable(variable)))
         fit_with_hac(*factors.least_squares("joint", series.variable("avg")))
         fit_with_hac(*factors.least_squares("joint", series.variable("avg")))
-        assert built == ["time", "dt12", "d12", "dt12"]
+        # the evolving factor borders the fixed one, which it builds first
+        assert built == ["time", "d12", "dt12", "dt12"]
 
 
 class TestModelSpec:
@@ -369,7 +452,7 @@ class TestModelSpec:
         dummies = month_dummies(factors.month)
         assert trend_design(factors.t).names == ("const", "time")
         assert len(seasonal_design(dummies).names) == 12
-        assert len(evolving_design(dummies, factors.t).names) == 24
+        assert len(factors.evolving.names) == 24
         joint, _ = joint_design(factors.month, factors.t, series.variable("avg"))
         assert len(joint.names) == 25
         assert "d07" not in joint.names
@@ -446,7 +529,7 @@ class TestJointModel:
         )
         assert trend_design(factors.t).names == ("const", "time")
         assert seasonal_design(dummies).names == dummy_names
-        assert evolving_design(dummies, factors.t).names == dummy_names + interaction_names
+        assert factors.evolving.names == dummy_names + interaction_names
 
     def test_white_noise_rho_near_zero(self):
         rng = np.random.default_rng(60)

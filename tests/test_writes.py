@@ -2,6 +2,7 @@
 
 import os
 import stat
+import tracemalloc
 from datetime import date, timedelta
 
 import numpy as np
@@ -211,12 +212,14 @@ BLOCK = series_mod._ROW_BLOCK
         (date(1960, 1, 1), 1, 30),
         (date(1961, 3, 15), 500, 30),
         (date(1999, 11, 20), 120, 30),
+        (date(1960, 1, 1), BLOCK - 1, 30),
         (date(1960, 1, 1), BLOCK, 30),
         (date(1960, 1, 1), BLOCK + 1, 30),
         (date(1979, 12, 1), 400, -60),
+        (date(1960, 1, 1), 21185, 30),
     ],
-    ids=["1-day", "from-1961-03-15", "over-2000-02-29", "one-block", "block-plus-one",
-         "negative"],
+    ids=["1-day", "from-1961-03-15", "over-2000-02-29", "block-less-one", "one-block",
+         "block-plus-one", "negative", "58-years"],
 )
 def test_rows_equal_the_per_row_reference(tmp_path, start, days, low):
     series = _random_series(np.random.default_rng(days), start, days, low)
@@ -238,3 +241,27 @@ def test_alternating_windows_get_their_own_rows(tmp_path):
     windows = [(date(1960, 1, 1), 800), (date(1961, 3, 15), 800), (date(1960, 1, 1), 801)]
     for start, days in windows * 2:
         assert _write_all(_random_series(rng, start, days, 30), rng, tmp_path)
+
+
+def test_dated_writer_holds_no_whole_window_list(tmp_path):
+    # a 58-year trend file is filled from slices of its two columns, one
+    # block of rows at a time: it allocates less than one list of the
+    # window's floats would (a 24-byte float and an 8-byte slot each)
+    start, days = date(1960, 1, 1), 21185
+    rng = np.random.default_rng(4)
+    series = _random_series(rng, start, days, 30)
+    trend = ModelFit(("const", "time"), np.zeros(2), rng.standard_normal(days), 0.5, days)
+    y, path = series.variable("avg"), tmp_path / "trend.csv"
+    # the first write builds the window's row templates, which every later
+    # dated file of the window shares
+    reporting.write_trend_csv(start, y, trend, path)
+    tracemalloc.start()
+    try:
+        reporting.write_trend_csv(start, y, trend, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < days * 32
+    assert path.read_bytes() == reference_dated_csv(
+        start, ["date", "actual", "fitted"], y, y - trend.residuals
+    )
