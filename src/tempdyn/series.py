@@ -173,10 +173,11 @@ def _block_cells(columns: tuple[Column, ...], lo: int, hi: int) -> tuple:
 def write_atomic(path, chunks: Union[Iterable[str], Iterable[bytes]]) -> None:
     """Replace ``path`` by the chunks, streamed through a temp file in its
     directory and renamed over it. The chunks are all text, written as
-    UTF-8, or all bytes. If anything raises first, the temp file is removed
-    and the previous file stays. The temp file is opened like any output
-    file, so it keeps a plain ``open()``'s mode (not ``mkstemp``'s 0600).
-    Every file tempdyn writes goes through here.
+    UTF-8, or all binary: bytes first, then any buffers. If anything raises
+    first, the temp file is removed and the previous file stays. The temp
+    file is opened like any output file, so it keeps a plain ``open()``'s
+    mode (not ``mkstemp``'s 0600). Every file tempdyn writes goes through
+    here.
     """
     chunks = iter(chunks)
     first = next(chunks, "")
@@ -197,42 +198,36 @@ def write_atomic(path, chunks: Union[Iterable[str], Iterable[bytes]]) -> None:
 
 
 def sidecar_path(csv_path) -> Path:
-    """The binary copy of a series CSV: ``<CODE>.npy`` next to ``<CODE>.csv``."""
-    return Path(csv_path).with_suffix(".npy")
+    """The binary copy of a series CSV: ``<CODE>.bin`` next to ``<CODE>.csv``."""
+    return Path(csv_path).with_suffix(".bin")
 
 
-def _sidecar_dtype(days: int) -> np.dtype:
-    """The one record of a sidecar: the sha256 of the CSV bytes it mirrors,
-    the sha256 of the rest of the record (its payload), then the first day
-    and the daily tmax and tmin as 16-bit integers (the whole degrees F an
-    archive value can give lie within +-18,100)."""
-    return np.dtype(
-        [("csv_sha256", np.uint8, (32,)), ("payload_sha256", np.uint8, (32,)),
-         ("first_day", "<M8[D]"), ("tmax", "<i2", (days,)), ("tmin", "<i2", (days,))]
-    )
+# A sidecar is a 32-byte key and then its record: the first day (days since
+# 1970-01-01), the daily tmax and the daily tmin, every value one of these.
+_WORD = np.dtype("<i8")
+_KEY_SIZE = 32
+_EPOCH = date(1970, 1, 1)
 
 
-_PAYLOAD_OFFSET = 64  # the payload follows the two digests
+def _sidecar_key(csv_sha256: bytes, record: Iterable) -> bytes:
+    """The sha256 of the CSV's sha256 followed by the record bytes: a
+    sidecar is used only for the CSV it was written with, and only as
+    written."""
+    key = hashlib.sha256(csv_sha256)
+    for part in record:
+        key.update(part)
+    return key.digest()
 
 
-def _sidecar_bytes(series: TemperatureSeries, csv_sha256: bytes) -> Optional[bytes]:
-    """The sidecar of the series, or None when a value does not fit its
-    16-bit fields."""
-    record = np.zeros((), _sidecar_dtype(len(series)))
-    record["first_day"] = np.datetime64(series.start, "D")
-    record["tmax"] = series.max_f
-    record["tmin"] = series.min_f
-    if not (
-        np.array_equal(record["tmax"], series.max_f)
-        and np.array_equal(record["tmin"], series.min_f)
-    ):
-        return None
-    payload = hashlib.sha256(record.tobytes()[_PAYLOAD_OFFSET:])
-    record["payload_sha256"] = np.frombuffer(payload.digest(), np.uint8)
-    record["csv_sha256"] = np.frombuffer(csv_sha256, np.uint8)
-    buffer = io.BytesIO()
-    np.save(buffer, record, allow_pickle=False)
-    return buffer.getvalue()
+def _sidecar_chunks(series: TemperatureSeries, csv_sha256: bytes) -> list:
+    """The sidecar of the series: its key, then its record as views of the
+    series' own arrays, not copies."""
+    record = [
+        np.array([(series.start - _EPOCH).days], _WORD),
+        series.max_f.astype(_WORD, copy=False),
+        series.min_f.astype(_WORD, copy=False),
+    ]
+    return [_sidecar_key(csv_sha256, record), *record]
 
 
 def _pair_cells(series: TemperatureSeries) -> np.ndarray:
@@ -259,11 +254,11 @@ def write_series_csv(series: TemperatureSeries, path) -> str:
     """Write the series CSV, then its sidecar (:func:`sidecar_path`);
     return the sha256 of the CSV bytes as hex.
 
-    The digest is taken as the CSV streams out. The sidecar, a ``.npy``
-    record keyed by that digest, lets :func:`read_series_csv` skip the text
-    parse; it is written second, so a write cut between the two leaves a
-    sidecar whose digest no longer matches, which readers ignore. A series
-    with a value beyond 16 bits gets no sidecar and is always parsed.
+    The digest is taken as the CSV streams out. The sidecar, the series'
+    first day and int64 tmax and tmin under a key that covers that digest
+    and them (:func:`_sidecar_key`), lets :func:`read_series_csv` skip the
+    text parse. It is written second, so a write cut between the two leaves
+    a sidecar whose key no longer matches, which readers ignore.
     """
     cells = _pair_cells(series)
     digest = hashlib.sha256()
@@ -275,22 +270,21 @@ def write_series_csv(series: TemperatureSeries, path) -> str:
 
     rows = fill_rows(series.start, _SERIES_ROW, (cells, np.ndarray.tolist))
     write_atomic(path, map(hashed, chain([",".join(SERIES_CSV_HEADER) + "\n"], rows)))
-    sidecar = _sidecar_bytes(series, digest.digest())
-    if sidecar is not None:
-        write_atomic(sidecar_path(path), [sidecar])
+    write_atomic(sidecar_path(path), _sidecar_chunks(series, digest.digest()))
     return digest.hexdigest()
 
 
 def read_series_csv(path) -> TemperatureSeries:
     """Load a series written by :func:`write_series_csv`.
 
-    The file is read once and hashed. When its sidecar mirrors exactly these
-    bytes, the series is built from the sidecar's arrays; otherwise (no
-    sidecar, or a stale, foreign or damaged one) the text is parsed. Either
-    way the series is rebuilt from tmax/tmin, so every construction
-    invariant is re-checked. The text parse requires dates that run day by
-    day and checks the stored avg/dtr columns against those derived from
-    tmax and tmin, naming the first line that differs.
+    The file is read once and hashed. When its sidecar's key is that of
+    these bytes and the sidecar's own record, the series is built from the
+    record's arrays; otherwise (no sidecar, or a stale, foreign, damaged or
+    old-format one) the text is parsed. Either way the series is rebuilt
+    from tmax/tmin, so every construction invariant is re-checked. The text
+    parse requires dates that run day by day and checks the stored avg/dtr
+    columns against those derived from tmax and tmin, naming the first line
+    that differs.
     """
     data = Path(path).read_bytes()
     mirrored = _read_sidecar(sidecar_path(path), data)
@@ -298,35 +292,28 @@ def read_series_csv(path) -> TemperatureSeries:
 
 
 def _read_sidecar(path: Path, data: bytes) -> Optional[TemperatureSeries]:
-    """The series of the sidecar at ``path`` when it is a ``.npy`` record
-    of the expected dtype and shape whose CSV digest is that of ``data``
-    and whose payload matches its own digest; else None.
+    """The series of the sidecar at ``path`` when it is as long as the
+    record of ``data``'s day count and its key is that of ``data``'s sha256
+    and its record; else None.
 
-    The header is checked before any data is used, so a damaged one never
-    sizes an allocation, and nothing is ever unpickled.
+    The length is checked before any byte is used, so a damaged sidecar
+    never sizes an array, and the arrays are read-only views of its bytes,
+    which :func:`build_series` copies and checks.
     """
     days = data.count(b"\n") - 1  # the CSV ends every row, header included
     try:
         raw = path.read_bytes()
-        stream = io.BytesIO(raw)
-        if days < 1 or np.lib.format.read_magic(stream) != (1, 0):
-            return None
-        shape, _, dtype = np.lib.format.read_array_header_1_0(stream)
-    except (OSError, ValueError):  # no sidecar, or not a .npy file
+    except OSError:  # no sidecar
         return None
-    offset = stream.tell()
-    expected = _sidecar_dtype(days)
-    if shape != () or dtype != expected or len(raw) != offset + expected.itemsize:
+    if days < 1 or len(raw) != _KEY_SIZE + _WORD.itemsize * (1 + 2 * days):
         return None
-    view = memoryview(raw)[offset:]
-    if (
-        view[:32] != hashlib.sha256(data).digest()
-        or view[32:_PAYLOAD_OFFSET] != hashlib.sha256(view[_PAYLOAD_OFFSET:]).digest()
-    ):
+    record = memoryview(raw)[_KEY_SIZE:]
+    if raw[:_KEY_SIZE] != _sidecar_key(hashlib.sha256(data).digest(), [record]):
         return None
-    record = np.frombuffer(raw, expected, count=1, offset=offset)[0]
-    first = record["first_day"].item()
-    return build_series(record["tmax"], record["tmin"], first, first + timedelta(days=days - 1))
+    words = np.frombuffer(record, _WORD)
+    first = _EPOCH + timedelta(days=int(words[0]))
+    last = first + timedelta(days=days - 1)
+    return build_series(words[1 : days + 1], words[days + 1 :], first, last)
 
 
 def _parse_series_csv(data: bytes) -> TemperatureSeries:

@@ -1,7 +1,7 @@
 """Run configuration: station map, sample window, and pipeline settings.
 
-Config files are flat ``key = value`` lines followed by a ``[stations]``
-block of whitespace-separated rows::
+Config files are flat ``key = value`` lines, each key at most once,
+followed by a ``[stations]`` block of whitespace-separated rows::
 
     window_start = 1960-01-01
     window_end = 2017-12-31
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from datetime import date
 from importlib import resources
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 DEFAULT_ENDPOINT = "https://www.ncei.noaa.gov/pub/data/ghcn/daily/all"
 ENV_ENDPOINT = "TEMPDYN_ENDPOINT"
@@ -90,11 +90,14 @@ def default_config_path() -> Path:
 
 
 def load_config(path: Optional[Union[str, Path]] = None) -> RunConfig:
-    """Parse a UTF-8 config file (the packaged default when ``path`` is None)."""
+    """Parse a UTF-8 config file (the packaged default when ``path`` is None),
+    with or without a byte-order mark."""
     source = Path(path) if path is not None else default_config_path()
     data = source.read_bytes()
     try:
-        text = data.decode("utf-8")
+        # the mark is dropped after decoding: the "utf-8-sig" codec would
+        # import a module, about 24 KB, in every command
+        text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         # lines of the UTF-8 prefix, with "?" standing in for the bad byte
         number = len((data[: exc.start].decode("utf-8") + "?").splitlines())
@@ -116,6 +119,7 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
     config = RunConfig()
     in_stations = False
     codes_seen = set()
+    settings_seen: dict[str, int] = {}  # key -> the line that set it
     for number, raw in enumerate(text.splitlines(), start=1):
         line = _COMMENT.sub("", raw, count=1).strip()
         if not line:
@@ -123,7 +127,15 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
         if line.lower() == "[stations]":
             in_stations = True
             continue
+        key, equals, value = line.partition("=")
+        key = key.strip().lower()
         if in_stations:
+            # a station name may hold "=", a station code may not
+            if equals and key in _SETTINGS:
+                raise ConfigError(
+                    f"{source}:{number}: setting {key!r} is inside the [stations] block; "
+                    "settings go before [stations]"
+                )
             excluded = line.startswith("!")
             if excluded:
                 line = line[1:].strip()
@@ -144,15 +156,21 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
             codes_seen.add(code)
             config.stations.append(Station(code, ghcn_id, name, excluded))
             continue
-        if "=" not in line:
+        if not equals:
             raise ConfigError(f"{source}:{number}: expected key = value, got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip().lower()
-        value = value.strip()
+        if key not in _SETTINGS:
+            raise ConfigError(
+                f"{source}:{number}: unknown configuration key {key!r}; "
+                f"expected one of {', '.join(_SETTINGS)}"
+            )
+        if key in settings_seen:
+            raise ConfigError(
+                f"{source}:{number}: duplicate setting {key!r}, first set at line "
+                f"{settings_seen[key]}"
+            )
+        settings_seen[key] = number
         try:
-            _apply_setting(config, key, value)
-        except ConfigError:
-            raise
+            setattr(config, key, _SETTINGS[key](value.strip()))
         except ValueError as exc:
             raise ConfigError(f"{source}:{number}: bad value for {key}: {exc}") from exc
     if config.window_start >= config.window_end:
@@ -175,22 +193,20 @@ _FLAGS = {
 }
 
 
-def _apply_setting(config: RunConfig, key: str, value: str) -> None:
-    if key == "window_start":
-        config.window_start = date.fromisoformat(value)
-    elif key == "window_end":
-        config.window_end = date.fromisoformat(value)
-    elif key == "hac_bandwidth":
-        config.hac_bandwidth = parse_bandwidth(value)
-    elif key == "output_dir":
-        config.output_dir = Path(value)
-    elif key == "cache_dir":
-        config.cache_dir = Path(value)
-    elif key == "endpoint":
-        config.endpoint = value
-    elif key == "strict_qc":
-        if value.lower() not in _FLAGS:
-            raise ValueError(f"expected one of {'/'.join(_FLAGS)}, got {value!r}")
-        config.strict_qc = _FLAGS[value.lower()]
-    else:
-        raise ConfigError(f"unknown configuration key {key!r}")
+def _parse_flag(value: str) -> bool:
+    if value.lower() not in _FLAGS:
+        raise ValueError(f"expected one of {'/'.join(_FLAGS)}, got {value!r}")
+    return _FLAGS[value.lower()]
+
+
+# the parser of each setting's value, keyed by the setting and the
+# ``RunConfig`` field it sets
+_SETTINGS: dict[str, Callable[[str], object]] = {
+    "window_start": date.fromisoformat,
+    "window_end": date.fromisoformat,
+    "hac_bandwidth": parse_bandwidth,
+    "output_dir": Path,
+    "cache_dir": Path,
+    "endpoint": str,
+    "strict_qc": _parse_flag,
+}

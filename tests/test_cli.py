@@ -144,7 +144,10 @@ class TestIngest:
             p.name: p.read_bytes()
             for p in (workspace / "out" / "series").iterdir()
         }
-        assert sorted(first) == ["AAA.csv", "AAA.npy", "BBB.csv", "BBB.npy"]
+        assert sorted(first) == sorted(
+            name for code in ("AAA", "BBB")
+            for name in (f"{code}.csv", series_mod.sidecar_path(f"{code}.csv").name)
+        )
         first_manifest = json.loads((workspace / "out" / "manifest.json").read_text())
         run(["ingest", "--config", config])
         second = {
@@ -605,15 +608,25 @@ class TestTables:
                 for column in ("delta_trend", "p_nt", "p_ns", "p_nts", "rho", "r_squared"):
                     assert float(row[f"{column}_full"]).hex() == getattr(single, column).hex()
 
-    def test_tables_equal_with_and_without_sidecars(self, workspace):
+    def test_tables_equal_with_and_without_sidecars(self, workspace, monkeypatch):
         config = str(workspace / "run.cfg")
         run(["ingest", "--config", config])
         tables_dir = workspace / "out" / "tables"
+        parses = []
+        parse = series_mod._parse_series_csv
+        monkeypatch.setattr(
+            series_mod, "_parse_series_csv", lambda data: parses.append(data) or parse(data)
+        )
         run(["tables", "--config", config])
+        assert parses == []
         with_sidecars = {p.name: p.read_bytes() for p in tables_dir.iterdir()}
-        for sidecar in (workspace / "out" / "series").glob("*.npy"):
+        series_files = (workspace / "out" / "series").glob("*.csv")
+        sidecars = [series_mod.sidecar_path(p) for p in series_files]
+        for sidecar in sidecars:
             sidecar.unlink()
+        assert len(sidecars) == 2
         run(["tables", "--config", config])
+        assert len(parses) == 2
         assert {p.name: p.read_bytes() for p in tables_dir.iterdir()} == with_sidecars
         assert len(with_sidecars) == 4
 
@@ -1166,8 +1179,9 @@ def test_readers_leave_the_series_files_unchanged(workspace, command):
     run(["ingest", "--config", config])
     series_dir = workspace / "out" / "series"
     # one sidecar stale, one missing: still nothing is written
-    (series_dir / "AAA.npy").write_bytes((series_dir / "BBB.npy").read_bytes())
-    (series_dir / "BBB.npy").unlink()
+    stale, missing = (series_mod.sidecar_path(series_dir / f"{c}.csv") for c in ("AAA", "BBB"))
+    stale.write_bytes(missing.read_bytes())
+    missing.unlink()
     before = {p.name: p.read_bytes() for p in series_dir.iterdir()}
     result = run([*command, "--config", config])
     assert result.exit_code == 0, result.output

@@ -236,6 +236,9 @@ def text_parse(path):
     return _TEXT_PARSE(path.read_bytes())
 
 
+KEY = 32  # the bytes of a sidecar's key, before its record
+
+
 def _truncate(sidecar):
     sidecar.write_bytes(sidecar.read_bytes()[:-100])
 
@@ -244,19 +247,33 @@ def _random_bytes(sidecar):
     sidecar.write_bytes(np.random.default_rng(1).bytes(len(sidecar.read_bytes())))
 
 
-def _stale_digest(sidecar):
-    # the sidecar of another series, as if the CSV were rewritten without it
+def _other_series(sidecar):
+    # the sidecar of another series of the same window, as if the CSV were
+    # rewritten without it
     other = sidecar.with_name("other.csv")
     write_series_csv(random_series(date(1960, 1, 1), date(1961, 12, 31), seed=9), other)
     sidecar_path(other).replace(sidecar)
 
 
-def _altered_payload(sidecar):
-    # one value changed, both digests kept: taken as a hit, it would read
-    # one value off
-    record = np.load(sidecar, allow_pickle=False)
-    record["tmax"][5] += 1
-    np.save(sidecar, record)
+def _altered_record(sidecar):
+    # one tmax changed, the key kept: taken as a hit, it would read one
+    # value off
+    raw = bytearray(sidecar.read_bytes())
+    raw[KEY + 8 * 6] ^= 1
+    sidecar.write_bytes(bytes(raw))
+
+
+def _shifted_first_day(sidecar):
+    # the record's first day moved a year on, the key kept
+    words = np.frombuffer(sidecar.read_bytes(), "<i8", offset=KEY).copy()
+    words[0] += 366
+    sidecar.write_bytes(sidecar.read_bytes()[:KEY] + words.tobytes())
+
+
+def _flipped_key_byte(sidecar):
+    raw = bytearray(sidecar.read_bytes())
+    raw[7] ^= 0x80
+    sidecar.write_bytes(bytes(raw))
 
 
 def _pickled_objects(sidecar):
@@ -267,6 +284,46 @@ def _pickled_objects(sidecar):
 
 def _missing(sidecar):
     sidecar.unlink()
+
+
+def _old_format(sidecar):
+    # what earlier versions wrote, <CODE>.npy with both of its digests
+    # right, beside the CSV with no sidecar of the current format
+    csv = sidecar.with_suffix(".csv")
+    series = text_parse(csv)
+    days = len(series)
+    record = np.zeros((), [
+        ("csv_sha256", np.uint8, (32,)), ("payload_sha256", np.uint8, (32,)),
+        ("first_day", "<M8[D]"), ("tmax", "<i2", (days,)), ("tmin", "<i2", (days,)),
+    ])
+    record["first_day"] = np.datetime64(series.start, "D")
+    record["tmax"], record["tmin"] = series.max_f, series.min_f
+    digested = {"payload_sha256": record.tobytes()[64:], "csv_sha256": csv.read_bytes()}
+    for field, data in digested.items():
+        record[field] = np.frombuffer(hashlib.sha256(data).digest(), np.uint8)
+    np.save(csv.with_suffix(".npy"), record, allow_pickle=False)
+    sidecar.unlink()
+
+
+def rekeyed(path, first_day, max_f, min_f):
+    """Replace the sidecar of the CSV at ``path`` by this record under the
+    key the writer would give it: the sha256 of the CSV's sha256 and the
+    record bytes."""
+    record = np.concatenate([[first_day], max_f, min_f]).astype("<i8").tobytes()
+    key = hashlib.sha256(hashlib.sha256(path.read_bytes()).digest() + record).digest()
+    sidecar_path(path).write_bytes(key + record)
+
+
+def count_text_parses(monkeypatch) -> list:
+    """A list that gets one item per text parse of a series CSV."""
+    parses = []
+
+    def counted(data):
+        parses.append(data)
+        return _TEXT_PARSE(data)
+
+    monkeypatch.setattr(series_mod, "_parse_series_csv", counted)
+    return parses
 
 
 class TestSidecar:
@@ -285,12 +342,16 @@ class TestSidecar:
         monkeypatch.setattr(series_mod, "_parse_series_csv", refuse)
         assert_same_series(read_series_csv(path), text_parse(path))
 
-    def test_write_returns_the_digest_of_the_csv(self, tmp_path):
+    def test_write_returns_the_digest_of_the_csv_that_keys_the_sidecar(self, tmp_path):
         path = tmp_path / "AAA.csv"
-        digest = write_series_csv(random_series(date(1960, 1, 1), date(1960, 12, 31)), path)
+        series = random_series(date(1960, 1, 1), date(1960, 12, 31))
+        digest = write_series_csv(series, path)
         assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
-        record = np.load(sidecar_path(path), allow_pickle=False)
-        assert record["csv_sha256"].tobytes().hex() == digest
+        raw = sidecar_path(path).read_bytes()
+        # the record: the first day since 1970-01-01, then tmax and tmin
+        record = np.concatenate([[-3653], series.max_f, series.min_f]).astype("<i8").tobytes()
+        assert raw[KEY:] == record
+        assert raw[:KEY] == hashlib.sha256(bytes.fromhex(digest) + record).digest()
 
     def test_consistent_edit_reads_the_edited_values(self, tmp_path):
         path = tmp_path / "AAA.csv"
@@ -314,21 +375,50 @@ class TestSidecar:
 
     @pytest.mark.parametrize(
         "damage",
-        [_truncate, _random_bytes, _stale_digest, _altered_payload, _pickled_objects, _missing],
-        ids=["truncated", "random-bytes", "stale-digest", "altered-payload", "pickled", "missing"],
+        [_truncate, _random_bytes, _other_series, _altered_record, _pickled_objects, _missing,
+         _flipped_key_byte, _shifted_first_day, _old_format],
+        ids=["truncated", "random-bytes", "other-series", "altered-record", "pickled-objects",
+             "missing", "flipped-key-byte", "shifted-first-day", "old-format-npy"],
     )
-    def test_unusable_sidecar_falls_back_to_the_text(self, tmp_path, damage):
+    def test_unusable_sidecar_falls_back_to_the_text(self, tmp_path, monkeypatch, damage):
         path = tmp_path / "AAA.csv"
         write_series_csv(random_series(date(1960, 1, 1), date(1961, 12, 31)), path)
         parsed = text_parse(path)
         damage(sidecar_path(path))
+        parses = count_text_parses(monkeypatch)
         assert_same_series(read_series_csv(path), parsed)
+        assert len(parses) == 1
 
-    def test_values_beyond_16_bits_get_no_sidecar(self, tmp_path):
-        # the sidecar stores 16-bit integers; wider values are read as text
+    @pytest.mark.parametrize("extra", [1, -1], ids=["day-longer", "day-shorter"])
+    def test_length_is_checked_before_the_key(self, tmp_path, monkeypatch, extra):
+        # a record of another day count under a key that matches it: read
+        # by its key alone, it would split into arrays of the wrong lengths
+        path = tmp_path / "AAA.csv"
+        series = random_series(date(1960, 1, 1), date(1961, 12, 31))
+        write_series_csv(series, path)
+        days = len(series) + extra
+        rekeyed(path, -3653, np.full(days, 70), np.full(days, 50))
+        parses = count_text_parses(monkeypatch)
+        assert_same_series(read_series_csv(path), text_parse(path))
+        assert len(parses) == 1
+
+    def test_keyed_sidecar_is_still_checked_as_it_is_built(self, tmp_path):
+        # a record whose key matches but whose day 3 has tmax below tmin:
+        # a sidecar read goes through build_series like a text parse
+        path = tmp_path / "AAA.csv"
+        write_series_csv(constant_series(date(2000, 1, 1), date(2000, 1, 10)), path)
+        max_f, min_f = np.full(10, 70), np.full(10, 50)
+        max_f[2] = 40
+        rekeyed(path, (date(2000, 1, 1) - date(1970, 1, 1)).days, max_f, min_f)
+        with pytest.raises(DataInversionError, match="^max below min on: 2000-01-03$"):
+            read_series_csv(path)
+
+    def test_values_beyond_16_bits_read_back_from_the_sidecar(self, tmp_path, monkeypatch):
         path = tmp_path / "AAA.csv"
         wide = build_series([40000, 70], [50, -40000], date(2000, 1, 1), date(2000, 1, 2))
         write_series_csv(wide, path)
-        assert not sidecar_path(path).exists()
+        assert sidecar_path(path).exists()
+        parses = count_text_parses(monkeypatch)
         loaded = read_series_csv(path)
         assert (loaded.max_f.tolist(), loaded.min_f.tolist()) == ([40000, 70], [50, -40000])
+        assert parses == []

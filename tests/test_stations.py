@@ -69,9 +69,49 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="window"):
             parse_config(text)
 
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError, match="unknown"):
-            parse_config("no_such_key = 1\n")
+    def test_unknown_key_rejected(self, tmp_path):
+        # named by its file and line, with the keys it could have been
+        config_file = tmp_path / "run.cfg"
+        config_file.write_text("window_start = 1960-01-01\nwindo_end = 2003-12-31\n")
+        with pytest.raises(ConfigError) as caught:
+            load_config(config_file)
+        assert str(caught.value) == (
+            f"{config_file}:2: unknown configuration key 'windo_end'; expected one of "
+            "window_start, window_end, hac_bandwidth, output_dir, cache_dir, endpoint, strict_qc"
+        )
+
+    def test_setting_given_twice_names_both_lines(self):
+        text = "window_end = 2003-12-31\nhac_bandwidth = 3\n\nWindow_End = 2010-12-31\n"
+        with pytest.raises(ConfigError) as caught:
+            parse_config(text, source="run.cfg")
+        assert str(caught.value) == (
+            "run.cfg:4: duplicate setting 'window_end', first set at line 1"
+        )
+
+    def test_setting_inside_the_stations_block_is_named(self):
+        text = "window_start = 1960-01-01\n[stations]\nAAA USW1 One\nwindow_end = 2003-12-31\n"
+        with pytest.raises(ConfigError) as caught:
+            parse_config(text, source="late.cfg")
+        assert str(caught.value) == (
+            "late.cfg:4: setting 'window_end' is inside the [stations] block; "
+            "settings go before [stations]"
+        )
+
+    def test_station_name_may_hold_an_equals_sign(self):
+        text = "[stations]\nAAA USW1 Alpha=City\nBBB USW2 window_end = 2003\n"
+        config = parse_config(text)
+        assert [s.name for s in config.stations] == ["Alpha=City", "window_end = 2003"]
+
+    @pytest.mark.parametrize(
+        "text",
+        ["window_start = 1970-01-01\n[stations]\nAAA USW1 One\n", "[stations]\nAAA USW1 One\n"],
+        ids=["setting-first", "stations-first"],
+    )
+    def test_byte_order_mark_is_accepted(self, tmp_path, text):
+        config_file = tmp_path / "run.cfg"
+        config_file.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        loaded, parsed = load_config(config_file), parse_config(text)
+        assert (loaded.window_start, loaded.stations) == (parsed.window_start, parsed.stations)
 
     def test_malformed_station_row(self):
         with pytest.raises(ConfigError, match="station rows"):
@@ -92,11 +132,12 @@ class TestParseConfig:
             parse_config(text, source="run.cfg")
         assert str(caught.value).startswith(f"run.cfg:3: {label} may hold only")
 
-    def test_config_that_is_not_utf8_names_the_line_of_the_bad_byte(self, tmp_path):
+    @pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"], ids=["plain", "byte-order-mark"])
+    def test_config_that_is_not_utf8_names_the_line_of_the_bad_byte(self, tmp_path, mark):
         # Latin-1 text, as an editor set to a legacy encoding saves it
         config_file = tmp_path / "run.cfg"
         text = "window_start = 1960-01-01\n[stations]\nMSY USW1 Nouvelle-Orléans\n"
-        config_file.write_bytes(text.encode("latin-1"))
+        config_file.write_bytes(mark + text.encode("latin-1"))
         with pytest.raises(ConfigError) as caught:
             load_config(config_file)
         assert str(caught.value) == (

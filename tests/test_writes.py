@@ -113,11 +113,11 @@ def test_interrupted_sidecar_leaves_previous_sidecar(tmp_path, monkeypatch):
 
     # the fault comes once the CSV is renamed into place, while its
     # sidecar is built
-    monkeypatch.setattr(series_mod, "_sidecar_bytes", unbuildable)
+    monkeypatch.setattr(series_mod, "_sidecar_chunks", unbuildable)
     with pytest.raises(RuntimeError, match="cannot be written"):
         write_series_csv(build_series(max_f, built.min_f, START, END), path)
     assert sidecar_path(path).read_bytes() == previous
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["AAA.csv", "AAA.npy"]
+    assert sorted(tmp_path.iterdir()) == sorted([path, sidecar_path(path)])
     assert read_series_csv(path).max_f[99:102].tolist() == [70, 71, 70]
 
 
@@ -144,7 +144,7 @@ def test_series_csv_and_cache_file_get_plain_open_mode(tmp_path, archive):
             ("cache", tmp_path / "cache" / "USW00099901.dly"),
         )
     }
-    modes["sidecar"] = stat.S_IMODE((tmp_path / "AAA.npy").stat().st_mode)
+    modes["sidecar"] = stat.S_IMODE(sidecar_path(tmp_path / "AAA.csv").stat().st_mode)
     assert modes == {"plain": 0o644, "series": 0o644, "cache": 0o644, "sidecar": 0o644}
     assert (tmp_path / "cache" / "USW00099901.dly").read_bytes() == payload
 
@@ -226,11 +226,11 @@ def test_rows_equal_the_per_row_reference(tmp_path, start, days, low):
     assert _write_all(series, np.random.default_rng(1), tmp_path)
 
 
-def test_rows_beyond_16_bits_equal_the_reference_without_a_sidecar(tmp_path):
+def test_rows_beyond_16_bits_equal_the_reference_with_a_sidecar(tmp_path):
     series = build_series(
         [40000, 70, 41001], [50, -40000, 70], date(2000, 2, 28), date(2000, 3, 1)
     )
-    assert not _write_all(series, np.random.default_rng(2), tmp_path)
+    assert _write_all(series, np.random.default_rng(2), tmp_path)
 
 
 def test_alternating_windows_get_their_own_rows(tmp_path):
