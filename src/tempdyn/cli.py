@@ -96,9 +96,10 @@ def _series_path(config: RunConfig, code: str) -> Path:
 
 
 def _load_series(config: RunConfig, code: str) -> series_mod.TemperatureSeries:
-    """The station's series file, which must cover the configured window: a
-    file that cannot be read, or is cut short or left by a run with another
-    window, is refused with the ingest that rewrites it."""
+    """The station's series, read from its sidecar, over the configured
+    window: a CSV or sidecar that is missing, damaged, changed since it was
+    written or left by a run with another window is refused with the ingest
+    that rewrites both."""
     path = _series_path(config, code)
     if not path.exists():
         raise FileNotFoundError(

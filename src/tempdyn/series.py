@@ -4,6 +4,11 @@ MAX and MIN over a contiguous daily window, from which AVG = (MAX + MIN)/2
 and DTR = MAX - MIN are derived when read; the window's time trend t and
 months are ``models.WindowFactors``'s.
 
+A series is written as a CSV and a binary sidecar keyed by the CSV's
+sha256, and read from the sidecar alone: the CSV is the record that the
+key vouches for, never parsed, so one changed after it was written is
+refused.
+
 Dated CSV rows (the series files here, the figure data in ``reporting``)
 are written from per-window row templates: the text that depends only on
 the window (date, t, month) is formatted once per window and layout, and
@@ -15,16 +20,14 @@ from __future__ import annotations
 
 import calendar
 import hashlib
-import io
 import os
-import re
 import threading
 from dataclasses import dataclass
 from datetime import date, timedelta
 from functools import lru_cache
 from itertools import chain, islice
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Union
 
 import numpy as np
 
@@ -32,7 +35,8 @@ VARIABLES = ("avg", "dtr")
 
 
 class ContiguityError(ValueError):
-    """Observation dates do not form one unbroken daily run over the window."""
+    """A series' days are not its window's: a value count other than its
+    day count, or a series file over another window than the configured one."""
 
 
 class DataInversionError(ValueError):
@@ -97,10 +101,6 @@ def build_series(
 
 
 SERIES_CSV_HEADER = ["date", "tmax", "tmin", "avg", "dtr", "t", "month"]
-_CSV_COLUMNS = np.dtype(
-    [("date", "datetime64[D]"), ("tmax", np.int64), ("tmin", np.int64),
-     ("avg", np.float64), ("dtr", np.float64)]
-)
 _DAY_SUFFIXES = [f"-{day:02d}" for day in range(1, 32)]
 # rows filled and written one chunk at a time, so the text of a file is
 # never held whole
@@ -256,9 +256,10 @@ def write_series_csv(series: TemperatureSeries, path) -> str:
 
     The digest is taken as the CSV streams out. The sidecar, the series'
     first day and int64 tmax and tmin under a key that covers that digest
-    and them (:func:`_sidecar_key`), lets :func:`read_series_csv` skip the
-    text parse. It is written second, so a write cut between the two leaves
-    a sidecar whose key no longer matches, which readers ignore.
+    and them (:func:`_sidecar_key`), is what :func:`read_series_csv` reads.
+    It is written second, so a write cut between the two leaves a sidecar
+    whose key no longer matches, which readers refuse until both are
+    written again.
     """
     cells = _pair_cells(series)
     digest = hashlib.sha256()
@@ -275,110 +276,36 @@ def write_series_csv(series: TemperatureSeries, path) -> str:
 
 
 def read_series_csv(path) -> TemperatureSeries:
-    """Load a series written by :func:`write_series_csv`.
+    """Load a series written by :func:`write_series_csv` from its sidecar.
 
-    The file is read once and hashed. When its sidecar's key is that of
-    these bytes and the sidecar's own record, the series is built from the
-    record's arrays; otherwise (no sidecar, or a stale, foreign, damaged or
-    old-format one) the text is parsed. Either way the series is rebuilt
-    from tmax/tmin, so every construction invariant is re-checked. The text
-    parse requires dates that run day by day and checks the stored avg/dtr
-    columns against those derived from tmax and tmin, naming the first line
-    that differs.
+    The CSV is read once: its lines give the day count, its sha256 the
+    digest the sidecar's key must cover. The sidecar's length is checked
+    first, so a damaged one never sizes an array, then its key; the record
+    is rebuilt by :func:`build_series`, which copies and re-checks it. A
+    CSV that is not what the writer wrote (edited, cut short, or without
+    its sidecar) is refused with a ValueError naming the sidecar.
     """
     data = Path(path).read_bytes()
-    mirrored = _read_sidecar(sidecar_path(path), data)
-    return mirrored if mirrored is not None else _parse_series_csv(data)
-
-
-def _read_sidecar(path: Path, data: bytes) -> Optional[TemperatureSeries]:
-    """The series of the sidecar at ``path`` when it is as long as the
-    record of ``data``'s day count and its key is that of ``data``'s sha256
-    and its record; else None.
-
-    The length is checked before any byte is used, so a damaged sidecar
-    never sizes an array, and the arrays are read-only views of its bytes,
-    which :func:`build_series` copies and checks.
-    """
-    days = data.count(b"\n") - 1  # the CSV ends every row, header included
+    sidecar = sidecar_path(path)
+    lines = data.count(b"\n")  # the CSV ends every line, the header's too
+    days = lines - 1
     try:
-        raw = path.read_bytes()
-    except OSError:  # no sidecar
-        return None
+        raw = sidecar.read_bytes()
+    except OSError as exc:
+        raise ValueError(f"sidecar {sidecar} cannot be read: {exc.strerror}") from None
     if days < 1 or len(raw) != _KEY_SIZE + _WORD.itemsize * (1 + 2 * days):
-        return None
+        raise ValueError(f"sidecar {sidecar} holds {len(raw)} bytes, not a record of {lines} lines")
     record = memoryview(raw)[_KEY_SIZE:]
     if raw[:_KEY_SIZE] != _sidecar_key(hashlib.sha256(data).digest(), [record]):
-        return None
+        raise ValueError(f"sidecar {sidecar} does not match the CSV's bytes")
     words = np.frombuffer(record, _WORD)
-    first = _EPOCH + timedelta(days=int(words[0]))
-    last = first + timedelta(days=days - 1)
-    return build_series(words[1 : days + 1], words[days + 1 :], first, last)
-
-
-def _parse_series_csv(data: bytes) -> TemperatureSeries:
-    text = data.decode()
-    handle = io.StringIO(text, newline="")
-    header = handle.readline().rstrip("\r\n").split(",")
-    if header != SERIES_CSV_HEADER:
-        raise ValueError(f"unexpected series CSV header {header}")
-    body = handle.read()
-    if not body:
-        raise ValueError("series CSV has no rows")
-    # loadtxt would skip an empty line, which ingest never writes; one
-    # follows the end of the line before it
-    empty = re.search(r"\n\r?\n", text)
-    if empty:
-        line = text.count("\n", 0, empty.start()) + 2
-        raise ValueError(f"series CSV has an empty line at line {line}")
-    try:
-        rows = _load_rows(io.StringIO(body))
-    except ValueError as exc:
-        raise _at_line(exc, body) from None
-    dates = rows["date"]
-    expected = dates[0] + np.arange(len(dates))
-    skipped = np.flatnonzero(dates != expected)
-    if skipped.size:
-        i = int(skipped[0])  # the header is line 1
-        raise ContiguityError(f"expected {expected[i]} at line {i + 2}, got {dates[i]}")
-    first, last = dates[[0, -1]].tolist()
-    series = build_series(rows["tmax"], rows["tmin"], first, last)
-    stored = np.column_stack([rows[name] for name in VARIABLES])
-    derived = np.column_stack([series.variable(name) for name in VARIABLES])
-    mismatched = np.argwhere(stored != derived)
-    if mismatched.size:
-        i, j = mismatched[0]  # the first line, avg before dtr
-        raise ValueError(
-            f"series CSV {VARIABLES[j]} is internally inconsistent with tmax and tmin "
-            f"at line {i + 2} ({dates[i]}): {stored[i, j]} stored, {derived[i, j]} derived"
-        )
-    return series
-
-
-def _load_rows(lines: Iterable[str]) -> np.ndarray:
-    return np.loadtxt(
-        lines, delimiter=",", usecols=range(5), dtype=_CSV_COLUMNS, comments=None, ndmin=1
+    first = _EPOCH.toordinal() + int(words[0])  # a key re-made by hand can put it anywhere
+    if not 1 <= first <= date.max.toordinal() - days + 1:
+        raise ValueError(f"sidecar {sidecar} starts on no date: {words[0]} days after {_EPOCH}")
+    last = first + days - 1
+    return build_series(
+        words[1 : days + 1], words[days + 1 :], date.fromordinal(first), date.fromordinal(last)
     )
-
-
-def _at_line(error: ValueError, body: str) -> ValueError:
-    """``error`` of :func:`_load_rows` on a series CSV's ``body``, naming the
-    file line where numpy counts data rows. Read again a line at a time,
-    loadtxt refuses a line before it takes the next, so the last line taken
-    is the one refused; that is slower, so only a failed read is repeated.
-    """
-    line = 1  # the header
-
-    def numbered() -> Iterator[str]:
-        nonlocal line
-        for line, text in enumerate(io.StringIO(body), 2):
-            yield text
-
-    try:
-        _load_rows(numbered())
-    except ValueError as exc:
-        return ValueError(re.sub(r"at row \d+", f"at line {line}", str(exc)))
-    return error
 
 
 def _format_half(value: float) -> str:

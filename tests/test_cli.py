@@ -39,9 +39,14 @@ def workspace(tmp_path, own_config) -> Path:
     """Config + warm cache for two stations; endpoint is unreachable."""
     cache = tmp_path / "cache"
     cache.mkdir()
-    for ghcn_id in ("USW00099901", "USW00099902"):
+    # BBB's two isolated holes, filled at ingest, make its series its own
+    holes = {
+        "USW00099901": set(),
+        "USW00099902": {(date(1960, 3, 14), "TMAX"), (date(1960, 9, 3), "TMIN")},
+    }
+    for ghcn_id, skip in holes.items():
         (cache / f"{ghcn_id}.dly").write_bytes(
-            synthetic_station_bytes(ghcn_id, WINDOW_START, WINDOW_END)
+            synthetic_station_bytes(ghcn_id, WINDOW_START, WINDOW_END, skip=skip)
         )
     config = tmp_path / "run.cfg"
     config.write_text(
@@ -128,6 +133,9 @@ class TestIngest:
             series_file = workspace / "out" / "series" / f"{code}.csv"
             assert series_file.exists()
             assert len(series_file.read_text().splitlines()) == expected_rows + 1
+        # the stations differ, so a sidecar of one is stale beside the other
+        series_dir = workspace / "out" / "series"
+        assert (series_dir / "AAA.csv").read_bytes() != (series_dir / "BBB.csv").read_bytes()
         manifest = json.loads((workspace / "out" / "manifest.json").read_text())
         assert {e["station"] for e in manifest} == {"AAA", "BBB"}
         assert all(e["status"] == "ok" for e in manifest)
@@ -608,27 +616,28 @@ class TestTables:
                 for column in ("delta_trend", "p_nt", "p_ns", "p_nts", "rho", "r_squared"):
                     assert float(row[f"{column}_full"]).hex() == getattr(single, column).hex()
 
-    def test_tables_equal_with_and_without_sidecars(self, workspace, monkeypatch):
+    def test_tables_without_sidecars_fail_until_ingest_writes_them(self, workspace):
         config = str(workspace / "run.cfg")
         run(["ingest", "--config", config])
+        run(["tables", "--config", config])
         tables_dir = workspace / "out" / "tables"
-        parses = []
-        parse = series_mod._parse_series_csv
-        monkeypatch.setattr(
-            series_mod, "_parse_series_csv", lambda data: parses.append(data) or parse(data)
-        )
-        run(["tables", "--config", config])
-        assert parses == []
         with_sidecars = {p.name: p.read_bytes() for p in tables_dir.iterdir()}
-        series_files = (workspace / "out" / "series").glob("*.csv")
-        sidecars = [series_mod.sidecar_path(p) for p in series_files]
-        for sidecar in sidecars:
-            sidecar.unlink()
-        assert len(sidecars) == 2
-        run(["tables", "--config", config])
-        assert len(parses) == 2
-        assert {p.name: p.read_bytes() for p in tables_dir.iterdir()} == with_sidecars
         assert len(with_sidecars) == 4
+        series_dir = workspace / "out" / "series"
+        for code in ("AAA", "BBB"):
+            series_mod.sidecar_path(series_dir / f"{code}.csv").unlink()
+        result = run(["tables", "--config", config])
+        assert result.exit_code == 1
+        assert result.stderr.splitlines() == [
+            f"{var} {code}: FAILED (ValueError: series {series_dir / code}.csv: sidecar "
+            f"{series_dir / code}.bin cannot be read: No such file or directory; "
+            f"rerun `tempdyn ingest --station {code}`)"
+            for var in ("avg", "dtr") for code in ("AAA", "BBB")
+        ]
+        for code in ("AAA", "BBB"):
+            assert run(["ingest", "--config", config, "--station", code]).exit_code == 0
+        assert run(["tables", "--config", config]).exit_code == 0
+        assert {p.name: p.read_bytes() for p in tables_dir.iterdir()} == with_sidecars
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_negative_bandwidth_rejected_once(self, workspace, source):
@@ -1100,6 +1109,10 @@ def skip_a_day(lines: list[str]) -> None:
     del lines[100]  # 1960-04-09, the header being line 1
 
 
+def add_an_empty_line(lines: list[str]) -> None:
+    lines.insert(100, "\n")
+
+
 def swap_tmax_and_tmin(lines: list[str]) -> None:
     day, tmax, tmin, *rest = lines[5].split(",")  # 1960-01-05
     lines[5] = ",".join([day, tmin, tmax, *rest])
@@ -1114,26 +1127,42 @@ def rename_a_column(lines: list[str]) -> None:
     lines[0] = lines[0].replace("tmax", "high")
 
 
+def raise_a_tmax_consistently(lines: list[str]) -> None:
+    # tmax, avg and dtr of 1960-01-05 changed together: a CSV that still
+    # reads as a series, but not the one ingest wrote
+    day, tmax, tmin, _, _, *rest = lines[5].split(",")
+    high, low = int(tmax) + 10, int(tmin)
+    lines[5] = ",".join([day, str(high), tmin, f"{(high + low) / 2:g}", str(high - low), *rest])
+
+
 @pytest.mark.parametrize(
     "damage, error",
     [
-        (skip_a_day, "expected 1960-04-09 at line 101, got 1960-04-10"),
-        (swap_tmax_and_tmin, "max below min on: 1960-01-05"),
-        (spell_a_cell, "could not convert string 'a' to int64 at line 2, column 2"),
-        (rename_a_column, "unexpected series CSV header "
-                          "['date', 'high', 'tmin', 'avg', 'dtr', 't', 'month']"),
+        (skip_a_day, "holds 11736 bytes, not a record of 731 lines"),
+        (add_an_empty_line, "holds 11736 bytes, not a record of 733 lines"),
+        (swap_tmax_and_tmin, "does not match the CSV's bytes"),
+        (spell_a_cell, "does not match the CSV's bytes"),
+        (rename_a_column, "does not match the CSV's bytes"),
+        (raise_a_tmax_consistently, "does not match the CSV's bytes"),
     ],
-    ids=["skipped-day", "swapped-day", "non-numeric-cell", "renamed-column"],
+    ids=["skipped-day", "empty-line", "swapped-day", "non-numeric-cell", "renamed-column",
+         "consistent-edit"],
 )
 def test_damaged_series_names_its_file_and_the_ingest_to_rerun(workspace, damage, error):
-    # the sidecar no longer matches the damaged CSV, so the text is parsed
+    # the sidecar no longer vouches for the damaged CSV, so it is refused
     config = str(workspace / "run.cfg")
     run(["ingest", "--config", config])
+    run(["tables", "--config", config])
+    tables_dir = workspace / "out" / "tables"
+    before = {var: read_csv_rows(tables_dir / f"table_{var}.csv")[1] for var in ("avg", "dtr")}
     path = workspace / "out" / "series" / "AAA.csv"
     lines = path.read_text().splitlines(keepends=True)
     damage(lines)
     path.write_text("".join(lines))
-    message = f"series {path}: {error}; rerun `tempdyn ingest --station AAA`"
+    message = (
+        f"series {path}: sidecar {path.with_suffix('.bin')} {error}; "
+        "rerun `tempdyn ingest --station AAA`"
+    )
 
     result = run(["fit", "--config", config, "--station", "AAA"])
     assert (result.exit_code, result.stdout) == (1, "")
@@ -1145,13 +1174,11 @@ def test_damaged_series_names_its_file_and_the_ingest_to_rerun(workspace, damage
         f"{var} AAA: FAILED (ValueError: {message})" for var in ("avg", "dtr")
     ]
     for var in ("avg", "dtr"):
-        rows = read_csv_rows(workspace / "out" / "tables" / f"table_{var}.csv")
-        assert [r["station"] for r in rows] == ["BBB"]
+        assert read_csv_rows(tables_dir / f"table_{var}.csv") == [before[var]]
 
 
 def test_series_cut_after_ingest_fails_despite_its_sidecar(workspace):
-    # the sidecar no longer matches the cut CSV, so the cut text is what is
-    # read, and refused
+    # the sidecar is the record of the whole CSV, so the cut one is refused
     config = str(workspace / "run.cfg")
     run(["ingest", "--config", config])
     path = workspace / "out" / "series" / "AAA.csv"
@@ -1159,10 +1186,112 @@ def test_series_cut_after_ingest_fails_despite_its_sidecar(workspace):
     path.write_text("".join(lines[:366]))
     result = run(["tables", "--config", config, "--station", "AAA", "--variable", "avg"])
     assert result.exit_code == 1
-    assert (
-        f"avg AAA: FAILED (ContiguityError: series {path} covers 1960-01-01..1960-12-30 "
-        f"but the window is {WINDOW_START}..{WINDOW_END}; rerun `tempdyn ingest --station AAA`)"
-    ) in result.output.splitlines()
+    assert result.output.splitlines()[-1] == (
+        f"avg AAA: FAILED (ValueError: series {path}: sidecar {path.with_suffix('.bin')} "
+        f"holds 11736 bytes, not a record of 366 lines; rerun `tempdyn ingest --station AAA`)"
+    )
+
+
+def rekeyed(csv_path: Path, words) -> None:
+    """Give the CSV a sidecar of these record words under the key the
+    writer would give them, as a hand that knows the format could."""
+    record = np.asarray(words, "<i8").tobytes()
+    key = hashlib.sha256(hashlib.sha256(csv_path.read_bytes()).digest() + record).digest()
+    series_mod.sidecar_path(csv_path).write_bytes(key + record)
+
+
+def record_words(csv_path: Path) -> np.ndarray:
+    return np.frombuffer(series_mod.sidecar_path(csv_path).read_bytes(), "<i8", offset=32).copy()
+
+
+def first_day_at(day: int):
+    def damage(csv_path: Path) -> None:
+        words = record_words(csv_path)
+        words[0] = day
+        rekeyed(csv_path, words)
+    return damage
+
+
+def edit_sidecar(edit):
+    def damage(csv_path: Path) -> None:
+        sidecar = series_mod.sidecar_path(csv_path)
+        raw = bytearray(sidecar.read_bytes())
+        edit(raw)
+        sidecar.write_bytes(bytes(raw))
+    return damage
+
+
+def flip(index: int):
+    def edit(raw: bytearray) -> None:
+        raw[index] ^= 0x80
+    return edit
+
+
+def remove_sidecar(csv_path: Path) -> None:
+    series_mod.sidecar_path(csv_path).unlink()
+
+
+def take_bbbs_sidecar(csv_path: Path) -> None:
+    bbb = series_mod.sidecar_path(csv_path.with_name("BBB.csv"))
+    series_mod.sidecar_path(csv_path).write_bytes(bbb.read_bytes())
+
+
+def leave_only_an_old_npy(csv_path: Path) -> None:
+    # earlier versions wrote <CODE>.npy, which no reader opens
+    np.save(csv_path.with_suffix(".npy"), record_words(csv_path), allow_pickle=False)
+    series_mod.sidecar_path(csv_path).unlink()
+
+
+def truncate(raw: bytearray) -> None:
+    del raw[-100:]
+
+
+def random_bytes(raw: bytearray) -> None:
+    raw[:] = np.random.default_rng(1).bytes(len(raw))
+
+
+@pytest.mark.parametrize(
+    "damage, error",
+    [
+        (remove_sidecar, "cannot be read: No such file or directory"),
+        (edit_sidecar(truncate), "holds 11636 bytes, not a record of 732 lines"),
+        (edit_sidecar(random_bytes), "does not match the CSV's bytes"),
+        (take_bbbs_sidecar, "does not match the CSV's bytes"),
+        (edit_sidecar(flip(7)), "does not match the CSV's bytes"),
+        (edit_sidecar(flip(32 + 8 * 6)), "does not match the CSV's bytes"),
+        (edit_sidecar(flip(32)), "does not match the CSV's bytes"),
+        (first_day_at(10**15), f"starts on no date: {10**15} days after 1970-01-01"),
+        (first_day_at(10**8), f"starts on no date: {10**8} days after 1970-01-01"),
+        (leave_only_an_old_npy, "cannot be read: No such file or directory"),
+    ],
+    ids=["missing", "truncated", "random-bytes", "other-series", "flipped-key-byte",
+         "altered-record", "shifted-first-day", "first-day-beyond-timedelta",
+         "first-day-beyond-date", "old-format-npy"],
+)
+def test_damaged_sidecar_names_its_file_and_the_ingest_to_rerun(workspace, damage, error):
+    config = str(workspace / "run.cfg")
+    run(["ingest", "--config", config])
+    run(["tables", "--config", config])
+    tables_dir = workspace / "out" / "tables"
+    before = {var: read_csv_rows(tables_dir / f"table_{var}.csv")[1] for var in ("avg", "dtr")}
+    path = workspace / "out" / "series" / "AAA.csv"
+    damage(path)
+    message = (
+        f"series {path}: sidecar {path.with_suffix('.bin')} {error}; "
+        "rerun `tempdyn ingest --station AAA`"
+    )
+
+    result = run(["fit", "--config", config, "--station", "AAA"])
+    assert (result.exit_code, result.stdout) == (1, "")
+    assert result.stderr == f"Error: {message}\n"
+
+    result = run(["tables", "--config", config])
+    assert result.exit_code == 1
+    assert result.stderr.splitlines() == [
+        f"{var} AAA: FAILED (ValueError: {message})" for var in ("avg", "dtr")
+    ]
+    for var in ("avg", "dtr"):
+        assert read_csv_rows(tables_dir / f"table_{var}.csv") == [before[var]]
 
 
 @pytest.mark.parametrize(
@@ -1178,13 +1307,27 @@ def test_readers_leave_the_series_files_unchanged(workspace, command):
     config = str(workspace / "run.cfg")
     run(["ingest", "--config", config])
     series_dir = workspace / "out" / "series"
-    # one sidecar stale, one missing: still nothing is written
+    # one sidecar stale, one missing: both are refused, and still nothing
+    # is written
     stale, missing = (series_mod.sidecar_path(series_dir / f"{c}.csv") for c in ("AAA", "BBB"))
     stale.write_bytes(missing.read_bytes())
     missing.unlink()
     before = {p.name: p.read_bytes() for p in series_dir.iterdir()}
     result = run([*command, "--config", config])
-    assert result.exit_code == 0, result.output
+    assert result.exit_code == 1
+    refusals = {
+        "AAA": f"series {series_dir / 'AAA.csv'}: sidecar {stale} does not match the CSV's bytes; "
+               "rerun `tempdyn ingest --station AAA`",
+        "BBB": f"series {series_dir / 'BBB.csv'}: sidecar {missing} cannot be read: "
+               "No such file or directory; rerun `tempdyn ingest --station BBB`",
+    }
+    if command == ["tables"]:
+        assert result.stderr.splitlines() == [
+            f"{var} {code}: FAILED (ValueError: {refusals[code]})"
+            for var in ("avg", "dtr") for code in ("AAA", "BBB")
+        ]
+    else:
+        assert result.stderr == f"Error: {refusals['AAA']}\n"
     assert {p.name: p.read_bytes() for p in series_dir.iterdir()} == before
 
 

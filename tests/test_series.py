@@ -1,12 +1,12 @@
 import calendar
 import hashlib
 import random
+import re
 from datetime import date
 
 import numpy as np
 import pytest
 
-from tempdyn import series as series_mod
 from tempdyn.ghcn import parse_dly, station_observations
 from tempdyn.models import WindowFactors
 from tempdyn.series import (
@@ -67,14 +67,15 @@ class TestBuildSeries:
             build_series(np.full(9, 70), np.full(9, 50), start, end)
 
     def test_unordered_dates_raise(self, tmp_path):
-        # dates reach a series only through a series CSV
+        # dates reach a series only through a sidecar's first day, so a CSV
+        # whose rows were reordered is refused whole
         start, end = date(2000, 1, 1), date(2000, 1, 10)
         path = tmp_path / "swapped.csv"
         write_series_csv(constant_series(start, end), path)
         lines = path.read_text().splitlines(keepends=True)
         lines[3], lines[4] = lines[4], lines[3]
         path.write_text("".join(lines))
-        with pytest.raises(ContiguityError, match="expected 2000-01-03 at line 4, got 2000-01-04"):
+        with pytest.raises(ValueError, match=mismatch(path)):
             read_series_csv(path)
 
     def test_inversion_lists_dates(self):
@@ -160,42 +161,28 @@ class TestSeriesCsv:
         assert content.splitlines()[1] == "2000-06-01,71,50,60.5,21,1,6"
 
     def test_inconsistent_file_rejected(self, tmp_path):
+        # a CSV the writer did not write has no sidecar to read
         path = tmp_path / "bad.csv"
         path.write_text(
             "date,tmax,tmin,avg,dtr,t,month\n2000-06-01,71,50,99,21,1,6\n"
         )
-        with pytest.raises(ValueError, match="inconsistent"):
+        with pytest.raises(ValueError, match=missing(path)):
             read_series_csv(path)
 
     @pytest.mark.parametrize(
-        "edit,error,message",
+        "edit,refusal",
         [
-            (lambda rows: ["date,tmax,tmin,avg,dtr"] + rows[1:], ValueError, "header"),
-            (lambda rows: rows[:1], ValueError, "no rows"),
-            (lambda rows: rows[:3] + rows[4:], ContiguityError, "2000-01-03"),
+            (lambda rows: ["date,tmax,tmin,avg,dtr"] + rows[1:], "mismatch"),
+            (lambda rows: rows[:1], "1 lines"),
+            (lambda rows: rows[:3] + rows[4:], "10 lines"),
+            (lambda rows: rows[:3] + [""] + rows[3:], "12 lines"),
+            (lambda rows: rows[:3] + ["2000-01-03,40,60,50,-20,3,1"] + rows[4:], "mismatch"),
+            (lambda rows: rows[:3] + ["2000-01-03,70,50,60,21,3,1"] + rows[4:], "mismatch"),
+            (lambda rows: rows[:3] + ["2000-01-03,7x,50,60,20,3,1"] + rows[4:], "mismatch"),
             (
-                lambda rows: rows[:3] + [""] + rows[3:],
-                ValueError,
-                "^series CSV has an empty line at line 4$",
-            ),
-            (
-                lambda rows: rows[:3] + ["2000-01-03,40,60,50,-20,3,1"] + rows[4:],
-                DataInversionError,
-                "2000-01-03",
-            ),
-            (
-                lambda rows: rows[:3] + ["2000-01-03,70,50,60,21,3,1"] + rows[4:],
-                ValueError,
-                "inconsistent",
-            ),
-            (lambda rows: rows[:3] + ["2000-01-03,7x,50,60,20,3,1"] + rows[4:], ValueError, "7x"),
-            (
-                # the first cell that differs names its line; line 7's avg is off too
                 lambda rows: rows[:3] + ["2000-01-03,70,50,60,21,3,1"] + rows[4:6]
                 + ["2000-01-06,70,50,61,20,6,1"] + rows[7:],
-                ValueError,
-                r"^series CSV dtr is internally inconsistent with tmax and tmin at line 4 "
-                r"\(2000-01-03\): 21\.0 stored, 20\.0 derived$",
+                "mismatch",
             ),
         ],
         ids=[
@@ -203,11 +190,17 @@ class TestSeriesCsv:
             "first-inconsistent-line",
         ],
     )
-    def test_reader_checks(self, tmp_path, edit, error, message):
+    def test_reader_checks(self, tmp_path, edit, refusal):
+        # an edit that keeps the line count fails the key, any other the
+        # sidecar's length; either way the sidecar is named
         path = tmp_path / "series.csv"
         write_series_csv(constant_series(date(2000, 1, 1), date(2000, 1, 10)), path)
         path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
-        with pytest.raises(error, match=message):
+        if refusal == "mismatch":
+            message = mismatch(path)
+        else:
+            message = wrong_length(path, KEY + 8 * 21, refusal)
+        with pytest.raises(ValueError, match=message):
             read_series_csv(path)
 
 
@@ -228,12 +221,22 @@ def assert_same_series(got, want):
         assert a.tobytes() == b.tobytes(), name
 
 
-_TEXT_PARSE = series_mod._parse_series_csv
+def refusal(path, reason: str) -> str:
+    """The pattern of the refusal of the CSV at ``path``: its sidecar named,
+    then ``reason``."""
+    return f"^sidecar {re.escape(str(sidecar_path(path)))} {reason}$"
 
 
-def text_parse(path):
-    """The series of a CSV read without its sidecar."""
-    return _TEXT_PARSE(path.read_bytes())
+def mismatch(path) -> str:
+    return refusal(path, "does not match the CSV's bytes")
+
+
+def wrong_length(path, size: int, lines: str) -> str:
+    return refusal(path, f"holds {size} bytes, not a record of {lines}")
+
+
+def missing(path) -> str:
+    return refusal(path, "cannot be read: No such file or directory")
 
 
 KEY = 32  # the bytes of a sidecar's key, before its record
@@ -290,7 +293,7 @@ def _old_format(sidecar):
     # what earlier versions wrote, <CODE>.npy with both of its digests
     # right, beside the CSV with no sidecar of the current format
     csv = sidecar.with_suffix(".csv")
-    series = text_parse(csv)
+    series = read_series_csv(csv)
     days = len(series)
     record = np.zeros((), [
         ("csv_sha256", np.uint8, (32,)), ("payload_sha256", np.uint8, (32,)),
@@ -314,33 +317,16 @@ def rekeyed(path, first_day, max_f, min_f):
     sidecar_path(path).write_bytes(key + record)
 
 
-def count_text_parses(monkeypatch) -> list:
-    """A list that gets one item per text parse of a series CSV."""
-    parses = []
-
-    def counted(data):
-        parses.append(data)
-        return _TEXT_PARSE(data)
-
-    monkeypatch.setattr(series_mod, "_parse_series_csv", counted)
-    return parses
-
-
 class TestSidecar:
     @pytest.mark.parametrize(
         "start, end", [(date(1960, 1, 1), date(2017, 12, 31)), (date(1960, 1, 1), date(1961, 12, 31))],
         ids=["58-year", "2-year"],
     )
-    def test_hit_equals_the_text_parse(self, tmp_path, monkeypatch, start, end):
+    def test_read_equals_the_series_written(self, tmp_path, start, end):
         path = tmp_path / "AAA.csv"
-        write_series_csv(random_series(start, end), path)
-
-        def refuse(data):
-            raise AssertionError(f"{path} was parsed as text")
-
-        # a read that returns came from the sidecar
-        monkeypatch.setattr(series_mod, "_parse_series_csv", refuse)
-        assert_same_series(read_series_csv(path), text_parse(path))
+        series = random_series(start, end)
+        write_series_csv(series, path)
+        assert_same_series(read_series_csv(path), series)
 
     def test_write_returns_the_digest_of_the_csv_that_keys_the_sidecar(self, tmp_path):
         path = tmp_path / "AAA.csv"
@@ -353,16 +339,16 @@ class TestSidecar:
         assert raw[KEY:] == record
         assert raw[:KEY] == hashlib.sha256(bytes.fromhex(digest) + record).digest()
 
-    def test_consistent_edit_reads_the_edited_values(self, tmp_path):
+    def test_consistent_edit_is_refused(self, tmp_path):
+        # tmax, avg and dtr changed together, as a careful hand would: the
+        # CSV is no longer the one the sidecar's key vouches for
         path = tmp_path / "AAA.csv"
         write_series_csv(constant_series(date(2000, 1, 1), date(2000, 1, 10)), path)
         lines = path.read_text().splitlines(keepends=True)
         lines[3] = "2000-01-03,80,50,65,30,3,1\n"
         path.write_text("".join(lines))
-        loaded = read_series_csv(path)
-        assert loaded.max_f[2] == 80
-        assert loaded.variable("avg")[2] == 65.0
-        assert loaded.variable("dtr")[2] == 30.0
+        with pytest.raises(ValueError, match=mismatch(path)):
+            read_series_csv(path)
 
     def test_inconsistent_edit_still_rejected(self, tmp_path):
         path = tmp_path / "AAA.csv"
@@ -370,27 +356,33 @@ class TestSidecar:
         lines = path.read_text().splitlines(keepends=True)
         lines[3] = "2000-01-03,80,50,60,20,3,1\n"
         path.write_text("".join(lines))
-        with pytest.raises(ValueError, match="internally inconsistent"):
+        with pytest.raises(ValueError, match=mismatch(path)):
             read_series_csv(path)
 
     @pytest.mark.parametrize(
-        "damage",
-        [_truncate, _random_bytes, _other_series, _altered_record, _pickled_objects, _missing,
-         _flipped_key_byte, _shifted_first_day, _old_format],
+        "damage, refusal",
+        [
+            (_truncate, "length"), (_random_bytes, "mismatch"), (_other_series, "mismatch"),
+            (_altered_record, "mismatch"), (_pickled_objects, "length"), (_missing, "missing"),
+            (_flipped_key_byte, "mismatch"), (_shifted_first_day, "mismatch"),
+            (_old_format, "missing"),
+        ],
         ids=["truncated", "random-bytes", "other-series", "altered-record", "pickled-objects",
              "missing", "flipped-key-byte", "shifted-first-day", "old-format-npy"],
     )
-    def test_unusable_sidecar_falls_back_to_the_text(self, tmp_path, monkeypatch, damage):
+    def test_unusable_sidecar_is_refused(self, tmp_path, damage, refusal):
         path = tmp_path / "AAA.csv"
         write_series_csv(random_series(date(1960, 1, 1), date(1961, 12, 31)), path)
-        parsed = text_parse(path)
         damage(sidecar_path(path))
-        parses = count_text_parses(monkeypatch)
-        assert_same_series(read_series_csv(path), parsed)
-        assert len(parses) == 1
+        if refusal == "length":
+            message = wrong_length(path, sidecar_path(path).stat().st_size, "732 lines")
+        else:
+            message = {"mismatch": mismatch, "missing": missing}[refusal](path)
+        with pytest.raises(ValueError, match=message):
+            read_series_csv(path)
 
     @pytest.mark.parametrize("extra", [1, -1], ids=["day-longer", "day-shorter"])
-    def test_length_is_checked_before_the_key(self, tmp_path, monkeypatch, extra):
+    def test_length_is_checked_before_the_key(self, tmp_path, extra):
         # a record of another day count under a key that matches it: read
         # by its key alone, it would split into arrays of the wrong lengths
         path = tmp_path / "AAA.csv"
@@ -398,9 +390,23 @@ class TestSidecar:
         write_series_csv(series, path)
         days = len(series) + extra
         rekeyed(path, -3653, np.full(days, 70), np.full(days, 50))
-        parses = count_text_parses(monkeypatch)
-        assert_same_series(read_series_csv(path), text_parse(path))
-        assert len(parses) == 1
+        size = KEY + 8 * (1 + 2 * days)
+        with pytest.raises(ValueError, match=wrong_length(path, size, "732 lines")):
+            read_series_csv(path)
+
+    @pytest.mark.parametrize(
+        "first_day", [10**15, 10**8, -10**8, (date.max - date(1970, 1, 1)).days],
+        ids=["beyond-timedelta", "beyond-date", "before-year-1", "last-day-beyond-date"],
+    )
+    def test_keyed_first_day_out_of_range_is_refused(self, tmp_path, first_day):
+        # a key re-made by hand over a first day that is no date, or whose
+        # window ends after the last date
+        path = tmp_path / "AAA.csv"
+        write_series_csv(constant_series(date(2000, 1, 1), date(2000, 1, 10)), path)
+        rekeyed(path, first_day, np.full(10, 70), np.full(10, 50))
+        message = refusal(path, f"starts on no date: {first_day} days after 1970-01-01")
+        with pytest.raises(ValueError, match=message):
+            read_series_csv(path)
 
     def test_keyed_sidecar_is_still_checked_as_it_is_built(self, tmp_path):
         # a record whose key matches but whose day 3 has tmax below tmin:
@@ -413,12 +419,10 @@ class TestSidecar:
         with pytest.raises(DataInversionError, match="^max below min on: 2000-01-03$"):
             read_series_csv(path)
 
-    def test_values_beyond_16_bits_read_back_from_the_sidecar(self, tmp_path, monkeypatch):
+    def test_values_beyond_16_bits_read_back_from_the_sidecar(self, tmp_path):
         path = tmp_path / "AAA.csv"
         wide = build_series([40000, 70], [50, -40000], date(2000, 1, 1), date(2000, 1, 2))
         write_series_csv(wide, path)
         assert sidecar_path(path).exists()
-        parses = count_text_parses(monkeypatch)
         loaded = read_series_csv(path)
         assert (loaded.max_f.tolist(), loaded.min_f.tolist()) == ([40000, 70], [50, -40000])
-        assert parses == []

@@ -1,6 +1,7 @@
 """Every output file is replaced atomically, with a plain file's mode."""
 
 import os
+import re
 import stat
 import tracemalloc
 from datetime import date, timedelta
@@ -100,7 +101,7 @@ def test_interrupted_writer_leaves_previous_file(tmp_path, writer):
 
 def test_interrupted_sidecar_leaves_previous_sidecar(tmp_path, monkeypatch):
     # the CSV is replaced, its sidecar is not; the previous sidecar no
-    # longer matches the CSV, so the CSV is read as text
+    # longer matches the CSV, so the CSV is refused until both are written
     built = build_series(np.full(DAYS, 70), np.full(DAYS, 50), START, END)
     path = tmp_path / "AAA.csv"
     write_series_csv(built, path)
@@ -118,6 +119,11 @@ def test_interrupted_sidecar_leaves_previous_sidecar(tmp_path, monkeypatch):
         write_series_csv(build_series(max_f, built.min_f, START, END), path)
     assert sidecar_path(path).read_bytes() == previous
     assert sorted(tmp_path.iterdir()) == sorted([path, sidecar_path(path)])
+    stale = f"^sidecar {re.escape(str(sidecar_path(path)))} does not match the CSV's bytes$"
+    with pytest.raises(ValueError, match=stale):
+        read_series_csv(path)
+    monkeypatch.undo()
+    write_series_csv(build_series(max_f, built.min_f, START, END), path)
     assert read_series_csv(path).max_f[99:102].tolist() == [70, 71, 70]
 
 
