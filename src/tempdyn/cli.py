@@ -59,9 +59,9 @@ def _check_window(config: RunConfig, model: str, fitted: tuple[str, ...], hac: b
     nobs (the joint model's first day feeds its lag).
 
     Every command that fits calls this before it reads its first series, so
-    the reads reuse the heap that the joint QR frees; run after them, the QR
-    peaked on top of every loaded series. Only the trend design can fail to
-    factor once the months are checked (a window of two days or less).
+    the reads reuse the heap that building the factors frees (figures peaks
+    0.4 MiB lower). Once the months are checked, only the trend design can
+    fail to factor (a window of two days or less).
     """
     from .models import WindowFactors
 

@@ -23,12 +23,12 @@ of its design without the lag with the series' own lag (see
 :mod:`tempdyn.regression`); the two seasonal fits de-trend by OLS on the
 window's trend factor.
 
-The fixed and evolving seasonal designs are block-diagonal by month: month
-m's least-squares problem is a mean, or a mean and a slope on the month's
-centred t. Their QR factors are written down in closed form, with no
-Householder step: :func:`month_block_factor` the fixed one, and
-:func:`month_slope_factor` the evolving one as the fixed factor bordered by
-the twelve slopes, so the two share one copy of the dummies and of their Q.
+Each design is, per group of days, a mean or a mean and a slope on t, so
+each factor is a closed-form ``group_factor``: the trend is one group, the
+fixed model twelve month means, and the evolving model twelve month means
+and slopes. The joint design without its lag is the evolving design of
+days 2..T times a constant 24 x 24 matrix (Golub & Van Loan, *Matrix
+Computations*, 2013, ch. 5), so its factor is that one rotated.
 
 Three Wald hypotheses are evaluated on the joint fit:
 
@@ -48,16 +48,7 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .regression import (
-    Bandwidth,
-    DesignMatrix,
-    InsufficientDataError,
-    ModelFit,
-    QRFactor,
-    _check_rank,
-    factorize,
-    fit_with_hac,
-    ols_fit,
-    wald_test,
+    Bandwidth, ModelFit, QRFactor, fit_with_hac, group_factor, ols_fit, wald_test,
 )
 from .series import TemperatureSeries
 
@@ -138,107 +129,15 @@ class BatchReport:
     failures: tuple[tuple[str, str], ...]  # (station, diagnostic)
 
 
-def trend_design(t: np.ndarray) -> DesignMatrix:
-    data = np.column_stack([np.ones(len(t)), np.asarray(t, dtype=np.float64)])
-    return DesignMatrix(("const", "time"), data)
-
-
-def seasonal_design(dummies: np.ndarray) -> DesignMatrix:
-    return DesignMatrix(DUMMY_NAMES, dummies)
-
-
-def month_block_factor(month: np.ndarray) -> QRFactor:
-    """The QR factor of :func:`seasonal_design` of the days' months, in
-    closed form.
-
-    For month m with n_m days, Q has the column 1_m/sqrt(n_m) and R holds
-    sqrt(n_m) on its diagonal, so the factor keeps the design's column
-    order, and a month with no days is named as ``factorize`` names it: the
-    first such column in design order.
-    """
-    index = np.asarray(month) - 1
-    n = len(index)
-    if n <= 12:
-        raise InsufficientDataError(f"{n} observations for 12 regressors")
-    if not 0 <= index.min() <= index.max() <= 11:
-        raise ValueError("months must lie in 1..12")
-    days = np.arange(n)
-    dummies = np.zeros((n, 12))
-    dummies[days, index] = 1.0
-    root = np.sqrt(np.bincount(index, minlength=12))
-    design = seasonal_design(dummies)
-    r = np.diag(root)
-    scale = float(np.linalg.norm(design.data, axis=0).max())
-    _check_rank(design.names, r, scale)
-
-    q = np.zeros((n, 12), order="F")
-    q[days, index] = 1.0 / root[index]
-    # R is upper triangular, so LU's partial pivoting swaps no rows and the
-    # solve is a back substitution
-    r_inv = np.linalg.solve(r, np.eye(12))
-    nothing = np.empty((n, 0))
-    return QRFactor(design, DesignMatrix((), nothing), q, nothing, r, r_inv, scale)
-
-
-def month_slope_factor(fixed: QRFactor, month: np.ndarray, t: np.ndarray) -> QRFactor:
-    """The QR factor of the evolving seasonal design D_1..D_12, D_1*t..D_12*t
-    of the days' months and ``t``: ``fixed``, the :func:`month_block_factor`
-    of the same days, bordered by the twelve slopes in closed form.
-
-    Month m's slope d_m*t less its projection on 1_m is (t - tbar_m) 1_m, so
-    Q borders q by the columns (t - tbar_m) 1_m / s_m, where s_m is the norm
-    of the month's centred t, and R by s_m on its diagonal and
-    sum_m(t)/sqrt(n_m) above it, in row d_m. The factor shares ``fixed``'s
-    design and q; its ``appended`` holds the slopes. A month with no spread
-    in t is named as ``factorize`` names it: the first such dt column.
-    """
-    index = np.asarray(month) - 1
-    t = np.asarray(t, dtype=np.float64)
-    n = len(index)
-    if n <= 24:
-        raise InsufficientDataError(f"{n} observations for 24 regressors")
-    counts = np.bincount(index, minlength=12)
-    sums = np.bincount(index, weights=t, minlength=12)
-    centred = t - sums[index] / counts[index]
-    spread = np.sqrt(np.bincount(index, weights=centred * centred, minlength=12))
-    slopes = DesignMatrix(INTERACTION_NAMES, fixed.design.data * t[:, None])
-    months = np.arange(12)
-    r = np.zeros((24, 24))
-    r[:12, :12] = fixed.r
-    r[12 + months, 12 + months] = spread
-    r[months, 12 + months] = sums / np.sqrt(counts)  # row d_m, column dt_m
-    scale = max(fixed.scale, float(np.linalg.norm(slopes.data, axis=0).max()))
-    _check_rank(fixed.names + slopes.names, r, scale)
-
-    border = np.zeros((n, 12), order="F")
-    border[np.arange(n), index] = centred / spread[index]
-    r_inv = np.linalg.solve(r, np.eye(24))
-    return QRFactor(fixed.design, slopes, fixed.q, border, r, r_inv, scale)
-
-
-def joint_shared_design(month: np.ndarray, t: np.ndarray) -> DesignMatrix:
-    """The joint design without its lag column, estimation sample t = 2..T."""
-    month = np.asarray(month)[1:]
-    time = np.asarray(t, dtype=np.float64)[1:]
-    if len(time) < 1:
-        raise ValueError("joint model needs at least two observations")
-    dummies = (month[:, None] == np.delete(np.arange(1, 13), JULY - 1)).astype(np.float64)
-    data = np.column_stack([np.ones(len(time)), time, dummies, dummies * time[:, None]])
-    return DesignMatrix(("const", "time") + JOINT_DUMMIES + JOINT_INTERACTIONS, data)
-
-
 class WindowFactors:
     """The window ``[start, end]``'s read-only ``t`` (1..T, in days) and
     ``month`` of each day, and the factored design of each model on it.
 
     This is the one place that computes them on the fit path, and knows
-    which design each model is fitted on and how it is factored. Each factor
-    is built on first use, or by :meth:`build`, so a command holds only the
-    ones it fits: ``trend`` and ``joint`` (the joint design without its lag)
-    by Householder QR, ``fixed`` and ``evolving`` in closed form by month.
-    ``evolving`` is ``fixed`` bordered by the month slopes
-    (:func:`month_slope_factor`), so it builds ``fixed`` first and shares
-    its design and q.
+    which design each model is fitted on. Each factor is built on first
+    use, or by :meth:`build`, so a command holds only the ones it fits:
+    ``trend``, ``fixed``, ``evolving`` and ``joint`` (the joint design
+    without its lag), each a ``group_factor`` of the window's days.
     """
 
     def __init__(self, start: date, end: date):
@@ -263,10 +162,8 @@ class WindowFactors:
             )
 
     def build(self, *models: str) -> None:
-        """Build now, in order, every factor that :meth:`least_squares`
-        fits ``models`` on: each model's own, after the trend's for the two
-        seasonal models, whose regressand it de-trends, and the evolving
-        model's after the fixed one's, which it borders."""
+        """Build now, in order, the factor that :meth:`least_squares` fits
+        each of ``models`` on, the trend's before a seasonal one it de-trends."""
         for model in models:
             if model in ("fixed", "evolving"):
                 self.trend
@@ -274,27 +171,32 @@ class WindowFactors:
 
     @cached_property
     def trend(self) -> QRFactor:
-        return factorize(trend_design(self.t))
+        return group_factor(("const", "time"), np.zeros(len(self.t), np.intp), self.t)
 
     @cached_property
     def fixed(self) -> QRFactor:
-        return month_block_factor(self.month)
+        return group_factor(DUMMY_NAMES, self.month - 1)
 
     @cached_property
     def evolving(self) -> QRFactor:
-        return month_slope_factor(self.fixed, self.month, self.t)
+        return group_factor(DUMMY_NAMES + INTERACTION_NAMES, self.month - 1, self.t)
 
     @cached_property
     def joint(self) -> QRFactor:
-        return factorize(joint_shared_design(self.month, self.t))
+        # const and time sum the evolving design's dummies and slopes, and
+        # July's own columns are left out
+        july = [JULY - 1, 11 + JULY]
+        mix = np.column_stack([np.repeat(np.eye(2), 12, axis=0), np.delete(np.eye(24), july, 1)])
+        names = ("const", "time") + JOINT_DUMMIES + JOINT_INTERACTIONS
+        return group_factor(names, self.month[1:] - 1, self.t[1:], mix)
 
     def least_squares(self, model: str, y: np.ndarray) -> tuple[QRFactor, np.ndarray]:
         """The factor and regressand that ``model`` fits to the window's
         values ``y``, ready for ``ols_fit`` or ``fit_with_hac``: the trend
         model takes ``y`` itself; the fixed and evolving seasonal models take
         its residuals from a plain OLS trend fit; the joint model takes
-        t = 2..T, with the lag bordering the factor of
-        :func:`joint_shared_design`, so it makes no new decomposition."""
+        t = 2..T, with the lag bordering the factor of the joint design
+        without it, so it makes no new decomposition."""
         if model == "trend":
             return self.trend, y
         if model == "joint":
@@ -306,17 +208,16 @@ def city_report(
     station: str,
     series: TemperatureSeries,
     variable: str,
+    factors: WindowFactors,
     bandwidth: Bandwidth = "auto",
-    factors: Optional[WindowFactors] = None,
 ) -> CityReport:
-    """``factors`` are the :class:`WindowFactors` of the series' window;
-    they are built when omitted, with the same result to the last bit. A
-    series of another window raises ValueError naming both windows.
+    """One row, fitted on ``factors``, the :class:`WindowFactors` of the
+    series' window. A series of another window raises ValueError naming
+    both windows.
 
     The joint model is fitted first, so a degenerate series (a constant or
     otherwise collinear lag) is reported as its dependent design column.
     """
-    factors = factors or WindowFactors(series.start, series.end)
     if (series.start, series.end) != (factors.start, factors.end):
         raise ValueError(
             f"series covers {series.start}..{series.end} but the factors are of "
@@ -375,7 +276,7 @@ def batch_report(
             if isinstance(series, Exception):
                 raise series
             factors = factors or WindowFactors(series.start, series.end)
-            rows.append(city_report(station, series, variable, bandwidth, factors))
+            rows.append(city_report(station, series, variable, factors, bandwidth))
         except Exception as exc:  # noqa: BLE001 - diagnostics per station
             failures.append((station, f"{type(exc).__name__}: {exc}"))
     median_row = None

@@ -1,10 +1,10 @@
 """Least squares with Newey-West (HAC) covariance and Wald inference.
 
-The solver uses numpy's unpivoted Householder QR decomposition, never the
-normal equations. A design is rejected when a diagonal entry of R is
-negligible against its largest column norm. |R_jj| is the norm of the part
-of column j orthogonal to the columns before it, so the column the error
-names is the first one that lies in the span of the columns before it.
+The solver works on a QR factor of the design, never on the normal
+equations. A design is rejected when a diagonal entry of R is negligible
+against its largest column norm. |R_jj| is the norm of the part of column j
+orthogonal to the columns before it, so the column the error names is the
+first one that lies in the span of the columns before it.
 
 The HAC estimator is the Bartlett-kernel sandwich
 
@@ -23,15 +23,19 @@ one Gram of n+L window sums instead of L+1 lagged cross products
 
 One :class:`QRFactor` serves both the coefficients and the covariance:
 (X'X)^-1 = R^-1 R^-T from the same R that solved for beta and passed the
-rank check. A design shared by many regressands is factored once, and a
-per-regressand column (the joint model's lag) is appended to that factor
-by one Gram-Schmidt step instead of a new decomposition: by
-Frisch-Waugh-Lovell its coefficient is the regression of the
-partialled-out regressand on the partialled-out column (Lovell 1963,
-JASA 58). A factor keeps its design's column order. The appended column
-is kept apart from the shared design, and the residuals and the scores
-assemble the rows of both one block at a time, so no fit copies the
-shared design.
+rank check. Every design the package fits is, per group of rows (a
+calendar month, or the whole window), a mean or a mean and a slope on t,
+times a constant matrix, so :func:`group_factor` writes its factor down in
+closed form; the only decomposition made is of a k x k matrix. A
+per-regressand column (the joint model's lag) is appended to a factor by
+one Gram-Schmidt step: by Frisch-Waugh-Lovell its coefficient is the
+regression of the partialled-out regressand on the partialled-out column
+(Lovell 1963, JASA 58). The appended column is kept apart from the shared
+design, and the residuals and the scores assemble the rows of both one
+block at a time, so no fit copies the shared design.
+
+Q'v, the norms and the sums of squares are numpy's pairwise sums, not BLAS
+dot products, whose order of summation changes with the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -154,26 +158,62 @@ def _check_rank(names: Sequence[str], r: np.ndarray, scale: float) -> None:
         raise SingularDesignError(names[deficient[0]])
 
 
+def _group_sums(w: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """The sum of ``w`` over each group of rows, by numpy's pairwise
+    summation: row g of ``index`` lists group g's rows, padded with
+    ``len(w)``, which indexes a zero."""
+    return np.add.reduce(np.append(w, 0.0)[index], axis=1)
+
+
+@dataclass(frozen=True)
+class GroupBasis:
+    """The orthonormal Q of a :func:`group_factor` design, never formed.
+
+    Before ``rotation``, its columns are 1_g/sqrt(n_g) for each group g of
+    rows, then, with slopes, (t - tbar_g) 1_g / s_g, where s_g is the norm
+    of the group's centred t: so Q'v is group sums, and Qc a gather.
+    """
+
+    group: np.ndarray  # n, each row's group
+    index: np.ndarray  # each group's rows, padded (see _group_sums)
+    centred: Optional[np.ndarray]  # n, t less its group's mean; None without slopes
+    inv_norms: np.ndarray  # 1/sqrt(n_g) of each group, then 1/s_g with slopes
+    rotation: Optional[np.ndarray]  # Q of the k x k QR; None when nothing is mixed
+
+    def qt(self, v: np.ndarray) -> np.ndarray:
+        """Q'v."""
+        weights = [v] if self.centred is None else [v, self.centred * v]
+        c = np.concatenate([_group_sums(w, self.index) for w in weights]) * self.inv_norms
+        return c if self.rotation is None else self.rotation.T @ c
+
+    def qdot(self, c: np.ndarray) -> np.ndarray:
+        """Q c."""
+        if self.rotation is not None:
+            c = self.rotation @ c
+        means, *slopes = (c * self.inv_norms).reshape(-1, len(self.index))
+        out = means[self.group]
+        if slopes:
+            out += slopes[0][self.group] * self.centred
+        return out
+
+
 @dataclass(frozen=True)
 class QRFactor:
     """Rank-checked QR factor of one design: ``[design.data, appended.data] = Q @ r``.
 
-    ``design`` holds the decomposed columns and ``appended`` those that
-    border them; Q is ``[q, border]``: q from the decomposition, border the
-    columns that bordering added, by :meth:`bordered` or in closed form (the
-    evolving seasonal factor borders the fixed one by its month slopes).
-    Both pairs are kept apart, so that a shared design and its q are never
-    copied; :meth:`rows` assembles rows of the whole design.
-    :func:`ols_fit`, :func:`hac_cov` and :func:`fit_with_hac` take the
-    factor, so that a design shared by many regressands is decomposed and
-    checked once and the covariance reuses the R that solved for the
-    coefficients.
+    Q is ``basis``, which spans ``design``, followed by ``border``, one
+    orthonormal column per ``appended`` one, added by :meth:`bordered`.
+    Both pairs are kept apart, so that a shared design is never copied;
+    :meth:`rows` assembles rows of the whole design. :func:`ols_fit`,
+    :func:`hac_cov` and :func:`fit_with_hac` take the factor, so that a
+    design shared by many regressands is factored once and the covariance
+    reuses the R that solved for the coefficients.
     """
 
-    design: DesignMatrix  # n x m columns of the decomposition
+    design: DesignMatrix  # n x m factored columns
     appended: DesignMatrix  # n x (k - m) columns bordering the design
-    q: np.ndarray  # n x m orthonormal columns of the decomposition
-    border: np.ndarray  # n x (k - m) orthonormal columns bordering q
+    basis: GroupBasis  # the m columns of Q that span the design
+    border: np.ndarray  # n x (k - m) orthonormal columns bordering the basis
     r: np.ndarray  # k x k, upper triangular
     r_inv: np.ndarray  # inverse of r
     scale: float  # largest column norm of the design, the rank test's unit
@@ -191,12 +231,12 @@ class QRFactor:
 
     def qt(self, v: np.ndarray) -> np.ndarray:
         """Q'v."""
-        return np.concatenate([self.q.T @ v, self.border.T @ v])
+        return np.concatenate([self.basis.qt(v), np.add.reduce(self.border * v[:, None])])
 
     def qdot(self, c: np.ndarray) -> np.ndarray:
         """Q c."""
-        m = self.q.shape[1]
-        return self.q @ c[:m] + self.border @ c[m:]
+        m = len(self.design.names)
+        return self.basis.qdot(c[:m]) + self.border @ c[m:]
 
     def bordered(self, name: str, column: np.ndarray) -> QRFactor:
         """The factor of the design with ``column`` appended as its last column.
@@ -205,10 +245,10 @@ class QRFactor:
         with one reorthogonalisation); its coefficients and the norm of what
         is left border R by one column, so no new decomposition is made. A
         column in the span of the design raises :class:`SingularDesignError`
-        naming it. The new factor shares this one's design and q.
+        naming it. The new factor shares this one's design and basis.
         """
         column = np.asarray(column, dtype=np.float64)
-        n, k = len(self.q), len(self.names)
+        n, k = len(self.design.data), len(self.names)
         if column.shape != (n,):
             raise ValueError(f"column has shape {column.shape}, expected ({n},)")
         if name in self.names:
@@ -221,9 +261,9 @@ class QRFactor:
         r = np.zeros((k + 1, k + 1))
         r[:k, :k] = self.r
         r[:k, k] = coef
-        r[k, k] = np.linalg.norm(left)
+        r[k, k] = math.sqrt(np.add.reduce(left * left))
         names = self.names + (name,)
-        scale = max(self.scale, float(np.linalg.norm(column)))
+        scale = max(self.scale, math.sqrt(np.add.reduce(column * column)))
         _check_rank(names, r, scale)
 
         r_inv = np.zeros((k + 1, k + 1))
@@ -234,31 +274,65 @@ class QRFactor:
         appended = DesignMatrix(
             self.appended.names + (name,), np.column_stack([self.appended.data, column])
         )
-        return QRFactor(self.design, appended, self.q, border, r, r_inv, scale)
+        return QRFactor(self.design, appended, self.basis, border, r, r_inv, scale)
 
 
-def factorize(X: DesignMatrix) -> QRFactor:
-    """Householder QR of X, unpivoted.
+def group_factor(
+    names: Sequence[str], group: np.ndarray,
+    t: Optional[np.ndarray] = None, mix: Optional[np.ndarray] = None,
+) -> QRFactor:
+    """The QR factor, in closed form, of the design named ``names`` whose
+    columns are the indicators 1_g of the groups g = 0, 1, ... of rows
+    (``group`` holds each row's), then, with ``t``, the products 1_g * t,
+    all times the matrix ``mix`` when given.
 
-    A rank-deficient X raises :class:`SingularDesignError` naming the first
-    column that lies in the span of the columns before it.
+    Per group, that is a mean, or a mean and a slope on the group's centred
+    t: R holds sqrt(n_g) and s_g on its diagonal and sum_g(t)/sqrt(n_g)
+    above s_g, with Q as :class:`GroupBasis` says; ``mix`` rotates both by
+    the QR of that R times ``mix``. A design not of full rank, such as one
+    with a group of no rows, or of one day under a slope, raises
+    :class:`SingularDesignError` naming the first column in the span of the
+    columns before it.
     """
-    n, k = X.data.shape
+    group = np.asarray(group, dtype=np.intp)
+    n, k = len(group), len(names)
     if n <= k:
         raise InsufficientDataError(f"{n} observations for {k} regressors")
-    q, r = np.linalg.qr(X.data)
-    # column-major, so that Q'v is one BLAS dot product per column: numpy
-    # returns q row-major, where Q'v sums the n rows in sequence, and on a
-    # 58-year daily trend design that put a 24 times larger rounding error
-    # on the intercept (1.2e-12 against 4.9e-14)
-    q = np.asfortranarray(q)
-    scale = float(np.linalg.norm(X.data, axis=0).max())
-    _check_rank(X.names, r, scale)
+    mixing = np.eye(k) if mix is None else mix
+    groups = len(mixing) // (1 if t is None else 2)
+    counts = np.bincount(group, minlength=groups)
+    order = np.argsort(group, kind="stable")
+    index = np.full((groups, counts.max()), n)
+    index[group[order], np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)] = order
+    r = np.diag(np.sqrt(counts))
+    centred = None
+    if t is not None:
+        t = np.asarray(t, dtype=np.float64)
+        sums = _group_sums(t, index)
+        centred = t - np.divide(sums, counts, out=np.zeros(groups), where=counts > 0)[group]
+        above = np.divide(sums, r.diagonal(), out=np.zeros(groups), where=counts > 0)
+        spread = np.sqrt(_group_sums(centred * centred, index))
+        r = np.block([[r, np.diag(above)], [np.zeros((groups, groups)), np.diag(spread)]])
+    norms = r.diagonal()
+    rotation, r = (None, r) if mix is None else np.linalg.qr(r @ mix)
+    # the column norms of R are those of the design, which Q maps isometrically
+    scale = float(np.sqrt(np.add.reduce(r * r)).max())
+    _check_rank(names, r, scale)
     # R is upper triangular, so LU's partial pivoting swaps no rows and the
     # solve is a back substitution
     r_inv = np.linalg.solve(r, np.eye(k))
+
+    data = np.empty((n, k))
+    for lo in range(0, n, _WINDOW_BLOCK):
+        rows = slice(lo, lo + _WINDOW_BLOCK)
+        data[rows] = mixing[group[rows]]
+        if t is not None:
+            data[rows] += t[rows, None] * mixing[groups + group[rows]]
     nothing = np.empty((n, 0))
-    return QRFactor(X, DesignMatrix((), nothing), q, nothing, r, r_inv, scale)
+    basis = GroupBasis(group, index, centred, 1.0 / norms, rotation)
+    return QRFactor(
+        DesignMatrix(tuple(names), data), DesignMatrix((), nothing), basis, nothing, r, r_inv, scale
+    )
 
 
 def ols_fit(factor: QRFactor, y: np.ndarray) -> ModelFit:
@@ -270,7 +344,7 @@ def ols_fit(factor: QRFactor, y: np.ndarray) -> ModelFit:
     partition the days).
     """
     y = np.asarray(y, dtype=np.float64)
-    n = len(factor.q)
+    n = len(factor.design.data)
     if y.shape != (n,):
         raise ValueError(f"y has shape {y.shape}, expected ({n},)")
 
@@ -280,9 +354,9 @@ def ols_fit(factor: QRFactor, y: np.ndarray) -> ModelFit:
         hi = min(lo + _WINDOW_BLOCK, n)
         residuals[lo:hi] = y[lo:hi] - factor.rows(lo, hi) @ beta
 
-    ssr = float(residuals @ residuals)
+    ssr = float(np.add.reduce(residuals * residuals))
     deviations = y - y.mean()
-    sst = float(deviations @ deviations)
+    sst = float(np.add.reduce(deviations * deviations))
     r_squared = 1.0 - ssr / sst if sst > 0 else 1.0
 
     beta.setflags(write=False)
@@ -336,7 +410,7 @@ def hac_cov(
     symmetric by construction.
     """
     residuals = np.asarray(residuals, dtype=np.float64)
-    n = len(factor.q)
+    n = len(factor.design.data)
     if residuals.shape != (n,):
         raise ValueError("residuals do not match design length")
     lag = resolve_bandwidth(n, bandwidth)

@@ -12,7 +12,7 @@ from datetime import date, timedelta
 import numpy as np
 from scipy.signal import lfilter
 
-from tempdyn.models import joint_shared_design
+from tempdyn.models import JOINT_DUMMIES, JOINT_INTERACTIONS, JULY
 from tempdyn.regression import DesignMatrix
 
 
@@ -62,6 +62,16 @@ def simulate_joint(
     steady = drive[0] / (1.0 - rho)
     y = lfilter([1.0], [1.0, -rho], drive, zi=np.array([rho * steady]))[0]
     return y[BURN_IN:]
+
+
+def joint_shared_design(month: np.ndarray, t: np.ndarray) -> DesignMatrix:
+    """The joint design without its lag column over t = 2..T, as one dense
+    matrix: what ``models.WindowFactors.joint`` factors without forming."""
+    month = np.asarray(month)[1:]
+    time = np.asarray(t, dtype=np.float64)[1:]
+    dummies = (month[:, None] == np.delete(np.arange(1, 13), JULY - 1)).astype(np.float64)
+    data = np.column_stack([np.ones(len(time)), time, dummies, dummies * time[:, None]])
+    return DesignMatrix(("const", "time") + JOINT_DUMMIES + JOINT_INTERACTIONS, data)
 
 
 def joint_design(

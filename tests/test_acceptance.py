@@ -20,10 +20,13 @@ from scipy.stats import kstest
 from tempdyn.ghcn import parse_dly, station_observations
 from tempdyn.models import JOINT_INTERACTIONS, WindowFactors, batch_report, city_report
 from tempdyn.density import kde
-from tempdyn.regression import DesignMatrix, chi2_sf, factorize, fit_with_hac, hac_cov, ols_fit, wald_test
+from tempdyn.regression import DesignMatrix, chi2_sf, fit_with_hac, hac_cov, ols_fit, wald_test
 from tempdyn.series import build_series
 
-from conftest import FIXTURE_TENTHS, decode_records, find_modes, fixture_line, random_valid_line, serialize_record
+from conftest import (
+    FIXTURE_TENTHS, decode_records, factorize, find_modes, fixture_line, random_valid_line,
+    serialize_record,
+)
 from dgp import calendar_months, joint_design, simulate_joint, joint_truth
 from test_regression import chi2_sf_quadrature, hac_triple_loop, normal_equations_beta
 
@@ -233,7 +236,7 @@ class TestCriterion6ArchiveReplication:
         return build_series(tmax, tmin, config.window_start, config.window_end)
 
     def test_phl_avg_row(self, phl_series):
-        row = city_report("PHL", phl_series, "avg")
+        row = city_report("PHL", phl_series, "avg", WindowFactors(phl_series.start, phl_series.end))
         ok = (
             abs(row.delta_trend - 4.78) <= 0.30
             and abs(row.rho - 0.72) <= 0.03
@@ -248,7 +251,7 @@ class TestCriterion6ArchiveReplication:
         )
 
     def test_phl_dtr_row(self, phl_series):
-        row = city_report("PHL", phl_series, "dtr")
+        row = city_report("PHL", phl_series, "dtr", WindowFactors(phl_series.start, phl_series.end))
         ok = (
             abs(row.delta_trend - (-2.13)) <= 0.30
             and abs(row.rho - 0.34) <= 0.05

@@ -595,24 +595,25 @@ class TestTables:
         config = str(workspace / "run.cfg")
         run(["ingest", "--config", config])
         factored = []
-        original = models.factorize
+        original = models.group_factor
 
-        def counting(design):
-            factored.append(design.names)
-            return original(design)
+        def counting(names, *args):
+            factored.append(names[-1])
+            return original(names, *args)
 
-        monkeypatch.setattr(models, "factorize", counting)
+        monkeypatch.setattr(models, "group_factor", counting)
         result = run(["tables", "--config", config, "--variable", "both"])
         assert result.exit_code == 0, result.output
-        assert len(factored) == 2
+        assert factored == ["dt12", "time"]
         monkeypatch.undo()
+        factors = models.WindowFactors(WINDOW_START, WINDOW_END)
 
         for var in ("avg", "dtr"):
             rows = read_csv_rows(workspace / "out" / "tables" / f"table_{var}.csv")
             assert [r["station"] for r in rows] == ["AAA", "BBB", "Median"]
             for row in rows[:2]:
                 code = row["station"]
-                single = models.city_report(code, read_series(workspace, code), var)
+                single = models.city_report(code, read_series(workspace, code), var, factors)
                 for column in ("delta_trend", "p_nt", "p_ns", "p_nts", "rho", "r_squared"):
                     assert float(row[f"{column}_full"]).hex() == getattr(single, column).hex()
 
@@ -707,7 +708,7 @@ class TestTables:
         rows = read_csv_rows(table)
         assert [r["station"] for r in rows] == ["AAA", "XXX"]
         for row, (code, series) in zip(rows, loaded[::2]):
-            single = models.city_report(code, series, "avg")
+            single = models.city_report(code, series, "avg", original(WINDOW_START, WINDOW_END))
             for column in ("delta_trend", "p_nt", "p_ns", "p_nts", "rho", "r_squared"):
                 assert float(row[f"{column}_full"]) == getattr(single, column)
 
@@ -809,36 +810,21 @@ class TestFigures:
 
     def test_each_design_factored_once(self, workspace, monkeypatch):
         # the trend, fixed and evolving designs depend on the window alone,
-        # so avg and dtr share one factor of each; only the trend design is
-        # decomposed, the seasonal ones are factored in closed form by month,
-        # and the joint design, which figures does not fit, never is
+        # so avg and dtr share one factor of each, and the joint design,
+        # which figures does not fit, is never factored
         config = str(workspace / "run.cfg")
         run(["ingest", "--config", config])
         factored = []
-        decomposed = []
-        original = models.factorize
+        original = models.group_factor
 
-        def counting(design):
-            factored.append(design.names[-1])
-            decomposed.append(design.names)
-            return original(design)
+        def counting(names, *args):
+            factored.append(names[-1])
+            return original(names, *args)
 
-        def counting_closed_form(original_closed_form):
-            def call(*args):
-                factor = original_closed_form(*args)
-                factored.append(factor.names[-1])
-                return factor
-
-            return call
-
-        monkeypatch.setattr(models, "factorize", counting)
-        for name in ("month_block_factor", "month_slope_factor"):
-            monkeypatch.setattr(models, name, counting_closed_form(getattr(models, name)))
+        monkeypatch.setattr(models, "group_factor", counting)
         result = run(["figures", "--config", config, "--station", "AAA"])
         assert result.exit_code == 0, result.output
         assert factored == ["time", "d12", "dt12"]
-        window = models.WindowFactors(WINDOW_START, WINDOW_END)
-        assert models.joint_shared_design(window.month, window.t).names not in decomposed
 
     def test_constant_dtr_is_a_one_line_error(self, workspace):
         config = str(workspace / "run.cfg")
@@ -964,8 +950,8 @@ class TestFigures:
     ids=lambda args: "-".join(args[::2]),
 )
 def test_every_factor_is_built_before_the_first_read(workspace, monkeypatch, args):
-    # the series reads reuse the heap that the joint QR frees, instead of
-    # the QR running on top of every loaded series
+    # the series reads reuse the heap that building the factors frees,
+    # instead of the build running on top of every loaded series
     config = str(workspace / "run.cfg")
     run(["ingest", "--config", config])
     events = []
@@ -978,9 +964,7 @@ def test_every_factor_is_built_before_the_first_read(workspace, monkeypatch, arg
         return call
 
     for module, name, event in [
-        (models, "factorize", "factor"),
-        (models, "month_block_factor", "factor"),
-        (models, "month_slope_factor", "factor"),
+        (models, "group_factor", "factor"),
         (series_mod, "read_series_csv", "read"),
     ]:
         monkeypatch.setattr(module, name, recording(event, getattr(module, name)))
@@ -1007,8 +991,7 @@ def test_unknown_station_is_named_before_the_window_is_factored(workspace, monke
 
         return call
 
-    for name in ("factorize", "month_block_factor", "month_slope_factor"):
-        monkeypatch.setattr(models, name, refusing(name))
+    monkeypatch.setattr(models, "group_factor", refusing("group_factor"))
     result = run([args[0], "--config", str(workspace / "run.cfg"), "--station", "QQQ", *args[1:]])
     assert result.exit_code == 1
     assert result.stdout == ""
@@ -1751,9 +1734,9 @@ def test_cli_import_pins_one_blas_thread_unless_a_count_is_set(module, given, ex
     assert json.loads(result.stdout) == expected
 
 
-def test_default_tables_equal_a_one_thread_run(tmp_path):
-    # full-precision columns move with the BLAS thread count, so the
-    # default run must be the one-thread run, byte for byte
+def full_window_config(tmp_path: Path) -> Path:
+    """A config of one station, FUL, whose series over the 58-year window
+    is already ingested under ``tmp_path / "out"``."""
     start, end = date(1960, 1, 1), date(2017, 12, 31)
     days = (end - start).days + 1
     rng = np.random.default_rng(11)
@@ -1765,6 +1748,12 @@ def test_default_tables_equal_a_one_thread_run(tmp_path):
     )
     config = tmp_path / "run.cfg"
     config.write_text(f"output_dir = {tmp_path / 'out'}\n\n[stations]\nFUL USW00099909 Full-Window-City\n")
+    return config
+
+
+def test_default_tables_equal_a_one_thread_run(tmp_path):
+    # the default run must be the one-thread run, byte for byte
+    config = full_window_config(tmp_path)
     tables_dir = tmp_path / "out" / "tables"
 
     def tables(**threads: str) -> dict[str, bytes]:
@@ -1779,3 +1768,54 @@ def test_default_tables_equal_a_one_thread_run(tmp_path):
     default = tables()
     assert sorted(default) == ["table_avg.csv", "table_avg.txt", "table_dtr.csv", "table_dtr.txt"]
     assert tables(OPENBLAS_NUM_THREADS="1") == default
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # a user's thread count changes no bit of any output: the tables'
+    # full-precision columns, the figure data and a fit's printout
+    config = full_window_config(tmp_path)
+    commands = [
+        ["tables"], ["figures", "--station", "FUL"], ["fit", "--station", "FUL", "--model", "joint"],
+    ]
+
+    def outputs(threads: str) -> dict[str, bytes]:
+        written = {}
+        for command in commands:
+            result = subprocess.run(
+                [sys.executable, "-m", "tempdyn.cli", *command, "--config", str(config)],
+                env=environment_with_threads(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads),
+                capture_output=True,
+                check=True,
+            )
+            written[command[0]] = result.stdout.replace(str(tmp_path).encode(), b"")
+        for path in sorted((tmp_path / "out").rglob("*")):
+            if path.is_file() and path.parent.name != "series":
+                written[str(path.relative_to(tmp_path))] = path.read_bytes()
+        return written
+
+    one = outputs("1")
+    assert len(one) == 3 + 4 + 10
+    two = outputs("2")
+    assert [name for name in one if one[name] != two[name]] == []
+
+
+def test_no_qr_of_more_than_k_rows(workspace, monkeypatch):
+    # every factor is written down in closed form: the one decomposition
+    # left is of the joint design's 24 x 24 R, never of a design's n rows
+    config = str(workspace / "run.cfg")
+    run(["ingest", "--config", config])
+    shapes = []
+    original = np.linalg.qr
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", recording)
+    for command in (
+        ["tables"], ["figures", "--station", "AAA"],
+        *(["fit", "--station", "AAA", "--model", model] for model in ("trend", "seasonal", "evolving", "joint")),
+    ):
+        result = run([command[0], "--config", config, *command[1:]])
+        assert result.exit_code == 0, result.output
+    assert shapes and all(rows <= 24 for rows, _ in shapes), shapes

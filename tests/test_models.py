@@ -1,11 +1,7 @@
 import inspect
 import itertools
-import json
-import os
-import subprocess
-import sys
 from datetime import date, timedelta
-from pathlib import Path
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +9,7 @@ import pytest
 import tempdyn.models as models
 from tempdyn import reporting
 from tempdyn.models import (
+    DUMMY_NAMES,
     HYPOTHESES,
     JOINT_DUMMIES,
     JOINT_INTERACTIONS,
@@ -20,18 +17,13 @@ from tempdyn.models import (
     batch_report,
     city_report,
     delta_trend,
-    month_block_factor,
     month_effects,
-    month_slope_factor,
-    seasonal_design,
-    trend_design,
 )
 from tempdyn.regression import (
     DesignMatrix,
     ModelFit,
     QRFactor,
     SingularDesignError,
-    factorize,
     fit_with_hac,
     hac_cov,
     ols_fit,
@@ -39,8 +31,8 @@ from tempdyn.regression import (
 )
 from tempdyn.series import TemperatureSeries, build_series
 
-from conftest import evolving_design, month_dummies, stacked_evolving_factor
-from dgp import calendar_months, joint_design, simulate_joint
+from conftest import evolving_design, factorize, month_dummies
+from dgp import calendar_months, joint_design, joint_shared_design, simulate_joint
 
 
 def series_from_avg(avg: np.ndarray, start: date = date(1960, 1, 1)) -> TemperatureSeries:
@@ -232,21 +224,22 @@ def test_window_without_july_first_has_no_pattern_years():
         models.pattern_years(date(1960, 7, 2), date(1961, 6, 30))
 
 
-def seasonal_designs(month: np.ndarray, t: np.ndarray):
-    """The fixed and evolving designs built densely, with the t each takes."""
-    dummies = (month[:, None] == np.arange(1, 13)).astype(np.float64)
-    return [(seasonal_design(dummies), None), (evolving_design(dummies, t), t)]
+def dense_designs(factors: WindowFactors) -> dict[str, DesignMatrix]:
+    """Each model's design on the window of ``factors`` (the joint one
+    without its lag) as one dense matrix, by model."""
+    dummies = month_dummies(factors.month)
+    t = factors.t.astype(np.float64)
+    return {
+        "trend": DesignMatrix(("const", "time"), np.column_stack([np.ones(len(t)), t])),
+        "fixed": DesignMatrix(DUMMY_NAMES, dummies),
+        "evolving": evolving_design(dummies, t),
+        "joint": joint_shared_design(factors.month, factors.t),
+    }
 
 
-def closed_form(month: np.ndarray, t=None) -> QRFactor:
-    """The closed-form factor of the fixed design (``t`` omitted) or of the
-    evolving one, the fixed factor bordered by the month slopes."""
-    fixed = month_block_factor(month)
-    return fixed if t is None else month_slope_factor(fixed, month, t)
-
-
-class TestMonthBlockFactor:
-    """The closed-form factor against numpy's Householder QR of the same design."""
+class TestGroupFactor:
+    """The closed-form factor of each model against numpy's Householder QR
+    of the same design."""
 
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_householder_factor(self, seed):
@@ -254,30 +247,31 @@ class TestMonthBlockFactor:
         rng = np.random.default_rng(seed)
         start = date(1950, 1, 1) + timedelta(days=int(rng.integers(0, 20000)))
         length = int(rng.integers(340, 365 if seed % 3 == 0 else 4000))
-        month = calendar_months(start, length)
-        t = np.arange(1.0, length + 1.0)
-        y = np.sin(t / 58.0) * 10.0 + rng.standard_normal(length)
-        for design, times in seasonal_designs(month, t):
+        factors = WindowFactors(start, start + timedelta(days=length - 1))
+        y = np.sin(factors.t / 58.0) * 10.0 + rng.standard_normal(length)
+        for model, design in dense_designs(factors).items():
             try:
                 dense = factorize(design)
             except SingularDesignError as exc:
                 with pytest.raises(SingularDesignError) as raised:
-                    closed_form(month, times)
+                    getattr(factors, model)
                 assert raised.value.column == exc.column
                 continue
-            block = closed_form(month, times)
-            assert np.array_equal(block.rows(0, length), design.data)
-            assert block.names == design.names
-            assert block.scale == dense.scale
-            np.testing.assert_allclose(block.qdot(block.r), design.data, rtol=0, atol=1e-9)
-            k = len(design.names)
-            q = np.column_stack([block.q, block.border])
+            closed = getattr(factors, model)
+            n, k = design.data.shape
+            regressand = y[-n:]
+            assert np.array_equal(closed.rows(0, n), design.data)
+            assert closed.names == design.names
+            assert closed.scale == pytest.approx(dense.scale, rel=1e-12)
+            q = np.column_stack([closed.qdot(column) for column in np.eye(k)])
+            np.testing.assert_allclose(q @ closed.r, design.data, rtol=0, atol=1e-9)
             np.testing.assert_allclose(q.T @ q, np.eye(k), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(closed.qt(regressand), q.T @ regressand, rtol=1e-12, atol=1e-9)
 
-            ours, theirs = ols_fit(block, y), ols_fit(dense, y)
-            assert np.abs(ours.beta - theirs.beta).max() <= 1e-12 * np.abs(theirs.beta).max()
+            ours, theirs = ols_fit(closed, regressand), ols_fit(dense, regressand)
+            assert np.abs(ours.beta - theirs.beta).max() <= 1e-11 * np.abs(theirs.beta).max()
             assert ours.r_squared == pytest.approx(theirs.r_squared, rel=1e-12)
-            cov_ours = hac_cov(block, ours.residuals)
+            cov_ours = hac_cov(closed, ours.residuals)
             cov_theirs = hac_cov(dense, theirs.residuals)
             assert np.abs(cov_ours - cov_theirs).max() <= 1e-10 * np.abs(cov_theirs).max()
 
@@ -290,89 +284,80 @@ class TestMonthBlockFactor:
             (date(1960, 1, 31), date(1960, 12, 31), None, "dt01"),
             # both: December is empty, and comes first in design order
             (date(1960, 1, 31), date(1960, 11, 30), "d12", "d12"),
+            # July is the joint design's intercept and time trend
+            (date(1960, 7, 31), date(1961, 7, 1), None, None),
         ],
     )
     def test_rank_deficiency_named_as_householder_names_it(
         self, start, end, fixed_column, evolving_column
     ):
-        length = (end - start).days + 1
-        month = calendar_months(start, length)
-        t = np.arange(1.0, length + 1.0)
-        for (design, times), column in zip(
-            seasonal_designs(month, t), (fixed_column, evolving_column)
-        ):
+        # the joint design's first dependent column is Householder's; no
+        # numpy warning is raised on the way, as pytest makes it an error
+        factors = WindowFactors(start, end)
+        designs = dense_designs(factors)
+        with pytest.raises(SingularDesignError) as householder:
+            factorize(designs["joint"])
+        expected = {"fixed": fixed_column, "evolving": evolving_column, "joint": householder.value.column}
+        for model, column in expected.items():
             if column is None:
-                factorize(design)
-                closed_form(month, times)
+                factorize(designs[model])
+                getattr(factors, model)
                 continue
-            for build in (lambda: factorize(design), lambda: closed_form(month, times)):
+            for build in (lambda: factorize(designs[model]), lambda: getattr(factors, model)):
                 with pytest.raises(SingularDesignError) as raised:
                     build()
-                assert raised.value.column == column
+                assert raised.value.column == column, model
 
 
-# windows shorter than a year, of odd length, and of 58 years
-SLOPE_WINDOWS = [
-    (date(1960, 1, 1), date(1960, 12, 2)),
-    (date(1961, 3, 15), date(1972, 3, 1)),
-    (date(1960, 1, 1), date(2017, 12, 31)),
-]
+def exact_least_squares(X: np.ndarray, y: np.ndarray) -> list[Fraction]:
+    """The least-squares coefficients of ``X`` and ``y`` in exact rational
+    arithmetic, by the normal equations. Every float is a dyadic rational,
+    so scaled by a power of two each entry is an integer."""
+    scale = 2 ** max(Fraction(v).denominator for v in np.concatenate([X.ravel(), y])).bit_length()
+    columns = [[int(v * scale) for v in column] for column in X.T.tolist()] + [
+        [int(v * scale) for v in y.tolist()]
+    ]
+    k = X.shape[1]
+    system = [
+        [Fraction(sum(a * b for a, b in zip(columns[i], columns[j]))) for j in range(k + 1)]
+        for i in range(k)
+    ]
+    for i in range(k):
+        pivot = max(range(i, k), key=lambda row: abs(system[row][i]))
+        system[i], system[pivot] = system[pivot], system[i]
+        for row in range(k):
+            if row != i and system[row][i]:
+                ratio = system[row][i] / system[i][i]
+                system[row] = [a - ratio * b for a, b in zip(system[row], system[i])]
+    return [system[i][k] / system[i][i] for i in range(k)]
 
 
-def slope_factor_mismatches() -> list[str]:
-    """What of the bordered evolving factor's fits differs in any bit from
-    those of the stacked closed-form factor (``stacked_evolving_factor``),
-    on each of ``SLOPE_WINDOWS``: Q'y, the OLS coefficients and residuals,
-    and the HAC covariance at lags 0, 7 and auto."""
-    mismatches = []
-    for start, end in SLOPE_WINDOWS:
-        factors = WindowFactors(start, end)
-        n = len(factors.t)
-        rng = np.random.default_rng(n)
-        seasonal = np.array([8, 4, 0, -3, -6, -8, -9, -7, -3, 1, 4, 7], float)
-        y = seasonal[factors.month - 1] + 1e-4 * factors.t + rng.standard_normal(n)
-        stacked = stacked_evolving_factor(factors.month, factors.t)
-        bordered = factors.evolving
-        pairs = {"qt": (bordered.qt(y), stacked.qt(y))}
-        ours, theirs = ols_fit(bordered, y), ols_fit(stacked, y)
-        pairs.update(beta=(ours.beta, theirs.beta), residuals=(ours.residuals, theirs.residuals))
-        for lag in (0, 7, "auto"):
-            pairs[f"hac_cov lag {lag}"] = (
-                fit_with_hac(bordered, y, lag).hac_cov, fit_with_hac(stacked, y, lag).hac_cov
-            )
-        mismatches += [
-            f"{n} days: {name}" for name, (a, b) in pairs.items() if a.tobytes() != b.tobytes()
-        ]
-    return mismatches
+def largest_relative_error(beta: np.ndarray, exact: list[Fraction]) -> float:
+    return max(float(abs(Fraction(b) - e) / abs(e)) for b, e in zip(beta.tolist(), exact))
 
 
-class TestMonthSlopeFactor:
-    """The evolving factor borders the fixed one, with the stacked closed-form
-    factor's results to the last bit."""
-
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_bordered_equals_the_stacked_factor_bit_for_bit(self, threads):
-        # the BLAS thread count is fixed when numpy loads, so each count
-        # runs in its own interpreter
-        here = Path(__file__).resolve().parent
-        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
-        env.update(
-            OPENBLAS_NUM_THREADS=threads,
-            PYTHONPATH=os.pathsep.join([str(here), str(Path(models.__file__).parents[1])]),
-        )
-        probe = "import json, test_models; print(json.dumps(test_models.slope_factor_mismatches()))"
-        result = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=300
-        )
-        assert result.returncode == 0, result.stderr
-        assert json.loads(result.stdout) == []
-
-    def test_shares_the_fixed_design_and_q(self):
-        factors = WindowFactors(date(1960, 1, 1), date(1961, 12, 31))
-        evolving, fixed = factors.evolving, factors.fixed
-        assert evolving.design is fixed.design and evolving.q is fixed.q
-        assert evolving.appended.names == models.INTERACTION_NAMES
-        assert evolving.border.shape == fixed.q.shape
+@pytest.mark.parametrize("variable", ["avg", "dtr"])
+def test_closed_form_coefficients_as_accurate_as_householder(variable):
+    # t is an integer and AVG and DTR are exact halves, so each model's
+    # least-squares problem has an exact rational solution; the de-trended
+    # regressand of the seasonal models is a vector of floats, each exact
+    start, end = date(1961, 3, 1), date(1963, 8, 31)
+    days = (end - start).days + 1
+    rng = np.random.default_rng(5)
+    season = np.rint(20 * np.cos(2 * np.pi * np.arange(days) / 365.25)).astype(np.int64)
+    tmin = 40 + season + rng.integers(-8, 9, size=days)
+    series = build_series(tmin + rng.integers(5, 30, size=days), tmin, start, end)
+    factors = factors_of(series)
+    designs = dense_designs(factors)
+    for model in ("trend", "fixed", "evolving", "joint"):
+        factor, regressand = factors.least_squares(model, series.variable(variable))
+        design = designs[model]
+        if model == "joint":
+            design, _ = joint_design(factors.month, factors.t, series.variable(variable))
+        exact = exact_least_squares(design.data, regressand)
+        ours = largest_relative_error(ols_fit(factor, regressand).beta, exact)
+        householder = largest_relative_error(ols_fit(factorize(design), regressand).beta, exact)
+        assert ours <= 2 * householder, (model, ours, householder)
 
 
 class TestWindowFactors:
@@ -412,23 +397,13 @@ class TestWindowFactors:
 
     def test_factors_built_on_first_use_and_shared(self, monkeypatch):
         built = []
-        original_factorize = models.factorize
+        original = models.group_factor
 
-        def counting(design):
-            built.append(design.names[-1])
-            return original_factorize(design)
+        def counting(names, *args):
+            built.append(names[-1])
+            return original(names, *args)
 
-        def counting_closed_form(original):
-            def call(*args):
-                factor = original(*args)
-                built.append(factor.names[-1])
-                return factor
-
-            return call
-
-        monkeypatch.setattr(models, "factorize", counting)
-        for name in ("month_block_factor", "month_slope_factor"):
-            monkeypatch.setattr(models, name, counting_closed_form(getattr(models, name)))
+        monkeypatch.setattr(models, "group_factor", counting)
         series = quick_series(31)
         factors = factors_of(series)
         for variable in ("avg", "dtr"):
@@ -439,8 +414,7 @@ class TestWindowFactors:
             fit_with_hac(*factors.least_squares("fixed", series.variable(variable)))
         fit_with_hac(*factors.least_squares("joint", series.variable("avg")))
         fit_with_hac(*factors.least_squares("joint", series.variable("avg")))
-        # the evolving factor borders the fixed one, which it builds first
-        assert built == ["time", "d12", "dt12", "dt12"]
+        assert built == ["time", "dt12", "d12", "dt12"]
 
 
 class TestModelSpec:
@@ -449,9 +423,8 @@ class TestModelSpec:
     def test_regressor_sets_per_kind(self):
         series = quick_series(70, T=500)
         factors = factors_of(series)
-        dummies = month_dummies(factors.month)
-        assert trend_design(factors.t).names == ("const", "time")
-        assert len(seasonal_design(dummies).names) == 12
+        assert factors.trend.names == ("const", "time")
+        assert len(factors.fixed.names) == 12
         assert len(factors.evolving.names) == 24
         joint, _ = joint_design(factors.month, factors.t, series.variable("avg"))
         assert len(joint.names) == 25
@@ -520,16 +493,16 @@ class TestJointModel:
 
     def test_builders_match_declared_regressors(self):
         factors = factors_of(quick_series(70, T=500))
-        dummies = month_dummies(factors.month)
         dummy_names = ("d01", "d02", "d03", "d04", "d05", "d06") + (
             "d07", "d08", "d09", "d10", "d11", "d12"
         )
         interaction_names = ("dt01", "dt02", "dt03", "dt04", "dt05", "dt06") + (
             "dt07", "dt08", "dt09", "dt10", "dt11", "dt12"
         )
-        assert trend_design(factors.t).names == ("const", "time")
-        assert seasonal_design(dummies).names == dummy_names
+        assert factors.trend.names == ("const", "time")
+        assert factors.fixed.names == dummy_names
         assert factors.evolving.names == dummy_names + interaction_names
+        assert factors.joint.names == joint_shared_design(factors.month, factors.t).names
 
     def test_white_noise_rho_near_zero(self):
         rng = np.random.default_rng(60)
@@ -635,7 +608,7 @@ class TestInvariance:
         bordered = fitted(series, "joint")
         assert bordered.names[-1] == "lag"
         factors = factors_of(series)
-        shared = models.joint_shared_design(factors.month, factors.t)
+        shared = joint_shared_design(factors.month, factors.t)
         paper = DesignMatrix(
             shared.names[:2] + ("lag",) + shared.names[2:],
             np.insert(shared.data, 2, y[:-1], axis=1),
@@ -690,7 +663,8 @@ def quick_series(seed: int, T: int = 1200) -> TemperatureSeries:
 
 class TestReports:
     def test_city_report_columns(self):
-        report = city_report("AAA", quick_series(1), "avg")
+        series = quick_series(1)
+        report = city_report("AAA", series, "avg", factors_of(series))
         assert report.station == "AAA"
         assert 0.0 <= report.p_nt <= 1.0
         assert 0.0 <= report.p_ns <= 1.0
@@ -720,7 +694,7 @@ class TestReports:
 
     def test_batch_rows_bitwise_equal_single_station_reports(self):
         pairs = [(code, quick_series(seed)) for code, seed in (("AAA", 20), ("BBB", 21), ("CCC", 22))]
-        singles = {code: city_report(code, series, "avg") for code, series in pairs}
+        singles = {code: city_report(code, series, "avg", factors_of(series)) for code, series in pairs}
         for order in itertools.permutations(pairs):
             batch = batch_report(list(order), "avg")
             assert [r.station for r in batch.rows] == [code for code, _ in order]
@@ -755,13 +729,14 @@ class TestReports:
         )
         monkeypatch.undo()
         for row in batch.rows:
-            assert row == city_report(row.station, dict(pairs)[row.station], "avg")
+            series = dict(pairs)[row.station]
+            assert row == city_report(row.station, series, "avg", factors_of(series))
 
     def test_given_factors_serve_every_row_and_refuse_another_window(self):
         pairs = [("AAA", quick_series(32)), ("BBB", quick_series(33))]
         factors = factors_of(pairs[0][1])
         batch = batch_report(pairs, "avg", "auto", factors)
-        assert batch.rows == tuple(city_report(code, s, "avg") for code, s in pairs)
+        assert batch.rows == tuple(city_report(code, s, "avg", factors) for code, s in pairs)
         other = WindowFactors(date(1960, 1, 2), pairs[0][1].end)
         with pytest.raises(ValueError, match=r"covers 1960-01-01\.\..* factors are of 1960-01-02\.\."):
             city_report("AAA", pairs[0][1], "avg", factors=other)
@@ -789,5 +764,5 @@ class TestReports:
 
     def test_trend_design_names(self):
         factors = factors_of(quick_series(7))
-        assert trend_design(factors.t).names == ("const", "time")
-        assert seasonal_design(month_dummies(factors.month)).data.shape[1] == 12
+        assert factors.trend.names == ("const", "time")
+        assert factors.fixed.design.data.shape[1] == 12

@@ -17,7 +17,6 @@ from tempdyn.regression import (
     WaldDegeneracyError,
     bartlett_meat,
     chi2_sf,
-    factorize,
     fit_with_hac,
     hac_cov,
     nw_auto_bandwidth,
@@ -25,6 +24,8 @@ from tempdyn.regression import (
     resolve_bandwidth,
     wald_test,
 )
+
+from conftest import factorize
 
 # ---------------------------------------------------------------------------
 # independent oracles
