@@ -34,8 +34,9 @@ regression of the partialled-out regressand on the partialled-out column
 design, and the residuals and the scores assemble the rows of both one
 block at a time, so no fit copies the shared design.
 
-Q'v, the norms and the sums of squares are numpy's pairwise sums, not BLAS
-dot products, whose order of summation changes with the BLAS thread count.
+Q'v, norms and sums of squares are numpy's pairwise sums, not BLAS dots, whose
+order of summation can change with the thread count; the HAC Gram B'B is still
+a BLAS product, measured (not guaranteed) to give the same bits at 1 and 2.
 """
 
 from __future__ import annotations
@@ -315,19 +316,20 @@ def group_factor(
         r = np.block([[r, np.diag(above)], [np.zeros((groups, groups)), np.diag(spread)]])
     norms = r.diagonal()
     rotation, r = (None, r) if mix is None else np.linalg.qr(r @ mix)
-    # the column norms of R are those of the design, which Q maps isometrically
-    scale = float(np.sqrt(np.add.reduce(r * r)).max())
-    _check_rank(names, r, scale)
-    # R is upper triangular, so LU's partial pivoting swaps no rows and the
-    # solve is a back substitution
-    r_inv = np.linalg.solve(r, np.eye(k))
 
     data = np.empty((n, k))
+    squares = np.zeros(k)  # of each column; exact in any order for integer t
     for lo in range(0, n, _WINDOW_BLOCK):
         rows = slice(lo, lo + _WINDOW_BLOCK)
         data[rows] = mixing[group[rows]]
         if t is not None:
             data[rows] += t[rows, None] * mixing[groups + group[rows]]
+        squares += np.add.reduce(np.square(data[rows]), axis=0)
+    scale = float(np.sqrt(squares).max())
+    _check_rank(names, r, scale)
+    # R is upper triangular, so LU's partial pivoting swaps no rows and the
+    # solve is a back substitution
+    r_inv = np.linalg.solve(r, np.eye(k))
     nothing = np.empty((n, 0))
     basis = GroupBasis(group, index, centred, 1.0 / norms, rotation)
     return QRFactor(

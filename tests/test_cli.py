@@ -598,13 +598,14 @@ class TestTables:
         original = models.group_factor
 
         def counting(names, *args):
-            factored.append(names[-1])
+            # the first and last names tell the four designs apart
+            factored.append((names[0], names[-1]))
             return original(names, *args)
 
         monkeypatch.setattr(models, "group_factor", counting)
         result = run(["tables", "--config", config, "--variable", "both"])
         assert result.exit_code == 0, result.output
-        assert factored == ["dt12", "time"]
+        assert factored == [("const", "dt12"), ("const", "time")]
         monkeypatch.undo()
         factors = models.WindowFactors(WINDOW_START, WINDOW_END)
 
@@ -818,13 +819,14 @@ class TestFigures:
         original = models.group_factor
 
         def counting(names, *args):
-            factored.append(names[-1])
+            # the first and last names tell the four designs apart
+            factored.append((names[0], names[-1]))
             return original(names, *args)
 
         monkeypatch.setattr(models, "group_factor", counting)
         result = run(["figures", "--config", config, "--station", "AAA"])
         assert result.exit_code == 0, result.output
-        assert factored == ["time", "d12", "dt12"]
+        assert factored == [("const", "time"), ("d01", "d12"), ("d01", "dt12")]
 
     def test_constant_dtr_is_a_one_line_error(self, workspace):
         config = str(workspace / "run.cfg")
