@@ -60,8 +60,9 @@ def _check_window(config: RunConfig, model: str, fitted: tuple[str, ...], hac: b
 
     Every command that fits calls this before it reads its first series, so
     the reads reuse the heap that building the factors frees (figures peaks
-    0.4 MiB lower). Once the months are checked, only the trend design can
-    fail to factor (a window of two days or less).
+    0.4 MiB lower); with ``hac``, the dense rows the HAC meat reads of each
+    factor in ``fitted`` are built here too. Once the months are checked,
+    only the trend design can fail to factor (a window of two days or less).
     """
     from .models import WindowFactors
 
@@ -76,7 +77,7 @@ def _check_window(config: RunConfig, model: str, fitted: tuple[str, ...], hac: b
             f"HAC bandwidth {config.hac_bandwidth} must be below the {model} model's nobs "
             f"{nobs} on {config.window_start}..{config.window_end}"
         )
-    factors.build(*fitted)
+    factors.build(*fitted, rows=hac)
     return factors
 
 

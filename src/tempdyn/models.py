@@ -137,12 +137,15 @@ class WindowFactors:
     which design each model is fitted on. Each factor is built on first
     use, or by :meth:`build`, so a command holds only the ones it fits:
     ``trend``, ``fixed``, ``evolving`` and ``joint`` (the joint design
-    without its lag), each a ``group_factor`` of the window's days.
+    without its lag), each a ``group_factor`` of the window's days. A
+    factor holds its design's dense rows only once a HAC covariance is
+    taken on it, or :meth:`build` is asked for them.
     """
 
     def __init__(self, start: date, end: date):
         days = np.arange(np.datetime64(start, "D"), np.datetime64(end, "D") + 1)
         self.start, self.end = start, end
+        self._rows: frozenset[str] = frozenset()  # models whose factor builds its rows first
         self.t = np.arange(1, len(days) + 1, dtype=np.int64)
         self.month = days.astype("datetime64[M]").astype(np.int64) % 12 + 1
         for array in (self.t, self.month):
@@ -161,25 +164,34 @@ class WindowFactors:
                 "calendar month"
             )
 
-    def build(self, *models: str) -> None:
+    def build(self, *models: str, rows: bool = False) -> None:
         """Build now, in order, the factor that :meth:`least_squares` fits
-        each of ``models`` on, the trend's before a seasonal one it de-trends."""
+        each of ``models`` on, the trend's before a seasonal one it
+        de-trends, and with ``rows`` the dense design rows that ``hac_cov``
+        reads of each of ``models`` (not of the trend a seasonal one
+        de-trends by plain OLS), each before its factor."""
+        if rows:
+            self._rows = frozenset(models)
         for model in models:
             if model in ("fixed", "evolving"):
                 self.trend
-            getattr(self, model)
+            factor = getattr(self, model)
+            if rows:
+                factor.design.data  # a factor built before this call
 
     @cached_property
     def trend(self) -> QRFactor:
-        return group_factor(("const", "time"), np.zeros(len(self.t), np.intp), self.t)
+        zeros = np.zeros(len(self.t), np.intp)
+        return group_factor(("const", "time"), zeros, self.t, rows="trend" in self._rows)
 
     @cached_property
     def fixed(self) -> QRFactor:
-        return group_factor(DUMMY_NAMES, self.month - 1)
+        return group_factor(DUMMY_NAMES, self.month - 1, rows="fixed" in self._rows)
 
     @cached_property
     def evolving(self) -> QRFactor:
-        return group_factor(DUMMY_NAMES + INTERACTION_NAMES, self.month - 1, self.t)
+        names = DUMMY_NAMES + INTERACTION_NAMES
+        return group_factor(names, self.month - 1, self.t, rows="evolving" in self._rows)
 
     @cached_property
     def joint(self) -> QRFactor:
@@ -188,7 +200,7 @@ class WindowFactors:
         july = [JULY - 1, 11 + JULY]
         mix = np.column_stack([np.repeat(np.eye(2), 12, axis=0), np.delete(np.eye(24), july, 1)])
         names = ("const", "time") + JOINT_DUMMIES + JOINT_INTERACTIONS
-        return group_factor(names, self.month[1:] - 1, self.t[1:], mix)
+        return group_factor(names, self.month[1:] - 1, self.t[1:], mix, rows="joint" in self._rows)
 
     def least_squares(self, model: str, y: np.ndarray) -> tuple[QRFactor, np.ndarray]:
         """The factor and regressand that ``model`` fits to the window's

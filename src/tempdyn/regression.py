@@ -30,9 +30,13 @@ closed form; the only decomposition made is of a k x k matrix. A
 per-regressand column (the joint model's lag) is appended to a factor by
 one Gram-Schmidt step: by Frisch-Waugh-Lovell its coefficient is the
 regression of the partialled-out regressand on the partialled-out column
-(Lovell 1963, JASA 58). The appended column is kept apart from the shared
-design, and the residuals and the scores assemble the rows of both one
-block at a time, so no fit copies the shared design.
+(Lovell 1963, JASA 58).
+
+The fitted values are Q Q'y, so no fit needs the design's rows. Only the
+Bartlett meat does: a :class:`GroupDesign` builds its dense rows when
+:func:`group_factor` is asked for them or on the first :func:`hac_cov`,
+and keeps them, and the scores assemble them with an appended column,
+kept apart, one block at a time, so no fit copies them.
 
 Q'v, norms and sums of squares are numpy's pairwise sums, not BLAS dots, whose
 order of summation can change with the thread count; the HAC Gram B'B is still
@@ -43,12 +47,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 RANK_TOL = 1e-10
-_WINDOW_BLOCK = 2048  # rows of Bartlett window sums built at a time
+_WINDOW_BLOCK = 2048  # rows of a design or of Bartlett window sums built at a time
 
 Bandwidth = Union[int, str]
 
@@ -198,20 +203,52 @@ class GroupBasis:
         return out
 
 
+def group_rows(group: np.ndarray, t: Optional[np.ndarray], mixing: np.ndarray) -> np.ndarray:
+    """The dense rows of a :func:`group_factor` design, filled a block at a
+    time: the row of a day of group g is row g of ``mixing``, plus, with
+    ``t``, its t times row G + g, for G groups."""
+    groups = len(mixing) // (1 if t is None else 2)
+    data = np.empty((len(group), mixing.shape[1]))
+    for lo in range(0, len(group), _WINDOW_BLOCK):
+        rows = slice(lo, lo + _WINDOW_BLOCK)
+        data[rows] = mixing[group[rows]]
+        if t is not None:
+            data[rows] += t[rows, None] * mixing[groups + group[rows]]
+    data.setflags(write=False)
+    return data
+
+
+@dataclass(frozen=True)
+class GroupDesign:
+    """The named design of a :func:`group_factor`, held as its rows' groups,
+    ``t`` and ``mixing``. Its n x k ``data``, which only the Bartlett meat
+    of :func:`hac_cov` reads, is built by :func:`group_rows` on first use
+    and kept on this object, which every factor bordering it shares."""
+
+    names: tuple[str, ...]
+    group: np.ndarray  # n, each row's group
+    t: Optional[np.ndarray]  # n; None without slopes
+    mixing: np.ndarray  # the identity, or the design's constant matrix
+
+    @cached_property
+    def data(self) -> np.ndarray:
+        return group_rows(self.group, self.t, self.mixing)
+
+
 @dataclass(frozen=True)
 class QRFactor:
     """Rank-checked QR factor of one design: ``[design.data, appended.data] = Q @ r``.
 
     Q is ``basis``, which spans ``design``, followed by ``border``, one
     orthonormal column per ``appended`` one, added by :meth:`bordered`.
-    Both pairs are kept apart, so that a shared design is never copied;
-    :meth:`rows` assembles rows of the whole design. :func:`ols_fit`,
-    :func:`hac_cov` and :func:`fit_with_hac` take the factor, so that a
-    design shared by many regressands is factored once and the covariance
-    reuses the R that solved for the coefficients.
+    Both pairs are kept apart, so that a shared design is never copied.
+    :func:`ols_fit`, :func:`hac_cov` and :func:`fit_with_hac` take the
+    factor, so that a design shared by many regressands is factored once,
+    the fit takes its fitted values from Q, and the covariance reuses the R
+    that solved for the coefficients.
     """
 
-    design: DesignMatrix  # n x m factored columns
+    design: GroupDesign  # n x m factored columns, rows built on first use
     appended: DesignMatrix  # n x (k - m) columns bordering the design
     basis: GroupBasis  # the m columns of Q that span the design
     border: np.ndarray  # n x (k - m) orthonormal columns bordering the basis
@@ -224,11 +261,10 @@ class QRFactor:
         """The names of the whole design's columns, in order."""
         return self.design.names + self.appended.names
 
-    def rows(self, lo: int, hi: int) -> np.ndarray:
-        """Rows ``lo..hi-1`` of the whole design; a view when nothing is appended."""
-        if not self.appended.names:
-            return self.design.data[lo:hi]
-        return np.column_stack([self.design.data[lo:hi], self.appended.data[lo:hi]])
+    @property
+    def nobs(self) -> int:
+        """The design's number of rows."""
+        return len(self.border)
 
     def qt(self, v: np.ndarray) -> np.ndarray:
         """Q'v."""
@@ -246,10 +282,11 @@ class QRFactor:
         with one reorthogonalisation); its coefficients and the norm of what
         is left border R by one column, so no new decomposition is made. A
         column in the span of the design raises :class:`SingularDesignError`
-        naming it. The new factor shares this one's design and basis.
+        naming it. The new factor shares this one's design and basis, and
+        the first column appended is held as given, not copied.
         """
         column = np.asarray(column, dtype=np.float64)
-        n, k = len(self.design.data), len(self.names)
+        n, k = self.nobs, len(self.names)
         if column.shape != (n,):
             raise ValueError(f"column has shape {column.shape}, expected ({n},)")
         if name in self.names:
@@ -271,16 +308,19 @@ class QRFactor:
         r_inv[:k, :k] = self.r_inv
         r_inv[:k, k] = -(self.r_inv @ coef) / r[k, k]
         r_inv[k, k] = 1.0 / r[k, k]
-        border = np.column_stack([self.border, left / r[k, k]])
-        appended = DesignMatrix(
-            self.appended.names + (name,), np.column_stack([self.appended.data, column])
-        )
+        left /= r[k, k]
+        if k == len(self.design.names):
+            border, columns = left[:, None], column[:, None]
+        else:
+            border = np.column_stack([self.border, left])
+            columns = np.column_stack([self.appended.data, column])
+        appended = DesignMatrix(self.appended.names + (name,), columns)
         return QRFactor(self.design, appended, self.basis, border, r, r_inv, scale)
 
 
 def group_factor(
     names: Sequence[str], group: np.ndarray,
-    t: Optional[np.ndarray] = None, mix: Optional[np.ndarray] = None,
+    t: Optional[np.ndarray] = None, mix: Optional[np.ndarray] = None, rows: bool = False,
 ) -> QRFactor:
     """The QR factor, in closed form, of the design named ``names`` whose
     columns are the indicators 1_g of the groups g = 0, 1, ... of rows
@@ -294,12 +334,22 @@ def group_factor(
     with a group of no rows, or of one day under a slope, raises
     :class:`SingularDesignError` naming the first column in the span of the
     columns before it.
+
+    With ``rows``, the design's dense rows, which only :func:`hac_cov`
+    reads, are built first. The closed form's n-sized temporaries are then
+    freed above them, where the series a command reads next fit: built
+    after the factor, the rows took that room, and ``tables`` peaked
+    about 0.5 MiB higher.
     """
     group = np.asarray(group, dtype=np.intp)
     n, k = len(group), len(names)
     if n <= k:
         raise InsufficientDataError(f"{n} observations for {k} regressors")
     mixing = np.eye(k) if mix is None else mix
+    # the design keeps the caller's t, not the float copy below
+    design = GroupDesign(tuple(names), group, t, mixing)
+    if rows:
+        design.data
     groups = len(mixing) // (1 if t is None else 2)
     counts = np.bincount(group, minlength=groups)
     order = np.argsort(group, kind="stable")
@@ -317,14 +367,13 @@ def group_factor(
     norms = r.diagonal()
     rotation, r = (None, r) if mix is None else np.linalg.qr(r @ mix)
 
-    data = np.empty((n, k))
-    squares = np.zeros(k)  # of each column; exact in any order for integer t
-    for lo in range(0, n, _WINDOW_BLOCK):
-        rows = slice(lo, lo + _WINDOW_BLOCK)
-        data[rows] = mixing[group[rows]]
-        if t is not None:
-            data[rows] += t[rows, None] * mixing[groups + group[rows]]
-        squares += np.add.reduce(np.square(data[rows]), axis=0)
+    # each column's sum of squares over the rows a + t b of each group, with
+    # a and b its rows of mixing: exact in any order for integer t and mix
+    a = mixing[:groups]
+    squares = counts @ (a * a)
+    if t is not None:
+        b = mixing[groups:]
+        squares += 2.0 * sums @ (a * b) + _group_sums(t * t, index) @ (b * b)
     scale = float(np.sqrt(squares).max())
     _check_rank(names, r, scale)
     # R is upper triangular, so LU's partial pivoting swaps no rows and the
@@ -332,29 +381,29 @@ def group_factor(
     r_inv = np.linalg.solve(r, np.eye(k))
     nothing = np.empty((n, 0))
     basis = GroupBasis(group, index, centred, 1.0 / norms, rotation)
-    return QRFactor(
-        DesignMatrix(tuple(names), data), DesignMatrix((), nothing), basis, nothing, r, r_inv, scale
-    )
+    return QRFactor(design, DesignMatrix((), nothing), basis, nothing, r, r_inv, scale)
 
 
 def ols_fit(factor: QRFactor, y: np.ndarray) -> ModelFit:
     """Least-squares fit via the QR factor of a design; hac_cov left
     unpopulated.
 
+    With c = Q'y, beta solves R beta = c and the fitted values are Q c, so
+    the design's rows are never read: for a :func:`group_factor`, that is
+    group sums and a gather.
+
     R^2 is centred: every design the package fits spans the constant (the
     trend and joint designs hold an intercept, the seasonal dummies
     partition the days).
     """
     y = np.asarray(y, dtype=np.float64)
-    n = len(factor.design.data)
+    n = factor.nobs
     if y.shape != (n,):
         raise ValueError(f"y has shape {y.shape}, expected ({n},)")
 
-    beta = np.linalg.solve(factor.r, factor.qt(y))
-    residuals = np.empty(n)
-    for lo in range(0, n, _WINDOW_BLOCK):
-        hi = min(lo + _WINDOW_BLOCK, n)
-        residuals[lo:hi] = y[lo:hi] - factor.rows(lo, hi) @ beta
+    c = factor.qt(y)
+    beta = np.linalg.solve(factor.r, c)
+    residuals = y - factor.qdot(c)
 
     ssr = float(np.add.reduce(residuals * residuals))
     deviations = y - y.mean()
@@ -407,12 +456,13 @@ def hac_cov(
 ) -> np.ndarray:
     """Newey-West covariance of the OLS coefficients of a factored design.
 
-    (X'X)^-1 comes from the factor's R. Bandwidth 0 collapses the kernel to
-    the heteroskedasticity-only (HC0) sandwich. The result is exactly
-    symmetric by construction.
+    (X'X)^-1 comes from the factor's R; the meat reads the design's rows,
+    which a :class:`GroupDesign` builds on the first call and keeps.
+    Bandwidth 0 collapses the kernel to the heteroskedasticity-only (HC0)
+    sandwich. The result is exactly symmetric by construction.
     """
     residuals = np.asarray(residuals, dtype=np.float64)
-    n = len(factor.design.data)
+    n = factor.nobs
     if residuals.shape != (n,):
         raise ValueError("residuals do not match design length")
     lag = resolve_bandwidth(n, bandwidth)

@@ -597,10 +597,10 @@ class TestTables:
         factored = []
         original = models.group_factor
 
-        def counting(names, *args):
+        def counting(names, *args, **kwargs):
             # the first and last names tell the four designs apart
             factored.append((names[0], names[-1]))
-            return original(names, *args)
+            return original(names, *args, **kwargs)
 
         monkeypatch.setattr(models, "group_factor", counting)
         result = run(["tables", "--config", config, "--variable", "both"])
@@ -818,10 +818,10 @@ class TestFigures:
         factored = []
         original = models.group_factor
 
-        def counting(names, *args):
+        def counting(names, *args, **kwargs):
             # the first and last names tell the four designs apart
             factored.append((names[0], names[-1]))
-            return original(names, *args)
+            return original(names, *args, **kwargs)
 
         monkeypatch.setattr(models, "group_factor", counting)
         result = run(["figures", "--config", config, "--station", "AAA"])
@@ -1821,3 +1821,45 @@ def test_no_qr_of_more_than_k_rows(workspace, monkeypatch):
         result = run([command[0], "--config", config, *command[1:]])
         assert result.exit_code == 0, result.output
     assert shapes and all(rows <= 24 for rows, _ in shapes), shapes
+
+
+def test_no_dense_design_on_the_ols_path(workspace, monkeypatch):
+    # plain OLS takes its fitted values from the factor's Q, so figures
+    # never builds a design's rows; the HAC meat reads them, so tables and
+    # fit build them once per factor they take a covariance of, before the
+    # first series is read
+    config = str(workspace / "run.cfg")
+    run(["ingest", "--config", config])
+    events = []
+    build_rows, read = regression.group_rows, series_mod.read_series_csv
+
+    def recording_rows(*args):
+        rows = build_rows(*args)
+        events.append(rows.shape)
+        return rows
+
+    def recording_read(path):
+        events.append("read")
+        return read(path)
+
+    monkeypatch.setattr(regression, "group_rows", recording_rows)
+    monkeypatch.setattr(series_mod, "read_series_csv", recording_read)
+    days = (WINDOW_END - WINDOW_START).days + 1
+    trend, joint = (days, 2), (days - 1, 24)
+    expected = {
+        ("figures", "--station", "AAA"): [],
+        ("tables",): [joint, trend],
+        **{
+            ("fit", "--station", "AAA", "--model", model): [shape]
+            for model, shape in (
+                ("trend", trend), ("seasonal", (days, 12)), ("evolving", (days, 24)), ("joint", joint),
+            )
+        },
+    }
+    for command, rows in expected.items():
+        events.clear()
+        result = run([command[0], "--config", config, *command[1:]])
+        assert result.exit_code == 0, result.output
+        assert "read" in events, command
+        assert events[: len(rows) + 1] == [*rows, "read"], command
+        assert events.count("read") + len(rows) == len(events), command

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import tempdyn.models as models
+import tempdyn.regression as regression
 from tempdyn import reporting
 from tempdyn.models import (
     DUMMY_NAMES,
@@ -260,7 +261,7 @@ class TestGroupFactor:
             closed = getattr(factors, model)
             n, k = design.data.shape
             regressand = y[-n:]
-            assert np.array_equal(closed.rows(0, n), design.data)
+            assert np.array_equal(closed.design.data, design.data)
             assert closed.names == design.names
             assert closed.scale == dense.scale
             q = np.column_stack([closed.qdot(column) for column in np.eye(k)])
@@ -336,11 +337,25 @@ def largest_relative_error(beta: np.ndarray, exact: list[Fraction]) -> float:
     return max(float(abs(Fraction(b) - e) / abs(e)) for b, e in zip(beta.tolist(), exact))
 
 
+def exact_residuals(X: np.ndarray, y: np.ndarray, beta: list[Fraction]) -> list[Fraction]:
+    """y - X beta in exact rational arithmetic."""
+    return [
+        Fraction(v) - sum(Fraction(x) * b for x, b in zip(row, beta) if x)
+        for row, v in zip(X.tolist(), y.tolist())
+    ]
+
+
+def largest_error(values: np.ndarray, exact: list[Fraction]) -> float:
+    return max(float(abs(Fraction(v) - e)) for v, e in zip(values.tolist(), exact))
+
+
 @pytest.mark.parametrize("variable", ["avg", "dtr"])
 def test_closed_form_coefficients_as_accurate_as_householder(variable):
     # t is an integer and AVG and DTR are exact halves, so each model's
     # least-squares problem has an exact rational solution; the de-trended
-    # regressand of the seasonal models is a vector of floats, each exact
+    # regressand of the seasonal models is a vector of floats, each exact.
+    # The residuals, y less the fitted values Q Q'y, are held against
+    # Householder's y - X beta
     start, end = date(1961, 3, 1), date(1963, 8, 31)
     days = (end - start).days + 1
     rng = np.random.default_rng(5)
@@ -355,9 +370,15 @@ def test_closed_form_coefficients_as_accurate_as_householder(variable):
         if model == "joint":
             design, _ = joint_design(factors.month, factors.t, series.variable(variable))
         exact = exact_least_squares(design.data, regressand)
-        ours = largest_relative_error(ols_fit(factor, regressand).beta, exact)
-        householder = largest_relative_error(ols_fit(factorize(design), regressand).beta, exact)
-        assert ours <= 2 * householder, (model, ours, householder)
+        ours, householder = ols_fit(factor, regressand), ols_fit(factorize(design), regressand)
+        errors = largest_relative_error(ours.beta, exact), largest_relative_error(householder.beta, exact)
+        assert errors[0] <= 2 * errors[1], (model, *errors)
+        exact = exact_residuals(design.data, regressand, exact)
+        errors = (
+            largest_error(ours.residuals, exact),
+            largest_error(regressand - design.data @ householder.beta, exact),
+        )
+        assert errors[0] <= 2 * errors[1], (model, *errors)
 
 
 class TestWindowFactors:
@@ -381,7 +402,7 @@ class TestWindowFactors:
         for model, nobs in (("trend", 1200), ("fixed", 1200), ("evolving", 1200), ("joint", 1199)):
             factor, regressand = factors.least_squares(model, series.variable("avg"))
             assert isinstance(factor, QRFactor)
-            assert len(factor.design.data) == len(regressand) == nobs, model
+            assert factor.nobs == len(regressand) == nobs, model
 
     @pytest.mark.parametrize("design", ["fixed", "evolving"])
     def test_seasonal_fits_detrend_by_ols_on_the_trend_factor(self, design):
@@ -399,10 +420,10 @@ class TestWindowFactors:
         built = []
         original = models.group_factor
 
-        def counting(names, *args):
+        def counting(names, *args, **kwargs):
             # the first and last names tell the four designs apart
             built.append((names[0], names[-1]))
-            return original(names, *args)
+            return original(names, *args, **kwargs)
 
         monkeypatch.setattr(models, "group_factor", counting)
         series = quick_series(31)
@@ -416,6 +437,29 @@ class TestWindowFactors:
         fit_with_hac(*factors.least_squares("joint", series.variable("avg")))
         fit_with_hac(*factors.least_squares("joint", series.variable("avg")))
         assert built == [("const", "time"), ("d01", "dt12"), ("d01", "d12"), ("const", "dt12")]
+
+    def test_dense_rows_built_for_hac_alone_and_shared_by_bordered_factors(self, monkeypatch):
+        # plain OLS reads no design rows; the HAC meat builds them once per
+        # factor, and every joint factor bordered by a series' lag reuses them
+        built = []
+        original = regression.group_rows
+
+        def counting(*args):
+            rows = original(*args)
+            built.append(rows.shape)
+            return rows
+
+        monkeypatch.setattr(regression, "group_rows", counting)
+        series = quick_series(32)
+        factors = factors_of(series)
+        for model in ("trend", "fixed", "evolving", "joint"):
+            ols_fit(*factors.least_squares(model, series.variable("avg")))
+        assert built == []
+        for other in (series, quick_series(33)):
+            fit_with_hac(*factors.least_squares("joint", other.variable("avg")))
+        assert built == [(1199, 24)]
+        factors.build("fixed", "joint", rows=True)
+        assert built == [(1199, 24), (1200, 12)]
 
 
 class TestModelSpec:
@@ -437,7 +481,7 @@ class TestModelSpec:
         factors = factors_of(quick_series(71))
         for model in ("trend", "fixed", "evolving", "joint"):
             factor = getattr(factors, model)
-            ones = np.ones(len(factor.design.data))
+            ones = np.ones(factor.nobs)
             assert np.abs(ones - factor.qdot(factor.qt(ones))).max() < 1e-9, model
 
 
@@ -766,4 +810,4 @@ class TestReports:
     def test_trend_design_names(self):
         factors = factors_of(quick_series(7))
         assert factors.trend.names == ("const", "time")
-        assert factors.fixed.design.data.shape[1] == 12
+        assert len(factors.fixed.design.names) == 12

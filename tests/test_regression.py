@@ -286,7 +286,7 @@ class TestQRFactor:
         full = DesignMatrix(self.X.names + ("w",), np.column_stack([self.X.data, self.w]))
         bordered = factorize(self.X).bordered("w", self.w)
         assert bordered.names == full.names
-        np.testing.assert_array_equal(bordered.rows(0, len(full.data)), full.data)
+        np.testing.assert_array_equal(np.column_stack([bordered.design.data, bordered.appended.data]), full.data)
         a = fit_with_hac(bordered, self.y, bandwidth=5)
         b = fit_with_hac(factorize(full), self.y, bandwidth=5)
         np.testing.assert_allclose(a.beta, b.beta, rtol=1e-11)
@@ -295,9 +295,9 @@ class TestQRFactor:
         assert a.r_squared == pytest.approx(b.r_squared, rel=1e-12)
 
     def test_bordered_fit_equals_the_stacked_design_bit_for_bit(self):
-        # the bordered rows are assembled a block at a time, with the
-        # arithmetic of the stacked design on each row; 8000 rows span
-        # several blocks
+        # the residuals are y less Q Q'y; the Bartlett meat assembles the
+        # bordered rows a block at a time, with the arithmetic of the
+        # stacked design on each row; 8000 rows span several blocks
         rng = np.random.default_rng(8)
         X = random_design(rng, 8000, 24)
         w = rng.standard_normal(8000)
@@ -305,7 +305,7 @@ class TestQRFactor:
         bordered = factorize(X).bordered("w", w)
         fit = fit_with_hac(bordered, y, bandwidth=13)
         stacked = np.column_stack([X.data, w])
-        residuals = y - stacked @ fit.beta
+        residuals = y - bordered.qdot(bordered.qt(y))
         xtx_inv = bordered.r_inv @ bordered.r_inv.T
         cov = xtx_inv @ bartlett_meat(stacked, residuals, 13) @ xtx_inv
         assert fit.residuals.tobytes() == residuals.tobytes()
