@@ -169,15 +169,15 @@ class WindowFactors:
         each of ``models`` on, the trend's before a seasonal one it
         de-trends, and with ``rows`` the dense design rows that ``hac_cov``
         reads of each of ``models`` (not of the trend a seasonal one
-        de-trends by plain OLS), each before its factor."""
+        de-trends by plain OLS), each before its factor. ``rows`` reaches
+        only the factors not built before this call; ``hac_cov`` builds
+        the rows of any other on first use."""
         if rows:
             self._rows = frozenset(models)
         for model in models:
             if model in ("fixed", "evolving"):
                 self.trend
-            factor = getattr(self, model)
-            if rows:
-                factor.design.data  # a factor built before this call
+            getattr(self, model)
 
     @cached_property
     def trend(self) -> QRFactor:

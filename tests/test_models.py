@@ -458,8 +458,12 @@ class TestWindowFactors:
         for other in (series, quick_series(33)):
             fit_with_hac(*factors.least_squares("joint", other.variable("avg")))
         assert built == [(1199, 24)]
-        factors.build("fixed", "joint", rows=True)
-        assert built == [(1199, 24), (1200, 12)]
+        # build asks for the rows of the factors it builds, each before
+        # its factor, and of none built before it
+        factors.build("fixed", rows=True)
+        assert built == [(1199, 24)]
+        factors_of(series).build("fixed", "joint", rows=True)
+        assert built == [(1199, 24), (1200, 12), (1199, 24)]
 
 
 class TestModelSpec:

