@@ -14,18 +14,19 @@ and repairs isolated single-day gaps by averaging the neighbouring days.
     22-269 31 day groups of 8 characters each:
            value (5, right-justified, -9999 = missing), mflag, qflag, sflag
 
-Parsing is array-native. The non-empty lines become one ``(lines, 269)``
-uint8 matrix (a view of the payload itself when every line is 269
-printable ASCII bytes and a newline); year, month and every value field
-of every element are checked with byte masks, and only the TMAX/TMIN value
-fields are decoded, to an int32 ``(rows, 31)`` array. Every year, month and value field must be
-a right-justified integer, as the archive's readme.txt defines them:
-optional leading spaces, an optional ``-`` and at least one digit. The first
-line in file order with any other field (``+12``, ``1_2``, trailing blanks,
-a tab, letters) or a month outside 1..12 raises :class:`DlyParseError`,
-naming its 1-based line number, the field and, for a value, the day.
-Repair scatters each element into an array indexed by day of the window,
-so no per-day object is ever built.
+Parsing is array-native. The non-empty lines (split at ``\\n`` by
+:func:`parse_dly`) become one ``(lines, 269)`` uint8 matrix: a view of the
+payload itself when every line is 269 bytes and a bare ``\\n``, one copy
+otherwise. Year, month and every value field of every element are checked
+with byte masks, and only the TMAX/TMIN value fields are decoded, to an
+int32 ``(rows, 31)`` array. Every year, month and value field must be a
+right-justified integer, as the archive's readme.txt defines them:
+optional leading spaces, an optional ``-`` and at least one digit. The
+first line in file order with any other field (``+12``, ``1_2``, trailing
+blanks, a tab, letters) or a month outside 1..12 raises
+:class:`DlyParseError`, naming its 1-based line number, the field and, for
+a value, the day. Repair scatters each element into an array indexed by
+day of the window, so no per-day object is ever built.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from functools import partial
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .series import write_atomic
 
@@ -153,50 +155,43 @@ class IngestNotes:
 def parse_dly(data: bytes) -> DlyRecords:
     """Parse a ``.dly`` byte stream into columnar records, one per line.
 
-    Every element code present in the file is retained; select records on
-    ``element`` afterwards. Raises
-    :class:`DlyParseError` (carrying the 1-based line number) for the first
-    malformed line; empty lines are skipped and CRLF endings accepted.
+    Lines end at ``\\n``; one ``\\r`` just before it is dropped, empty lines
+    are skipped, and the last line needs no ``\\n``. Every element code
+    present in the file is retained; select records on ``element``
+    afterwards. Raises :class:`DlyParseError`, with the 1-based line number
+    (lines counted by ``\\n``), for the first non-ASCII byte, else for the
+    first malformed line.
     """
-    # A payload of whole 269-byte lines, each ended by "\n", in printable
-    # ASCII (no byte that str.splitlines would split at) is its own line
-    # matrix, taken without a copy. Any other payload goes through the text.
+    raw = np.frombuffer(data, dtype=np.uint8)
+    if not data.isascii():
+        at = int(np.argmax(raw >= 0x80))
+        raise DlyParseError(
+            f"non-ASCII byte 0x{data[at]:02x}; not a .dly file", data.count(b"\n", 0, at) + 1
+        )
     width = LINE_LENGTH + 1
     if data and len(data) % width == 0:
-        matrix = np.frombuffer(data, dtype=np.uint8).reshape(-1, width)
-        lines = matrix[:, :LINE_LENGTH]
-        if (
-            (matrix[:, LINE_LENGTH] == ord("\n")).all()
-            and lines.min() >= ord(" ")
-            and lines.max() <= ord("~")
-        ):
+        lines = raw.reshape(-1, width)[:, :LINE_LENGTH]
+        # whole 269-byte lines ended by "\n", with no "\n" or "\r" (no byte
+        # below " ") inside: the payload is its own line matrix, no copy
+        if (raw[LINE_LENGTH::width] == ord("\n")).all() and lines.min() >= ord(" "):
             return _decode_matrix(lines, np.arange(1, len(lines) + 1))
-    return _parse_text(data)
-
-
-def _parse_text(data: bytes) -> DlyRecords:
-    """:func:`parse_dly` of any payload, through its ASCII text and lines."""
-    try:
-        text = data.decode("ascii")
-    except UnicodeDecodeError as exc:
-        # lines of the ASCII prefix, with "?" standing in for the bad byte
-        number = len((data[: exc.start] + b"?").decode("ascii").splitlines())
-        raise DlyParseError(
-            f"non-ASCII byte 0x{data[exc.start]:02x}; not a .dly file", number
-        ) from None
-    lines = text.splitlines()
-    lengths = np.fromiter(map(len, lines), dtype=np.int64, count=len(lines))
+    ends = np.flatnonzero(raw == ord("\n"))
+    starts = np.append(0, ends + 1)
+    stops = np.append(ends, len(raw))
+    # drop one "\r" before each "\n" of a non-empty line
+    stops[:-1] -= (ends > starts[:-1]) & (raw[ends - 1] == ord("\r"))
+    lengths = stops - starts
     wrong = np.flatnonzero((lengths != LINE_LENGTH) & (lengths > 0))
-    end = int(wrong[0]) if wrong.size else len(lines)
-    matrix = np.frombuffer("".join(lines[:end]).encode("ascii"), dtype=np.uint8)
-    # the lines before the first one of the wrong length may hold an earlier error
-    records = _decode_matrix(
-        matrix.reshape(-1, LINE_LENGTH), np.flatnonzero(lengths[:end]) + 1
-    )
+    end = int(wrong[0]) if wrong.size else len(lengths)
+    numbers = np.flatnonzero(lengths[:end]) + 1
+    # one copy of the 269 bytes that start each line before the wrong one
+    lines = raw[:0].reshape(0, LINE_LENGTH)
+    if numbers.size:
+        lines = sliding_window_view(raw, LINE_LENGTH)[starts[numbers - 1]]
+    # those lines may hold an earlier error
+    records = _decode_matrix(lines, numbers)
     if wrong.size:
-        raise DlyParseError(
-            f"expected {LINE_LENGTH} characters, got {lengths[end]}", end + 1
-        )
+        raise DlyParseError(f"expected {LINE_LENGTH} characters, got {lengths[end]}", end + 1)
     return records
 
 

@@ -37,6 +37,7 @@ DEFAULT_WINDOW = (date(1960, 1, 1), date(2017, 12, 31))
 # codes and GHCN IDs become file names and unquoted CSV fields
 _IDENTIFIER = re.compile(r"[A-Za-z0-9_-]+")
 _COMMENT = re.compile(r"(?:^|\s)#.*")
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
 class ConfigError(ValueError):
@@ -193,6 +194,15 @@ _FLAGS = {
 }
 
 
+def _parse_date(value: str) -> date:
+    """A date written ``YYYY-MM-DD``, the one form ``date.fromisoformat``
+    reads on every supported Python (3.11 also reads ``19600101`` and ISO
+    week dates, which 3.10 refuses)."""
+    if not _ISO_DATE.fullmatch(value):
+        raise ValueError(f"expected a date as YYYY-MM-DD, got {value!r}")
+    return date.fromisoformat(value)
+
+
 def _parse_flag(value: str) -> bool:
     if value.lower() not in _FLAGS:
         raise ValueError(f"expected one of {'/'.join(_FLAGS)}, got {value!r}")
@@ -202,8 +212,8 @@ def _parse_flag(value: str) -> bool:
 # the parser of each setting's value, keyed by the setting and the
 # ``RunConfig`` field it sets
 _SETTINGS: dict[str, Callable[[str], object]] = {
-    "window_start": date.fromisoformat,
-    "window_end": date.fromisoformat,
+    "window_start": _parse_date,
+    "window_end": _parse_date,
     "hac_bandwidth": parse_bandwidth,
     "output_dir": Path,
     "cache_dir": Path,

@@ -135,21 +135,24 @@ class TestRoundTrip:
             assert serialize_record(record) == line
 
 
-def reference_parse(data: bytes) -> list[RawDlyRecord]:
+def reference_parse(data: bytes) -> list[tuple[int, RawDlyRecord]]:
     """The line-by-line decoder parse_dly replaced, kept as its reference:
-    each field must be a right-justified integer (:func:`conftest.dly_int`)."""
+    (line number, record) pairs. Lines are split at "\\n" alone, each
+    dropping one "\\r" before its "\\n", and each field must be a
+    right-justified integer (:func:`conftest.dly_int`)."""
     try:
         text = data.decode("ascii")
     except UnicodeDecodeError as exc:
-        number = len((data[: exc.start] + b"?").decode("ascii").splitlines())
+        number = len(data[: exc.start].split(b"\n"))
         raise DlyParseError(f"non-ASCII byte 0x{data[exc.start]:02x}; not a .dly file", number)
+    *ended, last = text.split("\n")
     records = []
-    for number, raw in enumerate(text.splitlines(), start=1):
+    for number, raw in enumerate([line.removesuffix("\r") for line in ended] + [last], start=1):
         if not raw:
             continue
         if len(raw) != 269:
             raise DlyParseError(f"expected 269 characters, got {len(raw)}", number)
-        records.append(decode_line(raw, number))
+        records.append((number, decode_line(raw, number)))
     return records
 
 
@@ -161,15 +164,16 @@ def outcome(parse, data: bytes):
         return ("error", str(exc))
     if isinstance(records, list):  # the reference
         return ("ok", [
-            (r.station_id, r.year, r.month, r.element,
+            (number, r.station_id, r.year, r.month, r.element,
              [v.value for v in r.values] if r.element in ("TMAX", "TMIN") else None,
              "".join(v.mflag + v.qflag + v.sflag for v in r.values))
-            for r in records
+            for number, r in records
         ])
     values = dict(zip(records.rows.tolist(), records.values.tolist()))
     return ("ok", [
-        (line[:11], records.year[i].item(), records.month[i].item(), line[17:21],
-         values.get(i), "".join(line[26 + 8 * d : 29 + 8 * d] for d in range(31)))
+        (records.line_numbers[i].item(), line[:11], records.year[i].item(),
+         records.month[i].item(), line[17:21], values.get(i),
+         "".join(line[26 + 8 * d : 29 + 8 * d] for d in range(31)))
         for i, line in enumerate(row.tobytes().decode("ascii") for row in records.lines)
     ])
 
@@ -178,6 +182,7 @@ def outcome(parse, data: bytes):
 NUMERIC_FIELDS = [(11, 15), (15, 17)] + [(21 + 8 * d, 26 + 8 * d) for d in range(31)]
 CORRUPTIONS = ["abcde", "1 2", "  -", "+12", "     ", " +12 ", "1_2", "-0", "00012",
                "--5", "- 5", "5-", "-", "   13", "00", " -1", "\t12"]
+CONTROL_BYTES = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\r"]
 
 
 @st.composite
@@ -195,6 +200,11 @@ def dly_payloads(draw):
     if lines and draw(st.integers(0, 4)) == 0:
         i = draw(st.integers(0, len(lines) - 1))
         lines[i] = lines[i][: draw(st.integers(1, 268))]
+    if lines and draw(st.integers(0, 3)) == 0:
+        # a control byte that does not end a line, as only "\n" does
+        i = draw(st.integers(0, len(lines) - 1))
+        j = draw(st.integers(0, max(len(lines[i]) - 1, 0)))
+        lines[i] = lines[i][:j] + draw(st.sampled_from(CONTROL_BYTES)) + lines[i][j + 1 :]
     ending = draw(st.sampled_from(["\n", "\r\n"]))
     return "".join(line + ending for line in lines).encode("ascii")
 
@@ -250,6 +260,18 @@ def irregular_payloads() -> dict[str, bytes]:
         "tab": payload[:300] + b"\t" + payload[301:],
         "short-line": line_bytes(good[0], good[1][:-1], good[2]),
         "empty": b"",
+        "cr-only": payload.replace(b"\n", b"\r"),
+        "cr-cr-lf": payload.replace(b"\n", b"\r\r\n"),
+        # payloads of 270-byte rows ended by "\n" that are not 269-byte lines
+        "newline-inside-a-line": payload[:370] + b"\n" + payload[371:],
+        "cr-before-newline": payload[:538] + b"\r" + payload[539:],
+        "leading-blank-line-and-trailing-cr": b"\n" + payload + b"\r",
+        # the sflag of day 1 on line 2
+        "file-separator-in-sflag": payload[:298] + b"\x1c" + payload[299:],
+        # a form feed in line 1's sflag of day 1, a non-ASCII byte in line 3
+        "non-ascii-after-form-feed": (
+            payload[:28] + b"\x0c" + payload[29:640] + b"\xe9" + payload[641:]
+        ),
     }
     for text in CORRUPTIONS:
         for start, stop in [(11, 15), (15, 17), (21, 26), (261, 266)]:
@@ -261,19 +283,38 @@ def irregular_payloads() -> dict[str, bytes]:
 
 class TestBytesNativeParse:
     @pytest.mark.parametrize("index", range(3))
-    def test_clean_file_is_parsed_in_place_as_the_text_path_would(self, index):
+    def test_clean_file_is_parsed_in_place(self, index):
         data = clean_payloads()[index]
         records = parse_dly(data)
         # the line matrix is a view of the payload, not a copy
         assert np.shares_memory(records.lines, np.frombuffer(data, dtype=np.uint8))
         assert records.line_numbers.tolist() == list(range(1, len(records) + 1))
-        assert parse_result(parse_dly, data) == parse_result(ghcn._parse_text, data)
+        assert outcome(parse_dly, data) == outcome(reference_parse, data)
+        # CRLF endings take the gathered copy, with every field and dtype equal
+        crlf = data.replace(b"\n", b"\r\n")
+        assert not np.shares_memory(parse_dly(crlf).lines, np.frombuffer(crlf, dtype=np.uint8))
+        assert parse_result(parse_dly, crlf) == parse_result(parse_dly, data)
 
     @pytest.mark.parametrize("case", list(irregular_payloads()))
-    def test_irregular_or_corrupt_file_parses_or_fails_as_the_text_path_does(self, case):
+    def test_irregular_or_corrupt_file_parses_or_fails_as_the_reference_does(self, case):
         data = irregular_payloads()[case]
-        assert parse_result(parse_dly, data) == parse_result(ghcn._parse_text, data)
         assert outcome(parse_dly, data) == outcome(reference_parse, data)
+
+    @pytest.mark.parametrize("case, message", [
+        ("form-feed", "line 2: non-numeric value field '-\\x0c999' for day 2"),
+        ("cr-only", "line 1: expected 269 characters, got 810"),
+        ("cr-cr-lf", "line 1: expected 269 characters, got 270"),
+        ("non-ascii-after-form-feed", "line 3: non-ASCII byte 0xe9; not a .dly file"),
+    ])
+    def test_only_newline_ends_a_line(self, case, message):
+        with pytest.raises(DlyParseError) as info:
+            parse_dly(irregular_payloads()[case])
+        assert str(info.value) == message
+
+    def test_control_byte_in_a_flag_column_is_kept(self):
+        records = parse_dly(irregular_payloads()["file-separator-in-sflag"])
+        assert records.lines[1, 28] == 0x1C
+        assert records.line_numbers.tolist() == [1, 2, 3]
 
 
 class TestToFahrenheit:

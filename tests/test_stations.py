@@ -148,6 +148,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=":1:"):
             parse_config("window_start = not-a-date\n")
 
+    @pytest.mark.parametrize("key", ["window_start", "window_end"])
+    @pytest.mark.parametrize("value", ["19600101", "1960-W01-1", "1960W011"])
+    def test_window_date_must_be_written_yyyy_mm_dd(self, key, value):
+        # date.fromisoformat reads these on Python 3.11 and later, not on 3.10
+        with pytest.raises(ConfigError) as caught:
+            parse_config(f"hac_bandwidth = 3\n{key} = {value}\n", source="run.cfg")
+        assert str(caught.value) == (
+            f"run.cfg:2: bad value for {key}: expected a date as YYYY-MM-DD, got {value!r}"
+        )
+
     @pytest.mark.parametrize(
         "value, expected",
         [(v, True) for v in ("1", "true", "Yes", "ON")]
