@@ -60,9 +60,8 @@ def _check_window(config: RunConfig, model: str, fitted: tuple[str, ...], hac: b
 
     Every command that fits calls this before it reads its first series, so
     the reads reuse the heap that building the factors frees (figures peaks
-    0.4 MiB lower); with ``hac``, the dense rows the HAC meat reads of each
-    factor in ``fitted`` are built here too. Once the months are checked,
-    only the trend design can fail to factor (a window of two days or less).
+    0.4 MiB lower). Once the months are checked, only the trend design can
+    fail to factor (a window of two days or less).
     """
     from .models import WindowFactors
 
@@ -77,7 +76,7 @@ def _check_window(config: RunConfig, model: str, fitted: tuple[str, ...], hac: b
             f"HAC bandwidth {config.hac_bandwidth} must be below the {model} model's nobs "
             f"{nobs} on {config.window_start}..{config.window_end}"
         )
-    factors.build(*fitted, rows=hac)
+    factors.build(*fitted)
     return factors
 
 
@@ -313,7 +312,8 @@ def fit(config_path, station_code, variable, model, hac_bandwidth, out):
     """Fit a single specification and print its coefficient table."""
     from . import models
     from .regression import (
-        BandwidthError, InsufficientDataError, SingularDesignError, fit_with_hac, wald_test,
+        BandwidthError, InsufficientDataError, SingularDesignError, WaldDegeneracyError,
+        fit_with_hac, wald_test,
     )
 
     config = _configure(config_path, out=out, hac_bandwidth=hac_bandwidth)
@@ -323,34 +323,40 @@ def fit(config_path, station_code, variable, model, hac_bandwidth, out):
         factors = _check_window(config, name, (name,), hac=True)
         y = _station_series(config, station_code).variable(variable)
         result = fit_with_hac(*factors.least_squares(name, y), config.hac_bandwidth)
-        _print_fit(result)
+        # every line is made before the first is printed, so a failed test
+        # prints no part of the table
+        lines = _fit_lines(result)
         if model == "trend":
-            print(f"delta_trend: {models.delta_trend(result):.4f} F over the sample")
+            lines.append(f"delta_trend: {models.delta_trend(result):.4f} F over the sample")
         elif model == "joint":
-            print("  ".join(
+            lines.append("  ".join(
                 f"p({label})={wald_test(result, labels).p_value:.4f}"
                 for label, labels in models.HYPOTHESES.items()
             ))
-    except (BandwidthError, InsufficientDataError, SingularDesignError) as exc:
+        print("\n".join(lines))
+    except (
+        BandwidthError, InsufficientDataError, SingularDesignError, WaldDegeneracyError
+    ) as exc:
         raise _CommandError(f"{station_code} {variable} {model}: {exc}")
 
 
 DAYS_PER_DECADE = 3652.5
 
 
-def _print_fit(fit_result) -> None:
+def _fit_lines(fit_result) -> list[str]:
     # slopes on daily time are tiny; show a per-decade rescaling alongside
-    print(f"{'name':<8}{'coef':>16}{'hac_se':>14}{'p':>10}{'per_decade':>14}")
+    lines = [f"{'name':<8}{'coef':>16}{'hac_se':>14}{'p':>10}{'per_decade':>14}"]
     for name in fit_result.names:
         per_decade = ""
         if name == "time" or name.startswith("dt"):
             per_decade = f"{fit_result.coef(name) * DAYS_PER_DECADE:>14.4g}"
-        print(
+        lines.append(
             f"{name:<8}{fit_result.coef(name):>16.6g}"
             f"{fit_result.se(name):>14.4g}{fit_result.coef_p(name):>10.4f}{per_decade}"
         )
-    print(f"nobs={fit_result.nobs}  R2={fit_result.r_squared:.4f}  "
-          f"bandwidth={fit_result.bandwidth}")
+    lines.append(f"nobs={fit_result.nobs}  R2={fit_result.r_squared:.4f}  "
+                 f"bandwidth={fit_result.bandwidth}")
+    return lines
 
 
 def _existing_path(value: str) -> str:

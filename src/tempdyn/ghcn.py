@@ -544,7 +544,9 @@ def fetch_stations(
     caller's thread, so with nothing to download no thread starts and one
     payload is held at a time. Downloads (a cache miss, or any station
     under ``refresh``) run on a pool of :data:`FETCH_THREADS` threads, at
-    most that many ahead of the caller; their calls wait for the result.
+    most that many ahead of the caller; their calls wait for the result and
+    then let go of the future, so a caller that still holds the call holds
+    no payload once it drops the result.
     """
     fetches = [partial(fetch_station, s, endpoint, cache_dir, refresh) for s in station_ids]
     downloads = [
@@ -562,7 +564,13 @@ def fetch_stations(
         for fetch, download in zip(fetches, downloads):
             while len(ahead) < FETCH_THREADS and (upcoming := next(waiting, None)) is not None:
                 ahead.append(pool.submit(upcoming))
-            yield ahead.popleft().result if download else fetch
+            yield _taken_once(ahead.popleft()) if download else fetch
+
+
+def _taken_once(future) -> Callable[[], Fetched]:
+    """``future.result`` as a call that holds the future only until it is made."""
+    held = [future]
+    return lambda: held.pop().result()
 
 
 def _cache_path(cache_dir: str | os.PathLike, station_id: str) -> str:

@@ -32,28 +32,29 @@ one Gram-Schmidt step: by Frisch-Waugh-Lovell its coefficient is the
 regression of the partialled-out regressand on the partialled-out column
 (Lovell 1963, JASA 58).
 
-The fitted values are Q Q'y, so no fit needs the design's rows. Only the
-Bartlett meat does: a :class:`GroupDesign` builds its dense rows when
-:func:`group_factor` is asked for them or on the first :func:`hac_cov`,
-and keeps them, and the scores assemble them with an appended column,
-kept apart, one block at a time, so no fit copies them.
+The fitted values are Q Q'y, so no fit needs the design's rows, and the
+Bartlett meat reads none either. The meat is linear in the scores, so
+:meth:`QRFactor.meat` builds them one block of days at a time over the
+design's columns before its constant matrix: a day's residual u at its
+group's column, u t at its group's slope column, and u times each appended
+column beside them. It maps the k x k meat through that matrix once.
 
 Q'v, norms and sums of squares are numpy's pairwise sums, not BLAS dots, whose
-order of summation can change with the thread count; the HAC Gram B'B is still
-a BLAS product, measured (not guaranteed) to give the same bits at 1 and 2.
+order of summation can change with the thread count; the HAC Gram B'B and its
+map through the constant matrix are still BLAS products, measured (not
+guaranteed) to give the same bits at 1 and 2.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 RANK_TOL = 1e-10
-_WINDOW_BLOCK = 2048  # rows of a design or of Bartlett window sums built at a time
+_WINDOW_BLOCK = 2048  # rows of Bartlett scores and window sums built at a time
 
 Bandwidth = Union[int, str]
 
@@ -172,19 +173,37 @@ def _group_sums(w: np.ndarray, index: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class GroupBasis:
-    """The orthonormal Q of a :func:`group_factor` design, never formed.
+class GroupDesign:
+    """The named design of a :func:`group_factor` and the orthonormal Q of
+    its factor, never formed.
 
-    Before ``rotation``, its columns are 1_g/sqrt(n_g) for each group g of
-    rows, then, with slopes, (t - tbar_g) 1_g / s_g, where s_g is the norm
-    of the group's centred t: so Q'v is group sums, and Qc a gather.
+    Before ``mix``, the design's columns are the indicators 1_g of each
+    group g of rows, then, with ``t``, the products 1_g * t. Before
+    ``rotation``, Q's columns are 1_g/sqrt(n_g), then, with slopes,
+    (t - tbar_g) 1_g / s_g, where s_g is the norm of the group's centred t:
+    so Q'v is group sums, and Qc a gather.
     """
 
+    names: tuple[str, ...]
     group: np.ndarray  # n, each row's group
+    t: Optional[np.ndarray]  # n; None without slopes
+    mix: Optional[np.ndarray]  # the matrix the columns are multiplied by; None for none
     index: np.ndarray  # each group's rows, padded (see _group_sums)
     centred: Optional[np.ndarray]  # n, t less its group's mean; None without slopes
     inv_norms: np.ndarray  # 1/sqrt(n_g) of each group, then 1/s_g with slopes
-    rotation: Optional[np.ndarray]  # Q of the k x k QR; None when nothing is mixed
+    rotation: Optional[np.ndarray]  # Q of the k x k QR; None without mix
+
+    def rows(self, start: int, stop: int, weights: np.ndarray) -> np.ndarray:
+        """Rows ``start..stop-1`` of the design before ``mix``, each times
+        its weight w: w at the row's group column and, with ``t``, w t at
+        its slope column."""
+        groups = len(self.index)
+        block = np.zeros((stop - start, groups * (1 if self.t is None else 2)))
+        days, group = np.arange(stop - start), self.group[start:stop]
+        block[days, group] = weights
+        if self.t is not None:
+            block[days, groups + group] = weights * self.t[start:stop]
+        return block
 
     def qt(self, v: np.ndarray) -> np.ndarray:
         """Q'v."""
@@ -203,55 +222,23 @@ class GroupBasis:
         return out
 
 
-def group_rows(group: np.ndarray, t: Optional[np.ndarray], mixing: np.ndarray) -> np.ndarray:
-    """The dense rows of a :func:`group_factor` design, filled a block at a
-    time: the row of a day of group g is row g of ``mixing``, plus, with
-    ``t``, its t times row G + g, for G groups."""
-    groups = len(mixing) // (1 if t is None else 2)
-    data = np.empty((len(group), mixing.shape[1]))
-    for lo in range(0, len(group), _WINDOW_BLOCK):
-        rows = slice(lo, lo + _WINDOW_BLOCK)
-        data[rows] = mixing[group[rows]]
-        if t is not None:
-            data[rows] += t[rows, None] * mixing[groups + group[rows]]
-    data.setflags(write=False)
-    return data
-
-
-@dataclass(frozen=True)
-class GroupDesign:
-    """The named design of a :func:`group_factor`, held as its rows' groups,
-    ``t`` and ``mixing``. Its n x k ``data``, which only the Bartlett meat
-    of :func:`hac_cov` reads, is built by :func:`group_rows` on first use
-    and kept on this object, which every factor bordering it shares."""
-
-    names: tuple[str, ...]
-    group: np.ndarray  # n, each row's group
-    t: Optional[np.ndarray]  # n; None without slopes
-    mixing: np.ndarray  # the identity, or the design's constant matrix
-
-    @cached_property
-    def data(self) -> np.ndarray:
-        return group_rows(self.group, self.t, self.mixing)
-
-
 @dataclass(frozen=True)
 class QRFactor:
-    """Rank-checked QR factor of one design: ``[design.data, appended.data] = Q @ r``.
+    """Rank-checked QR factor of one design: ``[X, appended.data] = Q @ r``,
+    where X is ``design``'s rows times its ``mix``.
 
-    Q is ``basis``, which spans ``design``, followed by ``border``, one
-    orthonormal column per ``appended`` one, added by :meth:`bordered`.
-    Both pairs are kept apart, so that a shared design is never copied.
-    :func:`ols_fit`, :func:`hac_cov` and :func:`fit_with_hac` take the
-    factor, so that a design shared by many regressands is factored once,
-    the fit takes its fitted values from Q, and the covariance reuses the R
-    that solved for the coefficients.
+    Q is the one ``design`` spans, followed by ``border``, one orthonormal
+    column per ``appended`` one, added by :meth:`bordered`. Both pairs are
+    kept apart, so that a shared design is never copied. :func:`ols_fit`,
+    :func:`hac_cov` and :func:`fit_with_hac` take the factor, so that a
+    design shared by many regressands is factored once, the fit takes its
+    fitted values from Q, and the covariance reuses the R that solved for
+    the coefficients.
     """
 
-    design: GroupDesign  # n x m factored columns, rows built on first use
+    design: GroupDesign  # n x m factored columns and their Q
     appended: DesignMatrix  # n x (k - m) columns bordering the design
-    basis: GroupBasis  # the m columns of Q that span the design
-    border: np.ndarray  # n x (k - m) orthonormal columns bordering the basis
+    border: np.ndarray  # n x (k - m) orthonormal columns bordering the design's Q
     r: np.ndarray  # k x k, upper triangular
     r_inv: np.ndarray  # inverse of r
     scale: float  # largest column norm of the design, the rank test's unit
@@ -268,22 +255,23 @@ class QRFactor:
 
     def qt(self, v: np.ndarray) -> np.ndarray:
         """Q'v."""
-        return np.concatenate([self.basis.qt(v), np.add.reduce(self.border * v[:, None])])
+        return np.concatenate([self.design.qt(v), np.add.reduce(self.border * v[:, None])])
 
     def qdot(self, c: np.ndarray) -> np.ndarray:
         """Q c."""
         m = len(self.design.names)
-        return self.basis.qdot(c[:m]) + self.border @ c[m:]
+        return self.design.qdot(c[:m]) + self.border @ c[m:]
 
     def bordered(self, name: str, column: np.ndarray) -> QRFactor:
-        """The factor of the design with ``column`` appended as its last column.
+        """The factor of the design, not bordered yet, with ``column``
+        appended as its last column.
 
         The column is orthogonalised against Q twice (classical Gram-Schmidt
         with one reorthogonalisation); its coefficients and the norm of what
         is left border R by one column, so no new decomposition is made. A
         column in the span of the design raises :class:`SingularDesignError`
-        naming it. The new factor shares this one's design and basis, and
-        the first column appended is held as given, not copied.
+        naming it. The new factor shares this one's design, and holds the
+        column as given, not copied.
         """
         column = np.asarray(column, dtype=np.float64)
         n, k = self.nobs, len(self.names)
@@ -309,18 +297,35 @@ class QRFactor:
         r_inv[:k, k] = -(self.r_inv @ coef) / r[k, k]
         r_inv[k, k] = 1.0 / r[k, k]
         left /= r[k, k]
-        if k == len(self.design.names):
-            border, columns = left[:, None], column[:, None]
-        else:
-            border = np.column_stack([self.border, left])
-            columns = np.column_stack([self.appended.data, column])
-        appended = DesignMatrix(self.appended.names + (name,), columns)
-        return QRFactor(self.design, appended, self.basis, border, r, r_inv, scale)
+        appended = DesignMatrix((name,), column[:, None])
+        return QRFactor(self.design, appended, left[:, None], r, r_inv, scale)
+
+    def meat(self, u: np.ndarray, lag: int) -> np.ndarray:
+        """The :func:`bartlett_meat` of the scores u_t x_t of the design's
+        rows x_t: summed over the rows before the design's ``mix``, with
+        the appended columns beside them, then mapped through ``mix`` once,
+        M = T' M_0 T with T = diag(mix, I)."""
+        appended = self.appended.data
+
+        def rows(start: int, stop: int, weights: np.ndarray) -> np.ndarray:
+            return np.column_stack([
+                self.design.rows(start, stop, weights), appended[start:stop] * weights[:, None]
+            ])
+
+        meat = bartlett_meat(rows, u, lag)
+        mix = self.design.mix
+        if mix is None:
+            return meat
+        extra = appended.shape[1]
+        t = np.zeros((len(mix) + extra, mix.shape[1] + extra))
+        t[: len(mix), : mix.shape[1]] = mix
+        t[len(mix) :, mix.shape[1] :] = np.eye(extra)
+        return t.T @ meat @ t
 
 
 def group_factor(
     names: Sequence[str], group: np.ndarray,
-    t: Optional[np.ndarray] = None, mix: Optional[np.ndarray] = None, rows: bool = False,
+    t: Optional[np.ndarray] = None, mix: Optional[np.ndarray] = None,
 ) -> QRFactor:
     """The QR factor, in closed form, of the design named ``names`` whose
     columns are the indicators 1_g of the groups g = 0, 1, ... of rows
@@ -329,27 +334,17 @@ def group_factor(
 
     Per group, that is a mean, or a mean and a slope on the group's centred
     t: R holds sqrt(n_g) and s_g on its diagonal and sum_g(t)/sqrt(n_g)
-    above s_g, with Q as :class:`GroupBasis` says; ``mix`` rotates both by
+    above s_g, with Q as :class:`GroupDesign` says; ``mix`` rotates both by
     the QR of that R times ``mix``. A design not of full rank, such as one
     with a group of no rows, or of one day under a slope, raises
     :class:`SingularDesignError` naming the first column in the span of the
     columns before it.
-
-    With ``rows``, the design's dense rows, which only :func:`hac_cov`
-    reads, are built first. The closed form's n-sized temporaries are then
-    freed above them, where the series a command reads next fit: built
-    after the factor, the rows took that room, and ``tables`` peaked
-    about 0.5 MiB higher.
     """
     group = np.asarray(group, dtype=np.intp)
     n, k = len(group), len(names)
     if n <= k:
         raise InsufficientDataError(f"{n} observations for {k} regressors")
     mixing = np.eye(k) if mix is None else mix
-    # the design keeps the caller's t, not the float copy below
-    design = GroupDesign(tuple(names), group, t, mixing)
-    if rows:
-        design.data
     groups = len(mixing) // (1 if t is None else 2)
     counts = np.bincount(group, minlength=groups)
     order = np.argsort(group, kind="stable")
@@ -358,9 +353,10 @@ def group_factor(
     r = np.diag(np.sqrt(counts))
     centred = None
     if t is not None:
-        t = np.asarray(t, dtype=np.float64)
-        sums = _group_sums(t, index)
-        centred = t - np.divide(sums, counts, out=np.zeros(groups), where=counts > 0)[group]
+        # the design keeps the caller's t, not this float copy
+        times = np.asarray(t, dtype=np.float64)
+        sums = _group_sums(times, index)
+        centred = times - np.divide(sums, counts, out=np.zeros(groups), where=counts > 0)[group]
         above = np.divide(sums, r.diagonal(), out=np.zeros(groups), where=counts > 0)
         spread = np.sqrt(_group_sums(centred * centred, index))
         r = np.block([[r, np.diag(above)], [np.zeros((groups, groups)), np.diag(spread)]])
@@ -373,15 +369,15 @@ def group_factor(
     squares = counts @ (a * a)
     if t is not None:
         b = mixing[groups:]
-        squares += 2.0 * sums @ (a * b) + _group_sums(t * t, index) @ (b * b)
+        squares += 2.0 * sums @ (a * b) + _group_sums(times * times, index) @ (b * b)
     scale = float(np.sqrt(squares).max())
     _check_rank(names, r, scale)
     # R is upper triangular, so LU's partial pivoting swaps no rows and the
     # solve is a back substitution
     r_inv = np.linalg.solve(r, np.eye(k))
+    design = GroupDesign(tuple(names), group, t, mix, index, centred, 1.0 / norms, rotation)
     nothing = np.empty((n, 0))
-    basis = GroupBasis(group, index, centred, 1.0 / norms, rotation)
-    return QRFactor(design, DesignMatrix((), nothing), basis, nothing, r, r_inv, scale)
+    return QRFactor(design, DesignMatrix((), nothing), nothing, r, r_inv, scale)
 
 
 def ols_fit(factor: QRFactor, y: np.ndarray) -> ModelFit:
@@ -416,31 +412,25 @@ def ols_fit(factor: QRFactor, y: np.ndarray) -> ModelFit:
 
 
 def bartlett_meat(
-    x: np.ndarray, u: np.ndarray, lag: int, appended: Optional[np.ndarray] = None
+    rows: Callable[[int, int, np.ndarray], np.ndarray], u: np.ndarray, lag: int
 ) -> np.ndarray:
     """sum_{|j|<=lag} (1 - |j|/(lag+1)) G_j of the scores s_t = u_t * x_t.
 
-    ``x`` holds one row per observation, ``u`` one weight (the residual)
-    per row; ``appended``, if given, holds more columns of the same rows,
-    which follow those of ``x`` without being stacked onto it. Computed as
+    ``u`` holds one weight (the residual) per observation, and
+    ``rows(start, stop, weights)`` returns the rows x_start..x_{stop-1},
+    each times its weight in ``weights``, u_start..u_{stop-1}. Computed as
     (1/(lag+1)) B'B, with row i of B the sum of the scores s_{i-lag}..s_i
     (zero outside the sample), so no sum runs longer than lag+1 rows.
-    Scores and window sums are formed one block of rows at a time, never
-    for the whole sample at once.
+    Rows, scores and window sums are formed one block of rows at a time,
+    never for the whole sample at once.
     """
-    n, m = x.shape
-    if appended is None:
-        appended = np.empty((n, 0))
-    k = m + appended.shape[1]
-    meat = np.zeros((k, k))
+    n = len(u)
+    meat = 0.0
     for lo in range(0, n + lag, _WINDOW_BLOCK):
         hi = min(lo + _WINDOW_BLOCK, n + lag)
         start, stop = max(lo - lag, 0), min(hi, n)
-        weights = u[start:stop, None]
-        scores = np.empty((stop - start, k))
-        np.multiply(x[start:stop], weights, out=scores[:, :m])
-        np.multiply(appended[start:stop], weights, out=scores[:, m:])
-        windows = np.zeros((hi - lo, k))
+        scores = rows(start, stop, u[start:stop])
+        windows = np.zeros((hi - lo, scores.shape[1]))
         for shift in range(lag + 1):
             first, last = max(lo - shift, start), min(hi - shift, stop)
             if first < last:
@@ -456,10 +446,10 @@ def hac_cov(
 ) -> np.ndarray:
     """Newey-West covariance of the OLS coefficients of a factored design.
 
-    (X'X)^-1 comes from the factor's R; the meat reads the design's rows,
-    which a :class:`GroupDesign` builds on the first call and keeps.
-    Bandwidth 0 collapses the kernel to the heteroskedasticity-only (HC0)
-    sandwich. The result is exactly symmetric by construction.
+    (X'X)^-1 comes from the factor's R, and the meat from
+    :meth:`QRFactor.meat`, which reads no design rows. Bandwidth 0
+    collapses the kernel to the heteroskedasticity-only (HC0) sandwich.
+    The result is exactly symmetric by construction.
     """
     residuals = np.asarray(residuals, dtype=np.float64)
     n = factor.nobs
@@ -467,7 +457,7 @@ def hac_cov(
         raise ValueError("residuals do not match design length")
     lag = resolve_bandwidth(n, bandwidth)
 
-    meat = bartlett_meat(factor.design.data, residuals, lag, factor.appended.data)
+    meat = factor.meat(residuals, lag)
     xtx_inv = factor.r_inv @ factor.r_inv.T
     cov = xtx_inv @ meat @ xtx_inv
     cov = (cov + cov.T) / 2.0

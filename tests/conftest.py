@@ -347,11 +347,18 @@ def evolving_design(dummies: np.ndarray, t: np.ndarray) -> DesignMatrix:
     return DesignMatrix(DUMMY_NAMES + INTERACTION_NAMES, data)
 
 
-class DenseBasis:
-    """The Q of a Householder QR, held as a dense matrix."""
+class DenseDesign:
+    """A design held as its dense matrix ``data``, with the Q of its
+    Householder QR: the tests' stand-in for ``regression.GroupDesign``,
+    whose rows are slices of ``data`` and which has no ``mix``."""
 
-    def __init__(self, q: np.ndarray):
-        self.q = q
+    mix = None
+
+    def __init__(self, names: tuple[str, ...], data: np.ndarray, q: np.ndarray):
+        self.names, self.data, self.q = names, data, q
+
+    def rows(self, start: int, stop: int, weights: np.ndarray) -> np.ndarray:
+        return self.data[start:stop] * weights[:, None]
 
     def qt(self, v: np.ndarray) -> np.ndarray:
         return self.q.T @ v
@@ -382,7 +389,8 @@ def factorize(X: DesignMatrix) -> QRFactor:
     _check_rank(X.names, r, scale)
     r_inv = np.linalg.solve(r, np.eye(k))
     nothing = np.empty((n, 0))
-    return QRFactor(X, DesignMatrix((), nothing), DenseBasis(q), nothing, r, r_inv, scale)
+    design = DenseDesign(X.names, X.data, q)
+    return QRFactor(design, DesignMatrix((), nothing), nothing, r, r_inv, scale)
 
 
 def reference_series_csv(series: TemperatureSeries) -> bytes:

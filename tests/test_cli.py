@@ -1435,6 +1435,21 @@ class TestFit:
         assert result.exit_code == 0, result.output
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("model", ["seasonal", "evolving"])
+    def test_zero_hac_variance_is_a_one_line_error(self, workspace, model):
+        # a constant DTR leaves the seasonal fits no residual, so the Wald
+        # test of a coefficient meets a covariance block of zeros
+        config = str(workspace / "run.cfg")
+        run(["ingest", "--config", config])
+        tmin = read_series(workspace, "AAA").min_f
+        write_series(workspace, "AAA", tmin + 10, tmin, WINDOW_START, WINDOW_END)
+        result = run(["fit", "--config", config, "--station", "AAA",
+                      "--variable", "dtr", "--model", model])
+        assert (result.exit_code, result.stdout) == (1, "")
+        assert result.stderr == (
+            f"Error: AAA dtr {model}: restricted covariance block is not positive definite\n"
+        )
+
     def test_out_reads_the_workspace_ingest_wrote(self, workspace):
         # the same --out as tables and figures: no config need name the
         # directory ingest wrote
@@ -1821,45 +1836,3 @@ def test_no_qr_of_more_than_k_rows(workspace, monkeypatch):
         result = run([command[0], "--config", config, *command[1:]])
         assert result.exit_code == 0, result.output
     assert shapes and all(rows <= 24 for rows, _ in shapes), shapes
-
-
-def test_no_dense_design_on_the_ols_path(workspace, monkeypatch):
-    # plain OLS takes its fitted values from the factor's Q, so figures
-    # never builds a design's rows; the HAC meat reads them, so tables and
-    # fit build them once per factor they take a covariance of, before the
-    # first series is read
-    config = str(workspace / "run.cfg")
-    run(["ingest", "--config", config])
-    events = []
-    build_rows, read = regression.group_rows, series_mod.read_series_csv
-
-    def recording_rows(*args):
-        rows = build_rows(*args)
-        events.append(rows.shape)
-        return rows
-
-    def recording_read(path):
-        events.append("read")
-        return read(path)
-
-    monkeypatch.setattr(regression, "group_rows", recording_rows)
-    monkeypatch.setattr(series_mod, "read_series_csv", recording_read)
-    days = (WINDOW_END - WINDOW_START).days + 1
-    trend, joint = (days, 2), (days - 1, 24)
-    expected = {
-        ("figures", "--station", "AAA"): [],
-        ("tables",): [joint, trend],
-        **{
-            ("fit", "--station", "AAA", "--model", model): [shape]
-            for model, shape in (
-                ("trend", trend), ("seasonal", (days, 12)), ("evolving", (days, 24)), ("joint", joint),
-            )
-        },
-    }
-    for command, rows in expected.items():
-        events.clear()
-        result = run([command[0], "--config", config, *command[1:]])
-        assert result.exit_code == 0, result.output
-        assert "read" in events, command
-        assert events[: len(rows) + 1] == [*rows, "read"], command
-        assert events.count("read") + len(rows) == len(events), command

@@ -1,6 +1,7 @@
 import calendar
 import dataclasses
 import random
+import weakref
 from datetime import date, timedelta
 
 import numpy as np
@@ -666,6 +667,23 @@ FETCH_FAILURES = {
     "stall": (stalled, "failed: timed out"),
     "file-endpoint": (file_endpoint, "failed: endpoint scheme 'file' is not http or https"),
 }
+
+
+class TestFetchStations:
+    def test_a_download_is_freed_once_its_result_is_dropped(self, tmp_path, monkeypatch):
+        # the call made for a download lets go of its future when it returns,
+        # so the caller that still holds the call holds no payload
+        class Result:
+            pass
+
+        monkeypatch.setattr(ghcn, "fetch_station", lambda *args: Result())
+        calls = ghcn.fetch_stations([STATION], "http://127.0.0.1:1", tmp_path, refresh=True)
+        fetch = next(calls)
+        result = fetch()
+        freed = weakref.ref(result)
+        del result
+        calls.close()  # ends the pool, so no worker thread holds the result either
+        assert callable(fetch) and freed() is None
 
 
 class TestFetchStation:

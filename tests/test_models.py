@@ -1,5 +1,7 @@
 import inspect
 import itertools
+import math
+import tracemalloc
 from datetime import date, timedelta
 from fractions import Fraction
 
@@ -7,7 +9,6 @@ import numpy as np
 import pytest
 
 import tempdyn.models as models
-import tempdyn.regression as regression
 from tempdyn import reporting
 from tempdyn.models import (
     DUMMY_NAMES,
@@ -25,8 +26,10 @@ from tempdyn.regression import (
     ModelFit,
     QRFactor,
     SingularDesignError,
+    bartlett_meat,
     fit_with_hac,
     hac_cov,
+    nw_auto_bandwidth,
     ols_fit,
     wald_test,
 )
@@ -261,7 +264,10 @@ class TestGroupFactor:
             closed = getattr(factors, model)
             n, k = design.data.shape
             regressand = y[-n:]
-            assert np.array_equal(closed.design.data, design.data)
+            rows = closed.design.rows(0, n, np.ones(n))
+            if closed.design.mix is not None:
+                rows = rows @ closed.design.mix
+            assert np.array_equal(rows, design.data)
             assert closed.names == design.names
             assert closed.scale == dense.scale
             q = np.column_stack([closed.qdot(column) for column in np.eye(k)])
@@ -381,6 +387,61 @@ def test_closed_form_coefficients_as_accurate_as_householder(variable):
         assert errors[0] <= 2 * errors[1], (model, *errors)
 
 
+def exact_bartlett_meat(X: np.ndarray, u: np.ndarray, lag: int) -> list[Fraction]:
+    """The Bartlett meat of the scores u_t x_t, row by row, in exact rational
+    arithmetic, by its lag sum G_0 + sum_{j=1..lag} (1 - j/(lag+1)) (G_j + G_j'),
+    with G_j the lag-j cross product of the scores."""
+    scales = [
+        2 ** max(Fraction(v).denominator for v in values.ravel().tolist()).bit_length()
+        for values in (X, u)
+    ]
+    weights = [int(v * scales[1]) for v in u.tolist()]
+    scores = [[int(x * scales[0]) * w for x, w in zip(column, weights)] for column in X.T.tolist()]
+    n, k = X.shape
+    numerator = [[0] * k for _ in range(k)]
+    for j in range(lag + 1):
+        for a, b in itertools.product(range(k), repeat=2):
+            product = (lag + 1 - j) * sum(p * q for p, q in zip(scores[a][j:], scores[b][: n - j]))
+            numerator[a][b] += product
+            if j:
+                numerator[b][a] += product
+    denominator = (lag + 1) * (scales[0] * scales[1]) ** 2
+    return [Fraction(v, denominator) for row in numerator for v in row]
+
+
+def largest_entry_error(values: np.ndarray, exact: list[Fraction]) -> float:
+    """The largest error of an entry relative to its exact value, where an
+    exact zero is matched by a zero."""
+    return max(
+        float(abs(Fraction(v) - e) / abs(e)) if e else (0.0 if v == 0 else math.inf)
+        for v, e in zip(values.ravel().tolist(), exact)
+    )
+
+
+@pytest.mark.parametrize("variable", ["avg", "dtr"])
+def test_joint_meat_as_accurate_as_the_stacked_design(variable):
+    # the joint meat is summed over the design's columns before its mix and
+    # mapped through it once; on a window of 14 months it is no further from
+    # the exact meat of the fit's residuals than the stacked dense design's
+    start, end = date(1961, 3, 1), date(1962, 4, 30)
+    days = (end - start).days + 1
+    rng = np.random.default_rng(6)
+    season = np.rint(20 * np.cos(2 * np.pi * np.arange(days) / 365.25)).astype(np.int64)
+    tmin = 40 + season + rng.integers(-8, 9, size=days)
+    series = build_series(tmin + rng.integers(5, 30, size=days), tmin, start, end)
+    factors = factors_of(series)
+    factor, regressand = factors.least_squares("joint", series.variable(variable))
+    design, _ = joint_design(factors.month, factors.t, series.variable(variable))
+    assert factor.names == design.names
+    u = ols_fit(factor, regressand).residuals
+    lag = nw_auto_bandwidth(len(u))
+    exact = exact_bartlett_meat(design.data, u, lag)
+    ours = factor.meat(u, lag)
+    stacked = bartlett_meat(lambda first, last, w: design.data[first:last] * w[:, None], u, lag)
+    errors = largest_entry_error(ours, exact), largest_entry_error(stacked, exact)
+    assert errors[0] <= 2 * errors[1], errors
+
+
 class TestWindowFactors:
     """Every model is fitted on the factors of its window, each built once."""
 
@@ -438,32 +499,23 @@ class TestWindowFactors:
         fit_with_hac(*factors.least_squares("joint", series.variable("avg")))
         assert built == [("const", "time"), ("d01", "dt12"), ("d01", "d12"), ("const", "dt12")]
 
-    def test_dense_rows_built_for_hac_alone_and_shared_by_bordered_factors(self, monkeypatch):
-        # plain OLS reads no design rows; the HAC meat builds them once per
-        # factor, and every joint factor bordered by a series' lag reuses them
-        built = []
-        original = regression.group_rows
-
-        def counting(*args):
-            rows = original(*args)
-            built.append(rows.shape)
-            return rows
-
-        monkeypatch.setattr(regression, "group_rows", counting)
-        series = quick_series(32)
-        factors = factors_of(series)
-        for model in ("trend", "fixed", "evolving", "joint"):
-            ols_fit(*factors.least_squares(model, series.variable("avg")))
-        assert built == []
-        for other in (series, quick_series(33)):
-            fit_with_hac(*factors.least_squares("joint", other.variable("avg")))
-        assert built == [(1199, 24)]
-        # build asks for the rows of the factors it builds, each before
-        # its factor, and of none built before it
-        factors.build("fixed", rows=True)
-        assert built == [(1199, 24)]
-        factors_of(series).build("fixed", "joint", rows=True)
-        assert built == [(1199, 24), (1200, 12), (1199, 24)]
+    def test_joint_hac_fit_holds_no_dense_design(self):
+        # the Bartlett meat builds its scores a block of days at a time from
+        # the days' months and t, so with the factors built, bordering the
+        # 58-year joint factor and fitting it allocates less than its dense
+        # 21,184 x 24 design
+        factors = WindowFactors(date(1960, 1, 1), date(2017, 12, 31))
+        factors.build("joint")
+        rng = np.random.default_rng(34)
+        y = np.sin(factors.t / 58.0) * 10.0 + rng.standard_normal(len(factors.t))
+        tracemalloc.start()
+        try:
+            fit = fit_with_hac(*factors.least_squares("joint", y))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fit.nobs == 21184
+        assert peak < 21184 * 24 * 8
 
 
 class TestModelSpec:

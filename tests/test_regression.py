@@ -262,7 +262,7 @@ class TestBartlettMeat:
         x = rng.standard_normal((n, k)) * rng.uniform(0.1, 1e3, size=k)
         u = rng.standard_normal(n)
         expected = bartlett_lag_loop(x * u[:, None], lag)
-        meat = bartlett_meat(x, u, lag)
+        meat = bartlett_meat(lambda start, stop, w: x[start:stop] * w[:, None], u, lag)
         # both sides sum over n + lag rows; rounding grows like its square root
         tol = 8.0 * math.sqrt(n + lag) * np.finfo(float).eps * np.abs(expected).max()
         np.testing.assert_allclose(meat, expected, rtol=0, atol=tol)
@@ -272,7 +272,8 @@ class TestBartlettMeat:
         x = rng.standard_normal((300, 3))
         u = rng.standard_normal(300)
         scores = x * u[:, None]
-        np.testing.assert_allclose(bartlett_meat(x, u, 0), scores.T @ scores, rtol=1e-13)
+        meat = bartlett_meat(lambda start, stop, w: x[start:stop] * w[:, None], u, 0)
+        np.testing.assert_allclose(meat, scores.T @ scores, rtol=1e-13)
 
 
 class TestQRFactor:
@@ -308,7 +309,8 @@ class TestQRFactor:
         stacked = np.column_stack([X.data, w])
         np.testing.assert_allclose(fit.residuals, y - stacked @ fit.beta, rtol=1e-9, atol=1e-12)
         xtx_inv = bordered.r_inv @ bordered.r_inv.T
-        cov = xtx_inv @ bartlett_meat(stacked, fit.residuals, 13) @ xtx_inv
+        meat = bartlett_meat(lambda start, stop, w: stacked[start:stop] * w[:, None], fit.residuals, 13)
+        cov = xtx_inv @ meat @ xtx_inv
         assert fit.hac_cov.tobytes() == ((cov + cov.T) / 2.0).tobytes()
 
     def test_bordered_fit_allocates_less_than_the_shared_design(self):
