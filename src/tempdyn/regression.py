@@ -181,17 +181,18 @@ class GroupDesign:
     group g of rows, then, with ``t``, the products 1_g * t. Before
     ``rotation``, Q's columns are 1_g/sqrt(n_g), then, with slopes,
     (t - tbar_g) 1_g / s_g, where s_g is the norm of the group's centred t:
-    so Q'v is group sums, and Qc a gather.
+    so Q'v is group sums, and Qc a gather. Without a mix, both are the
+    identity, and the products with them exact.
     """
 
     names: tuple[str, ...]
     group: np.ndarray  # n, each row's group
     t: Optional[np.ndarray]  # n; None without slopes
-    mix: Optional[np.ndarray]  # the matrix the columns are multiplied by; None for none
+    mix: np.ndarray  # the matrix the columns are multiplied by
     index: np.ndarray  # each group's rows, padded (see _group_sums)
     centred: Optional[np.ndarray]  # n, t less its group's mean; None without slopes
     inv_norms: np.ndarray  # 1/sqrt(n_g) of each group, then 1/s_g with slopes
-    rotation: Optional[np.ndarray]  # Q of the k x k QR; None without mix
+    rotation: np.ndarray  # Q of the k x k QR of R times mix
 
     def rows(self, start: int, stop: int, weights: np.ndarray) -> np.ndarray:
         """Rows ``start..stop-1`` of the design before ``mix``, each times
@@ -209,13 +210,11 @@ class GroupDesign:
         """Q'v."""
         weights = [v] if self.centred is None else [v, self.centred * v]
         c = np.concatenate([_group_sums(w, self.index) for w in weights]) * self.inv_norms
-        return c if self.rotation is None else self.rotation.T @ c
+        return self.rotation.T @ c
 
     def qdot(self, c: np.ndarray) -> np.ndarray:
         """Q c."""
-        if self.rotation is not None:
-            c = self.rotation @ c
-        means, *slopes = (c * self.inv_norms).reshape(-1, len(self.index))
+        means, *slopes = (self.rotation @ c * self.inv_norms).reshape(-1, len(self.index))
         out = means[self.group]
         if slopes:
             out += slopes[0][self.group] * self.centred
@@ -314,8 +313,6 @@ class QRFactor:
 
         meat = bartlett_meat(rows, u, lag)
         mix = self.design.mix
-        if mix is None:
-            return meat
         extra = appended.shape[1]
         t = np.zeros((len(mix) + extra, mix.shape[1] + extra))
         t[: len(mix), : mix.shape[1]] = mix
@@ -330,7 +327,7 @@ def group_factor(
     """The QR factor, in closed form, of the design named ``names`` whose
     columns are the indicators 1_g of the groups g = 0, 1, ... of rows
     (``group`` holds each row's), then, with ``t``, the products 1_g * t,
-    all times the matrix ``mix`` when given.
+    all times the matrix ``mix`` when given, else the identity.
 
     Per group, that is a mean, or a mean and a slope on the group's centred
     t: R holds sqrt(n_g) and s_g on its diagonal and sum_g(t)/sqrt(n_g)
@@ -361,7 +358,10 @@ def group_factor(
         spread = np.sqrt(_group_sums(centred * centred, index))
         r = np.block([[r, np.diag(above)], [np.zeros((groups, groups)), np.diag(spread)]])
     norms = r.diagonal()
-    rotation, r = (None, r) if mix is None else np.linalg.qr(r @ mix)
+    # without a mix, Q and R are as written down and the rotation is the
+    # identity, whose products are exact; a command that fits no joint
+    # model then never loads LAPACK's QR, which raises its peak RSS
+    rotation, r = (mixing, r) if mix is None else np.linalg.qr(r @ mix)
 
     # each column's sum of squares over the rows a + t b of each group, with
     # a and b its rows of mixing: exact in any order for integer t and mix
@@ -375,7 +375,7 @@ def group_factor(
     # R is upper triangular, so LU's partial pivoting swaps no rows and the
     # solve is a back substitution
     r_inv = np.linalg.solve(r, np.eye(k))
-    design = GroupDesign(tuple(names), group, t, mix, index, centred, 1.0 / norms, rotation)
+    design = GroupDesign(tuple(names), group, t, mixing, index, centred, 1.0 / norms, rotation)
     nothing = np.empty((n, 0))
     return QRFactor(design, DesignMatrix((), nothing), nothing, r, r_inv, scale)
 

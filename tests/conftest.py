@@ -6,6 +6,7 @@ from __future__ import annotations
 import calendar
 import http.server
 import math
+import os
 import random
 import re
 import threading
@@ -224,6 +225,27 @@ def fixture_line() -> str:
     return line
 
 
+@pytest.fixture(scope="session", autouse=True)
+def offline(tmp_path_factory):
+    """The whole session runs offline: the endpoint is a closed local port,
+    so a cache miss fails at once instead of reaching the archive, and the
+    cache directory is an empty one of the session's, which fails the run
+    if a test leaves anything in it rather than in its own directory. The
+    archive replication (TEMPDYN_REPLICATION=1) keeps the caller's endpoint
+    and cache."""
+    if os.environ.get("TEMPDYN_REPLICATION") == "1":
+        yield
+        return
+    cache = tmp_path_factory.mktemp("tempdyn-cache")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("TEMPDYN_ENDPOINT", "http://127.0.0.1:9")
+        patch.setenv("TEMPDYN_CACHE_DIR", str(cache))
+        yield
+    left = sorted(str(path) for path in cache.rglob("*"))
+    if left:
+        pytest.fail(f"tests wrote into TEMPDYN_CACHE_DIR: {left}")
+
+
 @pytest.fixture
 def two_year_window() -> tuple[date, date]:
     return date(1960, 1, 1), date(1961, 12, 31)
@@ -350,12 +372,11 @@ def evolving_design(dummies: np.ndarray, t: np.ndarray) -> DesignMatrix:
 class DenseDesign:
     """A design held as its dense matrix ``data``, with the Q of its
     Householder QR: the tests' stand-in for ``regression.GroupDesign``,
-    whose rows are slices of ``data`` and which has no ``mix``."""
-
-    mix = None
+    whose rows are slices of ``data`` and whose ``mix`` is the identity."""
 
     def __init__(self, names: tuple[str, ...], data: np.ndarray, q: np.ndarray):
         self.names, self.data, self.q = names, data, q
+        self.mix = np.eye(len(names))
 
     def rows(self, start: int, stop: int, weights: np.ndarray) -> np.ndarray:
         return self.data[start:stop] * weights[:, None]

@@ -372,6 +372,7 @@ class TestCriterion7InvariantSuite:
             (test_models.TestReports, "test_rows_follow_input_order_and_are_order_invariant"),
             (test_models.TestReports, "test_batch_rows_bitwise_equal_single_station_reports"),
             (test_models.TestInvariance, "test_time_in_years_leaves_tests_unchanged"),
+            (test_models.TestInvariance, "test_scale_equivariance"),
             (test_regression.TestBartlettMeat, "test_window_sums_equal_lag_loop"),
             (test_density.TestInvariants, "test_location_equivariance"),
             (test_density.TestInvariants, "test_integral_approaches_one_on_wider_grid"),

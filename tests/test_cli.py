@@ -28,8 +28,8 @@ WINDOW_END = date(1961, 12, 31)
 @pytest.fixture
 def own_config(monkeypatch):
     """The endpoint and cache directory a test's config names are the ones
-    used, whatever the caller's environment sets (CI points
-    TEMPDYN_ENDPOINT at a closed port)."""
+    used, whatever the environment sets (the suite points TEMPDYN_ENDPOINT
+    at a closed port, see conftest.py)."""
     monkeypatch.delenv("TEMPDYN_ENDPOINT", raising=False)
     monkeypatch.delenv("TEMPDYN_CACHE_DIR", raising=False)
 
@@ -215,6 +215,9 @@ class TestIngest:
         # Each download waits at the barrier for the other station's, so
         # downloading one station after the other breaks it and fails both:
         # on a cold cache, and again with --refresh on the cache it filled.
+        # Between them, a warm run reads that cache without a download. The
+        # three runs write the same series, and the refresh, whose payloads
+        # equal the cached copies, prints nothing on stderr.
         serve_workspace_stations(workspace, archive)
         barrier = threading.Barrier(2, timeout=5)
         original = ghcn._download
@@ -225,12 +228,18 @@ class TestIngest:
 
         monkeypatch.setattr(ghcn, "_download", waiting_download)
         args = ["ingest", "--config", str(workspace / "run.cfg"), "--endpoint", archive.url]
-        for extra in ([], ["--refresh"]):
-            result = run(args + extra)
+        written = []
+        for name, extra, source in (
+            ("cold", [], "network"), ("warm", [], "cache"), ("refresh", ["--refresh"], "network")
+        ):
+            result = run(args + extra + ["--out", str(workspace / name)])
             assert result.exit_code == 0, result.output
-            manifest = json.loads((workspace / "out" / "manifest.json").read_text())
+            manifest = json.loads((workspace / name / "manifest.json").read_text())
             assert [e["station"] for e in manifest] == ["AAA", "BBB"]
-            assert [e["source"] for e in manifest] == ["network", "network"]
+            assert [e["source"] for e in manifest] == [source, source]
+            written.append({p.name: p.read_bytes() for p in (workspace / name / "series").iterdir()})
+        assert result.stderr == ""
+        assert len(written[0]) == 4 and written[1] == written[0] and written[2] == written[0]
         assert len(archive.requests) == 4
 
     def test_each_download_is_parsed_once(self, workspace, archive, monkeypatch):
@@ -618,7 +627,8 @@ class TestTables:
                 for column in ("delta_trend", "p_nt", "p_ns", "p_nts", "rho", "r_squared"):
                     assert float(row[f"{column}_full"]).hex() == getattr(single, column).hex()
 
-    def test_tables_without_sidecars_fail_until_ingest_writes_them(self, workspace):
+    @pytest.mark.parametrize("removed", [("AAA", "BBB"), ("AAA",)], ids=["both", "one"])
+    def test_tables_without_sidecars_fail_until_ingest_writes_them(self, workspace, removed):
         config = str(workspace / "run.cfg")
         run(["ingest", "--config", config])
         run(["tables", "--config", config])
@@ -626,7 +636,7 @@ class TestTables:
         with_sidecars = {p.name: p.read_bytes() for p in tables_dir.iterdir()}
         assert len(with_sidecars) == 4
         series_dir = workspace / "out" / "series"
-        for code in ("AAA", "BBB"):
+        for code in removed:
             series_mod.sidecar_path(series_dir / f"{code}.csv").unlink()
         result = run(["tables", "--config", config])
         assert result.exit_code == 1
@@ -634,9 +644,14 @@ class TestTables:
             f"{var} {code}: FAILED (ValueError: series {series_dir / code}.csv: sidecar "
             f"{series_dir / code}.bin cannot be read: No such file or directory; "
             f"rerun `tempdyn ingest --station {code}`)"
-            for var in ("avg", "dtr") for code in ("AAA", "BBB")
+            for var in ("avg", "dtr") for code in removed
         ]
-        for code in ("AAA", "BBB"):
+        # the stations whose sidecars are left keep their rows
+        kept = [code for code in ("AAA", "BBB") if code not in removed]
+        for var in ("avg", "dtr"):
+            rows = read_csv_rows(tables_dir / f"table_{var}.csv")
+            assert [r["station"] for r in rows if r["station"] != "Median"] == kept
+        for code in removed:
             assert run(["ingest", "--config", config, "--station", code]).exit_code == 0
         assert run(["tables", "--config", config]).exit_code == 0
         assert {p.name: p.read_bytes() for p in tables_dir.iterdir()} == with_sidecars
@@ -1789,10 +1804,12 @@ def test_default_tables_equal_a_one_thread_run(tmp_path):
 
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     # a user's thread count changes no bit of any output: the tables'
-    # full-precision columns, the figure data and a fit's printout
+    # full-precision columns, the figure data and the printout of each
+    # model's fit
     config = full_window_config(tmp_path)
     commands = [
-        ["tables"], ["figures", "--station", "FUL"], ["fit", "--station", "FUL", "--model", "joint"],
+        ["tables"], ["figures", "--station", "FUL"],
+        *(["fit", "--station", "FUL", "--model", model] for model in ("trend", "seasonal", "evolving", "joint")),
     ]
 
     def outputs(threads: str) -> dict[str, bytes]:
@@ -1804,14 +1821,14 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
                 capture_output=True,
                 check=True,
             )
-            written[command[0]] = result.stdout.replace(str(tmp_path).encode(), b"")
+            written[" ".join(command)] = result.stdout.replace(str(tmp_path).encode(), b"")
         for path in sorted((tmp_path / "out").rglob("*")):
             if path.is_file() and path.parent.name != "series":
                 written[str(path.relative_to(tmp_path))] = path.read_bytes()
         return written
 
     one = outputs("1")
-    assert len(one) == 3 + 4 + 10
+    assert len(one) == 6 + 4 + 10
     two = outputs("2")
     assert [name for name in one if one[name] != two[name]] == []
 

@@ -264,9 +264,7 @@ class TestGroupFactor:
             closed = getattr(factors, model)
             n, k = design.data.shape
             regressand = y[-n:]
-            rows = closed.design.rows(0, n, np.ones(n))
-            if closed.design.mix is not None:
-                rows = rows @ closed.design.mix
+            rows = closed.design.rows(0, n, np.ones(n)) @ closed.design.mix
             assert np.array_equal(rows, design.data)
             assert closed.names == design.names
             assert closed.scale == dense.scale
@@ -695,6 +693,31 @@ class TestInvariance:
         assert by_year.coef("time") == pytest.approx(
             365.25 * by_day.coef("time"), rel=1e-9
         )
+
+    def test_scale_equivariance(self):
+        # y in other units, times s, through the factors every command fits
+        # on: each coefficient scales by s but the joint model's lag, which
+        # has no unit, and each covariance entry by s per coefficient of the
+        # two that is not the lag, so no Wald test moves
+        scale = 3.7
+        rng = np.random.default_rng(43)
+        month = calendar_months(date(1960, 1, 1), 1500)
+        delta = {m: 0.03 * (m - 6) for m in range(1, 13) if m != 7}
+        y = simulate_joint(month, 20.0, 1e-4, delta, {1: 5e-4}, 0.5, 2.0, rng)
+        factors = factors_of(series_from_avg(y))
+        for model in ("trend", "fixed", "evolving", "joint"):
+            base = fit_with_hac(*factors.least_squares(model, y), 4)
+            scaled = fit_with_hac(*factors.least_squares(model, scale * y), 4)
+            power = np.array([name != "lag" for name in base.names], dtype=np.float64)
+            np.testing.assert_allclose(scaled.beta, scale**power * base.beta, rtol=1e-10)
+            np.testing.assert_allclose(
+                scaled.hac_cov, scale ** np.add.outer(power, power) * base.hac_cov, rtol=1e-10
+            )
+        assert base.names[-1] == "lag"
+        a, b = wald_suite(base), wald_suite(scaled)
+        assert 1e-4 < min(t.p_value for t in a.values())
+        for label in HYPOTHESES:
+            assert b[label].p_value == pytest.approx(a[label].p_value, rel=1e-9, abs=1e-15)
 
     def test_lag_position_leaves_results_unchanged(self):
         # least_squares borders the window's factor with the lag as the last
