@@ -102,9 +102,7 @@ def _load_series(config: RunConfig, code: str) -> series_mod.TemperatureSeries:
     that rewrites both."""
     path = _series_path(config, code)
     if not path.exists():
-        raise FileNotFoundError(
-            f"no series file {path}; run `tempdyn ingest` for {code} first"
-        )
+        raise FileNotFoundError(f"no series file {path}; run `tempdyn ingest --station {code}` first")
     rerun = f"rerun `tempdyn ingest --station {code}`"
     try:
         loaded = series_mod.read_series_csv(path)
@@ -330,7 +328,7 @@ def fit(config_path, station_code, variable, model, hac_bandwidth, out):
             lines.append(f"delta_trend: {models.delta_trend(result):.4f} F over the sample")
         elif model == "joint":
             lines.append("  ".join(
-                f"p({label})={wald_test(result, labels).p_value:.4f}"
+                f"p({label})={wald_test(result, labels):.4f}"
                 for label, labels in models.HYPOTHESES.items()
             ))
         print("\n".join(lines))

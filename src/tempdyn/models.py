@@ -26,9 +26,10 @@ window's trend factor.
 Each design is, per group of days, a mean or a mean and a slope on t, so
 each factor is a closed-form ``group_factor``: the trend is one group, the
 fixed model twelve month means, and the evolving model twelve month means
-and slopes. The joint design without its lag is the evolving design of
-days 2..T times a constant 24 x 24 matrix (Golub & Van Loan, *Matrix
-Computations*, 2013, ch. 5), so its factor is that one rotated.
+and slopes. The joint design without its lag spans exactly the evolving
+design of days 2..T, so the joint factor is that one's, with its
+coefficients reported as contrasts with July: ``const`` and ``time`` are
+July's intercept and slope, and ``d_m`` and ``dt_m`` month m's less July's.
 
 Three Wald hypotheses are evaluated on the joint fit:
 
@@ -40,7 +41,7 @@ Three Wald hypotheses are evaluated on the joint fit:
 from __future__ import annotations
 
 import calendar
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import date
 from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
@@ -137,7 +138,8 @@ class WindowFactors:
     which design each model is fitted on. Each factor is built on first
     use, or by :meth:`build`, so a command holds only the ones it fits:
     ``trend``, ``fixed``, ``evolving`` and ``joint`` (the joint design
-    without its lag), each a ``group_factor`` of the window's days. No
+    without its lag, as July contrasts of the evolving design of days
+    2..T), each a ``group_factor`` of the window's days. No
     factor holds an array of the window's days by the design's columns:
     fits and HAC covariances read the days' months and ``t``.
     """
@@ -188,12 +190,14 @@ class WindowFactors:
 
     @cached_property
     def joint(self) -> QRFactor:
-        # const and time sum the evolving design's dummies and slopes, and
-        # July's own columns are left out
-        july = [JULY - 1, 11 + JULY]
-        mix = np.column_stack([np.repeat(np.eye(2), 12, axis=0), np.delete(np.eye(24), july, 1)])
+        # const and time are July's coefficients, and each other month's
+        # dummy and interaction its coefficient less July's
+        factor = group_factor(DUMMY_NAMES + INTERACTION_NAMES, self.month[1:] - 1, self.t[1:])
+        eye, july = np.eye(24), [JULY - 1, 11 + JULY]
+        others = np.delete(eye, july, 0) - np.repeat(eye[july], 11, axis=0)
+        contrasts = np.vstack([eye[july], others])
         names = ("const", "time") + JOINT_DUMMIES + JOINT_INTERACTIONS
-        return group_factor(names, self.month[1:] - 1, self.t[1:], mix)
+        return replace(factor, names=names, contrasts=contrasts)
 
     def least_squares(self, model: str, y: np.ndarray) -> tuple[QRFactor, np.ndarray]:
         """The factor and regressand that ``model`` fits to the window's
@@ -231,7 +235,7 @@ def city_report(
     y = series.variable(variable)
     joint = fit_with_hac(*factors.least_squares("joint", y), bandwidth)
     trend = fit_with_hac(*factors.least_squares("trend", y), bandwidth)
-    p = {name: wald_test(joint, labels).p_value for name, labels in HYPOTHESES.items()}
+    p = {name: wald_test(joint, labels) for name, labels in HYPOTHESES.items()}
     return CityReport(
         station=station,
         delta_trend=delta_trend(trend),

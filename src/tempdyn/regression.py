@@ -25,23 +25,26 @@ One :class:`QRFactor` serves both the coefficients and the covariance:
 (X'X)^-1 = R^-1 R^-T from the same R that solved for beta and passed the
 rank check. Every design the package fits is, per group of rows (a
 calendar month, or the whole window), a mean or a mean and a slope on t,
-times a constant matrix, so :func:`group_factor` writes its factor down in
-closed form; the only decomposition made is of a k x k matrix. A
-per-regressand column (the joint model's lag) is appended to a factor by
-one Gram-Schmidt step: by Frisch-Waugh-Lovell its coefficient is the
-regression of the partialled-out regressand on the partialled-out column
-(Lovell 1963, JASA 58).
+so :func:`group_factor` writes its factor down in closed form and no
+decomposition is made. A per-regressand column (the joint model's lag) is
+appended to a factor by one Gram-Schmidt step: by Frisch-Waugh-Lovell its
+coefficient is the regression of the partialled-out regressand on the
+partialled-out column (Lovell 1963, JASA 58).
+
+A factor reports its coefficients as a constant integer matrix C of
+contrasts times the design's, and their covariance as C V C': the identity
+but for the joint model, whose coefficients are July's and each month's
+less July's (see :mod:`tempdyn.models`).
 
 The fitted values are Q Q'y, so no fit needs the design's rows, and the
 Bartlett meat reads none either. The meat is linear in the scores, so
-:meth:`QRFactor.meat` builds them one block of days at a time over the
-design's columns before its constant matrix: a day's residual u at its
-group's column, u t at its group's slope column, and u times each appended
-column beside them. It maps the k x k meat through that matrix once.
+:meth:`QRFactor.meat` builds them one block of days at a time: a day's
+residual u at its group's column, u t at its group's slope column, and u
+times each appended column beside them.
 
 Q'v, norms and sums of squares are numpy's pairwise sums, not BLAS dots, whose
-order of summation can change with the thread count; the HAC Gram B'B and its
-map through the constant matrix are still BLAS products, measured (not
+order of summation can change with the thread count; the HAC Gram B'B and
+the products with R^-1 and C are still BLAS products, measured (not
 guaranteed) to give the same bits at 1 and 2.
 """
 
@@ -80,27 +83,6 @@ class WaldDegeneracyError(ValueError):
 
 
 @dataclass(frozen=True)
-class DesignMatrix:
-    """Named regressor columns of equal length."""
-
-    names: tuple[str, ...]
-    data: np.ndarray
-
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64)
-        if data.ndim != 2:
-            raise ValueError("design data must be 2-dimensional")
-        if data.shape[1] != len(self.names):
-            raise ValueError(
-                f"{len(self.names)} names for {data.shape[1]} columns"
-            )
-        if len(set(self.names)) != len(self.names):
-            raise ValueError("design column names must be unique")
-        object.__setattr__(self, "names", tuple(self.names))
-        object.__setattr__(self, "data", data)
-
-
-@dataclass(frozen=True)
 class ModelFit:
     """Coefficients, residuals, and (optionally) HAC covariance of one fit."""
 
@@ -123,15 +105,7 @@ class ModelFit:
 
     def coef_p(self, name: str) -> float:
         """HAC p-value of a single zero restriction on one coefficient."""
-        return wald_test(self, [name]).p_value
-
-
-@dataclass(frozen=True)
-class WaldResult:
-    restriction_labels: tuple[str, ...]
-    statistic: float
-    df: int
-    p_value: float
+        return wald_test(self, [name])
 
 
 def nw_auto_bandwidth(nobs: int) -> int:
@@ -177,27 +151,23 @@ class GroupDesign:
     """The named design of a :func:`group_factor` and the orthonormal Q of
     its factor, never formed.
 
-    Before ``mix``, the design's columns are the indicators 1_g of each
-    group g of rows, then, with ``t``, the products 1_g * t. Before
-    ``rotation``, Q's columns are 1_g/sqrt(n_g), then, with slopes,
-    (t - tbar_g) 1_g / s_g, where s_g is the norm of the group's centred t:
-    so Q'v is group sums, and Qc a gather. Without a mix, both are the
-    identity, and the products with them exact.
+    The design's columns are the indicators 1_g of each group g of rows,
+    then, with ``t``, the products 1_g * t. Q's columns are 1_g/sqrt(n_g),
+    then, with slopes, (t - tbar_g) 1_g / s_g, where s_g is the norm of the
+    group's centred t: so Q'v is group sums, and Qc a gather.
     """
 
     names: tuple[str, ...]
     group: np.ndarray  # n, each row's group
     t: Optional[np.ndarray]  # n; None without slopes
-    mix: np.ndarray  # the matrix the columns are multiplied by
     index: np.ndarray  # each group's rows, padded (see _group_sums)
     centred: Optional[np.ndarray]  # n, t less its group's mean; None without slopes
     inv_norms: np.ndarray  # 1/sqrt(n_g) of each group, then 1/s_g with slopes
-    rotation: np.ndarray  # Q of the k x k QR of R times mix
 
     def rows(self, start: int, stop: int, weights: np.ndarray) -> np.ndarray:
-        """Rows ``start..stop-1`` of the design before ``mix``, each times
-        its weight w: w at the row's group column and, with ``t``, w t at
-        its slope column."""
+        """Rows ``start..stop-1`` of the design, each times its weight w: w
+        at the row's group column and, with ``t``, w t at its slope
+        column."""
         groups = len(self.index)
         block = np.zeros((stop - start, groups * (1 if self.t is None else 2)))
         days, group = np.arange(stop - start), self.group[start:stop]
@@ -209,12 +179,11 @@ class GroupDesign:
     def qt(self, v: np.ndarray) -> np.ndarray:
         """Q'v."""
         weights = [v] if self.centred is None else [v, self.centred * v]
-        c = np.concatenate([_group_sums(w, self.index) for w in weights]) * self.inv_norms
-        return self.rotation.T @ c
+        return np.concatenate([_group_sums(w, self.index) for w in weights]) * self.inv_norms
 
     def qdot(self, c: np.ndarray) -> np.ndarray:
         """Q c."""
-        means, *slopes = (self.rotation @ c * self.inv_norms).reshape(-1, len(self.index))
+        means, *slopes = (c * self.inv_norms).reshape(-1, len(self.index))
         out = means[self.group]
         if slopes:
             out += slopes[0][self.group] * self.centred
@@ -223,8 +192,9 @@ class GroupDesign:
 
 @dataclass(frozen=True)
 class QRFactor:
-    """Rank-checked QR factor of one design: ``[X, appended.data] = Q @ r``,
-    where X is ``design``'s rows times its ``mix``.
+    """Rank-checked QR factor of one design: ``[X, appended] = Q @ r``,
+    where X is ``design``'s rows, whose coefficients b are reported as
+    ``contrasts @ b``, named ``names``.
 
     Q is the one ``design`` spans, followed by ``border``, one orthonormal
     column per ``appended`` one, added by :meth:`bordered`. Both pairs are
@@ -235,17 +205,14 @@ class QRFactor:
     the coefficients.
     """
 
+    names: tuple[str, ...]  # the k reported coefficients
+    contrasts: np.ndarray  # k x k, the reported coefficients of the design's
     design: GroupDesign  # n x m factored columns and their Q
-    appended: DesignMatrix  # n x (k - m) columns bordering the design
+    appended: np.ndarray  # n x (k - m) columns bordering the design
     border: np.ndarray  # n x (k - m) orthonormal columns bordering the design's Q
     r: np.ndarray  # k x k, upper triangular
     r_inv: np.ndarray  # inverse of r
     scale: float  # largest column norm of the design, the rank test's unit
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        """The names of the whole design's columns, in order."""
-        return self.design.names + self.appended.names
 
     @property
     def nobs(self) -> int:
@@ -263,7 +230,7 @@ class QRFactor:
 
     def bordered(self, name: str, column: np.ndarray) -> QRFactor:
         """The factor of the design, not bordered yet, with ``column``
-        appended as its last column.
+        appended as its last column, reported as itself.
 
         The column is orthogonalised against Q twice (classical Gram-Schmidt
         with one reorthogonalisation); its coefficients and the norm of what
@@ -287,67 +254,61 @@ class QRFactor:
         r[:k, :k] = self.r
         r[:k, k] = coef
         r[k, k] = math.sqrt(np.add.reduce(left * left))
-        names = self.names + (name,)
         scale = max(self.scale, math.sqrt(np.add.reduce(column * column)))
-        _check_rank(names, r, scale)
+        _check_rank(self.design.names + (name,), r, scale)
 
         r_inv = np.zeros((k + 1, k + 1))
         r_inv[:k, :k] = self.r_inv
         r_inv[:k, k] = -(self.r_inv @ coef) / r[k, k]
         r_inv[k, k] = 1.0 / r[k, k]
         left /= r[k, k]
-        appended = DesignMatrix((name,), column[:, None])
-        return QRFactor(self.design, appended, left[:, None], r, r_inv, scale)
+        contrasts = np.zeros((k + 1, k + 1))
+        contrasts[:k, :k] = self.contrasts
+        contrasts[k, k] = 1.0
+        return QRFactor(
+            self.names + (name,), contrasts, self.design, column[:, None], left[:, None],
+            r, r_inv, scale,
+        )
 
     def meat(self, u: np.ndarray, lag: int) -> np.ndarray:
-        """The :func:`bartlett_meat` of the scores u_t x_t of the design's
-        rows x_t: summed over the rows before the design's ``mix``, with
-        the appended columns beside them, then mapped through ``mix`` once,
-        M = T' M_0 T with T = diag(mix, I)."""
-        appended = self.appended.data
+        """The :func:`bartlett_meat` of the scores u_t x_t of the rows x_t
+        of the design, with the appended columns beside them."""
 
         def rows(start: int, stop: int, weights: np.ndarray) -> np.ndarray:
             return np.column_stack([
-                self.design.rows(start, stop, weights), appended[start:stop] * weights[:, None]
+                self.design.rows(start, stop, weights), self.appended[start:stop] * weights[:, None]
             ])
 
-        meat = bartlett_meat(rows, u, lag)
-        mix = self.design.mix
-        extra = appended.shape[1]
-        t = np.zeros((len(mix) + extra, mix.shape[1] + extra))
-        t[: len(mix), : mix.shape[1]] = mix
-        t[len(mix) :, mix.shape[1] :] = np.eye(extra)
-        return t.T @ meat @ t
+        return bartlett_meat(rows, u, lag)
 
 
 def group_factor(
-    names: Sequence[str], group: np.ndarray,
-    t: Optional[np.ndarray] = None, mix: Optional[np.ndarray] = None,
+    names: Sequence[str], group: np.ndarray, t: Optional[np.ndarray] = None
 ) -> QRFactor:
     """The QR factor, in closed form, of the design named ``names`` whose
     columns are the indicators 1_g of the groups g = 0, 1, ... of rows
     (``group`` holds each row's), then, with ``t``, the products 1_g * t,
-    all times the matrix ``mix`` when given, else the identity.
+    each coefficient reported as itself.
 
     Per group, that is a mean, or a mean and a slope on the group's centred
     t: R holds sqrt(n_g) and s_g on its diagonal and sum_g(t)/sqrt(n_g)
-    above s_g, with Q as :class:`GroupDesign` says; ``mix`` rotates both by
-    the QR of that R times ``mix``. A design not of full rank, such as one
-    with a group of no rows, or of one day under a slope, raises
-    :class:`SingularDesignError` naming the first column in the span of the
-    columns before it.
+    above s_g, with Q as :class:`GroupDesign` says. A design not of full
+    rank, such as one with a group of no rows, or of one day under a slope,
+    raises :class:`SingularDesignError` naming the first column in the span
+    of the columns before it.
     """
     group = np.asarray(group, dtype=np.intp)
     n, k = len(group), len(names)
     if n <= k:
         raise InsufficientDataError(f"{n} observations for {k} regressors")
-    mixing = np.eye(k) if mix is None else mix
-    groups = len(mixing) // (1 if t is None else 2)
+    groups = k // (1 if t is None else 2)
     counts = np.bincount(group, minlength=groups)
     order = np.argsort(group, kind="stable")
     index = np.full((groups, counts.max()), n)
     index[group[order], np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)] = order
     r = np.diag(np.sqrt(counts))
+    # each column's sum of squares: a group's count, or its sum of t^2
+    squares = counts.max()
     centred = None
     if t is not None:
         # the design keeps the caller's t, not this float copy
@@ -357,36 +318,25 @@ def group_factor(
         above = np.divide(sums, r.diagonal(), out=np.zeros(groups), where=counts > 0)
         spread = np.sqrt(_group_sums(centred * centred, index))
         r = np.block([[r, np.diag(above)], [np.zeros((groups, groups)), np.diag(spread)]])
-    norms = r.diagonal()
-    # without a mix, Q and R are as written down and the rotation is the
-    # identity, whose products are exact; a command that fits no joint
-    # model then never loads LAPACK's QR, which raises its peak RSS
-    rotation, r = (mixing, r) if mix is None else np.linalg.qr(r @ mix)
-
-    # each column's sum of squares over the rows a + t b of each group, with
-    # a and b its rows of mixing: exact in any order for integer t and mix
-    a = mixing[:groups]
-    squares = counts @ (a * a)
-    if t is not None:
-        b = mixing[groups:]
-        squares += 2.0 * sums @ (a * b) + _group_sums(times * times, index) @ (b * b)
-    scale = float(np.sqrt(squares).max())
+        squares = max(squares, _group_sums(times * times, index).max())
+    scale = math.sqrt(squares)
     _check_rank(names, r, scale)
     # R is upper triangular, so LU's partial pivoting swaps no rows and the
     # solve is a back substitution
     r_inv = np.linalg.solve(r, np.eye(k))
-    design = GroupDesign(tuple(names), group, t, mixing, index, centred, 1.0 / norms, rotation)
+    design = GroupDesign(tuple(names), group, t, index, centred, 1.0 / r.diagonal())
     nothing = np.empty((n, 0))
-    return QRFactor(design, DesignMatrix((), nothing), nothing, r, r_inv, scale)
+    return QRFactor(design.names, np.eye(k), design, nothing, nothing, r, r_inv, scale)
 
 
 def ols_fit(factor: QRFactor, y: np.ndarray) -> ModelFit:
     """Least-squares fit via the QR factor of a design; hac_cov left
     unpopulated.
 
-    With c = Q'y, beta solves R beta = c and the fitted values are Q c, so
-    the design's rows are never read: for a :func:`group_factor`, that is
-    group sums and a gather.
+    With c = Q'y, the design's coefficients b solve R b = c, beta is the
+    factor's contrasts times b, and the fitted values are Q c, so the
+    design's rows are never read: for a :func:`group_factor`, that is group
+    sums and a gather.
 
     R^2 is centred: every design the package fits spans the constant (the
     trend and joint designs hold an intercept, the seasonal dummies
@@ -398,7 +348,7 @@ def ols_fit(factor: QRFactor, y: np.ndarray) -> ModelFit:
         raise ValueError(f"y has shape {y.shape}, expected ({n},)")
 
     c = factor.qt(y)
-    beta = np.linalg.solve(factor.r, c)
+    beta = factor.contrasts @ np.linalg.solve(factor.r, c)
     residuals = y - factor.qdot(c)
 
     ssr = float(np.add.reduce(residuals * residuals))
@@ -447,9 +397,11 @@ def hac_cov(
     """Newey-West covariance of the OLS coefficients of a factored design.
 
     (X'X)^-1 comes from the factor's R, and the meat from
-    :meth:`QRFactor.meat`, which reads no design rows. Bandwidth 0
-    collapses the kernel to the heteroskedasticity-only (HC0) sandwich.
-    The result is exactly symmetric by construction.
+    :meth:`QRFactor.meat`, which reads no design rows; the sandwich V of
+    the design's coefficients is reported as C V C', C the factor's
+    contrasts. Bandwidth 0 collapses the kernel to the
+    heteroskedasticity-only (HC0) sandwich. The result is exactly symmetric
+    by construction.
     """
     residuals = np.asarray(residuals, dtype=np.float64)
     n = factor.nobs
@@ -459,7 +411,7 @@ def hac_cov(
 
     meat = factor.meat(residuals, lag)
     xtx_inv = factor.r_inv @ factor.r_inv.T
-    cov = xtx_inv @ meat @ xtx_inv
+    cov = factor.contrasts @ (xtx_inv @ meat @ xtx_inv) @ factor.contrasts.T
     cov = (cov + cov.T) / 2.0
     cov.setflags(write=False)
     return cov
@@ -477,8 +429,9 @@ def fit_with_hac(
     )
 
 
-def wald_test(fit: ModelFit, restricted: Sequence[str]) -> WaldResult:
-    """Chi-square Wald test that the named coefficients are jointly zero."""
+def wald_test(fit: ModelFit, restricted: Sequence[str]) -> float:
+    """The p-value of the chi-square Wald test that the named coefficients
+    are jointly zero."""
     labels = tuple(restricted)
     if not labels:
         raise ValueError("empty restriction set")
@@ -498,9 +451,7 @@ def wald_test(fit: ModelFit, restricted: Sequence[str]) -> WaldResult:
             "restricted covariance block is not positive definite"
         ) from None
     whitened = np.linalg.solve(lower, b)
-    statistic = float(whitened @ whitened)
-    df = len(labels)
-    return WaldResult(labels, statistic, df, chi2_sf(statistic, df))
+    return chi2_sf(float(whitened @ whitened), len(labels))
 
 
 def chi2_sf(x: float, df: int) -> float:

@@ -20,7 +20,7 @@ import pytest
 from tempdyn.density import DensityEstimate
 from tempdyn.ghcn import LINE_LENGTH, TEMPERATURE_ELEMENTS, DlyParseError, DlyRecords
 from tempdyn.models import DUMMY_NAMES, INTERACTION_NAMES
-from tempdyn.regression import DesignMatrix, InsufficientDataError, QRFactor, _check_rank
+from tempdyn.regression import InsufficientDataError, QRFactor, _check_rank
 from tempdyn.series import TemperatureSeries
 
 DAY_SLOTS = 31
@@ -361,6 +361,25 @@ def month_dummies(month: np.ndarray) -> np.ndarray:
     return dummies
 
 
+@dataclass(frozen=True)
+class DesignMatrix:
+    """Named regressor columns of equal length."""
+
+    names: tuple[str, ...]
+    data: np.ndarray
+
+    def __post_init__(self):
+        data = np.asarray(self.data, dtype=np.float64)
+        if data.ndim != 2:
+            raise ValueError("design data must be 2-dimensional")
+        if data.shape[1] != len(self.names):
+            raise ValueError(f"{len(self.names)} names for {data.shape[1]} columns")
+        if len(set(self.names)) != len(self.names):
+            raise ValueError("design column names must be unique")
+        object.__setattr__(self, "names", tuple(self.names))
+        object.__setattr__(self, "data", data)
+
+
 def evolving_design(dummies: np.ndarray, t: np.ndarray) -> DesignMatrix:
     """The evolving seasonal design D_1..D_12, D_1*t..D_12*t of the month
     indicators ``dummies`` (:func:`month_dummies`), as one dense matrix."""
@@ -372,11 +391,10 @@ def evolving_design(dummies: np.ndarray, t: np.ndarray) -> DesignMatrix:
 class DenseDesign:
     """A design held as its dense matrix ``data``, with the Q of its
     Householder QR: the tests' stand-in for ``regression.GroupDesign``,
-    whose rows are slices of ``data`` and whose ``mix`` is the identity."""
+    whose rows are slices of ``data``."""
 
     def __init__(self, names: tuple[str, ...], data: np.ndarray, q: np.ndarray):
         self.names, self.data, self.q = names, data, q
-        self.mix = np.eye(len(names))
 
     def rows(self, start: int, stop: int, weights: np.ndarray) -> np.ndarray:
         return self.data[start:stop] * weights[:, None]
@@ -411,7 +429,7 @@ def factorize(X: DesignMatrix) -> QRFactor:
     r_inv = np.linalg.solve(r, np.eye(k))
     nothing = np.empty((n, 0))
     design = DenseDesign(X.names, X.data, q)
-    return QRFactor(design, DesignMatrix((), nothing), nothing, r, r_inv, scale)
+    return QRFactor(X.names, np.eye(k), design, nothing, nothing, r, r_inv, scale)
 
 
 def reference_series_csv(series: TemperatureSeries) -> bytes:

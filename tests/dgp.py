@@ -13,7 +13,8 @@ import numpy as np
 from scipy.signal import lfilter
 
 from tempdyn.models import JOINT_DUMMIES, JOINT_INTERACTIONS, JULY
-from tempdyn.regression import DesignMatrix
+
+from conftest import DesignMatrix
 
 
 def calendar_months(start: date, length: int) -> np.ndarray:

@@ -606,15 +606,17 @@ class TestTables:
         factored = []
         original = models.group_factor
 
-        def counting(names, *args, **kwargs):
-            # the first and last names tell the four designs apart
-            factored.append((names[0], names[-1]))
-            return original(names, *args, **kwargs)
+        def counting(names, group, *args, **kwargs):
+            # the first and last names and the row count tell the four
+            # designs apart: the joint one is the evolving one of days 2..T
+            factored.append((names[0], names[-1], len(group)))
+            return original(names, group, *args, **kwargs)
 
         monkeypatch.setattr(models, "group_factor", counting)
         result = run(["tables", "--config", config, "--variable", "both"])
         assert result.exit_code == 0, result.output
-        assert factored == [("const", "dt12"), ("const", "time")]
+        days = (WINDOW_END - WINDOW_START).days + 1
+        assert factored == [("d01", "dt12", days - 1), ("const", "time", days)]
         monkeypatch.undo()
         factors = models.WindowFactors(WINDOW_START, WINDOW_END)
 
@@ -833,15 +835,17 @@ class TestFigures:
         factored = []
         original = models.group_factor
 
-        def counting(names, *args, **kwargs):
-            # the first and last names tell the four designs apart
-            factored.append((names[0], names[-1]))
-            return original(names, *args, **kwargs)
+        def counting(names, group, *args, **kwargs):
+            # the first and last names and the row count tell the four
+            # designs apart: the joint one is the evolving one of days 2..T
+            factored.append((names[0], names[-1], len(group)))
+            return original(names, group, *args, **kwargs)
 
         monkeypatch.setattr(models, "group_factor", counting)
         result = run(["figures", "--config", config, "--station", "AAA"])
         assert result.exit_code == 0, result.output
-        assert factored == [("const", "time"), ("d01", "d12"), ("d01", "dt12")]
+        days = (WINDOW_END - WINDOW_START).days + 1
+        assert factored == [("const", "time", days), ("d01", "d12", days), ("d01", "dt12", days)]
 
     def test_constant_dtr_is_a_one_line_error(self, workspace):
         config = str(workspace / "run.cfg")
@@ -944,7 +948,7 @@ class TestFigures:
         assert result.stdout == ""
         assert result.stderr == (
             f"Error: no series file {workspace / 'out' / 'series' / 'AAA.csv'}; "
-            "run `tempdyn ingest` for AAA first\n"
+            "run `tempdyn ingest --station AAA` first\n"
         )
 
     def test_unknown_station_rejected(self, workspace):
@@ -1833,9 +1837,10 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     assert [name for name in one if one[name] != two[name]] == []
 
 
-def test_no_qr_of_more_than_k_rows(workspace, monkeypatch):
-    # every factor is written down in closed form: the one decomposition
-    # left is of the joint design's 24 x 24 R, never of a design's n rows
+def test_no_command_calls_qr(workspace, monkeypatch):
+    # every factor is written down in closed form, the joint one as July
+    # contrasts of the evolving one of days 2..T, so no command decomposes
+    # any matrix by QR
     config = str(workspace / "run.cfg")
     run(["ingest", "--config", config])
     shapes = []
@@ -1852,4 +1857,4 @@ def test_no_qr_of_more_than_k_rows(workspace, monkeypatch):
     ):
         result = run([command[0], "--config", config, *command[1:]])
         assert result.exit_code == 0, result.output
-    assert shapes and all(rows <= 24 for rows, _ in shapes), shapes
+    assert shapes == []
