@@ -59,8 +59,8 @@ def _check_window(config: RunConfig, model: str, fitted: tuple[str, ...], hac: b
     nobs (the joint model's first day feeds its lag).
 
     Every command that fits calls this before it reads its first series, so
-    the reads reuse the heap that building the factors frees (figures peaks
-    0.4 MiB lower). Once the months are checked, only the trend design can
+    the reads reuse the heap that building the factors frees (tables peaks
+    0.7-0.8 MiB lower). Once the months are checked, only the trend design can
     fail to factor (a window of two days or less).
     """
     from .models import WindowFactors
@@ -279,7 +279,6 @@ def figures(config_path, station_code, out):
                 f"{station_code} {var}: automatic bandwidth is zero (data has no spread)"
             )
 
-    month = factors.month
     # the evolving pattern is evaluated at the t of each July 1
     july_t = {
         str(year): (date(year, models.JULY, 1) - factors.start).days + 1
@@ -292,7 +291,7 @@ def figures(config_path, station_code, out):
         fixed_qr, detrended = factors.least_squares("fixed", y)
         fixed = ols_fit(fixed_qr, detrended)
         reporting.write_seasonal_fit_csv(
-            factors.start, detrended, fixed.beta[month - 1],
+            factors.start, detrended, fixed.beta[factors.month_index],
             figures_dir / f"seasonal_fit_{var}.csv",
         )
         reporting.write_patterns_csv(

@@ -52,12 +52,12 @@ def _percentiles(data: np.ndarray, fractions) -> list[float]:
 
 
 def silverman_bandwidth(data: np.ndarray) -> float:
-    """0.9 * min(sd, IQR/1.34) * n^(-1/5)."""
+    """0.9 * min(sd, IQR/1.34) * n^(-1/5), by sd alone when the IQR is 0."""
     data = np.asarray(data, dtype=np.float64)
     n = data.size
     sd = float(np.std(data, ddof=1)) if n > 1 else 0.0
     q75, q25 = _percentiles(data, (0.75, 0.25))
-    spread = min(sd, (q75 - q25) / 1.34)
+    spread = min(sd, (q75 - q25) / 1.34) or sd
     return 0.9 * spread * n ** (-0.2)
 
 

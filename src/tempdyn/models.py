@@ -14,8 +14,8 @@ regressor un-rescaled (t in days). The lag is its last column (the paper
 lists it third; no estimate, error or test depends on the order).
 
 Every column but the joint model's lag depends only on the window, so one
-:class:`WindowFactors` holds its t and months and the factored design of
-each model for every series and variable, each factored on first use.
+:class:`WindowFactors` holds its t and month index and the factored design
+of each model for every series and variable, each factored on first use.
 :meth:`WindowFactors.least_squares` is the one entry for all four models:
 it pairs a model's factor with its regressand, which every command then
 fits by ``ols_fit`` or ``fit_with_hac``. The joint fit borders the factor
@@ -132,31 +132,33 @@ class BatchReport:
 
 class WindowFactors:
     """The window ``[start, end]``'s read-only ``t`` (1..T, in days) and
-    ``month`` of each day, and the factored design of each model on it.
+    ``month_index`` of each day (0 for January to 11 for December), and
+    the factored design of each model on it.
 
     This is the one place that computes them on the fit path, and knows
     which design each model is fitted on. Each factor is built on first
     use, or by :meth:`build`, so a command holds only the ones it fits:
     ``trend``, ``fixed``, ``evolving`` and ``joint`` (the joint design
     without its lag, as July contrasts of the evolving design of days
-    2..T), each a ``group_factor`` of the window's days. No
-    factor holds an array of the window's days by the design's columns:
-    fits and HAC covariances read the days' months and ``t``.
+    2..T), each a ``group_factor`` of the window's days. The seasonal ones
+    group the days by views of ``month_index``, the trend by a zero-stride
+    view of one 0, so no factor copies a per-day group array, nor holds
+    one of the window's days by the design's columns.
     """
 
     def __init__(self, start: date, end: date):
         days = np.arange(np.datetime64(start, "D"), np.datetime64(end, "D") + 1)
         self.start, self.end = start, end
         self.t = np.arange(1, len(days) + 1, dtype=np.int64)
-        self.month = days.astype("datetime64[M]").astype(np.int64) % 12 + 1
-        for array in (self.t, self.month):
+        self.month_index = days.astype("datetime64[M]").astype(np.intp) % 12
+        for array in (self.t, self.month_index):
             array.setflags(write=False)
 
     def check_months(self, model: str) -> None:
         """Raise ValueError naming the calendar months of the window with too
         few days for ``model``'s design to have full rank on any series.
         The joint model is fitted from the second day."""
-        counts = np.bincount(self.month[int(model == "joint"):] - 1, minlength=12)
+        counts = np.bincount(self.month_index[int(model == "joint"):], minlength=12)
         short = [calendar.month_abbr[m + 1] for m in np.flatnonzero(counts < _MONTH_DAYS[model])]
         if short:
             raise ValueError(
@@ -176,23 +178,22 @@ class WindowFactors:
 
     @cached_property
     def trend(self) -> QRFactor:
-        zeros = np.zeros(len(self.t), np.intp)
-        return group_factor(("const", "time"), zeros, self.t)
+        return group_factor(("const", "time"), np.broadcast_to(np.intp(0), len(self.t)), self.t)
 
     @cached_property
     def fixed(self) -> QRFactor:
-        return group_factor(DUMMY_NAMES, self.month - 1)
+        return group_factor(DUMMY_NAMES, self.month_index)
 
     @cached_property
     def evolving(self) -> QRFactor:
         names = DUMMY_NAMES + INTERACTION_NAMES
-        return group_factor(names, self.month - 1, self.t)
+        return group_factor(names, self.month_index, self.t)
 
     @cached_property
     def joint(self) -> QRFactor:
         # const and time are July's coefficients, and each other month's
         # dummy and interaction its coefficient less July's
-        factor = group_factor(DUMMY_NAMES + INTERACTION_NAMES, self.month[1:] - 1, self.t[1:])
+        factor = group_factor(DUMMY_NAMES + INTERACTION_NAMES, self.month_index[1:], self.t[1:])
         eye, july = np.eye(24), [JULY - 1, 11 + JULY]
         others = np.delete(eye, july, 0) - np.repeat(eye[july], 11, axis=0)
         contrasts = np.vstack([eye[july], others])

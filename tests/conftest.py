@@ -345,18 +345,18 @@ def find_modes(
     return modes
 
 
-def month_dummies(month: np.ndarray) -> np.ndarray:
-    """(T, 12) indicator matrix of the days' months (1..12, such as a
-    window's ``WindowFactors.month``); column i-1 marks days falling in
-    month i.
+def month_dummies(month_index: np.ndarray) -> np.ndarray:
+    """(T, 12) indicator matrix of the days' month indices (0..11, such as
+    a window's ``WindowFactors.month_index``); column i marks days falling
+    in month index i.
 
     Each row sums to exactly 1 (one month per day); Feb 29 belongs to the
     February column.
     """
-    if len(month) == 0:
+    if len(month_index) == 0:
         raise ValueError("no days")
-    dummies = np.zeros((len(month), 12), dtype=np.float64)
-    dummies[np.arange(len(month)), np.asarray(month) - 1] = 1.0
+    dummies = np.zeros((len(month_index), 12), dtype=np.float64)
+    dummies[np.arange(len(month_index)), month_index] = 1.0
     dummies.setflags(write=False)
     return dummies
 

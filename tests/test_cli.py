@@ -740,7 +740,7 @@ class TestTables:
         else:
             # each day holds the next day's month number, so every lag is the
             # intercept plus month dummies
-            following = np.append(models.WindowFactors(WINDOW_START, WINDOW_END).month[1:], 1)
+            following = np.append(models.WindowFactors(WINDOW_START, WINDOW_END).month_index[1:] + 1, 1)
             tmax, tmin = 2 * following, np.zeros(len(aaa), dtype=np.int64)
         write_series(workspace, "XXX", tmax, tmin, WINDOW_START, WINDOW_END)
         result = run(["tables", "--config", config,

@@ -83,6 +83,18 @@ class TestKde:
         assert estimate.grid[0] == pytest.approx(10.0 - 3.0)
         assert estimate.grid[-1] == pytest.approx(20.0 + 3.0)
 
+    def test_zero_iqr_auto_bandwidth_falls_back_to_sd(self):
+        # 80 values of 20.0 among 10.0..29.0: both quartiles are 20.0, yet
+        # the data has spread (sd 2.60), so the rule takes sd alone
+        data = np.concatenate([np.full(80, 20.0), np.arange(10.0, 30.0)])
+        q75, q25 = np.percentile(data, [75, 25])
+        assert q75 == q25
+        sd = data.std(ddof=1)
+        assert sd == pytest.approx(2.60, abs=0.005)
+        estimate = kde(data)
+        assert estimate.bandwidth == silverman_bandwidth(data) == 0.9 * sd * data.size ** -0.2
+        assert 0.99 <= integral(estimate) <= 1.01
+
     def test_zero_variance_auto_bandwidth_rejected(self):
         with pytest.raises(DegenerateBandwidthError, match="explicit bandwidth"):
             kde(np.full(10, 5.0))

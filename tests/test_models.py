@@ -132,7 +132,7 @@ class TestDetrend:
 class TestFixedSeasonal:
     def test_january_indicator_pattern(self):
         series = series_from_avg(np.zeros(365 * 2), start=date(1961, 1, 1))
-        detrended = np.where(factors_of(series).month == 1, 1.0, -1.0)
+        detrended = np.where(factors_of(series).month_index == 0, 1.0, -1.0)
         result = fixed_on(series, detrended)
         assert month_effects(result)[0] == pytest.approx(1.0, abs=1e-12)
         for effect in month_effects(result)[1:]:
@@ -144,7 +144,7 @@ class TestFixedSeasonal:
         detrended = rng.standard_normal(1200)
         result = fixed_on(series, detrended)
         for m in range(1, 13):
-            month_mean = detrended[factors_of(series).month == m].mean()
+            month_mean = detrended[factors_of(series).month_index == m - 1].mean()
             assert month_effects(result)[m - 1] == pytest.approx(
                 month_mean, abs=1e-10
             )
@@ -195,7 +195,7 @@ class TestEvolvingSeasonal:
         series = series_from_avg(detrended)
         result = evolving_on(series, detrended)
         factors = factors_of(series)
-        values = evolving_design(month_dummies(factors.month), factors.t).data @ result.beta
+        values = evolving_design(month_dummies(factors.month_index), factors.t).data @ result.beta
         assert abs(values.mean()) < 1e-10
 
     def test_pattern_for_year_uses_july_first(self, tmp_path):
@@ -234,13 +234,13 @@ def test_window_without_july_first_has_no_pattern_years():
 def dense_designs(factors: WindowFactors) -> dict[str, DesignMatrix]:
     """Each model's design on the window of ``factors`` (the joint one
     without its lag) as one dense matrix, by model."""
-    dummies = month_dummies(factors.month)
+    dummies = month_dummies(factors.month_index)
     t = factors.t.astype(np.float64)
     return {
         "trend": DesignMatrix(("const", "time"), np.column_stack([np.ones(len(t)), t])),
         "fixed": DesignMatrix(DUMMY_NAMES, dummies),
         "evolving": evolving_design(dummies, t),
-        "joint": joint_shared_design(factors.month, factors.t),
+        "joint": joint_shared_design(factors.month_index + 1, factors.t),
     }
 
 
@@ -308,7 +308,7 @@ class TestGroupFactor:
         # warning is raised on the way, as pytest makes it an error
         factors = WindowFactors(start, end)
         designs = dense_designs(factors)
-        designs["joint"] = evolving_design(month_dummies(factors.month[1:]), factors.t[1:])
+        designs["joint"] = evolving_design(month_dummies(factors.month_index[1:]), factors.t[1:])
         expected = {"fixed": fixed_column, "evolving": evolving_column, "joint": joint_column}
         for model, column in expected.items():
             if column is None:
@@ -379,7 +379,7 @@ def test_closed_form_coefficients_as_accurate_as_householder(variable):
         factor, regressand = factors.least_squares(model, series.variable(variable))
         design = designs[model]
         if model == "joint":
-            design, _ = joint_design(factors.month, factors.t, series.variable(variable))
+            design, _ = joint_design(factors.month_index + 1, factors.t, series.variable(variable))
         exact = exact_least_squares(design.data, regressand)
         ours, householder = ols_fit(factor, regressand), ols_fit(factorize(design), regressand)
         errors = largest_relative_error(ours.beta, exact), largest_relative_error(householder.beta, exact)
@@ -438,7 +438,7 @@ def test_joint_meat_as_accurate_as_the_stacked_design(variable):
     factors = factors_of(series)
     y = series.variable(variable)
     factor, regressand = factors.least_squares("joint", y)
-    evolving = evolving_design(month_dummies(factors.month[1:]), factors.t[1:])
+    evolving = evolving_design(month_dummies(factors.month_index[1:]), factors.t[1:])
     design = DesignMatrix(evolving.names + ("lag",), np.column_stack([evolving.data, y[:-1]]))
     u = ols_fit(factor, regressand).residuals
     lag = nw_auto_bandwidth(len(u))
@@ -460,25 +460,78 @@ def lattice_regressand(seed: int, days: int) -> np.ndarray:
     return np.rint(2 * (50 + cycle + slope * t + noise)) / 2
 
 
-# bounds of the joint differential test below: each is 10 times the
-# largest gap of 1,000 draws of its ranges (numpy's default rng; the same
-# gaps at one and two BLAS threads), which were 2.8e-12, 1.6e-13, 1.8e-9
-# and 2.0e-10. The gaps are Householder's: on the draw of the largest
-# p-value gap, an exact rational fit was within 4e-14 of this package's
-# p-values and 2e-10 of Householder's
+# bounds of the differential tests below, of each model's fit through the
+# window's factors against Householder of its dense design: each is 10
+# times the largest gap of draws of their ranges (numpy's default rng; the
+# same gaps at one and two BLAS threads), rounded up. For the joint model,
+# 1,000 draws gave 2.8e-12, 1.6e-13, 1.8e-9 and 2.0e-10. The gaps are
+# Householder's: on the draw of the largest joint p-value gap, an exact
+# rational fit was within 4e-14 of this package's p-values and 2e-10 of
+# Householder's
 BETA_SE = 3e-11  # |beta gap| over Householder's HAC standard error
 RESIDUALS = 2e-12  # |residual gap| over the largest |regressand|
 COV_SE = 2e-8  # |hac_cov gap| over sqrt(V_ii V_jj)
 P_VALUE = 2e-9  # |Wald p-value gap|
+# BETA_SE, RESIDUALS and COV_SE of the trend, fixed and evolving models,
+# from 2,000 draws whose largest gaps were: trend 9.4e-12, 1.8e-14 and
+# 1.3e-12; fixed 9.6e-12, 7.6e-14 and 3.6e-13; evolving 5.7e-12, 6.8e-14
+# and 4.5e-12 (the joint model's stayed within its bounds above)
+TREND_AND_SEASONAL = {
+    "trend": (1e-10, 2e-13, 2e-11),
+    "fixed": (1e-10, 8e-13, 4e-12),
+    "evolving": (6e-11, 7e-13, 5e-11),
+}
 
-
-@settings(max_examples=100, deadline=None)
-@given(
+windows_and_lags = given(
     start=st.dates(date(1950, 1, 1), date(2010, 12, 31)),
     days=st.integers(365, 7 * 365 + 2),
     lag=st.one_of(st.just("auto"), st.integers(0, 90)),
     seed=st.integers(0, 2**32 - 1),
 )
+
+
+def householder_gaps(ours: ModelFit, theirs: ModelFit, regressand: np.ndarray) -> np.ndarray:
+    """The gaps of a fit from Householder's fit ``theirs`` of the same
+    model's dense design to ``regressand``: the largest |beta gap| over
+    Householder's HAC standard error, |residual gap| over the largest
+    |regressand|, and |hac_cov gap| over sqrt(V_ii V_jj)."""
+    assert ours.names == theirs.names
+    assert ours.bandwidth == theirs.bandwidth
+    se = np.sqrt(np.diag(theirs.hac_cov))
+    return np.array([
+        (np.abs(ours.beta - theirs.beta) / se).max(),
+        np.abs(ours.residuals - theirs.residuals).max() / np.abs(regressand).max(),
+        (np.abs(ours.hac_cov - theirs.hac_cov) / np.outer(se, se)).max(),
+    ])
+
+
+def trend_and_seasonal_gaps(start: date, days: int, y: np.ndarray, lag) -> dict[str, np.ndarray]:
+    """The :func:`householder_gaps` of the trend, fixed and evolving fits
+    to ``y`` through the factors of the window of ``days`` days from
+    ``start``, by model. Householder's seasonal fits take the residuals of
+    its own trend fit, and its designs enumerate the months from the
+    dates, so they read nothing of ``WindowFactors``."""
+    factors = WindowFactors(start, start + timedelta(days=days - 1))
+    dummies, t = month_dummies(calendar_months(start, days) - 1), np.arange(1.0, days + 1)
+    trend = factorize(DesignMatrix(("const", "time"), np.column_stack([np.ones(days), t])))
+    detrended = ols_fit(trend, y).residuals
+    dense = {
+        "trend": (trend, y),
+        "fixed": (factorize(DesignMatrix(DUMMY_NAMES, dummies)), detrended),
+        "evolving": (factorize(evolving_design(dummies, t)), detrended),
+    }
+    return {
+        model: householder_gaps(
+            fit_with_hac(*factors.least_squares(model, y), lag),
+            fit_with_hac(factor, regressand, lag),
+            regressand,
+        )
+        for model, (factor, regressand) in dense.items()
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@windows_and_lags
 @example(start=date(1960, 2, 29), days=365, lag="auto", seed=0)
 @example(start=date(1996, 2, 29), days=7 * 365 + 2, lag=90, seed=1)
 def test_joint_fit_matches_householder_of_the_dense_design(start, days, lag, seed):
@@ -490,29 +543,60 @@ def test_joint_fit_matches_householder_of_the_dense_design(start, days, lag, see
     factors = WindowFactors(start, start + timedelta(days=days - 1))
     y = lattice_regressand(seed, days)
     ours = fit_with_hac(*factors.least_squares("joint", y), lag)
-    design, regressand = joint_design(factors.month, factors.t, y)
+    design, regressand = joint_design(calendar_months(start, days), factors.t, y)
     theirs = fit_with_hac(factorize(design), regressand, lag)
-    assert ours.names == theirs.names
-    assert ours.bandwidth == theirs.bandwidth
-    se = np.sqrt(np.diag(theirs.hac_cov))
-    assert (np.abs(ours.beta - theirs.beta) / se).max() <= BETA_SE
-    assert np.abs(ours.residuals - theirs.residuals).max() <= RESIDUALS * np.abs(regressand).max()
-    assert (np.abs(ours.hac_cov - theirs.hac_cov) / np.outer(se, se)).max() <= COV_SE
+    assert np.all(householder_gaps(ours, theirs, regressand) <= (BETA_SE, RESIDUALS, COV_SE))
     for labels in HYPOTHESES.values():
         assert wald_test(ours, labels) == pytest.approx(wald_test(theirs, labels), rel=0, abs=P_VALUE)
+
+
+@settings(max_examples=100, deadline=None)
+@windows_and_lags
+@example(start=date(1960, 2, 29), days=365, lag="auto", seed=0)
+@example(start=date(1996, 2, 29), days=7 * 365 + 2, lag=90, seed=1)
+def test_trend_and_seasonal_fits_match_householder_of_the_dense_designs(start, days, lag, seed):
+    # the same draws for the trend fit and the fixed and evolving fits of
+    # its residuals
+    gaps = trend_and_seasonal_gaps(start, days, lattice_regressand(seed, days), lag)
+    for model, bounds in TREND_AND_SEASONAL.items():
+        assert np.all(gaps[model] <= bounds), (model, gaps[model])
 
 
 class TestWindowFactors:
     """Every model is fitted on the factors of its window, each built once."""
 
     def test_window_calendar_is_read_only(self):
-        # one t and one month per day of the window, 1960 a leap year
+        # one t and one month index per day of the window, 1960 a leap year
         factors = WindowFactors(date(1960, 2, 28), date(1960, 3, 2))
         assert factors.t.tolist() == [1, 2, 3, 4]
-        assert factors.month.tolist() == [2, 2, 3, 3]
-        for array in (factors.t, factors.month):
+        assert factors.month_index.tolist() == [1, 1, 2, 2]
+        for array in (factors.t, factors.month_index):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
+
+    def test_one_month_index_shared_by_every_factor(self):
+        # each day's month less one, by date enumeration over the leap year
+        # 1964 and its neighbours' edges; the seasonal factors group the days
+        # by that one array, the joint one by its view from day 2, and the
+        # trend by a zero-stride view, so no per-day group array is copied
+        start, end = date(1963, 12, 30), date(1965, 1, 2)
+        factors = WindowFactors(start, end)
+        days = [start + timedelta(days=i) for i in range((end - start).days + 1)]
+        assert factors.month_index.tolist() == [day.month - 1 for day in days]
+        assert factors.month_index.dtype == np.intp
+        assert not factors.month_index.flags.writeable
+        assert not hasattr(factors, "month")
+        for model in ("fixed", "evolving"):
+            group = getattr(factors, model).design.group
+            assert np.shares_memory(group, factors.month_index), model
+            assert group.ctypes.data == factors.month_index.ctypes.data, model
+        joint = factors.joint.design.group
+        assert np.shares_memory(joint, factors.month_index)
+        assert joint.ctypes.data == factors.month_index[1:].ctypes.data
+        assert np.array_equal(joint, factors.month_index[1:])
+        trend = factors.trend.design.group
+        assert trend.strides == (0,) and trend.shape == (len(days),)
+        assert not trend.any()
 
     def test_fit_functions_share_one_signature(self):
         # one entry serves all four models: a factor and a regressand of
@@ -591,7 +675,7 @@ class TestModelSpec:
         assert factors.trend.names == ("const", "time")
         assert len(factors.fixed.names) == 12
         assert len(factors.evolving.names) == 24
-        joint, _ = joint_design(factors.month, factors.t, series.variable("avg"))
+        joint, _ = joint_design(factors.month_index + 1, factors.t, series.variable("avg"))
         assert len(joint.names) == 25
         assert "d07" not in joint.names
         assert "dt07" not in joint.names
@@ -667,7 +751,7 @@ class TestJointModel:
         assert factors.trend.names == ("const", "time")
         assert factors.fixed.names == dummy_names
         assert factors.evolving.names == dummy_names + interaction_names
-        assert factors.joint.names == joint_shared_design(factors.month, factors.t).names
+        assert factors.joint.names == joint_shared_design(factors.month_index + 1, factors.t).names
 
     def test_white_noise_rho_near_zero(self):
         rng = np.random.default_rng(60)
@@ -693,7 +777,7 @@ class TestJointModel:
         series = series_from_avg(rng.standard_normal(T))
         factors = factors_of(series)
         detrended = rng.standard_normal(T)
-        full = evolving_design(month_dummies(factors.month), factors.t)
+        full = evolving_design(month_dummies(factors.month_index), factors.t)
         restricted = DesignMatrix(full.names[:12], full.data[:, :12])
         fixed = fixed_on(series, detrended)
         from_restricted = ols_fit(factorize(restricted), detrended)
@@ -720,7 +804,7 @@ class TestJointModel:
         series = quick_series(66, T=3650)
         joint = fitted(series, "joint")
         factors = factors_of(series)
-        design, regressand = joint_design(factors.month, factors.t, series.variable("avg"))
+        design, regressand = joint_design(factors.month_index + 1, factors.t, series.variable("avg"))
         direct = fit_with_hac(factorize(design), regressand)
         assert joint.names == direct.names
         np.testing.assert_allclose(joint.beta, direct.beta, rtol=1e-9)
@@ -784,6 +868,28 @@ class TestInvariance:
         for label in HYPOTHESES:
             assert b[label] == pytest.approx(a[label], rel=1e-9, abs=1e-15)
 
+    def test_station_order_leaves_every_fit_unchanged(self):
+        # every command fits its stations one after another through one
+        # window's factors: in any order of the stations, each fit of the
+        # four models is the same bits as through factors of its own, built
+        # in the opposite model order
+        kinds = ("trend", "fixed", "evolving", "joint")
+        stations = [quick_series(seed, T=1500) for seed in (80, 81, 82)]
+
+        def fits(series, factors, order=kinds):
+            y = series.variable("avg")
+            return {model: fit_with_hac(*factors.least_squares(model, y), 5) for model in order}
+
+        alone = [fits(series, factors_of(series), kinds[::-1]) for series in stations]
+        for order in itertools.permutations(range(len(stations))):
+            shared = factors_of(stations[0])
+            for i in order:
+                for model, fit in fits(stations[i], shared).items():
+                    expected = alone[i][model]
+                    assert fit.names == expected.names
+                    for field in ("beta", "residuals", "hac_cov"):
+                        assert np.array_equal(getattr(fit, field), getattr(expected, field)), (order, model)
+
     def test_lag_position_leaves_results_unchanged(self):
         # least_squares borders the window's factor with the lag as the last
         # column; the paper lists the lag third, and factoring the full
@@ -797,7 +903,7 @@ class TestInvariance:
         bordered = fitted(series, "joint")
         assert bordered.names[-1] == "lag"
         factors = factors_of(series)
-        shared = joint_shared_design(factors.month, factors.t)
+        shared = joint_shared_design(factors.month_index + 1, factors.t)
         paper = DesignMatrix(
             shared.names[:2] + ("lag",) + shared.names[2:],
             np.insert(shared.data, 2, y[:-1], axis=1),

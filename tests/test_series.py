@@ -111,19 +111,19 @@ class TestBuildSeries:
 class TestMonthDummies:
     def test_one_year_column_sums(self):
         start, end = date(1961, 1, 1), date(1961, 12, 31)
-        sums = month_dummies(WindowFactors(start, end).month).sum(axis=0)
+        sums = month_dummies(WindowFactors(start, end).month_index).sum(axis=0)
         np.testing.assert_array_equal(
             sums, [31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31]
         )
 
     def test_leap_year_february(self):
         start, end = date(1960, 1, 1), date(1960, 12, 31)
-        sums = month_dummies(WindowFactors(start, end).month).sum(axis=0)
+        sums = month_dummies(WindowFactors(start, end).month_index).sum(axis=0)
         assert sums[1] == 29
 
     def test_full_window_vs_calendar_enumeration(self):
         start, end = date(1960, 1, 1), date(2017, 12, 31)
-        sums = month_dummies(WindowFactors(start, end).month).sum(axis=0)
+        sums = month_dummies(WindowFactors(start, end).month_index).sum(axis=0)
         expected = np.zeros(12)
         for year in range(1960, 2018):
             for month in range(1, 13):
@@ -134,7 +134,7 @@ class TestMonthDummies:
         start, end = two_year_window
         tmax, tmin, _ = station_observations(parse_dly(two_year_payload), start, end)
         series = build_series(tmax, tmin, start, end)
-        dummies = month_dummies(WindowFactors(series.start, series.end).month)
+        dummies = month_dummies(WindowFactors(series.start, series.end).month_index)
         np.testing.assert_array_equal(dummies.sum(axis=1), np.ones(len(series)))
 
 

@@ -164,7 +164,7 @@ def test_dated_columns_hold_each_value_repr(tmp_path):
     residuals = rng.standard_normal(DAYS)
     trend = ModelFit(("const", "time"), np.zeros(2), residuals, 0.5, DAYS)
     effects = np.array([0.1, -0.0, 0.0, 1 / 3, -2.5, 1e-17, 7.0, -1 / 7, 60.5, 1e300, -3.0, 0.2])
-    fitted = effects[WindowFactors(START, END).month - 1]
+    fitted = effects[WindowFactors(START, END).month_index]
     reporting.write_trend_csv(START, series.variable("avg"), trend, tmp_path / "trend.csv")
     reporting.write_seasonal_fit_csv(START, residuals, fitted, tmp_path / "fit.csv")
 
@@ -201,7 +201,7 @@ def _write_all(series, rng, directory):
         series.start, ["date", "actual", "fitted"], series.variable("dtr"),
         series.variable("dtr") - residuals,
     )
-    fitted = rng.standard_normal(12)[WindowFactors(series.start, series.end).month - 1]
+    fitted = rng.standard_normal(12)[WindowFactors(series.start, series.end).month_index]
     reporting.write_seasonal_fit_csv(series.start, residuals, fitted, directory / "fit.csv")
     assert (directory / "fit.csv").read_bytes() == reference_dated_csv(
         series.start, ["date", "detrended", "seasonal_fit"], residuals, fitted
