@@ -60,8 +60,8 @@ def _check_window(config: RunConfig, model: str, fitted: tuple[str, ...], hac: b
 
     Every command that fits calls this before it reads its first series, so
     the reads reuse the heap that building the factors frees (tables peaks
-    0.7-0.8 MiB lower). Once the months are checked, only the trend design can
-    fail to factor (a window of two days or less).
+    about 0.2 MiB lower). Once the months are checked, only the trend design
+    can fail to factor (a window of two days or less).
     """
     from .models import WindowFactors
 
@@ -222,19 +222,23 @@ def tables(config_path, station_codes, variable, hac_bandwidth, out):
     stations = config.select(station_codes)
     # the window's designs are factored once, for both variables
     factors = _check_window(config, "joint", ("joint", "trend"), hac=True)
-    variables = ["avg", "dtr"] if variable == "both" else [variable]
-
-    loaded = []
-    for station in stations:
-        try:
-            loaded.append((station.code, _load_series(config, station.code)))
-        except Exception as exc:  # noqa: BLE001
-            loaded.append((station.code, exc))
-
+    variables = ("avg", "dtr") if variable == "both" else (variable,)
     tables_dir = _make_dir(config.output_dir / "tables")
+
+    def series_or_error(code: str):
+        try:
+            return _load_series(config, code)
+        except Exception as exc:  # noqa: BLE001 - the station's FAILED lines name it
+            return exc
+
+    # each series is read when batch_report draws its station, and dropped
+    # after its fits, so one series is held at a time
+    reports = models.batch_report(
+        ((station.code, series_or_error(station.code)) for station in stations),
+        variables, config.hac_bandwidth, factors,
+    )
     any_failure = False
-    for var in variables:
-        report = models.batch_report(loaded, var, config.hac_bandwidth, factors)
+    for var, report in zip(variables, reports):
         reporting.write_table_csv(report, tables_dir / f"table_{var}.csv")
         reporting.write_table_text(report, tables_dir / f"table_{var}.txt")
         print(f"wrote {tables_dir / f'table_{var}.csv'}")
@@ -259,9 +263,8 @@ def figures(config_path, station_code, out):
         years = models.pattern_years(config.window_start, config.window_end)
     except ValueError as exc:  # a window with no July 1
         raise _CommandError(str(exc)) from None
-    station_series = _station_series(config, station_code)
-
     figures_dir = _make_dir(config.output_dir / "figures" / station_code)
+    station_series = _station_series(config, station_code)
 
     # Only coefficients, residuals and fitted values are written, so the
     # models are fitted by plain OLS, without HAC covariances. Every step

@@ -44,7 +44,7 @@ import calendar
 from dataclasses import dataclass, replace
 from datetime import date
 from functools import cached_property
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -264,31 +264,52 @@ def _median(values: Iterable[float]) -> float:
 
 
 def batch_report(
-    station_series: Sequence[tuple[str, Union[TemperatureSeries, Exception]]],
-    variable: str,
+    station_series: Iterable[tuple[str, Union[TemperatureSeries, Exception]]],
+    variables: Union[str, tuple[str, ...]],
     bandwidth: Bandwidth = "auto",
     factors: Optional[WindowFactors] = None,
-) -> BatchReport:
-    """Per-station rows in input order plus a column-wise median row.
+) -> Union[BatchReport, tuple[BatchReport, ...]]:
+    """Per-station rows in input order plus a column-wise median row, one
+    :class:`BatchReport` per name in ``variables``, in order.
 
-    A station failure only aborts that row; an entry may carry an Exception
-    instead of a series to record an upstream failure. The median row is
+    Each entry of ``station_series`` is drawn once, from any iterable (a
+    one-shot generator that reads each series when its station is drawn
+    serves), and every variable is fitted on it before the series is
+    dropped and the next entry drawn, so a caller that streams its reads
+    holds one series at a time. A station failure only aborts that row; an
+    entry may carry an Exception instead of a series to record an upstream
+    failure, which fails the station in every variable. The median row is
     produced when every requested station succeeded or at least
     MIN_ROWS_FOR_MEDIAN did. Every row is fitted on ``factors``, built from
-    the first series' window when omitted, so calls for several variables
-    that share them factor the window once, and a series of another window
-    fails its row; each row equals its :func:`city_report`.
+    the first series' window when omitted, so every variable shares them,
+    and a series of another window fails its row; each row equals its
+    :func:`city_report`.
+
+    A single variable name returns its one report, not a tuple. That form
+    serves the benchmark's serial runner (``bench/layers.py serial``) and
+    goes when ROADMAP's retirement of that runner lands.
     """
-    rows: list[CityReport] = []
-    failures: list[tuple[str, str]] = []
+    names = (variables,) if isinstance(variables, str) else variables
+    rows: dict[str, list[CityReport]] = {variable: [] for variable in names}
+    failures: dict[str, list[tuple[str, str]]] = {variable: [] for variable in names}
     for station, series in station_series:
-        try:
-            if isinstance(series, Exception):
-                raise series
-            factors = factors or WindowFactors(series.start, series.end)
-            rows.append(city_report(station, series, variable, factors, bandwidth))
-        except Exception as exc:  # noqa: BLE001 - diagnostics per station
-            failures.append((station, f"{type(exc).__name__}: {exc}"))
+        for variable in names:
+            try:
+                if isinstance(series, Exception):
+                    raise series
+                factors = factors or WindowFactors(series.start, series.end)
+                rows[variable].append(city_report(station, series, variable, factors, bandwidth))
+            except Exception as exc:  # noqa: BLE001 - diagnostics per station
+                failures[variable].append((station, f"{type(exc).__name__}: {exc}"))
+        # the next entry is drawn, and its series read, with this one freed
+        del series
+    reports = tuple(_report(variable, rows[variable], failures[variable]) for variable in names)
+    return reports[0] if isinstance(variables, str) else reports
+
+
+def _report(
+    variable: str, rows: list[CityReport], failures: list[tuple[str, str]]
+) -> BatchReport:
     median_row = None
     if rows and (not failures or len(rows) >= MIN_ROWS_FOR_MEDIAN):
         median_row = CityReport(

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
@@ -106,8 +108,10 @@ def read_series(workspace: Path, code: str) -> series_mod.TemperatureSeries:
 
 
 def refuse_reads(path):
-    """A stand-in for ``series.read_series_csv`` where no series may be read."""
-    raise AssertionError(f"{path} was read")
+    """A stand-in for ``series.read_series_csv`` where no series may be read.
+    pytest's ``Failed`` is a BaseException, so a command's ``except
+    Exception`` cannot turn the read into a station's failure."""
+    pytest.fail(f"{path} was read")
 
 
 def narrow_window(workspace: Path, start: date, end: date) -> series_mod.TemperatureSeries:
@@ -597,6 +601,27 @@ class TestTables:
         result = run(["tables", "--config", config, "--variable", "both"])
         assert result.exit_code == 0, result.output
         assert sorted(reads) == ["AAA.csv", "BBB.csv"]
+
+    def test_each_series_freed_before_the_next_read(self, workspace, monkeypatch):
+        # tables holds one series at a time: no series read earlier is
+        # alive when the next read starts
+        config = str(workspace / "run.cfg")
+        run(["ingest", "--config", config])
+        reads, held = [], []
+        original = series_mod.read_series_csv
+
+        def tracking_read(path, *args, **kwargs):
+            gc.collect()
+            held.append([name for name, ref in reads if ref() is not None])
+            loaded = original(path, *args, **kwargs)
+            reads.append((Path(path).name, weakref.ref(loaded)))
+            return loaded
+
+        monkeypatch.setattr(series_mod, "read_series_csv", tracking_read)
+        result = run(["tables", "--config", config, "--variable", "both"])
+        assert result.exit_code == 0, result.output
+        assert [name for name, _ in reads] == ["AAA.csv", "BBB.csv"]
+        assert held == [[], []]
 
     def test_both_variables_share_the_window_factors(self, workspace, monkeypatch):
         # one window: the joint and trend designs are each factored once for
@@ -1553,23 +1578,33 @@ def test_usage_error_exits_2_before_any_work(tmp_path, monkeypatch, args):
 
 
 @pytest.mark.parametrize(
-    "command, directory",
-    [("ingest", "run.cfg/series"), ("tables", "run.cfg/tables"), ("figures", "out/figures/AAA")],
+    "command, directory, reason",
+    [
+        ("ingest", "run.cfg/series", "Not a directory"),
+        ("tables", "run.cfg/tables", "Not a directory"),
+        ("tables", "out/tables", "File exists"),
+        ("figures", "out/figures/AAA", "Not a directory"),
+    ],
+    ids=["ingest-run.cfg/series", "tables-run.cfg/tables", "tables-out/tables",
+         "figures-out/figures/AAA"],
 )
 def test_file_in_place_of_the_output_directory_is_a_one_line_error(
-    workspace, command, directory
+    workspace, monkeypatch, command, directory, reason
 ):
-    # --out naming the config file, or a file named figures in the output
-    # directory: the directory the command makes cannot be made
+    # --out naming the config file, or a file named tables or figures in the
+    # output directory: the directory the command makes cannot be made, and
+    # is made before any series is read
     config = str(workspace / "run.cfg")
     run(["ingest", "--config", config])
+    (workspace / "out" / "tables").write_text("")
     (workspace / "out" / "figures").write_text("")
+    monkeypatch.setattr(series_mod, "read_series_csv", refuse_reads)
     out = workspace / directory.partition("/")[0]
     station = ["--station", "AAA"] if command == "figures" else []
     result = run([command, "--config", config, "--out", str(out), *station])
     assert (result.exit_code, result.stdout) == (1, "")
     assert result.stderr == (
-        f"Error: cannot make directory {workspace / directory}: Not a directory; "
+        f"Error: cannot make directory {workspace / directory}: {reason}; "
         "pass another --out\n"
     )
 

@@ -1055,6 +1055,33 @@ class TestReports:
         assert batch.failures[0][0] == "BAD"
         assert "no series file" in batch.failures[0][1]
 
+    def test_variables_fitted_on_one_draw_of_a_one_shot_iterable(self):
+        # eight stations keep the median beside the failure in the middle
+        start = date(1960, 1, 1)
+        pairs = []
+        for seed in range(50, 58):
+            avg, dtr = quick_series(seed).variable("avg"), quick_series(seed + 100).variable("avg")
+            pairs.append((f"S{seed}", TemperatureSeries(start, avg + dtr / 2, avg - dtr / 2)))
+        pairs.insert(4, ("BAD", FileNotFoundError("no series file")))
+        drawn = []
+
+        def entries():
+            for code, series in pairs:
+                drawn.append(code)
+                yield code, series
+
+        both = batch_report(entries(), ("avg", "dtr"))
+        assert drawn == [code for code, _ in pairs]
+        assert [report.variable for report in both] == ["avg", "dtr"]
+        for report in both:
+            single = batch_report(pairs, report.variable)
+            assert isinstance(single, models.BatchReport)
+            assert len(single.rows) == 8 and single.median_row is not None
+            assert single.failures == (("BAD", "FileNotFoundError: no series file"),)
+            assert (report.rows, report.median_row, report.failures) == (
+                single.rows, single.median_row, single.failures
+            )
+
     def test_trend_design_names(self):
         factors = factors_of(quick_series(7))
         assert factors.trend.names == ("const", "time")
