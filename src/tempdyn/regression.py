@@ -37,27 +37,27 @@ but for the joint model, whose coefficients are July's and each month's
 less July's (see :mod:`tempdyn.models`).
 
 The fitted values are Q Q'y, so no fit needs the design's rows, and the
-Bartlett meat reads none either. The meat is linear in the scores, so
-:meth:`QRFactor.meat` builds them one block of days at a time: a day's
-residual u at its group's column, u t at its group's slope column, and u
-times each appended column beside them.
+Bartlett meat reads none either: :meth:`QRFactor.meat` builds the scores
+one block of days at a time from each day's group and t, in the few
+columns that a window of L+1 days can touch, in :mod:`tempdyn.hac`, which
+only a HAC fit loads.
 
 Q'v, norms and sums of squares are numpy's pairwise sums, not BLAS dots, whose
-order of summation can change with the thread count; the HAC Gram B'B and
-the products with R^-1 and C are still BLAS products, measured (not
-guaranteed) to give the same bits at 1 and 2.
+order of summation can change with the thread count; the HAC Gram B'B (one
+batched BLAS product of each block's segments of window sums, added into
+the meat by a bincount) and the products with R^-1 and C are still BLAS
+products, measured (not guaranteed) to give the same bits at 1 and 2.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 RANK_TOL = 1e-10
-_WINDOW_BLOCK = 2048  # rows of Bartlett scores and window sums built at a time
 
 Bandwidth = Union[int, str]
 
@@ -139,10 +139,13 @@ def _check_rank(names: Sequence[str], r: np.ndarray, scale: float) -> None:
         raise SingularDesignError(names[deficient[0]])
 
 
-def _group_sums(w: np.ndarray, index: np.ndarray) -> np.ndarray:
+def _group_sums(w: np.ndarray, index: Optional[np.ndarray]) -> np.ndarray:
     """The sum of ``w`` over each group of rows, by numpy's pairwise
     summation: row g of ``index`` lists group g's rows, padded with
-    ``len(w)``, which indexes a zero."""
+    ``len(w)``, which indexes a zero. With one group, ``index`` is None and
+    ``w`` is summed as it is, with the same bits."""
+    if index is None:
+        return np.add.reduce(w, keepdims=True)
     return np.add.reduce(np.append(w, 0.0)[index], axis=1)
 
 
@@ -160,21 +163,21 @@ class GroupDesign:
     names: tuple[str, ...]
     group: np.ndarray  # n, each row's group
     t: Optional[np.ndarray]  # n; None without slopes
-    index: np.ndarray  # each group's rows, padded (see _group_sums)
+    index: Optional[np.ndarray]  # each group's rows, padded; None for one (see _group_sums)
     centred: Optional[np.ndarray]  # n, t less its group's mean; None without slopes
     inv_norms: np.ndarray  # 1/sqrt(n_g) of each group, then 1/s_g with slopes
 
-    def rows(self, start: int, stop: int, weights: np.ndarray) -> np.ndarray:
-        """Rows ``start..stop-1`` of the design, each times its weight w: w
-        at the row's group column and, with ``t``, w t at its slope
-        column."""
-        groups = len(self.index)
-        block = np.zeros((stop - start, groups * (1 if self.t is None else 2)))
-        days, group = np.arange(stop - start), self.group[start:stop]
-        block[days, group] = weights
-        if self.t is not None:
-            block[days, groups + group] = weights * self.t[start:stop]
-        return block
+    @property
+    def width(self) -> int:
+        """The design's columns per group: a mean, and a slope with ``t``."""
+        return 1 if self.t is None else 2
+
+    def scores(self, start: int, stop: int, weights: np.ndarray) -> np.ndarray:
+        """Rows ``start..stop-1`` of the design at their group's columns,
+        each times its weight w: w, and w t with slopes."""
+        if self.t is None:
+            return weights[:, None]
+        return np.column_stack([weights, weights * self.t[start:stop]])
 
     def qt(self, v: np.ndarray) -> np.ndarray:
         """Q'v."""
@@ -183,7 +186,7 @@ class GroupDesign:
 
     def qdot(self, c: np.ndarray) -> np.ndarray:
         """Q c."""
-        means, *slopes = (c * self.inv_norms).reshape(-1, len(self.index))
+        means, *slopes = (c * self.inv_norms).reshape(self.width, -1)
         out = means[self.group]
         if slopes:
             out += slopes[0][self.group] * self.centred
@@ -271,15 +274,12 @@ class QRFactor:
         )
 
     def meat(self, u: np.ndarray, lag: int) -> np.ndarray:
-        """The :func:`bartlett_meat` of the scores u_t x_t of the rows x_t
-        of the design, with the appended columns beside them."""
+        """The Bartlett meat of the scores u_t x_t of the rows x_t of the
+        design, with the appended columns beside them (see
+        :mod:`tempdyn.hac`, which only a HAC fit loads)."""
+        from .hac import bartlett_meat
 
-        def rows(start: int, stop: int, weights: np.ndarray) -> np.ndarray:
-            return np.column_stack([
-                self.design.rows(start, stop, weights), self.appended[start:stop] * weights[:, None]
-            ])
-
-        return bartlett_meat(rows, u, lag)
+        return bartlett_meat(self.design, self.appended, u, lag)
 
 
 def group_factor(
@@ -303,9 +303,11 @@ def group_factor(
         raise InsufficientDataError(f"{n} observations for {k} regressors")
     groups = k // (1 if t is None else 2)
     counts = np.bincount(group, minlength=groups)
-    order = np.argsort(group, kind="stable")
-    index = np.full((groups, counts.max()), n)
-    index[group[order], np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)] = order
+    index = None
+    if groups > 1:
+        order = np.argsort(group, kind="stable")
+        index = np.full((groups, counts.max()), n)
+        index[group[order], np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)] = order
     r = np.diag(np.sqrt(counts))
     # each column's sum of squares: a group's count, or its sum of t^2
     squares = counts.max()
@@ -359,36 +361,6 @@ def ols_fit(factor: QRFactor, y: np.ndarray) -> ModelFit:
     beta.setflags(write=False)
     residuals.setflags(write=False)
     return ModelFit(factor.names, beta, residuals, r_squared, n)
-
-
-def bartlett_meat(
-    rows: Callable[[int, int, np.ndarray], np.ndarray], u: np.ndarray, lag: int
-) -> np.ndarray:
-    """sum_{|j|<=lag} (1 - |j|/(lag+1)) G_j of the scores s_t = u_t * x_t.
-
-    ``u`` holds one weight (the residual) per observation, and
-    ``rows(start, stop, weights)`` returns the rows x_start..x_{stop-1},
-    each times its weight in ``weights``, u_start..u_{stop-1}. Computed as
-    (1/(lag+1)) B'B, with row i of B the sum of the scores s_{i-lag}..s_i
-    (zero outside the sample), so no sum runs longer than lag+1 rows.
-    Rows, scores and window sums are formed one block of rows at a time,
-    never for the whole sample at once.
-    """
-    n = len(u)
-    meat = 0.0
-    for lo in range(0, n + lag, _WINDOW_BLOCK):
-        hi = min(lo + _WINDOW_BLOCK, n + lag)
-        start, stop = max(lo - lag, 0), min(hi, n)
-        scores = rows(start, stop, u[start:stop])
-        windows = np.zeros((hi - lo, scores.shape[1]))
-        for shift in range(lag + 1):
-            first, last = max(lo - shift, start), min(hi - shift, stop)
-            if first < last:
-                windows[first + shift - lo : last + shift - lo] += scores[
-                    first - start : last - start
-                ]
-        meat += windows.T @ windows
-    return meat / (lag + 1.0)
 
 
 def hac_cov(

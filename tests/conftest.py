@@ -12,13 +12,14 @@ import re
 import threading
 from dataclasses import dataclass
 from datetime import date, timedelta
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 import pytest
 
 from tempdyn.density import DensityEstimate
 from tempdyn.ghcn import LINE_LENGTH, TEMPERATURE_ELEMENTS, DlyParseError, DlyRecords
+from tempdyn.hac import bartlett_meat
 from tempdyn.models import DUMMY_NAMES, INTERACTION_NAMES
 from tempdyn.regression import InsufficientDataError, QRFactor, _check_rank
 from tempdyn.series import TemperatureSeries
@@ -390,13 +391,16 @@ def evolving_design(dummies: np.ndarray, t: np.ndarray) -> DesignMatrix:
 
 class DenseDesign:
     """A design held as its dense matrix ``data``, with the Q of its
-    Householder QR: the tests' stand-in for ``regression.GroupDesign``,
-    whose rows are slices of ``data``."""
+    Householder QR: the tests' stand-in for ``regression.GroupDesign``.
+    For the Bartlett meat it is one group of every column, so one run with
+    the identity map, whose scores are slices of ``data`` times weights."""
 
-    def __init__(self, names: tuple[str, ...], data: np.ndarray, q: np.ndarray):
+    def __init__(self, names: tuple[str, ...], data: np.ndarray, q: Optional[np.ndarray]):
         self.names, self.data, self.q = names, data, q
+        self.group = np.broadcast_to(np.intp(0), len(data))
+        self.width = data.shape[1]
 
-    def rows(self, start: int, stop: int, weights: np.ndarray) -> np.ndarray:
+    def scores(self, start: int, stop: int, weights: np.ndarray) -> np.ndarray:
         return self.data[start:stop] * weights[:, None]
 
     def qt(self, v: np.ndarray) -> np.ndarray:
@@ -404,6 +408,14 @@ class DenseDesign:
 
     def qdot(self, c: np.ndarray) -> np.ndarray:
         return self.q @ c
+
+
+def stacked_meat(data: np.ndarray, u: np.ndarray, lag: int) -> np.ndarray:
+    """The Bartlett meat of the scores u_t x_t of the rows x_t of ``data``,
+    one dense design: the package's meat in its one-run layout, a plain
+    Gram of each block's window sums."""
+    names = tuple(f"x{j}" for j in range(data.shape[1]))
+    return bartlett_meat(DenseDesign(names, data, None), np.empty((len(u), 0)), u, lag)
 
 
 def factorize(X: DesignMatrix) -> QRFactor:

@@ -1762,6 +1762,20 @@ def test_ingest_modules_load_no_fitting_module():
     assert modules_loaded_by(statement, unwanted) == ""
 
 
+def test_only_hac_fits_load_the_meat_module():
+    # figures fits by OLS alone, so it neither compiles nor holds the
+    # Bartlett meat's module; a HAC fit loads it
+    prelude = (
+        "import numpy as np; from datetime import date; "
+        "from tempdyn.models import WindowFactors; from tempdyn import regression; "
+        "f = WindowFactors(date(1960, 1, 1), date(1962, 12, 31)); y = np.sin(f.t / 58.0)"
+    )
+    ols = prelude + "; [regression.ols_fit(*f.least_squares(m, y)) for m in ('trend', 'fixed', 'evolving')]"
+    assert modules_loaded_by(ols, ("tempdyn.hac",)) == ""
+    hac = prelude + "; regression.fit_with_hac(*f.least_squares('joint', y))"
+    assert modules_loaded_by(hac, ("tempdyn.hac",)) == "tempdyn.hac"
+
+
 BLAS_THREAD_VARIABLES = (
     "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 )

@@ -28,7 +28,6 @@ from tempdyn.regression import (
     ModelFit,
     QRFactor,
     SingularDesignError,
-    bartlett_meat,
     fit_with_hac,
     hac_cov,
     nw_auto_bandwidth,
@@ -37,7 +36,7 @@ from tempdyn.regression import (
 )
 from tempdyn.series import TemperatureSeries, build_series
 
-from conftest import DesignMatrix, evolving_design, factorize, month_dummies
+from conftest import DesignMatrix, evolving_design, factorize, month_dummies, stacked_meat
 from dgp import calendar_months, joint_design, joint_shared_design, simulate_joint
 
 
@@ -244,6 +243,18 @@ def dense_designs(factors: WindowFactors) -> dict[str, DesignMatrix]:
     }
 
 
+def meat_layout_rows(design) -> np.ndarray:
+    """The dense rows of a design as the Bartlett meat reads them: each
+    row's ``scores`` of weight 1 at its group's columns, column j of group
+    g being j * groups + g."""
+    n = len(design.group)
+    groups = len(design.names) // design.width
+    rows = np.zeros((n, len(design.names)))
+    columns = design.group[:, None] + groups * np.arange(design.width)
+    rows[np.arange(n)[:, None], columns] = design.scores(0, n, np.ones(n))
+    return rows
+
+
 class TestGroupFactor:
     """The closed-form factor of each model against numpy's Householder QR
     of the same design: the trend, fixed and evolving factors by their Q
@@ -271,7 +282,7 @@ class TestGroupFactor:
             regressand = y[-n:]
             assert closed.names == design.names
             if model != "joint":
-                assert np.array_equal(closed.design.rows(0, n, np.ones(n)), design.data)
+                assert np.array_equal(meat_layout_rows(closed.design), design.data)
                 assert closed.scale == dense.scale
                 q = np.column_stack([closed.qdot(column) for column in np.eye(k)])
                 np.testing.assert_allclose(q @ closed.r, design.data, rtol=0, atol=1e-9)
@@ -444,7 +455,7 @@ def test_joint_meat_as_accurate_as_the_stacked_design(variable):
     lag = nw_auto_bandwidth(len(u))
     exact = exact_bartlett_meat(design.data, u, lag)
     ours = factor.meat(u, lag)
-    stacked = bartlett_meat(lambda first, last, w: design.data[first:last] * w[:, None], u, lag)
+    stacked = stacked_meat(design.data, u, lag)
     errors = largest_entry_error(ours, exact), largest_entry_error(stacked, exact)
     assert errors[0] <= 2 * errors[1], errors
 
@@ -562,6 +573,43 @@ def test_trend_and_seasonal_fits_match_householder_of_the_dense_designs(start, d
         assert np.all(gaps[model] <= bounds), (model, gaps[model])
 
 
+# lags on both sides of where the most months that a window of lag + 1
+# days spans grows: 2 from lag 1, 3 from 29 (a February and a day on each
+# side), 4 from 60 and 5 from 90
+MEAT_LAGS = (0, 1, "auto", 27, 28, 29, 58, 59, 89, 90)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    start=st.dates(date(1950, 1, 1), date(2010, 12, 31)),
+    days=st.integers(365, 4 * 365 + 1),
+    lag=st.sampled_from(MEAT_LAGS),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(start=date(1960, 2, 29), days=365, lag=29, seed=0)  # from Feb 29
+@example(start=date(1983, 1, 31), days=800, lag=28, seed=1)  # from a month's last day
+@example(start=date(1970, 3, 2), days=426, lag=59, seed=2)  # to May 1
+# past the lag where the slots are the twelve months, on over two years
+@example(start=date(1987, 6, 30), days=976, lag=400, seed=3)
+def test_slot_meat_equals_the_meat_of_the_stacked_design(start, days, lag, seed):
+    # each model's Bartlett meat, summed in slots of months and Grammed a
+    # segment at a time, against the plain Gram of the window sums of its
+    # design stacked as one dense matrix, within test_window_sums_equal_lag_loop's
+    # bound; the joint design is the evolving one of days 2..T, beside the lag
+    factors = WindowFactors(start, start + timedelta(days=days - 1))
+    y = lattice_regressand(seed, days)
+    designs = dense_designs(factors)
+    evolving = evolving_design(month_dummies(factors.month_index[1:]), factors.t[1:])
+    designs["joint"] = DesignMatrix(evolving.names + ("lag",), np.column_stack([evolving.data, y[:-1]]))
+    for model, design in designs.items():
+        factor, regressand = factors.least_squares(model, y)
+        u = ols_fit(factor, regressand).residuals
+        resolved = nw_auto_bandwidth(len(u)) if lag == "auto" else lag
+        ours, stacked = factor.meat(u, resolved), stacked_meat(design.data, u, resolved)
+        tol = 8.0 * math.sqrt(len(u) + resolved) * np.finfo(float).eps * np.abs(stacked).max()
+        np.testing.assert_allclose(ours, stacked, rtol=0, atol=tol, err_msg=model)
+
+
 class TestWindowFactors:
     """Every model is fitted on the factors of its window, each built once."""
 
@@ -597,6 +645,8 @@ class TestWindowFactors:
         trend = factors.trend.design.group
         assert trend.strides == (0,) and trend.shape == (len(days),)
         assert not trend.any()
+        # and its one group is summed as it is, with no list of its rows
+        assert factors.trend.design.index is None
 
     def test_fit_functions_share_one_signature(self):
         # one entry serves all four models: a factor and a regressand of

@@ -14,7 +14,6 @@ from tempdyn.regression import (
     ModelFit,
     SingularDesignError,
     WaldDegeneracyError,
-    bartlett_meat,
     chi2_sf,
     fit_with_hac,
     hac_cov,
@@ -24,7 +23,7 @@ from tempdyn.regression import (
     wald_test,
 )
 
-from conftest import DesignMatrix, factorize
+from conftest import DesignMatrix, factorize, stacked_meat
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -261,7 +260,7 @@ class TestBartlettMeat:
         x = rng.standard_normal((n, k)) * rng.uniform(0.1, 1e3, size=k)
         u = rng.standard_normal(n)
         expected = bartlett_lag_loop(x * u[:, None], lag)
-        meat = bartlett_meat(lambda start, stop, w: x[start:stop] * w[:, None], u, lag)
+        meat = stacked_meat(x, u, lag)
         # both sides sum over n + lag rows; rounding grows like its square root
         tol = 8.0 * math.sqrt(n + lag) * np.finfo(float).eps * np.abs(expected).max()
         np.testing.assert_allclose(meat, expected, rtol=0, atol=tol)
@@ -271,7 +270,7 @@ class TestBartlettMeat:
         x = rng.standard_normal((300, 3))
         u = rng.standard_normal(300)
         scores = x * u[:, None]
-        meat = bartlett_meat(lambda start, stop, w: x[start:stop] * w[:, None], u, 0)
+        meat = stacked_meat(x, u, 0)
         np.testing.assert_allclose(meat, scores.T @ scores, rtol=1e-13)
 
 
@@ -308,7 +307,7 @@ class TestQRFactor:
         stacked = np.column_stack([X.data, w])
         np.testing.assert_allclose(fit.residuals, y - stacked @ fit.beta, rtol=1e-9, atol=1e-12)
         xtx_inv = bordered.r_inv @ bordered.r_inv.T
-        meat = bartlett_meat(lambda start, stop, w: stacked[start:stop] * w[:, None], fit.residuals, 13)
+        meat = stacked_meat(stacked, fit.residuals, 13)
         cov = xtx_inv @ meat @ xtx_inv
         assert fit.hac_cov.tobytes() == ((cov + cov.T) / 2.0).tobytes()
 
