@@ -15,10 +15,10 @@ window of L+1 days spans: 2 at the automatic lag, 3 up to lag 59.
 A day's score goes to slot ``run mod P``: u at that slot's mean column, u t
 at its slope column, and the appended columns after them, so the window
 sums take 2P+1 columns, not 25. The runs a window spans sit in distinct
-slots, so each window sum adds the nonzero terms of the dense one in the
-same order, and keeps its value. Which run a slot holds is fixed by the
-run of the window's last day, its *key*. The window rows of one key form
-a *segment*, and the Gram of a segment is scattered into the k x k meat
+slots, so each window sum holds the nonzero terms of the dense one, each
+in a column of its own. Which run a slot holds is fixed by the run of the
+window's last day, its *key*. The window rows of one key form a
+*segment*, and the Gram of a segment is scattered into the k x k meat
 through its key's map of slot columns to design columns.
 
 When P reaches the number of groups (12 months from lag 304), the
@@ -27,10 +27,12 @@ identity map: the dense layout, through the same code. A design of one
 group, as the trend's, always takes it.
 
 The window sums are built a block of rows at a time, each block ending on
-a segment boundary where it holds one. A block's segments are gathered
-into one zero-padded array and Grammed by one batched BLAS product, and
-one ``np.bincount`` adds their Grams into the meat through their maps,
-summing targets that two slots share.
+a segment boundary where it holds one: the running sums of its scores,
+from L days before its first window row and under a zero row, less those
+L+1 rows back, in one pass whatever the lag. A block's segments are
+gathered into one zero-padded array and Grammed by one batched BLAS
+product, and one ``np.bincount`` adds their Grams into the meat through
+their maps, summing targets that two slots share.
 """
 
 from __future__ import annotations
@@ -41,7 +43,8 @@ import numpy as np
 # scores that each block repeats stay few against it, and more when it has
 # fewer than five columns (the trend has three), up to 10,240 window sums,
 # to spread each block's fixed cost. Larger blocks raise the peak memory:
-# 2,048 rows of 25 columns peaked 1.8 MiB higher in `tables`.
+# 2,048 rows of 25 columns peaked 1.8 MiB higher in `tables`. The rounding
+# of the prefix sums grows with the rows they run over, too.
 _BLOCK_ROWS = 2048
 _BLOCK_SUMS = 10240
 
@@ -97,28 +100,23 @@ def bartlett_meat(design, appended: np.ndarray, u: np.ndarray, lag: int) -> np.n
         first_run, last_run = np.searchsorted(starts, [start, stop], "right") - 1
         edges = np.concatenate(([start], starts[first_run + 1 : last_run + 1], [stop]))
         in_slot = np.repeat(slot[first_run : last_run + 1], np.diff(edges))
-        # each score's place in the flat block: its row's, plus its slot's
-        place = np.arange(0, (stop - start) * q, q) + in_slot
+        # each score's place in the flat block: its row's (day i's is
+        # 1 + i - start, under a zero row 0), plus its slot's
+        place = np.arange(q, (stop - start + 1) * q, q) + in_slot
         weighted = design.scores(start, stop, u[start:stop])
-        scores = np.zeros((stop - start, q))
+        sums = np.zeros((hi - start + 1, q))
         for j in range(width):
-            scores.reshape(-1)[place + j * slots] = weighted[:, j]
-        scores[:, slots * width :] = appended[start:stop] * u[start:stop, None]
-        # each block is freed once read, so that a wide design holds two
-        # blocks at a time
+            sums.reshape(-1)[place + j * slots] = weighted[:, j]
+        sums[1 : stop - start + 1, slots * width :] = appended[start:stop] * u[start:stop, None]
+        # freed once read, so that a wide design holds two blocks at a time
         del weighted
-        windows = np.zeros((hi - lo + 1, q))  # the last row pads segments
-        for shift in range(lag + 1):
-            first, last = max(lo - shift, start), min(hi - shift, stop)
-            if first < last:
-                windows[first + shift - lo : last + shift - lo] += scores[
-                    first - start : last - start
-                ]
-        del scores
-        # each segment's window rows, padded with the zero last row
+        np.cumsum(sums, axis=0, out=sums)
+        sums[lag + 1 :] -= sums[: -lag - 1]
+        # each segment's window rows, padded with the zero row 0
         bounds = np.concatenate(([lo], inner, [hi]))
-        rows = bounds[:-1, None] - lo + np.arange(np.diff(bounds).max())
-        block = np.take(windows, np.where(rows < bounds[1:, None] - lo, rows, hi - lo), axis=0)
+        rows = bounds[:-1, None] + np.arange(np.diff(bounds).max())
+        block = np.take(sums, np.where(rows < bounds[1:, None], rows + 1 - start, 0), axis=0)
+        del sums
         grams = np.matmul(block.transpose(0, 2, 1), block)
         # a segment's key is that of its first window's last day
         last_days = np.minimum(bounds[:-1], n - 1)

@@ -591,6 +591,12 @@ MEAT_LAGS = (0, 1, "auto", 27, 28, 29, 58, 59, 89, 90)
 @example(start=date(1970, 3, 2), days=426, lag=59, seed=2)  # to May 1
 # past the lag where the slots are the twelve months, on over two years
 @example(start=date(1987, 6, 30), days=976, lag=400, seed=3)
+# twenty years, over several blocks of window rows: at the automatic lag,
+# in the twelve-month layout, and with each block's scores reaching back
+# past the block before it
+@example(start=date(1970, 1, 1), days=7305, lag="auto", seed=4)
+@example(start=date(1970, 1, 1), days=7305, lag=365, seed=5)
+@example(start=date(1970, 1, 1), days=7305, lag=2500, seed=6)
 def test_slot_meat_equals_the_meat_of_the_stacked_design(start, days, lag, seed):
     # each model's Bartlett meat, summed in slots of months and Grammed a
     # segment at a time, against the plain Gram of the window sums of its

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gammaincc
@@ -250,15 +250,22 @@ class TestBartlettMeat:
     @given(
         n=st.integers(2, 5000),
         k=st.integers(1, 5),
-        lag_rule=st.sampled_from(["0", "1", "auto", "n-1"]),
+        lag_rule=st.sampled_from(["0", "1", "auto", "n-1", "random"]),
+        one_sign=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_window_sums_equal_lag_loop(self, n, k, lag_rule, seed):
-        lag = {"0": 0, "1": 1, "auto": nw_auto_bandwidth(n), "n-1": n - 1}[lag_rule]
-        lag = min(lag, n - 1)
+    # a lag that puts a block's first score inside the block before it, and
+    # scores of one sign, whose running sums grow along the block
+    @example(n=5000, k=2, lag_rule="random", one_sign=False, seed=0)
+    @example(n=5000, k=5, lag_rule="n-1", one_sign=True, seed=1)
+    def test_window_sums_equal_lag_loop(self, n, k, lag_rule, one_sign, seed):
         rng = np.random.default_rng(seed)
+        lags = {"0": 0, "1": 1, "auto": nw_auto_bandwidth(n), "n-1": n - 1, "random": int(rng.integers(n))}
+        lag = min(lags[lag_rule], n - 1)
         x = rng.standard_normal((n, k)) * rng.uniform(0.1, 1e3, size=k)
         u = rng.standard_normal(n)
+        if one_sign:
+            x, u = np.abs(x), np.abs(u) + 1.0
         expected = bartlett_lag_loop(x * u[:, None], lag)
         meat = stacked_meat(x, u, lag)
         # both sides sum over n + lag rows; rounding grows like its square root

@@ -12,19 +12,24 @@ PACKAGE = Path(tempdyn.__file__).parent
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
-def _public_definitions(module: ast.Module):
-    """(qualified name, node) of each public module-level constant, function
-    or class and each public method of a module-level class."""
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _definitions(module: ast.Module):
+    """(qualified name, node) of each module-level constant, function or
+    class, public or private but not a dunder, and each public method of a
+    module-level class."""
     for node in module.body:
         if isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
                 names = target.elts if isinstance(target, ast.Tuple) else [target]
                 for name in names:
-                    if isinstance(name, ast.Name) and not name.id.startswith("_"):
+                    if isinstance(name, ast.Name) and not _dunder(name.id):
                         yield name.id, node
             continue
-        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or _dunder(node.name):
             continue
         yield node.name, node
         if isinstance(node, ast.ClassDef):
@@ -46,11 +51,11 @@ def _references(tree: ast.AST):
 
 
 def _unused(trees: dict[str, ast.Module]) -> list[str]:
-    """``file: name`` of each public definition no other code of the trees uses."""
+    """``file: name`` of each definition no other code of the trees uses."""
     references = [ref for tree in trees.values() for ref in _references(tree)]
     unused = []
     for filename, tree in trees.items():
-        for qualified, node in _public_definitions(tree):
+        for qualified, node in _definitions(tree):
             # a use inside the definition itself (recursion, or a constant's
             # own assignment) does not count
             inside = {id(n) for n in ast.walk(node)}
@@ -62,12 +67,16 @@ def _unused(trees: dict[str, ast.Module]) -> list[str]:
 
 def test_every_public_name_has_a_caller_in_the_package():
     trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))}
-    assert _unused(trees) == [], "public names with no caller in src/tempdyn (move them to tests/)"
+    assert _unused(trees) == [], "names with no caller in src/tempdyn (delete them, or move them to tests/)"
 
 
 def test_a_public_constant_without_a_reader_is_reported():
-    source = "USED = 1\nUNUSED = 2\nLEFT, RIGHT = 3, 4\n_PRIVATE = 5\n\ndef f():\n    return USED + RIGHT\n"
-    assert _unused({"m.py": ast.parse(source)}) == ["m.py: UNUSED", "m.py: LEFT", "m.py: f"]
+    # a private name needs a reader too; a dunder is read by Python itself
+    source = (
+        "USED = 1\nUNUSED = 2\nLEFT, RIGHT = 3, 4\n_READ = 5\n_PRIVATE = 6\n__all__ = ['f']\n\n"
+        "def f():\n    return USED + RIGHT + _READ\n"
+    )
+    assert _unused({"m.py": ast.parse(source)}) == ["m.py: UNUSED", "m.py: LEFT", "m.py: _PRIVATE", "m.py: f"]
 
 
 def test_a_failing_hypothesis_test_reports_its_example_and_the_run_goes_on(tmp_path):
