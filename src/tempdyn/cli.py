@@ -275,12 +275,8 @@ def figures(config_path, station_code, out):
     for var, y in daily.items():
         try:
             densities[var] = density.kde(y)
-        except density.DegenerateBandwidthError:
-            # figures has no bandwidth option, so the library's advice to
-            # pass one is left out
-            raise _CommandError(
-                f"{station_code} {var}: automatic bandwidth is zero (data has no spread)"
-            )
+        except density.DegenerateBandwidthError as exc:
+            raise _CommandError(f"{station_code} {var}: {exc}")
 
     # the evolving pattern is evaluated at the t of each July 1
     july_t = {

@@ -7,12 +7,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_GRID_POINTS = 512
-_KERNEL_BLOCK = 4096  # distinct values summed at a time
+GRID_POINTS = 512
+GRID_SPAN = 3.0  # bandwidths the grid reaches past the data on each side
 
 
 class DegenerateBandwidthError(ValueError):
-    """Automatic bandwidth collapsed to zero; pass an explicit bandwidth."""
+    """Automatic bandwidth collapsed to zero: the data has no spread."""
 
 
 @dataclass(frozen=True)
@@ -61,42 +61,24 @@ def silverman_bandwidth(data: np.ndarray) -> float:
     return 0.9 * spread * n ** (-0.2)
 
 
-def kde(
-    data: np.ndarray,
-    bandwidth: float | str = "auto",
-    grid_points: int = DEFAULT_GRID_POINTS,
-    grid_span: float = 3.0,
-) -> DensityEstimate:
-    """Gaussian KDE on an equally spaced grid over [min-3h, max+3h]."""
+def kde(data: np.ndarray) -> DensityEstimate:
+    """Gaussian KDE with the Silverman bandwidth h, on an equally spaced
+    grid of 512 points over [min-3h, max+3h]."""
     data = np.asarray(data, dtype=np.float64)
     if data.size == 0:
         raise ValueError("data is empty")
-    if grid_points <= 1:
-        raise ValueError("grid_points must exceed 1")
-    if bandwidth == "auto":
-        h = silverman_bandwidth(data)
-        if h <= 0:
-            raise DegenerateBandwidthError(
-                "automatic bandwidth is zero (data has no spread); "
-                "pass an explicit bandwidth"
-            )
-    else:
-        h = float(bandwidth)
-        if h <= 0:
-            raise ValueError("bandwidth must be positive")
+    h = silverman_bandwidth(data)
+    if h <= 0:
+        raise DegenerateBandwidthError("automatic bandwidth is zero (data has no spread)")
 
-    grid = np.linspace(data.min() - grid_span * h, data.max() + grid_span * h, grid_points)
+    grid = np.linspace(data.min() - GRID_SPAN * h, data.max() + GRID_SPAN * h, GRID_POINTS)
     # AVG lies on a half-degree lattice and DTR on the integers, so the sum
-    # runs over the distinct values, each kernel weighted by its count; data
-    # off a lattice is summed a block of values at a time, so memory stays
-    # bounded
+    # runs over the few hundred distinct values, each kernel weighted by its
+    # count
     points, counts = np.unique(data, return_counts=True)
-    total = np.zeros(grid_points)
-    for lo in range(0, points.size, _KERNEL_BLOCK):
-        z = (grid[:, None] - points[None, lo : lo + _KERNEL_BLOCK]) / h
-        total += np.exp(-0.5 * z * z) @ counts[lo : lo + _KERNEL_BLOCK]
+    z = (grid[:, None] - points) / h
     norm = 1.0 / (data.size * h * math.sqrt(2.0 * math.pi))
-    values = norm * total
+    values = norm * (np.exp(-0.5 * z * z) @ counts)
     grid.setflags(write=False)
     values.setflags(write=False)
     return DensityEstimate(grid, values, h)

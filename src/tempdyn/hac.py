@@ -9,8 +9,9 @@ L+1 days t = i-L..i (see :mod:`tempdyn.regression`). Each design column
 belongs to one group of rows (a calendar month, or the whole window for
 the trend): a group's mean, or its slope on t. So a day's score is
 nonzero only at its own group's columns and the appended ones. A *run* is
-a maximal stretch of days in one group, and P the most runs that any
-window of L+1 days spans: 2 at the automatic lag, 3 up to lag 59.
+a maximal stretch of days in one group (the design keeps where each
+starts), and P the most runs that any window of L+1 days spans: 2 at the
+automatic lag, 3 up to lag 59.
 
 A day's score goes to slot ``run mod P``: u at that slot's mean column, u t
 at its slope column, and the appended columns after them, so the window
@@ -41,7 +42,7 @@ import numpy as np
 
 # A block holds at least 2,048 window rows, so that the lag's rows of
 # scores that each block repeats stay few against it, and more when it has
-# fewer than five columns (the trend has three), up to 10,240 window sums,
+# fewer than five columns (the trend has two), up to 10,240 window sums,
 # to spread each block's fixed cost. Larger blocks raise the peak memory:
 # 2,048 rows of 25 columns peaked 1.8 MiB higher in `tables`. The rounding
 # of the prefix sums grows with the rows they run over, too.
@@ -53,18 +54,17 @@ def bartlett_meat(design, appended: np.ndarray, u: np.ndarray, lag: int) -> np.n
     """sum_{|j|<=lag} (1 - |j|/(lag+1)) G_j of the scores u_t [x_t, a_t],
     with x_t row t of ``design`` and a_t of ``appended``.
 
-    ``design`` holds ``names``, ``group`` (each row's group), ``width`` (its
-    columns per group; column j of group g is design column j G + g, with
-    G groups) and ``scores(start, stop, weights)`` (rows start..stop-1 at
-    their group's columns, each times its weight u_t). Scores and window
-    sums are formed one block of rows at a time, never for the whole sample
-    at once.
+    ``design`` holds ``names``, ``group`` (each row's group), ``starts``
+    (the first row of each run), ``width`` (its columns per group; column j
+    of group g is design column j G + g, with G groups) and
+    ``scores(start, stop, weights)`` (rows start..stop-1 at their group's
+    columns, each times its weight u_t). Scores and window sums are formed
+    one block of rows at a time, never for the whole sample at once.
     """
     n, extra = len(u), appended.shape[1]
-    width, group = design.width, design.group
+    width, group, starts = design.width, design.group, design.starts
     groups = len(design.names) // width
     k = groups * width + extra
-    starts = np.flatnonzero(np.concatenate(([True], group[1:] != group[:-1])))
     runs = np.arange(len(starts))
     # of the windows whose last day is in a run, the one ending on its first
     # day spans the most runs

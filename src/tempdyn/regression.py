@@ -42,7 +42,8 @@ one block of days at a time from each day's group and t, in the few
 columns that a window of L+1 days can touch, in :mod:`tempdyn.hac`, which
 only a HAC fit loads.
 
-Q'v, norms and sums of squares are numpy's pairwise sums, not BLAS dots, whose
+Q'v, norms and sums of squares are numpy's pairwise sums (for Q'v, of each run
+of days, a group's runs then added in order), not BLAS dots, whose
 order of summation can change with the thread count; the HAC Gram B'B (one
 batched BLAS product of each block's segments of window sums, added into
 the meat by a bincount) and the products with R^-1 and C are still BLAS
@@ -139,14 +140,12 @@ def _check_rank(names: Sequence[str], r: np.ndarray, scale: float) -> None:
         raise SingularDesignError(names[deficient[0]])
 
 
-def _group_sums(w: np.ndarray, index: Optional[np.ndarray]) -> np.ndarray:
-    """The sum of ``w`` over each group of rows, by numpy's pairwise
-    summation: row g of ``index`` lists group g's rows, padded with
-    ``len(w)``, which indexes a zero. With one group, ``index`` is None and
-    ``w`` is summed as it is, with the same bits."""
-    if index is None:
-        return np.add.reduce(w, keepdims=True)
-    return np.add.reduce(np.append(w, 0.0)[index], axis=1)
+def _group_sums(w: np.ndarray, group: np.ndarray, starts: np.ndarray, groups: int) -> np.ndarray:
+    """The sum of ``w`` over each of the ``groups`` groups of rows: numpy's
+    pairwise sum of each run of rows (``starts`` holds each run's first
+    row, ``group`` each row's group), then the runs of each group added in
+    order. A group of no rows sums to 0."""
+    return np.bincount(group[starts], np.add.reduceat(w, starts), minlength=groups)
 
 
 @dataclass(frozen=True)
@@ -157,13 +156,16 @@ class GroupDesign:
     The design's columns are the indicators 1_g of each group g of rows,
     then, with ``t``, the products 1_g * t. Q's columns are 1_g/sqrt(n_g),
     then, with slopes, (t - tbar_g) 1_g / s_g, where s_g is the norm of the
-    group's centred t: so Q'v is group sums, and Qc a gather.
+    group's centred t: so Q'v is group sums, and Qc a gather. The rows are
+    read as *runs*, maximal stretches of consecutive rows in one group:
+    a group's sum adds the pairwise sums of its runs, and the HAC meat
+    places each run's scores (see :mod:`tempdyn.hac`).
     """
 
     names: tuple[str, ...]
     group: np.ndarray  # n, each row's group
     t: Optional[np.ndarray]  # n; None without slopes
-    index: Optional[np.ndarray]  # each group's rows, padded; None for one (see _group_sums)
+    starts: np.ndarray  # the first row of each run
     centred: Optional[np.ndarray]  # n, t less its group's mean; None without slopes
     inv_norms: np.ndarray  # 1/sqrt(n_g) of each group, then 1/s_g with slopes
 
@@ -182,7 +184,9 @@ class GroupDesign:
     def qt(self, v: np.ndarray) -> np.ndarray:
         """Q'v."""
         weights = [v] if self.centred is None else [v, self.centred * v]
-        return np.concatenate([_group_sums(w, self.index) for w in weights]) * self.inv_norms
+        groups = len(self.names) // self.width
+        sums = [_group_sums(w, self.group, self.starts, groups) for w in weights]
+        return np.concatenate(sums) * self.inv_norms
 
     def qdot(self, c: np.ndarray) -> np.ndarray:
         """Q c."""
@@ -242,6 +246,8 @@ class QRFactor:
         naming it. The new factor shares this one's design, and holds the
         column as given, not copied.
         """
+        if self.border.shape[1]:
+            raise ValueError(f"factor is already bordered by {self.names[-1]!r}; border it once")
         column = np.asarray(column, dtype=np.float64)
         n, k = self.nobs, len(self.names)
         if column.shape != (n,):
@@ -303,11 +309,7 @@ def group_factor(
         raise InsufficientDataError(f"{n} observations for {k} regressors")
     groups = k // (1 if t is None else 2)
     counts = np.bincount(group, minlength=groups)
-    index = None
-    if groups > 1:
-        order = np.argsort(group, kind="stable")
-        index = np.full((groups, counts.max()), n)
-        index[group[order], np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)] = order
+    starts = np.flatnonzero(np.concatenate(([True], group[1:] != group[:-1])))
     r = np.diag(np.sqrt(counts))
     # each column's sum of squares: a group's count, or its sum of t^2
     squares = counts.max()
@@ -315,18 +317,18 @@ def group_factor(
     if t is not None:
         # the design keeps the caller's t, not this float copy
         times = np.asarray(t, dtype=np.float64)
-        sums = _group_sums(times, index)
+        sums = _group_sums(times, group, starts, groups)
         centred = times - np.divide(sums, counts, out=np.zeros(groups), where=counts > 0)[group]
         above = np.divide(sums, r.diagonal(), out=np.zeros(groups), where=counts > 0)
-        spread = np.sqrt(_group_sums(centred * centred, index))
+        spread = np.sqrt(_group_sums(centred * centred, group, starts, groups))
         r = np.block([[r, np.diag(above)], [np.zeros((groups, groups)), np.diag(spread)]])
-        squares = max(squares, _group_sums(times * times, index).max())
+        squares = max(squares, _group_sums(times * times, group, starts, groups).max())
     scale = math.sqrt(squares)
     _check_rank(names, r, scale)
     # R is upper triangular, so LU's partial pivoting swaps no rows and the
     # solve is a back substitution
     r_inv = np.linalg.solve(r, np.eye(k))
-    design = GroupDesign(tuple(names), group, t, index, centred, 1.0 / r.diagonal())
+    design = GroupDesign(tuple(names), group, t, starts, centred, 1.0 / r.diagonal())
     nothing = np.empty((n, 0))
     return QRFactor(design.names, np.eye(k), design, nothing, nothing, r, r_inv, scale)
 

@@ -398,6 +398,7 @@ class DenseDesign:
     def __init__(self, names: tuple[str, ...], data: np.ndarray, q: Optional[np.ndarray]):
         self.names, self.data, self.q = names, data, q
         self.group = np.broadcast_to(np.intp(0), len(data))
+        self.starts = np.array([0])
         self.width = data.shape[1]
 
     def scores(self, start: int, stop: int, weights: np.ndarray) -> np.ndarray:

@@ -375,8 +375,7 @@ class TestCriterion7InvariantSuite:
             (test_models.TestInvariance, "test_scale_equivariance"),
             (test_regression.TestBartlettMeat, "test_window_sums_equal_lag_loop"),
             (test_density.TestInvariants, "test_location_equivariance"),
-            (test_density.TestInvariants, "test_integral_approaches_one_on_wider_grid"),
-            (test_density.TestInvariants, "test_grid_doubling_stability"),
+            (test_density.TestKde, "test_integral_near_one"),
             (test_cli.TestIngest, "test_reruns_are_byte_identical"),
             (test_cli.TestTables, "test_reruns_byte_identical"),
             (test_cli.TestTables, "test_csv_and_text_agree_at_declared_precision"),

@@ -350,6 +350,13 @@ class TestQRFactor:
             factorize(self.X).bordered("lag", column)
         assert excinfo.value.column == "lag"
 
+    def test_bordering_twice_is_refused(self):
+        # a second column would border R beside a border of one column,
+        # which the fit could not solve with
+        once = factorize(self.X).bordered("w", self.w)
+        with pytest.raises(ValueError, match="already bordered by 'w'"):
+            once.bordered("v", self.y)
+
     def test_factor_in_place_of_design(self):
         factor = factorize(self.X)
         a = ols_fit(factor, self.y)

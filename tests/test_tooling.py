@@ -2,6 +2,7 @@
 test configuration."""
 
 import ast
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -65,9 +66,12 @@ def _unused(trees: dict[str, ast.Module]) -> list[str]:
     return unused
 
 
+def _package_trees() -> dict[str, ast.Module]:
+    return {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))}
+
+
 def test_every_public_name_has_a_caller_in_the_package():
-    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))}
-    assert _unused(trees) == [], "names with no caller in src/tempdyn (delete them, or move them to tests/)"
+    assert _unused(_package_trees()) == [], "names with no caller in src/tempdyn (delete them, or move them to tests/)"
 
 
 def test_a_public_constant_without_a_reader_is_reported():
@@ -77,6 +81,101 @@ def test_a_public_constant_without_a_reader_is_reported():
         "def f():\n    return USED + RIGHT + _READ\n"
     )
     assert _unused({"m.py": ast.parse(source)}) == ["m.py: UNUSED", "m.py: LEFT", "m.py: _PRIVATE", "m.py: f"]
+
+
+def _functions(module: ast.Module):
+    """(qualified name, callee, node, bound) of each module-level function
+    and each method of a module-level class: the name a call uses (the
+    class's for its ``__init__``), and how many leading parameters a call
+    does not pass (``self`` or ``cls``)."""
+    for node in module.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node.name, node, 0
+        elif isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if not isinstance(member, ast.FunctionDef):
+                    continue
+                static = any(getattr(d, "id", None) == "staticmethod" for d in member.decorator_list)
+                callee = node.name if member.name == "__init__" else member.name
+                yield f"{node.name}.{member.name}", callee, member, 0 if static else 1
+
+
+def _defaulted(node: ast.FunctionDef, bound: int):
+    """(name, position) of each parameter with a default, its position
+    counted among the arguments a call passes, infinite if keyword-only."""
+    positional = node.args.posonlyargs + node.args.args
+    first = len(positional) - len(node.args.defaults)
+    for position, arg in enumerate(positional[first:], first - bound):
+        yield arg.arg, position
+    for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+        if default is not None:
+            yield arg.arg, math.inf
+
+
+def _calls(tree: ast.AST):
+    """(callee name, positional arguments, keyword names) of each call, a
+    ``functools.partial`` counted as a call of the function it binds. A
+    starred argument passes every position, and ``**`` every keyword (the
+    name None)."""
+    def called(func: ast.expr):
+        return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func, args = node.func, node.args
+        if called(func) == "partial" and args:
+            func, args = args[0], args[1:]
+        count = math.inf if any(isinstance(arg, ast.Starred) for arg in args) else len(args)
+        yield called(func), count, {keyword.arg for keyword in node.keywords}
+
+
+def _unset_defaults(trees: dict[str, ast.Module], allowed=frozenset()) -> list[str]:
+    """``file: function(parameter)`` of each defaulted parameter that no call
+    in the trees passes, by keyword or by position."""
+    calls = [call for tree in trees.values() for call in _calls(tree)]
+    unset = []
+    for filename, tree in trees.items():
+        for qualified, callee, node, bound in _functions(tree):
+            for name, position in _defaulted(node, bound):
+                entry = f"{filename}: {qualified}({name})"
+                passed = any(
+                    called == callee and (name in keywords or None in keywords or count > position)
+                    for called, count, keywords in calls
+                )
+                if not passed and entry not in allowed:
+                    unset.append(entry)
+    return unset
+
+
+# the console script and bench/layers.py call main with argv and
+# standalone_mode; nothing in the package does
+_ENTRY_POINT_DEFAULTS = frozenset({"cli.py: main(argv)", "cli.py: main(standalone_mode)"})
+
+
+def test_every_defaulted_parameter_has_a_caller_that_sets_it():
+    assert _unset_defaults(_package_trees(), _ENTRY_POINT_DEFAULTS) == [], (
+        "defaults no call in src/tempdyn overrides (make them constants, or pass them)"
+    )
+
+
+def test_a_default_no_call_sets_is_reported():
+    # a class call passes its __init__'s arguments, a partial those it
+    # binds, and a method call starts after self
+    source = (
+        "from functools import partial\n\n"
+        "def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n\n"
+        "class K:\n"
+        "    def __init__(self, x=0, y=0):\n        pass\n\n"
+        "    def m(self, z=0, w=0):\n        pass\n\n"
+        "def g(p=0):\n    pass\n\n"
+        "def h(q=0, r=0):\n    pass\n\n"
+        "f(0, 1, d=2)\nK(1)\nK().m(1)\npartial(h, 1)\ng(*())\n"
+    )
+    trees = {"m.py": ast.parse(source)}
+    unset = ["m.py: f(c)", "m.py: f(e)", "m.py: K.__init__(y)", "m.py: K.m(w)", "m.py: h(r)"]
+    assert _unset_defaults(trees) == unset
+    assert _unset_defaults(trees, frozenset(unset[:2])) == unset[2:]
 
 
 def test_a_failing_hypothesis_test_reports_its_example_and_the_run_goes_on(tmp_path):
