@@ -52,34 +52,6 @@ def _configure(
     return config
 
 
-def _check_window(config: RunConfig, model: str, fitted: tuple[str, ...], hac: bool = False):
-    """The window's ``models.WindowFactors`` with the factor of every model
-    in ``fitted`` built, after refusing a window short of days of a month
-    for ``model`` and, with ``hac``, a fixed HAC lag at or above ``model``'s
-    nobs (the joint model's first day feeds its lag).
-
-    Every command that fits calls this before it reads its first series, so
-    the reads reuse the heap that building the factors frees (tables peaks
-    about 0.2 MiB lower). Once the months are checked, only the trend design
-    can fail to factor (a window of two days or less).
-    """
-    from .models import WindowFactors
-
-    factors = WindowFactors(config.window_start, config.window_end)
-    try:
-        factors.check_months(model)
-    except ValueError as exc:
-        raise _CommandError(str(exc)) from None
-    nobs = len(factors.t) - (model == "joint")
-    if hac and config.hac_bandwidth != "auto" and config.hac_bandwidth >= nobs:
-        raise _CommandError(
-            f"HAC bandwidth {config.hac_bandwidth} must be below the {model} model's nobs "
-            f"{nobs} on {config.window_start}..{config.window_end}"
-        )
-    factors.build(*fitted)
-    return factors
-
-
 def _make_dir(path: Path, advice: str = "pass another --out") -> Path:
     """``path``, made with its parents where missing. A failure, such as a
     file in the way when ``--out`` names a file, is one error that ends in
@@ -221,7 +193,9 @@ def tables(config_path, station_codes, variable, hac_bandwidth, out):
     config = _configure(config_path, out=out, hac_bandwidth=hac_bandwidth)
     stations = config.select(station_codes)
     # the window's designs are factored once, for both variables
-    factors = _check_window(config, "joint", ("joint", "trend"), hac=True)
+    factors = models.WindowFactors(config.window_start, config.window_end).build(
+        "joint", "trend", bandwidth=config.hac_bandwidth
+    )
     variables = ("avg", "dtr") if variable == "both" else (variable,)
     tables_dir = _make_dir(config.output_dir / "tables")
 
@@ -258,11 +232,11 @@ def figures(config_path, station_code, out):
 
     config = _configure(config_path, out=out)
     config.station(station_code)  # a mistyped code is named before any work
-    factors = _check_window(config, "evolving", ("trend", "fixed", "evolving"))
-    try:
-        years = models.pattern_years(config.window_start, config.window_end)
-    except ValueError as exc:  # a window with no July 1
-        raise _CommandError(str(exc)) from None
+    # no HAC fit here, so a lag set in the config is not checked
+    factors = models.WindowFactors(config.window_start, config.window_end).build(
+        "trend", "fixed", "evolving"
+    )
+    years = models.pattern_years(config.window_start, config.window_end)
     figures_dir = _make_dir(config.output_dir / "figures" / station_code)
     station_series = _station_series(config, station_code)
 
@@ -308,15 +282,16 @@ def fit(config_path, station_code, variable, model, hac_bandwidth, out):
     """Fit a single specification and print its coefficient table."""
     from . import models
     from .regression import (
-        BandwidthError, InsufficientDataError, SingularDesignError, WaldDegeneracyError,
-        fit_with_hac, wald_test,
+        InsufficientDataError, SingularDesignError, WaldDegeneracyError, fit_with_hac, wald_test,
     )
 
     config = _configure(config_path, out=out, hac_bandwidth=hac_bandwidth)
     config.station(station_code)  # a mistyped code is named before any work
     name = {"seasonal": "fixed"}.get(model, model)
     try:
-        factors = _check_window(config, name, (name,), hac=True)
+        factors = models.WindowFactors(config.window_start, config.window_end).build(
+            name, bandwidth=config.hac_bandwidth
+        )
         y = _station_series(config, station_code).variable(variable)
         result = fit_with_hac(*factors.least_squares(name, y), config.hac_bandwidth)
         # every line is made before the first is printed, so a failed test
@@ -330,9 +305,7 @@ def fit(config_path, station_code, variable, model, hac_bandwidth, out):
                 for label, labels in models.HYPOTHESES.items()
             ))
         print("\n".join(lines))
-    except (
-        BandwidthError, InsufficientDataError, SingularDesignError, WaldDegeneracyError
-    ) as exc:
+    except (InsufficientDataError, SingularDesignError, WaldDegeneracyError) as exc:
         raise _CommandError(f"{station_code} {variable} {model}: {exc}")
 
 
@@ -421,6 +394,9 @@ def main(argv: Optional[list[str]] = None, standalone_mode: bool = True) -> None
         # the reader closed the pipe (`tempdyn fit ... | head`): stop quietly,
         # with stdout on devnull so that the flush at exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    except OSError as exc:  # an output that cannot be written, named by write_atomic
+        print(f"Error: {exc}", file=sys.stderr)
         sys.exit(1)
 
 

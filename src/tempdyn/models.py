@@ -52,6 +52,7 @@ from .regression import (
     Bandwidth, ModelFit, QRFactor, fit_with_hac, group_factor, ols_fit, wald_test,
 )
 from .series import TemperatureSeries
+from .stations import ConfigError
 
 JULY = 7
 STAR_LEVEL = 0.01
@@ -90,11 +91,11 @@ def month_effects(fit: ModelFit, t: Optional[float] = None) -> tuple[float, ...]
 def pattern_years(first: date, last: date) -> tuple[int, ...]:
     """The years of the first and last July 1 in the window ``[first, last]``
     (one year if they are the same day), where figures evaluate the evolving
-    pattern. A window with no July 1 raises ValueError."""
+    pattern. A window with no July 1 raises ConfigError."""
     start = first.year + (first > date(first.year, JULY, 1))
     end = last.year - (last < date(last.year, JULY, 1))
     if start > end:
-        raise ValueError(
+        raise ConfigError(
             f"window {first}..{last} holds no July 1 to evaluate the evolving "
             "seasonal pattern at"
         )
@@ -102,7 +103,8 @@ def pattern_years(first: date, last: date) -> tuple[int, ...]:
 
 
 # days of each calendar month a design needs: one per dummy, two per slope
-# on t; the joint design's July is its intercept and time trend
+# on t; the joint design's July is its intercept and time trend, and it
+# loses the window's first day to its lag, so it needs the most
 _MONTH_DAYS = {"trend": 0, "fixed": 1, "evolving": 2, "joint": 2}
 
 
@@ -154,27 +156,41 @@ class WindowFactors:
         for array in (self.t, self.month_index):
             array.setflags(write=False)
 
-    def check_months(self, model: str) -> None:
-        """Raise ValueError naming the calendar months of the window with too
-        few days for ``model``'s design to have full rank on any series.
-        The joint model is fitted from the second day."""
-        counts = np.bincount(self.month_index[int(model == "joint"):], minlength=12)
-        short = [calendar.month_abbr[m + 1] for m in np.flatnonzero(counts < _MONTH_DAYS[model])]
+    def build(self, *models: str, bandwidth: Bandwidth = "auto") -> WindowFactors:
+        """These factors, with the window checked for ``models`` and then
+        the factor :meth:`least_squares` fits each on built, in order (the
+        trend's before a seasonal one it de-trends). ConfigError names the
+        months with too few days for the most demanding of ``models`` to
+        have full rank, or a fixed HAC ``bandwidth`` at or above a model's
+        nobs (the joint model's from the second day).
+
+        Commands call this before their first read, so the reads reuse the
+        heap the build frees (with a lazy build, ``figures`` peaks about
+        0.1 MiB higher). Once the window is checked, only the trend design
+        can fail to factor (a window of two days or less).
+        """
+        demanding = max(models, key=lambda model: (_MONTH_DAYS[model], model == "joint"))
+        needed = _MONTH_DAYS[demanding]
+        counts = np.bincount(self.month_index[int(demanding == "joint"):], minlength=12)
+        short = [calendar.month_abbr[m + 1] for m in np.flatnonzero(counts < needed)]
         if short:
-            raise ValueError(
+            raise ConfigError(
                 f"window {self.start}..{self.end} is short of days in {', '.join(short)}: the "
-                f"{model} model needs {('one day', 'two days')[_MONTH_DAYS[model] - 1]} in every "
+                f"{demanding} model needs {('one day', 'two days')[needed - 1]} in every "
                 "calendar month"
             )
-
-    def build(self, *models: str) -> None:
-        """Build now, in order, the factor that :meth:`least_squares` fits
-        each of ``models`` on, the trend's before a seasonal one it
-        de-trends."""
+        for model in models:
+            nobs = len(self.t) - (model == "joint")
+            if bandwidth != "auto" and bandwidth >= nobs:
+                raise ConfigError(
+                    f"HAC bandwidth {bandwidth} must be below the {model} model's nobs "
+                    f"{nobs} on {self.start}..{self.end}"
+                )
         for model in models:
             if model in ("fixed", "evolving"):
                 self.trend
             getattr(self, model)
+        return self
 
     @cached_property
     def trend(self) -> QRFactor:

@@ -174,10 +174,11 @@ def write_atomic(path, chunks: Union[Iterable[str], Iterable[bytes]]) -> None:
     """Replace ``path`` by the chunks, streamed through a temp file in its
     directory and renamed over it. The chunks are all text, written as
     UTF-8, or all binary: bytes first, then any buffers. If anything raises
-    first, the temp file is removed and the previous file stays. The temp
-    file is opened like any output file, so it keeps a plain ``open()``'s
-    mode (not ``mkstemp``'s 0600). Every file tempdyn writes goes through
-    here.
+    first, the temp file is removed and the previous file stays, and an
+    OSError is raised again as one naming ``path`` and the reason (the
+    original its ``__cause__``). The temp file is opened like any output
+    file, so it keeps a plain ``open()``'s mode (not ``mkstemp``'s 0600).
+    Every file tempdyn writes goes through here.
     """
     chunks = iter(chunks)
     first = next(chunks, "")
@@ -192,6 +193,8 @@ def write_atomic(path, chunks: Union[Iterable[str], Iterable[bytes]]) -> None:
             handle.write(first)
             handle.writelines(chunks)
         os.replace(temp_path, path)
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
     finally:
         if os.path.exists(temp_path):
             os.unlink(temp_path)

@@ -41,7 +41,8 @@ _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
 class ConfigError(ValueError):
-    """Configuration file is invalid."""
+    """A setting the run cannot use, from the config file, the environment
+    or a flag, including a window or HAC lag the models cannot be fitted on."""
 
 
 @dataclass(frozen=True)

@@ -949,6 +949,16 @@ class TestFigures:
         expected = models.month_effects(evolving, t_july)
         assert [float(r[f"effect_{year}"]) for r in rows] == list(expected)
 
+    def test_lag_set_in_the_config_is_not_checked(self, workspace):
+        # figures fits no HAC covariance, so a lag beyond every model's
+        # nobs is no reason to refuse the window
+        config = workspace / "run.cfg"
+        run(["ingest", "--config", str(config)])
+        config.write_text("hac_bandwidth = 999999\n" + config.read_text())
+        result = run(["figures", "--config", str(config), "--station", "AAA"])
+        assert result.exit_code == 0, result.output
+        assert len(list((workspace / "out" / "figures" / "AAA").iterdir())) == 10
+
     def test_window_without_july_first_is_a_one_line_error(self, workspace):
         # the window alone decides this, so no series file need exist
         config = workspace / "run.cfg"
@@ -1641,6 +1651,52 @@ def test_config_that_is_not_utf8_is_a_one_line_error(workspace):
     assert (result.exit_code, result.stdout) == (1, "")
     # line 9 is AAA's station row
     assert result.stderr == f"Error: {config}:9: byte 0xe9 is not UTF-8; save the file as UTF-8\n"
+
+
+# the CLI with files it writes limited to 4 KiB, a limit of that process
+# alone; CPython ignores SIGXFSZ, so a write past it fails with EFBIG
+SIZE_LIMITED_CLI = (
+    "import resource, sys; resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096)); "
+    "from tempdyn.cli import main; main(sys.argv[1:])"
+)
+
+
+@pytest.mark.parametrize(
+    "command, blocked, reason",
+    [
+        (["tables"], "out/tables/table_dtr.csv", "Is a directory"),
+        (["figures", "--station", "AAA"], "out/figures/AAA/density_avg.csv", "File too large"),
+        (["ingest"], "out/manifest.json", "Is a directory"),
+    ],
+    ids=["tables-directory", "figures-file-size", "ingest-directory"],
+)
+def test_output_that_cannot_be_written_is_a_one_line_error(workspace, command, blocked, reason):
+    # a directory in the output's place, or a file size limit: the command
+    # names the file and the reason, and leaves no temp file
+    config = str(workspace / "run.cfg")
+    run(["ingest", "--config", config])
+    if reason == "Is a directory":
+        (workspace / blocked).unlink(missing_ok=True)
+        (workspace / blocked).mkdir(parents=True)
+    src = Path(tempdyn.__file__).resolve().parents[1]
+    cli = ["-c", SIZE_LIMITED_CLI] if reason == "File too large" else ["-m", "tempdyn.cli"]
+    result = subprocess.run(
+        [sys.executable, *cli, *command, "--config", config],
+        env=dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1"),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 1
+    assert result.stderr == f"Error: cannot write {workspace / blocked}: {reason}\n"
+    assert list((workspace / "out").rglob("*.part")) == []
+
+
+def test_ingest_names_the_series_file_it_cannot_write(workspace):
+    series_csv = workspace / "out" / "series" / "AAA.csv"
+    series_csv.mkdir(parents=True)
+    result = run(["ingest", "--config", str(workspace / "run.cfg")])
+    assert (result.exit_code, result.stdout) == (1, "BBB: 731 rows\n")
+    assert result.stderr == f"AAA: FAILED (OSError: cannot write {series_csv}: Is a directory)\n"
+    assert list((workspace / "out").rglob("*.part")) == []
 
 
 @pytest.mark.parametrize("args", [["--help"], ["ingest", "--help"], ["tables", "--help"],

@@ -35,6 +35,7 @@ from tempdyn.regression import (
     wald_test,
 )
 from tempdyn.series import TemperatureSeries, build_series
+from tempdyn.stations import ConfigError
 
 from conftest import DesignMatrix, evolving_design, factorize, month_dummies, stacked_meat
 from dgp import calendar_months, joint_design, joint_shared_design, simulate_joint
@@ -226,7 +227,7 @@ def test_pattern_years_are_those_of_the_first_and_last_july_first(start, end, ye
 
 
 def test_window_without_july_first_has_no_pattern_years():
-    with pytest.raises(ValueError, match="1960-07-02..1961-06-30 holds no July 1"):
+    with pytest.raises(ConfigError, match="1960-07-02..1961-06-30 holds no July 1"):
         models.pattern_years(date(1960, 7, 2), date(1961, 6, 30))
 
 
@@ -786,8 +787,8 @@ def test_window_month_check_agrees_with_the_designs(start, end, refused):
     factors = WindowFactors(start, end)
     for model in ("fixed", "evolving", "joint"):
         try:
-            factors.check_months(model)
-        except ValueError:
+            factors.build(model)
+        except ConfigError:
             assert model in refused
         else:
             assert model not in refused
@@ -797,6 +798,27 @@ def test_window_month_check_agrees_with_the_designs(start, end, refused):
         except SingularDesignError:
             singular = True
         assert singular == (model in refused), model
+
+
+@pytest.mark.parametrize(
+    "fitted, end, bandwidth, message",
+    [
+        # every model's nobs is checked, the joint one's a day short of T
+        (("trend", "joint"), date(2000, 12, 31), 365,
+         "HAC bandwidth 365 must be below the joint model's nobs 365 on 2000-01-01..2000-12-31"),
+        # the months of the most demanding model, wherever it is listed
+        (("trend", "fixed", "evolving"), date(2000, 12, 1), "auto",
+         "Dec: the evolving model needs two days in every calendar month"),
+    ],
+    ids=["lag", "months"],
+)
+def test_window_refused_before_any_factor_is_built(monkeypatch, fitted, end, bandwidth, message):
+    built = []
+    monkeypatch.setattr(models, "group_factor", lambda names, *arrays: built.append(names))
+    with pytest.raises(ConfigError) as refused:
+        WindowFactors(date(2000, 1, 1), end).build(*fitted, bandwidth=bandwidth)
+    assert str(refused.value).endswith(message)
+    assert built == []
 
 
 class TestJointModel:

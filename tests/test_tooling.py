@@ -83,6 +83,38 @@ def test_a_public_constant_without_a_reader_is_reported():
     assert _unused({"m.py": ast.parse(source)}) == ["m.py: UNUSED", "m.py: LEFT", "m.py: _PRIVATE", "m.py: f"]
 
 
+def _unused_imports(trees: dict[str, ast.Module]) -> list[str]:
+    """``file: name`` of each name an import binds that its module never
+    reads; a name read only in an annotation is read."""
+    unused = []
+    for filename, tree in trees.items():
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    # `import a.b` binds a
+                    bound = alias.asname or alias.name.partition(".")[0]
+                    if bound not in read:
+                        unused.append(f"{filename}: {bound}")
+    return unused
+
+
+def test_every_import_is_read_in_its_module():
+    assert _unused_imports(_package_trees()) == [], "imports no code in their module reads (delete them)"
+
+
+def test_an_import_without_a_reader_is_reported():
+    source = (
+        "from __future__ import annotations\n"
+        "import os\nimport numpy as np\nimport a.b\nfrom x import y, z as w\n"
+        "from typing import Optional\n\n"
+        "def f(v: Optional[int]):\n    import json\n    return np.zeros(1), a.b, y\n"
+    )
+    assert _unused_imports({"m.py": ast.parse(source)}) == ["m.py: os", "m.py: w", "m.py: json"]
+
+
 def _functions(module: ast.Module):
     """(qualified name, callee, node, bound) of each module-level function
     and each method of a module-level class: the name a call uses (the
