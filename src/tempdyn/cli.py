@@ -130,6 +130,10 @@ def ingest(config_path, station_codes, endpoint, strict_qc, out, refresh):
             entry.update(source=fetched.source, fetched_at=fetched.fetched_at.isoformat())
             if fetched.refresh_error is not None:
                 entry.update(refresh_error=fetched.refresh_error)
+                print(
+                    f"{station.code}: refresh failed ({fetched.refresh_error}); using the cache",
+                    file=sys.stderr,
+                )
             if fetched.cache_replaced is not None:
                 print(f"{station.code}: {fetched.cache_replaced}", file=sys.stderr)
             try:
@@ -144,8 +148,9 @@ def ingest(config_path, station_codes, endpoint, strict_qc, out, refresh):
                     f"cached file {fetched.cache_path}: {exc}; "
                     "if it was cut short, delete it or rerun with --refresh"
                 ) from None
-            # the payload and its records are done with; freed here, their
-            # memory serves the series writes (peak RSS about 0.3 MiB lower)
+            # the records (on LF files a view of the payload) are done with;
+            # freed here, their memory serves the series writes (peak RSS
+            # about 0.3 MiB lower)
             del fetched
             built = series_mod.build_series(tmax, tmin, config.window_start, config.window_end)
             digest = series_mod.write_series_csv(built, _series_path(config, station.code))
@@ -160,6 +165,9 @@ def ingest(config_path, station_codes, endpoint, strict_qc, out, refresh):
             )
         except Exception as exc:  # noqa: BLE001 - reported in the manifest
             entry.update(status="error", error=f"{type(exc).__name__}: {exc}")
+            print(f"{station.code}: FAILED ({entry['error']})", file=sys.stderr)
+        else:
+            print(f"{station.code}: {entry['rows']} rows")
         return entry
 
     # Each station's fetch is called in config order just before its repair:
@@ -170,18 +178,8 @@ def ingest(config_path, station_codes, endpoint, strict_qc, out, refresh):
         [station.ghcn_id for station in stations], config.endpoint, config.cache_dir, refresh
     )
     entries = [ingest_one(station, next(fetches)) for station in stations]
-
+    # written after the report, so a manifest that cannot be written loses no line of it
     reporting.write_manifest(entries, config.output_dir / "manifest.json")
-    for entry in entries:
-        if "refresh_error" in entry:
-            print(
-                f"{entry['station']}: refresh failed ({entry['refresh_error']}); using the cache",
-                file=sys.stderr,
-            )
-        if entry["status"] == "ok":
-            print(f"{entry['station']}: {entry['rows']} rows")
-        else:
-            print(f"{entry['station']}: FAILED ({entry['error']})", file=sys.stderr)
     if any(entry["status"] != "ok" for entry in entries):
         sys.exit(1)
 
@@ -225,8 +223,6 @@ def tables(config_path, station_codes, variable, hac_bandwidth, out):
 
 def figures(config_path, station_code, out):
     """Figure-data bundle for one station: densities, trends, seasonals."""
-    from datetime import date
-
     from . import density, models
     from .regression import ols_fit
 
@@ -236,7 +232,8 @@ def figures(config_path, station_code, out):
     factors = models.WindowFactors(config.window_start, config.window_end).build(
         "trend", "fixed", "evolving"
     )
-    years = models.pattern_years(config.window_start, config.window_end)
+    # the evolving pattern is evaluated at the t of each July 1
+    pattern_days = models.pattern_days(config.window_start, config.window_end)
     figures_dir = _make_dir(config.output_dir / "figures" / station_code)
     station_series = _station_series(config, station_code)
 
@@ -252,11 +249,6 @@ def figures(config_path, station_code, out):
         except density.DegenerateBandwidthError as exc:
             raise _CommandError(f"{station_code} {var}: {exc}")
 
-    # the evolving pattern is evaluated at the t of each July 1
-    july_t = {
-        str(year): (date(year, models.JULY, 1) - factors.start).days + 1
-        for year in years
-    }
     for var, y in daily.items():
         reporting.write_density_csv(densities[var], figures_dir / f"density_{var}.csv")
         trend = ols_fit(*factors.least_squares("trend", y))
@@ -272,7 +264,7 @@ def figures(config_path, station_code, out):
         )
         evolving = ols_fit(*factors.least_squares("evolving", y))
         reporting.write_patterns_csv(
-            {year: models.month_effects(evolving, t) for year, t in july_t.items()},
+            {year: models.month_effects(evolving, t) for year, t in pattern_days.items()},
             figures_dir / f"evolving_pattern_{var}.csv",
         )
     print(f"wrote figure data under {figures_dir}")

@@ -119,7 +119,7 @@ class DlyRecords:
 
 @dataclass(frozen=True)
 class Fetched:
-    """A station's ``.dly`` bytes, their :func:`parse_station` records, and
+    """The :func:`parse_station` records of a station's ``.dly`` bytes, and
     how this run obtained them.
 
     ``source`` is ``"network"`` when the bytes were downloaded by this call
@@ -128,19 +128,15 @@ class Fetched:
     is when the bytes left the archive: the download time, or the cache
     file's modification time. ``refresh_error`` says why a refresh fell
     back to the cache, ``cache_replaced`` that it replaced a different
-    cached copy; None otherwise. ``len()`` is the payload's byte count.
+    cached copy; None otherwise.
     """
 
-    data: bytes
     source: str
     cache_path: str
     fetched_at: datetime
     records: DlyRecords
     refresh_error: Optional[str] = None
     cache_replaced: Optional[str] = None
-
-    def __len__(self) -> int:
-        return len(self.data)
 
 
 @dataclass
@@ -437,10 +433,8 @@ def station_observations(
         notes.interpolated[element] = _dates(start, np.flatnonzero(~s.present))
         try:
             filled[element] = interpolate_missing(fahrenheit, ~s.present, start)
-        except BoundaryGapError as exc:
-            raise BoundaryGapError(f"{element}: {exc}") from exc
-        except UnsupportedGapError as exc:
-            raise UnsupportedGapError(f"{element}: {exc}") from exc
+        except (BoundaryGapError, UnsupportedGapError) as exc:
+            raise type(exc)(f"{element}: {exc}") from exc
 
     inverted = filled["TMAX"] < filled["TMIN"]
     notes.inversions_repaired = _dates(start, np.flatnonzero(inverted))
@@ -455,9 +449,8 @@ def fetch_station(
     cache_dir: str | os.PathLike,
     refresh: bool = False,
 ) -> Fetched:
-    """Return the ``.dly`` payload of a station and its checked records,
-    caching a download in the existing directory ``cache_dir`` (a download
-    that finds no such directory raises :class:`FetchError` naming it).
+    """Return the checked records of a station's ``.dly`` file, caching a
+    download in the existing directory ``cache_dir``.
 
     A cache hit bypasses the network entirely unless ``refresh`` is set.
     A download (``http`` or ``https`` only) that fails or answers anything
@@ -496,12 +489,9 @@ def fetch_station(
             f"archive copy differs from the cache ({os.path.getsize(cache_path)} vs "
             f"{len(payload)} bytes); cache replaced"
         )
-    if not os.path.isdir(cache_dir):
-        raise FetchError(f"fetch of {url} cannot be cached: no directory {cache_dir}")
     write_atomic(cache_path, [payload])
     return Fetched(
-        payload, "network", cache_path, datetime.now(timezone.utc), records,
-        cache_replaced=replaced,
+        "network", cache_path, datetime.now(timezone.utc), records, cache_replaced=replaced
     )
 
 
@@ -519,7 +509,7 @@ def _holds(path: str, payload: bytes) -> bool:
 
 
 def _read_cache(station_id: str, cache_path: str, refresh_error: Optional[str] = None) -> Fetched:
-    """The cache file of a station with its records; a file that
+    """The records of a station's cache file; a file that
     :func:`parse_station` refuses is named, with what to do about it."""
     with open(cache_path, "rb") as handle:
         data = handle.read()
@@ -531,7 +521,7 @@ def _read_cache(station_id: str, cache_path: str, refresh_error: Optional[str] =
         if refresh_error is not None:
             advice += f" (refresh failed: {refresh_error})"
         raise DlyParseError(advice) from None
-    return Fetched(data, "cache", cache_path, modified, records, refresh_error)
+    return Fetched("cache", cache_path, modified, records, refresh_error)
 
 
 def fetch_stations(

@@ -88,10 +88,11 @@ def month_effects(fit: ModelFit, t: Optional[float] = None) -> tuple[float, ...]
     )
 
 
-def pattern_years(first: date, last: date) -> tuple[int, ...]:
-    """The years of the first and last July 1 in the window ``[first, last]``
-    (one year if they are the same day), where figures evaluate the evolving
-    pattern. A window with no July 1 raises ConfigError."""
+def pattern_days(first: date, last: date) -> dict[str, int]:
+    """``{"<year>": t}`` of the first and last July 1 in the window
+    ``[first, last]`` (one entry if they are the same day), with t counted
+    from ``first`` as 1: where figures evaluate the evolving pattern. A
+    window with no July 1 raises ConfigError."""
     start = first.year + (first > date(first.year, JULY, 1))
     end = last.year - (last < date(last.year, JULY, 1))
     if start > end:
@@ -99,7 +100,7 @@ def pattern_years(first: date, last: date) -> tuple[int, ...]:
             f"window {first}..{last} holds no July 1 to evaluate the evolving "
             "seasonal pattern at"
         )
-    return (start,) if start == end else (start, end)
+    return {str(year): (date(year, JULY, 1) - first).days + 1 for year in sorted({start, end})}
 
 
 # days of each calendar month a design needs: one per dummy, two per slope

@@ -507,6 +507,29 @@ class TestIngestFaults:
         assert [e["source"] for e in after] == ["network", "network"]
         assert [sorted(e) for e in after] == [sorted(e) for e in before]
 
+    def test_each_station_prints_its_lines_together_in_config_order(self, workspace, archive):
+        # AAA's refresh falls back to the cache and BBB's replaces its cached
+        # copy: with stdout and stderr in one stream, each station's lines
+        # come when it ends, AAA's before BBB's
+        archive.serve("/USW00099901.dly", status=503)
+        cached = (workspace / "cache" / "USW00099902.dly").read_bytes()
+        fresh = cached + (make_dly_line("USW00099902", 1960, 1, "PRCP", {1: 5}) + "\n").encode("ascii")
+        archive.serve("/USW00099902.dly", fresh)
+        printout = io.StringIO()
+        with contextlib.redirect_stdout(printout), contextlib.redirect_stderr(printout):
+            main([
+                "ingest", "--config", str(workspace / "run.cfg"), "--endpoint", archive.url,
+                "--refresh",
+            ])
+        assert printout.getvalue().splitlines() == [
+            f"AAA: refresh failed (fetch of {archive.url}/USW00099901.dly returned HTTP 503); "
+            "using the cache",
+            "AAA: 731 rows",
+            f"BBB: archive copy differs from the cache ({len(cached)} vs {len(fresh)} bytes); "
+            "cache replaced",
+            "BBB: 731 rows",
+        ]
+
     @pytest.mark.parametrize("endpoint", ["htps://archive.example/daily", "file:///x"])
     def test_endpoint_that_is_not_http_fails_on_a_warm_cache(self, workspace, endpoint):
         # nothing would be downloaded, but the endpoint is still checked
@@ -1662,17 +1685,21 @@ SIZE_LIMITED_CLI = (
 
 
 @pytest.mark.parametrize(
-    "command, blocked, reason",
+    "command, blocked, reason, stdout",
     [
-        (["tables"], "out/tables/table_dtr.csv", "Is a directory"),
-        (["figures", "--station", "AAA"], "out/figures/AAA/density_avg.csv", "File too large"),
-        (["ingest"], "out/manifest.json", "Is a directory"),
+        (["tables"], "out/tables/table_dtr.csv", "Is a directory", "wrote {out}/tables/table_avg.csv\n"),
+        (["figures", "--station", "AAA"], "out/figures/AAA/density_avg.csv", "File too large", ""),
+        (["ingest"], "out/manifest.json", "Is a directory", "AAA: 731 rows\nBBB: 731 rows\n"),
     ],
     ids=["tables-directory", "figures-file-size", "ingest-directory"],
 )
-def test_output_that_cannot_be_written_is_a_one_line_error(workspace, command, blocked, reason):
+def test_output_that_cannot_be_written_is_a_one_line_error(
+    workspace, command, blocked, reason, stdout
+):
     # a directory in the output's place, or a file size limit: the command
-    # names the file and the reason, and leaves no temp file
+    # names the file and the reason, and leaves no temp file; what it
+    # reported before that write stays on stdout (ingest writes its
+    # manifest after every station's line)
     config = str(workspace / "run.cfg")
     run(["ingest", "--config", config])
     if reason == "Is a directory":
@@ -1686,6 +1713,7 @@ def test_output_that_cannot_be_written_is_a_one_line_error(workspace, command, b
         capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 1
+    assert result.stdout == stdout.format(out=workspace / "out")
     assert result.stderr == f"Error: cannot write {workspace / blocked}: {reason}\n"
     assert list((workspace / "out").rglob("*.part")) == []
 

@@ -214,21 +214,23 @@ class TestEvolvingSeasonal:
 
 
 @pytest.mark.parametrize(
-    "start, end, years",
+    "start, end, days",
     [
-        (date(1960, 1, 1), date(2017, 12, 31), (1960, 2017)),
-        (date(1960, 9, 1), date(2017, 12, 31), (1961, 2017)),
-        (date(1960, 7, 1), date(2017, 6, 30), (1960, 2016)),
-        (date(1960, 9, 1), date(1961, 12, 31), (1961,)),
+        (date(1960, 1, 1), date(2017, 12, 31), {"1960": 183, "2017": 21002}),
+        (date(1960, 9, 1), date(2017, 12, 31), {"1961": 304, "2017": 20758}),
+        (date(1960, 7, 1), date(2017, 6, 30), {"1960": 1, "2016": 20455}),
+        (date(1961, 1, 1), date(2016, 12, 31), {"1961": 182, "2016": 20271}),
+        (date(1960, 9, 1), date(1961, 12, 31), {"1961": 304}),
     ],
 )
-def test_pattern_years_are_those_of_the_first_and_last_july_first(start, end, years):
-    assert models.pattern_years(start, end) == years
+def test_pattern_years_are_those_of_the_first_and_last_july_first(start, end, days):
+    # t counts from the window's first day as 1; the first year is the first column
+    assert list(models.pattern_days(start, end).items()) == list(days.items())
 
 
 def test_window_without_july_first_has_no_pattern_years():
     with pytest.raises(ConfigError, match="1960-07-02..1961-06-30 holds no July 1"):
-        models.pattern_years(date(1960, 7, 2), date(1961, 6, 30))
+        models.pattern_days(date(1960, 7, 2), date(1961, 6, 30))
 
 
 def dense_designs(factors: WindowFactors) -> dict[str, DesignMatrix]:

@@ -210,6 +210,50 @@ def test_a_default_no_call_sets_is_reported():
     assert _unset_defaults(trees, frozenset(unset[:2])) == unset[2:]
 
 
+_STREAMS = {"stdout", "stderr"}
+
+
+def _prints(trees: dict[str, ast.Module]) -> list[str]:
+    """``file:line`` of each use of ``print`` and each read of ``sys.stdout``
+    or ``sys.stderr``, as an attribute or an import."""
+    found = []
+    for filename, tree in trees.items():
+        lines = set()
+        for node in ast.walk(tree):
+            if (
+                (isinstance(node, ast.Name) and node.id == "print")
+                or (
+                    isinstance(node, ast.Attribute) and node.attr in _STREAMS
+                    and getattr(node.value, "id", None) == "sys"
+                )
+                or (
+                    isinstance(node, ast.ImportFrom) and node.module == "sys"
+                    and any(alias.name in _STREAMS for alias in node.names)
+                )
+            ):
+                lines.add(node.lineno)
+        found += [f"{filename}:{line}" for line in sorted(lines)]
+    return found
+
+
+def test_only_the_cli_prints():
+    # library modules report through return values and exceptions, so each
+    # command reports in one place
+    trees = {name: tree for name, tree in _package_trees().items() if name != "cli.py"}
+    assert _prints(trees) == [], "output written outside cli.py (return or raise it instead)"
+
+
+def test_a_print_outside_the_cli_is_reported():
+    # a method named print, and another object's stdout, are not output
+    source = (
+        "import sys\nfrom sys import argv, stderr\n\n"
+        "def f(log, proc):\n"
+        "    print('x')\n    sys.stdout.write('y')\n    say = print\n"
+        "    log.print('z')\n    return proc.stdout, sys.argv\n"
+    )
+    assert _prints({"m.py": ast.parse(source)}) == ["m.py:2", "m.py:5", "m.py:6", "m.py:7"]
+
+
 def test_a_failing_hypothesis_test_reports_its_example_and_the_run_goes_on(tmp_path):
     # Under the repository's pytest settings (every warning an error), a
     # failing @given test must print its falsifying example, and the tests
