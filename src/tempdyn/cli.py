@@ -97,10 +97,6 @@ def _station_series(config: RunConfig, code: str) -> series_mod.TemperatureSerie
         raise _CommandError(str(exc))
 
 
-def _isoformat(dates_by_element: dict) -> dict:
-    return {element: [d.isoformat() for d in dates] for element, dates in dates_by_element.items()}
-
-
 def ingest(config_path, station_codes, endpoint, strict_qc, out, refresh):
     """Fetch, parse, repair, and write per-station daily series CSVs."""
     # only ingest fetches and parses, so the other commands skip this import
@@ -159,9 +155,7 @@ def ingest(config_path, station_codes, endpoint, strict_qc, out, refresh):
                 rows=len(built),
                 series_csv=str(_series_path(config, station.code)),
                 series_sha256=digest,
-                interpolated=_isoformat(notes.interpolated),
-                inversions_repaired=[d.isoformat() for d in notes.inversions_repaired],
-                qc_suppressed=_isoformat(notes.qc_suppressed),
+                **vars(notes),
             )
         except Exception as exc:  # noqa: BLE001 - reported in the manifest
             entry.update(status="error", error=f"{type(exc).__name__}: {exc}")
@@ -379,15 +373,14 @@ def main(argv: Optional[list[str]] = None, standalone_mode: bool = True) -> None
         arguments = vars(_parser().parse_args(argv))
         arguments.pop("command")(**arguments)
         sys.stdout.flush()
-    except (_CommandError, ConfigError) as exc:
-        print(f"Error: {exc}", file=sys.stderr)
-        sys.exit(1)
     except BrokenPipeError:
         # the reader closed the pipe (`tempdyn fit ... | head`): stop quietly,
         # with stdout on devnull so that the flush at exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.exit(1)
-    except OSError as exc:  # an output that cannot be written, named by write_atomic
+    # an OSError is an output that cannot be written, named by write_atomic;
+    # BrokenPipeError is one, so it is caught first
+    except (_CommandError, ConfigError, OSError) as exc:
         print(f"Error: {exc}", file=sys.stderr)
         sys.exit(1)
 

@@ -96,8 +96,7 @@ class DlyRecords:
     order and ``line_numbers`` their 1-based numbers in the file. ``year``,
     ``month`` and ``element`` (4-byte codes) are decoded for every line;
     ``values`` (int32, 31 day slots) only for the TMAX/TMIN lines whose
-    indices ``rows`` lists. ``len()`` counts lines. No per-line record is
-    kept.
+    indices ``rows`` lists. No per-line record is kept.
     """
 
     lines: np.ndarray
@@ -107,9 +106,6 @@ class DlyRecords:
     element: np.ndarray
     rows: np.ndarray
     values: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.lines)
 
     def station_ids(self) -> list[str]:
         """The distinct station identifiers, sorted."""
@@ -141,11 +137,12 @@ class Fetched:
 
 @dataclass
 class IngestNotes:
-    """Diagnostics accumulated while repairing a station's record."""
+    """Diagnostics accumulated while repairing a station's record, each day
+    an ISO date, as the manifest records it."""
 
-    interpolated: dict[str, list[date]] = field(default_factory=dict)
-    qc_suppressed: dict[str, list[date]] = field(default_factory=dict)
-    inversions_repaired: list[date] = field(default_factory=list)
+    interpolated: dict[str, list[str]] = field(default_factory=dict)
+    qc_suppressed: dict[str, list[str]] = field(default_factory=dict)
+    inversions_repaired: list[str] = field(default_factory=list)
 
 
 def parse_dly(data: bytes) -> DlyRecords:
@@ -323,8 +320,9 @@ def interpolate_missing(values: np.ndarray, missing: np.ndarray, start: date) ->
     return filled
 
 
-def _dates(start: date, positions: np.ndarray) -> list[date]:
-    return [start + timedelta(days=p) for p in positions.tolist()]
+def _dates(start: date, positions: np.ndarray) -> list[str]:
+    """The ISO dates of the window's days at ``positions``."""
+    return np.datetime_as_string(np.datetime64(start, "D") + positions).tolist()
 
 
 @dataclass
@@ -333,7 +331,7 @@ class _Scattered:
 
     tenths: np.ndarray
     present: np.ndarray
-    suppressed: list[date]
+    suppressed: list[str]
     problems: list[tuple[int, int, ValueError]]  # (line, day slot, error)
 
 

@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import json
 from datetime import date
-from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .series import Column, distinct_text, fill_rows, write_atomic
+from .series import Column, csv_chunks, distinct_text, fill_rows, write_atomic
 
 if TYPE_CHECKING:  # annotations only, so ingest need not load the fitting modules
     from .density import DensityEstimate
@@ -62,11 +61,6 @@ def _table_rows(report: BatchReport) -> list[CityReport]:
     return rows
 
 
-def _csv(header: Sequence[str], rows: Iterable[str]) -> Iterable[str]:
-    """The header line, then the rows: a CSV streamed as text chunks."""
-    return chain([",".join(header) + "\n"], rows)
-
-
 def write_table_csv(report: BatchReport, path: Path) -> None:
     # the row fields are Python floats, so plain {} gives each one's repr
     rows = (
@@ -77,7 +71,7 @@ def write_table_csv(report: BatchReport, path: Path) -> None:
         f"{row.rho},{row.r_squared}\n"
         for row in _table_rows(report)
     )
-    write_atomic(path, _csv(TABLE_HEADER, rows))
+    write_atomic(path, csv_chunks(TABLE_HEADER, rows))
 
 
 def format_table_text(report: BatchReport) -> str:
@@ -115,12 +109,12 @@ def format_table_text(report: BatchReport) -> str:
 
 
 def write_table_text(report: BatchReport, path: Path) -> None:
-    write_atomic(path, [format_table_text(report)])
+    write_atomic(path, [format_table_text(report).encode()])
 
 
 def write_density_csv(estimate: DensityEstimate, path: Path) -> None:
     rows = (f"{g},{v}\n" for g, v in zip(estimate.grid.tolist(), estimate.values.tolist()))
-    write_atomic(path, _csv(["grid", "density"], rows))
+    write_atomic(path, csv_chunks(["grid", "density"], rows))
 
 
 def write_trend_csv(start: date, y: np.ndarray, trend: ModelFit, path: Path) -> None:
@@ -143,7 +137,7 @@ _DATED_ROW = "{0},%s,%s\n"
 def _write_dated(start: date, names, columns: tuple[Column, Column], path) -> None:
     """Two daily columns from ``start``, one dated row per day, filled a
     block of rows at a time (``series.fill_rows``)."""
-    write_atomic(path, _csv(["date", *names], fill_rows(start, _DATED_ROW, *columns)))
+    write_atomic(path, csv_chunks(["date", *names], fill_rows(start, _DATED_ROW, *columns)))
 
 
 def write_patterns_csv(patterns: Mapping[str, Sequence[float]], path: Path) -> None:
@@ -153,8 +147,8 @@ def write_patterns_csv(patterns: Mapping[str, Sequence[float]], path: Path) -> N
         for m in range(12)
     )
     header = ["month"] + [f"effect_{label}" for label in patterns]
-    write_atomic(path, _csv(header, rows))
+    write_atomic(path, csv_chunks(header, rows))
 
 
 def write_manifest(entries: list[dict], path: Path) -> None:
-    write_atomic(path, [json.dumps(entries, indent=2, sort_keys=True), "\n"])
+    write_atomic(path, [json.dumps(entries, indent=2, sort_keys=True).encode(), b"\n"])

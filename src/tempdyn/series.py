@@ -9,11 +9,13 @@ sha256, and read from the sidecar alone: the CSV is the record that the
 key vouches for, never parsed, so one changed after it was written is
 refused.
 
-Dated CSV rows (the series files here, the figure data in ``reporting``)
-are written from per-window row templates: the text that depends only on
-the window (date, t, month) is formatted once per window and layout, and
-each file fills it with its own cells. The bytes are those of formatting
-every row in full.
+Every CSV, the series files here and the table and figure data in
+``reporting``, is encoded by one function, :func:`csv_chunks`, and every
+output file is written as bytes by :func:`write_atomic`. Dated CSV rows
+(the series files and the dated figure data) are written from per-window
+row templates: the text that depends only on the window (date, t, month)
+is formatted once per window and layout, and each file fills it with its
+own cells. The bytes are those of formatting every row in full.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from datetime import date, timedelta
 from functools import lru_cache
 from itertools import chain, islice
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -170,27 +172,27 @@ def _block_cells(columns: tuple[Column, ...], lo: int, hi: int) -> tuple:
     return tuple(cells)
 
 
-def write_atomic(path, chunks: Union[Iterable[str], Iterable[bytes]]) -> None:
-    """Replace ``path`` by the chunks, streamed through a temp file in its
-    directory and renamed over it. The chunks are all text, written as
-    UTF-8, or all binary: bytes first, then any buffers. If anything raises
-    first, the temp file is removed and the previous file stays, and an
-    OSError is raised again as one naming ``path`` and the reason (the
-    original its ``__cause__``). The temp file is opened like any output
-    file, so it keeps a plain ``open()``'s mode (not ``mkstemp``'s 0600).
-    Every file tempdyn writes goes through here.
+def csv_chunks(header: Sequence[str], rows: Iterable[str]) -> Iterator[bytes]:
+    """The header line, then the rows, as UTF-8 chunks: the one CSV
+    encoder, for the series CSV and every table and figure CSV."""
+    return map(str.encode, chain([",".join(header) + "\n"], rows))
+
+
+def write_atomic(path, chunks: Iterable) -> None:
+    """Replace ``path`` by the chunks, bytes or other buffers, streamed
+    through a temp file in its directory and renamed over it. Text is
+    encoded by its writer (CSVs by :func:`csv_chunks`); a ``str`` chunk
+    raises TypeError like any other fault. If anything raises first, the
+    temp file is removed and the previous file stays, and an OSError is
+    raised again as one naming ``path`` and the reason (the original its
+    ``__cause__``). The temp file is opened like any output file, so it
+    keeps a plain ``open()``'s mode (not ``mkstemp``'s 0600). Every file
+    tempdyn writes goes through here.
     """
-    chunks = iter(chunks)
-    first = next(chunks, "")
     # a thread writes one file at a time, so the name is unique among writers
     temp_path = f"{path}.{os.getpid()}-{threading.get_ident()}.part"
     try:
-        if isinstance(first, bytes):
-            handle = open(temp_path, "wb")
-        else:
-            handle = open(temp_path, "w", encoding="utf-8", newline="")
-        with handle:
-            handle.write(first)
+        with open(temp_path, "wb") as handle:
             handle.writelines(chunks)
         os.replace(temp_path, path)
     except OSError as exc:
@@ -267,13 +269,12 @@ def write_series_csv(series: TemperatureSeries, path) -> str:
     cells = _pair_cells(series)
     digest = hashlib.sha256()
 
-    def hashed(text: str) -> bytes:
-        chunk = text.encode()
+    def hashed(chunk: bytes) -> bytes:
         digest.update(chunk)
         return chunk
 
     rows = fill_rows(series.start, _SERIES_ROW, (cells, np.ndarray.tolist))
-    write_atomic(path, map(hashed, chain([",".join(SERIES_CSV_HEADER) + "\n"], rows)))
+    write_atomic(path, map(hashed, csv_chunks(SERIES_CSV_HEADER, rows)))
     write_atomic(sidecar_path(path), _sidecar_chunks(series, digest.digest()))
     return digest.hexdigest()
 

@@ -289,7 +289,7 @@ class TestBytesNativeParse:
         records = parse_dly(data)
         # the line matrix is a view of the payload, not a copy
         assert np.shares_memory(records.lines, np.frombuffer(data, dtype=np.uint8))
-        assert records.line_numbers.tolist() == list(range(1, len(records) + 1))
+        assert records.line_numbers.tolist() == list(range(1, len(records.lines) + 1))
         assert outcome(parse_dly, data) == outcome(reference_parse, data)
         # CRLF endings take the gathered copy, with every field and dtype equal
         crlf = data.replace(b"\n", b"\r\n")
@@ -435,7 +435,7 @@ class TestStationObservations:
             "USW00099901", start, end, skip={(hole, "TMAX")}
         )
         tmax, _, notes = station_observations(parse_dly(payload), start, end)
-        assert notes.interpolated["TMAX"] == [hole]
+        assert notes.interpolated["TMAX"] == [hole.isoformat()]
         index = day_index(start, hole)
         assert tmax[index] == round_half_away_from_zero(
             tmax[index - 1] + tmax[index + 1], 2
@@ -460,8 +460,8 @@ class TestStationObservations:
         records = parse_dly(payload)
         _, lenient, _ = station_observations(records, start, end, strict_qc=False)
         _, strict, notes = station_observations(records, start, end, strict_qc=True)
-        assert notes.qc_suppressed == {"TMIN": [flagged]}
-        assert notes.interpolated["TMIN"] == [flagged]
+        assert notes.qc_suppressed == {"TMIN": [flagged.isoformat()]}
+        assert notes.interpolated["TMIN"] == [flagged.isoformat()]
         index = day_index(start, flagged)
         neighbours = strict[index - 1] + strict[index + 1]
         assert strict[index] == round_half_away_from_zero(neighbours, 2)
@@ -486,7 +486,7 @@ class TestStationObservations:
         tmax, tmin, notes = station_observations(
             parse_dly(line_bytes(*lines)), start, end
         )
-        assert notes.inversions_repaired == [date(1990, 1, 15)]
+        assert notes.inversions_repaired == ["1990-01-15"]
         assert (tmax[14], tmin[14]) == (
             to_fahrenheit_int(90),
             to_fahrenheit_int(50),
@@ -581,7 +581,7 @@ def reference_observations(records, start, end, strict_qc):
             if not start <= when <= end:
                 continue
             if strict_qc and slot.qflag != " ":
-                notes.qc_suppressed.setdefault(record.element, []).append(when)
+                notes.qc_suppressed.setdefault(record.element, []).append(when.isoformat())
                 continue
             previous = store.get(when)
             if previous is not None and previous != slot.value:
@@ -594,7 +594,7 @@ def reference_observations(records, start, end, strict_qc):
     for element in ("TMAX", "TMIN"):
         store = by_element[element]
         raw = [int(to_fahrenheit_int(store[d])) if d in store else None for d in days]
-        notes.interpolated[element] = [d for d, v in zip(days, raw) if v is None]
+        notes.interpolated[element] = [d.isoformat() for d, v in zip(days, raw) if v is None]
         if raw[0] is None or raw[-1] is None:
             raise BoundaryGapError(element)
         if any(a is None and b is None for a, b in zip(raw, raw[1:])):
@@ -607,7 +607,7 @@ def reference_observations(records, start, end, strict_qc):
     for when, high, low in zip(days, filled["TMAX"], filled["TMIN"]):
         if high < low:
             high, low = low, high
-            notes.inversions_repaired.append(when)
+            notes.inversions_repaired.append(when.isoformat())
         tmax.append(high)
         tmin.append(low)
     return tmax, tmin, notes

@@ -254,6 +254,72 @@ def test_a_print_outside_the_cli_is_reported():
     assert _prints({"m.py": ast.parse(source)}) == ["m.py:2", "m.py:5", "m.py:6", "m.py:7"]
 
 
+def _opens_for_writing(call: ast.Call) -> bool:
+    """Whether a call writes a file: ``.write_text``, ``.write_bytes``, or
+    builtin ``open`` or a ``.open`` method with a mode holding w, a, x or
+    +, a mode that is not a string literal counted as one. ``os.open``
+    takes flags, not a mode, and is not matched."""
+    func = call.func
+    method = isinstance(func, ast.Attribute) and getattr(func.value, "id", None) != "os"
+    if method and func.attr in {"write_text", "write_bytes"}:
+        return True
+    if isinstance(func, ast.Name) and func.id == "open":
+        modes = call.args[1:2]
+    elif method and func.attr == "open":
+        modes = call.args[:1]
+    else:
+        return False
+    modes += [keyword.value for keyword in call.keywords if keyword.arg == "mode"]
+    return any(
+        not isinstance(getattr(mode, "value", None), str) or bool(set(mode.value) & set("wax+"))
+        for mode in modes
+    )
+
+
+def _file_writers(trees: dict[str, ast.Module]) -> list[str]:
+    """``file: function`` of each module-level function or method whose
+    body, nested functions included, writes a file."""
+    found = []
+    for filename, tree in trees.items():
+        for qualified, _, node, _ in _functions(tree):
+            if any(isinstance(call, ast.Call) and _opens_for_writing(call) for call in ast.walk(node)):
+                found.append(f"{filename}: {qualified}")
+    return found
+
+
+def test_only_write_atomic_writes_files():
+    # every output file is bytes replaced through a temp file and a rename,
+    # in one place
+    assert _file_writers(_package_trees()) == ["series.py: write_atomic"], (
+        "a file written outside series.write_atomic (pass its bytes there instead)"
+    )
+
+
+def test_a_file_write_outside_write_atomic_is_reported():
+    # reads are not writes, and neither is os.open; a mode the check cannot
+    # read is taken for a write
+    source = (
+        "import os\nfrom pathlib import Path\n\n"
+        "def reads(p):\n"
+        "    with open(p) as f, open(p, 'rb') as g, Path(p).open(mode='r') as h:\n"
+        "        return f, g, h, Path(p).read_bytes(), os.open(os.devnull, os.O_WRONLY)\n\n"
+        "def truncates(p):\n    return open(p, 'w', encoding='utf-8')\n\n"
+        "def appends(p):\n    return open(p, mode='ab')\n\n"
+        "def creates(p):\n    return open(p, 'x')\n\n"
+        "def updates(p):\n    return Path(p).open('r+b')\n\n"
+        "def unknown(p, mode):\n    return open(p, mode)\n\n"
+        "def texts(p):\n    Path(p).write_text('x')\n\n"
+        "class K:\n"
+        "    def save(self, p):\n"
+        "        def inner():\n            p.write_bytes(b'x')\n\n"
+        "        inner()\n"
+    )
+    assert _file_writers({"m.py": ast.parse(source)}) == [
+        "m.py: truncates", "m.py: appends", "m.py: creates", "m.py: updates", "m.py: unknown",
+        "m.py: texts", "m.py: K.save",
+    ]
+
+
 def test_a_failing_hypothesis_test_reports_its_example_and_the_run_goes_on(tmp_path):
     # Under the repository's pytest settings (every warning an error), a
     # failing @given test must print its falsifying example, and the tests

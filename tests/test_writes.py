@@ -99,6 +99,17 @@ def test_interrupted_writer_leaves_previous_file(tmp_path, writer):
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
+def test_text_chunk_is_refused_and_leaves_previous_file(tmp_path):
+    # every output is handed over as bytes: text is a caller's mistake,
+    # refused before the previous file is touched
+    path = tmp_path / "out.csv"
+    path.write_bytes(PREVIOUS)
+    with pytest.raises(TypeError):
+        series_mod.write_atomic(path, ["date,tmax\n", "1960-01-01,70\n"])
+    assert path.read_bytes() == PREVIOUS
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
 def test_interrupted_sidecar_leaves_previous_sidecar(tmp_path, monkeypatch):
     # the CSV is replaced, its sidecar is not; the previous sidecar no
     # longer matches the CSV, so the CSV is refused until both are written
