@@ -40,7 +40,8 @@ def _configure(
     try:
         config = load_config(config_path)
     except OSError as exc:
-        raise _CommandError(str(exc))
+        advice = "pass a readable --config file"
+        raise _CommandError(f"cannot read config {exc.filename}: {exc.strerror}; {advice}")
     if endpoint:
         config.endpoint = endpoint
     if out:
@@ -173,7 +174,8 @@ def ingest(config_path, station_codes, endpoint, strict_qc, out, refresh):
     )
     entries = [ingest_one(station, next(fetches)) for station in stations]
     # written after the report, so a manifest that cannot be written loses no line of it
-    reporting.write_manifest(entries, config.output_dir / "manifest.json")
+    with series_mod.staged(config.output_dir) as write:
+        write("manifest.json", reporting.manifest_json(entries))
     if any(entry["status"] != "ok" for entry in entries):
         sys.exit(1)
 
@@ -203,15 +205,16 @@ def tables(config_path, station_codes, variable, hac_bandwidth, out):
         ((station.code, series_or_error(station.code)) for station in stations),
         variables, config.hac_bandwidth, factors,
     )
-    any_failure = False
+    with series_mod.staged(tables_dir) as write:
+        for var, report in zip(variables, reports):
+            write(f"table_{var}.csv", reporting.table_csv(report))
+            write(f"table_{var}.txt", reporting.table_text(report))
+    # reported once every table is published, so a write that fails reports none
     for var, report in zip(variables, reports):
-        reporting.write_table_csv(report, tables_dir / f"table_{var}.csv")
-        reporting.write_table_text(report, tables_dir / f"table_{var}.txt")
         print(f"wrote {tables_dir / f'table_{var}.csv'}")
         for code, diagnostic in report.failures:
-            any_failure = True
             print(f"{var} {code}: FAILED ({diagnostic})", file=sys.stderr)
-    if any_failure:
+    if any(report.failures for report in reports):
         sys.exit(1)
 
 
@@ -232,35 +235,29 @@ def figures(config_path, station_code, out):
     station_series = _station_series(config, station_code)
 
     # Only coefficients, residuals and fitted values are written, so the
-    # models are fitted by plain OLS, without HAC covariances. Every step
-    # that can fail comes before the first write, so a failure leaves the
-    # station's files as they were: both densities are estimated first.
-    daily = {var: station_series.variable(var) for var in series_mod.VARIABLES}
-    densities = {}
-    for var, y in daily.items():
-        try:
-            densities[var] = density.kde(y)
-        except density.DegenerateBandwidthError as exc:
-            raise _CommandError(f"{station_code} {var}: {exc}")
-
-    for var, y in daily.items():
-        reporting.write_density_csv(densities[var], figures_dir / f"density_{var}.csv")
-        trend = ols_fit(*factors.least_squares("trend", y))
-        reporting.write_trend_csv(factors.start, y, trend, figures_dir / f"trend_{var}.csv")
-        fixed_qr, detrended = factors.least_squares("fixed", y)
-        fixed = ols_fit(fixed_qr, detrended)
-        reporting.write_seasonal_fit_csv(
-            factors.start, detrended, fixed.beta[factors.month_index],
-            figures_dir / f"seasonal_fit_{var}.csv",
-        )
-        reporting.write_patterns_csv(
-            {"fixed": models.month_effects(fixed)}, figures_dir / f"fixed_pattern_{var}.csv"
-        )
-        evolving = ols_fit(*factors.least_squares("evolving", y))
-        reporting.write_patterns_csv(
-            {year: models.month_effects(evolving, t) for year, t in pattern_days.items()},
-            figures_dir / f"evolving_pattern_{var}.csv",
-        )
+    # models are fitted by plain OLS, without HAC covariances. The ten files
+    # land together: a failure leaves the station's files as they were.
+    with series_mod.staged(figures_dir) as write:
+        for var in series_mod.VARIABLES:
+            y = station_series.variable(var)
+            try:
+                write(f"density_{var}.csv", reporting.density_csv(density.kde(y)))
+            except density.DegenerateBandwidthError as exc:
+                raise _CommandError(f"{station_code} {var}: {exc}")
+            trend = ols_fit(*factors.least_squares("trend", y))
+            write(f"trend_{var}.csv", reporting.trend_csv(factors.start, y, trend))
+            fixed_qr, detrended = factors.least_squares("fixed", y)
+            fixed = ols_fit(fixed_qr, detrended)
+            write(f"seasonal_fit_{var}.csv", reporting.seasonal_fit_csv(
+                factors.start, detrended, fixed.beta[factors.month_index]
+            ))
+            write(f"fixed_pattern_{var}.csv", reporting.patterns_csv(
+                {"fixed": models.month_effects(fixed)}
+            ))
+            evolving = ols_fit(*factors.least_squares("evolving", y))
+            write(f"evolving_pattern_{var}.csv", reporting.patterns_csv(
+                {year: models.month_effects(evolving, t) for year, t in pattern_days.items()}
+            ))
     print(f"wrote figure data under {figures_dir}")
 
 
@@ -378,8 +375,8 @@ def main(argv: Optional[list[str]] = None, standalone_mode: bool = True) -> None
         # with stdout on devnull so that the flush at exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.exit(1)
-    # an OSError is an output that cannot be written, named by write_atomic;
-    # BrokenPipeError is one, so it is caught first
+    # an OSError is an output that cannot be written, named by
+    # series.staged; BrokenPipeError is one, so it is caught first
     except (_CommandError, ConfigError, OSError) as exc:
         print(f"Error: {exc}", file=sys.stderr)
         sys.exit(1)

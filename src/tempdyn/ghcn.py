@@ -41,7 +41,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .series import write_atomic
+from .series import staged
 
 MISSING = -9999
 LINE_LENGTH = 269
@@ -459,8 +459,8 @@ def fetch_station(
     as it was; a payload that differs from the cached copy replaces it, as
     ``cache_replaced`` says. A cache file that :func:`parse_station`
     refuses raises :class:`DlyParseError` naming the file. The cache file
-    is replaced atomically (:func:`~tempdyn.series.write_atomic`), so
-    concurrent fetchers never observe a partial file.
+    is staged and renamed over the old one (:func:`~tempdyn.series.staged`),
+    so concurrent fetchers never observe a partial file.
     """
     cache_path = _cache_path(cache_dir, station_id)
     if not refresh and os.path.exists(cache_path):
@@ -487,7 +487,8 @@ def fetch_station(
             f"archive copy differs from the cache ({os.path.getsize(cache_path)} vs "
             f"{len(payload)} bytes); cache replaced"
         )
-    write_atomic(cache_path, [payload])
+    with staged(cache_dir) as write:
+        write(os.path.basename(cache_path), [payload])
     return Fetched(
         "network", cache_path, datetime.now(timezone.utc), records, cache_replaced=replaced
     )

@@ -1,10 +1,11 @@
-"""Deterministic table and figure-data files.
+"""Deterministic table and figure-data files, as bytes: each function
+returns one file's chunks, which the commands write with ``series.staged``.
 
-Every artifact is written twice where it makes sense: CSV for machines and
-an aligned text table for eyeballing. Data files carry no timestamps so
-re-runs on unchanged inputs are byte-identical; the ingest manifest records
-provenance instead (each station's data source and when it was fetched,
-its series sha256 and repairs), and no timing.
+Tables come twice: CSV for machines and an aligned text table for
+eyeballing. Data files carry no timestamps so re-runs on unchanged inputs
+are byte-identical; the ingest manifest records provenance instead (each
+station's data source and when it was fetched, its series sha256 and
+repairs), and no timing.
 
 The dated figure files (trend and seasonal fit) fill the window's row
 templates (``series.fill_rows``): the date text is formatted once per
@@ -17,12 +18,11 @@ from __future__ import annotations
 
 import json
 from datetime import date
-from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .series import Column, csv_chunks, distinct_text, fill_rows, write_atomic
+from .series import csv_chunks, distinct_text, fill_rows
 
 if TYPE_CHECKING:  # annotations only, so ingest need not load the fitting modules
     from .density import DensityEstimate
@@ -61,7 +61,7 @@ def _table_rows(report: BatchReport) -> list[CityReport]:
     return rows
 
 
-def write_table_csv(report: BatchReport, path: Path) -> None:
+def table_csv(report: BatchReport) -> Iterable[bytes]:
     # the row fields are Python floats, so plain {} gives each one's repr
     rows = (
         f"{row.station},{_two(row.delta_trend)},{str(row.delta_trend_starred).lower()},"
@@ -71,84 +71,70 @@ def write_table_csv(report: BatchReport, path: Path) -> None:
         f"{row.rho},{row.r_squared}\n"
         for row in _table_rows(report)
     )
-    write_atomic(path, csv_chunks(TABLE_HEADER, rows))
+    return csv_chunks(TABLE_HEADER, rows)
 
 
-def format_table_text(report: BatchReport) -> str:
-    columns = ["station", "dtrend", "p(nt)", "p(ns)", "p(nts)", "rho", "R2"]
-    lines = []
-    body = []
-    for row in _table_rows(report):
-        body.append(
-            [
-                row.station,
-                _two(row.delta_trend) + ("*" if row.delta_trend_starred else ""),
-                _two(row.p_nt),
-                _two(row.p_ns),
-                _two(row.p_nts),
-                _two(row.rho) + ("*" if row.rho_starred else ""),
-                _two(row.r_squared),
-            ]
-        )
-    widths = [
-        max(len(columns[j]), *(len(r[j]) for r in body)) if body else len(columns[j])
-        for j in range(len(columns))
+def table_text(report: BatchReport) -> Iterable[bytes]:
+    header = ["station", "dtrend", "p(nt)", "p(ns)", "p(nts)", "rho", "R2"]
+    body = [
+        [
+            row.station,
+            _two(row.delta_trend) + ("*" if row.delta_trend_starred else ""),
+            _two(row.p_nt),
+            _two(row.p_ns),
+            _two(row.p_nts),
+            _two(row.rho) + ("*" if row.rho_starred else ""),
+            _two(row.r_squared),
+        ]
+        for row in _table_rows(report)
     ]
-    lines.append("  ".join(c.ljust(widths[j]) for j, c in enumerate(columns)).rstrip())
-    for row in body:
-        lines.append("  ".join(v.ljust(widths[j]) for j, v in enumerate(row)).rstrip())
-    lines.append("")
-    lines.append(
+    # each column as wide as its widest cell, the header's included
+    widths = [max(map(len, column)) for column in zip(header, *body)]
+    lines = ["  ".join(map(str.ljust, cells, widths)).rstrip() for cells in [header, *body]]
+    lines += [
+        "",
         f"variable: {report.variable}  "
         f"HAC bandwidth: {report.rows[0].hac_bandwidth if report.rows else 'n/a'}  "
-        "(* = significant at the 1% level)"
-    )
+        "(* = significant at the 1% level)",
+    ]
     if report.failures:
         lines.append("failed stations: " + ", ".join(c for c, _ in report.failures))
-    return "\n".join(lines) + "\n"
+    return ["\n".join(lines).encode() + b"\n"]
 
 
-def write_table_text(report: BatchReport, path: Path) -> None:
-    write_atomic(path, [format_table_text(report).encode()])
-
-
-def write_density_csv(estimate: DensityEstimate, path: Path) -> None:
+def density_csv(estimate: DensityEstimate) -> Iterable[bytes]:
     rows = (f"{g},{v}\n" for g, v in zip(estimate.grid.tolist(), estimate.values.tolist()))
-    write_atomic(path, csv_chunks(["grid", "density"], rows))
-
-
-def write_trend_csv(start: date, y: np.ndarray, trend: ModelFit, path: Path) -> None:
-    # the data lie on a lattice (half or whole degrees)
-    columns = (y, distinct_text), (y - trend.residuals, np.ndarray.tolist)
-    _write_dated(start, ["actual", "fitted"], columns, path)
-
-
-def write_seasonal_fit_csv(
-    start: date, detrended: np.ndarray, seasonal_fitted: np.ndarray, path: Path
-) -> None:
-    # the fitted values are one effect per month
-    columns = (detrended, np.ndarray.tolist), (seasonal_fitted, distinct_text)
-    _write_dated(start, ["detrended", "seasonal_fit"], columns, path)
+    return csv_chunks(["grid", "density"], rows)
 
 
 _DATED_ROW = "{0},%s,%s\n"
 
 
-def _write_dated(start: date, names, columns: tuple[Column, Column], path) -> None:
-    """Two daily columns from ``start``, one dated row per day, filled a
-    block of rows at a time (``series.fill_rows``)."""
-    write_atomic(path, csv_chunks(["date", *names], fill_rows(start, _DATED_ROW, *columns)))
+def trend_csv(start: date, y: np.ndarray, trend: ModelFit) -> Iterable[bytes]:
+    # the data lie on a lattice (half or whole degrees)
+    columns = (y, distinct_text), (y - trend.residuals, np.ndarray.tolist)
+    return csv_chunks(["date", "actual", "fitted"], fill_rows(start, _DATED_ROW, *columns))
 
 
-def write_patterns_csv(patterns: Mapping[str, Sequence[float]], path: Path) -> None:
+def seasonal_fit_csv(
+    start: date, detrended: np.ndarray, seasonal_fitted: np.ndarray
+) -> Iterable[bytes]:
+    # the fitted values are one effect per month
+    columns = (detrended, np.ndarray.tolist), (seasonal_fitted, distinct_text)
+    return csv_chunks(
+        ["date", "detrended", "seasonal_fit"], fill_rows(start, _DATED_ROW, *columns)
+    )
+
+
+def patterns_csv(patterns: Mapping[str, Sequence[float]]) -> Iterable[bytes]:
     """Twelve rows; one column of month effects per pattern, ``effect_<label>``."""
     rows = (
         f"{m + 1}," + ",".join(f"{effects[m]}" for effects in patterns.values()) + "\n"
         for m in range(12)
     )
     header = ["month"] + [f"effect_{label}" for label in patterns]
-    write_atomic(path, csv_chunks(header, rows))
+    return csv_chunks(header, rows)
 
 
-def write_manifest(entries: list[dict], path: Path) -> None:
-    write_atomic(path, [json.dumps(entries, indent=2, sort_keys=True).encode(), b"\n"])
+def manifest_json(entries: list[dict]) -> Iterable[bytes]:
+    return [json.dumps(entries, indent=2, sort_keys=True).encode(), b"\n"]

@@ -11,7 +11,7 @@ refused.
 
 Every CSV, the series files here and the table and figure data in
 ``reporting``, is encoded by one function, :func:`csv_chunks`, and every
-output file is written as bytes by :func:`write_atomic`. Dated CSV rows
+output file is written as bytes by :func:`staged`. Dated CSV rows
 (the series files and the dated figure data) are written from per-window
 row templates: the text that depends only on the window (date, t, month)
 is formatted once per window and layout, and each file fills it with its
@@ -24,6 +24,7 @@ import calendar
 import hashlib
 import os
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date, timedelta
 from functools import lru_cache
@@ -178,28 +179,47 @@ def csv_chunks(header: Sequence[str], rows: Iterable[str]) -> Iterator[bytes]:
     return map(str.encode, chain([",".join(header) + "\n"], rows))
 
 
-def write_atomic(path, chunks: Iterable) -> None:
-    """Replace ``path`` by the chunks, bytes or other buffers, streamed
-    through a temp file in its directory and renamed over it. Text is
-    encoded by its writer (CSVs by :func:`csv_chunks`); a ``str`` chunk
-    raises TypeError like any other fault. If anything raises first, the
-    temp file is removed and the previous file stays, and an OSError is
-    raised again as one naming ``path`` and the reason (the original its
-    ``__cause__``). The temp file is opened like any output file, so it
-    keeps a plain ``open()``'s mode (not ``mkstemp``'s 0600). Every file
-    tempdyn writes goes through here.
+@contextmanager
+def staged(directory) -> Iterator[Callable[[str, Iterable], str]]:
+    """The one writer: files staged in ``directory``, then published together.
+
+    ``write(name, chunks)`` streams bytes or other buffers to a temp file
+    next to ``directory/name`` and returns their sha256 as hex. A clean
+    exit renames each temp file over its target, in the order written; an
+    exception removes them, and every previous file stays. A rename that
+    fails (a directory in the file's place) leaves those renamed before it
+    published. An OSError is raised again naming the file and the reason.
+    Temp files get a plain ``open()``'s mode, not ``mkstemp``'s 0600.
     """
-    # a thread writes one file at a time, so the name is unique among writers
-    temp_path = f"{path}.{os.getpid()}-{threading.get_ident()}.part"
+    pending: list[tuple[str, Path]] = []
+
+    def write(name: str, chunks: Iterable) -> str:
+        path = Path(directory) / name
+        # a thread stages one file at a time, so the name is unique among writers
+        temp_path = f"{path}.{os.getpid()}-{threading.get_ident()}.part"
+        pending.append((temp_path, path))
+        digest = hashlib.sha256()
+        try:
+            with open(temp_path, "wb") as handle:
+                for chunk in chunks:
+                    digest.update(chunk)
+                    handle.write(chunk)
+                    del chunk  # freed before the next chunk is made: one block held, not two
+        except OSError as exc:
+            raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        return digest.hexdigest()
+
     try:
-        with open(temp_path, "wb") as handle:
-            handle.writelines(chunks)
-        os.replace(temp_path, path)
-    except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        yield write
+        for temp_path, path in pending:
+            try:
+                os.replace(temp_path, path)
+            except OSError as exc:
+                raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
     finally:
-        if os.path.exists(temp_path):
-            os.unlink(temp_path)
+        for temp_path, _ in pending:
+            if os.path.exists(temp_path):
+                os.unlink(temp_path)
 
 
 def sidecar_path(csv_path) -> Path:
@@ -256,27 +276,22 @@ def _pair_cells(series: TemperatureSeries) -> np.ndarray:
 
 
 def write_series_csv(series: TemperatureSeries, path) -> str:
-    """Write the series CSV, then its sidecar (:func:`sidecar_path`);
-    return the sha256 of the CSV bytes as hex.
+    """Stage the series CSV and its sidecar (:func:`sidecar_path`) and
+    publish them together; return the sha256 of the CSV bytes as hex.
 
-    The digest is taken as the CSV streams out. The sidecar, the series'
-    first day and int64 tmax and tmin under a key that covers that digest
-    and them (:func:`_sidecar_key`), is what :func:`read_series_csv` reads.
-    It is written second, so a write cut between the two leaves a sidecar
-    whose key no longer matches, which readers refuse until both are
-    written again.
+    The sidecar, the series' first day and int64 tmax and tmin under a key
+    that covers the CSV's digest and them (:func:`_sidecar_key`), is what
+    :func:`read_series_csv` reads. A rename that fails between the two
+    leaves a sidecar whose key no longer matches, which readers refuse
+    until both are written again.
     """
+    path = Path(path)
     cells = _pair_cells(series)
-    digest = hashlib.sha256()
-
-    def hashed(chunk: bytes) -> bytes:
-        digest.update(chunk)
-        return chunk
-
     rows = fill_rows(series.start, _SERIES_ROW, (cells, np.ndarray.tolist))
-    write_atomic(path, map(hashed, csv_chunks(SERIES_CSV_HEADER, rows)))
-    write_atomic(sidecar_path(path), _sidecar_chunks(series, digest.digest()))
-    return digest.hexdigest()
+    with staged(path.parent) as write:
+        digest = write(path.name, csv_chunks(SERIES_CSV_HEADER, rows))
+        write(sidecar_path(path).name, _sidecar_chunks(series, bytes.fromhex(digest)))
+    return digest
 
 
 def read_series_csv(path) -> TemperatureSeries:

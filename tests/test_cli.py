@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import errno
 import gc
 import hashlib
 import io
@@ -402,6 +403,30 @@ class TestIngestFaults:
         assert [e["status"] for e in manifest] == ["error", "ok"]
         assert (workspace / "out" / "series" / "BBB.csv").exists()
 
+    def test_download_without_the_first_day_names_the_cache_file_on_a_rerun(
+        self, workspace, archive
+    ):
+        # a download that lacks the window's first TMAX day parses, so it
+        # is cached: that run names no cache file, and a warm rerun names
+        # the cached copy and --refresh
+        cache_file = workspace / "cache" / "USW00099901.dly"
+        cache_file.unlink()
+        payload = aaa_payload(skip={(WINDOW_START, "TMAX")})
+        archive.serve("/USW00099901.dly", payload)
+        args = ["ingest", "--config", str(workspace / "run.cfg"), "--station", "AAA"]
+        gap = f"TMAX: first observation missing at {WINDOW_START}"
+        result = run(args + ["--endpoint", archive.url])
+        assert (result.exit_code, result.stdout) == (1, "")
+        assert result.stderr == f"AAA: FAILED (BoundaryGapError: {gap})\n"
+        assert cache_file.read_bytes() == payload
+        result = run(args)
+        assert (result.exit_code, result.stdout) == (1, "")
+        assert result.stderr == (
+            f"AAA: FAILED (BoundaryGapError: cached file {cache_file}: {gap}; "
+            "if it was cut short, delete it or rerun with --refresh)\n"
+        )
+        assert archive.requests == ["/USW00099901.dly"]
+
     @pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict-qc"])
     def test_qflags_on_consecutive_days_fail_only_under_strict_qc(self, workspace, strict):
         # strict QC treats the two flagged values as missing, and a gap of
@@ -770,7 +795,8 @@ class TestTables:
         monkeypatch.undo()
 
         table = workspace / "table_avg.csv"
-        reporting.write_table_csv(report, table)
+        with series_mod.staged(workspace) as write:
+            write(table.name, reporting.table_csv(report))
         rows = read_csv_rows(table)
         assert [r["station"] for r in rows] == ["AAA", "XXX"]
         for row, (code, series) in zip(rows, loaded[::2]):
@@ -907,8 +933,8 @@ class TestFigures:
         assert len(result.output.splitlines()) == 1
 
     def test_dtr_without_spread_leaves_the_bundle_as_it_was(self, workspace):
-        # both densities are estimated before the first write, so the avg
-        # files are not written either
+        # the ten files are published together, so the avg files staged
+        # before the dtr density fails are not published either
         config = str(workspace / "run.cfg")
         run(["ingest", "--config", config])
         good = read_series(workspace, "AAA")
@@ -1676,6 +1702,129 @@ def test_config_that_is_not_utf8_is_a_one_line_error(workspace):
     assert result.stderr == f"Error: {config}:9: byte 0xe9 is not UTF-8; save the file as UTF-8\n"
 
 
+def test_config_that_cannot_be_read_is_a_one_line_error(workspace):
+    config = workspace / "configs"
+    config.mkdir()
+    result = run(["tables", "--config", str(config)])
+    assert (result.exit_code, result.stdout) == (1, "")
+    assert result.stderr == (
+        f"Error: cannot read config {config}: Is a directory; pass a readable --config file\n"
+    )
+    assert not (workspace / "out").exists()
+
+
+def test_config_line_without_a_key_is_a_one_line_error(workspace):
+    # a section header other than [stations] is not a setting
+    config = workspace / "run.cfg"
+    config.write_text("[window]\n" + config.read_text())
+    result = run(["tables", "--config", str(config)])
+    assert (result.exit_code, result.stdout) == (1, "")
+    assert result.stderr == f"Error: {config}:1: expected key = value, got '[window]'\n"
+    assert not (workspace / "out").exists()
+
+
+class FullDisk:
+    """A file opened for writing that takes no byte, as on a full disk."""
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.handle.close()
+
+    def write(self, chunk):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def full_disk_at(monkeypatch, n: int) -> list[str]:
+    """From here on, the ``n``th file the package opens for writing fails
+    once it exists, as on a full disk; the paths opened are listed. Every
+    file is written in ``series``, so its ``open`` is the one replaced."""
+    opened = []
+
+    def opening(path, mode="r", *args, **kwargs):
+        handle = open(path, mode, *args, **kwargs)
+        if "w" not in mode:
+            return handle
+        opened.append(str(path))
+        return FullDisk(handle) if len(opened) == n else handle
+
+    monkeypatch.setattr(series_mod, "open", opening, raising=False)
+    return opened
+
+
+def output_files(workspace: Path) -> dict[str, bytes]:
+    return {
+        str(p.relative_to(workspace)): p.read_bytes()
+        for p in sorted((workspace / "out").rglob("*")) if p.is_file()
+    }
+
+
+TABLE_FILES = [f"table_{var}.{kind}" for var in ("avg", "dtr") for kind in ("csv", "txt")]
+FIGURE_FILES = [
+    f"{kind}_{var}.csv"
+    for var in ("avg", "dtr")
+    for kind in ("density", "trend", "seasonal_fit", "fixed_pattern", "evolving_pattern")
+]
+
+
+@pytest.mark.parametrize(
+    "command, directory, name",
+    [(["tables"], "tables", name) for name in TABLE_FILES]
+    + [(["figures", "--station", "AAA"], "figures/AAA", name) for name in FIGURE_FILES],
+    ids=[f"tables-{n}" for n in range(1, 5)] + [f"figures-{n}" for n in range(1, 11)],
+)
+def test_a_failed_write_leaves_every_previous_output(
+    workspace, monkeypatch, command, directory, name
+):
+    # A write fails at each of the command's files in turn, after AAA's
+    # series changed: the command publishes none of its files, so each
+    # station's outputs stay those of one series.
+    args = [*command, "--config", str(workspace / "run.cfg")]
+    run(["ingest", "--config", str(workspace / "run.cfg")])
+    assert run(args).exit_code == 0
+    # AAA's days reversed and its highs raised, which moves every table
+    # and figure file
+    aaa = read_series(workspace, "AAA")
+    write_series(workspace, "AAA", aaa.max_f[::-1] + 1, aaa.min_f[::-1], WINDOW_START, WINDOW_END)
+    previous = output_files(workspace)
+    files = TABLE_FILES if directory == "tables" else FIGURE_FILES
+    opened = full_disk_at(monkeypatch, files.index(name) + 1)
+    result = run(args)
+    path = workspace / "out" / directory / name
+    assert opened[-1].startswith(f"{path}.") and len(opened) == files.index(name) + 1
+    assert (result.exit_code, result.stdout) == (1, "")
+    assert result.stderr == f"Error: cannot write {path}: No space left on device\n"
+    assert output_files(workspace) == previous
+    # the rerun publishes every file anew
+    monkeypatch.undo()
+    assert run(args).exit_code == 0
+    changed = {key for key, data in output_files(workspace).items() if previous[key] != data}
+    assert changed == {f"out/{directory}/{file}" for file in files}
+
+
+def test_a_failed_sidecar_write_leaves_the_previous_series(workspace, monkeypatch):
+    # AAA's CSV is staged, its sidecar fails: both previous files stay, and
+    # still read as the previous series
+    config = str(workspace / "run.cfg")
+    run(["ingest", "--config", config])
+    aaa = read_series(workspace, "AAA")
+    write_series(workspace, "AAA", aaa.max_f + 1, aaa.min_f, WINDOW_START, WINDOW_END)
+    series_dir = workspace / "out" / "series"
+    previous = {p.name: p.read_bytes() for p in series_dir.iterdir()}
+    full_disk_at(monkeypatch, 2)
+    result = run(["ingest", "--config", config, "--station", "AAA"])
+    assert (result.exit_code, result.stdout) == (1, "")
+    assert result.stderr == (
+        f"AAA: FAILED (OSError: cannot write {series_dir / 'AAA.bin'}: No space left on device)\n"
+    )
+    assert {p.name: p.read_bytes() for p in series_dir.iterdir()} == previous
+    assert read_series(workspace, "AAA").max_f.tolist() == (aaa.max_f + 1).tolist()
+
+
 # the CLI with files it writes limited to 4 KiB, a limit of that process
 # alone; CPython ignores SIGXFSZ, so a write past it fails with EFBIG
 SIZE_LIMITED_CLI = (
@@ -1687,7 +1836,7 @@ SIZE_LIMITED_CLI = (
 @pytest.mark.parametrize(
     "command, blocked, reason, stdout",
     [
-        (["tables"], "out/tables/table_dtr.csv", "Is a directory", "wrote {out}/tables/table_avg.csv\n"),
+        (["tables"], "out/tables/table_dtr.csv", "Is a directory", ""),
         (["figures", "--station", "AAA"], "out/figures/AAA/density_avg.csv", "File too large", ""),
         (["ingest"], "out/manifest.json", "Is a directory", "AAA: 731 rows\nBBB: 731 rows\n"),
     ],
@@ -1699,7 +1848,8 @@ def test_output_that_cannot_be_written_is_a_one_line_error(
     # a directory in the output's place, or a file size limit: the command
     # names the file and the reason, and leaves no temp file; what it
     # reported before that write stays on stdout (ingest writes its
-    # manifest after every station's line)
+    # manifest after every station's line, tables reports once its files
+    # are published)
     config = str(workspace / "run.cfg")
     run(["ingest", "--config", config])
     if reason == "Is a directory":

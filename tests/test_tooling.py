@@ -287,15 +287,14 @@ def _file_writers(trees: dict[str, ast.Module]) -> list[str]:
     return found
 
 
-def test_only_write_atomic_writes_files():
-    # every output file is bytes replaced through a temp file and a rename,
-    # in one place
-    assert _file_writers(_package_trees()) == ["series.py: write_atomic"], (
-        "a file written outside series.write_atomic (pass its bytes there instead)"
+def test_only_staged_writes_files():
+    # every output file is bytes staged in a temp file and renamed, in one place
+    assert _file_writers(_package_trees()) == ["series.py: staged"], (
+        "a file written outside series.staged (pass its bytes there instead)"
     )
 
 
-def test_a_file_write_outside_write_atomic_is_reported():
+def test_a_file_write_outside_staged_is_reported():
     # reads are not writes, and neither is os.open; a mode the check cannot
     # read is taken for a write
     source = (
@@ -317,6 +316,60 @@ def test_a_file_write_outside_write_atomic_is_reported():
     assert _file_writers({"m.py": ast.parse(source)}) == [
         "m.py: truncates", "m.py: appends", "m.py: creates", "m.py: updates", "m.py: unknown",
         "m.py: texts", "m.py: K.save",
+    ]
+
+
+_RENAMES = {"replace", "rename", "renames"}
+
+
+def _renamers(trees: dict[str, ast.Module]) -> list[str]:
+    """``file: function`` of each module-level function or method whose
+    body, nested functions included, calls ``os.replace``, ``os.rename``
+    or ``os.renames``, as an attribute of ``os`` or a name imported from
+    it. A ``replace`` method of another object (``str.replace``) is not
+    matched, so ``Path.replace`` and ``Path.rename`` are not either."""
+    found = []
+    for filename, tree in trees.items():
+        imported = {
+            alias.asname or alias.name
+            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module == "os"
+            for alias in node.names if alias.name in _RENAMES
+        }
+        for qualified, _, node, _ in _functions(tree):
+            for call in ast.walk(node):
+                func = getattr(call, "func", None)
+                if (
+                    isinstance(func, ast.Attribute) and func.attr in _RENAMES
+                    and getattr(func.value, "id", None) == "os"
+                ) or (isinstance(func, ast.Name) and func.id in imported):
+                    found.append(f"{filename}: {qualified}")
+                    break
+    return found
+
+
+def test_only_staged_renames_files():
+    # a command's files are published by one rename loop, so no file lands
+    # outside the staging that keeps a failed command's outputs as they were
+    assert _renamers(_package_trees()) == ["series.py: staged"], (
+        "a file renamed outside series.staged (stage it there instead)"
+    )
+
+
+def test_a_rename_outside_staged_is_reported():
+    # a string's replace is not a rename; an imported os function is one
+    source = (
+        "import os\nfrom os import rename as move, path\n\n"
+        "def text(s):\n    return s.replace('a', 'b'), path.join(s)\n\n"
+        "def replaces(a, b):\n    os.replace(a, b)\n\n"
+        "def renames(a, b):\n    os.renames(a, b)\n\n"
+        "def moves(a, b):\n    move(a, b)\n\n"
+        "class K:\n"
+        "    def publish(self, a, b):\n"
+        "        def inner():\n            os.rename(a, b)\n\n"
+        "        inner()\n"
+    )
+    assert _renamers({"m.py": ast.parse(source)}) == [
+        "m.py: replaces", "m.py: renames", "m.py: moves", "m.py: K.publish",
     ]
 
 

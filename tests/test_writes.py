@@ -1,7 +1,8 @@
-"""Every output file is replaced atomically, with a plain file's mode."""
+"""Every output file is staged and replaced atomically, with a plain
+file's mode, and the files staged together land together."""
 
+import hashlib
 import os
-import re
 import stat
 import tracemalloc
 from datetime import date, timedelta
@@ -32,6 +33,13 @@ class Unprintable:
 
     def __float__(self):
         raise RuntimeError("cell cannot be written")
+
+
+def publish(path, chunks) -> str:
+    """``chunks`` staged as ``path`` and published, as a command writes
+    each of its files; their sha256 as hex."""
+    with series_mod.staged(path.parent) as write:
+        return write(path.name, chunks)
 
 
 def _write_series_failing_in_second_block(path):
@@ -71,21 +79,20 @@ def _column_with_bad_cell(n=512, at=300):
 
 WRITERS = {
     "series": _write_series_failing_in_second_block,
-    "table": lambda path: reporting.write_table_csv(
-        BatchReport("avg", (_row("AAA", 0.1), _row("BBB", Unprintable())), None, ()), path
-    ),
-    "density": lambda path: reporting.write_density_csv(
-        DensityEstimate(np.linspace(0.0, 1.0, 512), _column_with_bad_cell(), 1.0), path
-    ),
-    "seasonal-fit": lambda path: reporting.write_seasonal_fit_csv(
+    "table": lambda path: publish(path, reporting.table_csv(
+        BatchReport("avg", (_row("AAA", 0.1), _row("BBB", Unprintable())), None, ())
+    )),
+    "density": lambda path: publish(path, reporting.density_csv(
+        DensityEstimate(np.linspace(0.0, 1.0, 512), _column_with_bad_cell(), 1.0)
+    )),
+    "seasonal-fit": lambda path: publish(path, reporting.seasonal_fit_csv(
         START,
         np.zeros(DAYS),
         _column_with_bad_cell(DAYS, 250),
-        path,
-    ),
-    "patterns": lambda path: reporting.write_patterns_csv(
-        {"1960": [0.5] * 9 + [Unprintable()] + [0.5] * 2}, path
-    ),
+    )),
+    "patterns": lambda path: publish(path, reporting.patterns_csv(
+        {"1960": [0.5] * 9 + [Unprintable()] + [0.5] * 2}
+    )),
 }
 
 
@@ -105,37 +112,78 @@ def test_text_chunk_is_refused_and_leaves_previous_file(tmp_path):
     path = tmp_path / "out.csv"
     path.write_bytes(PREVIOUS)
     with pytest.raises(TypeError):
-        series_mod.write_atomic(path, ["date,tmax\n", "1960-01-01,70\n"])
+        publish(path, ["date,tmax\n", "1960-01-01,70\n"])
     assert path.read_bytes() == PREVIOUS
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
 def test_interrupted_sidecar_leaves_previous_sidecar(tmp_path, monkeypatch):
-    # the CSV is replaced, its sidecar is not; the previous sidecar no
-    # longer matches the CSV, so the CSV is refused until both are written
+    # the CSV and its sidecar are published together: a fault at the
+    # sidecar leaves both previous files, which still read as the previous
+    # series
     built = build_series(np.full(DAYS, 70), np.full(DAYS, 50), START, END)
     path = tmp_path / "AAA.csv"
     write_series_csv(built, path)
-    previous = sidecar_path(path).read_bytes()
+    previous = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     max_f = built.max_f.copy()
     max_f[100] = 71
 
     def unbuildable(series, csv_sha256):
         raise RuntimeError("sidecar cannot be written")
 
-    # the fault comes once the CSV is renamed into place, while its
-    # sidecar is built
+    # the fault comes once the CSV is staged, while its sidecar is built
     monkeypatch.setattr(series_mod, "_sidecar_chunks", unbuildable)
     with pytest.raises(RuntimeError, match="cannot be written"):
         write_series_csv(build_series(max_f, built.min_f, START, END), path)
-    assert sidecar_path(path).read_bytes() == previous
-    assert sorted(tmp_path.iterdir()) == sorted([path, sidecar_path(path)])
-    stale = f"^sidecar {re.escape(str(sidecar_path(path)))} does not match the CSV's bytes$"
-    with pytest.raises(ValueError, match=stale):
-        read_series_csv(path)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == previous
+    assert read_series_csv(path).max_f[99:102].tolist() == [70, 70, 70]
     monkeypatch.undo()
     write_series_csv(build_series(max_f, built.min_f, START, END), path)
     assert read_series_csv(path).max_f[99:102].tolist() == [70, 71, 70]
+
+
+def _previous_files(directory, names):
+    for name in names:
+        (directory / name).write_bytes(PREVIOUS + name.encode())
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+def test_staged_files_land_together_with_their_sha256(tmp_path):
+    previous = _previous_files(tmp_path, ["a.csv", "b.csv"])
+    new = {"a.csv": [b"x,y\n", b"1,2\n"], "b.csv": [b"z\n"], "c.csv": [memoryview(b"3\n")]}
+    with series_mod.staged(tmp_path) as write:
+        digests = {name: write(name, chunks) for name, chunks in new.items()}
+        # staged beside the previous files, none of which has moved yet
+        staged = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.suffix == ".part"}
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == {**previous, **staged}
+        assert len(staged) == 3
+    written = {name: b"".join(chunks) for name, chunks in new.items()}
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == written
+    assert digests == {name: hashlib.sha256(data).hexdigest() for name, data in written.items()}
+
+
+def test_a_failure_before_the_publish_leaves_every_previous_file(tmp_path):
+    previous = _previous_files(tmp_path, ["a.csv", "b.csv"])
+    with pytest.raises(RuntimeError, match="after two files"):
+        with series_mod.staged(tmp_path) as write:
+            write("a.csv", [b"new a\n"])
+            write("c.csv", [b"new c\n"])
+            raise RuntimeError("the command failed after two files")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == previous
+
+
+def test_a_failed_rename_leaves_the_files_renamed_before_it(tmp_path):
+    # renames are atomic one file at a time, not together: with a directory
+    # in the second file's place, the first is published and the third not
+    previous = _previous_files(tmp_path, ["a.csv", "c.csv"])
+    (tmp_path / "b.csv").mkdir()
+    with pytest.raises(OSError, match=f"^cannot write {tmp_path / 'b.csv'}: Is a directory$"):
+        with series_mod.staged(tmp_path) as write:
+            for name in ("a.csv", "b.csv", "c.csv"):
+                write(name, [b"new\n"])
+    assert (tmp_path / "a.csv").read_bytes() == b"new\n"
+    assert (tmp_path / "c.csv").read_bytes() == previous["c.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "b.csv", "c.csv"]
 
 
 def test_series_csv_and_cache_file_get_plain_open_mode(tmp_path, archive):
@@ -176,8 +224,8 @@ def test_dated_columns_hold_each_value_repr(tmp_path):
     trend = ModelFit(("const", "time"), np.zeros(2), residuals, 0.5, DAYS)
     effects = np.array([0.1, -0.0, 0.0, 1 / 3, -2.5, 1e-17, 7.0, -1 / 7, 60.5, 1e300, -3.0, 0.2])
     fitted = effects[WindowFactors(START, END).month_index]
-    reporting.write_trend_csv(START, series.variable("avg"), trend, tmp_path / "trend.csv")
-    reporting.write_seasonal_fit_csv(START, residuals, fitted, tmp_path / "fit.csv")
+    publish(tmp_path / "trend.csv", reporting.trend_csv(START, series.variable("avg"), trend))
+    publish(tmp_path / "fit.csv", reporting.seasonal_fit_csv(START, residuals, fitted))
 
     assert (tmp_path / "trend.csv").read_bytes() == reference_dated_csv(
         START, ["date", "actual", "fitted"], series.variable("avg"),
@@ -205,15 +253,14 @@ def _write_all(series, rng, directory):
     assert path.read_bytes() == reference_series_csv(series)
     residuals = rng.standard_normal(days)
     trend = ModelFit(("const", "time"), np.zeros(2), residuals, 0.5, days)
-    reporting.write_trend_csv(
-        series.start, series.variable("dtr"), trend, directory / "trend.csv"
-    )
+    dtr = series.variable("dtr")
+    publish(directory / "trend.csv", reporting.trend_csv(series.start, dtr, trend))
     assert (directory / "trend.csv").read_bytes() == reference_dated_csv(
         series.start, ["date", "actual", "fitted"], series.variable("dtr"),
         series.variable("dtr") - residuals,
     )
     fitted = rng.standard_normal(12)[WindowFactors(series.start, series.end).month_index]
-    reporting.write_seasonal_fit_csv(series.start, residuals, fitted, directory / "fit.csv")
+    publish(directory / "fit.csv", reporting.seasonal_fit_csv(series.start, residuals, fitted))
     assert (directory / "fit.csv").read_bytes() == reference_dated_csv(
         series.start, ["date", "detrended", "seasonal_fit"], residuals, fitted
     )
@@ -271,10 +318,10 @@ def test_dated_writer_holds_no_whole_window_list(tmp_path):
     y, path = series.variable("avg"), tmp_path / "trend.csv"
     # the first write builds the window's row templates, which every later
     # dated file of the window shares
-    reporting.write_trend_csv(start, y, trend, path)
+    publish(path, reporting.trend_csv(start, y, trend))
     tracemalloc.start()
     try:
-        reporting.write_trend_csv(start, y, trend, path)
+        publish(path, reporting.trend_csv(start, y, trend))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
