@@ -9,6 +9,10 @@ import numpy as np
 
 GRID_POINTS = 512
 GRID_SPAN = 3.0  # bandwidths the grid reaches past the data on each side
+# grid points whose kernels are summed together: on a 58-year AVG series of
+# about 190 distinct values, a call that made the kernel matrix of all 512
+# points, with its two temporaries, traced 2.3 MB; by blocks of 64, 0.34 MB
+_BLOCK_ROWS = 64
 
 
 class DegenerateBandwidthError(ValueError):
@@ -63,7 +67,13 @@ def silverman_bandwidth(data: np.ndarray) -> float:
 
 def kde(data: np.ndarray) -> DensityEstimate:
     """Gaussian KDE with the Silverman bandwidth h, on an equally spaced
-    grid of 512 points over [min-3h, max+3h]."""
+    grid of 512 points over [min-3h, max+3h].
+
+    The kernels are summed for a block of grid points at a time into the
+    one array of 512 values, so no kernel matrix of the whole grid is
+    made; each value is computed by the same expression as from the whole
+    matrix, and is bit for bit the same.
+    """
     data = np.asarray(data, dtype=np.float64)
     if data.size == 0:
         raise ValueError("data is empty")
@@ -76,9 +86,12 @@ def kde(data: np.ndarray) -> DensityEstimate:
     # runs over the few hundred distinct values, each kernel weighted by its
     # count
     points, counts = np.unique(data, return_counts=True)
-    z = (grid[:, None] - points) / h
     norm = 1.0 / (data.size * h * math.sqrt(2.0 * math.pi))
-    values = norm * (np.exp(-0.5 * z * z) @ counts)
+    values = np.empty(GRID_POINTS)
+    for lo in range(0, GRID_POINTS, _BLOCK_ROWS):
+        block = slice(lo, lo + _BLOCK_ROWS)
+        z = (grid[block, None] - points) / h
+        values[block] = norm * (np.exp(-0.5 * z * z) @ counts)
     grid.setflags(write=False)
     values.setflags(write=False)
     return DensityEstimate(grid, values, h)
