@@ -26,7 +26,9 @@ first line in file order with any other field (``+12``, ``1_2``, trailing
 blanks, a tab, letters) or a month outside 1..12 raises
 :class:`DlyParseError`, naming its 1-based line number, the field and, for
 a value, the day. Repair scatters each element into an array indexed by
-day of the window, so no per-day object is ever built.
+day of the window, so no per-day object is ever built; its days are sorted,
+and duplicates checked, only when a file does not list that element's
+months in order.
 """
 
 from __future__ import annotations
@@ -96,7 +98,9 @@ class DlyRecords:
     order and ``line_numbers`` their 1-based numbers in the file. ``year``,
     ``month`` and ``element`` (4-byte codes) are decoded for every line;
     ``values`` (int32, 31 day slots) only for the TMAX/TMIN lines whose
-    indices ``rows`` lists. No per-line record is kept.
+    indices ``rows`` lists. No per-line record is kept, and the station
+    identifier stays in the first 11 bytes of each line, where
+    :func:`parse_station` compares it.
     """
 
     lines: np.ndarray
@@ -106,11 +110,6 @@ class DlyRecords:
     element: np.ndarray
     rows: np.ndarray
     values: np.ndarray
-
-    def station_ids(self) -> list[str]:
-        """The distinct station identifiers, sorted."""
-        ids = np.unique(self.lines[:, :11].copy().view("S11"))
-        return [s.decode("ascii") for s in ids.tolist()]
 
 
 @dataclass(frozen=True)
@@ -250,9 +249,13 @@ def parse_station(data: bytes, station_id: str) -> DlyRecords:
     """:func:`parse_dly`, requiring every line to belong to ``station_id``
     and at least one TMAX or TMIN line."""
     records = parse_dly(data)
-    foreign = [s for s in records.station_ids() if s != station_id]
-    if foreign:
-        raise DlyParseError(f"holds station {', '.join(foreign)}, not {station_id}")
+    ids = records.lines[:, :11].copy().view("S11").ravel()
+    # no line of an archive file names another station, so only a refused
+    # file lists its ids; a non-ASCII id's UTF-8 bytes match no line
+    foreign = ids != station_id.encode()
+    if foreign.any():
+        names = sorted({s.decode("ascii") for s in ids[foreign].tolist()})
+        raise DlyParseError(f"holds station {', '.join(names)}, not {station_id}")
     if not records.rows.size:
         raise DlyParseError(f"holds no TMAX or TMIN records for {station_id}")
     return records
@@ -261,10 +264,9 @@ def parse_station(data: bytes, station_id: str) -> DlyRecords:
 def round_half_away_from_zero(numerator, denominator: int) -> np.ndarray:
     """Exact integer rounding of numerator/denominator, halves away from zero.
 
-    ``numerator`` is an integer or an integer array; the result has its shape.
+    ``numerator`` is an integer or an integer array; the result has its
+    shape. ``denominator`` is a positive integer.
     """
-    if denominator <= 0:
-        raise ValueError("denominator must be positive")
     numerator = np.asarray(numerator)
     return np.sign(numerator) * ((np.abs(numerator) + denominator // 2) // denominator)
 
@@ -354,9 +356,9 @@ def _scatter(
     present = values != MISSING
     problems = []
 
-    bad_row, bad_slot = np.nonzero(present & ~exists)
-    if bad_row.size:
-        i, d = int(bad_row[0]), int(bad_slot[0])
+    bad = np.flatnonzero(present & ~exists)
+    if bad.size:
+        i, d = divmod(int(bad[0]), DAY_SLOTS)
         line = int(records.line_numbers[rows[i]])
         problems.append((line, d, DlyParseError(
             f"value on nonexistent day {year[i]}-{month[i]:02d}-{d + 1:02d} "
@@ -372,26 +374,30 @@ def _scatter(
         suppressed = _dates(start, day[flagged])
         kept &= ~flagged
 
-    kept_row, kept_slot = np.nonzero(kept)
-    positions, tenths = day[kept_row, kept_slot], values[kept_row, kept_slot]
-    order = np.argsort(positions, kind="stable")
-    positions, tenths = positions[order], tenths[order]
-    leads = np.ones(len(positions), dtype=bool)
-    leads[1:] = positions[1:] != positions[:-1]
-    # a later value of a day must equal the first one stored
-    conflicts = np.sort(order[tenths != tenths[leads][np.cumsum(leads) - 1]])
-    if conflicts.size:
-        i, d = int(kept_row[conflicts[0]]), int(kept_slot[conflicts[0]])
-        line = int(records.line_numbers[rows[i]])
-        when = start + timedelta(days=int(day[i, d]))
-        problems.append((line, d, ValueError(
-            f"line {line}: conflicting duplicate {element} values on {when}"
-        )))
+    positions, tenths = day[kept], values[kept]
+    # the archive writes each element's months in order: then every day
+    # comes once, after the one before, and nothing needs sorting
+    if not (positions[1:] > positions[:-1]).all():
+        order = np.argsort(positions, kind="stable")
+        positions, tenths = positions[order], tenths[order]
+        leads = np.ones(len(positions), dtype=bool)
+        leads[1:] = positions[1:] != positions[:-1]
+        # a later value of a day must equal the first one stored
+        conflicts = np.sort(order[tenths != tenths[leads][np.cumsum(leads) - 1]])
+        if conflicts.size:
+            # row * DAY_SLOTS + slot of the first conflict in file order
+            i, d = divmod(int(np.flatnonzero(kept)[conflicts[0]]), DAY_SLOTS)
+            line = int(records.line_numbers[rows[i]])
+            when = start + timedelta(days=int(day[i, d]))
+            problems.append((line, d, ValueError(
+                f"line {line}: conflicting duplicate {element} values on {when}"
+            )))
+        positions, tenths = positions[leads], tenths[leads]
 
     window = np.zeros(days, dtype=np.int64)
-    window[positions[leads]] = tenths[leads]
+    window[positions] = tenths
     have = np.zeros(days, dtype=bool)
-    have[positions[leads]] = True
+    have[positions] = True
     return _Scattered(window, have, suppressed, problems)
 
 
@@ -408,10 +414,9 @@ def station_observations(
     (nonblank qflag) are used as-is unless ``strict_qc`` is set, in which
     case they are treated as missing before gap repair. Days where
     tmax < tmin are repaired by swapping the two readings; the notes report
-    every repair and interpolation.
+    every repair and interpolation. ``start`` precedes ``end``, as the
+    run configuration requires.
     """
-    if start > end:
-        raise ValueError("window start is after window end")
     days = (end - start).days + 1
     scattered = {
         element: _scatter(records, element, start, days, strict_qc)

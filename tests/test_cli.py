@@ -1989,6 +1989,24 @@ def test_warm_cache_ingest_starts_no_thread(workspace, monkeypatch):
     assert threading.active_count() == before
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["ingest"], ["tables", "--variable", "both"], ["figures", "--station", "AAA"],
+     ["fit", "--station", "AAA"]],
+    ids=["ingest", "tables", "figures", "fit"],
+)
+def test_no_command_loads_numpy_ma(workspace, command):
+    # np.unique with no return_* option, np.percentile, np.median and a few
+    # set functions import numpy.ma on numpy 2.4, about 10 ms and 1.9 MiB a
+    # process (test_tooling.py flags those calls); numpy older than 2.3 does
+    # not import it there, and the test passes trivially
+    config = str(workspace / "run.cfg")
+    if command[0] != "ingest":
+        assert run(["ingest", "--config", config]).exit_code == 0
+    statement = f"from tempdyn.cli import main; main({[*command, '--config', config]!r})"
+    assert modules_loaded_by(statement, ("numpy.ma",)) == ""
+
+
 def test_ingest_modules_load_no_fitting_module():
     # ingest parses, repairs and writes; the estimator, the density and
     # statistics are left to the commands that fit

@@ -20,6 +20,7 @@ from tempdyn.ghcn import (
     fetch_station,
     interpolate_missing,
     parse_dly,
+    parse_station,
     round_half_away_from_zero,
     station_observations,
     to_fahrenheit_int,
@@ -622,6 +623,95 @@ def station_payload(station_id: str = STATION, tmax: int = 217) -> bytes:
         make_dly_line(station_id, 1960, 1, "TMAX", {1: tmax}),
         make_dly_line(station_id, 1960, 1, "TMIN", {1: 10}),
     )
+
+
+class TestParseStation:
+    def test_foreign_ids_are_listed_sorted_and_distinct(self):
+        payload = line_bytes(*(
+            make_dly_line(station_id, 1960, 1, "TMAX", {1: 217})
+            for station_id in ("USW00099999", STATION, "USW00011111", "USW00099999")
+        ))
+        with pytest.raises(
+            DlyParseError, match=f"^holds station USW00011111, USW00099999, not {STATION}$"
+        ):
+            parse_station(payload, STATION)
+
+    def test_empty_payload_holds_no_temperature_records(self):
+        with pytest.raises(DlyParseError, match=f"^holds no TMAX or TMIN records for {STATION}$"):
+            parse_station(b"", STATION)
+
+
+QUARTER = (date(2000, 1, 1), date(2000, 3, 31))
+
+
+def month_line(element: str, month: int, changed=(), flagged=()) -> str:
+    """One 2000 month of an element, every day present; 1 is added on the
+    days in ``changed``, and the days in ``flagged`` carry a qflag."""
+    days = range(1, calendar.monthrange(2000, month)[1] + 1)
+    base = 250 if element == "TMAX" else 50
+    values = {d: base + 3 * month + (7 * d) % 11 + (d in changed) for d in days}
+    flags = {d: (" ", "X", " ") for d in flagged}
+    return make_dly_line("USW00099901", 2000, month, element, values, flags)
+
+
+IN_ORDER = [month_line(element, month) for month in (1, 2, 3) for element in ("TMAX", "TMIN")]
+
+
+@pytest.fixture
+def argsorts(monkeypatch):
+    """The length of each array that np.argsort is asked to sort."""
+    calls = []
+    argsort = np.argsort
+
+    def counted(a, *args, **kwargs):
+        calls.append(len(a))
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counted)
+    return calls
+
+
+class TestScatterOrder:
+    """An element whose days come in order is placed without a sort; any
+    other is sorted and checked for conflicting duplicates. Both agree with
+    the per-day reference."""
+
+    def observe(self, lines, strict_qc=False):
+        records = parse_dly(line_bytes(*lines))
+        expected = reference_observations(records, *QUARTER, strict_qc)
+        tmax, tmin, notes = station_observations(records, *QUARTER, strict_qc)
+        assert (tmax.tolist(), tmin.tolist(), notes) == expected
+        return notes
+
+    def test_months_in_order_are_not_sorted(self, argsorts):
+        self.observe(IN_ORDER)
+        assert argsorts == []
+
+    def test_tmax_months_in_reverse_order(self, argsorts):
+        lines = [month_line("TMAX", m) for m in (3, 2, 1)] + [month_line("TMIN", m) for m in (1, 2, 3)]
+        self.observe(lines)
+        assert argsorts == [91]
+
+    def test_month_repeated_with_equal_values(self, argsorts):
+        self.observe(IN_ORDER + [month_line("TMIN", 2)])
+        assert argsorts == [91 + 29]
+
+    def test_conflicting_duplicate_in_an_ordered_file_names_its_first_line_and_day(self):
+        lines = IN_ORDER + [month_line("TMAX", 2, changed={20, 25}), month_line("TMAX", 1, changed={3})]
+        records = parse_dly(line_bytes(*lines))
+        with pytest.raises(ValueError, match="conflicting duplicate TMAX values on 2000-02-20"):
+            reference_observations(records, *QUARTER, False)
+        with pytest.raises(ValueError) as info:
+            station_observations(records, *QUARTER)
+        assert str(info.value) == "line 7: conflicting duplicate TMAX values on 2000-02-20"
+
+    def test_strict_qc_in_order(self, argsorts):
+        lines = list(IN_ORDER)
+        lines[3] = month_line("TMIN", 2, flagged={5, 20})
+        lines[4] = month_line("TMAX", 3, flagged={10})
+        notes = self.observe(lines, strict_qc=True)
+        assert notes.qc_suppressed == {"TMIN": ["2000-02-05", "2000-02-20"], "TMAX": ["2000-03-10"]}
+        assert argsorts == []
 
 
 def not_found(archive, tmp_path):

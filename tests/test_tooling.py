@@ -394,3 +394,58 @@ def test_a_failing_hypothesis_test_reports_its_example_and_the_run_goes_on(tmp_p
     assert "INTERNALERROR" not in result.stdout + result.stderr
     assert "Falsifying example" in result.stdout
     assert "1 failed, 1 passed" in result.stdout
+
+
+# numpy functions whose first call imports numpy.ma on numpy 2.4: about
+# 10 ms and 1.9 MiB of every process that makes one
+_MA_IMPORTERS = {
+    "percentile", "quantile", "median", "union1d", "setdiff1d", "intersect1d", "unique_values",
+}
+_UNIQUE_RETURNS = ("return_index", "return_inverse", "return_counts")
+_NUMPY = {"np", "numpy"}
+
+
+def _numpy_ma_importers(trees: dict[str, ast.Module]) -> list[str]:
+    """``file:line`` of each call of ``np``/``numpy`` that imports numpy.ma:
+    one of :data:`_MA_IMPORTERS`, or ``unique`` with none of its return_*
+    options set (by position or keyword) to anything but a literal false,
+    and of each read of ``np.ma`` itself."""
+    found = []
+    for filename, tree in trees.items():
+        lines = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "ma":
+                if getattr(node.value, "id", None) in _NUMPY:
+                    lines.add(node.lineno)
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None):
+                if getattr(node.func.value, "id", None) not in _NUMPY:
+                    continue
+                flags = node.args[1:4] + [k.value for k in node.keywords if k.arg in _UNIQUE_RETURNS]
+                returns = any(not (isinstance(f, ast.Constant) and not f.value) for f in flags)
+                if node.func.attr in _MA_IMPORTERS or (node.func.attr == "unique" and not returns):
+                    lines.add(node.lineno)
+        found += [f"{filename}:{line}" for line in sorted(lines)]
+    return found
+
+
+def test_no_call_imports_numpy_ma():
+    # no command loads numpy.ma (tests/test_cli.py), so none pays its import
+    assert _numpy_ma_importers(_package_trees()) == [], (
+        "a numpy call that imports numpy.ma (sort, or ask np.unique for counts or an inverse)"
+    )
+
+
+def test_a_call_that_imports_numpy_ma_is_reported():
+    # np.unique asking for counts or an inverse, by keyword or position, and
+    # another object's median, do not import it
+    source = (
+        "import numpy as np\n\n"
+        "def f(x, stats):\n"
+        "    a = np.unique(x)\n    b = np.unique(x, return_counts=False)\n"
+        "    c = np.unique(x, return_counts=True)\n    d = np.unique(x, False, True)\n"
+        "    e = np.median(x)\n    g = np.percentile(x, 50)\n    h = stats.median(x)\n"
+        "    i = np.ma.masked_array(x)\n    return np.setdiff1d(a, b), np.unique_values(x)\n"
+    )
+    assert _numpy_ma_importers({"m.py": ast.parse(source)}) == [
+        "m.py:4", "m.py:5", "m.py:8", "m.py:9", "m.py:11", "m.py:12",
+    ]
